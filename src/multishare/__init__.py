@@ -3,9 +3,9 @@ multiple networks."""
 
 from .errors import (CapacityError, CorruptData, CorruptShares,
                      EpochMismatch, Infeasible, InsufficientShares,
-                     MultishareError, NoQuorum, NoSolution, StateError,
-                     Underdetermined, UnsolvableConstraints)
-from .field import (DEFAULT_MODULUS, FieldElement, Matrix, crypto_rng,
+                     MultishareError, NoQuorum, StateError,
+                     UnsolvableConstraints)
+from .field import (DEFAULT_MODULUS, FieldElement, crypto_rng,
                     deterministic_rng, is_probable_prime, random_element)
 from .poly import (BirkhoffConstraint, Polynomial, birkhoff_solve,
                    lagrange_at_zero)

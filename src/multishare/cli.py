@@ -72,12 +72,12 @@ def _write_json(path: Path, obj) -> None:
     os.replace(tmp, path)
 
 
-def _load_shares(paths: List[Path]) -> List[NodeShare]:
+def _load_shares(paths: List[Path], modulus: int) -> List[NodeShare]:
     shares = []
     for p in paths:
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-            shares.append(formats.share_from_dict(data))
+            shares.append(formats.share_from_dict(data, modulus))
         except (OSError, ValueError, CorruptData) as exc:
             raise CliError(EXIT_INPUT, f"cannot read share {p}: {exc}")
     return shares
@@ -115,13 +115,13 @@ def cmd_deal(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     topology = _load_topology(args.topology)
-    shares = _load_shares(_share_paths(args))
+    shares = _load_shares(_share_paths(args), topology.modulus)
     if not shares:
         raise CliError(EXIT_INPUT, "no share files found")
     grouped = formats.shares_by_network(shares)
     try:
         chunks = reconstruct(grouped, topology)
-        secret = decode_secret(chunks)
+        secret = decode_secret(chunks, topology.modulus)
     except EpochMismatch as exc:
         raise CliError(EXIT_INFEASIBLE, f"EpochMismatch: {exc}")
     except Infeasible as exc:
@@ -137,7 +137,7 @@ def cmd_refresh(args) -> int:
     topology = _load_topology(args.topology)
     share_dir = Path(args.shares)
     paths = sorted(share_dir.glob("*.share.json"))
-    shares = _load_shares(paths)
+    shares = _load_shares(paths, topology.modulus)
     if not shares:
         raise CliError(EXIT_INPUT, "no share files found")
     epochs = {s.epoch for s in shares}
@@ -159,7 +159,7 @@ def cmd_refresh(args) -> int:
     for share in shares:
         delta = next(d for d in deltas[share.network_id]
                      if d.node_index == share.node_index)
-        updated = apply_node_refresh(share, delta)
+        updated = apply_node_refresh(share, delta, topology.modulus)
         _write_json(_share_path(share_dir, updated),
                     formats.share_to_dict(updated, topology.modulus))
     _write_json(share_dir / "manifest.json",
@@ -206,22 +206,18 @@ def cmd_simulate(args) -> int:
         scenario = Scenario.from_dict(data)
     except (OSError, ValueError, CorruptData) as exc:
         raise CliError(EXIT_INPUT, f"cannot load scenario: {exc}")
-    sim = None
     if args.state and Path(args.state).exists():
         try:
             sim = load_state(args.state)
         except StateError as exc:
             raise CliError(EXIT_INPUT, f"cannot load state: {exc}")
+    else:
+        sim = Simulation(scenario.topology, scenario.secret, args.seed)
     report = run_scenario(scenario, seed=args.seed, sim=sim)
     report_path = Path(args.report) if args.report else \
         Path(args.scenario).with_suffix(".report.json")
     _write_json(report_path, report)
     if args.state:
-        if sim is None:
-            # run_scenario built its own simulation; rerun attached so the
-            # state can be persisted.
-            sim = Simulation(scenario.topology, scenario.secret, args.seed)
-            report = run_scenario(scenario, seed=args.seed, sim=sim)
         sim.save_state(args.state)
     print(f"adversary: {report['adversary_verdict']}")
     print(f"owner available: {report['owner_available']}")

@@ -10,14 +10,6 @@ class MultishareError(Exception):
     """Base class for protocol-level failures."""
 
 
-class NoSolution(MultishareError):
-    """The linear system is inconsistent."""
-
-
-class Underdetermined(MultishareError):
-    """The linear system has more than one solution."""
-
-
 class UnsolvableConstraints(MultishareError):
     """The interpolation constraint matrix is singular."""
 

@@ -1,16 +1,15 @@
 """Prime-field arithmetic and exact linear algebra over F_q.
 
 Everything here is exact big-integer math: no tolerances exist anywhere.
-All values are immutable and every function is pure, so concurrent use
-needs no synchronization.
+Below the public scalar type FieldElement, values are plain ints in
+0..q-1 with the modulus passed alongside. All values are immutable and
+every function is pure, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Union
-
-from .errors import NoSolution, Underdetermined
+from typing import Optional, Sequence
 
 # Mersenne prime 2^127 - 1: fast reduction, comfortably above any chunk value.
 DEFAULT_MODULUS = 2**127 - 1
@@ -121,143 +120,41 @@ class FieldElement:
 
     @classmethod
     def from_hex(cls, text: str, modulus: int) -> "FieldElement":
-        value = int(text, 16)
-        if value >= modulus or value < 0:
-            raise ValueError(f"value {text} out of range for modulus")
-        return cls(value, modulus)
+        return cls(parse_hex(text, modulus), modulus)
 
 
-def random_element(modulus: int, rng) -> FieldElement:
+def random_int(modulus: int, rng) -> int:
     """Uniform draw via rejection sampling (no modulo bias)."""
     bits = modulus.bit_length()
     while True:
         v = rng.getrandbits(bits)
         if v < modulus:
-            return FieldElement(v, modulus)
+            return v
 
 
-def random_nonzero(modulus: int, rng) -> FieldElement:
-    while True:
-        e = random_element(modulus, rng)
-        if not e.is_zero():
-            return e
+def random_element(modulus: int, rng) -> FieldElement:
+    return FieldElement(random_int(modulus, rng), modulus)
 
 
-Entry = Union[int, FieldElement]
-
-
-def _to_int(e: Entry, modulus: int) -> int:
-    if isinstance(e, FieldElement):
-        if e.modulus != modulus:
-            raise ValueError("modulus mismatch in matrix entry")
-        return e.value
-    return e % modulus
-
-
-class Matrix:
-    """Row-major matrix over F_q. Immutable once built."""
-
-    __slots__ = ("rows", "cols", "modulus", "_rows")
-
-    def __init__(self, entries: Sequence[Sequence[Entry]], modulus: int,
-                 cols: Optional[int] = None):
-        rows = [[_to_int(e, modulus) for e in row] for row in entries]
-        if rows:
-            cols = len(rows[0]) if cols is None else cols
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged matrix rows")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self._init("_rows", rows)
-        self._init("rows", len(rows))
-        self._init("cols", cols)
-        self._init("modulus", modulus)
-
-    def _init(self, name, val):
-        object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Matrix is immutable")
-
-    def row(self, i: int) -> list:
-        return [FieldElement(v, self.modulus) for v in self._rows[i]]
-
-    def rank(self) -> int:
-        return len(_eliminate(self._rows, self.modulus))
-
-    def solve(self, rhs: Sequence[Entry]) -> list:
-        """Unique solution of self * x = rhs, as FieldElements.
-
-        Raises NoSolution for an inconsistent system and Underdetermined
-        when the solution is not unique.
-        """
-        if len(rhs) != self.rows:
-            raise ValueError("rhs length does not match row count")
-        q = self.modulus
-        b = [_to_int(e, q) for e in rhs]
-        aug = [row + [bv] for row, bv in zip(self._rows, b)]
-        pivots = _eliminate(aug, q)
-        # A pivot in the rhs column means 0 = nonzero.
-        for col, row in pivots:
-            if col == self.cols:
-                raise NoSolution("inconsistent system")
-        if len(pivots) < self.cols:
-            raise Underdetermined("rank below column count")
-        sol = [0] * self.cols
-        for col, row in pivots:
-            sol[col] = row[self.cols]
-        return [FieldElement(v, q) for v in sol]
-
-    def in_row_span(self, v: Sequence[Entry]) -> bool:
-        return self.express_in_row_span(v) is not None
-
-    def express_in_row_span(self, v: Sequence[Entry]) -> Optional[list]:
-        """Coefficients c (one per row) with sum(c_i * row_i) = v, or None."""
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        q = self.modulus
-        combo = express_over_rows(self._rows,
-                                  [_to_int(e, q) for e in v], q)
-        if combo is None:
-            return None
-        return [FieldElement(c, q) for c in combo]
-
-
-def _eliminate(rows: Iterable[Sequence[int]], q: int) -> list:
-    """Forward elimination; returns [(pivot_col, reduced_row), ...].
-
-    Exact arithmetic: the pivot is simply the first nonzero entry.
-    """
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots:
-            f = row[col]
-            if f:
-                row = [(a - f * b) % q for a, b in zip(row, prow)]
-        for col, a in enumerate(row):
-            if a:
-                inv = pow(a, -1, q)
-                row = [x * inv % q for x in row]
-                # Clear the new pivot column from earlier pivot rows so the
-                # result is fully reduced (solve reads it off directly).
-                for k, (pcol, prow) in enumerate(pivots):
-                    f = prow[col]
-                    if f:
-                        pivots[k] = (pcol, [(a2 - f * b2) % q
-                                            for a2, b2 in zip(prow, row)])
-                pivots.append((col, row))
-                break
-    return pivots
+def parse_hex(text: str, modulus: int) -> int:
+    """Value of a lowercase hex field element; ValueError unless in range."""
+    value = int(text, 16)
+    if value >= modulus or value < 0:
+        raise ValueError(f"value {text} out of range for modulus")
+    return value
 
 
 def express_over_rows(rows: Sequence[Sequence[int]], v: Sequence[int],
                       q: int) -> Optional[list]:
-    """Int-level core of express_in_row_span (reused by hot paths).
+    """Coefficients c (one per row) with sum(c_i * rows_i) = v mod q, or
+    None when v is outside the row span.
 
-    Tracks each pivot row's expansion over the original rows, then
-    reduces v; returns the combination or None when v is outside the span.
+    The package's only elimination: span tests, solves and interpolation
+    weights all go through it. Tracks each pivot row's expansion over the
+    original rows, then reduces v.
     """
+    if any(len(row) != len(v) for row in rows):
+        raise ValueError("row length does not match vector length")
     n = len(rows)
     pivots = []  # (pivot_col, row, combo over original rows)
     for i, row in enumerate(rows):

@@ -1,7 +1,8 @@
 """File formats: JSON schemas for topologies, shares, manifests and
 scenarios, plus canonical serialization helpers.
 
-Field elements are lowercase big-endian hex. All JSON emitted through
+Field elements are lowercase big-endian hex; in memory they are plain
+ints, and the modulus comes from the topology. All JSON emitted through
 canonical_json is byte-stable (sorted keys, fixed separators).
 """
 
@@ -12,7 +13,7 @@ import json
 from typing import Dict, List
 
 from .errors import CorruptData
-from .field import FieldElement
+from .field import parse_hex
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -84,17 +85,19 @@ def share_to_dict(share: NodeShare, modulus: int) -> dict:
         "node_index": share.node_index,
         "epoch": share.epoch,
         "chunk_count": len(share.values),
-        "values": [v.to_hex() for v in share.values],
+        "values": [format(v, "x") for v in share.values],
     }
 
 
-def share_from_dict(data: dict) -> NodeShare:
+def share_from_dict(data: dict, modulus: int) -> NodeShare:
+    """Parse a share file dealt under a topology with this modulus."""
     try:
         if data.get("format_version") != FORMAT_VERSION:
             raise CorruptData(
                 f"unsupported format_version {data.get('format_version')!r}")
-        modulus = int(data["modulus"], 16)
-        values = [FieldElement.from_hex(v, modulus) for v in data["values"]]
+        if int(data["modulus"], 16) != modulus:
+            raise CorruptData("share modulus does not match the topology")
+        values = [parse_hex(v, modulus) for v in data["values"]]
         if len(values) != int(data["chunk_count"]):
             raise CorruptData("chunk_count does not match values")
         return NodeShare(network_id=data["network_id"],

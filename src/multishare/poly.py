@@ -3,15 +3,20 @@
 Covers evaluation, the formal derivative, random generation with a pinned
 constant term, Lagrange interpolation at zero, and recovery from mixed
 value/derivative constraints via a linear solve.
+
+The int-level routines (random_coeffs, horner, derivative_coeffs,
+lagrange_zero_weights, birkhoff_weights) are the only implementations;
+Polynomial and the FieldElement-level functions wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import NoSolution, Underdetermined, UnsolvableConstraints
-from .field import FieldElement, Matrix, random_element, random_nonzero
+from . import field
+from .errors import UnsolvableConstraints
+from .field import FieldElement, random_int
 
 
 def _as_int(x: Union[int, FieldElement], modulus: int) -> int:
@@ -20,6 +25,40 @@ def _as_int(x: Union[int, FieldElement], modulus: int) -> int:
             raise ValueError("modulus mismatch")
         return x.value
     return x % modulus
+
+
+def random_coeffs(degree: int, constant: int, q: int, rng) -> List[int]:
+    """Coefficients (constant first) of a random polynomial of exactly
+    `degree` with the given constant term.
+
+    Draws the middle coefficients in order, then redraws the leading one
+    until it is nonzero, so declared and actual degree always agree
+    (degree 0 is the constant itself).
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    coeffs = [constant]
+    if degree == 0:
+        return coeffs
+    coeffs += [random_int(q, rng) for _ in range(degree - 1)]
+    lead = 0
+    while not lead:
+        lead = random_int(q, rng)
+    coeffs.append(lead)
+    return coeffs
+
+
+def horner(coeffs: Sequence[int], x: int, q: int) -> int:
+    """Value at x of the polynomial with these coefficients, mod q."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def derivative_coeffs(coeffs: Sequence[int], q: int) -> List[int]:
+    """Formal derivative: coefficient i*c_i shifted down one slot."""
+    return [i * c % q for i, c in enumerate(coeffs)][1:] or [0]
 
 
 class Polynomial:
@@ -75,38 +114,20 @@ class Polynomial:
         return Polynomial([cv * x for x in self.coeffs], self.modulus)
 
     def evaluate(self, x: Union[int, FieldElement]) -> FieldElement:
-        """Horner evaluation mod q."""
-        xv = _as_int(x, self.modulus)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * xv + c) % self.modulus
-        return FieldElement(acc, self.modulus)
+        q = self.modulus
+        return FieldElement(horner(self.coeffs, _as_int(x, q), q), q)
 
     def derivative(self) -> "Polynomial":
-        """Formal derivative: coefficient i*c_i shifted down one slot."""
-        if len(self.coeffs) == 1:
-            return Polynomial([0], self.modulus)
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:],
+        return Polynomial(derivative_coeffs(self.coeffs, self.modulus),
                           self.modulus)
 
     @classmethod
     def random(cls, degree: int, constant: Union[int, FieldElement],
                modulus: int, rng) -> "Polynomial":
-        """Random polynomial of exactly `degree` with pinned constant term.
-
-        The leading coefficient is drawn nonzero so declared and actual
-        degree always agree (degree 0 is the constant itself).
-        """
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        c0 = _as_int(constant, modulus)
-        if degree == 0:
-            return cls([c0], modulus)
-        coeffs = [c0]
-        coeffs += [random_element(modulus, rng).value
-                   for _ in range(degree - 1)]
-        coeffs.append(random_nonzero(modulus, rng).value)
-        return cls(coeffs, modulus)
+        """Random polynomial of exactly `degree` with pinned constant term
+        (drawn by random_coeffs)."""
+        return cls(random_coeffs(degree, _as_int(constant, modulus),
+                                 modulus, rng), modulus)
 
 
 def lagrange_at_zero(points: Sequence[Tuple[FieldElement, FieldElement]]
@@ -116,28 +137,11 @@ def lagrange_at_zero(points: Sequence[Tuple[FieldElement, FieldElement]]
     x values must be distinct and nonzero (a share at 0 would be the
     secret itself).
     """
-    return lagrange_eval(points, 0)
-
-
-def lagrange_eval(points, at: Union[int, FieldElement]) -> FieldElement:
     if not points:
         raise ValueError("need at least one point")
     q = points[0][0].modulus
-    at_v = _as_int(at, q)
-    xs = [p[0].value for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    if at_v == 0 and 0 in xs:
-        raise ValueError("interpolation point x=0 is not allowed")
-    acc = 0
-    for j, (xj, yj) in enumerate(points):
-        num, den = 1, 1
-        for m, xm in enumerate(xs):
-            if m == j:
-                continue
-            num = num * (at_v - xm) % q
-            den = den * (xj.value - xm) % q
-        acc = (acc + yj.value * num * pow(den, -1, q)) % q
+    weights = lagrange_zero_weights([x.value for x, _ in points], q)
+    acc = sum(w * y.value for w, (_, y) in zip(weights, points))
     return FieldElement(acc, q)
 
 
@@ -188,6 +192,16 @@ def birkhoff_matrix_row(point: int, order: int, degree: int, q: int) -> list:
     return row
 
 
+def birkhoff_weights(rows: Sequence[Sequence[int]], coeff: int,
+                     q: int) -> Optional[list]:
+    """Weights w with a_coeff = sum(w_i * value_i) for every polynomial
+    meeting the constraints whose birkhoff_matrix_row rows are `rows`;
+    None when the constraints leave a_coeff undetermined."""
+    unit = [0] * len(rows[0])
+    unit[coeff] = 1
+    return field.express_over_rows(rows, unit, q)
+
+
 def birkhoff_solve(constraints: Sequence[BirkhoffConstraint],
                    degree: int) -> Polynomial:
     """Recover the degree-`degree` polynomial meeting all constraints.
@@ -208,9 +222,13 @@ def birkhoff_solve(constraints: Sequence[BirkhoffConstraint],
         seen.add(key)
     rows = [birkhoff_matrix_row(c.point.value, c.order, degree, q)
             for c in constraints]
-    rhs = [c.value for c in constraints]
-    try:
-        sol = Matrix(rows, q).solve(rhs)
-    except (NoSolution, Underdetermined) as exc:
-        raise UnsolvableConstraints("singular constraint matrix") from exc
-    return Polynomial(sol, q)
+    values = [c.value.value for c in constraints]
+    coeffs = []
+    # A square constraint matrix is invertible exactly when every
+    # coefficient has weights.
+    for t in range(degree + 1):
+        weights = birkhoff_weights(rows, t, q)
+        if weights is None:
+            raise UnsolvableConstraints("singular constraint matrix")
+        coeffs.append(sum(w * v for w, v in zip(weights, values)))
+    return Polynomial(coeffs, q)

@@ -19,9 +19,9 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
-from .field import (DEFAULT_MODULUS, FieldElement, express_over_rows,
-                    is_probable_prime, random_element, random_nonzero)
-from .poly import birkhoff_matrix_row, lagrange_zero_weights
+from .field import DEFAULT_MODULUS, express_over_rows, is_probable_prime
+from .poly import birkhoff_matrix_row, birkhoff_weights, lagrange_zero_weights
+from .shamir import hierarchical_split_ints, split_ints
 
 EXHAUSTIVE_NODE_BOUND = 20
 
@@ -106,7 +106,7 @@ class NodeShare:
     network_id: str
     node_index: int
     epoch: int
-    values: Tuple[FieldElement, ...]  # one per secret chunk
+    values: Tuple[int, ...]  # one per secret chunk, each in 0..modulus-1
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class NodeRefresh:
     network_id: str
     node_index: int
     from_epoch: int
-    values: Tuple[FieldElement, ...]
+    values: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -136,57 +136,36 @@ class Access(Enum):
 # Dealing and reconstruction
 
 
-def _random_poly_ints(degree: int, constant: int, q: int, rng) -> List[int]:
-    """Coefficient list, leading coefficient nonzero for degree >= 1."""
-    if degree == 0:
-        return [constant]
-    coeffs = [constant]
-    coeffs += [random_element(q, rng).value for _ in range(degree - 1)]
-    coeffs.append(random_nonzero(q, rng).value)
-    return coeffs
-
-
-def _eval_ints(coeffs: Sequence[int], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
-
-def deal(secret_chunks: Sequence[FieldElement], topology: Topology,
+def deal(secret_chunks: Sequence[int], topology: Topology,
          rng) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
-    Per chunk: random outer P with P(0)=chunk; the mother's inner secret
-    is P(1) and daughter i's is P'(i); each network's inner polynomial is
-    random of its inner degree with that pinned constant term; node j
-    holds the inner polynomial's value at j.
+    Per chunk: a hierarchical split with one manager (the mother's inner
+    secret P(1)) and one employee per daughter (daughter i's inner secret
+    P'(i)); then a flat split of each network's inner secret over its
+    nodes, node j holding the inner polynomial's value at j. Randomness
+    is drawn chunk by chunk: P's coefficients, then each network's inner
+    polynomial in topology order.
     """
     q = topology.modulus
-    for c in secret_chunks:
-        if c.modulus != q:
-            raise ValueError("chunk modulus does not match topology")
+    d = topology.outer_degree
+    daughters = len(topology.networks) - 1
     per_node: Dict[str, List[List[int]]] = {
         net.id: [[] for _ in range(net.node_count)]
         for net in topology.networks}
-    d = topology.outer_degree
-    daughters = topology.daughters()
     for chunk in secret_chunks:
-        p = _random_poly_ints(d, chunk.value, q, rng)
-        # Formal derivative coefficients of P.
-        dp = [i * c % q for i, c in enumerate(p)][1:] or [0]
-        for net in topology.networks:
-            if net.id == topology.mother.id:
-                inner_secret = _eval_ints(p, 1, q)
-            else:
-                inner_secret = _eval_ints(
-                    dp, topology.derivative_point(net.id), q)
-            inner = _random_poly_ints(net.inner_degree, inner_secret, q, rng)
-            for j in range(1, net.node_count + 1):
-                per_node[net.id][j - 1].append(_eval_ints(inner, j, q))
+        if not 0 <= chunk < q:
+            raise ValueError("chunk out of range for the topology modulus")
+        (mother_secret,), inner_secrets = hierarchical_split_ints(
+            chunk, d, 1, daughters, q, rng)
+        inner_secrets.insert(topology.mother_index, mother_secret)
+        for net, inner_secret in zip(topology.networks, inner_secrets):
+            values = split_ints(inner_secret, net.inner_degree,
+                                net.node_count, q, rng)
+            for column, v in zip(per_node[net.id], values):
+                column.append(v)
     return {
-        net.id: [NodeShare(net.id, j + 1, 0,
-                           tuple(FieldElement(v, q) for v in vals))
+        net.id: [NodeShare(net.id, j + 1, 0, tuple(vals))
                  for j, vals in enumerate(per_node[net.id])]
         for net in topology.networks}
 
@@ -199,25 +178,29 @@ def _outer_weights(topology: Topology, daughter_ids: Sequence[str]) -> list:
     rows = [birkhoff_matrix_row(1, 0, d, q)]
     rows += [birkhoff_matrix_row(topology.derivative_point(nid), 1, d, q)
              for nid in daughter_ids]
-    # P(0) = a_0 = (M^-1 rhs)[0]; find lambda with lambda . M = e_0.
-    combo = express_over_rows(rows, [1] + [0] * d, q)
+    combo = birkhoff_weights(rows, 0, q)
     if combo is None:
         raise Infeasible("outer constraint matrix is singular")
     return combo
 
 
 def reconstruct(shares: Dict[str, Sequence[NodeShare]],
-                topology: Topology) -> List[FieldElement]:
+                topology: Topology) -> List[int]:
     """Recover all chunks, or raise Infeasible naming what is missing.
 
     Needs an inner quorum on the mother plus inner quorums on at least
     outer_degree daughters; each quorum recovers that network's inner
-    secret by interpolation at zero.
+    secret by interpolation at zero. Raises CorruptData when the shares
+    disagree on the chunk count or one node's share is given twice.
     """
     q = topology.modulus
     epochs = {s.epoch for lst in shares.values() for s in lst}
     if len(epochs) > 1:
         raise EpochMismatch(f"shares span epochs {sorted(epochs)}")
+    chunk_counts = {len(s.values) for lst in shares.values() for s in lst}
+    if len(chunk_counts) > 1:
+        raise CorruptData(
+            f"inconsistent chunk counts {sorted(chunk_counts)}")
     recovered: Dict[str, List[int]] = {}
     quorum_report = []
     for net in topology.networks:
@@ -225,19 +208,16 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
         need = net.inner_degree + 1
         xs = [s.node_index for s in have]
         if len(set(xs)) != len(xs):
-            raise ValueError(f"duplicate node shares in {net.id}")
+            raise CorruptData(f"duplicate node shares in {net.id}")
         quorum_report.append((net.id, min(len(have), need), need))
         if len(have) < need:
             continue
         have = sorted(have, key=lambda s: s.node_index)[:need]
         weights = lagrange_zero_weights([s.node_index for s in have], q)
-        n_chunks = len(have[0].values)
-        inner = [0] * n_chunks
+        inner = [0] * len(have[0].values)
         for w, s in zip(weights, have):
-            if len(s.values) != n_chunks:
-                raise ValueError("inconsistent chunk counts")
             for i, v in enumerate(s.values):
-                inner[i] = (inner[i] + w * v.value) % q
+                inner[i] = (inner[i] + w * v) % q
         recovered[net.id] = inner
     mother_id = topology.mother.id
     avail_daughters = [n.id for n in topology.daughters()
@@ -261,7 +241,7 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
         acc = 0
         for w, col in zip(weights, columns):
             acc = (acc + w * col[i]) % q
-        out.append(FieldElement(acc, q))
+        out.append(acc)
     return out
 
 
@@ -278,17 +258,16 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
     for net in topology.networks:
         per_node = [[] for _ in range(net.node_count)]
         for _ in range(chunk_count):
-            r = _random_poly_ints(net.inner_degree, 0, q, rng)
-            for j in range(1, net.node_count + 1):
-                per_node[j - 1].append(_eval_ints(r, j, q))
-        out[net.id] = [
-            NodeRefresh(net.id, j + 1, epoch,
-                        tuple(FieldElement(v, q) for v in vals))
-            for j, vals in enumerate(per_node)]
+            values = split_ints(0, net.inner_degree, net.node_count, q, rng)
+            for column, v in zip(per_node, values):
+                column.append(v)
+        out[net.id] = [NodeRefresh(net.id, j + 1, epoch, tuple(vals))
+                       for j, vals in enumerate(per_node)]
     return out
 
 
-def apply_node_refresh(share: NodeShare, delta: NodeRefresh) -> NodeShare:
+def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
+                       modulus: int) -> NodeShare:
     if (share.network_id, share.node_index) != (delta.network_id,
                                                 delta.node_index):
         raise ValueError("delta does not match share position")
@@ -297,7 +276,7 @@ def apply_node_refresh(share: NodeShare, delta: NodeRefresh) -> NodeShare:
     if len(share.values) != len(delta.values):
         raise ValueError("chunk count mismatch")
     return replace(share, epoch=share.epoch + 1,
-                   values=tuple(a + b for a, b in
+                   values=tuple((a + b) % modulus for a, b in
                                 zip(share.values, delta.values)))
 
 
@@ -511,30 +490,28 @@ def chunk_size(modulus: int) -> int:
 
 
 def encode_secret(data: bytes, modulus: int = DEFAULT_MODULUS
-                  ) -> List[FieldElement]:
-    """Length-prefix then split into fixed-size blocks, one per element."""
+                  ) -> List[int]:
+    """Length-prefix then split into fixed-size blocks, one chunk value per
+    block."""
     block = chunk_size(modulus)
     if len(data) >= 2**32:
         raise ValueError("secret too large for the length header")
     framed = len(data).to_bytes(LENGTH_HEADER, "big") + data
     pad = (-len(framed)) % block
     framed += b"\x00" * pad
-    return [FieldElement(int.from_bytes(framed[i:i + block], "big"), modulus)
+    return [int.from_bytes(framed[i:i + block], "big")
             for i in range(0, len(framed), block)]
 
 
-def decode_secret(chunks: Sequence[FieldElement]) -> bytes:
+def decode_secret(chunks: Sequence[int], modulus: int) -> bytes:
     if not chunks:
         raise CorruptData("no chunks")
-    modulus = chunks[0].modulus
     block = chunk_size(modulus)
     raw = bytearray()
     for c in chunks:
-        if c.modulus != modulus:
-            raise CorruptData("mixed moduli in chunks")
-        if c.value >> (8 * block):
+        if c >> (8 * block):
             raise CorruptData("chunk value out of range")
-        raw += c.value.to_bytes(block, "big")
+        raw += c.to_bytes(block, "big")
     if len(raw) < LENGTH_HEADER:
         raise CorruptData("truncated chunk stream")
     length = int.from_bytes(raw[:LENGTH_HEADER], "big")

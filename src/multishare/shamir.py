@@ -2,7 +2,10 @@
 refresh deltas.
 
 Share x-coordinates are fixed to 1..n; epochs are explicit and shares
-from different epochs never combine.
+from different epochs never combine. split_ints and
+hierarchical_split_ints are the int-level cores; the protocol deals
+through them, and the FieldElement-level functions below validate their
+arguments and wrap them.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import (CorruptShares, EpochMismatch, InsufficientShares,
                      NoQuorum, UnsolvableConstraints)
 from .field import FieldElement
-from .poly import (BirkhoffConstraint, Polynomial, birkhoff_solve,
-                   lagrange_at_zero, lagrange_eval)
+from .poly import (BirkhoffConstraint, birkhoff_solve, derivative_coeffs,
+                   horner, lagrange_at_zero, random_coeffs)
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,23 @@ class RefreshDelta:
     from_epoch: int
 
 
+def split_ints(secret: int, degree: int, n: int, q: int, rng) -> List[int]:
+    """P(1..n) for a random P of exactly `degree` with P(0)=secret."""
+    p = random_coeffs(degree, secret, q, rng)
+    return [horner(p, x, q) for x in range(1, n + 1)]
+
+
+def hierarchical_split_ints(secret: int, degree: int, managers: int,
+                            employees: int, q: int, rng
+                            ) -> Tuple[List[int], List[int]]:
+    """(P(1..managers), P'(1..employees)) for a random P of exactly
+    `degree` with P(0)=secret."""
+    p = random_coeffs(degree, secret, q, rng)
+    dp = derivative_coeffs(p, q)
+    return ([horner(p, x, q) for x in range(1, managers + 1)],
+            [horner(dp, x, q) for x in range(1, employees + 1)])
+
+
 def shamir_split(secret: FieldElement, k: int, n: int, rng
                  ) -> List[FlatShare]:
     """n evaluations of a random degree k-1 polynomial with P(0)=secret."""
@@ -55,8 +75,9 @@ def shamir_split(secret: FieldElement, k: int, n: int, rng
         raise ValueError("need 1 <= k <= n")
     if n >= q:
         raise ValueError("n must be below the field modulus")
-    p = Polynomial.random(k - 1, secret, q, rng)
-    return [FlatShare(x, p.evaluate(x), k, 0) for x in range(1, n + 1)]
+    values = split_ints(secret.value, k - 1, n, q, rng)
+    return [FlatShare(x, FieldElement(y, q), k, 0)
+            for x, y in enumerate(values, start=1)]
 
 
 def shamir_reconstruct(shares: Sequence[FlatShare],
@@ -80,13 +101,16 @@ def shamir_reconstruct(shares: Sequence[FlatShare],
     if len(shares) < k:
         raise InsufficientShares(f"{len(shares)} shares, threshold {k}")
     chosen = sorted(shares, key=lambda s: s.x)[:k]
-    points = [(FieldElement(s.x, s.y.modulus), s.y) for s in chosen]
+    q = chosen[0].y.modulus
+    points = [(FieldElement(s.x, q), s.y) for s in chosen]
     secret = lagrange_at_zero(points)
     if verify:
         for s in shares:
             if s in chosen:
                 continue
-            expected = lagrange_eval(points, s.x)
+            # P(s.x) is the value at zero of X -> P(X + s.x).
+            at = FieldElement(s.x, q)
+            expected = lagrange_at_zero([(x - at, y) for x, y in points])
             if expected != s.y:
                 raise CorruptShares(f"share at x={s.x} is off-polynomial")
     return secret
@@ -105,12 +129,12 @@ def hierarchical_split(secret: FieldElement, k: int, managers: int,
         raise ValueError("employee count must be >= 0")
     if max(managers, employees) >= q:
         raise ValueError("participant count must be below the modulus")
-    p = Polynomial.random(k - 1, secret, q, rng)
-    dp = p.derivative()
-    out = [HierShare(Rank.MANAGER, x, p.evaluate(x), k)
-           for x in range(1, managers + 1)]
-    out += [HierShare(Rank.EMPLOYEE, x, dp.evaluate(x), k)
-            for x in range(1, employees + 1)]
+    values, slopes = hierarchical_split_ints(secret.value, k - 1, managers,
+                                             employees, q, rng)
+    out = [HierShare(Rank.MANAGER, x, FieldElement(y, q), k)
+           for x, y in enumerate(values, start=1)]
+    out += [HierShare(Rank.EMPLOYEE, x, FieldElement(y, q), k)
+            for x, y in enumerate(slopes, start=1)]
     return out
 
 
@@ -166,9 +190,9 @@ def refresh_deltas(k: int, n: int, from_epoch: int, rng, modulus: int
         raise ValueError("need 1 <= k <= n")
     if n >= modulus:
         raise ValueError("n must be below the field modulus")
-    poly = Polynomial.random(k - 1, 0, modulus, rng)
-    return [RefreshDelta(x, poly.evaluate(x), from_epoch)
-            for x in range(1, n + 1)]
+    values = split_ints(0, k - 1, n, modulus, rng)
+    return [RefreshDelta(x, FieldElement(y, modulus), from_epoch)
+            for x, y in enumerate(values, start=1)]
 
 
 def apply_refresh(share: FlatShare, delta: RefreshDelta) -> FlatShare:

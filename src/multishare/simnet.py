@@ -14,13 +14,13 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import field, formats, protocol
 from .errors import Infeasible, StateError
-from .field import FieldElement, deterministic_rng
+from .field import deterministic_rng, parse_hex
 from .formats import canonical_json, topology_from_dict, topology_to_dict
 from .protocol import (Access, FunctionalSpace, LinkKind, NodeShare,
                        Topology, apply_node_refresh, deal, decode_secret,
                        encode_secret, refresh)
-from . import formats
 
 STATE_MAGIC = b"MSS1"
 
@@ -100,7 +100,7 @@ class Simulation:
                     self.transcripts[net.id].append({
                         "kind": "share", "node": share.node_index,
                         "epoch": 0,
-                        "values": [v.value for v in share.values]})
+                        "values": list(share.values)})
                 if node.compromised:
                     self._leak_store(node)
         self.epoch = 0
@@ -122,14 +122,15 @@ class Simulation:
                     self.transcripts[net.id].append({
                         "kind": "delta", "node": d.node_index,
                         "round": round_no,
-                        "values": [v.value for v in d.values]})
+                        "values": list(d.values)})
                 node = self.nodes[(net.id, d.node_index)]
                 if not node.alive:
                     node.stale = True
                     stale.append(f"{net.id}/{d.node_index}")
                     continue
                 if node.store is not None and node.store.epoch == self.epoch:
-                    node.store = apply_node_refresh(node.store, d)
+                    node.store = apply_node_refresh(
+                        node.store, d, self.topology.modulus)
                     applied += 1
                     if node.compromised:
                         self._leak_store(node)
@@ -158,10 +159,13 @@ class Simulation:
                       for nid, lst in usable.items()}
         else:
             usable = self._auto_select(usable)
-        chunks = formats.shares_by_network(
+        by_network = formats.shares_by_network(
             [s for lst in usable.values() for s in lst])
-        values = _reconstruct_chunks(chunks, self.topology)
-        return decode_secret(values)
+        # Looked up at call time, like field.express_over_rows below, so
+        # that wrappers installed on the protocol and field modules (the
+        # perfbench tracer) see these calls.
+        chunks = protocol.reconstruct(by_network, self.topology)
+        return decode_secret(chunks, self.topology.modulus)
 
     def _auto_select(self, usable):
         topo = self.topology
@@ -185,7 +189,7 @@ class Simulation:
     def _leak_store(self, node: SimNode) -> None:
         share = node.store
         key = ("share", node.network_id, node.node_index, share.epoch)
-        self.adversary[key] = tuple(v.value for v in share.values)
+        self.adversary[key] = share.values
 
     def compromise_node(self, network_id: str, node_index: int) -> None:
         node = self.nodes[(network_id, node_index)]
@@ -234,9 +238,8 @@ class Simulation:
         q = self.topology.modulus
         space = FunctionalSpace(self.topology, rounds=self.epoch)
         entries = self.adversary_rows()
-        from .field import express_over_rows
-        combo = express_over_rows([row for _, row, _ in entries],
-                                  space.secret_functional(), q)
+        combo = field.express_over_rows([row for _, row, _ in entries],
+                                        space.secret_functional(), q)
         if combo is None:
             return Access.NO_INFORMATION, None
         chunks = []
@@ -244,8 +247,8 @@ class Simulation:
             acc = 0
             for c, (_, _, vals) in zip(combo, entries):
                 acc = (acc + c * vals[i]) % q
-            chunks.append(FieldElement(acc, q))
-        return Access.RECONSTRUCTS, decode_secret(chunks)
+            chunks.append(acc)
+        return Access.RECONSTRUCTS, decode_secret(chunks, q)
 
     # -- persistence ------------------------------------------------------
 
@@ -266,7 +269,8 @@ class Simulation:
                     "stale": n.stale,
                     "store": None if n.store is None else {
                         "epoch": n.store.epoch,
-                        "values": [v.to_hex() for v in n.store.values]},
+                        "values": [format(v, "x")
+                                   for v in n.store.values]},
                 }
                 for key, n in sorted(self.nodes.items())
             ],
@@ -300,7 +304,7 @@ class Simulation:
                         network_id=node.network_id,
                         node_index=node.node_index,
                         epoch=int(rec["store"]["epoch"]),
-                        values=tuple(FieldElement.from_hex(v, q)
+                        values=tuple(parse_hex(v, q)
                                      for v in rec["store"]["values"]))
             sim.transcripts = {nid: list(entries) for nid, entries
                                in state["transcripts"].items()}
@@ -344,11 +348,6 @@ def _state_to_json(state):
 def _state_from_json(data):
     version, internal, gauss = data
     return (version, tuple(internal), gauss)
-
-
-def _reconstruct_chunks(shares, topology):
-    from .protocol import reconstruct
-    return reconstruct(shares, topology)
 
 
 # ---------------------------------------------------------------------------

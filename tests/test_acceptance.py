@@ -103,7 +103,7 @@ def test_criterion_4_access_dichotomy():
             NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
             NetworkSpec("d2", 3, 1, LinkKind.CLASSICAL))
     t = Topology(q, nets, 0, 1)
-    chunks = [fe(6, q)]
+    chunks = [6]
     dealt = deal(chunks, t, deterministic_rng(4))
     nodes = [(net.id, j) for net in nets for j in (1, 2, 3)]
     for bits in range(2 ** 9):
@@ -242,10 +242,10 @@ def test_criterion_8_refresh_suite():
     dealt = deal(chunks, t, rng)
     for epoch in range(5):
         deltas = refresh(t, len(chunks), epoch, rng)
-        dealt = {nid: [apply_node_refresh(s, deltas[nid][s.node_index - 1])
+        dealt = {nid: [apply_node_refresh(s, deltas[nid][s.node_index - 1], q)
                        for s in shares]
                  for nid, shares in dealt.items()}
-        assert decode_secret(reconstruct(dealt, t)) == msg
+        assert decode_secret(reconstruct(dealt, t), q) == msg
     # Cross-epoch mixing rejected.
     stale = deal(chunks, t, rng)
     mixed = dict(dealt)

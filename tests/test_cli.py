@@ -1,4 +1,7 @@
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,9 @@ from multishare.cli import main
 from multishare.field import DEFAULT_MODULUS
 from multishare.formats import topology_to_dict
 from multishare.protocol import LinkKind, NetworkSpec, Topology
+from multishare.simnet import load_state
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_topology(path: Path, q=DEFAULT_MODULUS, outer=1,
@@ -123,6 +129,33 @@ class TestReconstruct:
         one.write_text(json.dumps(data))
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 3
+
+    def test_foreign_modulus_exit2(self, workspace):
+        tmp, topo, secret, out = self._deal(workspace)
+        for path in out.glob("*.share.json"):
+            data = json.loads(path.read_text())
+            data["modulus"] = format(2**521 - 1, "x")
+            path.write_text(json.dumps(data))
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 2
+
+    def test_chunk_count_mismatch_exit2(self, workspace):
+        tmp, topo, secret, out = self._deal(workspace)
+        for path in out.glob("d1_*.share.json"):
+            data = json.loads(path.read_text())
+            data["values"].pop()
+            data["chunk_count"] -= 1
+            path.write_text(json.dumps(data))
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 2
+
+    def test_same_node_twice_exit2(self, workspace):
+        tmp, topo, secret, out = self._deal(workspace)
+        picks = [out / "m_001.share.json", out / "m_001.share.json",
+                 out / "m_002.share.json",
+                 out / "d1_001.share.json", out / "d1_002.share.json"]
+        assert run(["reconstruct", "--topology", topo,
+                    "--out", tmp / "r.bin"] + picks) == 2
 
 
 class TestRefresh:
@@ -246,13 +279,67 @@ class TestSimulate:
         assert r1.read_bytes() == r2.read_bytes()
 
     def test_state_persists(self, tmp_path):
-        path = self._scenario(tmp_path, [{"event": "deal"}])
+        path = self._scenario(tmp_path, [{"event": "deal"},
+                                         {"event": "refresh"}])
         state = tmp_path / "world.state"
+        with_state = tmp_path / "with-state.json"
+        without_state = tmp_path / "without-state.json"
         assert run(["simulate", "--scenario", path, "--seed", "3",
-                    "--state", state]) == 0
+                    "--state", state, "--report", with_state]) == 0
+        assert run(["simulate", "--scenario", path, "--seed", "3",
+                    "--report", without_state]) == 0
         assert state.read_bytes()[:4] == b"MSS1"
+        assert with_state.read_bytes() == without_state.read_bytes()
+        sim = load_state(state)
+        assert sim.epoch == json.loads(with_state.read_text())["epoch"] == 1
+        again = tmp_path / "again.state"
+        sim.save_state(again)
+        assert again.read_bytes() == state.read_bytes()
 
     def test_malformed_scenario_exit2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schedule": [{"event": "??"}]}')
         assert run(["simulate", "--scenario", path]) == 2
+
+    def test_benchmark_tracer_attaches(self, tmp_path):
+        # The benchmark's tracer wraps functions by module attribute name;
+        # a renamed attribute makes it fail here rather than only in a
+        # traced benchmark run.
+        path = self._scenario(tmp_path, [
+            {"event": "deal"},
+            {"event": "hndl_decrypt_classical"},
+            {"event": "compromise_network", "network": "m"},
+            {"event": "attempt_reconstruct", "actor": "adversary"},
+        ])
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracing.py"),
+             str(spans), "cli", "simulate", "--scenario", str(path),
+             "--report", str(tmp_path / "report.json")],
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(spans.read_text())["counts"]
+        assert counts["field.express_over_rows.calls"] > 0
+
+
+class TestDocumentedExamples:
+    """The documented formats load through the same code the CLI uses."""
+
+    def test_formats_md_topology(self, tmp_path):
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text[text.index("## Topology file"):]
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "topology.json"
+        path.write_text(example)
+        assert run(["thresholds", "--topology", path]) == 0
+
+    def test_example_topology(self):
+        assert run(["thresholds", "--topology",
+                    ROOT / "docs" / "examples" / "topology.json"]) == 0
+
+    def test_example_scenario(self, tmp_path, capsys):
+        assert run(["simulate", "--scenario",
+                    ROOT / "docs" / "examples" / "scenario.json",
+                    "--report", tmp_path / "report.json"]) == 0
+        assert "adversary: Reconstructs" in capsys.readouterr().out
+

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from multishare.errors import UnsolvableConstraints
-from multishare.field import FieldElement, Matrix, deterministic_rng
+from multishare.field import FieldElement, deterministic_rng, express_over_rows
 from multishare.poly import (BirkhoffConstraint, Polynomial, birkhoff_solve,
                              birkhoff_matrix_row, lagrange_at_zero)
 
@@ -175,4 +175,9 @@ class TestBirkhoff:
                         continue
                     seen.add((pt, order))
                     rows.append(birkhoff_matrix_row(pt, order, d, q))
-                assert Matrix(rows, q).rank() <= d
+                # rank <= d: some unit vector of F_q^(d+1) is outside
+                # the span.
+                units = [[int(i == t) for i in range(d + 1)]
+                         for t in range(d + 1)]
+                assert any(express_over_rows(rows, e, q) is None
+                           for e in units)

@@ -2,10 +2,11 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
-from multishare.field import DEFAULT_MODULUS, FieldElement, deterministic_rng
+from multishare.field import DEFAULT_MODULUS, deterministic_rng
 from multishare.protocol import (Access, FunctionalSpace, LinkKind,
                                  NetworkSpec, NodeShare, Topology,
                                  access_oracle, apply_node_refresh,
@@ -82,14 +83,14 @@ class TestDeal:
         # Forced P=4+3X, Q0=7+2X, Q1=3+5X, Q2=3+X over F_11.
         t = topo3()
         rng = ScriptedRng([3, 2, 5, 1])
-        dealt = deal([FieldElement(4, 11)], t, rng)
-        values = {nid: [s.values[0].value for s in shares]
+        dealt = deal([4], t, rng)
+        values = {nid: [s.values[0] for s in shares]
                   for nid, shares in dealt.items()}
         assert values == {"m": [9, 0, 2], "d1": [8, 2, 7], "d2": [4, 5, 6]}
 
     def test_shape(self):
         t = topo3()
-        dealt = deal([FieldElement(4, 11), FieldElement(5, 11)], t,
+        dealt = deal([4, 5], t,
                      deterministic_rng(0))
         assert sum(len(v) for v in dealt.values()) == 9
         for shares in dealt.values():
@@ -101,29 +102,29 @@ class TestDeal:
         nets = (NetworkSpec("m", 2, 1, LinkKind.ITS),
                 NetworkSpec("d1", 2, 0, LinkKind.CLASSICAL))
         t = Topology(11, nets, 0, 1)
-        dealt = deal([FieldElement(4, 11)], t, deterministic_rng(3))
+        dealt = deal([4], t, deterministic_rng(3))
         d1 = dealt["d1"]
         assert d1[0].values[0] == d1[1].values[0]
 
     def test_chunk_modulus_checked(self):
         with pytest.raises(ValueError):
-            deal([FieldElement(1, 7)], topo3(), deterministic_rng(0))
+            deal([11], topo3(), deterministic_rng(0))
 
 
 class TestReconstruct:
     def _dealt_example(self):
         t = topo3()
-        dealt = deal([FieldElement(4, 11)], t, ScriptedRng([3, 2, 5, 1]))
+        dealt = deal([4], t, ScriptedRng([3, 2, 5, 1]))
         return t, dealt
 
     def test_quorum_exact_subset(self):
         t, dealt = self._dealt_example()
         subset = {"m": dealt["m"][:2], "d1": [dealt["d1"][0], dealt["d1"][2]]}
-        assert reconstruct(subset, t)[0].value == 4
+        assert reconstruct(subset, t)[0] == 4
 
     def test_maximal_set(self):
         t, dealt = self._dealt_example()
-        assert reconstruct(dealt, t)[0].value == 4
+        assert reconstruct(dealt, t)[0] == 4
 
     def test_missing_mother_infeasible(self):
         t, dealt = self._dealt_example()
@@ -157,7 +158,7 @@ class TestReconstruct:
                 nets.append(NetworkSpec(f"n{i}", n, d, kind))
             outer = rng.randrange(1, l)
             t = Topology(q, tuple(nets), 0, outer)
-            chunks = [FieldElement(rng.randrange(q), q) for _ in range(3)]
+            chunks = [rng.randrange(q) for _ in range(3)]
             dealt = deal(chunks, t, rng)
             # quorum-exact subset: mother + the first `outer` daughters
             subset = {"n0": dealt["n0"][:nets[0].inner_degree + 1]}
@@ -236,14 +237,93 @@ class TestAccessOracle:
         # The functional rows evaluate to the actually dealt values on
         # the concrete randomness vector [S, p1, q0, q1, q2].
         t = topo3()
-        dealt = deal([FieldElement(4, 11)], t, ScriptedRng([3, 2, 5, 1]))
+        dealt = deal([4], t, ScriptedRng([3, 2, 5, 1]))
         randomness = [4, 3, 2, 5, 1]
         space = FunctionalSpace(t)
         for nid, shares in dealt.items():
             for s in shares:
                 row = space.share_row(nid, s.node_index)
                 got = sum(a * b for a, b in zip(row, randomness)) % 11
-                assert got == s.values[0].value
+                assert got == s.values[0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_rows_match_dealt_values_random(self, data):
+        # Differential check of deal/refresh against the linear model:
+        # on a random small topology, with every draw scripted, each
+        # dealt, delta and refreshed value is its functional row dotted
+        # with [secret, deal draws, refresh draws] in draw order.
+        q = data.draw(st.sampled_from([257, 65537]))
+        l = data.draw(st.integers(2, 4))
+        mother = data.draw(st.integers(0, l - 1))
+        nets = []
+        for i in range(l):
+            n = data.draw(st.integers(1, 4))
+            d = data.draw(st.integers(0, min(2, n - 1)))
+            kind = LinkKind.ITS if i == mother else LinkKind.CLASSICAL
+            nets.append(NetworkSpec(f"n{i}", n, d, kind))
+        t = Topology(q, tuple(nets), mother, data.draw(st.integers(1, l - 1)))
+        secret = None
+        if q > 2**16:
+            secret = data.draw(st.binary(max_size=5))
+            chunks = encode_secret(secret, q)
+        else:
+            chunks = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                        max_size=3))
+        rounds = data.draw(st.integers(0, 3))
+        inner = sum(net.inner_degree for net in nets)
+        per_chunk = t.outer_degree + inner
+        # Draws in 1..q-1 are all accepted, leading coefficients included.
+        draws = data.draw(st.lists(
+            st.integers(1, q - 1),
+            min_size=len(chunks) * (per_chunk + rounds * inner),
+            max_size=len(chunks) * (per_chunk + rounds * inner)))
+        rng = ScriptedRng(draws)
+        shares = deal(chunks, t, rng)
+        history = [shares]
+        all_deltas = []
+        for epoch in range(rounds):
+            deltas = refresh(t, len(chunks), epoch, rng)
+            shares = {nid: [apply_node_refresh(
+                                s, deltas[nid][s.node_index - 1], q)
+                            for s in lst]
+                      for nid, lst in shares.items()}
+            all_deltas.append(deltas)
+            history.append(shares)
+        assert rng.values == []
+
+        # Deal draws chunk by chunk; refresh draws network by network,
+        # chunk by chunk within a network.
+        vectors = []
+        for c, chunk in enumerate(chunks):
+            vec = [chunk] + draws[c * per_chunk:(c + 1) * per_chunk]
+            base = len(chunks) * per_chunk
+            for _ in range(rounds):
+                for net in nets:
+                    k = net.inner_degree
+                    vec += draws[base + c * k:base + (c + 1) * k]
+                    base += len(chunks) * k
+            vectors.append(vec)
+        space = FunctionalSpace(t, rounds)
+
+        def dot(row, vec):
+            return sum(a * b for a, b in zip(row, vec)) % q
+
+        for epoch, dealt in enumerate(history):
+            for nid, lst in dealt.items():
+                for s in lst:
+                    row = space.share_row(nid, s.node_index, epoch)
+                    assert list(s.values) == [dot(row, v) for v in vectors]
+        for round_no, deltas in enumerate(all_deltas, start=1):
+            for nid, lst in deltas.items():
+                for d in lst:
+                    row = space.delta_row(nid, d.node_index, round_no)
+                    assert list(d.values) == [dot(row, v) for v in vectors]
+        got = reconstruct(shares, t)
+        assert got == chunks
+        if secret is not None:
+            assert decode_secret(got, q) == secret
 
     def test_dichotomy_small_exhaustive(self):
         # Reconstruction succeeds exactly where the oracle says it does.
@@ -252,7 +332,7 @@ class TestAccessOracle:
                 NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL),
                 NetworkSpec("d2", 2, 0, LinkKind.CLASSICAL))
         t = Topology(q, nets, 0, 1)
-        chunks = [FieldElement(9, q)]
+        chunks = [9]
         dealt = deal(chunks, t, deterministic_rng(5))
         nodes = all_nodes(t)
         for bits in range(2 ** len(nodes)):
@@ -273,11 +353,12 @@ class TestRefresh:
     def test_preserves_secret(self):
         t = topo3()
         rng = deterministic_rng(8)
-        chunks = [FieldElement(4, 11), FieldElement(9, 11)]
+        chunks = [4, 9]
         dealt = deal(chunks, t, rng)
         for epoch in range(3):
             deltas = refresh(t, 2, epoch, rng)
-            dealt = {nid: [apply_node_refresh(s, deltas[nid][s.node_index - 1])
+            dealt = {nid: [apply_node_refresh(
+                               s, deltas[nid][s.node_index - 1], 11)
                            for s in shares]
                      for nid, shares in dealt.items()}
             assert reconstruct(dealt, t) == chunks
@@ -293,10 +374,11 @@ class TestRefresh:
     def test_mixed_epoch_reconstruct_rejected(self):
         t = topo3()
         rng = deterministic_rng(8)
-        dealt = deal([FieldElement(4, 11)], t, rng)
+        dealt = deal([4], t, rng)
         deltas = refresh(t, 1, 0, rng)
         mixed = dict(dealt)
-        mixed["d1"] = [apply_node_refresh(s, deltas["d1"][s.node_index - 1])
+        mixed["d1"] = [apply_node_refresh(s, deltas["d1"][s.node_index - 1],
+                                          11)
                        for s in dealt["d1"]]
         with pytest.raises(EpochMismatch):
             reconstruct(mixed, t)
@@ -366,22 +448,23 @@ class TestChunking:
     def test_empty_message(self):
         chunks = encode_secret(b"", 2**127 - 1)
         assert len(chunks) == 1  # header-only
-        assert decode_secret(chunks) == b""
+        assert decode_secret(chunks, 2**127 - 1) == b""
 
     def test_sixteen_bytes_two_chunks(self):
         chunks = encode_secret(b"\xaa" * 16, 2**127 - 1)
         assert len(chunks) == 2  # 20 bytes with header, 15-byte blocks
-        assert decode_secret(chunks) == b"\xaa" * 16
+        assert decode_secret(chunks, 2**127 - 1) == b"\xaa" * 16
 
     def test_round_trip_random(self):
         rng = deterministic_rng(77)
         for _ in range(20):
             data = rng.randbytes(rng.randrange(0, 4097))
-            assert decode_secret(encode_secret(data, DEFAULT_MODULUS)) == data
+            chunks = encode_secret(data, DEFAULT_MODULUS)
+            assert decode_secret(chunks, DEFAULT_MODULUS) == data
 
     def test_small_field_round_trip(self):
         data = b"hi there"
-        assert decode_secret(encode_secret(data, 65537)) == data
+        assert decode_secret(encode_secret(data, 65537), 65537) == data
 
     def test_modulus_too_small(self):
         with pytest.raises(ValueError):
@@ -390,11 +473,11 @@ class TestChunking:
     def test_out_of_range_chunk_rejected(self):
         q = 2**127 - 1
         with pytest.raises(CorruptData):
-            decode_secret([FieldElement(2**126, q)])
+            decode_secret([2**126], q)
 
     def test_truncated_rejected(self):
         with pytest.raises(CorruptData):
-            decode_secret([])
+            decode_secret([], 2**127 - 1)
 
 
 class TestEndToEnd:
@@ -412,4 +495,4 @@ class TestEndToEnd:
             t = Topology(q, tuple(nets), 0, rng.randrange(1, l))
             msg = rng.randbytes(rng.randrange(1, 200))
             dealt = deal(encode_secret(msg, q), t, rng)
-            assert decode_secret(reconstruct(dealt, t)) == msg
+            assert decode_secret(reconstruct(dealt, t), q) == msg
