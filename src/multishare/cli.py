@@ -23,7 +23,8 @@ from .protocol import (NodeShare, Topology, apply_node_refresh,
                        compute_thresholds_formula, deal, decode_secret,
                        encode_secret, reconstruct, refresh,
                        EXHAUSTIVE_NODE_BOUND)
-from .simnet import Scenario, Simulation, load_state, run_scenario
+from .simnet import (Scenario, Simulation, check_targets, load_state,
+                     run_scenario)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -133,6 +134,22 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
+def _check_positions(shares: List[NodeShare], topology: Topology) -> None:
+    """Exit 2 unless every share is a distinct node of the topology."""
+    nodes = {(net.id, j) for net in topology.networks
+             for j in range(1, net.node_count + 1)}
+    seen = set()
+    for s in shares:
+        pos = (s.network_id, s.node_index)
+        if pos not in nodes:
+            raise CliError(EXIT_INPUT, f"share {s.network_id}/{s.node_index}"
+                                       f" is not a node of the topology")
+        if pos in seen:
+            raise CliError(EXIT_INPUT, f"share {s.network_id}/{s.node_index}"
+                                       f" given twice")
+        seen.add(pos)
+
+
 def cmd_refresh(args) -> int:
     topology = _load_topology(args.topology)
     share_dir = Path(args.shares)
@@ -149,6 +166,7 @@ def cmd_refresh(args) -> int:
     if len(chunk_counts) != 1:
         raise CliError(EXIT_INPUT, "inconsistent chunk counts")
     chunk_count = chunk_counts.pop()
+    _check_positions(shares, topology)
     deltas = refresh(topology, chunk_count, epoch, _rng(args.seed))
     present = {(s.network_id, s.node_index) for s in shares}
     stale = []
@@ -209,8 +227,12 @@ def cmd_simulate(args) -> int:
     if args.state and Path(args.state).exists():
         try:
             sim = load_state(args.state)
+            check_targets(scenario.schedule, sim.topology)
         except StateError as exc:
             raise CliError(EXIT_INPUT, f"cannot load state: {exc}")
+        except ValueError as exc:
+            raise CliError(EXIT_INPUT, f"scenario does not fit the state: "
+                                       f"{exc}")
     else:
         sim = Simulation(scenario.topology, scenario.secret, args.seed)
     report = run_scenario(scenario, seed=args.seed, sim=sim)

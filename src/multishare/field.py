@@ -9,7 +9,7 @@ every function is pure, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 # Mersenne prime 2^127 - 1: fast reduction, comfortably above any chunk value.
 DEFAULT_MODULUS = 2**127 - 1
@@ -144,42 +144,69 @@ def parse_hex(text: str, modulus: int) -> int:
     return value
 
 
+def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],
+                   q: int) -> Tuple[Sequence[int], Sequence[int]]:
+    """Reduce `row` against the echelon basis `pivots`, applying every
+    step to `payload` as well; returns both, reduced.
+
+    The package's only elimination. `pivots` is a list of (pivot column,
+    row, payload) in insertion order, each row scaled to a leading 1 at
+    its first nonzero column. Rows may differ in length, missing trailing
+    entries being 0; payloads all have one length. A row that reduces to
+    zero lies in the span, and its reduced payload is its payload minus
+    the pivot payloads weighted by the combination of pivot rows that
+    equals it. `row` and `payload` themselves are not modified.
+    """
+    for col, prow, ppay in pivots:
+        f = row[col] if col < len(row) else 0
+        if f:
+            n = len(prow)
+            if len(row) == n:
+                row = [(a - f * b) % q for a, b in zip(row, prow)]
+            elif len(row) < n:
+                row = [(a - f * b) % q
+                       for a, b in zip([*row, *[0] * (n - len(row))], prow)]
+            else:
+                row = ([(a - f * b) % q for a, b in zip(row, prow)]
+                       + list(row[n:]))
+            payload = [(a - f * b) % q for a, b in zip(payload, ppay)]
+    return row, payload
+
+
+def echelon_insert(pivots: list, row: Sequence[int], payload: Sequence[int],
+                   q: int) -> Optional[Sequence[int]]:
+    """Reduce `row` and `payload` against `pivots` (echelon_reduce). A
+    nonzero remainder joins the basis, scaled to a leading 1, and the
+    result is None; otherwise the result is the reduced payload."""
+    row, payload = echelon_reduce(pivots, row, payload, q)
+    for col, a in enumerate(row):
+        if a:
+            inv = pow(a, -1, q)
+            pivots.append((col, [x * inv % q for x in row],
+                           [x * inv % q for x in payload]))
+            return None
+    return payload
+
+
 def express_over_rows(rows: Sequence[Sequence[int]], v: Sequence[int],
                       q: int) -> Optional[list]:
     """Coefficients c (one per row) with sum(c_i * rows_i) = v mod q, or
     None when v is outside the row span.
 
-    The package's only elimination: span tests, solves and interpolation
-    weights all go through it. Tracks each pivot row's expansion over the
-    original rows, then reduces v.
+    Span tests, solves and interpolation weights all go through here:
+    each row enters the echelon basis carrying its unit vector, so a pivot
+    row's payload is its expansion over the original rows; then v is
+    reduced with a zero payload, which ends as minus its expansion.
     """
     if any(len(row) != len(v) for row in rows):
         raise ValueError("row length does not match vector length")
     n = len(rows)
-    pivots = []  # (pivot_col, row, combo over original rows)
+    pivots: list = []
     for i, row in enumerate(rows):
-        row = list(row)
-        combo = [0] * n
-        combo[i] = 1
-        for col, prow, pcombo in pivots:
-            f = row[col]
-            if f:
-                row = [(a - f * b) % q for a, b in zip(row, prow)]
-                combo = [(a - f * b) % q for a, b in zip(combo, pcombo)]
-        for col, a in enumerate(row):
-            if a:
-                inv = pow(a, -1, q)
-                row = [x * inv % q for x in row]
-                combo = [x * inv % q for x in combo]
-                pivots.append((col, row, combo))
-                break
-    res = [x % q for x in v]
-    out = [0] * n
-    for col, prow, pcombo in pivots:
-        f = res[col]
-        if f:
-            res = [(a - f * b) % q for a, b in zip(res, prow)]
-            out = [(a + f * b) % q for a, b in zip(out, pcombo)]
+        unit = [0] * n
+        unit[i] = 1
+        echelon_insert(pivots, row, unit, q)
+    res, rest = echelon_reduce(pivots, [x % q for x in v], [0] * n, q)
     if any(res):
         return None
-    return out
+    return [-x % q for x in rest]

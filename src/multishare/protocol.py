@@ -19,7 +19,8 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
-from .field import DEFAULT_MODULUS, express_over_rows, is_probable_prime
+from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
+                    is_probable_prime)
 from .poly import birkhoff_matrix_row, birkhoff_weights, lagrange_zero_weights
 from .shamir import hierarchical_split_ints, split_ints
 
@@ -170,15 +171,23 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
         for net in topology.networks}
 
 
+def constant_functional(topology: Topology, network_id: str) -> List[int]:
+    """A network's inner secret as a functional over the outer polynomial's
+    coefficients [secret, p_1..p_D]: P(1) for the mother, P'(a) for
+    daughter a."""
+    q = topology.modulus
+    d = topology.outer_degree
+    if network_id == topology.mother.id:
+        return birkhoff_matrix_row(1, 0, d, q)
+    return birkhoff_matrix_row(topology.derivative_point(network_id), 1, d, q)
+
+
 def _outer_weights(topology: Topology, daughter_ids: Sequence[str]) -> list:
     """Coefficients expressing P(0) from [mother inner secret,
     daughter inner secrets...]; constant per constraint-point set."""
-    q = topology.modulus
-    d = topology.outer_degree
-    rows = [birkhoff_matrix_row(1, 0, d, q)]
-    rows += [birkhoff_matrix_row(topology.derivative_point(nid), 1, d, q)
-             for nid in daughter_ids]
-    combo = birkhoff_weights(rows, 0, q)
+    rows = [constant_functional(topology, nid)
+            for nid in [topology.mother.id, *daughter_ids]]
+    combo = birkhoff_weights(rows, 0, topology.modulus)
     if combo is None:
         raise Infeasible("outer constraint matrix is singular")
     return combo
@@ -308,18 +317,8 @@ class FunctionalSpace:
             for net in topology.networks:
                 self._refresh_base[(r, net.id)] = self.dim
                 self.dim += net.inner_degree
-        # Constant-term functionals per network over [secret, p_1..p_D]:
-        # mother: P(1) = S + sum p_t; daughter at point a: P'(a).
-        self._const: Dict[str, List[int]] = {}
-        q = self.q
-        for net in topology.networks:
-            if net.id == topology.mother.id:
-                head = [1] + [1] * d
-            else:
-                a = topology.derivative_point(net.id)
-                head = [0] + [t * pow(a, t - 1, q) % q
-                              for t in range(1, d + 1)]
-            self._const[net.id] = head
+        self._const = {net.id: constant_functional(topology, net.id)
+                       for net in topology.networks}
 
     def secret_functional(self) -> List[int]:
         return [1] + [0] * (self.dim - 1)
@@ -376,6 +375,64 @@ def access_oracle(node_set: Iterable, topology: Topology,
     rows = [space.share_row(nid, idx, ep) for nid, idx, ep in held]
     hit = express_over_rows(rows, space.secret_functional(), topology.modulus)
     return Access.RECONSTRUCTS if hit is not None else Access.NO_INFORMATION
+
+
+class AdversaryKnowledge:
+    """The access oracle decomposed by network and fed one capture at a
+    time; it agrees with the dense FunctionalSpace oracle.
+
+    A row captured from network i is c*h_i + b: h_i is the network's
+    constant functional over the outer coefficients, c is 1 for a share
+    and 0 for a refresh delta, and b lies in the network's own inner and
+    refresh coordinates B_i. The B_i are disjoint, so the captured span
+    meets the outer coordinates exactly in span{h_i : h_i in V_i}, V_i the
+    span of network i's rows. Each network therefore keeps an echelon
+    basis over B_i alone, carrying c and the captured values as payload: a
+    row whose B_i part reduces away while c does not yields the network's
+    inner secret, after which its later rows add nothing. The secret is
+    determined iff it is in the span of the known networks' h_i, a check
+    over 1 + outer_degree columns.
+    """
+
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        self._pivots: Dict[str, list] = {
+            net.id: [] for net in topology.networks}
+        self._inner: Dict[str, List[int]] = {}  # network id -> inner secret
+
+    def add(self, kind: str, network_id: str, node_index: int, epoch: int,
+            values: Sequence[int]) -> None:
+        """One captured vector: kind "share" holds node_index's share at
+        `epoch`; kind "delta" holds its refresh delta of round `epoch`."""
+        if network_id in self._inner:
+            return
+        q = self.topology.modulus
+        k = self.topology.spec(network_id).inner_degree
+        powers = [pow(node_index, t, q) for t in range(1, k + 1)]
+        if kind == "share":
+            row, c = powers * (epoch + 1), 1
+        else:
+            row, c = [0] * (k * epoch) + powers, 0
+        rest = echelon_insert(self._pivots[network_id], row, [c, *values], q)
+        if rest is not None and rest[0]:
+            inv = pow(rest[0], -1, q)
+            self._inner[network_id] = [v * inv % q for v in rest[1:]]
+            del self._pivots[network_id]
+
+    def recover(self) -> Optional[List[int]]:
+        """The secret chunks when the captures determine them, else None."""
+        q = self.topology.modulus
+        known = [net.id for net in self.topology.networks
+                 if net.id in self._inner]
+        target = [1] + [0] * self.topology.outer_degree
+        weights = express_over_rows(
+            [constant_functional(self.topology, nid) for nid in known],
+            target, q)
+        if weights is None:
+            return None
+        columns = [self._inner[nid] for nid in known]
+        return [sum(w * col[i] for w, col in zip(weights, columns)) % q
+                for i in range(len(columns[0]))]
 
 
 # ---------------------------------------------------------------------------

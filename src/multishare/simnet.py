@@ -3,30 +3,36 @@ the two adversary models (whole-network compromise, harvest-then-decrypt).
 
 Time is a logical event sequence. ITS links record nothing; classical
 links record every payload verbatim. Compromise is sticky: a compromised
-node leaks its current store and every later write. Authentication is
-assumed perfect, so no man-in-the-middle events exist.
+node leaks its current store and every later write until it is released.
+Authentication is assumed perfect, so no man-in-the-middle events exist.
 """
 
 from __future__ import annotations
 
-import struct
+import itertools
 import json
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import field, formats, protocol
+from . import formats, protocol
 from .errors import Infeasible, StateError
 from .field import deterministic_rng, parse_hex
 from .formats import canonical_json, topology_from_dict, topology_to_dict
-from .protocol import (Access, FunctionalSpace, LinkKind, NodeShare,
-                       Topology, apply_node_refresh, deal, decode_secret,
-                       encode_secret, refresh)
+from .protocol import (Access, AdversaryKnowledge, FunctionalSpace,
+                       LinkKind, NodeShare, Topology, apply_node_refresh,
+                       deal, decode_secret, encode_secret, refresh)
 
 STATE_MAGIC = b"MSS1"
 
 EVENT_KINDS = frozenset({
     "deal", "refresh", "compromise_network", "compromise_node",
-    "fail_node", "attempt_reconstruct", "hndl_decrypt_classical"})
+    "release_node", "fail_node", "attempt_reconstruct",
+    "hndl_decrypt_classical"})
+# Events naming a target network, and those of them that also name a node.
+NETWORK_EVENTS = frozenset({
+    "compromise_network", "compromise_node", "release_node", "fail_node"})
+NODE_EVENTS = NETWORK_EVENTS - {"compromise_network"}
 
 
 @dataclass
@@ -56,7 +62,24 @@ class Scenario:
         for ev in schedule:
             if not isinstance(ev, dict) or ev.get("event") not in EVENT_KINDS:
                 raise ValueError(f"unknown event {ev!r}")
+        check_targets(schedule, topology)
         return cls(topology=topology, secret=secret, schedule=schedule)
+
+
+def check_targets(schedule, topology: Topology) -> None:
+    """ValueError unless every network and node the events name exist."""
+    for ev in schedule:
+        kind = ev["event"]
+        if kind not in NETWORK_EVENTS:
+            continue
+        try:
+            net = topology.spec(ev["network"])
+            if (kind in NODE_EVENTS
+                    and not 1 <= int(ev["node"]) <= net.node_count):
+                raise ValueError(f"no node {ev['node']} in network {net.id}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"event {ev!r} does not fit the topology: {exc}") from exc
 
 
 class Simulation:
@@ -80,6 +103,12 @@ class Simulation:
         # key -> captured values; key is ("share", net, idx, epoch) or
         # ("delta", net, idx, round).
         self.adversary: Dict[tuple, Tuple[int, ...]] = {}
+        # The decomposed oracle and how far into self.adversary and each
+        # transcript it has read. Never persisted: a loaded state starts
+        # it afresh and feeds it everything at the first verdict.
+        self._knowledge = AdversaryKnowledge(topology)
+        self._fed_captures = 0
+        self._fed_transcripts: Dict[str, int] = {}
 
     # -- owner actions ----------------------------------------------------
 
@@ -161,9 +190,8 @@ class Simulation:
             usable = self._auto_select(usable)
         by_network = formats.shares_by_network(
             [s for lst in usable.values() for s in lst])
-        # Looked up at call time, like field.express_over_rows below, so
-        # that wrappers installed on the protocol and field modules (the
-        # perfbench tracer) see these calls.
+        # Looked up at call time, so that a wrapper installed on the
+        # protocol module (the perfbench tracer) sees this call.
         chunks = protocol.reconstruct(by_network, self.topology)
         return decode_secret(chunks, self.topology.modulus)
 
@@ -205,12 +233,18 @@ class Simulation:
                 return
         raise ValueError(f"unknown network {network_id}")
 
+    def release_node(self, network_id: str, node_index: int) -> None:
+        """End a compromise: later writes stay private, earlier captures
+        stay with the adversary."""
+        self.nodes[(network_id, node_index)].compromised = False
+
     def fail_node(self, network_id: str, node_index: int) -> None:
         self.nodes[(network_id, node_index)].alive = False
 
     def adversary_rows(self) -> List[Tuple[tuple, List[int], Tuple[int, ...]]]:
         """(key, functional row, captured values) for everything the
-        adversary holds; transcripts count only after the HNDL switch."""
+        adversary holds; transcripts count only after the HNDL switch.
+        The dense view that the decomposed verdict is checked against."""
         space = FunctionalSpace(self.topology, rounds=self.epoch)
         out = []
         for key in sorted(self.adversary):
@@ -231,24 +265,32 @@ class Simulation:
                     out.append((key, row, tuple(entry["values"])))
         return out
 
+    def _adversary_knowledge(self) -> AdversaryKnowledge:
+        """The decomposed oracle, fed every capture it has not seen yet."""
+        know = self._knowledge
+        for key, values in itertools.islice(self.adversary.items(),
+                                            self._fed_captures, None):
+            know.add(*key, values)
+        self._fed_captures = len(self.adversary)
+        if self.hndl:
+            for nid, entries in self.transcripts.items():
+                for entry in entries[self._fed_transcripts.get(nid, 0):]:
+                    kind = entry["kind"]
+                    know.add(kind, nid, entry["node"],
+                             entry["epoch" if kind == "share" else "round"],
+                             entry["values"])
+                self._fed_transcripts[nid] = len(entries)
+        return know
+
     def adversary_verdict(self) -> Tuple[Access, Optional[bytes]]:
-        """Rank verdict; on Reconstructs, also the recovered plaintext."""
+        """Exact verdict; on Reconstructs, also the recovered plaintext."""
         if not self.dealt:
             return Access.NO_INFORMATION, None
-        q = self.topology.modulus
-        space = FunctionalSpace(self.topology, rounds=self.epoch)
-        entries = self.adversary_rows()
-        combo = field.express_over_rows([row for _, row, _ in entries],
-                                        space.secret_functional(), q)
-        if combo is None:
+        chunks = self._adversary_knowledge().recover()
+        if chunks is None:
             return Access.NO_INFORMATION, None
-        chunks = []
-        for i in range(self.chunk_count):
-            acc = 0
-            for c, (_, _, vals) in zip(combo, entries):
-                acc = (acc + c * vals[i]) % q
-            chunks.append(acc)
-        return Access.RECONSTRUCTS, decode_secret(chunks, q)
+        return Access.RECONSTRUCTS, decode_secret(chunks,
+                                                  self.topology.modulus)
 
     # -- persistence ------------------------------------------------------
 
@@ -374,6 +416,9 @@ def run_scenario(scenario: Scenario, seed: int = 0,
             elif kind == "compromise_node":
                 sim.compromise_node(ev["network"], int(ev["node"]))
                 outcome = {"compromised": f"{ev['network']}/{ev['node']}"}
+            elif kind == "release_node":
+                sim.release_node(ev["network"], int(ev["node"]))
+                outcome = {"released": f"{ev['network']}/{ev['node']}"}
             elif kind == "fail_node":
                 sim.fail_node(ev["network"], int(ev["node"]))
                 outcome = {"failed": f"{ev['network']}/{ev['node']}"}

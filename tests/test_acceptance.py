@@ -33,7 +33,9 @@ def report(number, name, started, budget):
     print(f"ACCEPTANCE {number} ({name}): PASS ({elapsed:.1f}s)")
 
 
-def enumerate_topologies(q=257, max_networks=4, max_nodes=4, max_degree=2):
+def enumerate_specs(max_networks=4, max_nodes=4, max_degree=2):
+    """(outer degree, ((node count, inner degree), ...)) of every small
+    system, mother first: 5,346 with the defaults."""
     specs = [(n, d) for n in range(1, max_nodes + 1)
              for d in range(0, max_degree + 1) if d + 1 <= n]
     for l in range(2, max_networks + 1):
@@ -41,12 +43,19 @@ def enumerate_topologies(q=257, max_networks=4, max_nodes=4, max_degree=2):
             for daughters in itertools.combinations_with_replacement(
                     specs, l - 1):
                 for outer in range(1, l):
-                    nets = [NetworkSpec("m", mother[0], mother[1],
-                                        LinkKind.ITS)]
-                    nets += [NetworkSpec(f"d{i + 1}", n, d,
-                                         LinkKind.CLASSICAL)
-                             for i, (n, d) in enumerate(daughters)]
-                    yield Topology(q, tuple(nets), 0, outer)
+                    yield outer, (mother,) + daughters
+
+
+def build_topology(outer, nets, q=257):
+    specs = [NetworkSpec("m" if i == 0 else f"d{i}", n, d,
+                         LinkKind.ITS if i == 0 else LinkKind.CLASSICAL)
+             for i, (n, d) in enumerate(nets)]
+    return Topology(q, tuple(specs), 0, outer)
+
+
+def enumerate_topologies(q=257, **bounds):
+    for outer, nets in enumerate_specs(**bounds):
+        yield build_topology(outer, nets, q)
 
 
 def test_criterion_1_shamir_exhaustive():
@@ -288,3 +297,44 @@ def test_criterion_9_cli_round_trip_1mib(tmp_path):
                      "--shares", str(out), "--out", str(dest)]) == 0
     assert dest.read_bytes() == data
     report(9, "CLI 1 MiB round trip", started, 30)
+
+
+def test_mobile_adversary_100_rounds_hndl(tmp_path):
+    """The benchmark's slow mobile adversary over 100 refresh rounds:
+    harvest-now-decrypt-later from the start, mother node 1 held
+    throughout, one more daughter node captured per round, then mother
+    nodes 2 and 3. Only the third mother node reveals the secret."""
+    started = time.monotonic()
+    topo = build_topology(2, ((5, 2),) * 4, DEFAULT_MODULUS)
+    daughters = [(f"d{i}", j) for j in range(1, 6) for i in range(1, 4)]
+    schedule = [{"event": "deal"}, {"event": "hndl_decrypt_classical"},
+                {"event": "compromise_node", "network": "m", "node": 1}]
+    for r in range(1, 101):
+        net, node = daughters[(r - 1) % len(daughters)]
+        schedule += [{"event": "refresh"},
+                     {"event": "compromise_node", "network": net,
+                      "node": node}]
+        if r % 5 == 0:
+            schedule += [{"event": "attempt_reconstruct",
+                          "actor": "adversary"},
+                         {"event": "attempt_reconstruct", "actor": "owner"}]
+    for node in (2, 3):
+        schedule += [{"event": "compromise_node", "network": "m",
+                      "node": node},
+                     {"event": "attempt_reconstruct", "actor": "adversary"}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "topology": topology_to_dict(topo),
+        "secret_hex": deterministic_rng(1).randbytes(64).hex(),
+        "schedule": schedule}))
+    out = tmp_path / "report.json"
+    assert cli_main(["simulate", "--scenario", str(path), "--seed", "1",
+                     "--report", str(out)]) == 0
+    result = json.loads(out.read_text())
+    verdicts = [e["outcome"]["verdict"] for e in result["events"]
+                if e["outcome"].get("actor") == "adversary"]
+    assert verdicts == ["NoInformation"] * 21 + ["Reconstructs"]
+    assert result["adversary_recovered_secret"] is True
+    assert result["owner_available"] is True and result["epoch"] == 100
+    elapsed = time.monotonic() - started
+    assert elapsed < 5, f"100-round simulate over budget: {elapsed:.1f}s"

@@ -205,6 +205,25 @@ class TestRefresh:
         one.write_text(json.dumps(data))
         assert run(["refresh", "--topology", topo, "--shares", out]) == 3
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("node_index", 9, "d1_009"),
+        ("network_id", "d9", "d9_003"),
+        ("node_index", 3, "d1_003_copy"),
+    ])
+    def test_share_not_a_distinct_node_exit2_unchanged(self, workspace,
+                                                       field, value, name):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        run(["deal", "--topology", topo, "--secret", secret,
+             "--out", out, "--seed", "1"])
+        data = json.loads((out / "d1_003.share.json").read_text())
+        data[field] = value
+        (out / f"{name}.share.json").write_text(json.dumps(data))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestThresholds:
     def test_formula_report(self, workspace, capsys):
@@ -296,6 +315,38 @@ class TestSimulate:
         sim.save_state(again)
         assert again.read_bytes() == state.read_bytes()
 
+    @pytest.mark.parametrize("event", [
+        {"event": "compromise_node", "network": "d1", "node": 7},
+        {"event": "fail_node", "network": "d9", "node": 1},
+        {"event": "release_node", "network": "m"},
+        {"event": "compromise_network", "network": "d3"},
+    ])
+    def test_event_target_outside_topology_exit2(self, tmp_path, event):
+        data = json.loads(
+            (ROOT / "docs" / "examples" / "scenario.json").read_text())
+        data["schedule"].insert(2, event)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", path, "--state", state]) == 2
+        assert not state.exists()
+        assert not (tmp_path / "scenario.report.json").exists()
+
+    def test_state_lacking_event_target_exit2(self, tmp_path):
+        small = self._scenario(tmp_path, [{"event": "deal"}])
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", small, "--state", state]) == 0
+        saved = state.read_bytes()
+        data = json.loads(small.read_text())
+        data["topology"]["networks"][1]["node_count"] = 4
+        data["schedule"] = [
+            {"event": "compromise_node", "network": "d1", "node": 4}]
+        bigger = tmp_path / "bigger.json"
+        bigger.write_text(json.dumps(data))
+        assert run(["simulate", "--scenario", bigger,
+                    "--state", state]) == 2
+        assert state.read_bytes() == saved
+
     def test_malformed_scenario_exit2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schedule": [{"event": "??"}]}')
@@ -320,6 +371,7 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         counts = json.loads(spans.read_text())["counts"]
         assert counts["field.express_over_rows.calls"] > 0
+        assert counts["simnet.adversary_verdict.calls"] > 0
 
 
 class TestDocumentedExamples:

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from multishare.field import (DEFAULT_MODULUS, FieldElement, crypto_rng,
-                              deterministic_rng, express_over_rows,
-                              is_probable_prime, random_element)
+                              deterministic_rng, echelon_insert,
+                              express_over_rows, is_probable_prime,
+                              random_element)
 
 
 def fe(v, q=7):
@@ -215,3 +216,23 @@ class TestRowSpan:
         rows = [[1, 2, 3], [0, 1, 4]]
         v = [(2 * a + 2 * b) % q for a, b in zip(rows[0], rows[1])]
         assert express_over_rows(rows, v, q) == [2, 2]
+
+
+class TestEchelon:
+    def test_ragged_rows_act_as_zero_padded(self):
+        # Trailing entries a row lacks count as 0, whichever of the row
+        # and the pivot is the shorter.
+        rng = random.Random(5)
+        q = 13
+        for _ in range(200):
+            rows = [[rng.randrange(q) for _ in range(rng.randrange(1, 6))]
+                    for _ in range(rng.randrange(1, 7))]
+            ragged, padded = [], []
+            for i, row in enumerate(rows):
+                payload = [i, rng.randrange(q)]
+                got = echelon_insert(ragged, row, payload, q)
+                want = echelon_insert(padded, row + [0] * (5 - len(row)),
+                                      payload, q)
+                assert got == want
+            assert ([(c, r + [0] * (5 - len(r)), p) for c, r, p in ragged]
+                    == padded)

@@ -1,9 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multishare.errors import Infeasible, StateError
+from multishare.field import DEFAULT_MODULUS, express_over_rows
 from multishare.formats import canonical_json, topology_to_dict
-from multishare.protocol import Access, LinkKind, NetworkSpec, Topology
+from multishare.protocol import (Access, AdversaryKnowledge, FunctionalSpace,
+                                 LinkKind, NetworkSpec, Topology,
+                                 access_oracle, decode_secret)
 from multishare.simnet import Scenario, Simulation, load_state, run_scenario
+from test_acceptance import build_topology, enumerate_specs
 
 
 def topo(q=65537):
@@ -29,6 +36,19 @@ class TestScenarioParsing:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             Scenario.from_dict({"schedule": []})
+
+    @pytest.mark.parametrize("event", [
+        {"event": "compromise_node", "network": "d1", "node": 4},
+        {"event": "compromise_node", "network": "d1", "node": 0},
+        {"event": "release_node", "network": "d3", "node": 1},
+        {"event": "fail_node", "network": "m"},
+        {"event": "fail_node", "network": "m", "node": "one"},
+        {"event": "compromise_network", "network": "d9"},
+        {"event": "compromise_network"},
+    ])
+    def test_event_target_outside_topology_rejected(self, event):
+        with pytest.raises(ValueError):
+            scenario([{"event": "deal"}, event])
 
 
 class TestDelivery:
@@ -136,20 +156,31 @@ class TestAdversary:
 
     def test_slow_node_capture_across_epochs_no_information(self):
         # Below quorum within each single epoch: refresh defeats it.
+        first = [("m", 1), ("d1", 1), ("d2", 1)]
+        then = [("m", 2), ("d1", 2), ("d2", 2)]
+        report = run_scenario(scenario(
+            [{"event": "deal"}]
+            + [{"event": "compromise_node", "network": n, "node": j}
+               for n, j in first]
+            # stop leaking from these nodes, then take others post-refresh
+            + [{"event": "release_node", "network": n, "node": j}
+               for n, j in first]
+            + [{"event": "refresh"}]
+            + [{"event": "compromise_node", "network": n, "node": j}
+               for n, j in then],
+            secret=b"payload"), seed=3)
+        assert report["adversary_verdict"] == "NoInformation"
+
+    def test_release_keeps_captures_and_stops_leaks(self):
         sim = Simulation(topo(), b"payload", seed=3)
-        sim.owner_store()
-        sim.compromise_node("m", 1)
-        sim.compromise_node("d1", 1)
-        sim.compromise_node("d2", 1)
-        # stop leaking from these nodes, then take others post-refresh
-        for key in (("m", 1), ("d1", 1), ("d2", 1)):
-            sim.nodes[key].compromised = False
-        sim.owner_refresh()
-        sim.compromise_node("m", 2)
-        sim.compromise_node("d1", 2)
-        sim.compromise_node("d2", 2)
-        verdict, _ = sim.adversary_verdict()
-        assert verdict is Access.NO_INFORMATION
+        run_scenario(scenario([
+            {"event": "deal"},
+            {"event": "compromise_node", "network": "d1", "node": 1},
+            {"event": "release_node", "network": "d1", "node": 1},
+            {"event": "refresh"},
+        ]), seed=3, sim=sim)
+        assert set(sim.adversary) == {("share", "d1", 1, 0)}
+        assert not sim.nodes[("d1", 1)].compromised
 
     def test_monotonic_view_growth(self):
         base = [
@@ -241,3 +272,115 @@ class TestPersistence:
         state["version"] = 99
         with pytest.raises(StateError):
             Simulation.from_state(state)
+
+
+def dense_verdict(sim):
+    """The reference oracle: one elimination over every captured row in
+    the full functional space."""
+    if not sim.dealt:
+        return Access.NO_INFORMATION, None
+    q = sim.topology.modulus
+    entries = sim.adversary_rows()
+    combo = express_over_rows(
+        [row for _, row, _ in entries],
+        FunctionalSpace(sim.topology, rounds=sim.epoch).secret_functional(),
+        q)
+    if combo is None:
+        return Access.NO_INFORMATION, None
+    chunks = [sum(c * vals[i] for c, (_, _, vals) in zip(combo, entries)) % q
+              for i in range(sim.chunk_count)]
+    return Access.RECONSTRUCTS, decode_secret(chunks, q)
+
+
+@st.composite
+def worlds(draw):
+    """A small topology at q = 2^127 - 1, a secret, a seed and a schedule
+    of owner and adversary events following one deal."""
+    specs = []
+    for i in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(1, 4))
+        specs.append(NetworkSpec("m" if i == 0 else f"d{i}", n,
+                                 draw(st.integers(0, min(2, n - 1))),
+                                 LinkKind.ITS if i == 0
+                                 else LinkKind.CLASSICAL))
+    topology = Topology(DEFAULT_MODULUS, tuple(specs), 0,
+                        draw(st.integers(1, len(specs) - 1)))
+    nodes = [(net.id, j) for net in specs
+             for j in range(1, net.node_count + 1)]
+
+    def targeted(kinds, targets):
+        return st.builds(lambda kind, node: {"event": kind,
+                                             "network": node[0],
+                                             "node": node[1]},
+                         st.sampled_from(kinds), st.sampled_from(targets))
+
+    # Compromises come often and lean to the mother, whose quorum the
+    # adversary needs in every case, so that many schedules reconstruct.
+    mother = [node for node in nodes if node[0] == "m"]
+    capture = targeted(["compromise_node"], nodes + 2 * mother)
+    event = st.one_of(st.just({"event": "refresh"}),
+                      st.just({"event": "hndl_decrypt_classical"}),
+                      targeted(["release_node", "fail_node"], nodes),
+                      capture, capture, capture)
+    schedule = draw(st.lists(event, min_size=6, max_size=16))
+    reload_at = draw(st.integers(0, len(schedule)))
+    return (topology, draw(st.binary(max_size=40)),
+            draw(st.integers(0, 2**32)), schedule, reload_at)
+
+
+class TestDecomposedOracle:
+    """The incremental per-network oracle behind adversary_verdict agrees
+    with the dense reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(worlds())
+    def test_matches_dense_after_every_event(self, world):
+        topology, secret, seed, schedule, reload_at = world
+        sim = Simulation(topology, secret, seed)
+        for i, ev in enumerate([{"event": "deal"}] + schedule):
+            if i == reload_at:
+                # A loaded state rebuilds the oracle at its first verdict.
+                sim = Simulation.from_state(sim.to_state())
+            run_scenario(Scenario(topology, secret, (ev,)), seed, sim=sim)
+            verdict = sim.adversary_verdict()
+            assert verdict == dense_verdict(sim)
+            assert verdict[1] in (None, secret)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(worlds(), st.integers(0, 2**32))
+    def test_matches_dense_on_partial_captures(self, world, subset_seed):
+        # Every daughter's epoch-0 shares cross its recorded link, so a
+        # full harvest makes refresh deltas redundant. A state holding a
+        # random part of the captures and transcripts is one where deltas
+        # bridge epochs.
+        topology, secret, seed, schedule, _ = world
+        sim = Simulation(topology, secret, seed)
+        run_scenario(Scenario(topology, secret,
+                              tuple([{"event": "deal"}] + schedule)),
+                     seed, sim=sim)
+        rng = random.Random(subset_seed)
+        state = sim.to_state()
+        state["hndl"] = True
+        state["adversary"] = [rec for rec in state["adversary"]
+                              if rng.random() < 0.5]
+        state["transcripts"] = {
+            nid: [e for e in entries
+                  if rng.random() < (0.8 if e["kind"] == "delta" else 0.4)]
+            for nid, entries in state["transcripts"].items()}
+        part = Simulation.from_state(state)
+        verdict = part.adversary_verdict()
+        assert verdict == dense_verdict(part)
+        assert verdict[1] in (None, secret)
+
+    def test_matches_access_oracle_on_enumerated_topologies(self):
+        rng = random.Random(2024)
+        for outer, nets in rng.sample(list(enumerate_specs()), 600):
+            t = build_topology(outer, nets)
+            nodes = [(net.id, j) for net in t.networks
+                     for j in range(1, net.node_count + 1)]
+            held = [node for node in nodes if rng.random() < 0.6]
+            knowledge = AdversaryKnowledge(t)
+            for nid, j in held:
+                knowledge.add("share", nid, j, 0, ())
+            assert ((knowledge.recover() is not None)
+                    == (access_oracle(held, t) is Access.RECONSTRUCTS))
