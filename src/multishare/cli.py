@@ -19,7 +19,7 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
 from .field import crypto_rng, deterministic_rng
 from . import formats
 from .protocol import (NodeShare, Topology, apply_node_refresh,
-                       compute_thresholds_exhaustive,
+                       check_share_set, compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
                        encode_secret, reconstruct, refresh,
                        EXHAUSTIVE_NODE_BOUND)
@@ -84,13 +84,23 @@ def _load_shares(paths: List[Path], modulus: int) -> List[NodeShare]:
     return shares
 
 
-def _share_paths(args) -> List[Path]:
-    if args.shares:
-        d = Path(args.shares)
-        if not d.is_dir():
-            raise CliError(EXIT_INPUT, f"{d} is not a directory")
-        return sorted(d.glob("*.share.json"))
-    return [Path(p) for p in args.files]
+def _share_dir_paths(share_dir: Path, topology: Topology) -> List[Path]:
+    """The share files in `share_dir`; exit 2 when the directory's
+    manifest, if it has one, cannot be read or names another topology."""
+    if not share_dir.is_dir():
+        raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
+    manifest = share_dir / "manifest.json"
+    if manifest.exists():
+        try:
+            digest = json.loads(
+                manifest.read_text(encoding="utf-8"))["topology_digest"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
+                                       f"{exc}")
+        if digest != formats.topology_digest(topology):
+            raise CliError(EXIT_INPUT, f"{manifest} was written for another "
+                                       f"topology")
+    return sorted(share_dir.glob("*.share.json"))
 
 
 def cmd_deal(args) -> int:
@@ -116,7 +126,9 @@ def cmd_deal(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     topology = _load_topology(args.topology)
-    shares = _load_shares(_share_paths(args), topology.modulus)
+    paths = (_share_dir_paths(Path(args.shares), topology) if args.shares
+             else [Path(p) for p in args.files])
+    shares = _load_shares(paths, topology.modulus)
     if not shares:
         raise CliError(EXIT_INPUT, "no share files found")
     grouped = formats.shares_by_network(shares)
@@ -134,39 +146,15 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _check_positions(shares: List[NodeShare], topology: Topology) -> None:
-    """Exit 2 unless every share is a distinct node of the topology."""
-    nodes = {(net.id, j) for net in topology.networks
-             for j in range(1, net.node_count + 1)}
-    seen = set()
-    for s in shares:
-        pos = (s.network_id, s.node_index)
-        if pos not in nodes:
-            raise CliError(EXIT_INPUT, f"share {s.network_id}/{s.node_index}"
-                                       f" is not a node of the topology")
-        if pos in seen:
-            raise CliError(EXIT_INPUT, f"share {s.network_id}/{s.node_index}"
-                                       f" given twice")
-        seen.add(pos)
-
-
 def cmd_refresh(args) -> int:
     topology = _load_topology(args.topology)
     share_dir = Path(args.shares)
-    paths = sorted(share_dir.glob("*.share.json"))
-    shares = _load_shares(paths, topology.modulus)
+    shares = _load_shares(_share_dir_paths(share_dir, topology),
+                          topology.modulus)
     if not shares:
         raise CliError(EXIT_INPUT, "no share files found")
-    epochs = {s.epoch for s in shares}
-    if len(epochs) != 1:
-        raise CliError(EXIT_INFEASIBLE,
-                       f"mixed epochs in input: {sorted(epochs)}")
-    epoch = epochs.pop()
-    chunk_counts = {len(s.values) for s in shares}
-    if len(chunk_counts) != 1:
-        raise CliError(EXIT_INPUT, "inconsistent chunk counts")
-    chunk_count = chunk_counts.pop()
-    _check_positions(shares, topology)
+    check_share_set(shares, topology)
+    epoch, chunk_count = shares[0].epoch, len(shares[0].values)
     deltas = refresh(topology, chunk_count, epoch, _rng(args.seed))
     present = {(s.network_id, s.node_index) for s in shares}
     stale = []
@@ -227,7 +215,7 @@ def cmd_simulate(args) -> int:
     if args.state and Path(args.state).exists():
         try:
             sim = load_state(args.state)
-            check_targets(scenario.schedule, sim.topology)
+            check_targets(scenario.schedule, sim.topology, sim.dealt)
         except StateError as exc:
             raise CliError(EXIT_INPUT, f"cannot load state: {exc}")
         except ValueError as exc:

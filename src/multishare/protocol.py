@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
                     is_probable_prime)
-from .poly import birkhoff_matrix_row, birkhoff_weights, lagrange_zero_weights
+from .poly import birkhoff_matrix_row, lagrange_zero_weights
 from .shamir import hierarchical_split_ints, split_ints
 
 EXHAUSTIVE_NODE_BOUND = 20
@@ -182,15 +182,40 @@ def constant_functional(topology: Topology, network_id: str) -> List[int]:
     return birkhoff_matrix_row(topology.derivative_point(network_id), 1, d, q)
 
 
-def _outer_weights(topology: Topology, daughter_ids: Sequence[str]) -> list:
-    """Coefficients expressing P(0) from [mother inner secret,
-    daughter inner secrets...]; constant per constraint-point set."""
-    rows = [constant_functional(topology, nid)
-            for nid in [topology.mother.id, *daughter_ids]]
-    combo = birkhoff_weights(rows, 0, topology.modulus)
-    if combo is None:
-        raise Infeasible("outer constraint matrix is singular")
-    return combo
+def _outer_weights(topology: Topology,
+                   network_ids: Sequence[str]) -> Optional[list]:
+    """Weights expressing the secret P(0) over these networks' inner
+    secrets, in the order given; None when they do not determine it. The
+    one outer solve: reconstruction, the adversary oracle and the
+    thresholds all decide through it."""
+    return express_over_rows(
+        [constant_functional(topology, nid) for nid in network_ids],
+        [1] + [0] * topology.outer_degree, topology.modulus)
+
+
+def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
+    """Raise unless the shares can be combined: EpochMismatch when they
+    span epochs; CorruptData when their chunk counts differ or a share is
+    not a distinct node of the topology."""
+    shares = list(shares)
+    epochs = {s.epoch for s in shares}
+    if len(epochs) > 1:
+        raise EpochMismatch(f"shares span epochs {sorted(epochs)}")
+    chunk_counts = {len(s.values) for s in shares}
+    if len(chunk_counts) > 1:
+        raise CorruptData(
+            f"inconsistent chunk counts {sorted(chunk_counts)}")
+    node_counts = {net.id: net.node_count for net in topology.networks}
+    seen = set()
+    for s in shares:
+        pos = (s.network_id, s.node_index)
+        if not 1 <= s.node_index <= node_counts.get(s.network_id, 0):
+            raise CorruptData(f"share {s.network_id}/{s.node_index} is not "
+                              f"a node of the topology")
+        if pos in seen:
+            raise CorruptData(
+                f"share {s.network_id}/{s.node_index} given twice")
+        seen.add(pos)
 
 
 def reconstruct(shares: Dict[str, Sequence[NodeShare]],
@@ -199,25 +224,16 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
 
     Needs an inner quorum on the mother plus inner quorums on at least
     outer_degree daughters; each quorum recovers that network's inner
-    secret by interpolation at zero. Raises CorruptData when the shares
-    disagree on the chunk count or one node's share is given twice.
+    secret by interpolation at zero. Checks the shares with
+    check_share_set first.
     """
     q = topology.modulus
-    epochs = {s.epoch for lst in shares.values() for s in lst}
-    if len(epochs) > 1:
-        raise EpochMismatch(f"shares span epochs {sorted(epochs)}")
-    chunk_counts = {len(s.values) for lst in shares.values() for s in lst}
-    if len(chunk_counts) > 1:
-        raise CorruptData(
-            f"inconsistent chunk counts {sorted(chunk_counts)}")
+    check_share_set((s for lst in shares.values() for s in lst), topology)
     recovered: Dict[str, List[int]] = {}
     quorum_report = []
     for net in topology.networks:
         have = list(shares.get(net.id, []))
         need = net.inner_degree + 1
-        xs = [s.node_index for s in have]
-        if len(set(xs)) != len(xs):
-            raise CorruptData(f"duplicate node shares in {net.id}")
         quorum_report.append((net.id, min(len(have), need), need))
         if len(have) < need:
             continue
@@ -241,9 +257,11 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
         detail = "; ".join(missing) + " (" + ", ".join(
             f"{nid}: {got}/{need}" for nid, got, need in quorum_report) + ")"
         raise Infeasible(detail)
-    chosen = avail_daughters[:topology.outer_degree]
+    chosen = [mother_id, *avail_daughters[:topology.outer_degree]]
     weights = _outer_weights(topology, chosen)
-    columns = [recovered[mother_id]] + [recovered[nid] for nid in chosen]
+    if weights is None:
+        raise Infeasible("outer constraint matrix is singular")
+    columns = [recovered[nid] for nid in chosen]
     n_chunks = len(columns[0])
     out = []
     for i in range(n_chunks):
@@ -419,15 +437,17 @@ class AdversaryKnowledge:
             self._inner[network_id] = [v * inv % q for v in rest[1:]]
             del self._pivots[network_id]
 
+    def known_networks(self) -> List[str]:
+        """Ids, in topology order, of the networks whose inner secret the
+        captures determine."""
+        return [net.id for net in self.topology.networks
+                if net.id in self._inner]
+
     def recover(self) -> Optional[List[int]]:
         """The secret chunks when the captures determine them, else None."""
         q = self.topology.modulus
-        known = [net.id for net in self.topology.networks
-                 if net.id in self._inner]
-        target = [1] + [0] * self.topology.outer_degree
-        weights = express_over_rows(
-            [constant_functional(self.topology, nid) for nid in known],
-            target, q)
+        known = self.known_networks()
+        weights = _outer_weights(self.topology, known)
         if weights is None:
             return None
         columns = [self._inner[nid] for nid in known]
@@ -460,78 +480,60 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
                       t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
 
 
-_ACCESS_MEMO: Dict[tuple, bool] = {}
-
-
-def _counts_reconstruct(topology: Topology, counts: Sequence[int]) -> bool:
-    """Rank-oracle verdict for holding the first counts[i] nodes of each
-    network.
-
-    Rows of a network beyond inner_degree+1 are linear combinations of
-    the first quorum's rows (interpolation), so counts are capped there
-    before the rank computation; verdicts are memoized on the capped
-    signature.
-    """
-    q = topology.modulus
-    capped = []
-    for net, c in zip(topology.networks, counts):
-        capped.append((net.id, net.inner_degree,
-                       min(c, net.inner_degree + 1)))
-    key = (q, topology.outer_degree, topology.mother.id, tuple(capped))
-    hit = _ACCESS_MEMO.get(key)
-    if hit is None:
-        held = [(nid, j) for nid, _, c in capped for j in range(1, c + 1)]
-        hit = access_oracle(held, topology) is Access.RECONSTRUCTS
-        _ACCESS_MEMO[key] = hit
-    return hit
-
-
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
-    """Definitional thresholds by enumerating node subsets with the rank
-    oracle.
+    """Definitional thresholds by enumerating node subsets with the
+    decomposed oracle. Bounded to EXHAUSTIVE_NODE_BOUND total nodes.
 
-    Nodes within a network are interchangeable for access (any quorum of
-    the same size spans the same functionals), so enumeration runs over
-    per-network counts. Bounded to EXHAUSTIVE_NODE_BOUND total nodes.
+    Nodes within a network are interchangeable for access, so enumeration
+    runs over per-network counts. A network is known once its count
+    reaches the fewest first nodes whose shares determine its inner
+    secret, so a count vector's verdict is one outer solve over the known
+    networks, shared by every vector with the same known set.
     """
     total = topology.total_nodes()
     if total > EXHAUSTIVE_NODE_BOUND:
         raise CapacityError(
             f"{total} nodes exceeds the exhaustive bound of "
             f"{EXHAUSTIVE_NODE_BOUND}")
+    know = AdversaryKnowledge(topology)
+    quorums = []
+    for net in topology.networks:
+        quorums.append(net.node_count + 1)  # no count reaches it
+        for j in range(1, net.node_count + 1):
+            know.add("share", net.id, j, 0, ())
+            if net.id in know.known_networks():
+                quorums[-1] = j
+                break
+    verdicts: Dict[Tuple[bool, ...], bool] = {}
     ns = [net.node_count for net in topology.networks]
-    mother_i = topology.mother_index
-    t_nodes = None
-    t_networks = None
-    best_fail = None
-    best_f0 = None
-    best_f1 = None
+    mother_n = ns[topology.mother_index]
+    # Each minimum starts above any value it can take.
+    t_networks = t_nodes = t_fail = t_f0 = t_f1 = total + 1
     for counts in itertools.product(*(range(n + 1) for n in ns)):
-        ok = _counts_reconstruct(topology, counts)
+        known = tuple(c >= need for c, need in zip(counts, quorums))
+        if known not in verdicts:
+            verdicts[known] = _outer_weights(topology, [
+                net.id for net, k in zip(topology.networks, known)
+                if k]) is not None
         held = sum(counts)
         disabled = total - held
-        if ok:
-            if t_nodes is None or held < t_nodes:
-                t_nodes = held
-            touched = sum(1 for c in counts if c)
-            if t_networks is None or touched < t_networks:
-                t_networks = touched
-        else:
-            # Complement view: disabling (n_i - counts_i) nodes leaves a
-            # non-reconstructing remainder.
-            if best_fail is None or disabled < best_fail:
-                best_fail = disabled
-            mother_only = all(c == n for i, (c, n) in
-                              enumerate(zip(counts, ns)) if i != mother_i)
-            daughters_only = counts[mother_i] == ns[mother_i]
-            if mother_only and (best_f0 is None or disabled < best_f0):
-                best_f0 = disabled
-            if daughters_only and (best_f1 is None or disabled < best_f1):
-                best_f1 = disabled
-    if t_nodes is None:
+        if verdicts[known]:
+            t_nodes = min(t_nodes, held)
+            t_networks = min(t_networks, sum(map(bool, counts)))
+            continue
+        # Complement view: disabling (n_i - counts_i) nodes leaves a
+        # non-reconstructing remainder; t_f0 disables only mother nodes,
+        # t_f1 only daughter nodes.
+        mother_disabled = mother_n - counts[topology.mother_index]
+        t_fail = min(t_fail, disabled)
+        if disabled == mother_disabled:
+            t_f0 = min(t_f0, disabled)
+        if mother_disabled == 0:
+            t_f1 = min(t_f1, disabled)
+    if t_nodes > total:
         raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
-                      t_fail=best_fail, t_f0=best_f0, t_f1=best_f1)
+                      t_fail=t_fail, t_f0=t_f0, t_f1=t_f1)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,15 @@ class Scenario:
         return cls(topology=topology, secret=secret, schedule=schedule)
 
 
-def check_targets(schedule, topology: Topology) -> None:
-    """ValueError unless every network and node the events name exist."""
+def check_targets(schedule, topology: Topology, dealt: bool = False) -> None:
+    """ValueError unless every network and node the events name exist and
+    the secret is dealt at most once: by one `deal` event, or by none when
+    the state is `dealt` already. The protocol deals once and then
+    refreshes; a second dealing would mix two sets of shares in the
+    adversary's view."""
+    if sum(ev["event"] == "deal" for ev in schedule) + dealt > 1:
+        raise ValueError("the secret is dealt once and then refreshed; "
+                         "this schedule deals it again")
     for ev in schedule:
         kind = ev["event"]
         if kind not in NETWORK_EVENTS:
@@ -114,6 +121,8 @@ class Simulation:
 
     def owner_store(self) -> dict:
         """Deal the secret and deliver every share over its link."""
+        if self.dealt:
+            raise ValueError("the secret is already dealt")
         chunks = encode_secret(self.secret, self.topology.modulus)
         self.chunk_count = len(chunks)
         dealt = deal(chunks, self.topology, self.rng)

@@ -157,6 +157,75 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo,
                     "--out", tmp / "r.bin"] + picks) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("node_index", 0),
+        ("node_index", 2**127),  # node 1 modulo 2^127 - 1
+        ("network_id", "d9"),
+    ])
+    def test_share_not_a_node_exit2(self, workspace, capsys, field, value):
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        data = json.loads((out / "m_002.share.json").read_text())
+        data[field] = value
+        stray = tmp / "stray.share.json"
+        stray.write_text(json.dumps(data))
+        picks = [out / "m_001.share.json", stray,
+                 out / "d1_001.share.json", out / "d1_002.share.json",
+                 out / "m_003.share.json"]
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--out", dest]
+                   + picks) == 2
+        assert "not a node of the topology" in capsys.readouterr().err
+        assert not dest.exists()
+
+
+class TestManifest:
+    """A --shares directory's manifest must name the given topology."""
+
+    def _deal(self, workspace):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        run(["deal", "--topology", topo, "--secret", secret,
+             "--out", out, "--seed", "1"])
+        other = tmp / "other.json"
+        write_topology(other, outer=2)
+        return tmp, topo, secret, out, other
+
+    def test_reconstruct_other_topology_exit2(self, workspace, capsys):
+        tmp, topo, secret, out, other = self._deal(workspace)
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", other, "--shares", out,
+                    "--out", dest]) == 2
+        assert "another topology" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_refresh_other_topology_exit2_unchanged(self, workspace):
+        tmp, topo, secret, out, other = self._deal(workspace)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(["refresh", "--topology", other, "--shares", out,
+                    "--seed", "2"]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", "{}"])
+    def test_unreadable_manifest_exit2(self, workspace, text):
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        (out / "manifest.json").write_text(text)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 2
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_missing_manifest_allowed(self, workspace):
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        (out / "manifest.json").unlink()
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 0
+        (out / "manifest.json").unlink()
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 0
+        assert dest.read_bytes() == secret.read_bytes()
+
 
 class TestRefresh:
     def test_refresh_then_reconstruct(self, workspace):
@@ -346,6 +415,45 @@ class TestSimulate:
         assert run(["simulate", "--scenario", bigger,
                     "--state", state]) == 2
         assert state.read_bytes() == saved
+
+    def test_second_deal_exit2(self, tmp_path, capsys):
+        # The adversary would hold one mother share from each of two
+        # independent dealings and combine them as if from one.
+        data = json.loads(
+            (ROOT / "docs" / "examples" / "scenario.json").read_text())
+        data["schedule"] = [
+            {"event": "deal"},
+            {"event": "compromise_node", "network": "m", "node": 1},
+            {"event": "release_node", "network": "m", "node": 1},
+            {"event": "deal"},
+            {"event": "compromise_node", "network": "m", "node": 2},
+            {"event": "hndl_decrypt_classical"},
+            {"event": "attempt_reconstruct", "actor": "adversary"},
+        ]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", path, "--state", state]) == 2
+        assert "dealt once" in capsys.readouterr().err
+        assert not state.exists()
+        assert not (tmp_path / "scenario.report.json").exists()
+
+    def test_deal_on_dealt_state_exit2(self, tmp_path):
+        first = self._scenario(tmp_path, [
+            {"event": "deal"},
+            {"event": "compromise_node", "network": "m", "node": 1}])
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", first, "--state", state]) == 0
+        saved = state.read_bytes()
+        second = self._scenario(tmp_path, [
+            {"event": "deal"},
+            {"event": "compromise_node", "network": "m", "node": 2},
+            {"event": "attempt_reconstruct", "actor": "adversary"}])
+        report = tmp_path / "second.json"
+        assert run(["simulate", "--scenario", second, "--state", state,
+                    "--report", report]) == 2
+        assert state.read_bytes() == saved
+        assert not report.exists()
 
     def test_malformed_scenario_exit2(self, tmp_path):
         path = tmp_path / "bad.json"

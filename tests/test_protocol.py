@@ -1,5 +1,7 @@
 import itertools
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,13 @@ from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
 from multishare.field import DEFAULT_MODULUS, deterministic_rng
 from multishare.protocol import (Access, FunctionalSpace, LinkKind,
-                                 NetworkSpec, NodeShare, Topology,
+                                 NetworkSpec, NodeShare, Thresholds, Topology,
                                  access_oracle, apply_node_refresh,
                                  compute_thresholds_exhaustive,
                                  compute_thresholds_formula, deal,
                                  decode_secret, encode_secret, reconstruct,
                                  refresh)
+from test_acceptance import build_topology, enumerate_specs
 
 
 class ScriptedRng:
@@ -36,6 +39,35 @@ def topo3(q=11, n=3, inner=1, outer=1):
 def all_nodes(topology):
     return [(net.id, j) for net in topology.networks
             for j in range(1, net.node_count + 1)]
+
+
+def dense_thresholds(topology):
+    """Reference for compute_thresholds_exhaustive: the dense
+    access_oracle on the first counts[i] nodes of each network, for every
+    count vector, and each threshold taken from its definition."""
+    nets = topology.networks
+    ns = [net.node_count for net in nets]
+    mother = topology.mother_index
+    ok, bad = [], []
+    for counts in itertools.product(*(range(n + 1) for n in ns)):
+        held = [(net.id, j) for net, c in zip(nets, counts)
+                for j in range(1, c + 1)]
+        verdict = access_oracle(held, topology)
+        (ok if verdict is Access.RECONSTRUCTS else bad).append(counts)
+
+    def disabled(counts):
+        return sum(ns) - sum(counts)
+
+    def daughters_full(counts):
+        return all(c == n for i, (c, n) in enumerate(zip(counts, ns))
+                   if i != mother)
+
+    return Thresholds(
+        t_networks=min(sum(map(bool, c)) for c in ok),
+        t_nodes=min(map(sum, ok)),
+        t_fail=min(map(disabled, bad)),
+        t_f0=min(disabled(c) for c in bad if daughters_full(c)),
+        t_f1=min(disabled(c) for c in bad if c[mother] == ns[mother]))
 
 
 class TestTopology:
@@ -138,6 +170,16 @@ class TestReconstruct:
             reconstruct({"m": dealt["m"]}, t)
         assert "daughter" in str(err.value)
 
+    @pytest.mark.parametrize("network_id, node_index", [
+        ("m", 0), ("m", 4), ("m", 12), ("d9", 1)])
+    def test_share_not_a_node_rejected(self, network_id, node_index):
+        # Node 12 is node 1 modulo 11; d9 is not a network of the topology.
+        t, dealt = self._dealt_example()
+        stray = replace(dealt["m"][1], network_id=network_id,
+                        node_index=node_index)
+        with pytest.raises(CorruptData, match="not a node"):
+            reconstruct({"m": [dealt["m"][0], stray], "d1": dealt["d1"]}, t)
+
     def test_epoch_mix_rejected(self):
         t, dealt = self._dealt_example()
         moved = [NodeShare("d1", s.node_index, 1, s.values)
@@ -205,6 +247,15 @@ class TestThresholdExhaustive:
         # One node per required network suffices.
         assert got.t_nodes == 3
         assert got.t_networks == 3
+
+    def test_matches_dense_reference(self):
+        # All five fields, t_fail included, on a seeded sample of the
+        # enumerated small topologies at q = 257.
+        specs = random.Random(4).sample(list(enumerate_specs()), 150)
+        for outer, nets in specs:
+            t = build_topology(outer, nets)
+            assert compute_thresholds_exhaustive(t) == dense_thresholds(t), (
+                outer, nets)
 
     def test_capacity_bound(self):
         nets = (NetworkSpec("m", 11, 1, LinkKind.ITS),

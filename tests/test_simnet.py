@@ -50,6 +50,17 @@ class TestScenarioParsing:
         with pytest.raises(ValueError):
             scenario([{"event": "deal"}, event])
 
+    def test_second_deal_rejected(self):
+        with pytest.raises(ValueError, match="dealt once"):
+            scenario([{"event": "deal"}, {"event": "refresh"},
+                      {"event": "deal"}])
+
+    def test_owner_deals_once(self):
+        sim = Simulation(topo(), b"secret", seed=1)
+        sim.owner_store()
+        with pytest.raises(ValueError):
+            sim.owner_store()
+
 
 class TestDelivery:
     def test_mother_transcript_empty(self):
