@@ -79,7 +79,7 @@ def _load_shares(paths: List[Path], modulus: int) -> List[NodeShare]:
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
             shares.append(formats.share_from_dict(data, modulus))
-        except (OSError, ValueError, CorruptData) as exc:
+        except (OSError, ValueError, RecursionError, CorruptData) as exc:
             raise CliError(EXIT_INPUT, f"cannot read share {p}: {exc}")
     return shares
 

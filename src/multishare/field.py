@@ -9,12 +9,18 @@ every function is pure, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # Mersenne prime 2^127 - 1: fast reduction, comfortably above any chunk value.
 DEFAULT_MODULUS = 2**127 - 1
 
 MILLER_RABIN_ROUNDS = 64
+
+# Most words random_ints asks rng.randbytes for at once: a 64 KiB block
+# at 2^127 - 1, below the C allocator's mmap threshold, so drawing
+# megabytes of coefficients does not raise that threshold and leave the
+# freed blocks on the heap.
+BLOCK_WORDS = 4096
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -123,13 +129,35 @@ class FieldElement:
         return cls(parse_hex(text, modulus), modulus)
 
 
-def random_int(modulus: int, rng) -> int:
-    """Uniform draw via rejection sampling (no modulo bias)."""
+def random_ints(modulus: int, count: int, rng,
+                nonzero: bool = False) -> List[int]:
+    """`count` uniform values in 0..modulus-1 (1..modulus-1 when
+    `nonzero`), by rejection sampling over rng.randbytes.
+
+    Each attempt draws one block of ceil(bits/8)-byte little-endian words
+    (bits = modulus.bit_length()), one word per value still missing, at
+    most BLOCK_WORDS. Each word is masked to `bits` bits and kept only
+    when below the modulus (and nonzero, if asked), so no value carries
+    modulo bias; rejected words are topped up by the next block. With
+    crypto_rng the block is os.urandom: nothing expands the entropy.
+    """
     bits = modulus.bit_length()
-    while True:
-        v = rng.getrandbits(bits)
-        if v < modulus:
-            return v
+    width = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    low = 1 if nonzero else 0
+    from_bytes = int.from_bytes
+    out: List[int] = []
+    while len(out) < count:
+        block = rng.randbytes(min(count - len(out), BLOCK_WORDS) * width)
+        out += [v for i in range(0, len(block), width)
+                if low <= (v := from_bytes(block[i:i + width], "little")
+                           & mask) < modulus]
+    return out
+
+
+def random_int(modulus: int, rng) -> int:
+    """One uniform draw (random_ints with count 1)."""
+    return random_ints(modulus, 1, rng)[0]
 
 
 def random_element(modulus: int, rng) -> FieldElement:
@@ -142,6 +170,27 @@ def parse_hex(text: str, modulus: int) -> int:
     if value >= modulus or value < 0:
         raise ValueError(f"value {text} out of range for modulus")
     return value
+
+
+def weighted_column_sum(weights: Sequence[int],
+                        columns: Sequence[Sequence[int]], q: int) -> List[int]:
+    """Entry-wise sum of weights[k] * columns[k], mod q.
+
+    Columns all have one length. Each column with a nonzero weight costs
+    one pass, and the sum is reduced once, in the last pass.
+    """
+    terms = [(w % q, col) for w, col in zip(weights, columns) if w % q]
+    if not terms:
+        return [0] * len(columns[0])
+    if len(terms) == 1:
+        w, col = terms[0]
+        return [w * c % q for c in col]
+    (w, acc), *middle, (w_last, last) = terms
+    if w != 1:
+        acc = [w * c for c in acc]
+    for w, col in middle:
+        acc = [a + w * c for a, c in zip(acc, col)]
+    return [(a + w_last * c) % q for a, c in zip(acc, last)]
 
 
 def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],

@@ -13,7 +13,6 @@ import json
 from typing import Dict, List
 
 from .errors import CorruptData
-from .field import parse_hex
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -85,24 +84,42 @@ def share_to_dict(share: NodeShare, modulus: int) -> dict:
         "node_index": share.node_index,
         "epoch": share.epoch,
         "chunk_count": len(share.values),
-        "values": [format(v, "x") for v in share.values],
+        "values": [f"{v:x}" for v in share.values],
     }
+
+
+def _json_int(data: dict, key: str) -> int:
+    """data[key], which must be a JSON integer (not a bool, float or
+    string)."""
+    value = data[key]
+    if type(value) is not int:
+        raise CorruptData(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
     """Parse a share file dealt under a topology with this modulus."""
     try:
-        if data.get("format_version") != FORMAT_VERSION:
-            raise CorruptData(
-                f"unsupported format_version {data.get('format_version')!r}")
+        if not isinstance(data, dict):
+            raise CorruptData("a share file holds a JSON object")
+        version = data.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CorruptData(f"unsupported format_version {version!r}")
         if int(data["modulus"], 16) != modulus:
             raise CorruptData("share modulus does not match the topology")
-        values = [parse_hex(v, modulus) for v in data["values"]]
-        if len(values) != int(data["chunk_count"]):
+        network_id = data["network_id"]
+        if not isinstance(network_id, str):
+            raise CorruptData("network_id must be a string")
+        if not isinstance(data["values"], list):
+            raise CorruptData("values must be a list")
+        values = [int(v, 16) for v in data["values"]]
+        if values and (min(values) < 0 or max(values) >= modulus):
+            raise CorruptData("a value is out of range for the modulus")
+        if len(values) != _json_int(data, "chunk_count"):
             raise CorruptData("chunk_count does not match values")
-        return NodeShare(network_id=data["network_id"],
-                         node_index=int(data["node_index"]),
-                         epoch=int(data["epoch"]),
+        return NodeShare(network_id=network_id,
+                         node_index=_json_int(data, "node_index"),
+                         epoch=_json_int(data, "epoch"),
                          values=tuple(values))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc

@@ -4,9 +4,12 @@ Covers evaluation, the formal derivative, random generation with a pinned
 constant term, Lagrange interpolation at zero, and recovery from mixed
 value/derivative constraints via a linear solve.
 
-The int-level routines (random_coeffs, horner, derivative_coeffs,
-lagrange_zero_weights, birkhoff_weights) are the only implementations;
-Polynomial and the FieldElement-level functions wrap them.
+The int-level routines (random_coeff_columns, evaluate_columns, horner,
+derivative_coeffs, lagrange_zero_weights, birkhoff_weights) are the only
+implementations; Polynomial and the FieldElement-level functions wrap
+them. Dealing works on columns: one list per coefficient across many
+polynomials, evaluated in one pass per coefficient; the scalar horner
+serves Polynomial.evaluate.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from . import field
 from .errors import UnsolvableConstraints
-from .field import FieldElement, random_int
+from .field import FieldElement
 
 
 def _as_int(x: Union[int, FieldElement], modulus: int) -> int:
@@ -27,25 +30,32 @@ def _as_int(x: Union[int, FieldElement], modulus: int) -> int:
     return x % modulus
 
 
-def random_coeffs(degree: int, constant: int, q: int, rng) -> List[int]:
-    """Coefficients (constant first) of a random polynomial of exactly
-    `degree` with the given constant term.
+def random_coeff_columns(degree: int, constants: Sequence[int], q: int,
+                         rng) -> List[List[int]]:
+    """Coefficient columns (constant first) of len(constants) random
+    polynomials of exactly `degree`, the i-th with constant term
+    constants[i]: column t holds every polynomial's X^t coefficient.
 
-    Draws the middle coefficients in order, then redraws the leading one
-    until it is nonzero, so declared and actual degree always agree
-    (degree 0 is the constant itself).
+    Draws the middle columns in order, then the leading column with every
+    entry nonzero, so declared and actual degree always agree (degree 0
+    is the constants themselves).
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    coeffs = [constant]
-    if degree == 0:
-        return coeffs
-    coeffs += [random_int(q, rng) for _ in range(degree - 1)]
-    lead = 0
-    while not lead:
-        lead = random_int(q, rng)
-    coeffs.append(lead)
-    return coeffs
+    count = len(constants)
+    columns = [list(constants)]
+    columns += [field.random_ints(q, count, rng) for _ in range(degree - 1)]
+    if degree:
+        columns.append(field.random_ints(q, count, rng, nonzero=True))
+    return columns
+
+
+def evaluate_columns(columns: Sequence[Sequence[int]], x: int, q: int,
+                     order: int = 0) -> List[int]:
+    """Value at x (order 0) or first-derivative value at x (order 1) of
+    every polynomial whose coefficient columns these are, mod q."""
+    weights = birkhoff_matrix_row(x, order, len(columns) - 1, q)
+    return field.weighted_column_sum(weights, columns, q)
 
 
 def horner(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -125,9 +135,10 @@ class Polynomial:
     def random(cls, degree: int, constant: Union[int, FieldElement],
                modulus: int, rng) -> "Polynomial":
         """Random polynomial of exactly `degree` with pinned constant term
-        (drawn by random_coeffs)."""
-        return cls(random_coeffs(degree, _as_int(constant, modulus),
-                                 modulus, rng), modulus)
+        (one column of random_coeff_columns)."""
+        columns = random_coeff_columns(
+            degree, [_as_int(constant, modulus)], modulus, rng)
+        return cls([col[0] for col in columns], modulus)
 
 
 def lagrange_at_zero(points: Sequence[Tuple[FieldElement, FieldElement]]

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
-                    is_probable_prime)
+                    is_probable_prime, weighted_column_sum)
 from .poly import birkhoff_matrix_row, lagrange_zero_weights
 from .shamir import hierarchical_split_ints, split_ints
 
@@ -74,7 +74,10 @@ class Topology:
             if net.link is not want:
                 raise ValueError(
                     f"network {net.id}: expected {want.value} link")
-        if not is_probable_prime(self.modulus):
+        # 2^127 - 1 is a proven (Mersenne) prime; Miller-Rabin checks any
+        # other modulus.
+        if (self.modulus != DEFAULT_MODULUS
+                and not is_probable_prime(self.modulus)):
             raise ValueError("modulus must be prime")
 
     @property
@@ -144,31 +147,28 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
     Per chunk: a hierarchical split with one manager (the mother's inner
     secret P(1)) and one employee per daughter (daughter i's inner secret
     P'(i)); then a flat split of each network's inner secret over its
-    nodes, node j holding the inner polynomial's value at j. Randomness
-    is drawn chunk by chunk: P's coefficients, then each network's inner
-    polynomial in topology order.
+    nodes, node j holding the inner polynomial's value at j. All chunks
+    are dealt at once, column by column: randomness is drawn as P's
+    coefficient columns p_1..p_D across all chunks (p_D nonzero), then,
+    network by network in topology order, that network's inner
+    coefficient columns (the leading one nonzero).
     """
     q = topology.modulus
-    d = topology.outer_degree
-    daughters = len(topology.networks) - 1
-    per_node: Dict[str, List[List[int]]] = {
-        net.id: [[] for _ in range(net.node_count)]
-        for net in topology.networks}
-    for chunk in secret_chunks:
-        if not 0 <= chunk < q:
-            raise ValueError("chunk out of range for the topology modulus")
-        (mother_secret,), inner_secrets = hierarchical_split_ints(
-            chunk, d, 1, daughters, q, rng)
-        inner_secrets.insert(topology.mother_index, mother_secret)
-        for net, inner_secret in zip(topology.networks, inner_secrets):
-            values = split_ints(inner_secret, net.inner_degree,
-                                net.node_count, q, rng)
-            for column, v in zip(per_node[net.id], values):
-                column.append(v)
-    return {
-        net.id: [NodeShare(net.id, j + 1, 0, tuple(vals))
-                 for j, vals in enumerate(per_node[net.id])]
-        for net in topology.networks}
+    if secret_chunks and not (0 <= min(secret_chunks)
+                              and max(secret_chunks) < q):
+        raise ValueError("chunk out of range for the topology modulus")
+    mother, inner_secrets = hierarchical_split_ints(
+        secret_chunks, topology.outer_degree, 1, len(topology.networks) - 1,
+        q, rng)
+    inner_secrets.insert(topology.mother_index, mother.pop())
+    out: Dict[str, List[NodeShare]] = {}
+    for net in topology.networks:
+        # Popped, so each inner-secret column is freed once dealt.
+        columns = split_ints(inner_secrets.pop(0), net.inner_degree,
+                             net.node_count, q, rng)
+        out[net.id] = [NodeShare(net.id, j, 0, tuple(col))
+                       for j, col in enumerate(columns, start=1)]
+    return out
 
 
 def constant_functional(topology: Topology, network_id: str) -> List[int]:
@@ -239,11 +239,8 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
             continue
         have = sorted(have, key=lambda s: s.node_index)[:need]
         weights = lagrange_zero_weights([s.node_index for s in have], q)
-        inner = [0] * len(have[0].values)
-        for w, s in zip(weights, have):
-            for i, v in enumerate(s.values):
-                inner[i] = (inner[i] + w * v) % q
-        recovered[net.id] = inner
+        recovered[net.id] = weighted_column_sum(
+            weights, [s.values for s in have], q)
     mother_id = topology.mother.id
     avail_daughters = [n.id for n in topology.daughters()
                        if n.id in recovered]
@@ -261,15 +258,8 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     weights = _outer_weights(topology, chosen)
     if weights is None:
         raise Infeasible("outer constraint matrix is singular")
-    columns = [recovered[nid] for nid in chosen]
-    n_chunks = len(columns[0])
-    out = []
-    for i in range(n_chunks):
-        acc = 0
-        for w, col in zip(weights, columns):
-            acc = (acc + w * col[i]) % q
-        out.append(acc)
-    return out
+    return weighted_column_sum(weights, [recovered[nid] for nid in chosen],
+                               q)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +269,16 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
 def refresh(topology: Topology, chunk_count: int, epoch: int,
             rng) -> Dict[str, List[NodeRefresh]]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
-    the outer polynomial is untouched."""
+    the outer polynomial is untouched. Randomness is drawn network by
+    network in topology order, each network's coefficient columns across
+    all chunks in turn (the leading one nonzero)."""
     q = topology.modulus
+    zeros = [0] * chunk_count
     out: Dict[str, List[NodeRefresh]] = {}
     for net in topology.networks:
-        per_node = [[] for _ in range(net.node_count)]
-        for _ in range(chunk_count):
-            values = split_ints(0, net.inner_degree, net.node_count, q, rng)
-            for column, v in zip(per_node, values):
-                column.append(v)
-        out[net.id] = [NodeRefresh(net.id, j + 1, epoch, tuple(vals))
-                       for j, vals in enumerate(per_node)]
+        columns = split_ints(zeros, net.inner_degree, net.node_count, q, rng)
+        out[net.id] = [NodeRefresh(net.id, j, epoch, tuple(col))
+                       for j, col in enumerate(columns, start=1)]
     return out
 
 
@@ -303,8 +292,8 @@ def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
     if len(share.values) != len(delta.values):
         raise ValueError("chunk count mismatch")
     return replace(share, epoch=share.epoch + 1,
-                   values=tuple((a + b) % modulus for a, b in
-                                zip(share.values, delta.values)))
+                   values=tuple([(a + b) % modulus for a, b in
+                                 zip(share.values, delta.values)]))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +434,13 @@ class AdversaryKnowledge:
 
     def recover(self) -> Optional[List[int]]:
         """The secret chunks when the captures determine them, else None."""
-        q = self.topology.modulus
         known = self.known_networks()
         weights = _outer_weights(self.topology, known)
         if weights is None:
             return None
-        columns = [self._inner[nid] for nid in known]
-        return [sum(w * col[i] for w, col in zip(weights, columns)) % q
-                for i in range(len(columns[0]))]
+        return weighted_column_sum(
+            weights, [self._inner[nid] for nid in known],
+            self.topology.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ refresh deltas.
 
 Share x-coordinates are fixed to 1..n; epochs are explicit and shares
 from different epochs never combine. split_ints and
-hierarchical_split_ints are the int-level cores; the protocol deals
+hierarchical_split_ints are the int-level cores: they take a column of
+secrets and return one column per share position. The protocol deals
 through them, and the FieldElement-level functions below validate their
-arguments and wrap them.
+arguments and wrap them with one-element columns.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import List, Sequence, Tuple
 from .errors import (CorruptShares, EpochMismatch, InsufficientShares,
                      NoQuorum, UnsolvableConstraints)
 from .field import FieldElement
-from .poly import (BirkhoffConstraint, birkhoff_solve, derivative_coeffs,
-                   horner, lagrange_at_zero, random_coeffs)
+from .poly import (BirkhoffConstraint, birkhoff_solve, evaluate_columns,
+                   lagrange_at_zero, random_coeff_columns)
 
 
 @dataclass(frozen=True)
@@ -50,21 +51,24 @@ class RefreshDelta:
     from_epoch: int
 
 
-def split_ints(secret: int, degree: int, n: int, q: int, rng) -> List[int]:
-    """P(1..n) for a random P of exactly `degree` with P(0)=secret."""
-    p = random_coeffs(degree, secret, q, rng)
-    return [horner(p, x, q) for x in range(1, n + 1)]
+def split_ints(secrets: Sequence[int], degree: int, n: int, q: int, rng
+               ) -> List[List[int]]:
+    """Columns P(1)..P(n), each across all secrets, for random P of
+    exactly `degree`, one per secret, with P(0) = that secret."""
+    p = random_coeff_columns(degree, secrets, q, rng)
+    return [evaluate_columns(p, x, q) for x in range(1, n + 1)]
 
 
-def hierarchical_split_ints(secret: int, degree: int, managers: int,
-                            employees: int, q: int, rng
-                            ) -> Tuple[List[int], List[int]]:
-    """(P(1..managers), P'(1..employees)) for a random P of exactly
-    `degree` with P(0)=secret."""
-    p = random_coeffs(degree, secret, q, rng)
-    dp = derivative_coeffs(p, q)
-    return ([horner(p, x, q) for x in range(1, managers + 1)],
-            [horner(dp, x, q) for x in range(1, employees + 1)])
+def hierarchical_split_ints(secrets: Sequence[int], degree: int,
+                            managers: int, employees: int, q: int, rng
+                            ) -> Tuple[List[List[int]], List[List[int]]]:
+    """(columns P(1..managers), columns P'(1..employees)), each across all
+    secrets, for random P of exactly `degree`, one per secret, with
+    P(0) = that secret."""
+    p = random_coeff_columns(degree, secrets, q, rng)
+    return ([evaluate_columns(p, x, q) for x in range(1, managers + 1)],
+            [evaluate_columns(p, x, q, order=1)
+             for x in range(1, employees + 1)])
 
 
 def shamir_split(secret: FieldElement, k: int, n: int, rng
@@ -75,9 +79,9 @@ def shamir_split(secret: FieldElement, k: int, n: int, rng
         raise ValueError("need 1 <= k <= n")
     if n >= q:
         raise ValueError("n must be below the field modulus")
-    values = split_ints(secret.value, k - 1, n, q, rng)
+    columns = split_ints([secret.value], k - 1, n, q, rng)
     return [FlatShare(x, FieldElement(y, q), k, 0)
-            for x, y in enumerate(values, start=1)]
+            for x, (y,) in enumerate(columns, start=1)]
 
 
 def shamir_reconstruct(shares: Sequence[FlatShare],
@@ -129,12 +133,12 @@ def hierarchical_split(secret: FieldElement, k: int, managers: int,
         raise ValueError("employee count must be >= 0")
     if max(managers, employees) >= q:
         raise ValueError("participant count must be below the modulus")
-    values, slopes = hierarchical_split_ints(secret.value, k - 1, managers,
-                                             employees, q, rng)
+    values, slopes = hierarchical_split_ints([secret.value], k - 1,
+                                             managers, employees, q, rng)
     out = [HierShare(Rank.MANAGER, x, FieldElement(y, q), k)
-           for x, y in enumerate(values, start=1)]
+           for x, (y,) in enumerate(values, start=1)]
     out += [HierShare(Rank.EMPLOYEE, x, FieldElement(y, q), k)
-            for x, y in enumerate(slopes, start=1)]
+            for x, (y,) in enumerate(slopes, start=1)]
     return out
 
 
@@ -190,9 +194,9 @@ def refresh_deltas(k: int, n: int, from_epoch: int, rng, modulus: int
         raise ValueError("need 1 <= k <= n")
     if n >= modulus:
         raise ValueError("n must be below the field modulus")
-    values = split_ints(0, k - 1, n, modulus, rng)
+    columns = split_ints([0], k - 1, n, modulus, rng)
     return [RefreshDelta(x, FieldElement(y, modulus), from_epoch)
-            for x, y in enumerate(values, start=1)]
+            for x, (y,) in enumerate(columns, start=1)]
 
 
 def apply_refresh(share: FlatShare, delta: RefreshDelta) -> FlatShare:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multishare.cli import main
 from multishare.field import DEFAULT_MODULUS
@@ -88,6 +89,67 @@ class TestDeal:
         topo_path.write_text(json.dumps(data))
         assert run(["deal", "--topology", topo_path, "--secret", secret,
                     "--out", tmp / "shares"]) == 2
+
+
+# Any JSON document, kept small.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def _hex_value(text):
+    try:
+        return int(text, 16)
+    except ValueError:
+        return None
+
+
+def malformed_share_files(share):
+    """Share files, as bytes, each breaking the share format one way,
+    built from the valid share dict `share`."""
+    q = int(share["modulus"], 16)
+
+    def with_key(key, value):
+        return {**share, key: value}
+
+    def without_key(key):
+        return {k: v for k, v in share.items() if k != key}
+
+    def with_value_at(index, bad):
+        values = list(share["values"])
+        values[index % len(values)] = bad
+        return with_key("values", values)
+
+    bad_value = (JSON_VALUES.filter(lambda v: not isinstance(v, str))
+                 | st.text(max_size=8).filter(lambda t: _hex_value(t) is None)
+                 | st.integers(q, 2 * q).map(lambda v: format(v, "x"))
+                 | st.integers(1, 2**130).map(lambda v: f"-{v:x}"))
+    documents = st.one_of(
+        st.sampled_from(sorted(share)).map(without_key),
+        st.tuples(st.sampled_from(["node_index", "epoch", "chunk_count"]),
+                  JSON_VALUES.filter(lambda v: type(v) is not int)).map(
+            lambda kv: with_key(*kv)),
+        JSON_VALUES.filter(lambda v: type(v) is not int or v != 1).map(
+            lambda v: with_key("format_version", v)),
+        JSON_VALUES.filter(lambda v: not isinstance(v, str)
+                           or _hex_value(v) != q).map(
+            lambda v: with_key("modulus", v)),
+        JSON_VALUES.filter(lambda v: v != share["network_id"]).map(
+            lambda v: with_key("network_id", v)),
+        JSON_VALUES.filter(lambda v: not isinstance(v, list)).map(
+            lambda v: with_key("values", v)),
+        st.tuples(st.integers(0, 99), bad_value).map(
+            lambda iv: with_value_at(*iv)),
+        st.integers().filter(lambda n: n != share["chunk_count"]).map(
+            lambda n: with_key("chunk_count", n)),
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
+    )
+    return (documents.map(lambda d: json.dumps(d).encode())
+            | st.binary(max_size=40))
 
 
 class TestReconstruct:
@@ -176,6 +238,55 @@ class TestReconstruct:
                    + picks) == 2
         assert "not a node of the topology" in capsys.readouterr().err
         assert not dest.exists()
+
+    def test_malformed_share_file_exit2(self, workspace, capsys):
+        # Fuzz: one share file of a dealt directory replaced by a
+        # malformed one; reconstruct must exit 2, never raise.
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        target = out / "m_001.share.json"
+        share = json.loads(target.read_text())
+        dest = tmp / "r.bin"
+
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+        @given(malformed_share_files(share))
+        def check(content):
+            target.write_bytes(content)
+            assert run(["reconstruct", "--topology", topo, "--shares", out,
+                        "--out", dest]) == 2
+            assert not dest.exists()
+
+        check()
+        capsys.readouterr()
+
+    def test_deeply_nested_share_exit2(self, workspace):
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        (out / "m_001.share.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 2
+
+    @pytest.mark.parametrize("field, loosen", [
+        ("values", lambda d: "abcdef"[:d["chunk_count"]]),
+        ("node_index", lambda d: d["node_index"] + 0.9),
+        ("node_index", lambda d: True),
+        ("node_index", lambda d: str(d["node_index"])),
+        ("epoch", lambda d: True),
+        ("epoch", lambda d: False),
+        ("chunk_count", lambda d: float(d["chunk_count"])),
+        ("format_version", lambda d: True),
+    ], ids=["values-string", "node_index-float", "node_index-bool",
+            "node_index-string", "epoch-true", "epoch-false",
+            "chunk_count-float", "format_version-bool"])
+    def test_loosely_typed_share_exit2(self, workspace, field, loosen):
+        # Each of these once parsed as a valid share of node m/1 (a string
+        # as its characters' hex values, 1.9 and True as 1, False as 0).
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        path = out / "m_001.share.json"
+        data = json.loads(path.read_text())
+        data[field] = loosen(data)
+        path.write_text(json.dumps(data))
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 2
 
 
 class TestManifest:
@@ -480,6 +591,32 @@ class TestSimulate:
         counts = json.loads(spans.read_text())["counts"]
         assert counts["field.express_over_rows.calls"] > 0
         assert counts["simnet.adversary_verdict.calls"] > 0
+
+    def test_benchmark_tracer_attaches_vault(self, workspace):
+        # The benchmark's vault pass, traced: without --seed the draws go
+        # through the tracer's stand-in for the OS entropy source.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        dest = tmp / "recovered.bin"
+
+        def traced(*argv):
+            spans = tmp / f"{argv[0]}.spans.json"
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "perfbench" / "tracing.py"),
+                 str(spans), "cli", *map(str, argv)],
+                cwd=ROOT, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(spans.read_text())["counts"]
+
+        counts = traced("deal", "--topology", topo, "--secret", secret,
+                        "--out", out)
+        assert counts["protocol.deal.calls"] == 1
+        counts = traced("refresh", "--topology", topo, "--shares", out)
+        assert counts["protocol.refresh.calls"] == 1
+        counts = traced("reconstruct", "--topology", topo, "--shares", out,
+                        "--out", dest)
+        assert counts["protocol.reconstruct.calls"] == 1
+        assert dest.read_bytes() == secret.read_bytes()
 
 
 class TestDocumentedExamples:

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from multishare.field import (DEFAULT_MODULUS, FieldElement, crypto_rng,
-                              deterministic_rng, echelon_insert,
+from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, FieldElement,
+                              crypto_rng, deterministic_rng, echelon_insert,
                               express_over_rows, is_probable_prime,
-                              random_element)
+                              random_element, random_ints)
 
 
 def fe(v, q=7):
@@ -117,6 +118,36 @@ class TestRandom:
     def test_crypto_source_works(self):
         e = random_element(DEFAULT_MODULUS, crypto_rng())
         assert 0 <= e.value < DEFAULT_MODULUS
+
+    @pytest.mark.parametrize("nonzero", [False, True])
+    def test_random_ints_exact_counts_q257(self, nonzero):
+        # q = 257 reads 2-byte words masked to 9 bits, so about half of
+        # them are rejected. Fed every 2-byte word once, in order, each
+        # 9-bit value arrives 128 times; the draw must keep exactly 128
+        # of each value below 257 (0 excepted when nonzero) and stop at
+        # the last word it needs: the final 256, word 256 + 127 * 512.
+        class EveryWord:
+            def __init__(self):
+                self.next = 0
+
+            def randbytes(self, n):
+                assert n % 2 == 0 and n // 2 <= BLOCK_WORDS
+                words = range(self.next, self.next + n // 2)
+                self.next += n // 2
+                return b"".join(w.to_bytes(2, "little") for w in words)
+
+        rng = EveryWord()
+        low = 1 if nonzero else 0
+        draws = random_ints(257, (257 - low) * 128, rng, nonzero=nonzero)
+        assert Counter(draws) == {v: 128 for v in range(low, 257)}
+        assert rng.next == 256 + 127 * 512 + 1
+
+    def test_random_ints_seeded_reproducible(self):
+        a = random_ints(DEFAULT_MODULUS, 50, deterministic_rng(3))
+        assert a == random_ints(DEFAULT_MODULUS, 50, deterministic_rng(3))
+        assert len(set(a)) == 50
+        assert all(0 <= v < DEFAULT_MODULUS for v in a)
+        assert random_ints(7, 0, deterministic_rng(3)) == []
 
 
 class TestPrimality:

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
-from multishare.field import DEFAULT_MODULUS, deterministic_rng
+from multishare import protocol
+from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
+                              is_probable_prime)
+from multishare.poly import derivative_coeffs, horner, random_coeff_columns
 from multishare.protocol import (Access, FunctionalSpace, LinkKind,
                                  NetworkSpec, NodeShare, Thresholds, Topology,
                                  access_oracle, apply_node_refresh,
@@ -20,13 +23,18 @@ from test_acceptance import build_topology, enumerate_specs
 
 
 class ScriptedRng:
-    """Feeds getrandbits from a fixed list (for forced polynomials)."""
+    """Feeds randbytes from a fixed list of values (for forced
+    polynomials), each as one ceil(bits/8)-byte little-endian word for a
+    field of this modulus, the width the field's sampler reads."""
 
-    def __init__(self, values):
+    def __init__(self, values, modulus):
         self.values = list(values)
+        self.width = (modulus.bit_length() + 7) // 8
 
-    def getrandbits(self, _bits):
-        return self.values.pop(0)
+    def randbytes(self, n):
+        assert n % self.width == 0
+        words = [self.values.pop(0) for _ in range(n // self.width)]
+        return b"".join(v.to_bytes(self.width, "little") for v in words)
 
 
 def topo3(q=11, n=3, inner=1, outer=1):
@@ -109,12 +117,31 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology(15, nets, 0, 1)
 
+    def test_default_modulus_skips_primality_test(self, monkeypatch):
+        # 2^127 - 1 is a proven prime, so Topology accepts it without
+        # Miller-Rabin; every other modulus still goes through the test.
+        assert is_probable_prime(DEFAULT_MODULUS)
+        tested = []
+
+        def probe(n):
+            tested.append(n)
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(protocol, "is_probable_prime", probe)
+        assert topo3(q=DEFAULT_MODULUS).modulus == DEFAULT_MODULUS
+        assert tested == []
+        topo3(q=257)
+        for composite in (561, 2**127 + 1, (2**61 - 1) * (2**31 - 1)):
+            with pytest.raises(ValueError):
+                topo3(q=composite)
+        assert tested == [257, 561, 2**127 + 1, (2**61 - 1) * (2**31 - 1)]
+
 
 class TestDeal:
     def test_worked_example(self):
         # Forced P=4+3X, Q0=7+2X, Q1=3+5X, Q2=3+X over F_11.
         t = topo3()
-        rng = ScriptedRng([3, 2, 5, 1])
+        rng = ScriptedRng([3, 2, 5, 1], 11)
         dealt = deal([4], t, rng)
         values = {nid: [s.values[0] for s in shares]
                   for nid, shares in dealt.items()}
@@ -142,11 +169,80 @@ class TestDeal:
         with pytest.raises(ValueError):
             deal([11], topo3(), deterministic_rng(0))
 
+    def test_scripted_rejections_skipped(self):
+        # The worked example's draws, with rejected words in between: a
+        # zero leading coefficient, words at or above q = 11, and a word
+        # whose bits above bit_length(11) = 4 are masked off (0xf3 -> 3).
+        rng = ScriptedRng([0, 11, 0xf3, 14, 2, 5, 0, 15, 1], 11)
+        dealt = deal([4], topo3(), rng)
+        values = {nid: [s.values[0] for s in shares]
+                  for nid, shares in dealt.items()}
+        assert values == {"m": [9, 0, 2], "d1": [8, 2, 7], "d2": [4, 5, 6]}
+        assert rng.values == []
+
+    def test_rejected_words_topped_up_in_order(self):
+        # Two chunks: each column is one block of two words, and only
+        # the rejected words are drawn again.
+        t = topo3()
+        rng = ScriptedRng([3, 11, 0, 6,            # p_1: 3, 6
+                           12, 2, 7,               # m: 2, 7
+                           5, 0, 4,                # d1: 5, 4
+                           1, 1], 11)              # d2: 1, 1
+        dealt = deal([4, 0], t, rng)
+        assert rng.values == []
+        assert dealt["m"][0].values == ((4 + 3 + 2) % 11, (0 + 6 + 7) % 11)
+        assert dealt["d1"][1].values == ((3 + 2 * 5) % 11, (6 + 2 * 4) % 11)
+        assert reconstruct(dealt, t) == [4, 0]
+
+    @pytest.mark.parametrize("q", [257, DEFAULT_MODULUS],
+                             ids=["q257", "q2^127-1"])
+    def test_columns_match_per_chunk_horner(self, q):
+        # Multi-chunk deal and refresh against scalar horner, chunk by
+        # chunk, on the same drawn coefficients (replayed from the seed),
+        # then a reconstruct of the refreshed shares.
+        nets = (NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
+                NetworkSpec("m", 4, 2, LinkKind.ITS),
+                NetworkSpec("d2", 4, 0, LinkKind.CLASSICAL),
+                NetworkSpec("d3", 5, 3, LinkKind.CLASSICAL))
+        t = Topology(q, nets, 1, 2)
+        chunks = [deterministic_rng(c).randrange(q) for c in range(40)]
+        m = len(chunks)
+        dealt = deal(chunks, t, deterministic_rng(11))
+        deltas = refresh(t, m, 0, deterministic_rng(12))
+
+        replay = deterministic_rng(11)
+        outer = random_coeff_columns(t.outer_degree, chunks, q, replay)
+        assert all(outer[-1])
+        polys = [[col[c] for col in outer] for c in range(m)]
+        inner_secrets = {
+            net.id: ([horner(p, 1, q) for p in polys] if net.id == "m"
+                     else [horner(derivative_coeffs(p, q),
+                                  t.derivative_point(net.id), q)
+                           for p in polys])
+            for net in nets}
+        refresh_replay = deterministic_rng(12)
+        for net in nets:
+            for got, secrets, rng in ((dealt, inner_secrets[net.id], replay),
+                                      (deltas, [0] * m, refresh_replay)):
+                cols = random_coeff_columns(net.inner_degree, secrets, q,
+                                            rng)
+                assert net.inner_degree == 0 or all(cols[-1])
+                for j, item in enumerate(got[net.id], start=1):
+                    assert item.node_index == j
+                    assert list(item.values) == [
+                        horner([col[c] for col in cols], j, q)
+                        for c in range(m)]
+        refreshed = {nid: [apply_node_refresh(s, deltas[nid][s.node_index - 1],
+                                              q) for s in lst]
+                     for nid, lst in dealt.items()}
+        assert reconstruct(refreshed, t) == chunks
+        assert reconstruct(dealt, t) == chunks
+
 
 class TestReconstruct:
     def _dealt_example(self):
         t = topo3()
-        dealt = deal([4], t, ScriptedRng([3, 2, 5, 1]))
+        dealt = deal([4], t, ScriptedRng([3, 2, 5, 1], 11))
         return t, dealt
 
     def test_quorum_exact_subset(self):
@@ -288,7 +384,7 @@ class TestAccessOracle:
         # The functional rows evaluate to the actually dealt values on
         # the concrete randomness vector [S, p1, q0, q1, q2].
         t = topo3()
-        dealt = deal([4], t, ScriptedRng([3, 2, 5, 1]))
+        dealt = deal([4], t, ScriptedRng([3, 2, 5, 1], 11))
         randomness = [4, 3, 2, 5, 1]
         space = FunctionalSpace(t)
         for nid, shares in dealt.items():
@@ -330,7 +426,7 @@ class TestAccessOracle:
             st.integers(1, q - 1),
             min_size=len(chunks) * (per_chunk + rounds * inner),
             max_size=len(chunks) * (per_chunk + rounds * inner)))
-        rng = ScriptedRng(draws)
+        rng = ScriptedRng(draws, q)
         shares = deal(chunks, t, rng)
         history = [shares]
         all_deltas = []
@@ -344,18 +440,19 @@ class TestAccessOracle:
             history.append(shares)
         assert rng.values == []
 
-        # Deal draws chunk by chunk; refresh draws network by network,
-        # chunk by chunk within a network.
-        vectors = []
-        for c, chunk in enumerate(chunks):
-            vec = [chunk] + draws[c * per_chunk:(c + 1) * per_chunk]
-            base = len(chunks) * per_chunk
-            for _ in range(rounds):
-                for net in nets:
-                    k = net.inner_degree
-                    vec += draws[base + c * k:base + (c + 1) * k]
-                    base += len(chunks) * k
-            vectors.append(vec)
+        # Draws come in coefficient columns across all chunks: deal draws
+        # the outer columns, then each network's inner columns; each
+        # refresh round draws each network's columns. Chunk c's vector
+        # takes entry c of every column, in draw order.
+        m = len(chunks)
+        vectors = [[chunk] for chunk in chunks]
+        pos = 0
+        for k in ([t.outer_degree] + [net.inner_degree for net in nets]
+                  + rounds * [net.inner_degree for net in nets]):
+            columns = [draws[pos + i * m:pos + (i + 1) * m] for i in range(k)]
+            pos += k * m
+            for c, vec in enumerate(vectors):
+                vec += [col[c] for col in columns]
         space = FunctionalSpace(t, rounds)
 
         def dot(row, vec):
