@@ -46,15 +46,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _read_json(path, what: str):
+    """The JSON document in file `path`; exit 2 when it cannot be read or
+    parsed, nesting too deep included."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(EXIT_INPUT, f"cannot read {what} {path}: {exc}")
+
+
 def _load_topology(path: str) -> Topology:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"cannot read topology {path}: {exc}")
-    try:
         return formats.topology_from_dict(
-            data, min_modulus=formats.MIN_USER_MODULUS)
+            _read_json(path, "topology"),
+            min_modulus=formats.MIN_USER_MODULUS)
     except CorruptData as exc:
         raise CliError(EXIT_INPUT, str(exc))
 
@@ -77,9 +82,9 @@ def _load_shares(paths: List[Path], modulus: int) -> List[NodeShare]:
     shares = []
     for p in paths:
         try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-            shares.append(formats.share_from_dict(data, modulus))
-        except (OSError, ValueError, RecursionError, CorruptData) as exc:
+            shares.append(formats.share_from_dict(_read_json(p, "share"),
+                                                  modulus))
+        except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read share {p}: {exc}")
     return shares
 
@@ -91,10 +96,10 @@ def _share_dir_paths(share_dir: Path, topology: Topology) -> List[Path]:
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
     manifest = share_dir / "manifest.json"
     if manifest.exists():
+        data = _read_json(manifest, "manifest")
         try:
-            digest = json.loads(
-                manifest.read_text(encoding="utf-8"))["topology_digest"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            digest = data["topology_digest"]
+        except (KeyError, TypeError) as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
                                        f"{exc}")
         if digest != formats.topology_digest(topology):
@@ -163,8 +168,8 @@ def cmd_refresh(args) -> int:
             if (net.id, d.node_index) not in present:
                 stale.append(f"{net.id}/{d.node_index}")
     for share in shares:
-        delta = next(d for d in deltas[share.network_id]
-                     if d.node_index == share.node_index)
+        # check_share_set vouched for the node; deltas come in node order.
+        delta = deltas[share.network_id][share.node_index - 1]
         updated = apply_node_refresh(share, delta, topology.modulus)
         _write_json(_share_path(share_dir, updated),
                     formats.share_to_dict(updated, topology.modulus))
@@ -207,10 +212,10 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    data = _read_json(args.scenario, "scenario")
     try:
-        data = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
         scenario = Scenario.from_dict(data)
-    except (OSError, ValueError, CorruptData) as exc:
+    except (ValueError, CorruptData) as exc:
         raise CliError(EXIT_INPUT, f"cannot load scenario: {exc}")
     if args.state and Path(args.state).exists():
         try:

@@ -2,7 +2,9 @@
 
 Plain argument misuse (wrong modulus, bad dimensions, duplicate points)
 raises ValueError; the classes below mark protocol-level conditions a
-caller may want to branch on.
+caller may want to branch on. The CLI maps each to an exit code:
+EpochMismatch and Infeasible to 3, CapacityError to 4, and the rest to
+2.
 """
 
 
@@ -10,24 +12,8 @@ class MultishareError(Exception):
     """Base class for protocol-level failures."""
 
 
-class UnsolvableConstraints(MultishareError):
-    """The interpolation constraint matrix is singular."""
-
-
-class InsufficientShares(MultishareError):
-    """Fewer shares than the reconstruction threshold."""
-
-
 class EpochMismatch(MultishareError):
     """Shares from different refresh epochs were mixed."""
-
-
-class NoQuorum(MultishareError):
-    """No solvable qualifying subset exists among the given shares."""
-
-
-class CorruptShares(MultishareError):
-    """Extra shares disagree with the interpolated polynomial."""
 
 
 class Infeasible(MultishareError):
@@ -46,7 +32,8 @@ class CapacityError(MultishareError):
 
 
 class CorruptData(MultishareError):
-    """Serialized data failed validation on decode."""
+    """Input failed validation: a malformed file, or shares that do not
+    belong together."""
 
 
 class StateError(MultishareError):

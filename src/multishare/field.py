@@ -1,9 +1,10 @@
 """Prime-field arithmetic and exact linear algebra over F_q.
 
 Everything here is exact big-integer math: no tolerances exist anywhere.
-Below the public scalar type FieldElement, values are plain ints in
-0..q-1 with the modulus passed alongside. All values are immutable and
-every function is pure, so concurrent use needs no synchronization.
+Values are plain ints in 0..q-1 with the modulus passed alongside; a
+column is a list of them, one per secret chunk. Apart from the entropy
+draws, every function is pure, so concurrent use needs no
+synchronization.
 """
 
 from __future__ import annotations
@@ -65,70 +66,6 @@ def crypto_rng() -> random.SystemRandom:
     return random.SystemRandom()
 
 
-class FieldElement:
-    """An element of F_q in canonical representation (0 <= value < q)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and self.modulus == other.modulus
-                and self.value == other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.modulus})"
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def to_hex(self) -> str:
-        """Lowercase big-endian hex, no leading zeros ('0' for zero)."""
-        return format(self.value, "x")
-
-    @classmethod
-    def from_hex(cls, text: str, modulus: int) -> "FieldElement":
-        return cls(parse_hex(text, modulus), modulus)
-
-
 def random_ints(modulus: int, count: int, rng,
                 nonzero: bool = False) -> List[int]:
     """`count` uniform values in 0..modulus-1 (1..modulus-1 when
@@ -153,15 +90,6 @@ def random_ints(modulus: int, count: int, rng,
                 if low <= (v := from_bytes(block[i:i + width], "little")
                            & mask) < modulus]
     return out
-
-
-def random_int(modulus: int, rng) -> int:
-    """One uniform draw (random_ints with count 1)."""
-    return random_ints(modulus, 1, rng)[0]
-
-
-def random_element(modulus: int, rng) -> FieldElement:
-    return FieldElement(random_int(modulus, rng), modulus)
 
 
 def parse_hex(text: str, modulus: int) -> int:

@@ -47,20 +47,27 @@ def topology_to_dict(topology: Topology) -> dict:
 
 def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
     try:
+        if not isinstance(data, dict):
+            raise CorruptData("a topology is a JSON object")
         if data.get("format_version") != FORMAT_VERSION:
             raise CorruptData(
                 f"unsupported format_version {data.get('format_version')!r}")
         modulus = int(data["modulus"], 16)
         nets = data["networks"]
+        if not (isinstance(nets, list)
+                and all(isinstance(n, dict) for n in nets)):
+            raise CorruptData("networks must be a list of JSON objects")
         mothers = [i for i, n in enumerate(nets) if n.get("mother")]
         if len(mothers) != 1:
             raise CorruptData("exactly one network must be the mother")
+        if not all(isinstance(n["id"], str) for n in nets):
+            raise CorruptData("network ids must be strings")
         specs = [NetworkSpec(id=n["id"], node_count=int(n["node_count"]),
                              inner_degree=int(n["inner_degree"]),
                              link=LinkKind(n["link"]))
                  for n in nets]
         outer = int(data["outer_degree"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptData(f"malformed topology file: {exc}") from exc
     if modulus < min_modulus:
         raise CorruptData(f"modulus must be at least {min_modulus}")

@@ -1,33 +1,21 @@
-"""Polynomials over F_q.
+"""Polynomials over F_q, as plain-int coefficient columns.
 
-Covers evaluation, the formal derivative, random generation with a pinned
-constant term, Lagrange interpolation at zero, and recovery from mixed
-value/derivative constraints via a linear solve.
-
-The int-level routines (random_coeff_columns, evaluate_columns, horner,
-derivative_coeffs, lagrange_zero_weights, birkhoff_weights) are the only
-implementations; Polynomial and the FieldElement-level functions wrap
-them. Dealing works on columns: one list per coefficient across many
-polynomials, evaluated in one pass per coefficient; the scalar horner
-serves Polynomial.evaluate.
+Dealing works on columns: one list per coefficient across many
+polynomials, the constant term first. random_coeff_columns draws them,
+evaluate_columns evaluates them (or their first derivative) at a point
+in one pass per coefficient, and split_ints / hierarchical_split_ints
+are the flat and two-rank (value / derivative) sharings built on the
+two. lagrange_zero_weights and birkhoff_matrix_row give the linear
+weights that interpolation and the oracle solve with. The scalar horner
+and derivative_coeffs are the per-polynomial reference the tests check
+the column routines against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from . import field
-from .errors import UnsolvableConstraints
-from .field import FieldElement
-
-
-def _as_int(x: Union[int, FieldElement], modulus: int) -> int:
-    if isinstance(x, FieldElement):
-        if x.modulus != modulus:
-            raise ValueError("modulus mismatch")
-        return x.value
-    return x % modulus
 
 
 def random_coeff_columns(degree: int, constants: Sequence[int], q: int,
@@ -58,6 +46,26 @@ def evaluate_columns(columns: Sequence[Sequence[int]], x: int, q: int,
     return field.weighted_column_sum(weights, columns, q)
 
 
+def split_ints(secrets: Sequence[int], degree: int, n: int, q: int, rng
+               ) -> List[List[int]]:
+    """Columns P(1)..P(n), each across all secrets, for random P of
+    exactly `degree`, one per secret, with P(0) = that secret."""
+    p = random_coeff_columns(degree, secrets, q, rng)
+    return [evaluate_columns(p, x, q) for x in range(1, n + 1)]
+
+
+def hierarchical_split_ints(secrets: Sequence[int], degree: int,
+                            managers: int, employees: int, q: int, rng
+                            ) -> Tuple[List[List[int]], List[List[int]]]:
+    """(columns P(1..managers), columns P'(1..employees)), each across all
+    secrets, for random P of exactly `degree`, one per secret, with
+    P(0) = that secret."""
+    p = random_coeff_columns(degree, secrets, q, rng)
+    return ([evaluate_columns(p, x, q) for x in range(1, managers + 1)],
+            [evaluate_columns(p, x, q, order=1)
+             for x in range(1, employees + 1)])
+
+
 def horner(coeffs: Sequence[int], x: int, q: int) -> int:
     """Value at x of the polynomial with these coefficients, mod q."""
     acc = 0
@@ -69,91 +77,6 @@ def horner(coeffs: Sequence[int], x: int, q: int) -> int:
 def derivative_coeffs(coeffs: Sequence[int], q: int) -> List[int]:
     """Formal derivative: coefficient i*c_i shifted down one slot."""
     return [i * c % q for i, c in enumerate(coeffs)][1:] or [0]
-
-
-class Polynomial:
-    """Coefficient vector over F_q; coeffs[i] multiplies X^i.
-
-    Normalized: the trailing coefficient is nonzero unless the polynomial
-    is zero, which is stored as the single coefficient (0,).
-    """
-
-    __slots__ = ("coeffs", "modulus")
-
-    def __init__(self, coeffs: Sequence[Union[int, FieldElement]],
-                 modulus: int):
-        vals = [_as_int(c, modulus) for c in coeffs]
-        while len(vals) > 1 and vals[-1] == 0:
-            vals.pop()
-        if not vals:
-            vals = [0]
-        object.__setattr__(self, "coeffs", tuple(vals))
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Polynomial)
-                and self.modulus == other.modulus
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)} mod {self.modulus})"
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)], self.modulus)
-
-    def scale(self, c: Union[int, FieldElement]) -> "Polynomial":
-        cv = _as_int(c, self.modulus)
-        return Polynomial([cv * x for x in self.coeffs], self.modulus)
-
-    def evaluate(self, x: Union[int, FieldElement]) -> FieldElement:
-        q = self.modulus
-        return FieldElement(horner(self.coeffs, _as_int(x, q), q), q)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(derivative_coeffs(self.coeffs, self.modulus),
-                          self.modulus)
-
-    @classmethod
-    def random(cls, degree: int, constant: Union[int, FieldElement],
-               modulus: int, rng) -> "Polynomial":
-        """Random polynomial of exactly `degree` with pinned constant term
-        (one column of random_coeff_columns)."""
-        columns = random_coeff_columns(
-            degree, [_as_int(constant, modulus)], modulus, rng)
-        return cls([col[0] for col in columns], modulus)
-
-
-def lagrange_at_zero(points: Sequence[Tuple[FieldElement, FieldElement]]
-                     ) -> FieldElement:
-    """P(0) for the unique polynomial of degree < len(points) through them.
-
-    x values must be distinct and nonzero (a share at 0 would be the
-    secret itself).
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    q = points[0][0].modulus
-    weights = lagrange_zero_weights([x.value for x, _ in points], q)
-    acc = sum(w * y.value for w, (_, y) in zip(weights, points))
-    return FieldElement(acc, q)
 
 
 def lagrange_zero_weights(xs: Sequence[int], q: int) -> list:
@@ -174,19 +97,6 @@ def lagrange_zero_weights(xs: Sequence[int], q: int) -> list:
     return weights
 
 
-@dataclass(frozen=True)
-class BirkhoffConstraint:
-    """One interpolation constraint: the value of P (order 0) or of its
-    first derivative (order 1) at a point."""
-    point: FieldElement
-    order: int
-    value: FieldElement
-
-    def __post_init__(self):
-        if self.order not in (0, 1):
-            raise ValueError("order must be 0 or 1")
-
-
 def birkhoff_matrix_row(point: int, order: int, degree: int, q: int) -> list:
     """Row of powers (order 0) or derivative-of-powers (order 1) for the
     unknown coefficient vector (a_0 .. a_degree)."""
@@ -201,45 +111,3 @@ def birkhoff_matrix_row(point: int, order: int, degree: int, q: int) -> list:
         row.append(i * p % q)
         p = p * point % q
     return row
-
-
-def birkhoff_weights(rows: Sequence[Sequence[int]], coeff: int,
-                     q: int) -> Optional[list]:
-    """Weights w with a_coeff = sum(w_i * value_i) for every polynomial
-    meeting the constraints whose birkhoff_matrix_row rows are `rows`;
-    None when the constraints leave a_coeff undetermined."""
-    unit = [0] * len(rows[0])
-    unit[coeff] = 1
-    return field.express_over_rows(rows, unit, q)
-
-
-def birkhoff_solve(constraints: Sequence[BirkhoffConstraint],
-                   degree: int) -> Polynomial:
-    """Recover the degree-`degree` polynomial meeting all constraints.
-
-    Requires exactly degree+1 constraints. The same point may carry one
-    order-0 and one order-1 constraint; exact (point, order) duplicates
-    are rejected. Raises UnsolvableConstraints when the constraint matrix
-    is singular.
-    """
-    if len(constraints) != degree + 1:
-        raise ValueError("need exactly degree+1 constraints")
-    q = constraints[0].point.modulus
-    seen = set()
-    for c in constraints:
-        key = (c.point.value, c.order)
-        if key in seen:
-            raise ValueError(f"duplicate constraint at {key}")
-        seen.add(key)
-    rows = [birkhoff_matrix_row(c.point.value, c.order, degree, q)
-            for c in constraints]
-    values = [c.value.value for c in constraints]
-    coeffs = []
-    # A square constraint matrix is invertible exactly when every
-    # coefficient has weights.
-    for t in range(degree + 1):
-        weights = birkhoff_weights(rows, t, q)
-        if weights is None:
-            raise UnsolvableConstraints("singular constraint matrix")
-        coeffs.append(sum(w * v for w, v in zip(weights, values)))
-    return Polynomial(coeffs, q)

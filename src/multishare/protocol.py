@@ -21,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
                     is_probable_prime, weighted_column_sum)
-from .poly import birkhoff_matrix_row, lagrange_zero_weights
-from .shamir import hierarchical_split_ints, split_ints
+from .poly import (birkhoff_matrix_row, hierarchical_split_ints,
+                   lagrange_zero_weights, split_ints)
 
 EXHAUSTIVE_NODE_BOUND = 20
 
@@ -223,9 +223,12 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     """Recover all chunks, or raise Infeasible naming what is missing.
 
     Needs an inner quorum on the mother plus inner quorums on at least
-    outer_degree daughters; each quorum recovers that network's inner
-    secret by interpolation at zero. Checks the shares with
-    check_share_set first.
+    outer_degree daughters; each network's lowest-index quorum recovers
+    its inner secret by interpolation at zero. Checks the shares with
+    check_share_set first. No share is ignored: every share beyond a
+    network's quorum, and every daughter beyond the outer degree, must
+    agree with the polynomial the others determine, else CorruptData
+    names the network and node. Errors are detected, not corrected.
     """
     q = topology.modulus
     check_share_set((s for lst in shares.values() for s in lst), topology)
@@ -237,10 +240,19 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
         quorum_report.append((net.id, min(len(have), need), need))
         if len(have) < need:
             continue
-        have = sorted(have, key=lambda s: s.node_index)[:need]
-        weights = lagrange_zero_weights([s.node_index for s in have], q)
-        recovered[net.id] = weighted_column_sum(
-            weights, [s.values for s in have], q)
+        have.sort(key=lambda s: s.node_index)
+        quorum, extra = have[:need], have[need:]
+        xs = [s.node_index for s in quorum]
+        columns = [s.values for s in quorum]
+        weights = lagrange_zero_weights(xs, q)
+        recovered[net.id] = weighted_column_sum(weights, columns, q)
+        for s in extra:
+            # P(x) is the value at zero of X -> P(X + x).
+            shifted = lagrange_zero_weights([a - s.node_index for a in xs], q)
+            if weighted_column_sum(shifted, columns, q) != list(s.values):
+                raise CorruptData(
+                    f"network {net.id}: the share of node {s.node_index} "
+                    f"disagrees with nodes {xs}")
     mother_id = topology.mother.id
     avail_daughters = [n.id for n in topology.daughters()
                        if n.id in recovered]
@@ -258,8 +270,17 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     weights = _outer_weights(topology, chosen)
     if weights is None:
         raise Infeasible("outer constraint matrix is singular")
-    return weighted_column_sum(weights, [recovered[nid] for nid in chosen],
-                               q)
+    columns = [recovered[nid] for nid in chosen]
+    rows = [constant_functional(topology, nid) for nid in chosen]
+    for nid in avail_daughters[topology.outer_degree:]:
+        # The inner secret this daughter must hold, over the chosen ones.
+        over = express_over_rows(rows, constant_functional(topology, nid), q)
+        if (over is not None
+                and weighted_column_sum(over, columns, q) != recovered[nid]):
+            raise CorruptData(
+                f"network {nid}: its inner secret disagrees with networks "
+                f"{chosen}")
+    return weighted_column_sum(weights, columns, q)
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,14 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         try:
             topology = topology_from_dict(data["topology"])
+            protocol.chunk_size(topology.modulus)  # ValueError below 2^16
             secret = bytes.fromhex(data["secret_hex"])
             schedule = tuple(data["schedule"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scenario: {exc}") from exc
         for ev in schedule:
-            if not isinstance(ev, dict) or ev.get("event") not in EVENT_KINDS:
+            if not (isinstance(ev, dict) and isinstance(ev.get("event"), str)
+                    and ev["event"] in EVENT_KINDS):
                 raise ValueError(f"unknown event {ev!r}")
         check_targets(schedule, topology)
         return cls(topology=topology, secret=secret, schedule=schedule)
@@ -84,7 +86,7 @@ def check_targets(schedule, topology: Topology, dealt: bool = False) -> None:
             if (kind in NODE_EVENTS
                     and not 1 <= int(ev["node"]) <= net.node_count):
                 raise ValueError(f"no node {ev['node']} in network {net.id}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"event {ev!r} does not fit the topology: {exc}") from exc
 
@@ -386,7 +388,7 @@ def load_state(path) -> Simulation:
             f"payload length {len(payload)} does not match header {length}")
     try:
         state = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise StateError(f"undecodable state payload: {exc}") from exc
     return Simulation.from_state(state)
 

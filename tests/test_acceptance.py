@@ -10,21 +10,17 @@ import pytest
 
 from multishare.cli import main as cli_main
 from multishare.errors import EpochMismatch, Infeasible
-from multishare.field import DEFAULT_MODULUS, FieldElement, deterministic_rng
+from multishare.field import DEFAULT_MODULUS, deterministic_rng
 from multishare.formats import canonical_json, topology_to_dict
-from multishare.poly import BirkhoffConstraint, Polynomial, birkhoff_solve
+from multishare.poly import derivative_coeffs, horner, split_ints
 from multishare.protocol import (Access, LinkKind, NetworkSpec, Topology,
                                  access_oracle, apply_node_refresh,
                                  compute_thresholds_exhaustive,
                                  compute_thresholds_formula, deal,
                                  decode_secret, encode_secret, reconstruct,
                                  refresh)
-from multishare.shamir import shamir_reconstruct, shamir_split
 from multishare.simnet import Scenario, run_scenario
-
-
-def fe(v, q):
-    return FieldElement(v, q)
+from test_poly import birkhoff_coeffs, interpolate_zero
 
 
 def report(number, name, started, budget):
@@ -65,9 +61,10 @@ def test_criterion_1_shamir_exhaustive():
     for n in range(1, 6):
         for k in range(1, n + 1):
             for secret in range(q):
-                shares = shamir_split(fe(secret, q), k, n, rng)
+                columns = split_ints([secret], k - 1, n, q, rng)
+                shares = [(x, y) for x, (y,) in enumerate(columns, start=1)]
                 for subset in itertools.combinations(shares, k):
-                    assert shamir_reconstruct(list(subset)).value == secret
+                    assert interpolate_zero(subset, q) == secret
     report(1, "shamir exhaustive correctness", started, 10)
 
 
@@ -80,8 +77,8 @@ def test_criterion_2_exact_perfect_secrecy():
             for secret in range(q):
                 counter = Counter()
                 for tail in itertools.product(range(q), repeat=k - 1):
-                    p = Polynomial([secret, *tail], q)
-                    counter[tuple(p.evaluate(x).value for x in pos)] += 1
+                    coeffs = [secret, *tail]
+                    counter[tuple(horner(coeffs, x, q) for x in pos)] += 1
                 hists.append(counter)
             assert all(h == hists[0] for h in hists)  # exact, no tolerance
     report(2, "exact perfect secrecy", started, 60)
@@ -93,13 +90,12 @@ def test_criterion_3_birkhoff_reconstruction():
     rng = deterministic_rng(3)
     for _ in range(1000):
         d = rng.randrange(1, 4)
-        p = Polynomial([rng.randrange(q) for _ in range(d)]
-                       + [rng.randrange(1, q)], q)
-        dp = p.derivative()
-        cons = [BirkhoffConstraint(fe(1, q), 0, p.evaluate(1))]
-        cons += [BirkhoffConstraint(fe(i, q), 1, dp.evaluate(i))
-                 for i in range(1, d + 1)]
-        assert birkhoff_solve(cons, d) == p
+        p = ([rng.randrange(q) for _ in range(d)]
+             + [rng.randrange(1, q)])
+        dp = derivative_coeffs(p, q)
+        cons = [(1, 0, horner(p, 1, q))]
+        cons += [(i, 1, horner(dp, i, q)) for i in range(1, d + 1)]
+        assert birkhoff_coeffs(cons, d, q) == p
     report(3, "birkhoff reconstruction", started, 5)
 
 
@@ -268,7 +264,7 @@ def test_criterion_8_refresh_suite():
         for x in (1, 2, 3):
             counter = Counter()
             for tail in itertools.product(range(q7), repeat=k - 1):
-                delta = Polynomial([0, *tail], q7).evaluate(x).value
+                delta = horner([0, *tail], x, q7)
                 counter[(y0 + delta) % q7] += 1
             assert set(counter) == set(range(q7))
             assert len(set(counter.values())) == 1

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multishare.cli import main
-from multishare.field import DEFAULT_MODULUS
+from multishare.field import DEFAULT_MODULUS, is_probable_prime
 from multishare.formats import topology_to_dict
 from multishare.protocol import LinkKind, NetworkSpec, Topology
-from multishare.simnet import load_state
+from multishare.simnet import EVENT_KINDS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,6 +99,15 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner,
                                      max_size=3)),
     max_leaves=6)
+
+
+# 100,000 nested brackets, far beyond the JSON parser's recursion limit.
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _encode(doc) -> bytes:
+    """A document as file content; bytes are taken as they are."""
+    return doc if isinstance(doc, bytes) else json.dumps(doc).encode()
 
 
 def _hex_value(text):
@@ -289,6 +298,49 @@ class TestReconstruct:
                     "--out", tmp / "r.bin"]) == 2
 
 
+    def test_one_corrupted_value_exit2(self, tmp_path, capsys):
+        # d1 has three nodes and quorum two; one value of node 1 plus one
+        # once decoded to "the crown jewels are in tfe tower".
+        topo = ROOT / "docs" / "examples" / "topology.json"
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(b"the crown jewels are in the tower")
+        out = tmp_path / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        path = out / "d1_001.share.json"
+        data = json.loads(path.read_text())
+        value = int(data["values"][0], 16)
+        data["values"][0] = format((value + 1) % DEFAULT_MODULUS, "x")
+        path.write_text(json.dumps(data))
+        dest = tmp_path / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        err = capsys.readouterr().err
+        assert "network d1" in err and "node 3" in err
+        assert not dest.exists()
+
+    def test_daughter_from_another_dealing_exit2(self, workspace, capsys):
+        # d2's shares agree with one another, but they share another
+        # secret: m and d1 fix the outer polynomial, which d2 contradicts.
+        tmp, topo, secret, out = self._deal(workspace)
+        other = tmp / "other"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", other, "--seed", "8"]) == 0
+        for path in other.glob("d2_*.share.json"):
+            (out / path.name).write_bytes(path.read_bytes())
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert "network d2" in capsys.readouterr().err
+        assert not dest.exists()
+        # Any quorum of networks without the foreign daughter still works.
+        picks = sorted(out.glob("m_*.share.json")) + sorted(
+            out.glob("d1_*.share.json"))
+        assert run(["reconstruct", "--topology", topo, "--out", dest]
+                   + picks) == 0
+        assert dest.read_bytes() == secret.read_bytes()
+
+
 class TestManifest:
     """A --shares directory's manifest must name the given topology."""
 
@@ -316,7 +368,8 @@ class TestManifest:
                     "--seed", "2"]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("text", ["{not json", "[]", "{}"])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", "{}", pytest.param(DEEP.decode(), id="deep")])
     def test_unreadable_manifest_exit2(self, workspace, text):
         tmp, topo, secret, out, _ = self._deal(workspace)
         (out / "manifest.json").write_text(text)
@@ -640,3 +693,209 @@ class TestDocumentedExamples:
                     "--report", tmp_path / "report.json"]) == 0
         assert "adversary: Reconstructs" in capsys.readouterr().out
 
+
+
+def _loose_int_in(value, valid: range) -> bool:
+    """Whether int(value), as the topology and scenario parsers take it,
+    is defined and in `valid`."""
+    try:
+        return int(value) in valid
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _is_valid_modulus(value):
+    q = _hex_value(value) if isinstance(value, str) else None
+    return q is not None and q >= 257 and is_probable_prime(q)
+
+
+_REMOVE = object()
+
+
+def _replace(doc, path, value):
+    """A deep copy of `doc` with the entry at `path` (keys and indices)
+    set to `value`, or removed when `value` is _REMOVE."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _REMOVE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# Numbers JSON_VALUES lacks: json.loads reads Infinity and NaN.
+NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+
+
+def malformed_topologies(topology):
+    """Topology documents (dicts or other JSON values), each invalid one
+    way, built from the valid topology dict `topology`."""
+    nets = topology["networks"]
+    ids = [n["id"] for n in nets]
+    q = int(topology["modulus"], 16)
+
+    def at(path):
+        return lambda v: _replace(topology, path, v)
+
+    def bad_int(valid):
+        return (JSON_VALUES.filter(lambda v: not _loose_int_in(v, valid))
+                | NON_FINITE)
+
+    per_network = []
+    for i, net in enumerate(nets):
+        keys = ["id", "node_count", "inner_degree", "link"]
+        if net["mother"]:
+            keys.append("mother")
+        per_network += [
+            st.sampled_from(keys).map(
+                lambda k, i=i: _replace(topology, ["networks", i, k],
+                                        _REMOVE)),
+            (JSON_VALUES.filter(lambda v: not isinstance(v, str))
+             | st.sampled_from([x for x in ids if x != net["id"]])).map(
+                at(["networks", i, "id"])),
+            (bad_int(range(net["inner_degree"] + 1, q))
+             | st.integers(min_value=q)).map(
+                at(["networks", i, "node_count"])),
+            bad_int(range(net["node_count"])).map(
+                at(["networks", i, "inner_degree"])),
+            JSON_VALUES.filter(lambda v, w=net["link"]: v != w).map(
+                at(["networks", i, "link"])),
+            JSON_VALUES.filter(lambda v, m=net["mother"]: bool(v) != m).map(
+                at(["networks", i, "mother"])),
+            JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(
+                at(["networks", i])),
+        ]
+    return st.one_of(
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
+        st.sampled_from(["format_version", "modulus", "networks",
+                         "outer_degree"]).map(
+            lambda k: _replace(topology, [k], _REMOVE)),
+        JSON_VALUES.filter(lambda v: v != 1).map(at(["format_version"])),
+        JSON_VALUES.filter(lambda v: not _is_valid_modulus(v)).map(
+            at(["modulus"])),
+        bad_int(range(1, len(nets))).map(at(["outer_degree"])),
+        JSON_VALUES.map(at(["networks"])),
+        *per_network)
+
+
+def malformed_scenarios(scenario):
+    """Scenario documents, each invalid one way, built from the valid
+    scenario dict `scenario`."""
+
+    def at(path):
+        return lambda v: _replace(scenario, path, v)
+
+    def not_hex(value):
+        try:
+            bytes.fromhex(value)
+            return False
+        except (TypeError, ValueError):
+            return True
+
+    schedule = scenario["schedule"]
+    ids = [n["id"] for n in scenario["topology"]["networks"]]
+    nodes = scenario["topology"]["networks"][1]["node_count"]
+    node_events = ["compromise_node", "release_node", "fail_node"]
+    return st.one_of(
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
+        st.sampled_from(sorted(scenario)).map(
+            lambda k: _replace(scenario, [k], _REMOVE)),
+        malformed_topologies(scenario["topology"]).map(at(["topology"])),
+        # A prime too small to carry byte chunks.
+        st.integers(5, 2**16 - 1).filter(is_probable_prime).map(
+            lambda q: format(q, "x")).map(at(["topology", "modulus"])),
+        JSON_VALUES.filter(not_hex).map(at(["secret_hex"])),
+        JSON_VALUES.filter(lambda v: v not in ("", [], {})).map(
+            at(["schedule"])),
+        st.tuples(st.integers(0, len(schedule) - 1), JSON_VALUES).map(
+            lambda iv: _replace(scenario, ["schedule", iv[0]], iv[1])),
+        st.tuples(st.integers(0, len(schedule) - 1),
+                  JSON_VALUES.filter(lambda v: not isinstance(v, str)
+                                     or v not in EVENT_KINDS)).map(
+            lambda iv: _replace(scenario, ["schedule", iv[0], "event"],
+                                iv[1])),
+        st.tuples(st.sampled_from(node_events), st.sampled_from(ids),
+                  JSON_VALUES.filter(
+                      lambda v: not _loose_int_in(v, range(1, nodes + 1)))
+                  | NON_FINITE).map(
+            lambda enj: {**scenario, "schedule": schedule + [
+                {"event": enj[0], "network": enj[1], "node": enj[2]}]}),
+        st.tuples(st.sampled_from(["compromise_network", *node_events]),
+                  JSON_VALUES.filter(lambda v: v not in ids)).map(
+            lambda ev: {**scenario, "schedule": schedule + [
+                {"event": ev[0], "network": ev[1], "node": 1}]}),
+    )
+
+
+class TestMalformedJson:
+    """Every JSON file the CLI reads maps a malformed document to exit 2,
+    never a traceback."""
+
+    EXAMPLES = ROOT / "docs" / "examples"
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: [],
+        lambda t: {**t, "networks": [1, 2]},
+        lambda t: _replace(t, ["networks", 1, "id"], ["d1"]),  # unhashable
+        lambda t: _replace(t, ["networks", 1, "id"], 7),
+        lambda t: _replace(t, ["networks", 1, "node_count"], float("inf")),
+        lambda t: DEEP,
+    ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
+            "node_count-inf", "deep"])
+    def test_topology_exit2(self, tmp_path, edit):
+        data = json.loads((self.EXAMPLES / "topology.json").read_text())
+        path = tmp_path / "t.json"
+        path.write_bytes(_encode(edit(data)))
+        assert run(["thresholds", "--topology", path]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: _replace(s, ["topology", "modulus"], "101"),  # 257
+        lambda s: _replace(s, ["schedule", 1, "event"], ["refresh"]),
+        lambda s: {**s, "schedule": s["schedule"] + [
+            {"event": "fail_node", "network": "d1", "node": float("inf")}]},
+        lambda s: DEEP,
+    ], ids=["modulus-257", "event-list", "node-inf", "deep"])
+    def test_scenario_exit2(self, tmp_path, edit):
+        data = json.loads((self.EXAMPLES / "scenario.json").read_text())
+        path = tmp_path / "s.json"
+        path.write_bytes(_encode(edit(data)))
+        report = tmp_path / "r.json"
+        assert run(["simulate", "--scenario", path, "--report", report]) == 2
+        assert not report.exists()
+
+    def test_topology_fuzz_exit2(self, tmp_path, capsys):
+        valid = json.loads((self.EXAMPLES / "topology.json").read_text())
+        path = tmp_path / "t.json"
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(malformed_topologies(valid).map(
+            lambda d: json.dumps(d).encode()) | st.binary(max_size=40))
+        def check(content):
+            path.write_bytes(content)
+            assert run(["thresholds", "--topology", path]) == 2
+
+        check()
+        capsys.readouterr()
+
+    def test_scenario_fuzz_exit2(self, tmp_path, capsys):
+        valid = json.loads((self.EXAMPLES / "scenario.json").read_text())
+        path = tmp_path / "s.json"
+        report = tmp_path / "r.json"
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(malformed_scenarios(valid).map(
+            lambda d: json.dumps(d).encode()) | st.binary(max_size=40))
+        def check(content):
+            path.write_bytes(content)
+            assert run(["simulate", "--scenario", path,
+                        "--report", report]) == 2
+            assert not report.exists()
+
+        check()
+        capsys.readouterr()

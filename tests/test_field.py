@@ -5,119 +5,123 @@ from collections import Counter
 
 import pytest
 
-from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, FieldElement,
-                              crypto_rng, deterministic_rng, echelon_insert,
+from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, crypto_rng,
+                              deterministic_rng, echelon_insert,
                               express_over_rows, is_probable_prime,
-                              random_element, random_ints)
+                              parse_hex, random_ints, weighted_column_sum)
+from multishare.formats import share_to_dict
+from multishare.protocol import NodeShare
 
 
-def fe(v, q=7):
-    return FieldElement(v, q)
+def add(a, b, q=7):
+    return weighted_column_sum([1, 1], [[a], [b]], q)[0]
+
+
+def mul(a, b, q=7):
+    return weighted_column_sum([a], [[b]], q)[0]
+
+
+def inverse(a, q=7):
+    """a^-1 as the one-row solve a * w = 1; None for a = 0."""
+    w = express_over_rows([[a]], [1], q)
+    return None if w is None else w[0]
 
 
 class TestArithmetic:
+    """Field arithmetic as the int core does it: sums and products through
+    weighted_column_sum, inverses through express_over_rows."""
+
     def test_add_small(self):
-        assert fe(1) + fe(1) == fe(2)
+        assert add(1, 1) == 2
 
     def test_add_wraps(self):
-        assert fe(6) + fe(6) == fe(5)  # 12 mod 7
+        assert add(6, 6) == 5  # 12 mod 7
 
     def test_add_identity(self):
         for v in range(7):
-            assert fe(v) + fe(0) == fe(v)
+            assert add(v, 0) == v
 
     def test_mul(self):
-        assert fe(3) * fe(5) == fe(1)  # 15 mod 7
-        assert fe(4) * fe(1) == fe(4)
+        assert mul(3, 5) == 1  # 15 mod 7
+        assert mul(4, 1) == 4
 
     def test_sub_and_neg(self):
-        assert fe(0) - fe(2) == fe(5)  # -2 = 5 mod 7
-        assert -fe(2) == fe(5)
+        assert weighted_column_sum([1, -1], [[0], [2]], 7) == [5]  # -2 = 5
+        assert weighted_column_sum([-1], [[2]], 7) == [5]
 
     def test_inverse(self):
-        assert fe(3).inverse() == fe(5)
-        assert fe(1).inverse() == fe(1)
-        assert FieldElement(9, 11).inverse() == FieldElement(5, 11)
+        assert inverse(3) == 5
+        assert inverse(1) == 1
+        assert inverse(9, 11) == 5
 
     def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            fe(0).inverse()
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            fe(1, 7) + fe(1, 11)
-
-    def test_immutable(self):
-        with pytest.raises(AttributeError):
-            fe(1).value = 3
+        assert inverse(0) is None
 
     @pytest.mark.parametrize("q", [7, 11, 257])
     def test_all_nonzero_invertible(self, q):
         for v in range(1, q):
-            e = FieldElement(v, q)
-            assert e * e.inverse() == FieldElement(1, q)
+            assert mul(v, inverse(v, q), q) == 1
 
     def test_field_axioms_exhaustive_q7(self):
-        els = [fe(v) for v in range(7)]
+        els = range(7)
         for a, b in itertools.product(els, repeat=2):
-            assert a + b == b + a
-            assert a * b == b * a
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
         for a, b, c in itertools.product(els, repeat=3):
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert (weighted_column_sum([a, a], [[b], [c]], 7)
+                    == [mul(a, add(b, c))])
 
     def test_big_modulus(self):
         q = DEFAULT_MODULUS
-        a = FieldElement(2**126, q)
-        assert (a + a).value == (2**127) % q == 1
-        assert a * a.inverse() == FieldElement(1, q)
+        a = 2**126
+        assert add(a, a, q) == (2**127) % q == 1
+        assert mul(a, inverse(a, q), q) == 1
 
 
 class TestHex:
     def test_round_trip(self):
         for v in (0, 1, 255, 2**100):
-            e = FieldElement(v, DEFAULT_MODULUS)
-            assert FieldElement.from_hex(e.to_hex(), DEFAULT_MODULUS) == e
+            assert parse_hex(format(v, "x"), DEFAULT_MODULUS) == v
 
     def test_zero_is_single_digit(self):
-        assert FieldElement(0, 7).to_hex() == "0"
+        share = NodeShare("m", 1, 0, (0,))
+        assert share_to_dict(share, 7)["values"] == ["0"]
 
     def test_no_leading_zeros(self):
-        assert FieldElement(255, 257).to_hex() == "ff"
+        share = NodeShare("m", 1, 0, (255,))
+        assert share_to_dict(share, 257)["values"] == ["ff"]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            FieldElement.from_hex("ff", 7)
+            parse_hex("ff", 7)
 
 
 class TestRandom:
     def test_q2_in_range(self):
-        rng = deterministic_rng(0)
-        for _ in range(50):
-            assert random_element(2, rng).value in (0, 1)
+        assert set(random_ints(2, 50, deterministic_rng(0))) <= {0, 1}
 
     def test_seeded_reproducible(self):
-        a = random_element(7, deterministic_rng(42))
-        b = random_element(7, deterministic_rng(42))
+        a = random_ints(7, 1, deterministic_rng(42))
+        b = random_ints(7, 1, deterministic_rng(42))
         assert a == b
         # Regression anchor for the fixed seed.
-        assert a.value == random_element(7, deterministic_rng(42)).value
+        assert a == random_ints(7, 1, deterministic_rng(42))
 
     def test_uniformity_chi_square(self):
         rng = deterministic_rng(1234)
         n = 100_000
-        counts = [0] * 7
-        for _ in range(n):
-            counts[random_element(7, rng).value] += 1
+        counts = Counter(random_ints(7, n, rng))
         expect = n / 7
         sigma = math.sqrt(n * (1 / 7) * (6 / 7))
-        for c in counts:
-            assert abs(c - expect) < 5 * sigma
+        for v in range(7):
+            assert abs(counts[v] - expect) < 5 * sigma
 
     def test_crypto_source_works(self):
-        e = random_element(DEFAULT_MODULUS, crypto_rng())
-        assert 0 <= e.value < DEFAULT_MODULUS
+        (v,) = random_ints(DEFAULT_MODULUS, 1, crypto_rng())
+        assert 0 <= v < DEFAULT_MODULUS
 
     @pytest.mark.parametrize("nonzero", [False, True])
     def test_random_ints_exact_counts_q257(self, nonzero):

@@ -1,95 +1,126 @@
+"""Flat and two-rank (value / derivative) sharing and refresh, on the int
+routines the protocol deals with: split_ints, hierarchical_split_ints,
+lagrange_zero_weights and per-coefficient Birkhoff solves."""
+
 import itertools
 from collections import Counter
 
 import pytest
 
-from multishare.errors import (CorruptShares, EpochMismatch,
-                               InsufficientShares, NoQuorum)
-from multishare.field import DEFAULT_MODULUS, FieldElement, deterministic_rng
-from multishare.poly import Polynomial
-from multishare.shamir import (FlatShare, HierShare, Rank, RefreshDelta,
-                               apply_refresh, hierarchical_reconstruct,
-                               hierarchical_split, refresh_deltas,
-                               shamir_reconstruct, shamir_split)
+from multishare.errors import CorruptData, EpochMismatch
+from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
+                              express_over_rows)
+from multishare.poly import (birkhoff_matrix_row, evaluate_columns, horner,
+                             hierarchical_split_ints, split_ints)
+from multishare.protocol import (LinkKind, NetworkSpec, NodeRefresh,
+                                 NodeShare, Topology, apply_node_refresh,
+                                 check_share_set, reconstruct, refresh)
+from test_poly import birkhoff_coeffs, interpolate_zero
 
 
-def fe(v, q=7):
-    return FieldElement(v, q)
+def split(secret, k, n, q, rng):
+    """[(x, P(x))] for x in 1..n, P random of degree k-1 with P(0) =
+    secret."""
+    columns = split_ints([secret], k - 1, n, q, rng)
+    return [(x, y) for x, (y,) in enumerate(columns, start=1)]
 
 
-def shares_from_poly(coeffs, q, k, n, epoch=0):
-    p = Polynomial(coeffs, q)
-    return [FlatShare(x, p.evaluate(x), k, epoch) for x in range(1, n + 1)]
+def hier_split(secret, k, managers, employees, q, rng):
+    """(x, order, value) constraints: P(1..managers) at order 0, then
+    P'(1..employees) at order 1."""
+    values, slopes = hierarchical_split_ints([secret], k - 1, managers,
+                                             employees, q, rng)
+    return ([(x, 0, y) for x, (y,) in enumerate(values, start=1)]
+            + [(x, 1, y) for x, (y,) in enumerate(slopes, start=1)])
+
+
+def hier_secret(constraints, k, q):
+    """P(0) from k constraints, or None when they leave it undetermined."""
+    coeffs = birkhoff_coeffs(constraints, k - 1, q)
+    return None if coeffs is None else coeffs[0]
+
+
+def one_network(q, n=3, degree=1):
+    """A mother of n nodes and inner degree `degree`, beside one
+    single-node daughter, outer degree 1."""
+    return Topology(q, (NetworkSpec("m", n, degree, LinkKind.ITS),
+                        NetworkSpec("d1", 1, 0, LinkKind.CLASSICAL)), 0, 1)
 
 
 class TestSplit:
     def test_k1_every_share_is_secret(self):
-        shares = shamir_split(fe(4), 1, 3, deterministic_rng(0))
-        assert all(s.y.value == 4 for s in shares)
+        shares = split(4, 1, 3, 7, deterministic_rng(0))
+        assert all(y == 4 for _, y in shares)
 
     def test_forced_polynomial(self):
-        shares = shares_from_poly([3, 2], 7, 2, 3)
-        assert [(s.x, s.y.value) for s in shares] == [(1, 5), (2, 0), (3, 2)]
+        columns = [[3], [2]]  # P = 3 + 2X over F_7
+        assert [evaluate_columns(columns, x, 7) for x in (1, 2, 3)] == [
+            [5], [0], [2]]
 
     def test_shape(self):
-        shares = shamir_split(fe(2), 3, 5, deterministic_rng(1))
-        assert [s.x for s in shares] == [1, 2, 3, 4, 5]
-        assert all(s.epoch == 0 and s.threshold_k == 3 for s in shares)
+        columns = split_ints([2, 5], 2, 5, 7, deterministic_rng(1))
+        assert len(columns) == 5
+        assert all(len(col) == 2 for col in columns)
 
     def test_bad_params(self):
-        rng = deterministic_rng(0)
+        # A quorum above the node count, and node count >= q.
         with pytest.raises(ValueError):
-            shamir_split(fe(1), 4, 3, rng)
+            one_network(7, n=3, degree=3)
         with pytest.raises(ValueError):
-            shamir_split(fe(1), 2, 7, rng)  # n >= q
+            one_network(7, n=7, degree=1)
 
 
 class TestReconstruct:
     def test_hand_example(self):
-        shares = shares_from_poly([3, 2], 7, 2, 3)
-        assert shamir_reconstruct(shares[:2]).value == 3
-        assert shamir_reconstruct(shares).value == 3  # overdetermined
+        shares = [(1, 5), (2, 0), (3, 2)]  # P = 3 + 2X over F_7
+        assert interpolate_zero(shares[:2], 7) == 3
+        assert interpolate_zero(shares, 7) == 3  # overdetermined
 
     def test_insufficient(self):
-        shares = shares_from_poly([3, 2], 7, 2, 3)
-        with pytest.raises(InsufficientShares):
-            shamir_reconstruct(shares[:1])
+        # One share of a degree-1 polynomial leaves P(0) undetermined.
+        rows = [birkhoff_matrix_row(1, 0, 1, 7)]
+        assert express_over_rows(rows, [1, 0], 7) is None
 
     def test_epoch_mix_rejected(self):
-        a = shares_from_poly([3, 2], 7, 2, 3, epoch=0)
-        b = shares_from_poly([3, 2], 7, 2, 3, epoch=1)
+        topo = one_network(7)
         with pytest.raises(EpochMismatch):
-            shamir_reconstruct([a[0], b[1]])
+            check_share_set([NodeShare("m", 1, 0, (5,)),
+                             NodeShare("m", 2, 1, (0,))], topo)
 
     def test_duplicate_x_rejected(self):
-        s = shares_from_poly([3, 2], 7, 2, 3)[0]
         with pytest.raises(ValueError):
-            shamir_reconstruct([s, s])
+            interpolate_zero([(1, 5), (1, 5)], 7)
 
     def test_verify_flags_corruption(self):
-        shares = shares_from_poly([3, 2], 7, 2, 3)
-        bad = FlatShare(3, fe(6), 2, 0)
-        assert shamir_reconstruct(shares, verify=True).value == 3
-        with pytest.raises(CorruptShares):
-            shamir_reconstruct(shares[:2] + [bad], verify=True)
+        # reconstruct checks every share beyond the quorum against the
+        # quorum's polynomial.
+        topo = one_network(7)
+        daughter = [NodeShare("d1", 1, 0, (1,))]
+        good = [NodeShare("m", x, 0, (y,))
+                for x, y in ((1, 5), (2, 0), (3, 2))]
+        assert reconstruct({"m": good, "d1": daughter}, topo) == (
+            reconstruct({"m": good[:2], "d1": daughter}, topo))
+        bad = good[:2] + [NodeShare("m", 3, 0, (6,))]
+        with pytest.raises(CorruptData, match="network m: .* node 3"):
+            reconstruct({"m": bad, "d1": daughter}, topo)
 
     def test_round_trip_exhaustive_q7(self):
         rng = deterministic_rng(11)
         for n in range(1, 6):
             for k in range(1, n + 1):
                 for secret in range(7):
-                    shares = shamir_split(fe(secret), k, n, rng)
+                    shares = split(secret, k, n, 7, rng)
                     for subset in itertools.combinations(shares, k):
-                        assert shamir_reconstruct(list(subset)).value == secret
+                        assert interpolate_zero(subset, 7) == secret
 
     def test_round_trip_big_field(self):
         rng = deterministic_rng(12)
         q = DEFAULT_MODULUS
         for _ in range(5):
-            secret = FieldElement(rng.getrandbits(126), q)
-            shares = shamir_split(secret, 3, 5, rng)
+            secret = rng.getrandbits(126) % q
+            shares = split(secret, 3, 5, q, rng)
             for subset in itertools.combinations(shares, 3):
-                assert shamir_reconstruct(list(subset)) == secret
+                assert interpolate_zero(subset, q) == secret
 
 
 class TestPerfectSecrecy:
@@ -106,8 +137,8 @@ class TestPerfectSecrecy:
                 for secret in range(q):
                     counter = Counter()
                     for tail in itertools.product(range(q), repeat=k - 1):
-                        p = Polynomial([secret, *tail], q)
-                        counter[tuple(p.evaluate(x).value for x in pos)] += 1
+                        coeffs = [secret, *tail]
+                        counter[tuple(horner(coeffs, x, q) for x in pos)] += 1
                     hists.append(counter)
                 assert all(h == hists[0] for h in hists)
 
@@ -116,103 +147,101 @@ class TestHierarchical:
     def test_degree1_derivative_constant(self):
         # With forced P = 4 + 3X over F_11 every employee holds 3.
         q = 11
-        p = Polynomial([4, 3], q)
-        dp = p.derivative()
-        shares = [HierShare(Rank.MANAGER, 1, p.evaluate(1), 2)]
-        shares += [HierShare(Rank.EMPLOYEE, x, dp.evaluate(x), 2)
-                   for x in (1, 2, 3)]
-        assert shares[0].y.value == 7
-        assert all(s.y.value == 3 for s in shares[1:])
-        assert hierarchical_reconstruct([shares[0], shares[1]], 2).value == 4
-
-    def test_no_managers_rejected(self):
-        with pytest.raises(ValueError):
-            hierarchical_split(fe(1, 11), 2, 0, 3, deterministic_rng(0))
+        columns = [[4], [3]]
+        manager = (1, 0, evaluate_columns(columns, 1, q)[0])
+        employees = [(x, 1, evaluate_columns(columns, x, q, order=1)[0])
+                     for x in (1, 2, 3)]
+        assert manager[2] == 7
+        assert all(y == 3 for _, _, y in employees)
+        assert hier_secret([manager, employees[0]], 2, q) == 4
 
     def test_shape(self):
-        shares = hierarchical_split(fe(1, 11), 3, 2, 4, deterministic_rng(0))
-        assert len(shares) == 6
-        assert sum(1 for s in shares if s.rank is Rank.MANAGER) == 2
+        values, slopes = hierarchical_split_ints([1], 2, 2, 4, 11,
+                                                 deterministic_rng(0))
+        assert (len(values), len(slopes)) == (2, 4)
+        assert all(len(col) == 1 for col in values + slopes)
 
     def test_employees_only_no_quorum(self):
-        shares = hierarchical_split(fe(5, 11), 2, 1, 4, deterministic_rng(2))
-        employees = [s for s in shares if s.rank is Rank.EMPLOYEE]
-        with pytest.raises(NoQuorum):
-            hierarchical_reconstruct(employees, 2)
+        shares = hier_split(5, 2, 1, 4, 11, deterministic_rng(2))
+        employees = [s for s in shares if s[1] == 1]
+        for subset in itertools.combinations(employees, 2):
+            assert hier_secret(subset, 2, 11) is None
 
     def test_too_few_shares(self):
-        shares = hierarchical_split(fe(5, 11), 3, 1, 4, deterministic_rng(2))
-        with pytest.raises(NoQuorum):
-            hierarchical_reconstruct(shares[:2], 3)
+        shares = hier_split(5, 3, 1, 4, 11, deterministic_rng(2))
+        assert hier_secret(shares[:2], 3, 11) is None
 
     def test_duplicate_rejected(self):
-        s = hierarchical_split(fe(5, 11), 2, 1, 2, deterministic_rng(2))[0]
-        with pytest.raises(ValueError):
-            hierarchical_reconstruct([s, s], 2)
+        # A share given twice counts once: degree 1 stays undetermined.
+        s = hier_split(5, 2, 1, 2, 11, deterministic_rng(2))[0]
+        assert hier_secret([s, s], 2, 11) is None
 
     @pytest.mark.parametrize("k,m,e", [(2, 1, 3), (3, 2, 4), (4, 1, 5)])
     def test_round_trip_any_quorum(self, k, m, e):
         q = 11
         rng = deterministic_rng(k * 100 + m)
-        shares = hierarchical_split(fe(6, q), k, m, e, rng)
+        shares = hier_split(6, k, m, e, q, rng)
         for subset in itertools.combinations(shares, k):
-            if not any(s.rank is Rank.MANAGER for s in subset):
+            if not any(order == 0 for _, order, _ in subset):
                 continue
-            try:
-                got = hierarchical_reconstruct(list(subset), k)
-            except NoQuorum:
+            got = hier_secret(subset, k, q)
+            if got is None:
                 continue
-            assert got.value == 6
+            assert got == 6
 
     def test_manager_heavy_selection(self):
+        # Three managers and one employee over-determine degree 2; the
+        # secret comes out of all four at once.
         q = 11
         rng = deterministic_rng(9)
-        shares = hierarchical_split(fe(8, q), 3, 3, 1, rng)
-        assert hierarchical_reconstruct(shares, 3).value == 8
+        shares = hier_split(8, 3, 3, 1, q, rng)
+        rows = [birkhoff_matrix_row(x, order, 2, q) for x, order, _ in shares]
+        weights = express_over_rows(rows, [1, 0, 0], q)
+        assert sum(w * y for w, (_, _, y) in zip(weights, shares)) % q == 8
 
 
 class TestRefresh:
     def test_deltas_reconstruct_to_zero(self):
-        deltas = refresh_deltas(2, 3, 0, deterministic_rng(4), 7)
-        as_shares = [FlatShare(d.x, d.delta, 2, 0) for d in deltas]
-        for subset in itertools.combinations(as_shares, 2):
-            assert shamir_reconstruct(list(subset)).value == 0
+        deltas = split(0, 2, 3, 7, deterministic_rng(4))
+        for subset in itertools.combinations(deltas, 2):
+            assert interpolate_zero(subset, 7) == 0
 
     def test_forced_polynomial(self):
-        p = Polynomial([0, 5], 7)
-        expected = [p.evaluate(x).value for x in (1, 2, 3)]
+        expected = [horner([0, 5], x, 7) for x in (1, 2, 3)]
         assert expected == [5, 3, 1]
 
     def test_shape(self):
-        deltas = refresh_deltas(2, 4, 3, deterministic_rng(4), 7)
-        assert len(deltas) == 4
-        assert all(d.from_epoch == 3 for d in deltas)
+        topo = one_network(7, n=4)
+        deltas = refresh(topo, 1, 3, deterministic_rng(4))
+        assert len(deltas["m"]) == 4
+        assert all(d.from_epoch == 3 for d in deltas["m"])
 
     def test_apply(self):
-        share = FlatShare(1, fe(5), 2, 0)
-        out = apply_refresh(share, RefreshDelta(1, fe(5), 0))
-        assert (out.y.value, out.epoch) == (3, 1)  # 10 mod 7
+        share = NodeShare("m", 1, 0, (5,))
+        out = apply_node_refresh(share, NodeRefresh("m", 1, 0, (5,)), 7)
+        assert (out.values, out.epoch) == ((3,), 1)  # 10 mod 7
 
     def test_apply_zero_delta(self):
-        share = FlatShare(1, fe(5), 2, 0)
-        out = apply_refresh(share, RefreshDelta(1, fe(0), 0))
-        assert (out.y.value, out.epoch) == (5, 1)
+        share = NodeShare("m", 1, 0, (5,))
+        out = apply_node_refresh(share, NodeRefresh("m", 1, 0, (0,)), 7)
+        assert (out.values, out.epoch) == ((5,), 1)
 
     def test_apply_mismatches(self):
-        share = FlatShare(1, fe(5), 2, 0)
+        share = NodeShare("m", 1, 0, (5,))
         with pytest.raises(ValueError):
-            apply_refresh(share, RefreshDelta(2, fe(0), 0))
+            apply_node_refresh(share, NodeRefresh("m", 2, 0, (0,)), 7)
         with pytest.raises(ValueError):
-            apply_refresh(share, RefreshDelta(1, fe(0), 1))
+            apply_node_refresh(share, NodeRefresh("m", 1, 1, (0,)), 7)
 
     def test_secret_preserved_across_rounds(self):
         rng = deterministic_rng(21)
-        shares = shamir_split(fe(4), 2, 4, rng)
-        for round_no in range(4):
-            deltas = refresh_deltas(2, 4, round_no, rng, 7)
-            shares = [apply_refresh(s, d) for s, d in zip(shares, deltas)]
+        shares = split(4, 2, 4, 7, rng)
+        for _ in range(4):
+            deltas = split(0, 2, 4, 7, rng)
+            shares = [(x, (y + d) % 7)
+                      for (x, y), (_, d) in zip(shares, deltas)]
             for subset in itertools.combinations(shares, 2):
-                assert shamir_reconstruct(list(subset)).value == 4
+                assert interpolate_zero(subset, 7) == 4
 
     def test_post_refresh_value_uniform_q7(self):
         # Exhaustive over refresh polynomials with Q(0)=0 (any degree
@@ -222,7 +251,7 @@ class TestRefresh:
         for x in (1, 2, 3):
             counter = Counter()
             for tail in itertools.product(range(q), repeat=k - 1):
-                delta = Polynomial([0, *tail], q).evaluate(x).value
+                delta = horner([0, *tail], x, q)
                 counter[(y0 + delta) % q] += 1
             assert set(counter) == set(range(q))
             assert len(set(counter.values())) == 1

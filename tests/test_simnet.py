@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,13 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "s.state"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(StateError):
+            load_state(path)
+
+    def test_deeply_nested_payload_rejected(self, tmp_path):
+        path = tmp_path / "s.state"
+        payload = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(b"MSS1" + struct.pack(">Q", len(payload)) + payload)
         with pytest.raises(StateError):
             load_state(path)
 
