@@ -22,7 +22,7 @@ from .protocol import (NodeShare, Topology, apply_node_refresh,
                        check_share_set, compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
                        encode_secret, reconstruct, refresh,
-                       EXHAUSTIVE_NODE_BOUND)
+                       EXHAUSTIVE_DEGREE_BOUND, EXHAUSTIVE_NETWORK_BOUND)
 from .simnet import (Scenario, Simulation, check_targets, load_state,
                      run_scenario)
 
@@ -31,6 +31,8 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
 EXIT_USAGE = 64
+
+THRESHOLD_FIELDS = ("t_networks", "t_nodes", "t_f0", "t_f1", "t_fail")
 
 
 class CliError(Exception):
@@ -140,10 +142,6 @@ def cmd_reconstruct(args) -> int:
     try:
         chunks = reconstruct(grouped, topology)
         secret = decode_secret(chunks, topology.modulus)
-    except EpochMismatch as exc:
-        raise CliError(EXIT_INFEASIBLE, f"EpochMismatch: {exc}")
-    except Infeasible as exc:
-        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc.missing}")
     except CorruptData as exc:
         raise CliError(EXIT_INPUT, f"corrupt shares: {exc}")
     Path(args.out).write_bytes(secret)
@@ -181,27 +179,20 @@ def cmd_refresh(args) -> int:
     return EXIT_OK
 
 
+def _print_thresholds(title: str, thresholds) -> None:
+    print(title)
+    for name in THRESHOLD_FIELDS:
+        print(f"  {name:<10} = {getattr(thresholds, name)}")
+
+
 def cmd_thresholds(args) -> int:
     topology = _load_topology(args.topology)
     formula = compute_thresholds_formula(topology)
-    print("formula thresholds (T = degree + 1):")
-    print(f"  t_networks = {formula.t_networks}")
-    print(f"  t_nodes    = {formula.t_nodes}")
-    print(f"  t_f0       = {formula.t_f0}")
-    print(f"  t_f1       = {formula.t_f1}")
-    print(f"  t_fail     = {formula.t_fail}")
+    _print_thresholds("formula thresholds (T = degree + 1):", formula)
     if args.oracle:
-        try:
-            oracle = compute_thresholds_exhaustive(topology)
-        except CapacityError as exc:
-            raise CliError(EXIT_CAPACITY, str(exc))
-        print("exhaustive-search thresholds:")
-        print(f"  t_networks = {oracle.t_networks}")
-        print(f"  t_nodes    = {oracle.t_nodes}")
-        print(f"  t_f0       = {oracle.t_f0}")
-        print(f"  t_f1       = {oracle.t_f1}")
-        print(f"  t_fail     = {oracle.t_fail}")
-        for name in ("t_networks", "t_nodes", "t_f0", "t_f1", "t_fail"):
+        oracle = compute_thresholds_exhaustive(topology)
+        _print_thresholds("exhaustive-search thresholds:", oracle)
+        for name in THRESHOLD_FIELDS:
             a, b = getattr(formula, name), getattr(oracle, name)
             if a != b:
                 note = (" (the closed form disables one daughter too few)"
@@ -270,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="report security thresholds")
     p.add_argument("--topology", required=True)
     p.add_argument("--oracle", action="store_true",
-                   help=f"also run the exhaustive search "
-                        f"(<= {EXHAUSTIVE_NODE_BOUND} nodes)")
+                   help=f"also run the exhaustive search (<= "
+                        f"{EXHAUSTIVE_NETWORK_BOUND} networks, inner degree "
+                        f"<= {EXHAUSTIVE_DEGREE_BOUND})")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("simulate", help="run an adversary scenario")

@@ -45,29 +45,41 @@ def topology_to_dict(topology: Topology) -> dict:
     }
 
 
+def _json_int(data: dict, key: str) -> int:
+    """data[key], which must be a JSON integer (not a bool, float or
+    string)."""
+    value = data[key]
+    if type(value) is not int:
+        raise CorruptData(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
     try:
         if not isinstance(data, dict):
             raise CorruptData("a topology is a JSON object")
-        if data.get("format_version") != FORMAT_VERSION:
-            raise CorruptData(
-                f"unsupported format_version {data.get('format_version')!r}")
+        version = _json_int(data, "format_version")
+        if version != FORMAT_VERSION:
+            raise CorruptData(f"unsupported format_version {version}")
         modulus = int(data["modulus"], 16)
         nets = data["networks"]
         if not (isinstance(nets, list)
                 and all(isinstance(n, dict) for n in nets)):
             raise CorruptData("networks must be a list of JSON objects")
-        mothers = [i for i, n in enumerate(nets) if n.get("mother")]
+        if not all(type(n["mother"]) is bool for n in nets):
+            raise CorruptData("mother must be true or false")
+        mothers = [i for i, n in enumerate(nets) if n["mother"]]
         if len(mothers) != 1:
             raise CorruptData("exactly one network must be the mother")
         if not all(isinstance(n["id"], str) for n in nets):
             raise CorruptData("network ids must be strings")
-        specs = [NetworkSpec(id=n["id"], node_count=int(n["node_count"]),
-                             inner_degree=int(n["inner_degree"]),
+        specs = [NetworkSpec(id=n["id"],
+                             node_count=_json_int(n, "node_count"),
+                             inner_degree=_json_int(n, "inner_degree"),
                              link=LinkKind(n["link"]))
                  for n in nets]
-        outer = int(data["outer_degree"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        outer = _json_int(data, "outer_degree")
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed topology file: {exc}") from exc
     if modulus < min_modulus:
         raise CorruptData(f"modulus must be at least {min_modulus}")
@@ -95,23 +107,14 @@ def share_to_dict(share: NodeShare, modulus: int) -> dict:
     }
 
 
-def _json_int(data: dict, key: str) -> int:
-    """data[key], which must be a JSON integer (not a bool, float or
-    string)."""
-    value = data[key]
-    if type(value) is not int:
-        raise CorruptData(f"{key} must be an integer, not {value!r}")
-    return value
-
-
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
     """Parse a share file dealt under a topology with this modulus."""
     try:
         if not isinstance(data, dict):
             raise CorruptData("a share file holds a JSON object")
-        version = data.get("format_version")
-        if type(version) is not int or version != FORMAT_VERSION:
-            raise CorruptData(f"unsupported format_version {version!r}")
+        version = _json_int(data, "format_version")
+        if version != FORMAT_VERSION:
+            raise CorruptData(f"unsupported format_version {version}")
         if int(data["modulus"], 16) != modulus:
             raise CorruptData("share modulus does not match the topology")
         network_id = data["network_id"]

@@ -13,7 +13,6 @@ either the secret is determined or its posterior is uniform.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -24,7 +23,10 @@ from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
 from .poly import (birkhoff_matrix_row, hierarchical_split_ints,
                    lagrange_zero_weights, split_ints)
 
-EXHAUSTIVE_NODE_BOUND = 20
+# compute_thresholds_exhaustive makes 2^networks outer solves, and finds
+# each network's quorum by an elimination cubic in its inner degree.
+EXHAUSTIVE_NETWORK_BOUND = 12
+EXHAUSTIVE_DEGREE_BOUND = 100
 
 
 class LinkKind(Enum):
@@ -490,56 +492,55 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
 
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
-    """Definitional thresholds by enumerating node subsets with the
-    decomposed oracle. Bounded to EXHAUSTIVE_NODE_BOUND total nodes.
+    """Definitional thresholds from the decomposed oracle, by a walk over
+    the sets of known networks. Bounded to EXHAUSTIVE_NETWORK_BOUND
+    networks and inner degree EXHAUSTIVE_DEGREE_BOUND.
 
-    Nodes within a network are interchangeable for access, so enumeration
-    runs over per-network counts. A network is known once its count
-    reaches the fewest first nodes whose shares determine its inner
-    secret, so a count vector's verdict is one outer solve over the known
-    networks, shared by every vector with the same known set.
+    Nodes within a network are interchangeable for access, and a held set
+    decides only through the networks it makes known: network i is known
+    once its first q_i nodes are held, q_i the fewest whose shares
+    determine its inner secret. So each set K of known networks takes one
+    outer solve. A reconstructing K is reached by holding sum(q_i, i in K)
+    nodes of |K| networks; a non-reconstructing K by disabling
+    n_i - q_i + 1 nodes of each network outside K. t_f0 disables only
+    mother nodes (K holds every daughter), t_f1 only daughter nodes (K
+    holds the mother).
     """
-    total = topology.total_nodes()
-    if total > EXHAUSTIVE_NODE_BOUND:
+    nets = topology.networks
+    degree = max(net.inner_degree for net in nets)
+    if (len(nets) > EXHAUSTIVE_NETWORK_BOUND
+            or degree > EXHAUSTIVE_DEGREE_BOUND):
         raise CapacityError(
-            f"{total} nodes exceeds the exhaustive bound of "
-            f"{EXHAUSTIVE_NODE_BOUND}")
+            f"{len(nets)} networks of inner degree up to {degree} exceed the "
+            f"exhaustive bounds of {EXHAUSTIVE_NETWORK_BOUND} networks and "
+            f"inner degree {EXHAUSTIVE_DEGREE_BOUND}")
     know = AdversaryKnowledge(topology)
     quorums = []
-    for net in topology.networks:
-        quorums.append(net.node_count + 1)  # no count reaches it
-        for j in range(1, net.node_count + 1):
-            know.add("share", net.id, j, 0, ())
-            if net.id in know.known_networks():
-                quorums[-1] = j
-                break
-    verdicts: Dict[Tuple[bool, ...], bool] = {}
-    ns = [net.node_count for net in topology.networks]
-    mother_n = ns[topology.mother_index]
+    for net in nets:
+        held = 0
+        while net.id not in know.known_networks():
+            held += 1
+            assert held <= net.node_count  # Topology keeps quorums in range
+            know.add("share", net.id, held, 0, ())
+        quorums.append(held)
+    kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
+    mother = 1 << topology.mother_index
+    daughters = (1 << len(nets)) - 1 - mother
     # Each minimum starts above any value it can take.
-    t_networks = t_nodes = t_fail = t_f0 = t_f1 = total + 1
-    for counts in itertools.product(*(range(n + 1) for n in ns)):
-        known = tuple(c >= need for c, need in zip(counts, quorums))
-        if known not in verdicts:
-            verdicts[known] = _outer_weights(topology, [
-                net.id for net, k in zip(topology.networks, known)
-                if k]) is not None
-        held = sum(counts)
-        disabled = total - held
-        if verdicts[known]:
-            t_nodes = min(t_nodes, held)
-            t_networks = min(t_networks, sum(map(bool, counts)))
+    t_networks = t_nodes = t_fail = t_f0 = t_f1 = topology.total_nodes() + 1
+    for known in range(1 << len(nets)):
+        inside = [i for i in range(len(nets)) if known >> i & 1]
+        if _outer_weights(topology, [nets[i].id for i in inside]) is not None:
+            t_nodes = min(t_nodes, sum(quorums[i] for i in inside))
+            t_networks = min(t_networks, len(inside))
             continue
-        # Complement view: disabling (n_i - counts_i) nodes leaves a
-        # non-reconstructing remainder; t_f0 disables only mother nodes,
-        # t_f1 only daughter nodes.
-        mother_disabled = mother_n - counts[topology.mother_index]
-        t_fail = min(t_fail, disabled)
-        if disabled == mother_disabled:
-            t_f0 = min(t_f0, disabled)
-        if mother_disabled == 0:
-            t_f1 = min(t_f1, disabled)
-    if t_nodes > total:
+        cost = sum(kill) - sum(kill[i] for i in inside)
+        t_fail = min(t_fail, cost)
+        if known & daughters == daughters:
+            t_f0 = min(t_f0, cost)
+        if known & mother:
+            t_f1 = min(t_f1, cost)
+    if t_nodes > topology.total_nodes():
         raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=t_fail, t_f0=t_f0, t_f1=t_f1)

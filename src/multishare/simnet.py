@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import formats, protocol
-from .errors import Infeasible, StateError
+from .errors import CorruptData, Infeasible, StateError
 from .field import deterministic_rng, parse_hex
 from .formats import canonical_json, topology_from_dict, topology_to_dict
 from .protocol import (Access, AdversaryKnowledge, FunctionalSpace,
@@ -83,10 +83,10 @@ def check_targets(schedule, topology: Topology, dealt: bool = False) -> None:
             continue
         try:
             net = topology.spec(ev["network"])
-            if (kind in NODE_EVENTS
-                    and not 1 <= int(ev["node"]) <= net.node_count):
+            if (kind in NODE_EVENTS and not
+                    1 <= formats._json_int(ev, "node") <= net.node_count):
                 raise ValueError(f"no node {ev['node']} in network {net.id}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, CorruptData) as exc:
             raise ValueError(
                 f"event {ev!r} does not fit the topology: {exc}") from exc
 
@@ -425,13 +425,13 @@ def run_scenario(scenario: Scenario, seed: int = 0,
                 sim.compromise_network(ev["network"])
                 outcome = {"compromised": ev["network"]}
             elif kind == "compromise_node":
-                sim.compromise_node(ev["network"], int(ev["node"]))
+                sim.compromise_node(ev["network"], ev["node"])
                 outcome = {"compromised": f"{ev['network']}/{ev['node']}"}
             elif kind == "release_node":
-                sim.release_node(ev["network"], int(ev["node"]))
+                sim.release_node(ev["network"], ev["node"])
                 outcome = {"released": f"{ev['network']}/{ev['node']}"}
             elif kind == "fail_node":
-                sim.fail_node(ev["network"], int(ev["node"]))
+                sim.fail_node(ev["network"], ev["node"])
                 outcome = {"failed": f"{ev['network']}/{ev['node']}"}
             elif kind == "hndl_decrypt_classical":
                 sim.hndl = True

@@ -479,9 +479,24 @@ class TestThresholds:
     def test_oversized_oracle_exit4(self, workspace, capsys):
         tmp, _, _ = workspace
         big = tmp / "big.json"
-        write_topology(big, q=257, counts=(9, 9, 9), degrees=(1, 1, 1))
+        # One network more than the subset walk's bound.
+        write_topology(big, q=257, counts=(2,) * 13, degrees=(1,) * 13)
         assert run(["thresholds", "--topology", big, "--oracle"]) == 4
-        assert "20" in capsys.readouterr().err
+        assert "13 networks" in capsys.readouterr().err
+        # An inner degree above the quorum search's bound.
+        write_topology(big, q=257, counts=(102, 2, 2), degrees=(101, 1, 1))
+        assert run(["thresholds", "--topology", big, "--oracle"]) == 4
+        assert "inner degree up to 101" in capsys.readouterr().err
+
+    def test_27_node_oracle_reports_discrepancy(self, workspace, capsys):
+        # 27 nodes, beyond the former total-node bound of 20.
+        tmp, _, _ = workspace
+        big = tmp / "big.json"
+        write_topology(big, q=257, counts=(9, 9, 9), degrees=(1, 1, 1))
+        assert run(["thresholds", "--topology", big, "--oracle"]) == 0
+        assert ("DISCREPANCY: t_f1 formula=8 exhaustive=16 (the closed form "
+                "disables one daughter too few)\n"
+                in capsys.readouterr().out)
 
 
 class TestSimulate:
@@ -695,13 +710,10 @@ class TestDocumentedExamples:
 
 
 
-def _loose_int_in(value, valid: range) -> bool:
-    """Whether int(value), as the topology and scenario parsers take it,
-    is defined and in `valid`."""
-    try:
-        return int(value) in valid
-    except (TypeError, ValueError, OverflowError):
-        return False
+def _int_in(value, valid: range) -> bool:
+    """Whether value is a JSON integer (not a bool, float or string) in
+    `valid`, as the topology and scenario parsers require."""
+    return type(value) is int and value in valid
 
 
 def _is_valid_modulus(value):
@@ -742,14 +754,12 @@ def malformed_topologies(topology):
         return lambda v: _replace(topology, path, v)
 
     def bad_int(valid):
-        return (JSON_VALUES.filter(lambda v: not _loose_int_in(v, valid))
+        return (JSON_VALUES.filter(lambda v: not _int_in(v, valid))
                 | NON_FINITE)
 
     per_network = []
     for i, net in enumerate(nets):
-        keys = ["id", "node_count", "inner_degree", "link"]
-        if net["mother"]:
-            keys.append("mother")
+        keys = ["id", "node_count", "inner_degree", "link", "mother"]
         per_network += [
             st.sampled_from(keys).map(
                 lambda k, i=i: _replace(topology, ["networks", i, k],
@@ -764,7 +774,7 @@ def malformed_topologies(topology):
                 at(["networks", i, "inner_degree"])),
             JSON_VALUES.filter(lambda v, w=net["link"]: v != w).map(
                 at(["networks", i, "link"])),
-            JSON_VALUES.filter(lambda v, m=net["mother"]: bool(v) != m).map(
+            JSON_VALUES.filter(lambda v, m=net["mother"]: v is not m).map(
                 at(["networks", i, "mother"])),
             JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(
                 at(["networks", i])),
@@ -774,7 +784,8 @@ def malformed_topologies(topology):
         st.sampled_from(["format_version", "modulus", "networks",
                          "outer_degree"]).map(
             lambda k: _replace(topology, [k], _REMOVE)),
-        JSON_VALUES.filter(lambda v: v != 1).map(at(["format_version"])),
+        JSON_VALUES.filter(lambda v: not _int_in(v, range(1, 2))).map(
+            at(["format_version"])),
         JSON_VALUES.filter(lambda v: not _is_valid_modulus(v)).map(
             at(["modulus"])),
         bad_int(range(1, len(nets))).map(at(["outer_degree"])),
@@ -820,7 +831,7 @@ def malformed_scenarios(scenario):
                                 iv[1])),
         st.tuples(st.sampled_from(node_events), st.sampled_from(ids),
                   JSON_VALUES.filter(
-                      lambda v: not _loose_int_in(v, range(1, nodes + 1)))
+                      lambda v: not _int_in(v, range(1, nodes + 1)))
                   | NON_FINITE).map(
             lambda enj: {**scenario, "schedule": schedule + [
                 {"event": enj[0], "network": enj[1], "node": enj[2]}]}),
@@ -844,8 +855,17 @@ class TestMalformedJson:
         lambda t: _replace(t, ["networks", 1, "id"], 7),
         lambda t: _replace(t, ["networks", 1, "node_count"], float("inf")),
         lambda t: DEEP,
+        lambda t: _replace(t, ["networks", 1, "node_count"], 3.9),
+        lambda t: _replace(t, ["networks", 1, "node_count"], "3"),
+        lambda t: _replace(t, ["networks", 1, "inner_degree"], 1.5),
+        lambda t: _replace(t, ["outer_degree"], True),
+        lambda t: _replace(t, ["format_version"], 1.0),
+        lambda t: _replace(t, ["networks", 0, "mother"], 1),
+        lambda t: _replace(t, ["networks", 1, "mother"], None),
     ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
-            "node_count-inf", "deep"])
+            "node_count-inf", "deep", "node_count-float", "node_count-str",
+            "inner_degree-float", "outer_degree-bool", "format_version-float",
+            "mother-int", "mother-null"])
     def test_topology_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "topology.json").read_text())
         path = tmp_path / "t.json"
@@ -858,7 +878,16 @@ class TestMalformedJson:
         lambda s: {**s, "schedule": s["schedule"] + [
             {"event": "fail_node", "network": "d1", "node": float("inf")}]},
         lambda s: DEEP,
-    ], ids=["modulus-257", "event-list", "node-inf", "deep"])
+        lambda s: {**s, "schedule": s["schedule"] + [
+            {"event": "compromise_node", "network": "d1", "node": 1.7}]},
+        lambda s: {**s, "schedule": s["schedule"] + [
+            {"event": "release_node", "network": "d1", "node": "1"}]},
+        lambda s: {**s, "schedule": s["schedule"] + [
+            {"event": "fail_node", "network": "d1", "node": True}]},
+        lambda s: _replace(s, ["topology", "networks", 2, "node_count"],
+                           3.0),
+    ], ids=["modulus-257", "event-list", "node-inf", "deep", "node-float",
+            "node-str", "node-bool", "topology-node_count-float"])
     def test_scenario_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "scenario.json").read_text())
         path = tmp_path / "s.json"

@@ -354,11 +354,27 @@ class TestThresholdExhaustive:
                 outer, nets)
 
     def test_capacity_bound(self):
-        nets = (NetworkSpec("m", 11, 1, LinkKind.ITS),
-                NetworkSpec("d1", 10, 1, LinkKind.CLASSICAL))
-        t = Topology(257, nets, 0, 1)
-        with pytest.raises(CapacityError):
-            compute_thresholds_exhaustive(t)
+        # One network more than the subset walk's bound, and an inner
+        # degree above the quorum search's.
+        many = [(2, 1)] * (protocol.EXHAUSTIVE_NETWORK_BOUND + 1)
+        degree = protocol.EXHAUSTIVE_DEGREE_BOUND + 1
+        for nets in (many, [(2, 1), (degree + 1, degree)]):
+            with pytest.raises(CapacityError):
+                compute_thresholds_exhaustive(build_topology(1, nets))
+
+    def test_large_topology_matches_corrected_closed_form(self):
+        # 10 networks and 120 nodes, far beyond a count-vector
+        # enumeration. Criterion 5's corrected closed form: t_f1 disables
+        # one more daughter than the formula, and t_fail follows it.
+        sizes = [(30, 1), (12, 3), (8, 0), (11, 2), (9, 4), (13, 9),
+                 (7, 1), (10, 5), (6, 2), (14, 6)]
+        assert sum(n for n, _ in sizes) == 120
+        t = build_topology(8, sizes, q=DEFAULT_MODULUS)
+        formula = compute_thresholds_formula(t)
+        kill = sorted(n.node_count - n.inner_degree for n in t.daughters())
+        t_f1 = sum(kill[:len(t.networks) - t.outer_degree])
+        assert compute_thresholds_exhaustive(t) == replace(
+            formula, t_f1=t_f1, t_fail=min(formula.t_f0, t_f1))
 
 
 class TestAccessOracle:
