@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run an adversary scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--state", help="load/save full simulation state here")
+    p.add_argument("--state", help="continue the simulation saved here, "
+                                   "and save it here")
     p.add_argument("--report", help="where to write the JSON report")
     p.set_defaults(func=cmd_simulate)
     return parser

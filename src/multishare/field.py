@@ -92,14 +92,6 @@ def random_ints(modulus: int, count: int, rng,
     return out
 
 
-def parse_hex(text: str, modulus: int) -> int:
-    """Value of a lowercase hex field element; ValueError unless in range."""
-    value = int(text, 16)
-    if value >= modulus or value < 0:
-        raise ValueError(f"value {text} out of range for modulus")
-    return value
-
-
 def weighted_column_sum(weights: Sequence[int],
                         columns: Sequence[Sequence[int]], q: int) -> List[int]:
     """Entry-wise sum of weights[k] * columns[k], mod q.

@@ -185,14 +185,13 @@ def constant_functional(topology: Topology, network_id: str) -> List[int]:
 
 
 def _outer_weights(topology: Topology,
-                   network_ids: Sequence[str]) -> Optional[list]:
-    """Weights expressing the secret P(0) over these networks' inner
-    secrets, in the order given; None when they do not determine it. The
-    one outer solve: reconstruction, the adversary oracle and the
-    thresholds all decide through it."""
-    return express_over_rows(
-        [constant_functional(topology, nid) for nid in network_ids],
-        [1] + [0] * topology.outer_degree, topology.modulus)
+                   rows: Sequence[Sequence[int]]) -> Optional[list]:
+    """Weights expressing the secret P(0) over the inner secrets whose
+    constant functionals are `rows`, in the order given; None when they do
+    not determine it. The one outer solve: reconstruction, the adversary
+    oracle and the thresholds all decide through it."""
+    return express_over_rows(rows, [1] + [0] * topology.outer_degree,
+                             topology.modulus)
 
 
 def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
@@ -269,11 +268,11 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
             f"{nid}: {got}/{need}" for nid, got, need in quorum_report) + ")"
         raise Infeasible(detail)
     chosen = [mother_id, *avail_daughters[:topology.outer_degree]]
-    weights = _outer_weights(topology, chosen)
+    rows = [constant_functional(topology, nid) for nid in chosen]
+    weights = _outer_weights(topology, rows)
     if weights is None:
         raise Infeasible("outer constraint matrix is singular")
     columns = [recovered[nid] for nid in chosen]
-    rows = [constant_functional(topology, nid) for nid in chosen]
     for nid in avail_daughters[topology.outer_degree:]:
         # The inner secret this daughter must hold, over the chosen ones.
         over = express_over_rows(rows, constant_functional(topology, nid), q)
@@ -458,7 +457,9 @@ class AdversaryKnowledge:
     def recover(self) -> Optional[List[int]]:
         """The secret chunks when the captures determine them, else None."""
         known = self.known_networks()
-        weights = _outer_weights(self.topology, known)
+        weights = _outer_weights(
+            self.topology,
+            [constant_functional(self.topology, nid) for nid in known])
         if weights is None:
             return None
         return weighted_column_sum(
@@ -524,13 +525,14 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             know.add("share", net.id, held, 0, ())
         quorums.append(held)
     kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
+    rows = [constant_functional(topology, net.id) for net in nets]
     mother = 1 << topology.mother_index
     daughters = (1 << len(nets)) - 1 - mother
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_fail = t_f0 = t_f1 = topology.total_nodes() + 1
     for known in range(1 << len(nets)):
         inside = [i for i in range(len(nets)) if known >> i & 1]
-        if _outer_weights(topology, [nets[i].id for i in inside]) is not None:
+        if _outer_weights(topology, [rows[i] for i in inside]) is not None:
             t_nodes = min(t_nodes, sum(quorums[i] for i in inside))
             t_networks = min(t_networks, len(inside))
             continue

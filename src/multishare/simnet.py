@@ -5,6 +5,8 @@ Time is a logical event sequence. ITS links record nothing; classical
 links record every payload verbatim. Compromise is sticky: a compromised
 node leaks its current store and every later write until it is released.
 Authentication is assumed perfect, so no man-in-the-middle events exist.
+A saved world is its seed and the events applied to it; loading one
+replays them.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from typing import Dict, List, Optional, Tuple
 
 from . import formats, protocol
 from .errors import CorruptData, Infeasible, StateError
-from .field import deterministic_rng, parse_hex
+from .field import deterministic_rng
 from .formats import canonical_json, topology_from_dict, topology_to_dict
 from .protocol import (Access, AdversaryKnowledge, FunctionalSpace,
                        LinkKind, NodeShare, Topology, apply_node_refresh,
                        deal, decode_secret, encode_secret, refresh)
 
 STATE_MAGIC = b"MSS1"
+STATE_VERSION = 2
 
 EVENT_KINDS = frozenset({
     "deal", "refresh", "compromise_network", "compromise_node",
@@ -97,6 +100,7 @@ class Simulation:
     def __init__(self, topology: Topology, secret: bytes, seed: int = 0):
         self.topology = topology
         self.secret = secret
+        self.seed = seed
         self.rng = deterministic_rng(seed)
         self.epoch = 0
         self.chunk_count = 0
@@ -118,6 +122,9 @@ class Simulation:
         self._knowledge = AdversaryKnowledge(topology)
         self._fed_captures = 0
         self._fed_transcripts: Dict[str, int] = {}
+        # The world-changing events applied so far, each appended by its
+        # own mutator; with the seed it determines everything above.
+        self.history: List[dict] = []
 
     # -- owner actions ----------------------------------------------------
 
@@ -145,6 +152,7 @@ class Simulation:
                     self._leak_store(node)
         self.epoch = 0
         self.dealt = True
+        self.history.append({"event": "deal"})
         return {"delivered": delivered, "chunks": self.chunk_count}
 
     def owner_refresh(self) -> dict:
@@ -175,16 +183,14 @@ class Simulation:
                     if node.compromised:
                         self._leak_store(node)
         self.epoch = round_no
+        self.history.append({"event": "refresh"})
         return {"applied": applied, "stale": sorted(stale),
                 "epoch": self.epoch}
 
     def owner_reconstruct(self, selection: Optional[List[Tuple[str, int]]]
                           = None) -> bytes:
-        """Decode from live current-epoch nodes.
-
-        Auto selection takes the mother quorum plus the smallest-quorum
-        daughters; an explicit selection is used as-is.
-        """
+        """Decode from every live current-epoch node, or from those of
+        them in `selection`."""
         if not self.dealt:
             raise Infeasible("nothing dealt yet")
         usable: Dict[str, List[NodeShare]] = {}
@@ -197,31 +203,12 @@ class Simulation:
             usable = {nid: [s for s in lst
                             if (nid, s.node_index) in wanted]
                       for nid, lst in usable.items()}
-        else:
-            usable = self._auto_select(usable)
         by_network = formats.shares_by_network(
             [s for lst in usable.values() for s in lst])
         # Looked up at call time, so that a wrapper installed on the
         # protocol module (the perfbench tracer) sees this call.
         chunks = protocol.reconstruct(by_network, self.topology)
         return decode_secret(chunks, self.topology.modulus)
-
-    def _auto_select(self, usable):
-        topo = self.topology
-        picked: Dict[str, List[NodeShare]] = {}
-        mother = topo.mother
-        got = usable.get(mother.id, [])
-        if len(got) >= mother.inner_degree + 1:
-            picked[mother.id] = sorted(
-                got, key=lambda s: s.node_index)[:mother.inner_degree + 1]
-        candidates = [(n.inner_degree + 1, n.id) for n in topo.daughters()
-                      if len(usable.get(n.id, [])) >= n.inner_degree + 1]
-        for quorum, nid in sorted(candidates)[:topo.outer_degree]:
-            picked[nid] = sorted(usable[nid],
-                                 key=lambda s: s.node_index)[:quorum]
-        # Fall through with whatever was picked; reconstruction reports
-        # precisely what is missing.
-        return picked or usable
 
     # -- adversary bookkeeping --------------------------------------------
 
@@ -230,27 +217,39 @@ class Simulation:
         key = ("share", node.network_id, node.node_index, share.epoch)
         self.adversary[key] = share.values
 
-    def compromise_node(self, network_id: str, node_index: int) -> None:
-        node = self.nodes[(network_id, node_index)]
+    def _compromise(self, node: SimNode) -> None:
         node.compromised = True
         if node.store is not None:
             self._leak_store(node)
 
+    def compromise_node(self, network_id: str, node_index: int) -> None:
+        self._compromise(self.nodes[(network_id, node_index)])
+        self.history.append({"event": "compromise_node",
+                             "network": network_id, "node": node_index})
+
     def compromise_network(self, network_id: str) -> None:
-        for net in self.topology.networks:
-            if net.id == network_id:
-                for j in range(1, net.node_count + 1):
-                    self.compromise_node(network_id, j)
-                return
-        raise ValueError(f"unknown network {network_id}")
+        for j in range(1, self.topology.spec(network_id).node_count + 1):
+            self._compromise(self.nodes[(network_id, j)])
+        self.history.append({"event": "compromise_network",
+                             "network": network_id})
 
     def release_node(self, network_id: str, node_index: int) -> None:
         """End a compromise: later writes stay private, earlier captures
         stay with the adversary."""
         self.nodes[(network_id, node_index)].compromised = False
+        self.history.append({"event": "release_node",
+                             "network": network_id, "node": node_index})
 
     def fail_node(self, network_id: str, node_index: int) -> None:
         self.nodes[(network_id, node_index)].alive = False
+        self.history.append({"event": "fail_node",
+                             "network": network_id, "node": node_index})
+
+    def decrypt_classical(self) -> None:
+        """Harvest-now-decrypt-later: every classical transcript, past and
+        future, becomes adversary-readable."""
+        self.hndl = True
+        self.history.append({"event": "hndl_decrypt_classical"})
 
     def adversary_rows(self) -> List[Tuple[tuple, List[int], Tuple[int, ...]]]:
         """(key, functional row, captured values) for everything the
@@ -303,70 +302,86 @@ class Simulation:
         return Access.RECONSTRUCTS, decode_secret(chunks,
                                                   self.topology.modulus)
 
-    # -- persistence ------------------------------------------------------
+    # -- events -----------------------------------------------------------
+
+    def apply(self, ev: dict) -> dict:
+        """Apply one scenario event and return its report outcome."""
+        kind = ev["event"]
+        try:
+            if kind == "deal":
+                return self.owner_store()
+            if kind == "refresh":
+                return self.owner_refresh()
+            if kind == "compromise_network":
+                self.compromise_network(ev["network"])
+                return {"compromised": ev["network"]}
+            if kind == "compromise_node":
+                self.compromise_node(ev["network"], ev["node"])
+                return {"compromised": f"{ev['network']}/{ev['node']}"}
+            if kind == "release_node":
+                self.release_node(ev["network"], ev["node"])
+                return {"released": f"{ev['network']}/{ev['node']}"}
+            if kind == "fail_node":
+                self.fail_node(ev["network"], ev["node"])
+                return {"failed": f"{ev['network']}/{ev['node']}"}
+            if kind == "hndl_decrypt_classical":
+                self.decrypt_classical()
+                return {"hndl": True}
+            if kind == "attempt_reconstruct":
+                if ev.get("actor", "owner") == "owner":
+                    try:
+                        data = self.owner_reconstruct()
+                        return {"actor": "owner", "result": "ok",
+                                "matches": data == self.secret}
+                    except Infeasible as exc:
+                        return {"actor": "owner", "result": "infeasible",
+                                "missing": str(exc)}
+                verdict, data = self.adversary_verdict()
+                return {"actor": "adversary", "verdict": verdict.value,
+                        "matches": (None if data is None
+                                    else data == self.secret)}
+        except KeyError as exc:
+            raise ValueError(f"malformed event {ev!r}: {exc}") from exc
+        raise ValueError(f"unknown event {kind!r}")
+
+    # -- persistence: a replay log ---------------------------------------
 
     def to_state(self) -> dict:
+        """The world as the seed and the events that built it; no share,
+        delta or captured value is stored."""
         return {
-            "version": 1,
+            "version": STATE_VERSION,
             "topology": topology_to_dict(self.topology),
             "secret": self.secret.hex(),
-            "epoch": self.epoch,
-            "chunk_count": self.chunk_count,
-            "dealt": self.dealt,
-            "hndl": self.hndl,
-            "rng_state": _state_to_json(self.rng.getstate()),
-            "nodes": [
-                {
-                    "network": n.network_id, "index": n.node_index,
-                    "alive": n.alive, "compromised": n.compromised,
-                    "stale": n.stale,
-                    "store": None if n.store is None else {
-                        "epoch": n.store.epoch,
-                        "values": [format(v, "x")
-                                   for v in n.store.values]},
-                }
-                for key, n in sorted(self.nodes.items())
-            ],
-            "transcripts": self.transcripts,
-            "adversary": [
-                {"key": list(key), "values": [format(v, "x") for v in vals]}
-                for key, vals in sorted(self.adversary.items())
-            ],
+            "seed": self.seed,
+            "history": list(self.history),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "Simulation":
+        """Rebuild the world by replaying its history from the seed.
+
+        The log is checked as a scenario is, and any failure to replay it
+        is a StateError. So is a log that saving the rebuilt world would
+        not write back unchanged: extra fields, or a second spelling of
+        the same value."""
         try:
-            if state["version"] != 1:
-                raise StateError(f"unsupported version {state['version']!r}")
-            topology = topology_from_dict(state["topology"])
-            sim = cls(topology, bytes.fromhex(state["secret"]))
-            sim.epoch = int(state["epoch"])
-            sim.chunk_count = int(state["chunk_count"])
-            sim.dealt = bool(state["dealt"])
-            sim.hndl = bool(state["hndl"])
-            sim.rng.setstate(_state_from_json(state["rng_state"]))
-            q = topology.modulus
-            for rec in state["nodes"]:
-                node = sim.nodes[(rec["network"], int(rec["index"]))]
-                node.alive = bool(rec["alive"])
-                node.compromised = bool(rec["compromised"])
-                node.stale = bool(rec["stale"])
-                if rec["store"] is not None:
-                    node.store = NodeShare(
-                        network_id=node.network_id,
-                        node_index=node.node_index,
-                        epoch=int(rec["store"]["epoch"]),
-                        values=tuple(parse_hex(v, q)
-                                     for v in rec["store"]["values"]))
-            sim.transcripts = {nid: list(entries) for nid, entries
-                               in state["transcripts"].items()}
-            sim.adversary = {
-                tuple(rec["key"]): tuple(int(v, 16) for v in rec["values"])
-                for rec in state["adversary"]}
-            return sim
-        except (KeyError, TypeError, ValueError) as exc:
+            version = formats._json_int(state, "version")
+            if version != STATE_VERSION:
+                raise StateError(f"unsupported version {version!r}")
+            log = Scenario.from_dict({"topology": state["topology"],
+                                      "secret_hex": state["secret"],
+                                      "schedule": state["history"]})
+            sim = cls(log.topology, log.secret,
+                      formats._json_int(state, "seed"))
+            for ev in log.schedule:
+                sim.apply(ev)
+        except (KeyError, TypeError, ValueError, CorruptData,
+                Infeasible) as exc:
             raise StateError(f"corrupt state: {exc}") from exc
+        if sim.to_state() != state:
+            raise StateError("corrupt state: not as save_state writes it")
+        return sim
 
     def save_state(self, path) -> None:
         payload = canonical_json(self.to_state())
@@ -393,16 +408,6 @@ def load_state(path) -> Simulation:
     return Simulation.from_state(state)
 
 
-def _state_to_json(state):
-    version, internal, gauss = state
-    return [version, list(internal), gauss]
-
-
-def _state_from_json(data):
-    version, internal, gauss = data
-    return (version, tuple(internal), gauss)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -413,50 +418,8 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     """
     if sim is None:
         sim = Simulation(scenario.topology, scenario.secret, seed)
-    events_out = []
-    for ev in scenario.schedule:
-        kind = ev["event"]
-        try:
-            if kind == "deal":
-                outcome = sim.owner_store()
-            elif kind == "refresh":
-                outcome = sim.owner_refresh()
-            elif kind == "compromise_network":
-                sim.compromise_network(ev["network"])
-                outcome = {"compromised": ev["network"]}
-            elif kind == "compromise_node":
-                sim.compromise_node(ev["network"], ev["node"])
-                outcome = {"compromised": f"{ev['network']}/{ev['node']}"}
-            elif kind == "release_node":
-                sim.release_node(ev["network"], ev["node"])
-                outcome = {"released": f"{ev['network']}/{ev['node']}"}
-            elif kind == "fail_node":
-                sim.fail_node(ev["network"], ev["node"])
-                outcome = {"failed": f"{ev['network']}/{ev['node']}"}
-            elif kind == "hndl_decrypt_classical":
-                sim.hndl = True
-                outcome = {"hndl": True}
-            elif kind == "attempt_reconstruct":
-                actor = ev.get("actor", "owner")
-                if actor == "owner":
-                    try:
-                        data = sim.owner_reconstruct()
-                        outcome = {"actor": "owner", "result": "ok",
-                                   "matches": data == sim.secret}
-                    except Infeasible as exc:
-                        outcome = {"actor": "owner", "result": "infeasible",
-                                   "missing": str(exc)}
-                else:
-                    verdict, data = sim.adversary_verdict()
-                    outcome = {"actor": "adversary",
-                               "verdict": verdict.value,
-                               "matches": (None if data is None
-                                           else data == sim.secret)}
-            else:
-                raise ValueError(f"unknown event {kind!r}")
-        except KeyError as exc:
-            raise ValueError(f"malformed event {ev!r}: {exc}") from exc
-        events_out.append({"event": kind, "outcome": outcome})
+    events_out = [{"event": ev["event"], "outcome": sim.apply(ev)}
+                  for ev in scenario.schedule]
     verdict, recovered = sim.adversary_verdict()
     try:
         owner = sim.owner_reconstruct() == sim.secret if sim.dealt else False

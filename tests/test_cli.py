@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,36 @@ def workspace(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def hndl_schedule(rounds):
+    """A harvest-now-decrypt-later schedule for the documented example
+    topology. A mobile adversary holds mother node 1 for epoch 0 only and
+    mother node 3 from epoch 1 on, so that no epoch gives it two mother
+    shares until it takes node 2 last. Each refresh round it takes one
+    daughter node, letting every third go; one daughter node fails."""
+    schedule = [{"event": "deal"}, {"event": "hndl_decrypt_classical"},
+                {"event": "compromise_node", "network": "m", "node": 1},
+                {"event": "release_node", "network": "m", "node": 1}]
+    for r in range(1, rounds + 1):
+        node = {"network": f"d{1 + r % 2}", "node": 1 + r // 2 % 3}
+        schedule += [{"event": "refresh"},
+                     {"event": "compromise_node", **node}]
+        if r == 1:
+            schedule.append(
+                {"event": "compromise_node", "network": "m", "node": 3})
+        if r % 3 == 0:
+            schedule.append({"event": "release_node", **node})
+        if r == rounds // 2:
+            schedule.append({"event": "fail_node", "network": "d2",
+                             "node": 3})
+        if r % 10 == 0:
+            schedule += [{"event": "attempt_reconstruct", "actor": "owner"},
+                         {"event": "attempt_reconstruct",
+                          "actor": "adversary"}]
+    return schedule + [
+        {"event": "compromise_node", "network": "m", "node": 2},
+        {"event": "attempt_reconstruct", "actor": "adversary"}]
 
 
 class TestDeal:
@@ -379,6 +410,32 @@ class TestManifest:
         assert run(["refresh", "--topology", topo, "--shares", out]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_manifest_fuzz_exit2(self, workspace, capsys):
+        # Fuzz: the manifest of a dealt directory replaced by one that does
+        # not name the topology; both commands exit 2 and touch no file.
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        manifest = out / "manifest.json"
+        valid = json.loads(manifest.read_text())
+        shares = {p.name: p.read_bytes() for p in out.glob("*.share.json")}
+        dest = tmp / "r.bin"
+
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+        @given(malformed_manifests(valid).map(_encode)
+               | st.binary(max_size=40))
+        def check(content):
+            manifest.write_bytes(content)
+            assert run(["reconstruct", "--topology", topo, "--shares", out,
+                        "--out", dest]) == 2
+            assert not dest.exists()
+            assert run(["refresh", "--topology", topo, "--shares", out]) == 2
+            assert manifest.read_bytes() == content
+            assert {p.name: p.read_bytes()
+                    for p in out.glob("*.share.json")} == shares
+
+        check()
+        capsys.readouterr()
+
     def test_missing_manifest_allowed(self, workspace):
         tmp, topo, secret, out, _ = self._deal(workspace)
         (out / "manifest.json").unlink()
@@ -634,6 +691,53 @@ class TestSimulate:
         assert state.read_bytes() == saved
         assert not report.exists()
 
+    @pytest.mark.parametrize("schedule", [None, hndl_schedule(30)],
+                             ids=["docs-example", "hndl-30-rounds"])
+    def test_split_run_matches_one_run(self, tmp_path, schedule):
+        # Cut at every point k into two --state runs: the second run
+        # replays the first one's log and goes on as if never stopped.
+        data = json.loads(
+            (ROOT / "docs" / "examples" / "scenario.json").read_text())
+        schedule = schedule or data["schedule"]
+        path = tmp_path / "scenario.json"
+
+        def simulate(part, state, report):
+            path.write_text(json.dumps({**data, "schedule": part}))
+            assert run(["simulate", "--scenario", path, "--seed", "3",
+                        "--state", state, "--report", report]) == 0
+            return json.loads(report.read_text())
+
+        whole_state = tmp_path / "whole.state"
+        whole = simulate(schedule, whole_state, tmp_path / "whole.json")
+        state = tmp_path / "split.state"
+        for k in range(len(schedule) + 1):
+            state.unlink(missing_ok=True)
+            simulate(schedule[:k], state, tmp_path / "first.json")
+            second = simulate(schedule[k:], state, tmp_path / "second.json")
+            assert state.read_bytes() == whole_state.read_bytes()
+            assert second == {**whole, "events": whole["events"][k:]}
+
+    def test_state_holds_no_share_value(self, tmp_path):
+        data = json.loads(
+            (ROOT / "docs" / "examples" / "scenario.json").read_text())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**data, "schedule": hndl_schedule(30)}))
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", path, "--seed", "3",
+                    "--state", state]) == 0
+        blob = state.read_bytes()
+        assert set(json.loads(blob[12:])) == {
+            "version", "topology", "secret", "seed", "history"}
+        sim = load_state(state)
+        values = {v for node in sim.nodes.values() for v in node.store.values}
+        values |= {v for entries in sim.transcripts.values()
+                   for entry in entries for v in entry["values"]}
+        values |= {v for captured in sim.adversary.values() for v in captured}
+        assert len(values) > 300
+        for v in values:
+            assert format(v, "x").encode() not in blob
+            assert str(v).encode() not in blob
+
     def test_malformed_scenario_exit2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schedule": [{"event": "??"}]}')
@@ -697,6 +801,22 @@ class TestDocumentedExamples:
         path = tmp_path / "topology.json"
         path.write_text(example)
         assert run(["thresholds", "--topology", path]) == 0
+
+    def test_formats_md_state(self, tmp_path):
+        # The documented payload is the one the documented scenario saves
+        # at --seed 3, the example topology in place of its placeholder.
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text[text.index("## Simulator state file"):]
+        example = json.loads(
+            re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        example["topology"] = json.loads(
+            (ROOT / "docs" / "examples" / "topology.json").read_text())
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario",
+                    ROOT / "docs" / "examples" / "scenario.json",
+                    "--seed", "3", "--state", state,
+                    "--report", tmp_path / "report.json"]) == 0
+        assert json.loads(state.read_bytes()[12:]) == example
 
     def test_example_topology(self):
         assert run(["thresholds", "--topology",
@@ -842,6 +962,97 @@ def malformed_scenarios(scenario):
     )
 
 
+def malformed_states(state):
+    """Simulator state payloads, each invalid one way, built from the
+    valid state dict `state`: not one of them loads."""
+
+    def at(path):
+        return lambda v: _replace(state, path, v)
+
+    history = state["history"]
+    ids = [n["id"] for n in state["topology"]["networks"]]
+    nodes = state["topology"]["networks"][1]["node_count"]
+    node_events = ["compromise_node", "release_node", "fail_node"]
+
+    def inserted(i_event):
+        i, event = i_event
+        return {**state, "history": history[:i] + [event] + history[i:]}
+
+    def canonical_hex(value):
+        return (isinstance(value, str)
+                and re.fullmatch("(?:[0-9a-f]{2})*", value) is not None)
+
+    return st.one_of(
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
+        st.sampled_from(sorted(state)).map(
+            lambda k: _replace(state, [k], _REMOVE)),
+        st.tuples(st.text(max_size=8).filter(lambda k: k not in state),
+                  JSON_VALUES).map(lambda kv: {**state, kv[0]: kv[1]}),
+        JSON_VALUES.filter(lambda v: not _int_in(v, range(2, 3))).map(
+            at(["version"])),
+        malformed_topologies(state["topology"]).map(at(["topology"])),
+        st.integers(5, 2**16 - 1).filter(is_probable_prime).map(
+            lambda q: format(q, "x")).map(at(["topology", "modulus"])),
+        JSON_VALUES.filter(lambda v: not canonical_hex(v)).map(
+            at(["secret"])),
+        (JSON_VALUES.filter(lambda v: type(v) is not int)
+         | NON_FINITE).map(at(["seed"])),
+        JSON_VALUES.filter(lambda v: not isinstance(v, list)).map(
+            at(["history"])),
+        st.tuples(st.integers(0, len(history) - 1), JSON_VALUES).map(
+            lambda iv: _replace(state, ["history", iv[0]], iv[1])),
+        st.tuples(st.integers(0, len(history) - 1),
+                  JSON_VALUES.filter(lambda v: not isinstance(v, str)
+                                     or v not in EVENT_KINDS)
+                  | st.just("attempt_reconstruct")).map(
+            lambda iv: _replace(state, ["history", iv[0], "event"], iv[1])),
+        st.tuples(st.integers(0, len(history) - 1),
+                  st.text(max_size=8).filter(
+                      lambda k: k not in ("event", "network", "node")),
+                  JSON_VALUES).map(
+            lambda ikv: _replace(state, ["history", ikv[0], ikv[1]],
+                                 ikv[2])),
+        st.tuples(st.integers(1, len(history)),
+                  st.tuples(st.sampled_from(node_events),
+                            st.sampled_from(ids),
+                            JSON_VALUES.filter(
+                                lambda v: not _int_in(v, range(1, nodes + 1)))
+                            | NON_FINITE).map(
+                      lambda enj: {"event": enj[0], "network": enj[1],
+                                   "node": enj[2]})).map(inserted),
+        st.tuples(st.integers(1, len(history)),
+                  st.tuples(st.sampled_from(["compromise_network",
+                                             *node_events]),
+                            JSON_VALUES.filter(lambda v: v not in ids)).map(
+                      lambda ev: {"event": ev[0], "network": ev[1],
+                                  "node": 1})).map(inserted),
+        # A second deal anywhere; a refresh before the deal.
+        st.tuples(st.integers(0, len(history)),
+                  st.just({"event": "deal"})).map(inserted),
+        st.just(inserted((0, {"event": "refresh"}))),
+    )
+
+
+def malformed_manifests(manifest):
+    """Manifest documents that do not name the topology of the valid
+    manifest dict `manifest`."""
+    digest = manifest["topology_digest"]
+    return st.one_of(
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
+        st.sampled_from(sorted(manifest)).map(
+            lambda k: _replace(manifest, [k], _REMOVE)).filter(
+            lambda m: "topology_digest" not in m),
+        (JSON_VALUES | st.text("0123456789abcdef", min_size=64, max_size=64)
+         | st.just(digest.upper())).filter(lambda v: v != digest).map(
+            lambda v: {**manifest, "topology_digest": v}),
+    )
+
+
+def _state_file(payload: bytes) -> bytes:
+    """A simulator state file around `payload`: magic, length, payload."""
+    return b"MSS1" + struct.pack(">Q", len(payload)) + payload
+
+
 class TestMalformedJson:
     """Every JSON file the CLI reads maps a malformed document to exit 2,
     never a traceback."""
@@ -924,6 +1135,64 @@ class TestMalformedJson:
             path.write_bytes(content)
             assert run(["simulate", "--scenario", path,
                         "--report", report]) == 2
+            assert not report.exists()
+
+        check()
+        capsys.readouterr()
+
+    def _state(self, tmp_path):
+        """A valid state from the documented example, and a scenario
+        that runs on any state that loads."""
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", self.EXAMPLES / "scenario.json",
+                    "--seed", "3", "--state", state,
+                    "--report", tmp_path / "first.json"]) == 0
+        data = json.loads((self.EXAMPLES / "scenario.json").read_text())
+        scenario = tmp_path / "continue.json"
+        scenario.write_text(json.dumps({**data, "schedule": [
+            {"event": "attempt_reconstruct", "actor": "adversary"}]}))
+        return state, json.loads(state.read_bytes()[12:]), scenario
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: {**s, "seed": 1.9},
+        lambda s: {**s, "seed": True},
+        lambda s: {**s, "history": s["history"] + [
+            {"event": "compromise_node", "network": "d1", "node": "1"}]},
+        lambda s: {**s, "history": s["history"] + [{"event": "deal"}]},
+        lambda s: {**s, "history": [{"event": "refresh"}] + s["history"]},
+        lambda s: {**s, "version": 1, "epoch": 1, "chunk_count": 2,
+                   "dealt": True, "hndl": True, "nodes": [],
+                   "transcripts": {}, "adversary": [],
+                   "rng_state": [3, [0] * 625, None]},
+        lambda s: {**s, "epoch": 1.9},
+        lambda s: {**s, "dealt": "no"},
+    ], ids=["seed-float", "seed-bool", "node-str", "two-deals",
+            "refresh-before-deal", "version-1", "epoch", "dealt"])
+    def test_state_exit2(self, tmp_path, capsys, edit):
+        path, state, scenario = self._state(tmp_path)
+        blob = _state_file(json.dumps(edit(state)).encode())
+        path.write_bytes(blob)
+        report = tmp_path / "r.json"
+        assert run(["simulate", "--scenario", scenario, "--state", path,
+                    "--report", report]) == 2
+        assert "cannot load state" in capsys.readouterr().err
+        assert path.read_bytes() == blob
+        assert not report.exists()
+
+    def test_state_fuzz_exit2(self, tmp_path, capsys):
+        path, state, scenario = self._state(tmp_path)
+        report = tmp_path / "r.json"
+
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+        @given(malformed_states(state).map(_encode).map(_state_file)
+               | st.binary(max_size=40).map(_state_file)
+               | st.binary(max_size=40))
+        def check(blob):
+            path.write_bytes(blob)
+            assert run(["simulate", "--scenario", scenario, "--state", path,
+                        "--report", report]) == 2
+            assert path.read_bytes() == blob
             assert not report.exists()
 
         check()

@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 
 import pytest
@@ -113,6 +114,17 @@ class TestOwner:
         sim.fail_node("m", 1)
         sim.fail_node("m", 2)
         with pytest.raises(Infeasible):
+            sim.owner_reconstruct()
+
+    def test_infeasible_counts_every_usable_share(self):
+        # Once only the chosen quorums were counted: (m: 0/2, d1: 2/2,
+        # d2: 0/2).
+        sim = Simulation(topo(), b"payload", seed=2)
+        sim.owner_store()
+        sim.fail_node("m", 1)
+        sim.fail_node("m", 2)
+        with pytest.raises(Infeasible, match=re.escape(
+                "mother quorum not met (m: 1/2, d1: 2/2, d2: 2/2)")):
             sim.owner_reconstruct()
 
     def test_explicit_selection_below_quorum(self):
@@ -369,24 +381,25 @@ class TestDecomposedOracle:
     @given(worlds(), st.integers(0, 2**32))
     def test_matches_dense_on_partial_captures(self, world, subset_seed):
         # Every daughter's epoch-0 shares cross its recorded link, so a
-        # full harvest makes refresh deltas redundant. A state holding a
+        # full harvest makes refresh deltas redundant. A world holding a
         # random part of the captures and transcripts is one where deltas
-        # bridge epochs.
+        # bridge epochs. It is cut down in memory before its oracle has
+        # read anything: a loaded world feeds it at the first verdict.
         topology, secret, seed, schedule, _ = world
         sim = Simulation(topology, secret, seed)
         run_scenario(Scenario(topology, secret,
                               tuple([{"event": "deal"}] + schedule)),
                      seed, sim=sim)
         rng = random.Random(subset_seed)
-        state = sim.to_state()
-        state["hndl"] = True
-        state["adversary"] = [rec for rec in state["adversary"]
-                              if rng.random() < 0.5]
-        state["transcripts"] = {
+        part = Simulation.from_state(sim.to_state())
+        part.hndl = True
+        part.adversary = {key: values for key, values
+                          in sorted(part.adversary.items())
+                          if rng.random() < 0.5}
+        part.transcripts = {
             nid: [e for e in entries
                   if rng.random() < (0.8 if e["kind"] == "delta" else 0.4)]
-            for nid, entries in state["transcripts"].items()}
-        part = Simulation.from_state(state)
+            for nid, entries in part.transcripts.items()}
         verdict = part.adversary_verdict()
         assert verdict == dense_verdict(part)
         assert verdict[1] in (None, secret)
