@@ -8,18 +8,20 @@ Exit codes are a stable scripting contract:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import Iterator, List, Optional
 
 from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
 from .field import crypto_rng, deterministic_rng
 from . import formats
 from .protocol import (NodeShare, Topology, apply_node_refresh,
-                       check_share_set, compute_thresholds_exhaustive,
+                       checked_shares, compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
                        encode_secret, reconstruct, refresh,
                        EXHAUSTIVE_DEGREE_BOUND, EXHAUSTIVE_NETWORK_BOUND)
@@ -33,6 +35,12 @@ EXIT_CAPACITY = 4
 EXIT_USAGE = 64
 
 THRESHOLD_FIELDS = ("t_networks", "t_nodes", "t_f0", "t_f1", "t_fail")
+
+MANIFEST = "manifest.json"
+# A refresh to epoch e first writes each share file, and the manifest, as
+# NAME.staged-e: a name the *.share.json glob does not match.
+STAGED_NAME = re.compile(
+    r"(.+\.share\.json|manifest\.json)\.staged-(-?[0-9]+)")
 
 
 class CliError(Exception):
@@ -80,33 +88,75 @@ def _write_json(path: Path, obj) -> None:
     os.replace(tmp, path)
 
 
-def _load_shares(paths: List[Path], modulus: int) -> List[NodeShare]:
-    shares = []
+def _fsync(path: Path) -> None:
+    """Flush the file or directory at `path` to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _write_synced(path: Path, obj) -> None:
+    path.write_bytes(formats.canonical_json(obj) + b"\n")
+    _fsync(path)
+
+
+def _staged(path: Path, epoch: int) -> Path:
+    """Where a refresh to `epoch` writes `path` before its commit."""
+    return path.with_name(f"{path.name}.staged-{epoch}")
+
+
+def _load_shares(paths: List[Path], modulus: int) -> Iterator[NodeShare]:
+    """The shares in `paths`, parsed one at a time as they are asked for."""
     for p in paths:
         try:
-            shares.append(formats.share_from_dict(_read_json(p, "share"),
-                                                  modulus))
+            yield formats.share_from_dict(_read_json(p, "share"), modulus)
         except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read share {p}: {exc}")
-    return shares
+
+
+def _settle_staged(share_dir: Path, epoch: Optional[int]) -> None:
+    """Finish or undo a refresh that stopped part-way, as the manifest's
+    `epoch` (None without a manifest) decides: staged files of that epoch
+    were committed and take their final names; any other staged file is
+    deleted."""
+    staged = [(p, m) for p in sorted(share_dir.iterdir())
+              if (m := STAGED_NAME.fullmatch(p.name))]
+    if not staged:
+        return
+    try:
+        for path, m in staged:
+            if int(m[2]) == epoch:
+                os.replace(path, share_dir / m[1])
+            else:
+                path.unlink()
+        _fsync(share_dir)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot settle the staged files of an "
+                                   f"earlier refresh in {share_dir}: {exc}")
 
 
 def _share_dir_paths(share_dir: Path, topology: Topology) -> List[Path]:
-    """The share files in `share_dir`; exit 2 when the directory's
-    manifest, if it has one, cannot be read or names another topology."""
+    """The share files in `share_dir`, once a refresh that stopped
+    part-way is settled; exit 2 when the directory's manifest, if it has
+    one, cannot be read or names another topology."""
     if not share_dir.is_dir():
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
-    manifest = share_dir / "manifest.json"
+    manifest = share_dir / MANIFEST
+    epoch = None
     if manifest.exists():
         data = _read_json(manifest, "manifest")
         try:
             digest = data["topology_digest"]
-        except (KeyError, TypeError) as exc:
+            epoch = formats._json_int(data, "epoch")
+        except (KeyError, TypeError, CorruptData) as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
                                        f"{exc}")
         if digest != formats.topology_digest(topology):
             raise CliError(EXIT_INPUT, f"{manifest} was written for another "
                                        f"topology")
+    _settle_staged(share_dir, epoch)
     return sorted(share_dir.glob("*.share.json"))
 
 
@@ -124,7 +174,7 @@ def cmd_deal(args) -> int:
         for share in shares:
             _write_json(_share_path(out_dir, share),
                         formats.share_to_dict(share, topology.modulus))
-    _write_json(out_dir / "manifest.json",
+    _write_json(out_dir / MANIFEST,
                 formats.manifest_dict(topology, len(chunks), 0, []))
     total = sum(len(v) for v in dealt.values())
     print(f"dealt {len(chunks)} chunks to {total} nodes in {out_dir}")
@@ -135,7 +185,7 @@ def cmd_reconstruct(args) -> int:
     topology = _load_topology(args.topology)
     paths = (_share_dir_paths(Path(args.shares), topology) if args.shares
              else [Path(p) for p in args.files])
-    shares = _load_shares(paths, topology.modulus)
+    shares = list(_load_shares(paths, topology.modulus))
     if not shares:
         raise CliError(EXIT_INPUT, "no share files found")
     grouped = formats.shares_by_network(shares)
@@ -150,31 +200,67 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_refresh(args) -> int:
+    """Advance every share one epoch, holding one share's values at a
+    time. Each updated share is written, and flushed, to its staged name;
+    one atomic replace of the manifest naming the new epoch commits them
+    all, after which they are renamed over the old files. An error before
+    the commit deletes the staged files; a crash at any point is settled
+    by the next refresh or reconstruct --shares (see _settle_staged)."""
     topology = _load_topology(args.topology)
+    q = topology.modulus
     share_dir = Path(args.shares)
-    shares = _load_shares(_share_dir_paths(share_dir, topology),
-                          topology.modulus)
-    if not shares:
+    paths = _share_dir_paths(share_dir, topology)
+    shares = checked_shares(_load_shares(paths, q), topology)
+    first = next(shares, None)
+    if first is None:
         raise CliError(EXIT_INPUT, "no share files found")
-    check_share_set(shares, topology)
-    epoch, chunk_count = shares[0].epoch, len(shares[0].values)
+    epoch, chunk_count = first.epoch, len(first.values)
     deltas = refresh(topology, chunk_count, epoch, _rng(args.seed))
-    present = {(s.network_id, s.node_index) for s in shares}
-    stale = []
-    for net in topology.networks:
-        for d in deltas[net.id]:
-            if (net.id, d.node_index) not in present:
-                stale.append(f"{net.id}/{d.node_index}")
-    for share in shares:
-        # check_share_set vouched for the node; deltas come in node order.
-        delta = deltas[share.network_id][share.node_index - 1]
-        updated = apply_node_refresh(share, delta, topology.modulus)
-        _write_json(_share_path(share_dir, updated),
-                    formats.share_to_dict(updated, topology.modulus))
-    _write_json(share_dir / "manifest.json",
-                formats.manifest_dict(topology, chunk_count, epoch + 1,
-                                      stale))
-    print(f"refreshed {len(shares)} shares to epoch {epoch + 1}"
+    shares = itertools.chain([first], shares)
+    del first
+    manifest = share_dir / MANIFEST
+    staged_manifest = _staged(manifest, epoch + 1)
+    moves = []  # (staged, final) per share file, in the order written
+    try:
+        for path, share in zip(paths, shares):
+            # checked_shares vouched for the node; deltas come in node
+            # order. Each share, delta and update is dropped before the
+            # next share is parsed.
+            node_deltas = deltas[share.network_id]
+            delta = node_deltas[share.node_index - 1]
+            node_deltas[share.node_index - 1] = None
+            updated = apply_node_refresh(share, delta, q)
+            del share, delta
+            moves.append((_staged(path, epoch + 1), path))
+            _write_synced(moves[-1][0], formats.share_to_dict(updated, q))
+            del updated
+        stale = [f"{net.id}/{d.node_index}" for net in topology.networks
+                 for d in deltas[net.id] if d is not None]
+        _fsync(share_dir)
+        _write_synced(staged_manifest, formats.manifest_dict(
+            topology, chunk_count, epoch + 1, stale))
+        os.replace(staged_manifest, manifest)  # the commit
+    except BaseException as exc:
+        for staged in [s for s, _ in moves] + [staged_manifest]:
+            try:
+                staged.unlink(missing_ok=True)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise CliError(EXIT_INPUT, f"refresh failed, no file changed: "
+                                       f"{exc}") from exc
+        raise
+    try:
+        _fsync(share_dir)
+        for staged, final in moves:
+            os.replace(staged, final)
+        _fsync(share_dir)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"epoch {epoch + 1} is committed, but "
+                                   f"not every share has its final name "
+                                   f"({exc}); the next refresh or "
+                                   f"reconstruct --shares finishes it")
+    print(f"refreshed {len(moves)} shares to epoch {epoch + 1}"
           + (f"; stale: {', '.join(sorted(stale))}" if stale else ""))
     return EXIT_OK
 
@@ -211,14 +297,14 @@ def cmd_simulate(args) -> int:
     if args.state and Path(args.state).exists():
         try:
             sim = load_state(args.state)
-            check_targets(scenario.schedule, sim.topology, sim.dealt)
         except StateError as exc:
             raise CliError(EXIT_INPUT, f"cannot load state: {exc}")
-        except ValueError as exc:
-            raise CliError(EXIT_INPUT, f"scenario does not fit the state: "
-                                       f"{exc}")
     else:
         sim = Simulation(scenario.topology, scenario.secret, args.seed)
+    try:
+        check_targets(scenario.schedule, sim.topology, sim.dealt)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"cannot run the schedule: {exc}")
     report = run_scenario(scenario, seed=args.seed, sim=sim)
     report_path = Path(args.report) if args.report else \
         Path(args.scenario).with_suffix(".report.json")

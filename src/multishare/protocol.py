@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
@@ -194,21 +195,24 @@ def _outer_weights(topology: Topology,
                              topology.modulus)
 
 
-def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
-    """Raise unless the shares can be combined: EpochMismatch when they
-    span epochs; CorruptData when their chunk counts differ or a share is
-    not a distinct node of the topology."""
-    shares = list(shares)
-    epochs = {s.epoch for s in shares}
-    if len(epochs) > 1:
-        raise EpochMismatch(f"shares span epochs {sorted(epochs)}")
-    chunk_counts = {len(s.values) for s in shares}
-    if len(chunk_counts) > 1:
-        raise CorruptData(
-            f"inconsistent chunk counts {sorted(chunk_counts)}")
+def checked_shares(shares: Iterable[NodeShare],
+                   topology: Topology) -> Iterator[NodeShare]:
+    """Yield each share once it is checked against the ones before it, so
+    a caller may hold one share at a time. Raise EpochMismatch when the
+    shares span epochs; CorruptData when their chunk counts differ or a
+    share is not a distinct node of the topology. Only the first share's
+    epoch and chunk count are kept, not the share."""
     node_counts = {net.id: net.node_count for net in topology.networks}
     seen = set()
     for s in shares:
+        if not seen:
+            epoch, chunk_count = s.epoch, len(s.values)
+        elif s.epoch != epoch:
+            raise EpochMismatch(
+                f"shares span epochs {sorted({epoch, s.epoch})}")
+        elif len(s.values) != chunk_count:
+            raise CorruptData(f"inconsistent chunk counts "
+                              f"{sorted({chunk_count, len(s.values)})}")
         pos = (s.network_id, s.node_index)
         if not 1 <= s.node_index <= node_counts.get(s.network_id, 0):
             raise CorruptData(f"share {s.network_id}/{s.node_index} is not "
@@ -217,6 +221,13 @@ def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
             raise CorruptData(
                 f"share {s.network_id}/{s.node_index} given twice")
         seen.add(pos)
+        yield s
+
+
+def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
+    """Raise unless the shares can be combined; see checked_shares."""
+    for _ in checked_shares(shares, topology):
+        pass
 
 
 def reconstruct(shares: Dict[str, Sequence[NodeShare]],

@@ -71,15 +71,25 @@ class Scenario:
         return cls(topology=topology, secret=secret, schedule=schedule)
 
 
-def check_targets(schedule, topology: Topology, dealt: bool = False) -> None:
+def check_targets(schedule, topology: Topology,
+                  dealt: Optional[bool] = None) -> None:
     """ValueError unless every network and node the events name exist and
-    the secret is dealt at most once: by one `deal` event, or by none when
-    the state is `dealt` already. The protocol deals once and then
-    refreshes; a second dealing would mix two sets of shares in the
-    adversary's view."""
-    if sum(ev["event"] == "deal" for ev in schedule) + dealt > 1:
+    the secret is dealt at most once and before any refresh: by a `deal`
+    event ahead of the first `refresh`, or by none when the state is
+    `dealt` already.
+    With `dealt` None (no state known yet), only a second `deal` in the
+    schedule is rejected. The protocol deals once and then refreshes; a
+    second dealing would mix two sets of shares in the adversary's
+    view."""
+    kinds = [ev["event"] for ev in schedule]
+    if kinds.count("deal") + bool(dealt) > 1:
         raise ValueError("the secret is dealt once and then refreshed; "
                          "this schedule deals it again")
+    if (dealt is False and "refresh" in kinds
+            and ("deal" not in kinds
+                 or kinds.index("refresh") < kinds.index("deal"))):
+        raise ValueError("this schedule refreshes before the secret is "
+                         "dealt")
     for ev in schedule:
         kind = ev["event"]
         if kind not in NETWORK_EVENTS:

@@ -1,5 +1,8 @@
+import errno
 import json
+import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -39,6 +42,18 @@ def workspace(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def snapshot(directory: Path) -> dict:
+    """Every file in `directory`, by name."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def restore(directory: Path, files: dict) -> None:
+    shutil.rmtree(directory)
+    directory.mkdir()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
 
 
 def hndl_schedule(rounds):
@@ -281,7 +296,8 @@ class TestReconstruct:
 
     def test_malformed_share_file_exit2(self, workspace, capsys):
         # Fuzz: one share file of a dealt directory replaced by a
-        # malformed one; reconstruct must exit 2, never raise.
+        # malformed one; reconstruct and refresh must exit 2, never raise,
+        # and refresh must leave the directory as it was.
         tmp, topo, secret, out = self._deal(workspace, seed="1")
         target = out / "m_001.share.json"
         share = json.loads(target.read_text())
@@ -295,6 +311,12 @@ class TestReconstruct:
             assert run(["reconstruct", "--topology", topo, "--shares", out,
                         "--out", dest]) == 2
             assert not dest.exists()
+            # m_001 sorts after the d* files, so refresh has staged their
+            # updates when it meets it; it must delete them again.
+            before = snapshot(out)
+            assert run(["refresh", "--topology", topo, "--shares", out,
+                        "--seed", "2"]) == 2
+            assert snapshot(out) == before
 
         check()
         capsys.readouterr()
@@ -412,7 +434,8 @@ class TestManifest:
 
     def test_manifest_fuzz_exit2(self, workspace, capsys):
         # Fuzz: the manifest of a dealt directory replaced by one that does
-        # not name the topology; both commands exit 2 and touch no file.
+        # not name the topology or has no integer epoch; both commands exit
+        # 2 and touch no file.
         tmp, topo, secret, out, _ = self._deal(workspace)
         manifest = out / "manifest.json"
         valid = json.loads(manifest.read_text())
@@ -513,6 +536,170 @@ class TestRefresh:
         assert run(["refresh", "--topology", topo, "--shares", out,
                     "--seed", "2"]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_share_under_another_name_refreshed_in_place(self, tmp_path):
+        # A share file not at its canonical name once stayed behind at the
+        # old epoch while a new file took the canonical name, and the
+        # directory then failed with mixed epochs.
+        topo = ROOT / "docs" / "examples" / "topology.json"
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(b"the crown jewels are in the tower")
+        out = tmp_path / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        (out / "d1_003.share.json").rename(out / "backup-d1.share.json")
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 0
+        assert not (out / "d1_003.share.json").exists()
+        moved = json.loads((out / "backup-d1.share.json").read_text())
+        assert (moved["network_id"], moved["node_index"]) == ("d1", 3)
+        assert moved["epoch"] == 1
+        dest = tmp_path / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 0
+        assert dest.read_bytes() == secret.read_bytes()
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 0
+
+    def test_peak_memory_near_deal(self, tmp_path):
+        # refresh holds one share's values at a time, so its peak RSS is
+        # that of deal, not half as much again (all shares and all
+        # deltas at once). Both commands run in fresh interpreters started
+        # from a small one: a child's ru_maxrss also counts the high-water
+        # RSS of the process it was started from.
+        topo = tmp_path / "topology.json"
+        write_topology(topo)
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(os.urandom(512 * 1024))
+        out = tmp_path / "shares"
+        measure = (
+            "import os, subprocess, sys\n"
+            "for argv in (sys.argv[1:8], sys.argv[8:]):\n"
+            "    p = subprocess.Popen([sys.executable, '-m',"
+            " 'multishare.cli', *argv], stdout=subprocess.DEVNULL)\n"
+            "    _, status, usage = os.wait4(p.pid, 0)\n"
+            "    assert status == 0, argv\n"
+            "    print(usage.ru_maxrss)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", measure,
+             "deal", "--topology", topo, "--secret", secret, "--out", out,
+             "refresh", "--topology", topo, "--shares", out],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        deal_rss, refresh_rss = map(int, proc.stdout.split())
+        assert refresh_rss <= 1.15 * deal_rss, (deal_rss, refresh_rss)
+
+
+class FaultyFiles:
+    """Counts the file mutations a command makes (writes, fsyncs,
+    replaces and unlinks) and fails the k-th with EIO; a failed write
+    leaves half its bytes. With `crash`, every later mutation fails too and
+    writes nothing, as if the process had died at the k-th: the error
+    path's cleanup is then skipped."""
+
+    def __init__(self, fail_at=None, crash=False):
+        self.fail_at, self.crash = fail_at, crash
+        self.log = []
+
+    def _fails(self, kind) -> bool:
+        self.log.append(kind)
+        k = len(self.log)
+        return self.fail_at is not None and (
+            k == self.fail_at or self.crash and k > self.fail_at)
+
+    def run(self, monkeypatch, argv) -> int:
+        write_bytes, fsync = Path.write_bytes, os.fsync
+        replace, unlink = os.replace, Path.unlink
+
+        def fault():
+            return OSError(errno.EIO, "injected fault")
+
+        def faulty_write_bytes(path, data):
+            if self._fails("write"):
+                if len(self.log) == self.fail_at:
+                    write_bytes(path, data[:len(data) // 2])
+                raise fault()
+            return write_bytes(path, data)
+
+        def faulty(kind, real):
+            def call(*args, **kwargs):
+                if self._fails(kind):
+                    raise fault()
+                return real(*args, **kwargs)
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_bytes", faulty_write_bytes)
+            patch.setattr(Path, "unlink", faulty("unlink", unlink))
+            patch.setattr(os, "fsync", faulty("fsync", fsync))
+            patch.setattr(os, "replace", faulty("replace", replace))
+            return run(argv)
+
+
+class TestRefreshFaults:
+    """A refresh that fails or dies at any file mutation leaves a directory
+    that holds the secret at the old epoch or the new one."""
+
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["cleanup", "crash"])
+    @pytest.mark.parametrize("start", ["settled", "uncommitted",
+                                       "committed"])
+    def test_fault_at_every_mutation(self, workspace, monkeypatch, capsys,
+                                     start, crash):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        dest = tmp / "r.bin"
+        run(["deal", "--topology", topo, "--secret", secret, "--out", out,
+             "--seed", "1"])
+        run(["refresh", "--topology", topo, "--shares", out, "--seed", "2"])
+        refresh = ["refresh", "--topology", topo, "--shares", out,
+                   "--seed", "3"]
+        reconstruct = ["reconstruct", "--topology", topo, "--shares", out,
+                       "--out", dest]
+
+        def recovers():
+            dest.unlink(missing_ok=True)
+            return (run(reconstruct) == 0
+                    and dest.read_bytes() == secret.read_bytes())
+
+        # The starting directory: as refresh left it, or left by a refresh
+        # that died before its commit, or after it, part-way through the
+        # renames.
+        settled = snapshot(out)
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, refresh) == 0
+        restore(out, settled)
+        commit = probe.log.index("replace") + 1
+        if start != "settled":
+            at = 7 if start == "uncommitted" else commit + 3
+            assert FaultyFiles(at, crash=True).run(monkeypatch, refresh) == 2
+        begin = snapshot(out)
+        assert any(".staged-" in name for name in begin) == (
+            start != "settled")
+        # What settling that directory gives, and what refreshing it gives.
+        assert recovers()
+        old = snapshot(out)
+        assert run(refresh) == 0
+        new = snapshot(out)
+        restore(out, begin)
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, refresh) == 0
+        assert snapshot(out) == new
+        for k in range(1, len(probe.log) + 1):
+            restore(out, begin)
+            faults = FaultyFiles(k, crash)
+            assert faults.run(monkeypatch, refresh) == 2, (k, faults.log)
+            # Only the commit changes the manifest.
+            committed = ((out / "manifest.json").read_bytes()
+                         == new["manifest.json"])
+            if start == "settled" and not crash and not committed:
+                assert snapshot(out) == begin, k
+            assert recovers(), k
+            assert snapshot(out) == (new if committed else old), k
+            assert run(["refresh", "--topology", topo, "--shares", out,
+                        "--seed", "4"]) == 0, k
+            assert recovers(), k
+        capsys.readouterr()
 
 
 class TestThresholds:
@@ -959,6 +1146,11 @@ def malformed_scenarios(scenario):
                   JSON_VALUES.filter(lambda v: v not in ids)).map(
             lambda ev: {**scenario, "schedule": schedule + [
                 {"event": ev[0], "network": ev[1], "node": 1}]}),
+        # A refresh before the deal, or with no deal at all.
+        st.integers(0, len(schedule)).map(
+            lambda i: {**scenario, "schedule": [
+                ev for ev in schedule[:i] if ev["event"] != "deal"]
+                + [{"event": "refresh"}] + schedule[i:]}),
     )
 
 
@@ -1035,9 +1227,11 @@ def malformed_states(state):
 
 def malformed_manifests(manifest):
     """Manifest documents that do not name the topology of the valid
-    manifest dict `manifest`."""
+    manifest dict `manifest`, or whose epoch is not an integer."""
     digest = manifest["topology_digest"]
     return st.one_of(
+        JSON_VALUES.filter(lambda v: type(v) is not int).map(
+            lambda v: {**manifest, "epoch": v}),
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from(sorted(manifest)).map(
             lambda k: _replace(manifest, [k], _REMOVE)).filter(
@@ -1097,8 +1291,12 @@ class TestMalformedJson:
             {"event": "fail_node", "network": "d1", "node": True}]},
         lambda s: _replace(s, ["topology", "networks", 2, "node_count"],
                            3.0),
+        lambda s: {**s, "schedule": [
+            {"event": "compromise_node", "network": "m", "node": 1},
+            {"event": "refresh"}, {"event": "deal"}]},
     ], ids=["modulus-257", "event-list", "node-inf", "deep", "node-float",
-            "node-str", "node-bool", "topology-node_count-float"])
+            "node-str", "node-bool", "topology-node_count-float",
+            "refresh-before-deal"])
     def test_scenario_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "scenario.json").read_text())
         path = tmp_path / "s.json"
