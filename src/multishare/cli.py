@@ -82,10 +82,25 @@ def _share_path(out_dir: Path, share: NodeShare) -> Path:
     return out_dir / f"{share.network_id}_{share.node_index:03d}.share.json"
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file and os.replace, so
+    that a failed write leaves no partial file; exit 2 when it fails."""
+    tmp = None
+    try:
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except (OSError, ValueError) as exc:  # ValueError: a path like "."
+        if tmp is not None:
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
+
+
 def _write_json(path: Path, obj) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(formats.canonical_json(obj) + b"\n")
-    os.replace(tmp, path)
+    _write_atomic(path, formats.canonical_json(obj) + b"\n")
 
 
 def _fsync(path: Path) -> None:
@@ -167,7 +182,10 @@ def cmd_deal(args) -> int:
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read secret: {exc}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot make directory {out_dir}: {exc}")
     chunks = encode_secret(secret, topology.modulus)
     dealt = deal(chunks, topology, _rng(args.seed))
     for shares in dealt.values():
@@ -194,7 +212,7 @@ def cmd_reconstruct(args) -> int:
         secret = decode_secret(chunks, topology.modulus)
     except CorruptData as exc:
         raise CliError(EXIT_INPUT, f"corrupt shares: {exc}")
-    Path(args.out).write_bytes(secret)
+    _write_atomic(Path(args.out), secret)
     print(f"reconstructed {len(secret)} bytes to {args.out}")
     return EXIT_OK
 
@@ -297,7 +315,7 @@ def cmd_simulate(args) -> int:
     if args.state and Path(args.state).exists():
         try:
             sim = load_state(args.state)
-        except StateError as exc:
+        except (StateError, OSError) as exc:
             raise CliError(EXIT_INPUT, f"cannot load state: {exc}")
     else:
         sim = Simulation(scenario.topology, scenario.secret, args.seed)
@@ -310,7 +328,11 @@ def cmd_simulate(args) -> int:
         Path(args.scenario).with_suffix(".report.json")
     _write_json(report_path, report)
     if args.state:
-        sim.save_state(args.state)
+        try:
+            sim.save_state(args.state)
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot write state {args.state}: "
+                                       f"{exc}")
     print(f"adversary: {report['adversary_verdict']}")
     print(f"owner available: {report['owner_available']}")
     print(f"epoch: {report['epoch']}")

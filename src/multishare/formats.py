@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Dict, List
 
 from .errors import CorruptData
@@ -20,6 +21,12 @@ FORMAT_VERSION = 1
 # User-supplied moduli below this are rejected at the file boundary;
 # in-process callers may still build small-field topologies for analysis.
 MIN_USER_MODULUS = 257
+
+# _parse_hex checks this many values per joined block, so the check's
+# scratch copy stays small on a share of many chunks.
+HEX_CHECK_BLOCK = 4096
+# A "0" that starts a joined value and is not the whole value.
+_LEADING_ZERO = re.compile(rb",0[^,]")
 
 
 def canonical_json(obj) -> bytes:
@@ -54,6 +61,21 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
+def _parse_hex(texts: List[str]) -> List[int]:
+    """The values of `texts`, each of which must be lowercase hex with no
+    leading zero ("0" for zero): no sign, prefix, space, underscore,
+    upper case or non-ASCII digit, which int(text, 16) would accept. A
+    block of values is joined once, so the check costs two C-level scans
+    of it rather than a regular expression match per value."""
+    for i in range(0, len(texts), HEX_CHECK_BLOCK):
+        joined = ("," + ",".join(texts[i:i + HEX_CHECK_BLOCK])).encode()
+        if (joined.translate(None, b"0123456789abcdef,")
+                or _LEADING_ZERO.search(joined)):
+            raise CorruptData("a hex value is not lowercase hex without "
+                              "leading zeros")
+    return [int(v, 16) for v in texts]
+
+
 def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
     try:
         if not isinstance(data, dict):
@@ -61,7 +83,7 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
         version = _json_int(data, "format_version")
         if version != FORMAT_VERSION:
             raise CorruptData(f"unsupported format_version {version}")
-        modulus = int(data["modulus"], 16)
+        [modulus] = _parse_hex([data["modulus"]])
         nets = data["networks"]
         if not (isinstance(nets, list)
                 and all(isinstance(n, dict) for n in nets)):
@@ -115,15 +137,15 @@ def share_from_dict(data: dict, modulus: int) -> NodeShare:
         version = _json_int(data, "format_version")
         if version != FORMAT_VERSION:
             raise CorruptData(f"unsupported format_version {version}")
-        if int(data["modulus"], 16) != modulus:
+        if _parse_hex([data["modulus"]]) != [modulus]:
             raise CorruptData("share modulus does not match the topology")
         network_id = data["network_id"]
         if not isinstance(network_id, str):
             raise CorruptData("network_id must be a string")
         if not isinstance(data["values"], list):
             raise CorruptData("values must be a list")
-        values = [int(v, 16) for v in data["values"]]
-        if values and (min(values) < 0 or max(values) >= modulus):
+        values = _parse_hex(data["values"])
+        if values and max(values) >= modulus:
             raise CorruptData("a value is out of range for the modulus")
         if len(values) != _json_int(data, "chunk_count"):
             raise CorruptData("chunk_count does not match values")

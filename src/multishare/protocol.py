@@ -19,13 +19,15 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
-from .field import (DEFAULT_MODULUS, echelon_insert, express_over_rows,
-                    is_probable_prime, weighted_column_sum)
+from .field import (DEFAULT_MODULUS, echelon_insert, echelon_reduce,
+                    express_over_rows, is_probable_prime,
+                    weighted_column_sum)
 from .poly import (birkhoff_matrix_row, hierarchical_split_ints,
                    lagrange_zero_weights, split_ints)
 
-# compute_thresholds_exhaustive makes 2^networks outer solves, and finds
-# each network's quorum by an elimination cubic in its inner degree.
+# compute_thresholds_exhaustive walks up to 2^networks sets of known
+# networks, and finds each network's quorum by an elimination cubic in its
+# inner degree.
 EXHAUSTIVE_NETWORK_BOUND = 12
 EXHAUSTIVE_DEGREE_BOUND = 100
 
@@ -189,8 +191,9 @@ def _outer_weights(topology: Topology,
                    rows: Sequence[Sequence[int]]) -> Optional[list]:
     """Weights expressing the secret P(0) over the inner secrets whose
     constant functionals are `rows`, in the order given; None when they do
-    not determine it. The one outer solve: reconstruction, the adversary
-    oracle and the thresholds all decide through it."""
+    not determine it. The one outer solve: reconstruction and the
+    adversary oracle decide through it; compute_thresholds_exhaustive
+    builds the same span incrementally."""
     return express_over_rows(rows, [1] + [0] * topology.outer_degree,
                              topology.modulus)
 
@@ -511,12 +514,19 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     Nodes within a network are interchangeable for access, and a held set
     decides only through the networks it makes known: network i is known
     once its first q_i nodes are held, q_i the fewest whose shares
-    determine its inner secret. So each set K of known networks takes one
-    outer solve. A reconstructing K is reached by holding sum(q_i, i in K)
-    nodes of |K| networks; a non-reconstructing K by disabling
-    n_i - q_i + 1 nodes of each network outside K. t_f0 disables only
-    mother nodes (K holds every daughter), t_f1 only daughter nodes (K
-    holds the mother).
+    determine its inner secret. A reconstructing set K of known networks
+    is reached by holding sum(q_i, i in K) nodes of |K| networks; a
+    non-reconstructing K by disabling n_i - q_i + 1 nodes of each network
+    outside K. t_f0 disables only mother nodes (K holds every daughter),
+    t_f1 only daughter nodes (K holds the mother).
+
+    The sets K are walked depth first, networks added in index order.
+    Each K extends its parent's echelon basis of constant functionals by
+    its last network's, and reduces the parent's remainder of the secret
+    functional [1, 0, ..., 0] by the new pivot alone: K reconstructs iff
+    that remainder is zero. A reconstructing K's supersets are skipped,
+    as their span holds K's, they need no fewer nodes or networks, and a
+    reconstructing set never counts towards a failure threshold.
     """
     nets = topology.networks
     degree = max(net.inner_degree for net in nets)
@@ -537,22 +547,38 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
         quorums.append(held)
     kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
     rows = [constant_functional(topology, net.id) for net in nets]
+    q = topology.modulus
     mother = 1 << topology.mother_index
     daughters = (1 << len(nets)) - 1 - mother
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_fail = t_f0 = t_f1 = topology.total_nodes() + 1
-    for known in range(1 << len(nets)):
-        inside = [i for i in range(len(nets)) if known >> i & 1]
-        if _outer_weights(topology, [rows[i] for i in inside]) is not None:
-            t_nodes = min(t_nodes, sum(quorums[i] for i in inside))
-            t_networks = min(t_networks, len(inside))
-            continue
-        cost = sum(kill) - sum(kill[i] for i in inside)
+    pivots: list = []  # the echelon basis of the set being visited
+
+    def visit(known: int, size: int, held: int, cost: int,
+              secret: Sequence[int]) -> None:
+        """Count the non-reconstructing set `known` (|K| = size, held and
+        cost its node counts), then walk its supersets that add networks
+        above its highest; `secret` is its remainder."""
+        nonlocal t_networks, t_nodes, t_fail, t_f0, t_f1
         t_fail = min(t_fail, cost)
         if known & daughters == daughters:
             t_f0 = min(t_f0, cost)
         if known & mother:
             t_f1 = min(t_f1, cost)
+        for i in range(known.bit_length(), len(nets)):
+            added = echelon_insert(pivots, rows[i], (), q) is None
+            rest = (echelon_reduce(pivots[-1:], secret, (), q)[0] if added
+                    else secret)
+            if any(rest):
+                visit(known | 1 << i, size + 1, held + quorums[i],
+                      cost - kill[i], rest)
+            else:
+                t_nodes = min(t_nodes, held + quorums[i])
+                t_networks = min(t_networks, size + 1)
+            if added:
+                pivots.pop()
+
+    visit(0, 0, 0, sum(kill), [1] + [0] * topology.outer_degree)
     if t_nodes > topology.total_nodes():
         raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,

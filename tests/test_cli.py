@@ -157,10 +157,25 @@ def _encode(doc) -> bytes:
 
 
 def _hex_value(text):
-    try:
+    """The value of `text` under the documented hex grammar (lowercase, no
+    leading zero, "0" for zero), else None."""
+    if re.fullmatch(r"0|[1-9a-f][0-9a-f]*", text):
         return int(text, 16)
-    except ValueError:
-        return None
+    return None
+
+
+# Spellings of the lowercase hex `text` that int(text, 16) reads as the
+# same value, and that the file formats reject.
+NONCANONICAL_HEX = {
+    "space": lambda v: f" {v}\n",
+    "0x": lambda v: f"0x{v}",
+    "uppercase": lambda v: v.upper(),
+    "plus": lambda v: f"+{v}",
+    "underscore": lambda v: f"{v[0]}_{v[1:]}",
+    "leading-zero": lambda v: f"0{v}",
+    "non-ascii-digit": lambda v: v.translate(
+        {ord(d): ord("\u0660") + int(d) for d in "0123456789"}),
+}
 
 
 def malformed_share_files(share):
@@ -350,6 +365,32 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
 
+
+    @pytest.mark.parametrize("spell", NONCANONICAL_HEX.values(),
+                             ids=NONCANONICAL_HEX.keys())
+    @pytest.mark.parametrize("field", ["values", "modulus"])
+    def test_noncanonical_hex_exit2(self, workspace, field, spell):
+        # The same value in a spelling int(text, 16) would accept.
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        path = out / "d1_001.share.json"
+        data = json.loads(path.read_text())
+        if field == "values":
+            index = next(i for i, v in enumerate(data["values"])
+                         if len(v) > 1 and set(v) & set("0123456789")
+                         and set(v) & set("abcdef"))
+            data["values"][index] = spell(data["values"][index])
+            text = data["values"][index]
+        else:
+            data["modulus"] = text = spell("7" + "f" * 31)
+        assert format(int(text, 16), "x") != text
+        path.write_text(json.dumps(data))
+        before = snapshot(out)
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 2
+        assert not (tmp / "r.bin").exists()
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 2
+        assert snapshot(out) == before
 
     def test_one_corrupted_value_exit2(self, tmp_path, capsys):
         # d1 has three nodes and quorum two; one value of node 1 plus one
@@ -978,6 +1019,44 @@ class TestSimulate:
         assert dest.read_bytes() == secret.read_bytes()
 
 
+class TestUnwritableOutput:
+    SCENARIO = ROOT / "docs" / "examples" / "scenario.json"
+
+    @pytest.mark.parametrize("case", [
+        "deal-out-is-a-file", "reconstruct-out-is-a-directory",
+        "reconstruct-out-is-cwd", "reconstruct-out-parent-missing",
+        "simulate-report-dir-missing", "simulate-state-dir-missing"])
+    def test_exit2(self, workspace, capsys, monkeypatch, case):
+        tmp, topo, secret = workspace
+        shares = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", shares, "--seed", "1"]) == 0
+        monkeypatch.chdir(tmp)
+        missing = tmp / "missing" / "out"
+        rebuild = ["reconstruct", "--topology", topo, "--shares", shares,
+                   "--out"]
+        argv = {
+            "deal-out-is-a-file": ["deal", "--topology", topo, "--secret",
+                                   secret, "--out", secret],
+            "reconstruct-out-is-a-directory": rebuild + [shares],
+            "reconstruct-out-is-cwd": rebuild + ["."],
+            "reconstruct-out-parent-missing": rebuild + [missing],
+            "simulate-report-dir-missing": ["simulate", "--scenario",
+                                            self.SCENARIO, "--report",
+                                            missing],
+            "simulate-state-dir-missing": ["simulate", "--scenario",
+                                           self.SCENARIO, "--report",
+                                           tmp / "r.json", "--state",
+                                           missing],
+        }[case]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "error: cannot " in capsys.readouterr().err
+        # No partial output is left behind.
+        assert not list(tmp.rglob("*.tmp"))
+        assert not missing.parent.exists()
+
+
 class TestDocumentedExamples:
     """The documented formats load through the same code the CLI uses."""
 
@@ -1267,10 +1346,14 @@ class TestMalformedJson:
         lambda t: _replace(t, ["format_version"], 1.0),
         lambda t: _replace(t, ["networks", 0, "mother"], 1),
         lambda t: _replace(t, ["networks", 1, "mother"], None),
+        *(lambda t, spell=spell: _replace(t, ["modulus"],
+                                          spell(t["modulus"]))
+          for spell in NONCANONICAL_HEX.values()),
     ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
             "node_count-inf", "deep", "node_count-float", "node_count-str",
             "inner_degree-float", "outer_degree-bool", "format_version-float",
-            "mother-int", "mother-null"])
+            "mother-int", "mother-null",
+            *(f"modulus-{name}" for name in NONCANONICAL_HEX)])
     def test_topology_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "topology.json").read_text())
         path = tmp_path / "t.json"

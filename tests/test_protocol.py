@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
-from multishare import protocol
+from multishare import field, protocol
 from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
                               is_probable_prime)
 from multishare.poly import derivative_coeffs, horner, random_coeff_columns
@@ -76,6 +76,45 @@ def dense_thresholds(topology):
         t_fail=min(map(disabled, bad)),
         t_f0=min(disabled(c) for c in bad if daughters_full(c)),
         t_f1=min(disabled(c) for c in bad if c[mother] == ns[mother]))
+
+
+def plain_walk_thresholds(topology):
+    """Reference for compute_thresholds_exhaustive's pruned walk: every
+    one of the 2^L sets of known networks, each decided by its own outer
+    solve, with the quorums found as the walk finds them."""
+    nets = topology.networks
+    know = protocol.AdversaryKnowledge(topology)
+    quorums = []
+    for net in nets:
+        held = 0
+        while net.id not in know.known_networks():
+            held += 1
+            know.add("share", net.id, held, 0, ())
+        quorums.append(held)
+    kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
+    rows = [protocol.constant_functional(topology, net.id) for net in nets]
+    ok, bad = [], []
+    for known in range(1 << len(nets)):
+        inside = [i for i in range(len(nets)) if known >> i & 1]
+        if protocol._outer_weights(topology,
+                                   [rows[i] for i in inside]) is not None:
+            ok.append(inside)
+        else:
+            bad.append((set(inside), sum(kill) - sum(kill[i]
+                                                     for i in inside)))
+    mother = topology.mother_index
+    daughters = set(range(len(nets))) - {mother}
+    return Thresholds(
+        t_networks=min(map(len, ok)),
+        t_nodes=min(sum(quorums[i] for i in inside) for inside in ok),
+        t_fail=min(cost for _, cost in bad),
+        t_f0=min(cost for inside, cost in bad if daughters <= inside),
+        t_f1=min(cost for inside, cost in bad if mother in inside))
+
+
+def twelve_networks(outer):
+    """12 networks of 12 nodes and inner degree 3: the exhaustive bound."""
+    return build_topology(outer, [(12, 3)] * 12, q=DEFAULT_MODULUS)
 
 
 class TestTopology:
@@ -352,6 +391,45 @@ class TestThresholdExhaustive:
             t = build_topology(outer, nets)
             assert compute_thresholds_exhaustive(t) == dense_thresholds(t), (
                 outer, nets)
+
+    @pytest.mark.parametrize("q", [257, 5, 7, 11, 13])
+    def test_matches_plain_walk(self, q):
+        # Every enumerated small topology that is valid at q (all 5,346
+        # at 257), over fields small enough for derivative points to
+        # collide.
+        checked = 0
+        for outer, nets in enumerate_specs():
+            try:
+                t = build_topology(outer, nets, q)
+            except ValueError:
+                continue
+            assert compute_thresholds_exhaustive(t) == \
+                plain_walk_thresholds(t), (q, outer, nets)
+            checked += 1
+        assert checked == 5346 if q == 257 else checked > 0
+
+    @pytest.mark.parametrize("outer", [1, 3, 6, 11])
+    def test_matches_plain_walk_at_network_bound(self, outer):
+        t = twelve_networks(outer)
+        assert len(t.networks) == protocol.EXHAUSTIVE_NETWORK_BOUND
+        assert compute_thresholds_exhaustive(t) == plain_walk_thresholds(t)
+
+    @pytest.mark.parametrize("outer", [1, 6, 11])
+    def test_work_bound(self, monkeypatch, outer):
+        # Eliminations, quorum discovery included, stay within 3 per set
+        # of known networks; one outer solve per set would take 28,720.
+        calls = 0
+        real = field.echelon_reduce
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(field, "echelon_reduce", counting)
+        monkeypatch.setattr(protocol, "echelon_reduce", counting)
+        compute_thresholds_exhaustive(twelve_networks(outer))
+        assert 0 < calls <= 3 * 2**12
 
     def test_capacity_bound(self):
         # One network more than the subset walk's bound, and an inner
