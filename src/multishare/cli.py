@@ -82,25 +82,50 @@ def _share_path(out_dir: Path, share: NodeShare) -> Path:
     return out_dir / f"{share.network_id}_{share.node_index:03d}.share.json"
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file and os.replace, so
-    that a failed write leaves no partial file; exit 2 when it fails."""
+def _discard(path: Optional[Path]) -> None:
+    """Delete `path`, if there is one, as cleanup: errors are ignored."""
+    if path is not None:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
+def _stage(path: Path, data: bytes) -> Path:
+    """Write `data` to a temporary file beside `path` and return its path;
+    exit 2, leaving no partial file, when it cannot be written."""
     tmp = None
     try:
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(data)
-        os.replace(tmp, path)
     except (OSError, ValueError) as exc:  # ValueError: a path like "."
-        if tmp is not None:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        _discard(tmp)
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
+    return tmp
+
+
+def _commit(tmp: Path, path: Path) -> None:
+    """os.replace the file _stage wrote over `path`; exit 2 when it
+    fails."""
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        _discard(tmp)
         raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file and os.replace, so
+    that a failed write leaves no partial file; exit 2 when it fails."""
+    _commit(_stage(path, data), path)
+
+
+def _json_line(obj) -> bytes:
+    return formats.canonical_json(obj) + b"\n"
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, formats.canonical_json(obj) + b"\n")
+    _write_atomic(path, _json_line(obj))
 
 
 def _fsync(path: Path) -> None:
@@ -112,8 +137,8 @@ def _fsync(path: Path) -> None:
         os.close(fd)
 
 
-def _write_synced(path: Path, obj) -> None:
-    path.write_bytes(formats.canonical_json(obj) + b"\n")
+def _write_synced(path: Path, data: bytes) -> None:
+    path.write_bytes(data)
     _fsync(path)
 
 
@@ -190,8 +215,8 @@ def cmd_deal(args) -> int:
     dealt = deal(chunks, topology, _rng(args.seed))
     for shares in dealt.values():
         for share in shares:
-            _write_json(_share_path(out_dir, share),
-                        formats.share_to_dict(share, topology.modulus))
+            _write_atomic(_share_path(out_dir, share),
+                          formats.share_bytes(share, topology.modulus))
     _write_json(out_dir / MANIFEST,
                 formats.manifest_dict(topology, len(chunks), 0, []))
     total = sum(len(v) for v in dealt.values())
@@ -250,20 +275,17 @@ def cmd_refresh(args) -> int:
             updated = apply_node_refresh(share, delta, q)
             del share, delta
             moves.append((_staged(path, epoch + 1), path))
-            _write_synced(moves[-1][0], formats.share_to_dict(updated, q))
+            _write_synced(moves[-1][0], formats.share_bytes(updated, q))
             del updated
         stale = [f"{net.id}/{d.node_index}" for net in topology.networks
                  for d in deltas[net.id] if d is not None]
         _fsync(share_dir)
-        _write_synced(staged_manifest, formats.manifest_dict(
-            topology, chunk_count, epoch + 1, stale))
+        _write_synced(staged_manifest, _json_line(formats.manifest_dict(
+            topology, chunk_count, epoch + 1, stale)))
         os.replace(staged_manifest, manifest)  # the commit
     except BaseException as exc:
         for staged in [s for s, _ in moves] + [staged_manifest]:
-            try:
-                staged.unlink(missing_ok=True)
-            except OSError:
-                pass
+            _discard(staged)
         if isinstance(exc, OSError):
             raise CliError(EXIT_INPUT, f"refresh failed, no file changed: "
                                        f"{exc}") from exc
@@ -326,13 +348,18 @@ def cmd_simulate(args) -> int:
     report = run_scenario(scenario, seed=args.seed, sim=sim)
     report_path = Path(args.report) if args.report else \
         Path(args.scenario).with_suffix(".report.json")
-    _write_json(report_path, report)
+    # The report is staged before the state is saved and takes its name
+    # after, so that a run whose state cannot be saved leaves no report
+    # and any earlier state file as it was.
+    staged_report = _stage(report_path, _json_line(report))
     if args.state:
         try:
             sim.save_state(args.state)
         except OSError as exc:
+            _discard(staged_report)
             raise CliError(EXIT_INPUT, f"cannot write state {args.state}: "
                                        f"{exc}")
+    _commit(staged_report, report_path)
     print(f"adversary: {report['adversary_verdict']}")
     print(f"owner available: {report['owner_available']}")
     print(f"epoch: {report['epoch']}")

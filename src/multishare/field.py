@@ -10,6 +10,9 @@ synchronization.
 from __future__ import annotations
 
 import random
+import struct
+from itertools import repeat
+from operator import add, and_, mod, mul
 from typing import List, Optional, Sequence, Tuple
 
 # Mersenne prime 2^127 - 1: fast reduction, comfortably above any chunk value.
@@ -77,18 +80,25 @@ def random_ints(modulus: int, count: int, rng,
     when below the modulus (and nonzero, if asked), so no value carries
     modulo bias; rejected words are topped up by the next block. With
     crypto_rng the block is os.urandom: nothing expands the entropy.
+
+    A block is split by one struct.unpack and converted and masked by
+    C-level maps; when its least and greatest words are in range, as
+    almost always at 2^127 - 1, it is kept whole.
     """
     bits = modulus.bit_length()
     width = (bits + 7) // 8
     mask = (1 << bits) - 1
     low = 1 if nonzero else 0
-    from_bytes = int.from_bytes
     out: List[int] = []
     while len(out) < count:
-        block = rng.randbytes(min(count - len(out), BLOCK_WORDS) * width)
-        out += [v for i in range(0, len(block), width)
-                if low <= (v := from_bytes(block[i:i + width], "little")
-                           & mask) < modulus]
+        n = min(count - len(out), BLOCK_WORDS)
+        words = struct.unpack(f"{width}s" * n, rng.randbytes(n * width))
+        block = list(map(and_, map(int.from_bytes, words, repeat("little")),
+                         repeat(mask)))
+        if low <= min(block) and max(block) < modulus:
+            out += block
+        else:
+            out += [v for v in block if low <= v < modulus]
     return out
 
 
@@ -96,21 +106,23 @@ def weighted_column_sum(weights: Sequence[int],
                         columns: Sequence[Sequence[int]], q: int) -> List[int]:
     """Entry-wise sum of weights[k] * columns[k], mod q.
 
-    Columns all have one length. Each column with a nonzero weight costs
-    one pass, and the sum is reduced once, in the last pass.
+    Columns all have one length. One pass of C-level maps over every
+    column with a nonzero weight, reduced once at the end. A weight w
+    multiplies as its signed representative (w - q when 2w > q), so
+    interpolation weights such as 2 and -1 stay small ints.
     """
-    terms = [(w % q, col) for w, col in zip(weights, columns) if w % q]
+    terms = []
+    for w, col in zip(weights, columns):
+        w %= q
+        if w:
+            w = w - q if 2 * w > q else w
+            terms.append(col if w == 1 else map(mul, col, repeat(w)))
     if not terms:
         return [0] * len(columns[0])
-    if len(terms) == 1:
-        w, col = terms[0]
-        return [w * c % q for c in col]
-    (w, acc), *middle, (w_last, last) = terms
-    if w != 1:
-        acc = [w * c for c in acc]
-    for w, col in middle:
-        acc = [a + w * c for a, c in zip(acc, col)]
-    return [(a + w_last * c) % q for a, c in zip(acc, last)]
+    acc, *rest = terms
+    for term in rest:
+        acc = map(add, acc, term)
+    return list(map(mod, acc, repeat(q)))
 
 
 def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],

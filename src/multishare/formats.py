@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import repeat
 from typing import Dict, List
 
 from .errors import CorruptData
@@ -73,7 +74,7 @@ def _parse_hex(texts: List[str]) -> List[int]:
                 or _LEADING_ZERO.search(joined)):
             raise CorruptData("a hex value is not lowercase hex without "
                               "leading zeros")
-    return [int(v, 16) for v in texts]
+    return list(map(int, texts, repeat(16)))
 
 
 def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
@@ -117,7 +118,8 @@ def topology_digest(topology: Topology) -> str:
         canonical_json(topology_to_dict(topology))).hexdigest()
 
 
-def share_to_dict(share: NodeShare, modulus: int) -> dict:
+def _share_header(share: NodeShare, modulus: int) -> dict:
+    """Every field of a share file but its values."""
     return {
         "format_version": FORMAT_VERSION,
         "modulus": format(modulus, "x"),
@@ -125,8 +127,27 @@ def share_to_dict(share: NodeShare, modulus: int) -> dict:
         "node_index": share.node_index,
         "epoch": share.epoch,
         "chunk_count": len(share.values),
-        "values": [f"{v:x}" for v in share.values],
     }
+
+
+def share_to_dict(share: NodeShare, modulus: int) -> dict:
+    return {**_share_header(share, modulus),
+            "values": [f"{v:x}" for v in share.values]}
+
+
+def share_bytes(share: NodeShare, modulus: int) -> bytes:
+    """The share file: canonical_json(share_to_dict(share, modulus)) and a
+    newline, built without a string object per value.
+
+    "values" sorts after every header key, so canonical JSON of the header
+    with an empty "values" list ends in `[]}`; the hex values are spliced
+    into that list by one printf-style pass over the value tuple.
+    """
+    head = canonical_json({**_share_header(share, modulus), "values": []})
+    n = len(share.values)
+    template = (head[:-2].decode().replace("%", "%%")
+                + ('"%x' + '","%x' * (n - 1) + '"' if n else "") + "]}\n")
+    return (template % tuple(share.values)).encode()
 
 
 def share_from_dict(data: dict, modulus: int) -> NodeShare:

@@ -13,14 +13,16 @@ either the secret is determined or its posterior is uniform.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
-from .field import (DEFAULT_MODULUS, echelon_insert, echelon_reduce,
-                    express_over_rows, is_probable_prime,
+from .field import (BLOCK_WORDS, DEFAULT_MODULUS, echelon_insert,
+                    echelon_reduce, express_over_rows, is_probable_prime,
                     weighted_column_sum)
 from .poly import (birkhoff_matrix_row, hierarchical_split_ints,
                    lagrange_zero_weights, split_ints)
@@ -328,8 +330,8 @@ def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
     if len(share.values) != len(delta.values):
         raise ValueError("chunk count mismatch")
     return replace(share, epoch=share.epoch + 1,
-                   values=tuple([(a + b) % modulus for a, b in
-                                 zip(share.values, delta.values)]))
+                   values=tuple(weighted_column_sum(
+                       (1, 1), (share.values, delta.values), modulus)))
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +602,21 @@ def chunk_size(modulus: int) -> int:
 def encode_secret(data: bytes, modulus: int = DEFAULT_MODULUS
                   ) -> List[int]:
     """Length-prefix then split into fixed-size blocks, one chunk value per
-    block."""
+    block. Up to BLOCK_WORDS blocks are split by one struct.unpack_from
+    and converted by a C-level map."""
     block = chunk_size(modulus)
     if len(data) >= 2**32:
         raise ValueError("secret too large for the length header")
-    framed = len(data).to_bytes(LENGTH_HEADER, "big") + data
-    pad = (-len(framed)) % block
-    framed += b"\x00" * pad
-    return [int.from_bytes(framed[i:i + block], "big")
-            for i in range(0, len(framed), block)]
+    header = len(data).to_bytes(LENGTH_HEADER, "big")
+    pad = (-(LENGTH_HEADER + len(data))) % block
+    framed = b"".join((header, data, b"\x00" * pad))
+    count = len(framed) // block
+    chunks: List[int] = []
+    for i in range(0, count, BLOCK_WORDS):
+        n = min(count - i, BLOCK_WORDS)
+        words = struct.unpack_from(f"{block}s" * n, framed, i * block)
+        chunks += map(int.from_bytes, words, repeat("big"))
+    return chunks
 
 
 def decode_secret(chunks: Sequence[int], modulus: int) -> bytes:
@@ -616,16 +624,18 @@ def decode_secret(chunks: Sequence[int], modulus: int) -> bytes:
         raise CorruptData("no chunks")
     block = chunk_size(modulus)
     raw = bytearray()
-    for c in chunks:
-        if c >> (8 * block):
-            raise CorruptData("chunk value out of range")
-        raw += c.to_bytes(block, "big")
+    try:
+        for i in range(0, len(chunks), BLOCK_WORDS):
+            raw += b"".join(map(int.to_bytes, chunks[i:i + BLOCK_WORDS],
+                                repeat(block), repeat("big")))
+    except OverflowError:  # a chunk of more than `block` bytes
+        raise CorruptData("chunk value out of range") from None
     if len(raw) < LENGTH_HEADER:
         raise CorruptData("truncated chunk stream")
     length = int.from_bytes(raw[:LENGTH_HEADER], "big")
-    body = raw[LENGTH_HEADER:]
-    if length > len(body):
+    end = LENGTH_HEADER + length
+    if end > len(raw):
         raise CorruptData("declared length exceeds payload")
-    if any(body[length:]):
+    if raw.count(0, end) != len(raw) - end:
         raise CorruptData("nonzero padding")
-    return bytes(body[:length])
+    return bytes(raw[LENGTH_HEADER:end])

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import re
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import formats, protocol
@@ -27,6 +30,10 @@ from .protocol import (Access, AdversaryKnowledge, FunctionalSpace,
 
 STATE_MAGIC = b"MSS1"
 STATE_VERSION = 2
+
+# A scenario's secret_hex: lowercase hex, two digits a byte (bytes.fromhex
+# alone would also take spaces, a newline and upper case).
+_SECRET_HEX = re.compile("(?:[0-9a-f]{2})*")
 
 EVENT_KINDS = frozenset({
     "deal", "refresh", "compromise_network", "compromise_node",
@@ -59,7 +66,12 @@ class Scenario:
         try:
             topology = topology_from_dict(data["topology"])
             protocol.chunk_size(topology.modulus)  # ValueError below 2^16
-            secret = bytes.fromhex(data["secret_hex"])
+            secret_hex = data["secret_hex"]
+            if not (isinstance(secret_hex, str)
+                    and _SECRET_HEX.fullmatch(secret_hex)):
+                raise ValueError("secret_hex must be lowercase hex of even "
+                                 "length")
+            secret = bytes.fromhex(secret_hex)
             schedule = tuple(data["schedule"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scenario: {exc}") from exc
@@ -394,9 +406,22 @@ class Simulation:
         return sim
 
     def save_state(self, path) -> None:
+        """Write the state file through a temporary file beside it and
+        os.replace, so that a failed write leaves an earlier state file as
+        it was."""
         payload = canonical_json(self.to_state())
-        with open(path, "wb") as fh:
-            fh.write(STATE_MAGIC + struct.pack(">Q", len(payload)) + payload)
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_bytes(
+                STATE_MAGIC + struct.pack(">Q", len(payload)) + payload)
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
+            raise
 
 
 def load_state(path) -> Simulation:

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import re
@@ -971,6 +972,46 @@ class TestSimulate:
         path.write_text('{"schedule": [{"event": "??"}]}')
         assert run(["simulate", "--scenario", path]) == 2
 
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["cleanup", "crash"])
+    def test_fault_at_every_write(self, tmp_path, monkeypatch, capsys,
+                                  crash):
+        # The report is staged, the state written and replaced, and then
+        # the report replaced. A failure at any of the first three exits 2
+        # with no report and the earlier state byte-identical; one at the
+        # last comes after the state's commit.
+        examples = ROOT / "docs" / "examples"
+        state, report = tmp_path / "w.state", tmp_path / "r.json"
+        assert run(["simulate", "--scenario", examples / "scenario.json",
+                    "--seed", "3", "--state", state, "--report",
+                    tmp_path / "first.json"]) == 0
+        earlier = state.read_bytes()
+        more = json.loads((examples / "scenario.json").read_text())
+        more["schedule"] = [
+            {"event": "refresh"},
+            {"event": "compromise_node", "network": "d1", "node": 1},
+            {"event": "attempt_reconstruct", "actor": "adversary"}]
+        scenario = tmp_path / "more.json"
+        scenario.write_text(json.dumps(more))
+        argv = ["simulate", "--scenario", scenario, "--seed", "4",
+                "--state", state, "--report", report]
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, argv) == 0
+        assert probe.log == ["write", "write", "replace", "replace"]
+        later = state.read_bytes()
+        assert later != earlier
+        for k in range(1, len(probe.log) + 1):
+            state.write_bytes(earlier)
+            report.unlink(missing_ok=True)
+            capsys.readouterr()
+            assert FaultyFiles(k, crash).run(monkeypatch, argv) == 2, k
+            assert "error: cannot write" in capsys.readouterr().err
+            assert not report.exists(), k
+            assert state.read_bytes() == (earlier if k < 4 else later), k
+            if not crash:
+                assert sorted(p.name for p in tmp_path.iterdir()) == [
+                    "first.json", "more.json", "w.state"], k
+
     def test_benchmark_tracer_attaches(self, tmp_path):
         # The benchmark's tracer wraps functions by module attribute name;
         # a renamed attribute makes it fail here rather than only in a
@@ -1055,6 +1096,75 @@ class TestUnwritableOutput:
         # No partial output is left behind.
         assert not list(tmp.rglob("*.tmp"))
         assert not missing.parent.exists()
+
+
+class TestGoldenOutput:
+    """Seeded output is pinned byte for byte, so a change to the draw order
+    or to the share codec fails here. The digests were recorded before the
+    share writer, the draws, the column sums and the secret framing were
+    rewritten as C-level loops."""
+
+    # 200,000 bytes: 13,334 chunks, more than three draw blocks per column.
+    SECRET = hashlib.shake_256(b"multishare golden").digest(200_000)
+    SHARE_DIR = {
+        "d1_001.share.json":
+            "375a23716d5a124a028e82824d111ba5d391883e9c274abb8d8db89e701892d7",
+        "d1_002.share.json":
+            "03ed5bb27447b8ba543631a752896a46f9a9f56d6696e8ef00fab3a139f4d735",
+        "d1_003.share.json":
+            "344b2c8db2d452fd01a067ca59dfb8fbef6805527c1a109ac4c13764476491a7",
+        "d2_001.share.json":
+            "756ba2e200e76a874e3ec5b4b8c9ba87506c785d43adbc2ccae9feefbb8b3969",
+        "d2_002.share.json":
+            "fe079b9309eb73f1a87b58495c9c7324d952081ecc4a94d4568c0abd8b4a7e84",
+        "d2_003.share.json":
+            "5fb99130e9afa4accfb9e210b4cb94465f6058a1aa5fcaa36567bd1999e5aaa0",
+        "m_001.share.json":
+            "9f05ed35494f341ee1f1644315e385b0a46b447831c4b6760bb401f3c0dae5a1",
+        "m_002.share.json":
+            "d8d88b06bb6c03052a21b83cecf0bdd05408bd86ebb32ff49d3a53259a0df07b",
+        "m_003.share.json":
+            "8eff7b345b49938d9f38d7c7577e2a08c8091946725d21471dd107c51db61ce5",
+        "manifest.json":
+            "ad9e49c2dd7a8abd3c20f38b1b5a568649066b8b43931c63c9162b82f2dc40ce",
+    }
+    RECONSTRUCTED = (
+        "d00328c552c71961af61bfda0ec83b27b8018038e54d00349ac265778e0d5a58")
+    SIMULATE = {
+        "report.json":
+            "47e7438aaf81d56437cd389c7dd6f3d055f7b46f4e39a2df7601eef968fbbe37",
+        "world.state":
+            "ed4f0a0d9aad350260292c8810f6c753b38d2d4b1e6e1736ce972aa1808cc452",
+    }
+
+    @staticmethod
+    def digests(directory: Path) -> dict:
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(directory.iterdir())}
+
+    def test_deal_refresh_reconstruct(self, tmp_path):
+        topology = ROOT / "docs" / "examples" / "topology.json"
+        secret, shares = tmp_path / "secret.bin", tmp_path / "shares"
+        secret.write_bytes(self.SECRET)
+        assert run(["deal", "--topology", topology, "--secret", secret,
+                    "--out", shares, "--seed", "1"]) == 0
+        assert run(["refresh", "--topology", topology, "--shares", shares,
+                    "--seed", "2"]) == 0
+        assert self.digests(shares) == self.SHARE_DIR
+        out = tmp_path / "out.bin"
+        assert run(["reconstruct", "--topology", topology, "--shares",
+                    shares, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.RECONSTRUCTED
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["simulate", "--scenario",
+                    ROOT / "docs" / "examples" / "scenario.json",
+                    "--seed", "3", "--state", out / "world.state",
+                    "--report", out / "report.json"]) == 0
+        assert self.digests(out) == self.SIMULATE
 
 
 class TestDocumentedExamples:
@@ -1187,11 +1297,9 @@ def malformed_scenarios(scenario):
         return lambda v: _replace(scenario, path, v)
 
     def not_hex(value):
-        try:
-            bytes.fromhex(value)
-            return False
-        except (TypeError, ValueError):
-            return True
+        # The documented grammar: lowercase hex, two digits a byte.
+        return not (isinstance(value, str)
+                    and re.fullmatch("(?:[0-9a-f]{2})*", value))
 
     schedule = scenario["schedule"]
     ids = [n["id"] for n in scenario["topology"]["networks"]]
@@ -1377,9 +1485,17 @@ class TestMalformedJson:
         lambda s: {**s, "schedule": [
             {"event": "compromise_node", "network": "m", "node": 1},
             {"event": "refresh"}, {"event": "deal"}]},
+        # Spellings bytes.fromhex takes but the hex grammar does not.
+        lambda s: {**s, "secret_hex": " ".join(
+            s["secret_hex"][i:i + 2]
+            for i in range(0, len(s["secret_hex"]), 2))},
+        lambda s: {**s, "secret_hex": s["secret_hex"] + "\n"},
+        lambda s: {**s, "secret_hex": s["secret_hex"].upper()},
+        lambda s: {**s, "secret_hex": s["secret_hex"] + "a"},
     ], ids=["modulus-257", "event-list", "node-inf", "deep", "node-float",
             "node-str", "node-bool", "topology-node_count-float",
-            "refresh-before-deal"])
+            "refresh-before-deal", "secret_hex-spaces", "secret_hex-newline",
+            "secret_hex-upper", "secret_hex-odd-length"])
     def test_scenario_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "scenario.json").read_text())
         path = tmp_path / "s.json"

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import reference
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, crypto_rng,
                               deterministic_rng, echelon_insert,
                               express_over_rows, is_probable_prime,
@@ -263,3 +264,80 @@ class TestEchelon:
                 assert got == want
             assert ([(c, r + [0] * (5 - len(r)), p) for c, r, p in ragged]
                     == padded)
+
+
+class TestKernelsMatchReference:
+    """The C-level draw and column sum against the per-value loops they
+    replaced (tests/reference.py): same values, same words consumed."""
+
+    MODULI = [2, 7, 257, 65537, DEFAULT_MODULUS]
+
+    @pytest.mark.parametrize("nonzero", [False, True])
+    @pytest.mark.parametrize("q", MODULI)
+    def test_random_ints(self, q, nonzero):
+        for count in (0, 1, 5, BLOCK_WORDS - 1, BLOCK_WORDS,
+                      BLOCK_WORDS + 1, 3 * BLOCK_WORDS + 7):
+            fast, slow = deterministic_rng(count), deterministic_rng(count)
+            got = random_ints(q, count, fast, nonzero=nonzero)
+            assert got == reference.random_ints(q, count, slow,
+                                                nonzero=nonzero)
+            assert len(got) == count
+            assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("nonzero", [False, True])
+    @pytest.mark.parametrize("word, rejected", [
+        (b"\xff" * 16, "always"),               # masks to 2^127 - 1 = q
+        (b"\x00" * 15 + b"\x80", "nonzero"),    # masks to 0
+    ])
+    def test_random_ints_rejected_word(self, word, rejected, nonzero):
+        # One word of a full 2^127 - 1 block is forced out of range, so
+        # that block is filtered word by word and topped up by the next.
+        q, at = DEFAULT_MODULUS, BLOCK_WORDS // 3
+
+        class Rigged:
+            def __init__(self):
+                self.rng, self.sizes = deterministic_rng(9), []
+
+            def randbytes(self, n):
+                block = bytearray(self.rng.randbytes(n))
+                if not self.sizes:
+                    block[16 * at:16 * (at + 1)] = word
+                self.sizes.append(n // 16)
+                return bytes(block)
+
+        count = BLOCK_WORDS + 10
+        fast, slow = Rigged(), Rigged()
+        got = random_ints(q, count, fast, nonzero=nonzero)
+        assert got == reference.random_ints(q, count, slow, nonzero=nonzero)
+        dropped = rejected == "always" or nonzero
+        # The words either side of the forced one stay in order.
+        plain = deterministic_rng(9).randbytes(16 * BLOCK_WORDS)
+        assert got[at - 1] == int.from_bytes(
+            plain[16 * (at - 1):16 * at], "little") & q
+        assert got[at] == (int.from_bytes(
+            plain[16 * (at + 1):16 * (at + 2)], "little") & q if dropped
+            else 0)
+        # A dropped word costs one more word in the second block.
+        assert fast.sizes == slow.sizes == [BLOCK_WORDS, 10 + dropped]
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_weighted_column_sum(self, q):
+        weights = sorted({0, 1, -1, q - 1, (q - 1) // 2, (q + 1) // 2})
+        for n in (1, 2, 3):
+            # Every combination of 0 and q - 1 across the n columns.
+            rows = list(itertools.product([0, q - 1], repeat=n))
+            columns = [list(col) for col in zip(*rows)]
+            for ws in itertools.product(weights, repeat=n):
+                assert (weighted_column_sum(ws, columns, q)
+                        == reference.weighted_column_sum(ws, columns, q))
+
+    def test_weighted_column_sum_random(self):
+        rng = random.Random(5)
+        for q in self.MODULI:
+            columns = [tuple(rng.randrange(q) for _ in range(50))
+                       for _ in range(4)]
+            for _ in range(50):
+                ws = [rng.choice([0, 1, -1, q - 1, rng.randrange(-q, 2 * q)])
+                      for _ in columns]
+                assert (weighted_column_sum(ws, columns, q)
+                        == reference.weighted_column_sum(ws, columns, q))

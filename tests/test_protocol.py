@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
 from multishare import field, protocol
-from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
-                              is_probable_prime)
+from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
+                              deterministic_rng, is_probable_prime)
 from multishare.poly import derivative_coeffs, horner, random_coeff_columns
 from multishare.protocol import (Access, FunctionalSpace, LinkKind,
                                  NetworkSpec, NodeShare, Thresholds, Topology,
@@ -720,6 +721,63 @@ class TestChunking:
     def test_truncated_rejected(self):
         with pytest.raises(CorruptData):
             decode_secret([], 2**127 - 1)
+
+
+def _outcome(f, *args):
+    """f(*args), or the CorruptData it raises, as a comparable value."""
+    try:
+        return f(*args)
+    except CorruptData as exc:
+        return ("CorruptData", str(exc))
+
+
+class TestChunkingMatchesReference:
+    """encode_secret / decode_secret, one struct.unpack_from or one joined
+    map per BLOCK_WORDS chunks, against the per-chunk loops they replaced
+    (tests/reference.py)."""
+
+    @pytest.mark.parametrize("q", [65537, 2**61 - 1, DEFAULT_MODULUS])
+    def test_round_trip_at_block_edges(self, q):
+        block = protocol.chunk_size(q)
+        rng = deterministic_rng(12)
+        for chunks in (3, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1):
+            # The shortest and the longest secret of that many chunks.
+            for size in (block * (chunks - 1) - protocol.LENGTH_HEADER + 1,
+                         block * chunks - protocol.LENGTH_HEADER):
+                data = rng.randbytes(size)
+                got = encode_secret(data, q)
+                assert got == reference.encode_secret(data, q)
+                assert len(got) == chunks
+                assert decode_secret(got, q) == data
+                assert reference.decode_secret(got, q) == data
+
+    def test_empty_secret(self):
+        q = DEFAULT_MODULUS
+        assert encode_secret(b"", q) == reference.encode_secret(b"", q) == [0]
+        assert decode_secret([0], q) == b""
+
+    @pytest.mark.parametrize("at", [0, 1, BLOCK_WORDS - 1, BLOCK_WORDS,
+                                    BLOCK_WORDS + 1])
+    def test_out_of_range_chunk(self, at):
+        q = DEFAULT_MODULUS
+        chunks = encode_secret(bytes(15 * (BLOCK_WORDS + 1)), q)
+        for bad in (2**120, 2**127 - 2, -1):
+            corrupt = chunks[:at] + [bad] + chunks[at + 1:]
+            with pytest.raises(CorruptData, match="out of range"):
+                decode_secret(corrupt, q)
+            assert (_outcome(decode_secret, corrupt, q)
+                    == _outcome(reference.decode_secret, corrupt, q))
+
+    def test_malformed_streams(self):
+        # Every kind of bad chunk stream fails as the reference does.
+        q = 65537
+        good = encode_secret(b"abcdefg", q)
+        streams = [[], [0], [1], [0, 3], [0, 2, 0x6162, 0], [0, 1, 0x6162],
+                   [0, 1, 0x6100], [0, 0, 1], good, good + [0], good + [1],
+                   good[:-1]]
+        for chunks in streams:
+            assert (_outcome(decode_secret, chunks, q)
+                    == _outcome(reference.decode_secret, chunks, q)), chunks
 
 
 class TestEndToEnd:
