@@ -6,9 +6,11 @@ to that network's nodes with an ordinary flat scheme. Recovery needs the
 mother's inner secret plus deg(P) daughter derivative values, combined by
 mixed value/derivative interpolation.
 
-The access oracle models every dealt value as a linear functional over
-(secret, dealer randomness); over a field this is an exact dichotomy:
-either the secret is determined or its posterior is uniform.
+The access oracle, AdversaryKnowledge, models every dealt value as a
+linear functional over (secret, dealer randomness); over a field this is
+an exact dichotomy: either the secret is determined or its posterior is
+uniform. It decides network by network; the dense model over all
+coordinates at once is the tests' reference (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -335,96 +337,13 @@ def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
 
 
 # ---------------------------------------------------------------------------
-# Linear-functional model and access oracle
-
-
-class FunctionalSpace:
-    """Every emitted value as a linear functional over the dealer's
-    randomness for one chunk.
-
-    Coordinates: [secret, outer coeffs p_1..p_D, per-network inner coeffs,
-    then per refresh round per-network refresh coeffs]. Shares at epoch e
-    include the first e rounds' refresh contributions.
-    """
-
-    def __init__(self, topology: Topology, rounds: int = 0):
-        self.topology = topology
-        self.q = topology.modulus
-        self.rounds = rounds
-        d = topology.outer_degree
-        self.dim = 1 + d
-        self._inner_base: Dict[str, int] = {}
-        for net in topology.networks:
-            self._inner_base[net.id] = self.dim
-            self.dim += net.inner_degree
-        self._refresh_base: Dict[Tuple[int, str], int] = {}
-        for r in range(1, rounds + 1):
-            for net in topology.networks:
-                self._refresh_base[(r, net.id)] = self.dim
-                self.dim += net.inner_degree
-        self._const = {net.id: constant_functional(topology, net.id)
-                       for net in topology.networks}
-
-    def secret_functional(self) -> List[int]:
-        return [1] + [0] * (self.dim - 1)
-
-    def share_row(self, network_id: str, node_index: int,
-                  epoch: int = 0) -> List[int]:
-        if epoch > self.rounds:
-            raise ValueError("epoch beyond modeled refresh rounds")
-        net = self.topology.spec(network_id)
-        row = [0] * self.dim
-        head = self._const[network_id]
-        for i, v in enumerate(head):
-            row[i] = v
-        p = node_index % self.q
-        base = self._inner_base[network_id]
-        for t in range(1, net.inner_degree + 1):
-            row[base + t - 1] = p
-            p = p * node_index % self.q
-        for r in range(1, epoch + 1):
-            row = [a + b for a, b in
-                   zip(row, self.delta_row(network_id, node_index, r))]
-        return [v % self.q for v in row]
-
-    def delta_row(self, network_id: str, node_index: int,
-                  round_no: int) -> List[int]:
-        net = self.topology.spec(network_id)
-        row = [0] * self.dim
-        base = self._refresh_base[(round_no, network_id)]
-        p = node_index % self.q
-        for t in range(1, net.inner_degree + 1):
-            row[base + t - 1] = p
-            p = p * node_index % self.q
-        return row
-
-
-def access_oracle(node_set: Iterable, topology: Topology,
-                  rounds: Optional[int] = None) -> Access:
-    """Exact secrecy dichotomy for a set of held shares.
-
-    Elements are (network_id, node_index) pairs (epoch 0) or
-    (network_id, node_index, epoch) triples. Returns RECONSTRUCTS iff the
-    secret-extraction functional lies in the row span of the held shares.
-    """
-    held = []
-    for item in node_set:
-        if len(item) == 2:
-            held.append((item[0], item[1], 0))
-        else:
-            held.append(tuple(item))
-    max_epoch = max((e for _, _, e in held), default=0)
-    if rounds is None:
-        rounds = max_epoch
-    space = FunctionalSpace(topology, rounds)
-    rows = [space.share_row(nid, idx, ep) for nid, idx, ep in held]
-    hit = express_over_rows(rows, space.secret_functional(), topology.modulus)
-    return Access.RECONSTRUCTS if hit is not None else Access.NO_INFORMATION
+# Access oracle
 
 
 class AdversaryKnowledge:
-    """The access oracle decomposed by network and fed one capture at a
-    time; it agrees with the dense FunctionalSpace oracle.
+    """The exact access oracle, decomposed by network and fed one capture
+    at a time. The tests check it against one dense elimination over all
+    coordinates at once, the reference in tests/reference.py.
 
     A row captured from network i is c*h_i + b: h_i is the network's
     constant functional over the outer coefficients, c is 1 for a share
@@ -448,11 +367,19 @@ class AdversaryKnowledge:
     def add(self, kind: str, network_id: str, node_index: int, epoch: int,
             values: Sequence[int]) -> None:
         """One captured vector: kind "share" holds node_index's share at
-        `epoch`; kind "delta" holds its refresh delta of round `epoch`."""
+        `epoch`; kind "delta" holds its refresh delta of round `epoch`.
+        ValueError for a network, node or epoch that the topology does not
+        have (node 0, say, would hold the inner secret itself)."""
+        net = self.topology.spec(network_id)
+        if not 1 <= node_index <= net.node_count:
+            raise ValueError(f"no node {node_index} in network {network_id}")
+        first = 0 if kind == "share" else 1  # refresh rounds count from 1
+        if epoch < first:
+            raise ValueError(f"no {kind} of epoch {epoch}")
         if network_id in self._inner:
             return
         q = self.topology.modulus
-        k = self.topology.spec(network_id).inner_degree
+        k = net.inner_degree
         powers = [pow(node_index, t, q) for t in range(1, k + 1)]
         if kind == "share":
             row, c = powers * (epoch + 1), 1
@@ -481,6 +408,22 @@ class AdversaryKnowledge:
         return weighted_column_sum(
             weights, [self._inner[nid] for nid in known],
             self.topology.modulus)
+
+
+def access_oracle(node_set: Iterable, topology: Topology) -> Access:
+    """Exact secrecy dichotomy for a set of held shares.
+
+    Elements are (network_id, node_index) pairs (epoch 0) or
+    (network_id, node_index, epoch) triples. Each is fed to a fresh
+    AdversaryKnowledge as a share without values; returns RECONSTRUCTS iff
+    they determine the secret. A network, node or epoch outside the
+    topology is a ValueError.
+    """
+    know = AdversaryKnowledge(topology)
+    for network_id, node_index, *epoch in node_set:
+        know.add("share", network_id, node_index, *(epoch or [0]), ())
+    return (Access.NO_INFORMATION if know.recover() is None
+            else Access.RECONSTRUCTS)
 
 
 # ---------------------------------------------------------------------------

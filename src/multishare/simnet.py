@@ -11,7 +11,6 @@ replays them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import re
@@ -24,9 +23,9 @@ from . import formats, protocol
 from .errors import CorruptData, Infeasible, StateError
 from .field import deterministic_rng
 from .formats import canonical_json, topology_from_dict, topology_to_dict
-from .protocol import (Access, AdversaryKnowledge, FunctionalSpace,
-                       LinkKind, NodeShare, Topology, apply_node_refresh,
-                       deal, decode_secret, encode_secret, refresh)
+from .protocol import (Access, AdversaryKnowledge, LinkKind, NodeShare,
+                       Topology, apply_node_refresh, deal, decode_secret,
+                       encode_secret, refresh)
 
 STATE_MAGIC = b"MSS1"
 STATE_VERSION = 2
@@ -132,18 +131,16 @@ class Simulation:
         for net in topology.networks:
             for j in range(1, net.node_count + 1):
                 self.nodes[(net.id, j)] = SimNode(net.id, j)
-        # Per-network recorded payloads; ITS links stay empty.
-        self.transcripts: Dict[str, List[dict]] = {
-            net.id: [] for net in topology.networks}
-        # key -> captured values; key is ("share", net, idx, epoch) or
-        # ("delta", net, idx, round).
-        self.adversary: Dict[tuple, Tuple[int, ...]] = {}
-        # The decomposed oracle and how far into self.adversary and each
-        # transcript it has read. Never persisted: a loaded state starts
-        # it afresh and feeds it everything at the first verdict.
+        # A capture is a tuple in the argument order of
+        # AdversaryKnowledge.add: ("share", network, node, epoch, values)
+        # or ("delta", network, node, round, values). The transcript holds
+        # every payload sent over a classical link; ITS links record
+        # nothing. The captures are what the adversary holds, in the order
+        # it came by them, each fed to the knowledge as it arrives. None
+        # of this is persisted: a loaded state rebuilds it by its replay.
+        self.transcript: List[tuple] = []
+        self.captures: List[tuple] = []
         self._knowledge = AdversaryKnowledge(topology)
-        self._fed_captures = 0
-        self._fed_transcripts: Dict[str, int] = {}
         # The world-changing events applied so far, each appended by its
         # own mutator; with the seed it determines everything above.
         self.history: List[dict] = []
@@ -166,10 +163,8 @@ class Simulation:
                 node.stale = False
                 delivered += 1
                 if classical:
-                    self.transcripts[net.id].append({
-                        "kind": "share", "node": share.node_index,
-                        "epoch": 0,
-                        "values": list(share.values)})
+                    self._send(("share", net.id, share.node_index, 0,
+                                share.values))
                 if node.compromised:
                     self._leak_store(node)
         self.epoch = 0
@@ -189,10 +184,8 @@ class Simulation:
             classical = net.link is LinkKind.CLASSICAL
             for d in deltas[net.id]:
                 if classical:
-                    self.transcripts[net.id].append({
-                        "kind": "delta", "node": d.node_index,
-                        "round": round_no,
-                        "values": list(d.values)})
+                    self._send(("delta", net.id, d.node_index, round_no,
+                                d.values))
                 node = self.nodes[(net.id, d.node_index)]
                 if not node.alive:
                     node.stale = True
@@ -225,19 +218,28 @@ class Simulation:
             usable = {nid: [s for s in lst
                             if (nid, s.node_index) in wanted]
                       for nid, lst in usable.items()}
-        by_network = formats.shares_by_network(
-            [s for lst in usable.values() for s in lst])
         # Looked up at call time, so that a wrapper installed on the
         # protocol module (the perfbench tracer) sees this call.
-        chunks = protocol.reconstruct(by_network, self.topology)
+        chunks = protocol.reconstruct(usable, self.topology)
         return decode_secret(chunks, self.topology.modulus)
 
     # -- adversary bookkeeping --------------------------------------------
 
+    def _capture(self, capture: tuple) -> None:
+        self.captures.append(capture)
+        self._knowledge.add(*capture)
+
+    def _send(self, capture: tuple) -> None:
+        """A payload on a classical link: recorded, and captured at once
+        after the HNDL switch."""
+        self.transcript.append(capture)
+        if self.hndl:
+            self._capture(capture)
+
     def _leak_store(self, node: SimNode) -> None:
         share = node.store
-        key = ("share", node.network_id, node.node_index, share.epoch)
-        self.adversary[key] = share.values
+        self._capture(("share", node.network_id, node.node_index,
+                       share.epoch, share.values))
 
     def _compromise(self, node: SimNode) -> None:
         node.compromised = True
@@ -268,57 +270,25 @@ class Simulation:
                              "network": network_id, "node": node_index})
 
     def decrypt_classical(self) -> None:
-        """Harvest-now-decrypt-later: every classical transcript, past and
+        """Harvest-now-decrypt-later: every classical payload, past and
         future, becomes adversary-readable."""
-        self.hndl = True
+        if not self.hndl:
+            self.hndl = True
+            for capture in self.transcript:
+                self._capture(capture)
         self.history.append({"event": "hndl_decrypt_classical"})
 
-    def adversary_rows(self) -> List[Tuple[tuple, List[int], Tuple[int, ...]]]:
-        """(key, functional row, captured values) for everything the
-        adversary holds; transcripts count only after the HNDL switch.
-        The dense view that the decomposed verdict is checked against."""
-        space = FunctionalSpace(self.topology, rounds=self.epoch)
-        out = []
-        for key in sorted(self.adversary):
-            kind, nid, idx, e = key
-            out.append((key, space.share_row(nid, idx, e),
-                        self.adversary[key]))
-        if self.hndl:
-            for nid in sorted(self.transcripts):
-                for entry in self.transcripts[nid]:
-                    if entry["kind"] == "share":
-                        key = ("share", nid, entry["node"], entry["epoch"])
-                        row = space.share_row(nid, entry["node"],
-                                              entry["epoch"])
-                    else:
-                        key = ("delta", nid, entry["node"], entry["round"])
-                        row = space.delta_row(nid, entry["node"],
-                                              entry["round"])
-                    out.append((key, row, tuple(entry["values"])))
-        return out
-
-    def _adversary_knowledge(self) -> AdversaryKnowledge:
-        """The decomposed oracle, fed every capture it has not seen yet."""
-        know = self._knowledge
-        for key, values in itertools.islice(self.adversary.items(),
-                                            self._fed_captures, None):
-            know.add(*key, values)
-        self._fed_captures = len(self.adversary)
-        if self.hndl:
-            for nid, entries in self.transcripts.items():
-                for entry in entries[self._fed_transcripts.get(nid, 0):]:
-                    kind = entry["kind"]
-                    know.add(kind, nid, entry["node"],
-                             entry["epoch" if kind == "share" else "round"],
-                             entry["values"])
-                self._fed_transcripts[nid] = len(entries)
-        return know
+    def adversary_rows(self) -> List[tuple]:
+        """The captures: everything the adversary holds, in the order it
+        came by them. The tests build the dense reference's rows from
+        them; the benchmark tracer wraps this method by name."""
+        return self.captures
 
     def adversary_verdict(self) -> Tuple[Access, Optional[bytes]]:
         """Exact verdict; on Reconstructs, also the recovered plaintext."""
         if not self.dealt:
             return Access.NO_INFORMATION, None
-        chunks = self._adversary_knowledge().recover()
+        chunks = self._knowledge.recover()
         if chunks is None:
             return Access.NO_INFORMATION, None
         return Access.RECONSTRUCTS, decode_secret(chunks,

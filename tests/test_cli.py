@@ -959,9 +959,8 @@ class TestSimulate:
             "version", "topology", "secret", "seed", "history"}
         sim = load_state(state)
         values = {v for node in sim.nodes.values() for v in node.store.values}
-        values |= {v for entries in sim.transcripts.values()
-                   for entry in entries for v in entry["values"]}
-        values |= {v for captured in sim.adversary.values() for v in captured}
+        values |= {v for *_, captured in sim.transcript + sim.captures
+                   for v in captured}
         assert len(values) > 300
         for v in values:
             assert format(v, "x").encode() not in blob
@@ -1136,6 +1135,44 @@ class TestGoldenOutput:
         "world.state":
             "ed4f0a0d9aad350260292c8810f6c753b38d2d4b1e6e1736ce972aa1808cc452",
     }
+    # A schedule through every way the simulator's adversary captures a
+    # value: a leak before the HNDL switch, a refresh under compromise, a
+    # release and then a failure, a network compromise over a node already
+    # held, two HNDL switches with a classical send between them, and an
+    # adversary attempt after each step. Recorded before the simulator
+    # kept its captures as one list.
+    ADVERSARY = {"event": "attempt_reconstruct", "actor": "adversary"}
+    CAPTURES = [
+        {"event": "deal"},
+        {"event": "compromise_node", "network": "d1", "node": 1},
+        {"event": "compromise_node", "network": "m", "node": 1},
+        ADVERSARY,
+        {"event": "refresh"},
+        ADVERSARY,
+        {"event": "release_node", "network": "m", "node": 1},
+        {"event": "fail_node", "network": "m", "node": 1},
+        {"event": "refresh"},
+        ADVERSARY,
+        {"event": "compromise_node", "network": "d2", "node": 2},
+        {"event": "compromise_network", "network": "d2"},
+        ADVERSARY,
+        {"event": "hndl_decrypt_classical"},
+        ADVERSARY,
+        {"event": "refresh"},
+        {"event": "hndl_decrypt_classical"},
+        ADVERSARY,
+        {"event": "compromise_node", "network": "m", "node": 2},
+        ADVERSARY,
+        {"event": "compromise_node", "network": "m", "node": 3},
+        ADVERSARY,
+        {"event": "attempt_reconstruct", "actor": "owner"},
+    ]
+    SIMULATE_CAPTURES = {
+        "report.json":
+            "24268c043f3b3b543b0a9b2efa9cc5bc6b1de6052e1e49bad91f71bb9f0e24b0",
+        "world.state":
+            "3b56d709b67dca7660a7e806957c3e6e6d4babb77599abdc4545f30532fe5765",
+    }
 
     @staticmethod
     def digests(directory: Path) -> dict:
@@ -1158,13 +1195,18 @@ class TestGoldenOutput:
             self.RECONSTRUCTED
 
     def test_simulate(self, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        assert run(["simulate", "--scenario",
-                    ROOT / "docs" / "examples" / "scenario.json",
-                    "--seed", "3", "--state", out / "world.state",
-                    "--report", out / "report.json"]) == 0
-        assert self.digests(out) == self.SIMULATE
+        example = ROOT / "docs" / "examples" / "scenario.json"
+        captures = tmp_path / "captures.json"
+        captures.write_text(json.dumps(
+            {**json.loads(example.read_text()), "schedule": self.CAPTURES}))
+        for scenario, seed, want in ((example, "3", self.SIMULATE),
+                                     (captures, "5", self.SIMULATE_CAPTURES)):
+            out = tmp_path / scenario.stem
+            out.mkdir()
+            assert run(["simulate", "--scenario", scenario, "--seed", seed,
+                        "--state", out / "world.state",
+                        "--report", out / "report.json"]) == 0
+            assert self.digests(out) == want, scenario.stem
 
 
 class TestDocumentedExamples:
@@ -1193,6 +1235,14 @@ class TestDocumentedExamples:
                     "--seed", "3", "--state", state,
                     "--report", tmp_path / "report.json"]) == 0
         assert json.loads(state.read_bytes()[12:]) == example
+
+    def test_readme_library(self):
+        # The README's library example runs as written, so a name that
+        # leaves the package cannot stay in it.
+        text = (ROOT / "README.md").read_text()
+        section = text[text.index("## Library"):]
+        example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(example, "README.md", "exec"), {})
 
     def test_example_topology(self):
         assert run(["thresholds", "--topology",

@@ -13,14 +13,15 @@ from multishare import field, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng, is_probable_prime)
 from multishare.poly import derivative_coeffs, horner, random_coeff_columns
-from multishare.protocol import (Access, FunctionalSpace, LinkKind,
-                                 NetworkSpec, NodeShare, Thresholds, Topology,
-                                 access_oracle, apply_node_refresh,
+from multishare.protocol import (Access, LinkKind, NetworkSpec, NodeShare,
+                                 Thresholds, Topology, access_oracle,
+                                 apply_node_refresh,
                                  compute_thresholds_exhaustive,
                                  compute_thresholds_formula, deal,
                                  decode_secret, encode_secret, reconstruct,
                                  refresh)
 from test_acceptance import build_topology, enumerate_specs
+from test_simnet import enumerated_held_sets
 
 
 class ScriptedRng:
@@ -50,18 +51,32 @@ def all_nodes(topology):
             for j in range(1, net.node_count + 1)]
 
 
-def dense_thresholds(topology):
-    """Reference for compute_thresholds_exhaustive: the dense
-    access_oracle on the first counts[i] nodes of each network, for every
-    count vector, and each threshold taken from its definition."""
+def dense_sample():
+    """The seeded sample of small topologies (at q = 257) on which the
+    exhaustive thresholds are checked against the dense reference."""
+    return [build_topology(outer, nets) for outer, nets
+            in random.Random(4).sample(list(enumerate_specs()), 150)]
+
+
+def count_vector_sets(topology):
+    """(counts, held) for every count vector: held is the first counts[i]
+    nodes of each network."""
     nets = topology.networks
-    ns = [net.node_count for net in nets]
+    for counts in itertools.product(*(range(net.node_count + 1)
+                                      for net in nets)):
+        yield counts, [(net.id, j) for net, c in zip(nets, counts)
+                       for j in range(1, c + 1)]
+
+
+def dense_thresholds(topology):
+    """Reference for compute_thresholds_exhaustive: the dense reference
+    oracle on every count vector's held set, and each threshold taken from
+    its definition."""
+    ns = [net.node_count for net in topology.networks]
     mother = topology.mother_index
     ok, bad = [], []
-    for counts in itertools.product(*(range(n + 1) for n in ns)):
-        held = [(net.id, j) for net, c in zip(nets, counts)
-                for j in range(1, c + 1)]
-        verdict = access_oracle(held, topology)
+    for counts, held in count_vector_sets(topology):
+        verdict = reference.access_oracle(held, topology)
         (ok if verdict is Access.RECONSTRUCTS else bad).append(counts)
 
     def disabled(counts):
@@ -387,11 +402,8 @@ class TestThresholdExhaustive:
     def test_matches_dense_reference(self):
         # All five fields, t_fail included, on a seeded sample of the
         # enumerated small topologies at q = 257.
-        specs = random.Random(4).sample(list(enumerate_specs()), 150)
-        for outer, nets in specs:
-            t = build_topology(outer, nets)
-            assert compute_thresholds_exhaustive(t) == dense_thresholds(t), (
-                outer, nets)
+        for t in dense_sample():
+            assert compute_thresholds_exhaustive(t) == dense_thresholds(t), t
 
     @pytest.mark.parametrize("q", [257, 5, 7, 11, 13])
     def test_matches_plain_walk(self, q):
@@ -460,6 +472,36 @@ class TestAccessOracle:
     def test_empty_set(self):
         assert access_oracle([], topo3()) is Access.NO_INFORMATION
 
+    def test_matches_dense_reference(self):
+        # Every input the dense reference oracle decides in the other
+        # tests: each count vector of the threshold reference's sample,
+        # and each held set of the simulator oracle's enumerated check.
+        inputs = [(t, held) for t in dense_sample()
+                  for _, held in count_vector_sets(t)]
+        inputs += enumerated_held_sets()
+        for t, held in inputs:
+            assert (access_oracle(held, t)
+                    is reference.access_oracle(held, t)), (t, held)
+
+    @pytest.mark.parametrize("held", [
+        [("m", 0), ("d1", 0)],
+        [("m", 99), ("m", 1), ("d1", 4), ("d1", 1)],
+        [("d3", 1), ("m", 1), ("m", 2), ("d1", 1), ("d1", 2)],
+        [("m", 1, -1), ("d1", 1, -1)],
+    ], ids=["node0", "node_above_count", "unknown_network",
+            "negative_epoch"])
+    def test_rejects_what_the_topology_lacks(self, held):
+        # Node 99 is x = 0 at q = 11, as node 0 is: either holds its
+        # network's inner secret outright.
+        with pytest.raises(ValueError):
+            access_oracle(held, topo3())
+
+    def test_knowledge_rejects_delta_of_round_zero(self):
+        knowledge = protocol.AdversaryKnowledge(topo3())
+        with pytest.raises(ValueError):
+            knowledge.add("delta", "d1", 1, 0, ())
+        knowledge.add("delta", "d1", 1, 1, ())
+
     def test_all_nodes(self):
         t = topo3()
         assert access_oracle(all_nodes(t), t) is Access.RECONSTRUCTS
@@ -481,7 +523,7 @@ class TestAccessOracle:
         t = topo3()
         dealt = deal([4], t, ScriptedRng([3, 2, 5, 1], 11))
         randomness = [4, 3, 2, 5, 1]
-        space = FunctionalSpace(t)
+        space = reference.FunctionalSpace(t)
         for nid, shares in dealt.items():
             for s in shares:
                 row = space.share_row(nid, s.node_index)
@@ -548,7 +590,7 @@ class TestAccessOracle:
             pos += k * m
             for c, vec in enumerate(vectors):
                 vec += [col[c] for col in columns]
-        space = FunctionalSpace(t, rounds)
+        space = reference.FunctionalSpace(t, rounds)
 
         def dot(row, vec):
             return sum(a * b for a, b in zip(row, vec)) % q
