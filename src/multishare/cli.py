@@ -8,7 +8,6 @@ Exit codes are a stable scripting contract:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -20,6 +19,9 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
 from .field import crypto_rng, deterministic_rng
 from . import formats
+# apply_node_refresh is not called here (cmd_refresh updates shares with
+# NetworkRefresh.apply), but perfbench/tracing.py wraps every protocol
+# name this module binds, by attribute.
 from .protocol import (NodeShare, Topology, apply_node_refresh,
                        checked_shares, compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
@@ -200,43 +202,80 @@ def _share_dir_paths(share_dir: Path, topology: Topology) -> List[Path]:
     return sorted(share_dir.glob("*.share.json"))
 
 
+def _refuse_vault(out_dir: Path) -> None:
+    """Exit 2 when `out_dir` already holds a vault: a manifest, a share
+    file or a file staged by a refresh. Dealing over it would replace its
+    shares one at a time, so a deal that failed part-way would leave
+    neither secret recoverable."""
+    try:
+        names = sorted(p.name for p in out_dir.iterdir()
+                       if p.name == MANIFEST or p.name.endswith(".share.json")
+                       or STAGED_NAME.fullmatch(p.name))
+    except (FileNotFoundError, NotADirectoryError):
+        return  # no vault; mkdir reports a path it cannot use
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read directory {out_dir}: {exc}")
+    if names:
+        raise CliError(EXIT_INPUT, f"{out_dir} already holds a vault "
+                                   f"({', '.join(names[:3])}"
+                                   f"{', ...' if len(names) > 3 else ''}); "
+                                   f"deal into a new directory")
+
+
 def cmd_deal(args) -> int:
+    """Deal the secret, writing each node's share file as soon as its
+    share is made; deal (see protocol.deal) then holds one network's
+    columns and one share at a time."""
     topology = _load_topology(args.topology)
+    q = topology.modulus
     try:
         secret = Path(args.secret).read_bytes()
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read secret: {exc}")
     out_dir = Path(args.out)
+    _refuse_vault(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot make directory {out_dir}: {exc}")
-    chunks = encode_secret(secret, topology.modulus)
-    dealt = deal(chunks, topology, _rng(args.seed))
-    for shares in dealt.values():
-        for share in shares:
-            _write_atomic(_share_path(out_dir, share),
-                          formats.share_bytes(share, topology.modulus))
+    chunk_counts = []  # one per share written
+
+    def write(share: NodeShare) -> None:
+        _write_atomic(_share_path(out_dir, share),
+                      formats.share_bytes(share, q))
+        chunk_counts.append(len(share.values))
+
+    # The chunks are made in the argument list, so that deal can drop
+    # them once it has split them.
+    deal(encode_secret(secret, q), topology, _rng(args.seed), sink=write)
     _write_json(out_dir / MANIFEST,
-                formats.manifest_dict(topology, len(chunks), 0, []))
-    total = sum(len(v) for v in dealt.values())
-    print(f"dealt {len(chunks)} chunks to {total} nodes in {out_dir}")
+                formats.manifest_dict(topology, chunk_counts[0], 0, []))
+    print(f"dealt {chunk_counts[0]} chunks to {len(chunk_counts)} nodes in "
+          f"{out_dir}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
+    """Recover the secret from the share files, read one at a time as
+    reconstruct asks for them (see protocol.reconstruct)."""
     topology = _load_topology(args.topology)
     paths = (_share_dir_paths(Path(args.shares), topology) if args.shares
              else [Path(p) for p in args.files])
-    shares = list(_load_shares(paths, topology.modulus))
-    if not shares:
+    if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
-    grouped = formats.shares_by_network(shares)
+    shares = _load_shares(paths, topology.modulus)
     try:
-        chunks = reconstruct(grouped, topology)
+        chunks = reconstruct(shares, topology)
         secret = decode_secret(chunks, topology.modulus)
-    except CorruptData as exc:
-        raise CliError(EXIT_INPUT, f"corrupt shares: {exc}")
+    except MultishareError as exc:
+        # The files after a failed check are still read, one at a time,
+        # so that a malformed file anywhere exits 2 before it, as when
+        # every file was read first.
+        for _ in shares:
+            pass
+        if isinstance(exc, CorruptData):
+            raise CliError(EXIT_INPUT, f"corrupt shares: {exc}")
+        raise
     _write_atomic(Path(args.out), secret)
     print(f"reconstructed {len(secret)} bytes to {args.out}")
     return EXIT_OK
@@ -244,41 +283,47 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_refresh(args) -> int:
     """Advance every share one epoch, holding one share's values at a
-    time. Each updated share is written, and flushed, to its staged name;
-    one atomic replace of the manifest naming the new epoch commits them
-    all, after which they are renamed over the old files. An error before
-    the commit deletes the staged files; a crash at any point is settled
-    by the next refresh or reconstruct --shares (see _settle_staged)."""
+    time besides the round's refresh columns, and each network's columns
+    only until its last share is updated. Each updated share is written,
+    and flushed, to its staged name; one atomic replace of the manifest
+    naming the new epoch commits them all, after which they are renamed
+    over the old files. An error before the commit deletes the staged
+    files; a crash at any point is settled by the next refresh or
+    reconstruct --shares (see _settle_staged)."""
     topology = _load_topology(args.topology)
     q = topology.modulus
     share_dir = Path(args.shares)
     paths = _share_dir_paths(share_dir, topology)
-    shares = checked_shares(_load_shares(paths, q), topology)
-    first = next(shares, None)
-    if first is None:
+    if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
-    epoch, chunk_count = first.epoch, len(first.values)
-    deltas = refresh(topology, chunk_count, epoch, _rng(args.seed))
-    shares = itertools.chain([first], shares)
-    del first
+    shares = checked_shares(_load_shares(paths, q), topology)
+    rng = _rng(args.seed)
     manifest = share_dir / MANIFEST
-    staged_manifest = _staged(manifest, epoch + 1)
+    deltas = staged_manifest = None
+    done = {net.id: set() for net in topology.networks}  # nodes updated
     moves = []  # (staged, final) per share file, in the order written
     try:
-        for path, share in zip(paths, shares):
-            # checked_shares vouched for the node; deltas come in node
-            # order. Each share, delta and update is dropped before the
-            # next share is parsed.
-            node_deltas = deltas[share.network_id]
-            delta = node_deltas[share.node_index - 1]
-            node_deltas[share.node_index - 1] = None
-            updated = apply_node_refresh(share, delta, q)
-            del share, delta
+        for path in paths:
+            # checked_shares vouches for the node. Each share and its
+            # update are dropped before the next share is read.
+            share = next(shares)
+            if deltas is None:
+                # The first share fixes the epoch and the chunk count.
+                epoch, chunk_count = share.epoch, len(share.values)
+                deltas = refresh(topology, chunk_count, epoch, rng)
+                staged_manifest = _staged(manifest, epoch + 1)
+            net = topology.spec(share.network_id)
+            done[net.id].add(share.node_index)
+            updated = deltas[net.id].apply(share)
+            del share
             moves.append((_staged(path, epoch + 1), path))
             _write_synced(moves[-1][0], formats.share_bytes(updated, q))
             del updated
-        stale = [f"{net.id}/{d.node_index}" for net in topology.networks
-                 for d in deltas[net.id] if d is not None]
+            if len(done[net.id]) == net.node_count:
+                del deltas[net.id]  # its columns are no longer needed
+        stale = [f"{net.id}/{j}" for net in topology.networks
+                 for j in range(1, net.node_count + 1)
+                 if j not in done[net.id]]
         _fsync(share_dir)
         _write_synced(staged_manifest, _json_line(formats.manifest_dict(
             topology, chunk_count, epoch + 1, stale)))

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from itertools import repeat
-from typing import Dict, List
+from typing import List
 
 from .errors import CorruptData
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
@@ -188,9 +188,3 @@ def manifest_dict(topology: Topology, chunk_count: int, epoch: int,
         "stale": sorted(stale),
     }
 
-
-def shares_by_network(shares: List[NodeShare]) -> Dict[str, List[NodeShare]]:
-    out: Dict[str, List[NodeShare]] = {}
-    for s in shares:
-        out.setdefault(s.network_id, []).append(s)
-    return out

@@ -1,19 +1,20 @@
 """Polynomials over F_q, as plain-int coefficient columns.
 
 Dealing works on columns: one list per coefficient across many
-polynomials, the constant term first. random_coeff_columns draws them,
-evaluate_columns evaluates them (or their first derivative) at a point
-in one pass per coefficient, and split_ints / hierarchical_split_ints
-are the flat and two-rank (value / derivative) sharings built on the
-two. lagrange_zero_weights and birkhoff_matrix_row give the linear
-weights that interpolation and the oracle solve with. The scalar horner
-and derivative_coeffs are the per-polynomial reference the tests check
-the column routines against.
+polynomials, the constant term first. random_coeff_columns draws them
+(random_columns all but the constant column), evaluate_columns evaluates
+them (or their first derivative) at a point in one pass per coefficient,
+and split_ints (iter_split_ints, one column at a time) /
+hierarchical_split_ints are the flat and two-rank (value / derivative)
+sharings built on the two. lagrange_zero_weights and
+birkhoff_matrix_row give the linear weights that interpolation and the
+oracle solve with. The scalar horner and derivative_coeffs are the
+per-polynomial reference the tests check the column routines against.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from . import field
 
@@ -23,16 +24,21 @@ def random_coeff_columns(degree: int, constants: Sequence[int], q: int,
     """Coefficient columns (constant first) of len(constants) random
     polynomials of exactly `degree`, the i-th with constant term
     constants[i]: column t holds every polynomial's X^t coefficient.
-
-    Draws the middle columns in order, then the leading column with every
-    entry nonzero, so declared and actual degree always agree (degree 0
-    is the constants themselves).
+    The constants are copied, then the other columns drawn by
+    random_columns (degree 0 is the constants themselves).
     """
+    return [list(constants), *random_columns(degree, len(constants), q, rng)]
+
+
+def random_columns(degree: int, count: int, q: int,
+                   rng) -> List[List[int]]:
+    """The X^1..X^degree coefficient columns of `count` random
+    polynomials of exactly `degree`: the middle columns in order, then the
+    leading column with every entry nonzero, so declared and actual degree
+    always agree. None for degree 0."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    count = len(constants)
-    columns = [list(constants)]
-    columns += [field.random_ints(q, count, rng) for _ in range(degree - 1)]
+    columns = [field.random_ints(q, count, rng) for _ in range(degree - 1)]
     if degree:
         columns.append(field.random_ints(q, count, rng, nonzero=True))
     return columns
@@ -50,8 +56,17 @@ def split_ints(secrets: Sequence[int], degree: int, n: int, q: int, rng
                ) -> List[List[int]]:
     """Columns P(1)..P(n), each across all secrets, for random P of
     exactly `degree`, one per secret, with P(0) = that secret."""
+    return list(iter_split_ints(secrets, degree, n, q, rng))
+
+
+def iter_split_ints(secrets: Sequence[int], degree: int, n: int, q: int,
+                    rng) -> Iterator[List[int]]:
+    """split_ints one column at a time: the coefficients are drawn by the
+    call, and each column P(x) is evaluated when the iterator reaches it
+    and not kept, so the coefficient columns and the column handed out
+    are all it holds."""
     p = random_coeff_columns(degree, secrets, q, rng)
-    return [evaluate_columns(p, x, q) for x in range(1, n + 1)]
+    return (evaluate_columns(p, x, q) for x in range(1, n + 1))
 
 
 def hierarchical_split_ints(secrets: Sequence[int], degree: int,

@@ -16,18 +16,20 @@ coordinates at once is the tests' reference (tests/reference.py).
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (BLOCK_WORDS, DEFAULT_MODULUS, echelon_insert,
                     echelon_reduce, express_over_rows, is_probable_prime,
                     weighted_column_sum)
 from .poly import (birkhoff_matrix_row, hierarchical_split_ints,
-                   lagrange_zero_weights, split_ints)
+                   iter_split_ints, lagrange_zero_weights, random_columns)
 
 # compute_thresholds_exhaustive walks up to 2^networks sets of known
 # networks, and finds each network's quorum by an elimination cubic in its
@@ -149,8 +151,8 @@ class Access(Enum):
 # Dealing and reconstruction
 
 
-def deal(secret_chunks: Sequence[int], topology: Topology,
-         rng) -> Dict[str, List[NodeShare]]:
+def deal(secret_chunks: List[int], topology: Topology, rng,
+         sink=None) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
     Per chunk: a hierarchical split with one manager (the mother's inner
@@ -161,23 +163,49 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
     coefficient columns p_1..p_D across all chunks (p_D nonzero), then,
     network by network in topology order, that network's inner
     coefficient columns (the leading one nonzero).
+
+    With `sink`, each share is passed to sink(share) as soon as it is made
+    and is not kept, and the result is empty. Memory then stays within the
+    inner secrets not yet dealt, one network's coefficient columns and one
+    share; `secret_chunks` is dropped after the outer split, unless the
+    caller holds on to it.
     """
     q = topology.modulus
     if secret_chunks and not (0 <= min(secret_chunks)
                               and max(secret_chunks) < q):
         raise ValueError("chunk out of range for the topology modulus")
+    shares = _dealt_shares(secret_chunks, topology, rng)
+    del secret_chunks
+    if sink is None:
+        out: Dict[str, List[NodeShare]] = {
+            net.id: [] for net in topology.networks}
+        for share in shares:
+            out[share.network_id].append(share)
+        return out
+    for share in shares:
+        sink(share)
+        del share  # not held while the next share is made
+    return {}
+
+
+def _dealt_shares(secret_chunks: List[int], topology: Topology,
+                  rng) -> Iterator[NodeShare]:
+    """deal's shares one at a time, network by network in topology order,
+    each network's in node order."""
+    q = topology.modulus
     mother, inner_secrets = hierarchical_split_ints(
         secret_chunks, topology.outer_degree, 1, len(topology.networks) - 1,
         q, rng)
+    del secret_chunks
     inner_secrets.insert(topology.mother_index, mother.pop())
-    out: Dict[str, List[NodeShare]] = {}
     for net in topology.networks:
-        # Popped, so each inner-secret column is freed once dealt.
-        columns = split_ints(inner_secrets.pop(0), net.inner_degree,
-                             net.node_count, q, rng)
-        out[net.id] = [NodeShare(net.id, j, 0, tuple(col))
-                       for j, col in enumerate(columns, start=1)]
-    return out
+        # Popped, so each inner-secret column is freed once dealt; each
+        # node's column is evaluated as its share is asked for.
+        columns = iter_split_ints(inner_secrets.pop(0), net.inner_degree,
+                                  net.node_count, q, rng)
+        for j in range(1, net.node_count + 1):
+            yield NodeShare(net.id, j, 0, tuple(next(columns)))
+        del columns
 
 
 def constant_functional(topology: Topology, network_id: str) -> List[int]:
@@ -229,6 +257,7 @@ def checked_shares(shares: Iterable[NodeShare],
                 f"share {s.network_id}/{s.node_index} given twice")
         seen.add(pos)
         yield s
+        del s  # not held while the next share is read
 
 
 def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
@@ -237,41 +266,55 @@ def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
         pass
 
 
-def reconstruct(shares: Dict[str, Sequence[NodeShare]],
+def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
                 topology: Topology) -> List[int]:
     """Recover all chunks, or raise Infeasible naming what is missing.
 
-    Needs an inner quorum on the mother plus inner quorums on at least
-    outer_degree daughters; each network's lowest-index quorum recovers
-    its inner secret by interpolation at zero. Checks the shares with
-    check_share_set first. No share is ignored: every share beyond a
-    network's quorum, and every daughter beyond the outer degree, must
-    agree with the polynomial the others determine, else CorruptData
-    names the network and node. Errors are detected, not corrected.
+    `shares` is a mapping of network id to that network's shares, or one
+    stream of shares in any order, checked as they arrive
+    (checked_shares). Needs an inner quorum on the mother plus inner
+    quorums on at least outer_degree daughters. A network's shares are
+    held until all node_count of them have arrived, or the stream ends;
+    then its lowest-index quorum recovers its inner secret by
+    interpolation at zero, and its shares are dropped. A stream sorted by
+    network therefore holds one network's shares at a time.
+
+    No share is ignored: every share beyond a network's quorum, and every
+    daughter beyond the outer degree, must agree with the polynomial the
+    others determine, else CorruptData names the network and node. A
+    share's disagreement is raised only once the whole stream is checked,
+    so that a failed check anywhere in it decides the error, and then for
+    the first such network in topology order. Errors are detected, not
+    corrected.
     """
     q = topology.modulus
-    check_share_set((s for lst in shares.values() for s in lst), topology)
+    if isinstance(shares, Mapping):
+        shares = chain.from_iterable(shares.values())
+    nets = {net.id: net for net in topology.networks}
+    given = dict.fromkeys(nets, 0)
+    held: Dict[str, List[NodeShare]] = {}
     recovered: Dict[str, List[int]] = {}
-    quorum_report = []
+    faults: Dict[str, str] = {}
+
+    def settle(nid: str) -> None:
+        have = held.pop(nid)
+        if len(have) > nets[nid].inner_degree:
+            recovered[nid], fault = _inner_secret(nets[nid], have, q)
+            if fault:
+                faults[nid] = fault
+
+    for s in checked_shares(shares, topology):
+        nid = s.network_id
+        held.setdefault(nid, []).append(s)
+        del s  # not held past its network
+        given[nid] += 1
+        if given[nid] == nets[nid].node_count:
+            settle(nid)
+    for nid in list(held):
+        settle(nid)
     for net in topology.networks:
-        have = list(shares.get(net.id, []))
-        need = net.inner_degree + 1
-        quorum_report.append((net.id, min(len(have), need), need))
-        if len(have) < need:
-            continue
-        have.sort(key=lambda s: s.node_index)
-        quorum, extra = have[:need], have[need:]
-        xs = [s.node_index for s in quorum]
-        columns = [s.values for s in quorum]
-        weights = lagrange_zero_weights(xs, q)
-        recovered[net.id] = weighted_column_sum(weights, columns, q)
-        for s in extra:
-            # P(x) is the value at zero of X -> P(X + x).
-            shifted = lagrange_zero_weights([a - s.node_index for a in xs], q)
-            if weighted_column_sum(shifted, columns, q) != list(s.values):
-                raise CorruptData(
-                    f"network {net.id}: the share of node {s.node_index} "
-                    f"disagrees with nodes {xs}")
+        if net.id in faults:
+            raise CorruptData(faults[net.id])
     mother_id = topology.mother.id
     avail_daughters = [n.id for n in topology.daughters()
                        if n.id in recovered]
@@ -283,7 +326,8 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
             f"daughter quorums {len(avail_daughters)}/{topology.outer_degree} met")
     if missing:
         detail = "; ".join(missing) + " (" + ", ".join(
-            f"{nid}: {got}/{need}" for nid, got, need in quorum_report) + ")"
+            f"{net.id}: {min(given[net.id], net.inner_degree + 1)}/"
+            f"{net.inner_degree + 1}" for net in topology.networks) + ")"
         raise Infeasible(detail)
     chosen = [mother_id, *avail_daughters[:topology.outer_degree]]
     rows = [constant_functional(topology, nid) for nid in chosen]
@@ -302,24 +346,98 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     return weighted_column_sum(weights, columns, q)
 
 
+def _inner_secret(net: NetworkSpec, have: List[NodeShare],
+                  q: int) -> Tuple[List[int], Optional[str]]:
+    """The inner secret that the lowest-index quorum of `have`, at least a
+    quorum of net's shares, determines; and a message naming the first
+    further share that disagrees with it, if one does."""
+    need = net.inner_degree + 1
+    have.sort(key=lambda s: s.node_index)
+    quorum, extra = have[:need], have[need:]
+    xs = [s.node_index for s in quorum]
+    columns = [s.values for s in quorum]
+    secret = weighted_column_sum(lagrange_zero_weights(xs, q), columns, q)
+    for s in extra:
+        # P(x) is the value at zero of X -> P(X + x).
+        shifted = lagrange_zero_weights([a - s.node_index for a in xs], q)
+        if weighted_column_sum(shifted, columns, q) != list(s.values):
+            return secret, (f"network {net.id}: the share of node "
+                            f"{s.node_index} disagrees with nodes {xs}")
+    return secret, None
+
+
 # ---------------------------------------------------------------------------
 # Proactive refresh
 
 
+@dataclass(frozen=True)
+class NetworkRefresh(SequenceABC):
+    """One network's refresh of one round: the coefficient columns
+    c_1..c_k (k its inner degree, c_k nonzero) of its zero-constant
+    refresh polynomials, one entry per chunk. Node j's delta is
+    sum_t j^t c_t.
+
+    As a sequence it reads as the network's NodeRefresh list, node j at
+    index j - 1, each delta evaluated when it is asked for; apply updates
+    a share without building its delta.
+    """
+    network_id: str
+    from_epoch: int
+    node_count: int
+    chunk_count: int
+    modulus: int
+    columns: Tuple[List[int], ...]
+
+    def __len__(self) -> int:
+        return self.node_count
+
+    def __getitem__(self, i: int) -> NodeRefresh:
+        if not -self.node_count <= i < self.node_count:
+            raise IndexError("no such node")
+        j = i % self.node_count + 1
+        return NodeRefresh(self.network_id, j, self.from_epoch,
+                           tuple(self._values(j)))
+
+    def apply(self, share: NodeShare) -> NodeShare:
+        """`share` advanced one epoch; ValueError unless it is a share of
+        this network at from_epoch with chunk_count values."""
+        if (share.network_id != self.network_id
+                or not 1 <= share.node_index <= self.node_count):
+            raise ValueError("refresh does not match share position")
+        if share.epoch != self.from_epoch:
+            raise ValueError("delta epoch does not match share")
+        if len(share.values) != self.chunk_count:
+            raise ValueError("chunk count mismatch")
+        return replace(share, epoch=share.epoch + 1, values=tuple(
+            self._values(share.node_index, share.values)))
+
+    def _values(self, node_index: int, share_values=None) -> List[int]:
+        """Node node_index's delta, plus its share's values when given: one
+        weighted_column_sum pass over [share, c_1..c_k] with weights
+        (1, j, ..., j^k)."""
+        q = self.modulus
+        weights = birkhoff_matrix_row(node_index, 0, len(self.columns), q)
+        if share_values is not None:
+            return weighted_column_sum(weights, [share_values, *self.columns],
+                                       q)
+        if not self.columns:
+            return [0] * self.chunk_count
+        return weighted_column_sum(weights[1:], self.columns, q)
+
+
 def refresh(topology: Topology, chunk_count: int, epoch: int,
-            rng) -> Dict[str, List[NodeRefresh]]:
+            rng) -> Dict[str, NetworkRefresh]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
     the outer polynomial is untouched. Randomness is drawn network by
-    network in topology order, each network's coefficient columns across
-    all chunks in turn (the leading one nonzero)."""
+    network in topology order, each network's coefficient columns
+    c_1..c_k across all chunks in turn (the leading one nonzero). No delta
+    is evaluated here: each network's NetworkRefresh evaluates a node's
+    delta, or refreshes its share in one pass, when asked."""
     q = topology.modulus
-    zeros = [0] * chunk_count
-    out: Dict[str, List[NodeRefresh]] = {}
-    for net in topology.networks:
-        columns = split_ints(zeros, net.inner_degree, net.node_count, q, rng)
-        out[net.id] = [NodeRefresh(net.id, j, epoch, tuple(col))
-                       for j, col in enumerate(columns, start=1)]
-    return out
+    return {net.id: NetworkRefresh(
+                net.id, epoch, net.node_count, chunk_count, q,
+                tuple(random_columns(net.inner_degree, chunk_count, q, rng)))
+            for net in topology.networks}
 
 
 def apply_node_refresh(share: NodeShare, delta: NodeRefresh,

@@ -9,15 +9,24 @@ FunctionalSpace and access_oracle are the dense secrecy oracle, also kept
 verbatim: every held value as one row over all coordinates of the dealer's
 and the refreshes' randomness, decided by one elimination. The package
 decides the same question network by network (AdversaryKnowledge).
+
+deal, refresh and reconstruct are the eager vault operations, kept
+verbatim: each holds every node's column at once, where the package holds
+one network's columns and one share at a time. Their column sums run on
+weighted_column_sum below.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from multishare.errors import CorruptData
+from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows
-from multishare.protocol import (LENGTH_HEADER, Access, Topology, chunk_size,
+from multishare.poly import (hierarchical_split_ints, lagrange_zero_weights,
+                             split_ints)
+from multishare.protocol import (LENGTH_HEADER, Access, NodeRefresh,
+                                 NodeShare, Topology, _outer_weights,
+                                 check_share_set, chunk_size,
                                  constant_functional)
 
 
@@ -177,3 +186,115 @@ def access_oracle(node_set: Iterable, topology: Topology,
     rows = [space.share_row(nid, idx, ep) for nid, idx, ep in held]
     hit = express_over_rows(rows, space.secret_functional(), topology.modulus)
     return Access.RECONSTRUCTS if hit is not None else Access.NO_INFORMATION
+
+
+def deal(secret_chunks: Sequence[int], topology: Topology,
+         rng) -> Dict[str, List[NodeShare]]:
+    """Deal every chunk with fresh randomness and return shares per network.
+
+    Per chunk: a hierarchical split with one manager (the mother's inner
+    secret P(1)) and one employee per daughter (daughter i's inner secret
+    P'(i)); then a flat split of each network's inner secret over its
+    nodes, node j holding the inner polynomial's value at j. All chunks
+    are dealt at once, column by column: randomness is drawn as P's
+    coefficient columns p_1..p_D across all chunks (p_D nonzero), then,
+    network by network in topology order, that network's inner
+    coefficient columns (the leading one nonzero).
+    """
+    q = topology.modulus
+    if secret_chunks and not (0 <= min(secret_chunks)
+                              and max(secret_chunks) < q):
+        raise ValueError("chunk out of range for the topology modulus")
+    mother, inner_secrets = hierarchical_split_ints(
+        secret_chunks, topology.outer_degree, 1, len(topology.networks) - 1,
+        q, rng)
+    inner_secrets.insert(topology.mother_index, mother.pop())
+    out: Dict[str, List[NodeShare]] = {}
+    for net in topology.networks:
+        # Popped, so each inner-secret column is freed once dealt.
+        columns = split_ints(inner_secrets.pop(0), net.inner_degree,
+                             net.node_count, q, rng)
+        out[net.id] = [NodeShare(net.id, j, 0, tuple(col))
+                       for j, col in enumerate(columns, start=1)]
+    return out
+
+
+def reconstruct(shares: Dict[str, Sequence[NodeShare]],
+                topology: Topology) -> List[int]:
+    """Recover all chunks, or raise Infeasible naming what is missing.
+
+    Needs an inner quorum on the mother plus inner quorums on at least
+    outer_degree daughters; each network's lowest-index quorum recovers
+    its inner secret by interpolation at zero. Checks the shares with
+    check_share_set first. No share is ignored: every share beyond a
+    network's quorum, and every daughter beyond the outer degree, must
+    agree with the polynomial the others determine, else CorruptData
+    names the network and node. Errors are detected, not corrected.
+    """
+    q = topology.modulus
+    check_share_set((s for lst in shares.values() for s in lst), topology)
+    recovered: Dict[str, List[int]] = {}
+    quorum_report = []
+    for net in topology.networks:
+        have = list(shares.get(net.id, []))
+        need = net.inner_degree + 1
+        quorum_report.append((net.id, min(len(have), need), need))
+        if len(have) < need:
+            continue
+        have.sort(key=lambda s: s.node_index)
+        quorum, extra = have[:need], have[need:]
+        xs = [s.node_index for s in quorum]
+        columns = [s.values for s in quorum]
+        weights = lagrange_zero_weights(xs, q)
+        recovered[net.id] = weighted_column_sum(weights, columns, q)
+        for s in extra:
+            # P(x) is the value at zero of X -> P(X + x).
+            shifted = lagrange_zero_weights([a - s.node_index for a in xs], q)
+            if weighted_column_sum(shifted, columns, q) != list(s.values):
+                raise CorruptData(
+                    f"network {net.id}: the share of node {s.node_index} "
+                    f"disagrees with nodes {xs}")
+    mother_id = topology.mother.id
+    avail_daughters = [n.id for n in topology.daughters()
+                       if n.id in recovered]
+    missing = []
+    if mother_id not in recovered:
+        missing.append("mother quorum not met")
+    if len(avail_daughters) < topology.outer_degree:
+        missing.append(
+            f"daughter quorums {len(avail_daughters)}/{topology.outer_degree} met")
+    if missing:
+        detail = "; ".join(missing) + " (" + ", ".join(
+            f"{nid}: {got}/{need}" for nid, got, need in quorum_report) + ")"
+        raise Infeasible(detail)
+    chosen = [mother_id, *avail_daughters[:topology.outer_degree]]
+    rows = [constant_functional(topology, nid) for nid in chosen]
+    weights = _outer_weights(topology, rows)
+    if weights is None:
+        raise Infeasible("outer constraint matrix is singular")
+    columns = [recovered[nid] for nid in chosen]
+    for nid in avail_daughters[topology.outer_degree:]:
+        # The inner secret this daughter must hold, over the chosen ones.
+        over = express_over_rows(rows, constant_functional(topology, nid), q)
+        if (over is not None
+                and weighted_column_sum(over, columns, q) != recovered[nid]):
+            raise CorruptData(
+                f"network {nid}: its inner secret disagrees with networks "
+                f"{chosen}")
+    return weighted_column_sum(weights, columns, q)
+
+
+def refresh(topology: Topology, chunk_count: int, epoch: int,
+            rng) -> Dict[str, List[NodeRefresh]]:
+    """Fresh zero-constant inner polynomials, one per network per chunk;
+    the outer polynomial is untouched. Randomness is drawn network by
+    network in topology order, each network's coefficient columns across
+    all chunks in turn (the leading one nonzero)."""
+    q = topology.modulus
+    zeros = [0] * chunk_count
+    out: Dict[str, List[NodeRefresh]] = {}
+    for net in topology.networks:
+        columns = split_ints(zeros, net.inner_degree, net.node_count, q, rng)
+        out[net.id] = [NodeRefresh(net.id, j, epoch, tuple(col))
+                       for j, col in enumerate(columns, start=1)]
+    return out

@@ -7,11 +7,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multishare import formats
 from multishare.cli import main
 from multishare.field import DEFAULT_MODULUS, is_probable_prime
 from multishare.formats import topology_to_dict
@@ -55,6 +58,27 @@ def restore(directory: Path, files: dict) -> None:
     directory.mkdir()
     for name, data in files.items():
         (directory / name).write_bytes(data)
+
+
+def peak_rss_kib(*argvs):
+    """The ru_maxrss of each CLI command, run one after another in fresh
+    interpreters started from a small one: a child's ru_maxrss also counts
+    the high-water RSS of the process it was started from."""
+    measure = (
+        "import json, os, subprocess, sys\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    p = subprocess.Popen([sys.executable, '-m',"
+        " 'multishare.cli', *argv], stdout=subprocess.DEVNULL)\n"
+        "    _, status, usage = os.wait4(p.pid, 0)\n"
+        "    assert status == 0, argv\n"
+        "    print(usage.ru_maxrss)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", measure,
+         json.dumps([[str(a) for a in argv] for argv in argvs])],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return list(map(int, proc.stdout.split()))
 
 
 def hndl_schedule(rounds):
@@ -136,6 +160,66 @@ class TestDeal:
         topo_path.write_text(json.dumps(data))
         assert run(["deal", "--topology", topo_path, "--secret", secret,
                     "--out", tmp / "shares"]) == 2
+
+    def test_failed_deal_over_a_vault_leaves_it(self, workspace, capsys):
+        # Dealing another secret over a refreshed vault, with one share's
+        # temporary name taken by a directory, once replaced the mother's
+        # shares and then failed: reconstruct and refresh both exited 3
+        # (shares span epochs [0, 1]), and neither secret was left. deal
+        # refuses the directory before it writes anything.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 0
+        (out / "d1_001.share.json.tmp").mkdir()
+        names = sorted(p.name for p in out.iterdir())
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        other = tmp / "other.bin"
+        other.write_bytes(b"another secret")
+        capsys.readouterr()
+        assert run(["deal", "--topology", topo, "--secret", other,
+                    "--out", out, "--seed", "3"]) == 2
+        assert "already holds a vault" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.is_file()} == files
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 0
+        assert dest.read_bytes() == secret.read_bytes()
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 0
+
+    @pytest.mark.parametrize("name", [
+        "manifest.json", "m_001.share.json", "backup-d1.share.json",
+        "d1_002.share.json.staged-1", "manifest.json.staged-3"])
+    def test_refuses_a_directory_holding_a_vault_file(self, workspace,
+                                                      name):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        out.mkdir()
+        (out / name).write_bytes(b"kept")
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 2
+        assert snapshot(out) == {name: b"kept"}
+
+    def test_deals_into_a_directory_without_vault_files(self, workspace):
+        # Other files, a crashed deal's temporary file among them, do not
+        # make a vault.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"kept")
+        (out / "d1_001.share.json.tmp").write_bytes(b"half a share")
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        assert (out / "notes.txt").read_bytes() == b"kept"
+        assert not (out / "d1_001.share.json.tmp").exists()
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 0
+        assert dest.read_bytes() == secret.read_bytes()
 
 
 # Any JSON document, kept small.
@@ -434,6 +518,102 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--out", dest]
                    + picks) == 0
         assert dest.read_bytes() == secret.read_bytes()
+
+    def test_disagreement_and_epoch_mix_exit3(self, workspace, capsys):
+        # d1's shares, read first, disagree; a mother share of another
+        # epoch, read last, still decides the error, as it did when every
+        # share was checked before any was combined.
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        path = out / "d1_001.share.json"
+        data = json.loads(path.read_text())
+        data["values"][0] = format(int(data["values"][0], 16) ^ 1, "x")
+        path.write_text(json.dumps(data))
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert "network d1" in capsys.readouterr().err
+        path = out / "m_003.share.json"
+        data = json.loads(path.read_text())
+        data["epoch"] = 1
+        path.write_text(json.dumps(data))
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 3
+        assert "EpochMismatch" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_malformed_file_after_failed_check_exit2(self, workspace):
+        # A failed check on d1's shares, and a malformed mother share read
+        # after it: exit 2, as when every file was read before any check.
+        tmp, topo, secret, out = self._deal(workspace, seed="1")
+        path = out / "d1_001.share.json"
+        data = json.loads(path.read_text())
+        data["epoch"] = 1
+        path.write_text(json.dumps(data))
+        dest = tmp / "r.bin"
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 3
+        (out / "m_003.share.json").write_text("{")
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert not dest.exists()
+
+    def test_peak_memory_near_deal(self, tmp_path):
+        # reconstruct holds one network's shares at a time, besides the
+        # inner secrets recovered so far, so its peak RSS is about that of
+        # deal, which holds one network's columns and one share.
+        topo = tmp_path / "topology.json"
+        write_topology(topo)
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(os.urandom(512 * 1024))
+        out = tmp_path / "shares"
+        deal_rss, reconstruct_rss = peak_rss_kib(
+            ["deal", "--topology", topo, "--secret", secret, "--out", out],
+            ["reconstruct", "--topology", topo, "--shares", out,
+             "--out", tmp_path / "r.bin"])
+        assert (tmp_path / "r.bin").read_bytes() == secret.read_bytes()
+        assert reconstruct_rss <= 1.15 * deal_rss, (deal_rss,
+                                                    reconstruct_rss)
+
+
+class TestSharesReadOneAtATime:
+    """refresh and reconstruct read the share files one at a time. A share
+    they are done with must be freed before the next file is read, not
+    kept by a loop's reused result tuple or a generator's last item."""
+
+    @pytest.mark.parametrize("command", ["refresh", "reconstruct"])
+    def test_done_shares_freed_before_next_read(self, workspace,
+                                                monkeypatch, command):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        parsed = []  # (network id, weak reference) per share read
+        checked = 0
+        real = formats.share_from_dict
+
+        def parse(data, modulus):
+            # refresh is done with a share once it has written its
+            # update; reconstruct once its network's shares are all read.
+            nonlocal checked
+            read = Counter(nid for nid, _ in parsed)
+            for nid, ref in parsed:
+                if command == "refresh" or read[nid] == 3:
+                    assert ref() is None, (nid, len(parsed))
+                    checked += 1
+            share = real(data, modulus)
+            parsed.append((share.network_id, weakref.ref(share)))
+            return share
+
+        monkeypatch.setattr(formats, "share_from_dict", parse)
+        dest = tmp / "r.bin"
+        argv = (["refresh", "--topology", topo, "--shares", out]
+                if command == "refresh" else
+                ["reconstruct", "--topology", topo, "--shares", out,
+                 "--out", dest])
+        assert run(argv) == 0
+        assert [nid for nid, _ in parsed] == ["d1"] * 3 + ["d2"] * 3 + [
+            "m"] * 3
+        assert checked == (36 if command == "refresh" else 3 * 3 + 6 * 3)
 
 
 class TestManifest:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -68,6 +69,16 @@ def count_vector_sets(topology):
                        for j in range(1, c + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def dense_verdicts(topology):
+    """(counts, held, verdict) for every count vector of `topology`, the
+    verdict the dense reference oracle's. Both the threshold and the
+    oracle differentials check against these, so each topology's are
+    computed once per session."""
+    return tuple((counts, held, reference.access_oracle(held, topology))
+                 for counts, held in count_vector_sets(topology))
+
+
 def dense_thresholds(topology):
     """Reference for compute_thresholds_exhaustive: the dense reference
     oracle on every count vector's held set, and each threshold taken from
@@ -75,8 +86,7 @@ def dense_thresholds(topology):
     ns = [net.node_count for net in topology.networks]
     mother = topology.mother_index
     ok, bad = [], []
-    for counts, held in count_vector_sets(topology):
-        verdict = reference.access_oracle(held, topology)
+    for counts, _, verdict in dense_verdicts(topology):
         (ok if verdict is Access.RECONSTRUCTS else bad).append(counts)
 
     def disabled(counts):
@@ -476,10 +486,10 @@ class TestAccessOracle:
         # Every input the dense reference oracle decides in the other
         # tests: each count vector of the threshold reference's sample,
         # and each held set of the simulator oracle's enumerated check.
-        inputs = [(t, held) for t in dense_sample()
-                  for _, held in count_vector_sets(t)]
-        inputs += enumerated_held_sets()
-        for t, held in inputs:
+        for t in dense_sample():
+            for _, held, verdict in dense_verdicts(t):
+                assert access_oracle(held, t) is verdict, (t, held)
+        for t, held in enumerated_held_sets():
             assert (access_oracle(held, t)
                     is reference.access_oracle(held, t)), (t, held)
 
@@ -820,6 +830,107 @@ class TestChunkingMatchesReference:
         for chunks in streams:
             assert (_outcome(decode_secret, chunks, q)
                     == _outcome(reference.decode_secret, chunks, q)), chunks
+
+
+def _error_or(f, *args):
+    """f(*args), or the kind and message of the protocol error it raises,
+    as a comparable value."""
+    try:
+        return f(*args)
+    except (CorruptData, EpochMismatch, Infeasible) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@st.composite
+def small_vaults(draw):
+    """A small topology (mother anywhere), its secret chunks and a seed."""
+    q = draw(st.sampled_from([257, DEFAULT_MODULUS]))
+    l = draw(st.integers(2, 4))
+    mother = draw(st.integers(0, l - 1))
+    nets = []
+    for i in range(l):
+        n = draw(st.integers(1, 4))
+        kind = LinkKind.ITS if i == mother else LinkKind.CLASSICAL
+        nets.append(NetworkSpec(f"n{i}", n, draw(st.integers(0, min(2, n - 1))),
+                                kind))
+    t = Topology(q, tuple(nets), mother, draw(st.integers(1, l - 1)))
+    chunks = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=5))
+    return t, chunks, draw(st.integers(0, 2**32))
+
+
+class TestVaultMatchesReference:
+    """deal, refresh and reconstruct, which hold one network's columns and
+    one share at a time, against the eager bodies they replaced
+    (tests/reference.py): the same draws, shares, deltas and errors."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(small_vaults(), st.integers(0, 3))
+    def test_deal_and_refresh(self, vault, epoch):
+        t, chunks, seed = vault
+        q = t.modulus
+        want = reference.deal(chunks, t, deterministic_rng(seed))
+        assert deal(chunks, t, deterministic_rng(seed)) == want
+        streamed = []
+        assert deal(list(chunks), t, deterministic_rng(seed),
+                    sink=streamed.append) == {}
+        assert streamed == [s for lst in want.values() for s in lst]
+
+        got = refresh(t, len(chunks), epoch, deterministic_rng(seed + 1))
+        deltas = reference.refresh(t, len(chunks), epoch,
+                                   deterministic_rng(seed + 1))
+        assert list(got) == list(deltas)
+        for nid, lst in deltas.items():
+            assert len(got[nid]) == len(lst)
+            assert list(got[nid]) == lst
+            assert got[nid][-1] == lst[-1]
+            with pytest.raises(IndexError):
+                got[nid][len(lst)]
+            for share, delta in zip(want[nid], lst):
+                share = replace(share, epoch=epoch)
+                assert (got[nid].apply(share)
+                        == apply_node_refresh(share, delta, q))
+
+    def test_apply_rejects_what_does_not_fit(self):
+        t = topo3()
+        share = deal([4, 5], t, deterministic_rng(0))["d1"][1]
+        deltas = refresh(t, 2, 0, deterministic_rng(1))
+        for bad in (deltas["m"], refresh(t, 2, 1, deterministic_rng(1))["d1"],
+                    refresh(t, 1, 0, deterministic_rng(1))["d1"]):
+            with pytest.raises(ValueError):
+                bad.apply(share)
+        with pytest.raises(ValueError):
+            deltas["d1"].apply(replace(share, node_index=4))
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(small_vaults(), st.data())
+    def test_reconstruct(self, vault, data):
+        # A random subset of the shares, perhaps with a corrupted value and
+        # a share of another epoch, given as a mapping and as one stream in
+        # a random order: the outcome is the reference's, errors included,
+        # as a failed check decides over any disagreement.
+        t, chunks, seed = vault
+        q = t.modulus
+        dealt = reference.deal(chunks, t, deterministic_rng(seed))
+        shares = [s for lst in dealt.values() for s in lst
+                  if data.draw(st.booleans())]
+        if shares and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(shares) - 1))
+            c = data.draw(st.integers(0, len(chunks) - 1))
+            values = list(shares[i].values)
+            values[c] = (values[c] + 1) % q
+            shares[i] = replace(shares[i], values=tuple(values))
+        if shares and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(shares) - 1))
+            shares[i] = replace(shares[i], epoch=1)
+        grouped = {}
+        for s in shares:
+            grouped.setdefault(s.network_id, []).append(s)
+        want = _error_or(reference.reconstruct, grouped, t)
+        assert _error_or(reconstruct, grouped, t) == want
+        stream = data.draw(st.permutations(shares))
+        assert _error_or(reconstruct, iter(stream), t) == want
 
 
 class TestEndToEnd:
