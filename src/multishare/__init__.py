@@ -6,8 +6,7 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
 from .field import (DEFAULT_MODULUS, crypto_rng, deterministic_rng,
                     is_probable_prime)
 from .protocol import (Access, LinkKind, NetworkRefresh, NetworkSpec,
-                       NodeRefresh, NodeShare, Thresholds, Topology,
-                       access_oracle,
+                       NodeShare, Thresholds, Topology, access_oracle,
                        apply_node_refresh,
                        compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,

@@ -19,9 +19,6 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
 from .field import crypto_rng, deterministic_rng
 from . import formats
-# apply_node_refresh is not called here (cmd_refresh updates shares with
-# NetworkRefresh.apply), but perfbench/tracing.py wraps every protocol
-# name this module binds, by attribute.
 from .protocol import (NodeShare, Topology, apply_node_refresh,
                        checked_shares, compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
@@ -126,10 +123,6 @@ def _json_line(obj) -> bytes:
     return formats.canonical_json(obj) + b"\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, _json_line(obj))
-
-
 def _fsync(path: Path) -> None:
     """Flush the file or directory at `path` to disk."""
     fd = os.open(path, os.O_RDONLY)
@@ -142,6 +135,18 @@ def _fsync(path: Path) -> None:
 def _write_synced(path: Path, data: bytes) -> None:
     path.write_bytes(data)
     _fsync(path)
+
+
+def _write_durable(path: Path, data: bytes) -> None:
+    """As _write_atomic, with the temporary file flushed to disk before it
+    takes its final name; the caller flushes the directory."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        _write_synced(tmp, data)
+    except (OSError, ValueError) as exc:  # ValueError: a path like "."
+        _discard(tmp)
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
+    _commit(tmp, path)
 
 
 def _staged(path: Path, epoch: int) -> Path:
@@ -225,7 +230,9 @@ def _refuse_vault(out_dir: Path) -> None:
 def cmd_deal(args) -> int:
     """Deal the secret, writing each node's share file as soon as its
     share is made; deal (see protocol.deal) then holds one network's
-    columns and one share at a time."""
+    columns and one share at a time. Every file, the manifest last, is
+    flushed before its rename, and the directory before the exit: a deal
+    that exits 0 has its vault on disk."""
     topology = _load_topology(args.topology)
     q = topology.modulus
     try:
@@ -241,15 +248,20 @@ def cmd_deal(args) -> int:
     chunk_counts = []  # one per share written
 
     def write(share: NodeShare) -> None:
-        _write_atomic(_share_path(out_dir, share),
-                      formats.share_bytes(share, q))
+        _write_durable(_share_path(out_dir, share),
+                       formats.share_bytes(share, q))
         chunk_counts.append(len(share.values))
 
     # The chunks are made in the argument list, so that deal can drop
     # them once it has split them.
     deal(encode_secret(secret, q), topology, _rng(args.seed), sink=write)
-    _write_json(out_dir / MANIFEST,
-                formats.manifest_dict(topology, chunk_counts[0], 0, []))
+    _write_durable(out_dir / MANIFEST, _json_line(
+        formats.manifest_dict(topology, chunk_counts[0], 0, [])))
+    try:
+        _fsync(out_dir)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot flush directory {out_dir}: "
+                                   f"{exc}")
     print(f"dealt {chunk_counts[0]} chunks to {len(chunk_counts)} nodes in "
           f"{out_dir}")
     return EXIT_OK
@@ -314,7 +326,7 @@ def cmd_refresh(args) -> int:
                 staged_manifest = _staged(manifest, epoch + 1)
             net = topology.spec(share.network_id)
             done[net.id].add(share.node_index)
-            updated = deltas[net.id].apply(share)
+            updated = apply_node_refresh(share, deltas[net.id])
             del share
             moves.append((_staged(path, epoch + 1), path))
             _write_synced(moves[-1][0], formats.share_bytes(updated, q))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, repeat
@@ -122,15 +121,6 @@ class NodeShare:
     node_index: int
     epoch: int
     values: Tuple[int, ...]  # one per secret chunk, each in 0..modulus-1
-
-
-@dataclass(frozen=True)
-class NodeRefresh:
-    """Per-node refresh deltas, one value per chunk."""
-    network_id: str
-    node_index: int
-    from_epoch: int
-    values: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -260,12 +250,6 @@ def checked_shares(shares: Iterable[NodeShare],
         del s  # not held while the next share is read
 
 
-def check_share_set(shares: Iterable[NodeShare], topology: Topology) -> None:
-    """Raise unless the shares can be combined; see checked_shares."""
-    for _ in checked_shares(shares, topology):
-        pass
-
-
 def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
                 topology: Topology) -> List[int]:
     """Recover all chunks, or raise Infeasible naming what is missing.
@@ -371,16 +355,11 @@ def _inner_secret(net: NetworkSpec, have: List[NodeShare],
 
 
 @dataclass(frozen=True)
-class NetworkRefresh(SequenceABC):
+class NetworkRefresh:
     """One network's refresh of one round: the coefficient columns
     c_1..c_k (k its inner degree, c_k nonzero) of its zero-constant
     refresh polynomials, one entry per chunk. Node j's delta is
-    sum_t j^t c_t.
-
-    As a sequence it reads as the network's NodeRefresh list, node j at
-    index j - 1, each delta evaluated when it is asked for; apply updates
-    a share without building its delta.
-    """
+    sum_t j^t c_t; apply_node_refresh adds it to node j's share."""
     network_id: str
     from_epoch: int
     node_count: int
@@ -388,41 +367,15 @@ class NetworkRefresh(SequenceABC):
     modulus: int
     columns: Tuple[List[int], ...]
 
-    def __len__(self) -> int:
-        return self.node_count
-
-    def __getitem__(self, i: int) -> NodeRefresh:
-        if not -self.node_count <= i < self.node_count:
-            raise IndexError("no such node")
-        j = i % self.node_count + 1
-        return NodeRefresh(self.network_id, j, self.from_epoch,
-                           tuple(self._values(j)))
-
-    def apply(self, share: NodeShare) -> NodeShare:
-        """`share` advanced one epoch; ValueError unless it is a share of
-        this network at from_epoch with chunk_count values."""
-        if (share.network_id != self.network_id
-                or not 1 <= share.node_index <= self.node_count):
-            raise ValueError("refresh does not match share position")
-        if share.epoch != self.from_epoch:
-            raise ValueError("delta epoch does not match share")
-        if len(share.values) != self.chunk_count:
-            raise ValueError("chunk count mismatch")
-        return replace(share, epoch=share.epoch + 1, values=tuple(
-            self._values(share.node_index, share.values)))
-
-    def _values(self, node_index: int, share_values=None) -> List[int]:
-        """Node node_index's delta, plus its share's values when given: one
-        weighted_column_sum pass over [share, c_1..c_k] with weights
-        (1, j, ..., j^k)."""
+    def delta(self, node_index: int) -> Tuple[int, ...]:
+        """Node node_index's delta, one value per chunk."""
+        if not 1 <= node_index <= self.node_count:
+            raise ValueError("no such node")
+        if not self.columns:
+            return (0,) * self.chunk_count
         q = self.modulus
         weights = birkhoff_matrix_row(node_index, 0, len(self.columns), q)
-        if share_values is not None:
-            return weighted_column_sum(weights, [share_values, *self.columns],
-                                       q)
-        if not self.columns:
-            return [0] * self.chunk_count
-        return weighted_column_sum(weights[1:], self.columns, q)
+        return tuple(weighted_column_sum(weights[1:], self.columns, q))
 
 
 def refresh(topology: Topology, chunk_count: int, epoch: int,
@@ -431,8 +384,9 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
     the outer polynomial is untouched. Randomness is drawn network by
     network in topology order, each network's coefficient columns
     c_1..c_k across all chunks in turn (the leading one nonzero). No delta
-    is evaluated here: each network's NetworkRefresh evaluates a node's
-    delta, or refreshes its share in one pass, when asked."""
+    is evaluated here: apply_node_refresh updates a share from its
+    network's columns, and NetworkRefresh.delta evaluates a node's delta,
+    when asked."""
     q = topology.modulus
     return {net.id: NetworkRefresh(
                 net.id, epoch, net.node_count, chunk_count, q,
@@ -440,18 +394,24 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
             for net in topology.networks}
 
 
-def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
-                       modulus: int) -> NodeShare:
-    if (share.network_id, share.node_index) != (delta.network_id,
-                                                delta.node_index):
-        raise ValueError("delta does not match share position")
-    if share.epoch != delta.from_epoch:
+def apply_node_refresh(share: NodeShare,
+                       network_refresh: NetworkRefresh) -> NodeShare:
+    """`share` advanced one epoch, in one weighted_column_sum pass over
+    [share, c_1..c_k] with weights (1, j, ..., j^k), j its node index;
+    ValueError unless it is a share of the refreshed network at from_epoch
+    with chunk_count values."""
+    r = network_refresh
+    if (share.network_id != r.network_id
+            or not 1 <= share.node_index <= r.node_count):
+        raise ValueError("refresh does not match share position")
+    if share.epoch != r.from_epoch:
         raise ValueError("delta epoch does not match share")
-    if len(share.values) != len(delta.values):
+    if len(share.values) != r.chunk_count:
         raise ValueError("chunk count mismatch")
-    return replace(share, epoch=share.epoch + 1,
-                   values=tuple(weighted_column_sum(
-                       (1, 1), (share.values, delta.values), modulus)))
+    weights = birkhoff_matrix_row(share.node_index, 0, len(r.columns),
+                                  r.modulus)
+    return replace(share, epoch=share.epoch + 1, values=tuple(
+        weighted_column_sum(weights, [share.values, *r.columns], r.modulus)))
 
 
 # ---------------------------------------------------------------------------

@@ -182,18 +182,18 @@ class Simulation:
         applied, stale = 0, []
         for net in self.topology.networks:
             classical = net.link is LinkKind.CLASSICAL
-            for d in deltas[net.id]:
+            for j in range(1, net.node_count + 1):
                 if classical:
-                    self._send(("delta", net.id, d.node_index, round_no,
-                                d.values))
-                node = self.nodes[(net.id, d.node_index)]
+                    self._send(("delta", net.id, j, round_no,
+                                deltas[net.id].delta(j)))
+                node = self.nodes[(net.id, j)]
                 if not node.alive:
                     node.stale = True
-                    stale.append(f"{net.id}/{d.node_index}")
+                    stale.append(f"{net.id}/{j}")
                     continue
                 if node.store is not None and node.store.epoch == self.epoch:
-                    node.store = apply_node_refresh(
-                        node.store, d, self.topology.modulus)
+                    node.store = apply_node_refresh(node.store,
+                                                    deltas[net.id])
                     applied += 1
                     if node.compromised:
                         self._leak_store(node)

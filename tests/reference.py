@@ -13,21 +13,24 @@ decides the same question network by network (AdversaryKnowledge).
 deal, refresh and reconstruct are the eager vault operations, kept
 verbatim: each holds every node's column at once, where the package holds
 one network's columns and one share at a time. Their column sums run on
-weighted_column_sum below.
+weighted_column_sum below. refresh evaluates every node's delta into a
+NodeRefresh record, and apply_node_refresh adds one to a share, where the
+package keeps each network's coefficient columns and updates a share from
+them in one pass.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows
 from multishare.poly import (hierarchical_split_ints, lagrange_zero_weights,
                              split_ints)
-from multishare.protocol import (LENGTH_HEADER, Access, NodeRefresh,
-                                 NodeShare, Topology, _outer_weights,
-                                 check_share_set, chunk_size,
-                                 constant_functional)
+from multishare.protocol import (LENGTH_HEADER, Access, NodeShare,
+                                 Topology, _outer_weights, checked_shares,
+                                 chunk_size, constant_functional)
 
 
 def random_ints(modulus: int, count: int, rng,
@@ -226,13 +229,15 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     Needs an inner quorum on the mother plus inner quorums on at least
     outer_degree daughters; each network's lowest-index quorum recovers
     its inner secret by interpolation at zero. Checks the shares with
-    check_share_set first. No share is ignored: every share beyond a
+    checked_shares first. No share is ignored: every share beyond a
     network's quorum, and every daughter beyond the outer degree, must
     agree with the polynomial the others determine, else CorruptData
     names the network and node. Errors are detected, not corrected.
     """
     q = topology.modulus
-    check_share_set((s for lst in shares.values() for s in lst), topology)
+    for _ in checked_shares((s for lst in shares.values() for s in lst),
+                            topology):
+        pass
     recovered: Dict[str, List[int]] = {}
     quorum_report = []
     for net in topology.networks:
@@ -284,6 +289,15 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     return weighted_column_sum(weights, columns, q)
 
 
+@dataclass(frozen=True)
+class NodeRefresh:
+    """Per-node refresh deltas, one value per chunk."""
+    network_id: str
+    node_index: int
+    from_epoch: int
+    values: Tuple[int, ...]
+
+
 def refresh(topology: Topology, chunk_count: int, epoch: int,
             rng) -> Dict[str, List[NodeRefresh]]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
@@ -298,3 +312,17 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
         out[net.id] = [NodeRefresh(net.id, j, epoch, tuple(col))
                        for j, col in enumerate(columns, start=1)]
     return out
+
+
+def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
+                       modulus: int) -> NodeShare:
+    if (share.network_id, share.node_index) != (delta.network_id,
+                                                delta.node_index):
+        raise ValueError("delta does not match share position")
+    if share.epoch != delta.from_epoch:
+        raise ValueError("delta epoch does not match share")
+    if len(share.values) != len(delta.values):
+        raise ValueError("chunk count mismatch")
+    return replace(share, epoch=share.epoch + 1,
+                   values=tuple(weighted_column_sum(
+                       (1, 1), (share.values, delta.values), modulus)))

@@ -247,8 +247,7 @@ def test_criterion_8_refresh_suite():
     dealt = deal(chunks, t, rng)
     for epoch in range(5):
         deltas = refresh(t, len(chunks), epoch, rng)
-        dealt = {nid: [apply_node_refresh(s, deltas[nid][s.node_index - 1], q)
-                       for s in shares]
+        dealt = {nid: [apply_node_refresh(s, deltas[nid]) for s in shares]
                  for nid, shares in dealt.items()}
         assert decode_secret(reconstruct(dealt, t), q) == msg
     # Cross-epoch mixing rejected.

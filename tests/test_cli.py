@@ -221,6 +221,37 @@ class TestDeal:
                     "--out", dest]) == 0
         assert dest.read_bytes() == secret.read_bytes()
 
+    def test_flushes_every_file_and_the_directory(self, workspace,
+                                                  monkeypatch):
+        # A deal that exits 0 has its vault on disk: each share file, and
+        # then the manifest, is flushed before its rename, and the
+        # directory before the exit.
+        tmp, topo, secret = workspace
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, [
+            "deal", "--topology", topo, "--secret", secret,
+            "--out", tmp / "shares", "--seed", "1"]) == 0
+        assert probe.log == ["write", "fsync", "replace"] * 10 + ["fsync"]
+
+    def test_fault_at_every_mutation(self, workspace, monkeypatch, capsys):
+        # A deal that fails at any file mutation exits 2, and leaves no
+        # temporary file; every file under its final name is the one a
+        # deal without a fault writes.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        argv = ["deal", "--topology", topo, "--secret", secret,
+                "--out", out, "--seed", "1"]
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, argv) == 0
+        want = snapshot(out)
+        for k in range(1, len(probe.log) + 1):
+            shutil.rmtree(out)
+            assert FaultyFiles(k).run(monkeypatch, argv) == 2, k
+            got = snapshot(out)
+            assert not [name for name in got if name.endswith(".tmp")], k
+            assert {name: want.get(name) for name in got} == got, k
+        capsys.readouterr()
+
 
 # Any JSON document, kept small.
 JSON_VALUES = st.recursive(
@@ -1233,6 +1264,7 @@ class TestSimulate:
         assert counts["protocol.deal.calls"] == 1
         counts = traced("refresh", "--topology", topo, "--shares", out)
         assert counts["protocol.refresh.calls"] == 1
+        assert counts["protocol.apply_node_refresh.calls"] == 9  # per file
         counts = traced("reconstruct", "--topology", topo, "--shares", out,
                         "--out", dest)
         assert counts["protocol.reconstruct.calls"] == 1

@@ -287,18 +287,21 @@ class TestDeal:
             for net in nets}
         refresh_replay = deterministic_rng(12)
         for net in nets:
-            for got, secrets, rng in ((dealt, inner_secrets[net.id], replay),
-                                      (deltas, [0] * m, refresh_replay)):
+            nodes = range(1, net.node_count + 1)
+            assert [s.node_index for s in dealt[net.id]] == list(nodes)
+            for got, secrets, rng in (
+                    ([s.values for s in dealt[net.id]],
+                     inner_secrets[net.id], replay),
+                    ([deltas[net.id].delta(j) for j in nodes], [0] * m,
+                     refresh_replay)):
                 cols = random_coeff_columns(net.inner_degree, secrets, q,
                                             rng)
                 assert net.inner_degree == 0 or all(cols[-1])
-                for j, item in enumerate(got[net.id], start=1):
-                    assert item.node_index == j
-                    assert list(item.values) == [
+                for j, values in zip(nodes, got):
+                    assert list(values) == [
                         horner([col[c] for col in cols], j, q)
                         for c in range(m)]
-        refreshed = {nid: [apply_node_refresh(s, deltas[nid][s.node_index - 1],
-                                              q) for s in lst]
+        refreshed = {nid: [apply_node_refresh(s, deltas[nid]) for s in lst]
                      for nid, lst in dealt.items()}
         assert reconstruct(refreshed, t) == chunks
         assert reconstruct(dealt, t) == chunks
@@ -579,8 +582,7 @@ class TestAccessOracle:
         all_deltas = []
         for epoch in range(rounds):
             deltas = refresh(t, len(chunks), epoch, rng)
-            shares = {nid: [apply_node_refresh(
-                                s, deltas[nid][s.node_index - 1], q)
+            shares = {nid: [apply_node_refresh(s, deltas[nid])
                             for s in lst]
                       for nid, lst in shares.items()}
             all_deltas.append(deltas)
@@ -611,10 +613,11 @@ class TestAccessOracle:
                     row = space.share_row(nid, s.node_index, epoch)
                     assert list(s.values) == [dot(row, v) for v in vectors]
         for round_no, deltas in enumerate(all_deltas, start=1):
-            for nid, lst in deltas.items():
-                for d in lst:
-                    row = space.delta_row(nid, d.node_index, round_no)
-                    assert list(d.values) == [dot(row, v) for v in vectors]
+            for nid, network_refresh in deltas.items():
+                for j in range(1, network_refresh.node_count + 1):
+                    row = space.delta_row(nid, j, round_no)
+                    assert list(network_refresh.delta(j)) == [
+                        dot(row, v) for v in vectors]
         got = reconstruct(shares, t)
         assert got == chunks
         if secret is not None:
@@ -652,8 +655,7 @@ class TestRefresh:
         dealt = deal(chunks, t, rng)
         for epoch in range(3):
             deltas = refresh(t, 2, epoch, rng)
-            dealt = {nid: [apply_node_refresh(
-                               s, deltas[nid][s.node_index - 1], 11)
+            dealt = {nid: [apply_node_refresh(s, deltas[nid])
                            for s in shares]
                      for nid, shares in dealt.items()}
             assert reconstruct(dealt, t) == chunks
@@ -661,10 +663,9 @@ class TestRefresh:
     def test_shapes(self):
         t = topo3()
         deltas = refresh(t, 1, 0, deterministic_rng(0))
-        assert {nid: len(v) for nid, v in deltas.items()} == \
+        assert {nid: v.node_count for nid, v in deltas.items()} == \
             {"m": 3, "d1": 3, "d2": 3}
-        assert all(d.from_epoch == 0
-                   for v in deltas.values() for d in v)
+        assert all(v.from_epoch == 0 for v in deltas.values())
 
     def test_mixed_epoch_reconstruct_rejected(self):
         t = topo3()
@@ -672,8 +673,7 @@ class TestRefresh:
         dealt = deal([4], t, rng)
         deltas = refresh(t, 1, 0, rng)
         mixed = dict(dealt)
-        mixed["d1"] = [apply_node_refresh(s, deltas["d1"][s.node_index - 1],
-                                          11)
+        mixed["d1"] = [apply_node_refresh(s, deltas["d1"])
                        for s in dealt["d1"]]
         with pytest.raises(EpochMismatch):
             reconstruct(mixed, t)
@@ -859,9 +859,10 @@ def small_vaults(draw):
 
 
 class TestVaultMatchesReference:
-    """deal, refresh and reconstruct, which hold one network's columns and
-    one share at a time, against the eager bodies they replaced
-    (tests/reference.py): the same draws, shares, deltas and errors."""
+    """deal, refresh, apply_node_refresh and reconstruct, which hold one
+    network's columns and one share at a time, against the eager bodies
+    they replaced (tests/reference.py): the same draws, shares, deltas and
+    errors."""
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
@@ -881,15 +882,13 @@ class TestVaultMatchesReference:
                                    deterministic_rng(seed + 1))
         assert list(got) == list(deltas)
         for nid, lst in deltas.items():
-            assert len(got[nid]) == len(lst)
-            assert list(got[nid]) == lst
-            assert got[nid][-1] == lst[-1]
-            with pytest.raises(IndexError):
-                got[nid][len(lst)]
+            assert (got[nid].node_count, got[nid].from_epoch) == (
+                len(lst), epoch)
             for share, delta in zip(want[nid], lst):
+                assert got[nid].delta(delta.node_index) == delta.values
                 share = replace(share, epoch=epoch)
-                assert (got[nid].apply(share)
-                        == apply_node_refresh(share, delta, q))
+                assert (apply_node_refresh(share, got[nid])
+                        == reference.apply_node_refresh(share, delta, q))
 
     def test_apply_rejects_what_does_not_fit(self):
         t = topo3()
@@ -898,9 +897,12 @@ class TestVaultMatchesReference:
         for bad in (deltas["m"], refresh(t, 2, 1, deterministic_rng(1))["d1"],
                     refresh(t, 1, 0, deterministic_rng(1))["d1"]):
             with pytest.raises(ValueError):
-                bad.apply(share)
+                apply_node_refresh(share, bad)
         with pytest.raises(ValueError):
-            deltas["d1"].apply(replace(share, node_index=4))
+            apply_node_refresh(replace(share, node_index=4), deltas["d1"])
+        for j in (0, 4):
+            with pytest.raises(ValueError):
+                deltas["d1"].delta(j)
 
     @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)

@@ -12,9 +12,9 @@ from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
                               express_over_rows)
 from multishare.poly import (birkhoff_matrix_row, evaluate_columns, horner,
                              hierarchical_split_ints, split_ints)
-from multishare.protocol import (LinkKind, NetworkSpec, NodeRefresh,
+from multishare.protocol import (LinkKind, NetworkRefresh, NetworkSpec,
                                  NodeShare, Topology, apply_node_refresh,
-                                 check_share_set, reconstruct, refresh)
+                                 checked_shares, reconstruct, refresh)
 from test_poly import birkhoff_coeffs, interpolate_zero
 
 
@@ -38,6 +38,12 @@ def hier_secret(constraints, k, q):
     """P(0) from k constraints, or None when they leave it undetermined."""
     coeffs = birkhoff_coeffs(constraints, k - 1, q)
     return None if coeffs is None else coeffs[0]
+
+
+def one_column(delta, network="m", epoch=0):
+    """A refresh round of a three-node network over F_7, one chunk, whose
+    single coefficient column gives node 1 the delta `delta`."""
+    return NetworkRefresh(network, epoch, 3, 1, 7, ([delta],))
 
 
 def one_network(q, n=3, degree=1):
@@ -84,8 +90,8 @@ class TestReconstruct:
     def test_epoch_mix_rejected(self):
         topo = one_network(7)
         with pytest.raises(EpochMismatch):
-            check_share_set([NodeShare("m", 1, 0, (5,)),
-                             NodeShare("m", 2, 1, (0,))], topo)
+            list(checked_shares([NodeShare("m", 1, 0, (5,)),
+                                 NodeShare("m", 2, 1, (0,))], topo))
 
     def test_duplicate_x_rejected(self):
         with pytest.raises(ValueError):
@@ -213,25 +219,27 @@ class TestRefresh:
     def test_shape(self):
         topo = one_network(7, n=4)
         deltas = refresh(topo, 1, 3, deterministic_rng(4))
-        assert len(deltas["m"]) == 4
-        assert all(d.from_epoch == 3 for d in deltas["m"])
+        assert deltas["m"].node_count == 4
+        assert deltas["m"].from_epoch == 3
 
     def test_apply(self):
         share = NodeShare("m", 1, 0, (5,))
-        out = apply_node_refresh(share, NodeRefresh("m", 1, 0, (5,)), 7)
+        out = apply_node_refresh(share, one_column(5))
         assert (out.values, out.epoch) == ((3,), 1)  # 10 mod 7
 
     def test_apply_zero_delta(self):
         share = NodeShare("m", 1, 0, (5,))
-        out = apply_node_refresh(share, NodeRefresh("m", 1, 0, (0,)), 7)
+        out = apply_node_refresh(share, one_column(0))
         assert (out.values, out.epoch) == ((5,), 1)
 
     def test_apply_mismatches(self):
         share = NodeShare("m", 1, 0, (5,))
         with pytest.raises(ValueError):
-            apply_node_refresh(share, NodeRefresh("m", 2, 0, (0,)), 7)
+            apply_node_refresh(share, one_column(0, network="d1"))
         with pytest.raises(ValueError):
-            apply_node_refresh(share, NodeRefresh("m", 1, 1, (0,)), 7)
+            apply_node_refresh(NodeShare("m", 4, 0, (5,)), one_column(0))
+        with pytest.raises(ValueError):
+            apply_node_refresh(share, one_column(0, epoch=1))
 
     def test_secret_preserved_across_rounds(self):
         rng = deterministic_rng(21)
