@@ -1,5 +1,10 @@
 """Long-term confidential storage by hierarchical secret sharing across
-multiple networks."""
+multiple networks.
+
+The package root holds the protocol. The adversary simulator (Scenario,
+SimNode, Simulation, load_state, run_scenario) lives in multishare.simnet
+and is imported only where it is used.
+"""
 
 from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
@@ -11,6 +16,5 @@ from .protocol import (Access, LinkKind, NetworkRefresh, NetworkSpec,
                        compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
                        encode_secret, reconstruct, refresh)
-from .simnet import Scenario, SimNode, Simulation, load_state, run_scenario
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ canonical_json is byte-stable (sorted keys, fixed separators).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from itertools import repeat
@@ -114,6 +113,9 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
 
 
 def topology_digest(topology: Topology) -> str:
+    # Imported here: hashlib maps OpenSSL's libcrypto, which only the vault
+    # commands need.
+    import hashlib
     return hashlib.sha256(
         canonical_json(topology_to_dict(topology))).hexdigest()
 
@@ -178,13 +180,15 @@ def share_from_dict(data: dict, modulus: int) -> NodeShare:
         raise CorruptData(f"malformed share file: {exc}") from exc
 
 
-def manifest_dict(topology: Topology, chunk_count: int, epoch: int,
+def manifest_dict(digest: str, chunk_count: int, epoch: int,
                   stale: List[str]) -> dict:
+    """The manifest of a vault dealt under the topology whose
+    topology_digest is `digest`."""
     return {
         "format_version": FORMAT_VERSION,
         "chunk_count": chunk_count,
         "epoch": epoch,
-        "topology_digest": topology_digest(topology),
+        "topology_digest": digest,
         "stale": sorted(stale),
     }
 

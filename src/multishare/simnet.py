@@ -202,10 +202,8 @@ class Simulation:
         return {"applied": applied, "stale": sorted(stale),
                 "epoch": self.epoch}
 
-    def owner_reconstruct(self, selection: Optional[List[Tuple[str, int]]]
-                          = None) -> bytes:
-        """Decode from every live current-epoch node, or from those of
-        them in `selection`."""
+    def owner_reconstruct(self) -> bytes:
+        """Decode from every live current-epoch node."""
         if not self.dealt:
             raise Infeasible("nothing dealt yet")
         usable: Dict[str, List[NodeShare]] = {}
@@ -213,11 +211,6 @@ class Simulation:
             if (node.alive and not node.stale and node.store is not None
                     and node.store.epoch == self.epoch):
                 usable.setdefault(node.network_id, []).append(node.store)
-        if selection is not None:
-            wanted = set(map(tuple, selection))
-            usable = {nid: [s for s in lst
-                            if (nid, s.node_index) in wanted]
-                      for nid, lst in usable.items()}
         # Looked up at call time, so that a wrapper installed on the
         # protocol module (the perfbench tracer) sees this call.
         chunks = protocol.reconstruct(usable, self.topology)

@@ -205,8 +205,8 @@ class TestDeal:
         assert snapshot(out) == {name: b"kept"}
 
     def test_deals_into_a_directory_without_vault_files(self, workspace):
-        # Other files, a crashed deal's temporary file among them, do not
-        # make a vault.
+        # Other files, a stray temporary file among them, do not make a
+        # vault, and deal leaves them as they are.
         tmp, topo, secret = workspace
         out = tmp / "shares"
         out.mkdir()
@@ -215,7 +215,8 @@ class TestDeal:
         assert run(["deal", "--topology", topo, "--secret", secret,
                     "--out", out, "--seed", "1"]) == 0
         assert (out / "notes.txt").read_bytes() == b"kept"
-        assert not (out / "d1_001.share.json.tmp").exists()
+        assert (out / "d1_001.share.json.tmp").read_bytes() == \
+            b"half a share"
         dest = tmp / "r.bin"
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 0
@@ -223,34 +224,108 @@ class TestDeal:
 
     def test_flushes_every_file_and_the_directory(self, workspace,
                                                   monkeypatch):
-        # A deal that exits 0 has its vault on disk: each share file, and
-        # then the manifest, is flushed before its rename, and the
-        # directory before the exit.
+        # A deal that exits 0 has its vault on disk, committed as refresh
+        # commits an epoch: each share file is written and flushed under
+        # its staged name, then the directory; the manifest is written,
+        # flushed and renamed into place (the commit), the directory is
+        # flushed, the shares take their final names, and the directory is
+        # flushed again.
         tmp, topo, secret = workspace
         probe = FaultyFiles()
         assert probe.run(monkeypatch, [
             "deal", "--topology", topo, "--secret", secret,
             "--out", tmp / "shares", "--seed", "1"]) == 0
-        assert probe.log == ["write", "fsync", "replace"] * 10 + ["fsync"]
+        assert probe.log == (["write", "fsync"] * 9
+                             + ["fsync", "write", "fsync", "replace", "fsync"]
+                             + ["replace"] * 9 + ["fsync"])
 
     def test_fault_at_every_mutation(self, workspace, monkeypatch, capsys):
-        # A deal that fails at any file mutation exits 2, and leaves no
-        # temporary file; every file under its final name is the one a
-        # deal without a fault writes.
+        # A deal that fails at any file mutation exits 2. Before its commit
+        # it leaves no vault file; after it, staged names can remain, each
+        # holding the file it is to become, and reconstruct --shares
+        # settles them. Every file under its final name is the one a deal
+        # without a fault writes.
         tmp, topo, secret = workspace
         out = tmp / "shares"
+        dest = tmp / "r.bin"
         argv = ["deal", "--topology", topo, "--secret", secret,
                 "--out", out, "--seed", "1"]
         probe = FaultyFiles()
         assert probe.run(monkeypatch, argv) == 0
         want = snapshot(out)
+        commit = probe.log.index("replace") + 1  # the manifest's rename
         for k in range(1, len(probe.log) + 1):
             shutil.rmtree(out)
             assert FaultyFiles(k).run(monkeypatch, argv) == 2, k
             got = snapshot(out)
-            assert not [name for name in got if name.endswith(".tmp")], k
-            assert {name: want.get(name) for name in got} == got, k
+            if k <= commit:
+                assert got == {}, k
+                continue
+            assert got["manifest.json"] == want["manifest.json"], k
+            assert {name.removesuffix(".staged-0"): data
+                    for name, data in got.items()} == want, k
+            assert run(["reconstruct", "--topology", topo, "--shares", out,
+                        "--out", dest]) == 0, k
+            assert dest.read_bytes() == secret.read_bytes(), k
+            assert snapshot(out) == want, k
         capsys.readouterr()
+
+    def test_crash_at_every_mutation(self, workspace, monkeypatch, capsys):
+        # A deal that dies at any file mutation leaves either the whole
+        # vault or an uncommitted deal: files under staged names and no
+        # manifest. Refresh and reconstruct --shares then find no share
+        # file, write no manifest and delete the staged files; a later deal
+        # into the directory succeeds. Before staged names, a deal that
+        # died after 4 of its 9 share files left them under their final
+        # names and no manifest: a second deal refused the directory, and
+        # refresh made a vault of the 4 shares that reconstruct could not
+        # read back.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        dest = tmp / "r.bin"
+        argv = ["deal", "--topology", topo, "--secret", secret,
+                "--out", out, "--seed", "1"]
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, argv) == 0
+        want = snapshot(out)
+        commit = probe.log.index("replace") + 1  # the manifest's rename
+        refresh = ["refresh", "--topology", topo, "--shares", out]
+        reconstruct = ["reconstruct", "--topology", topo, "--shares", out,
+                       "--out", dest]
+        for k in range(1, len(probe.log) + 1):
+            shutil.rmtree(out)
+            assert FaultyFiles(k, crash=True).run(monkeypatch, argv) == 2, k
+            crashed = snapshot(out)
+            if k <= commit:
+                assert all(".staged-0" in name for name in crashed), k
+                for settle in (refresh, reconstruct):
+                    restore(out, crashed)
+                    assert run(settle) == 2, k
+                    assert snapshot(out) == {}, k
+                restore(out, crashed)
+                assert run(argv) == 0, k
+                assert snapshot(out) == want, k
+            else:
+                assert run(reconstruct) == 0, k
+                assert dest.read_bytes() == secret.read_bytes(), k
+                assert snapshot(out) == want, k
+        capsys.readouterr()
+
+    def test_deletes_an_uncommitted_deal(self, workspace):
+        # Without a manifest, files staged at epoch 0 are what a deal left
+        # before its commit; deal deletes them, even those of nodes the new
+        # topology does not have. Files staged by a refresh still make a
+        # vault (see test_refuses_a_directory_holding_a_vault_file).
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        out.mkdir()
+        for name in ("m_001.share.json.staged-0", "d9_001.share.json.staged-0",
+                     "manifest.json.staged-0"):
+            (out / name).write_bytes(b"uncommitted")
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        assert not [p for p in out.iterdir() if ".staged-" in p.name]
+        assert len(list(out.glob("*.share.json"))) == 9
 
 
 # Any JSON document, kept small.
@@ -351,6 +426,18 @@ class TestReconstruct:
         dest = tmp / "recovered.bin"
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 0
+        assert dest.read_bytes() == secret.read_bytes()
+
+    def test_flushes_the_output(self, workspace, monkeypatch):
+        # A reconstruct that exits 0 has its output on disk: the file is
+        # flushed before its rename, and the directory after it.
+        tmp, topo, secret, out = self._deal(workspace)
+        dest = tmp / "recovered.bin"
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, [
+            "reconstruct", "--topology", topo, "--shares", out,
+            "--out", dest]) == 0
+        assert probe.log == ["write", "fsync", "replace", "fsync"]
         assert dest.read_bytes() == secret.read_bytes()
 
     def test_quorum_exact_file_list(self, workspace):
@@ -1307,6 +1394,65 @@ class TestUnwritableOutput:
         # No partial output is left behind.
         assert not list(tmp.rglob("*.tmp"))
         assert not missing.parent.exists()
+
+
+class TestLoadOnUse:
+    """Only the vault commands digest a topology, so only they load
+    hashlib, which maps OpenSSL's libcrypto (about 3.6 MiB of a 20 MiB
+    process). The package root does not import the simulator."""
+
+    @staticmethod
+    def modules(code, *args):
+        """The names in sys.modules once `code` has run, with `args` as
+        sys.argv[1:], in a fresh interpreter."""
+        probe = code + "\nimport sys\nprint(' '.join(sys.modules))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *map(str, args)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    CLI = ("import sys\nfrom multishare.cli import main\n"
+           "assert main(sys.argv[1:]) == 0")
+
+    def test_protocol_import_loads_no_simulator(self):
+        loaded = self.modules("import multishare.protocol")
+        assert "multishare.protocol" in loaded
+        assert not loaded & {"_hashlib", "hashlib", "multishare.simnet",
+                             "multishare.formats", "json"}
+
+    def test_thresholds_and_simulate_load_no_libcrypto(self, tmp_path):
+        examples = ROOT / "docs" / "examples"
+        state = tmp_path / "w.state"
+        more = json.loads((examples / "scenario.json").read_text())
+        more["schedule"] = [{"event": "refresh"},
+                            {"event": "attempt_reconstruct",
+                             "actor": "owner"}]
+        scenario = tmp_path / "more.json"
+        scenario.write_text(json.dumps(more))
+        for argv in (
+                ["thresholds", "--topology", examples / "topology.json",
+                 "--oracle"],
+                # A new state, then the same one loaded, run on and saved.
+                ["simulate", "--scenario", examples / "scenario.json",
+                 "--state", state, "--report", tmp_path / "r.json"],
+                ["simulate", "--scenario", scenario, "--state", state,
+                 "--report", tmp_path / "r.json"]):
+            loaded = self.modules(self.CLI, *argv)
+            assert "multishare.cli" in loaded, argv
+            assert "_hashlib" not in loaded, argv
+        assert state.exists()
+
+    def test_vault_commands_load_libcrypto(self, workspace):
+        # What the probe sees when the digest is taken.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        for argv in (["deal", "--topology", topo, "--secret", secret,
+                      "--out", out],
+                     ["reconstruct", "--topology", topo, "--shares", out,
+                      "--out", tmp / "r.bin"]):
+            assert "_hashlib" in self.modules(self.CLI, *argv), argv
 
 
 class TestGoldenOutput:

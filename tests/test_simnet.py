@@ -142,10 +142,14 @@ class TestOwner:
             sim.owner_reconstruct()
 
     def test_explicit_selection_below_quorum(self):
+        # Only m/1 and d1/1 are left alive: one share of each.
         sim = Simulation(topo(), b"payload", seed=2)
         sim.owner_store()
+        for nid, j in sim.nodes:
+            if (nid, j) not in {("m", 1), ("d1", 1)}:
+                sim.fail_node(nid, j)
         with pytest.raises(Infeasible):
-            sim.owner_reconstruct(selection=[("m", 1), ("d1", 1)])
+            sim.owner_reconstruct()
 
 
 class TestAdversary:
