@@ -38,3 +38,8 @@ class CorruptData(MultishareError):
 
 class StateError(MultishareError):
     """A simulation state file could not be loaded."""
+
+
+class StorageError(MultishareError):
+    """A file could not be written, flushed, renamed or deleted, or a
+    directory could not be read or made."""

@@ -69,36 +69,34 @@ def crypto_rng() -> random.SystemRandom:
     return random.SystemRandom()
 
 
-def random_ints(modulus: int, count: int, rng,
-                nonzero: bool = False) -> List[int]:
-    """`count` uniform values in 0..modulus-1 (1..modulus-1 when
-    `nonzero`), by rejection sampling over rng.randbytes.
+def random_ints(modulus: int, count: int, rng) -> List[int]:
+    """`count` uniform values in 0..modulus-1, by rejection sampling over
+    rng.randbytes.
 
     Each attempt draws one block of ceil(bits/8)-byte little-endian words
     (bits = modulus.bit_length()), one word per value still missing, at
     most BLOCK_WORDS. Each word is masked to `bits` bits and kept only
-    when below the modulus (and nonzero, if asked), so no value carries
-    modulo bias; rejected words are topped up by the next block. With
-    crypto_rng the block is os.urandom: nothing expands the entropy.
+    when below the modulus, so no value carries modulo bias; rejected
+    words are topped up by the next block. With crypto_rng the block is
+    os.urandom: nothing expands the entropy.
 
     A block is split by one struct.unpack and converted and masked by
-    C-level maps; when its least and greatest words are in range, as
-    almost always at 2^127 - 1, it is kept whole.
+    C-level maps; when its greatest word is in range, as almost always at
+    2^127 - 1, it is kept whole.
     """
     bits = modulus.bit_length()
     width = (bits + 7) // 8
     mask = (1 << bits) - 1
-    low = 1 if nonzero else 0
     out: List[int] = []
     while len(out) < count:
         n = min(count - len(out), BLOCK_WORDS)
         words = struct.unpack(f"{width}s" * n, rng.randbytes(n * width))
         block = list(map(and_, map(int.from_bytes, words, repeat("little")),
                          repeat(mask)))
-        if low <= min(block) and max(block) < modulus:
+        if max(block) < modulus:
             out += block
         else:
-            out += [v for v in block if low <= v < modulus]
+            out += [v for v in block if v < modulus]
     return out
 
 

@@ -22,7 +22,7 @@ from . import field
 def random_coeff_columns(degree: int, constants: Sequence[int], q: int,
                          rng) -> List[List[int]]:
     """Coefficient columns (constant first) of len(constants) random
-    polynomials of exactly `degree`, the i-th with constant term
+    polynomials of degree at most `degree`, the i-th with constant term
     constants[i]: column t holds every polynomial's X^t coefficient.
     The constants are copied, then the other columns drawn by
     random_columns (degree 0 is the constants themselves).
@@ -33,15 +33,12 @@ def random_coeff_columns(degree: int, constants: Sequence[int], q: int,
 def random_columns(degree: int, count: int, q: int,
                    rng) -> List[List[int]]:
     """The X^1..X^degree coefficient columns of `count` random
-    polynomials of exactly `degree`: the middle columns in order, then the
-    leading column with every entry nonzero, so declared and actual degree
-    always agree. None for degree 0."""
+    polynomials, in order, every entry uniform over 0..q-1: a leading
+    coefficient may be 0, as it must for any `degree` values to be
+    independent of the constant term. None for degree 0."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    columns = [field.random_ints(q, count, rng) for _ in range(degree - 1)]
-    if degree:
-        columns.append(field.random_ints(q, count, rng, nonzero=True))
-    return columns
+    return [field.random_ints(q, count, rng) for _ in range(degree)]
 
 
 def evaluate_columns(columns: Sequence[Sequence[int]], x: int, q: int,
@@ -55,7 +52,7 @@ def evaluate_columns(columns: Sequence[Sequence[int]], x: int, q: int,
 def split_ints(secrets: Sequence[int], degree: int, n: int, q: int, rng
                ) -> List[List[int]]:
     """Columns P(1)..P(n), each across all secrets, for random P of
-    exactly `degree`, one per secret, with P(0) = that secret."""
+    degree at most `degree`, one per secret, with P(0) = that secret."""
     return list(iter_split_ints(secrets, degree, n, q, rng))
 
 
@@ -73,8 +70,8 @@ def hierarchical_split_ints(secrets: Sequence[int], degree: int,
                             managers: int, employees: int, q: int, rng
                             ) -> Tuple[List[List[int]], List[List[int]]]:
     """(columns P(1..managers), columns P'(1..employees)), each across all
-    secrets, for random P of exactly `degree`, one per secret, with
-    P(0) = that secret."""
+    secrets, for random P of degree at most `degree`, one per secret,
+    with P(0) = that secret."""
     p = random_coeff_columns(degree, secrets, q, rng)
     return ([evaluate_columns(p, x, q) for x in range(1, managers + 1)],
             [evaluate_columns(p, x, q, order=1)

@@ -150,9 +150,9 @@ def deal(secret_chunks: List[int], topology: Topology, rng,
     P'(i)); then a flat split of each network's inner secret over its
     nodes, node j holding the inner polynomial's value at j. All chunks
     are dealt at once, column by column: randomness is drawn as P's
-    coefficient columns p_1..p_D across all chunks (p_D nonzero), then,
-    network by network in topology order, that network's inner
-    coefficient columns (the leading one nonzero).
+    coefficient columns p_1..p_D across all chunks, then, network by
+    network in topology order, that network's inner coefficient columns;
+    every coefficient is uniform over 0..q-1.
 
     With `sink`, each share is passed to sink(share) as soon as it is made
     and is not kept, and the result is empty. Memory then stays within the
@@ -357,8 +357,8 @@ def _inner_secret(net: NetworkSpec, have: List[NodeShare],
 @dataclass(frozen=True)
 class NetworkRefresh:
     """One network's refresh of one round: the coefficient columns
-    c_1..c_k (k its inner degree, c_k nonzero) of its zero-constant
-    refresh polynomials, one entry per chunk. Node j's delta is
+    c_1..c_k (k its inner degree) of its zero-constant refresh
+    polynomials, one entry per chunk. Node j's delta is
     sum_t j^t c_t; apply_node_refresh adds it to node j's share."""
     network_id: str
     from_epoch: int
@@ -383,10 +383,10 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
     """Fresh zero-constant inner polynomials, one per network per chunk;
     the outer polynomial is untouched. Randomness is drawn network by
     network in topology order, each network's coefficient columns
-    c_1..c_k across all chunks in turn (the leading one nonzero). No delta
-    is evaluated here: apply_node_refresh updates a share from its
-    network's columns, and NetworkRefresh.delta evaluates a node's delta,
-    when asked."""
+    c_1..c_k across all chunks in turn, each uniform. No delta is
+    evaluated here: apply_node_refresh updates a share from its network's
+    columns, and NetworkRefresh.delta evaluates a node's delta, when
+    asked."""
     q = topology.modulus
     return {net.id: NetworkRefresh(
                 net.id, epoch, net.node_count, chunk_count, q,

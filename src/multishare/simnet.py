@@ -12,14 +12,13 @@ replays them.
 from __future__ import annotations
 
 import json
-import os
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from . import formats, protocol
+from . import formats, protocol, vault
 from .errors import CorruptData, Infeasible, StateError
 from .field import deterministic_rng
 from .formats import canonical_json, topology_from_dict, topology_to_dict
@@ -369,22 +368,11 @@ class Simulation:
         return sim
 
     def save_state(self, path) -> None:
-        """Write the state file through a temporary file beside it and
-        os.replace, so that a failed write leaves an earlier state file as
-        it was."""
+        """Write the state file durably (vault.write_file); a failed write
+        raises StorageError and leaves an earlier state file as it was."""
         payload = canonical_json(self.to_state())
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            tmp.write_bytes(
-                STATE_MAGIC + struct.pack(">Q", len(payload)) + payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
+        vault.write_file(Path(path), STATE_MAGIC
+                         + struct.pack(">Q", len(payload)) + payload)
 
 
 def load_state(path) -> Simulation:

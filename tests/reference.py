@@ -33,21 +33,19 @@ from multishare.protocol import (LENGTH_HEADER, Access, NodeShare,
                                  chunk_size, constant_functional)
 
 
-def random_ints(modulus: int, count: int, rng,
-                nonzero: bool = False) -> List[int]:
+def random_ints(modulus: int, count: int, rng) -> List[int]:
     """Rejection sampling over rng.randbytes, one word sliced and
     converted at a time."""
     bits = modulus.bit_length()
     width = (bits + 7) // 8
     mask = (1 << bits) - 1
-    low = 1 if nonzero else 0
     from_bytes = int.from_bytes
     out: List[int] = []
     while len(out) < count:
         block = rng.randbytes(min(count - len(out), BLOCK_WORDS) * width)
         out += [v for i in range(0, len(block), width)
-                if low <= (v := from_bytes(block[i:i + width], "little")
-                           & mask) < modulus]
+                if (v := from_bytes(block[i:i + width], "little")
+                    & mask) < modulus]
     return out
 
 
@@ -200,9 +198,9 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
     P'(i)); then a flat split of each network's inner secret over its
     nodes, node j holding the inner polynomial's value at j. All chunks
     are dealt at once, column by column: randomness is drawn as P's
-    coefficient columns p_1..p_D across all chunks (p_D nonzero), then,
-    network by network in topology order, that network's inner
-    coefficient columns (the leading one nonzero).
+    coefficient columns p_1..p_D across all chunks, then, network by
+    network in topology order, that network's inner coefficient columns;
+    every coefficient is uniform over 0..q-1.
     """
     q = topology.modulus
     if secret_chunks and not (0 <= min(secret_chunks)
@@ -303,7 +301,7 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
     """Fresh zero-constant inner polynomials, one per network per chunk;
     the outer polynomial is untouched. Randomness is drawn network by
     network in topology order, each network's coefficient columns across
-    all chunks in turn (the leading one nonzero)."""
+    all chunks in turn, each uniform."""
     q = topology.modulus
     zeros = [0] * chunk_count
     out: Dict[str, List[NodeRefresh]] = {}

@@ -449,6 +449,21 @@ class TestReconstruct:
                    + picks) == 0
         assert dest.read_bytes() == secret.read_bytes()
 
+    def test_shares_dir_and_files_exit64(self, workspace, capsys):
+        # Files given beside --shares would otherwise go unread, so that
+        # shares of another dealing pass as if they had been checked.
+        tmp, topo, secret, out = self._deal(workspace)
+        other = tmp / "other"
+        run(["deal", "--topology", topo, "--secret", secret,
+             "--out", other, "--seed", "8"])
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest, other / "m_001.share.json",
+                    other / "d1_001.share.json"]) == 64
+        assert "not both" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_daughters_only_exit3(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
         picks = sorted(out.glob("d*.share.json"))
@@ -948,6 +963,10 @@ class FaultyFiles:
             k == self.fail_at or self.crash and k > self.fail_at)
 
     def run(self, monkeypatch, argv) -> int:
+        return self.call(monkeypatch, run, argv)
+
+    def call(self, monkeypatch, fn, *args):
+        """fn(*args) with the file mutations counted and faulted."""
         write_bytes, fsync = Path.write_bytes, os.fsync
         replace, unlink = os.replace, Path.unlink
 
@@ -973,7 +992,7 @@ class FaultyFiles:
             patch.setattr(Path, "unlink", faulty("unlink", unlink))
             patch.setattr(os, "fsync", faulty("fsync", fsync))
             patch.setattr(os, "replace", faulty("replace", replace))
-            return run(argv)
+            return fn(*args)
 
 
 class TestRefreshFaults:
@@ -1273,10 +1292,12 @@ class TestSimulate:
                              ids=["cleanup", "crash"])
     def test_fault_at_every_write(self, tmp_path, monkeypatch, capsys,
                                   crash):
-        # The report is staged, the state written and replaced, and then
-        # the report replaced. A failure at any of the first three exits 2
-        # with no report and the earlier state byte-identical; one at the
-        # last comes after the state's commit.
+        # The report is staged and flushed, the state written, flushed,
+        # replaced and its directory flushed, and then the report replaced
+        # and its directory flushed. A failure up to the state's replace
+        # exits 2 with no report and the earlier state byte-identical; one
+        # after it leaves the later state, and no report unless it is the
+        # last flush.
         examples = ROOT / "docs" / "examples"
         state, report = tmp_path / "w.state", tmp_path / "r.json"
         assert run(["simulate", "--scenario", examples / "scenario.json",
@@ -1294,7 +1315,10 @@ class TestSimulate:
                 "--state", state, "--report", report]
         probe = FaultyFiles()
         assert probe.run(monkeypatch, argv) == 0
-        assert probe.log == ["write", "write", "replace", "replace"]
+        assert probe.log == ["write", "fsync",
+                             "write", "fsync", "replace", "fsync",
+                             "replace", "fsync"]
+        state_replace = 5  # a fault here still leaves the earlier state
         later = state.read_bytes()
         assert later != earlier
         for k in range(1, len(probe.log) + 1):
@@ -1303,11 +1327,13 @@ class TestSimulate:
             capsys.readouterr()
             assert FaultyFiles(k, crash).run(monkeypatch, argv) == 2, k
             assert "error: cannot write" in capsys.readouterr().err
-            assert not report.exists(), k
-            assert state.read_bytes() == (earlier if k < 4 else later), k
+            assert report.exists() == (k == len(probe.log)), k
+            assert state.read_bytes() == (earlier if k <= state_replace
+                                          else later), k
             if not crash:
-                assert sorted(p.name for p in tmp_path.iterdir()) == [
-                    "first.json", "more.json", "w.state"], k
+                assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                    ["first.json", "more.json", "w.state"]
+                    + (["r.json"] if report.exists() else [])), k
 
     def test_benchmark_tracer_attaches(self, tmp_path):
         # The benchmark's tracer wraps functions by module attribute name;

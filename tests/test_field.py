@@ -116,13 +116,12 @@ class TestRandom:
         (v,) = random_ints(DEFAULT_MODULUS, 1, crypto_rng())
         assert 0 <= v < DEFAULT_MODULUS
 
-    @pytest.mark.parametrize("nonzero", [False, True])
-    def test_random_ints_exact_counts_q257(self, nonzero):
+    def test_random_ints_exact_counts_q257(self):
         # q = 257 reads 2-byte words masked to 9 bits, so about half of
         # them are rejected. Fed every 2-byte word once, in order, each
         # 9-bit value arrives 128 times; the draw must keep exactly 128
-        # of each value below 257 (0 excepted when nonzero) and stop at
-        # the last word it needs: the final 256, word 256 + 127 * 512.
+        # of each value below 257, 0 included, and stop at the last word
+        # it needs: the final 256, word 256 + 127 * 512.
         class EveryWord:
             def __init__(self):
                 self.next = 0
@@ -134,9 +133,8 @@ class TestRandom:
                 return b"".join(w.to_bytes(2, "little") for w in words)
 
         rng = EveryWord()
-        low = 1 if nonzero else 0
-        draws = random_ints(257, (257 - low) * 128, rng, nonzero=nonzero)
-        assert Counter(draws) == {v: 128 for v in range(low, 257)}
+        draws = random_ints(257, 257 * 128, rng)
+        assert Counter(draws) == {v: 128 for v in range(257)}
         assert rng.next == 256 + 127 * 512 + 1
 
     def test_random_ints_seeded_reproducible(self):
@@ -272,26 +270,24 @@ class TestKernelsMatchReference:
 
     MODULI = [2, 7, 257, 65537, DEFAULT_MODULUS]
 
-    @pytest.mark.parametrize("nonzero", [False, True])
     @pytest.mark.parametrize("q", MODULI)
-    def test_random_ints(self, q, nonzero):
+    def test_random_ints(self, q):
         for count in (0, 1, 5, BLOCK_WORDS - 1, BLOCK_WORDS,
                       BLOCK_WORDS + 1, 3 * BLOCK_WORDS + 7):
             fast, slow = deterministic_rng(count), deterministic_rng(count)
-            got = random_ints(q, count, fast, nonzero=nonzero)
-            assert got == reference.random_ints(q, count, slow,
-                                                nonzero=nonzero)
+            got = random_ints(q, count, fast)
+            assert got == reference.random_ints(q, count, slow)
             assert len(got) == count
             assert fast.getstate() == slow.getstate()
 
-    @pytest.mark.parametrize("nonzero", [False, True])
-    @pytest.mark.parametrize("word, rejected", [
-        (b"\xff" * 16, "always"),               # masks to 2^127 - 1 = q
-        (b"\x00" * 15 + b"\x80", "nonzero"),    # masks to 0
+    @pytest.mark.parametrize("word, dropped", [
+        (b"\xff" * 16, True),                   # masks to 2^127 - 1 = q
+        (b"\x00" * 15 + b"\x80", False),        # masks to 0, kept
     ])
-    def test_random_ints_rejected_word(self, word, rejected, nonzero):
-        # One word of a full 2^127 - 1 block is forced out of range, so
-        # that block is filtered word by word and topped up by the next.
+    def test_random_ints_rejected_word(self, word, dropped):
+        # One word of a full 2^127 - 1 block is forced to q, out of range,
+        # so that block is filtered word by word and topped up by the
+        # next; or to 0, which is in range and kept like any other word.
         q, at = DEFAULT_MODULUS, BLOCK_WORDS // 3
 
         class Rigged:
@@ -307,9 +303,8 @@ class TestKernelsMatchReference:
 
         count = BLOCK_WORDS + 10
         fast, slow = Rigged(), Rigged()
-        got = random_ints(q, count, fast, nonzero=nonzero)
-        assert got == reference.random_ints(q, count, slow, nonzero=nonzero)
-        dropped = rejected == "always" or nonzero
+        got = random_ints(q, count, fast)
+        assert got == reference.random_ints(q, count, slow)
         # The words either side of the forced one stay in order.
         plain = deterministic_rng(9).randbytes(16 * BLOCK_WORDS)
         assert got[at - 1] == int.from_bytes(

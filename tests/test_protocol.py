@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import replace
@@ -235,10 +236,10 @@ class TestDeal:
             deal([11], topo3(), deterministic_rng(0))
 
     def test_scripted_rejections_skipped(self):
-        # The worked example's draws, with rejected words in between: a
-        # zero leading coefficient, words at or above q = 11, and a word
-        # whose bits above bit_length(11) = 4 are masked off (0xf3 -> 3).
-        rng = ScriptedRng([0, 11, 0xf3, 14, 2, 5, 0, 15, 1], 11)
+        # The worked example's draws, with rejected words in between:
+        # words at or above q = 11, and a word whose bits above
+        # bit_length(11) = 4 are masked off (0xf3 -> 3).
+        rng = ScriptedRng([12, 11, 0xf3, 14, 2, 5, 13, 15, 1], 11)
         dealt = deal([4], topo3(), rng)
         values = {nid: [s.values[0] for s in shares]
                   for nid, shares in dealt.items()}
@@ -247,12 +248,13 @@ class TestDeal:
 
     def test_rejected_words_topped_up_in_order(self):
         # Two chunks: each column is one block of two words, and only
-        # the rejected words are drawn again.
+        # the rejected words are drawn again. A zero is a coefficient like
+        # any other.
         t = topo3()
-        rng = ScriptedRng([3, 11, 0, 6,            # p_1: 3, 6
+        rng = ScriptedRng([3, 11, 13, 6,           # p_1: 3, 6
                            12, 2, 7,               # m: 2, 7
-                           5, 0, 4,                # d1: 5, 4
-                           1, 1], 11)              # d2: 1, 1
+                           5, 14, 4,               # d1: 5, 4
+                           0, 1], 11)              # d2: 0, 1
         dealt = deal([4, 0], t, rng)
         assert rng.values == []
         assert dealt["m"][0].values == ((4 + 3 + 2) % 11, (0 + 6 + 7) % 11)
@@ -277,7 +279,6 @@ class TestDeal:
 
         replay = deterministic_rng(11)
         outer = random_coeff_columns(t.outer_degree, chunks, q, replay)
-        assert all(outer[-1])
         polys = [[col[c] for col in outer] for c in range(m)]
         inner_secrets = {
             net.id: ([horner(p, 1, q) for p in polys] if net.id == "m"
@@ -296,7 +297,6 @@ class TestDeal:
                      refresh_replay)):
                 cols = random_coeff_columns(net.inner_degree, secrets, q,
                                             rng)
-                assert net.inner_degree == 0 or all(cols[-1])
                 for j, values in zip(nodes, got):
                     assert list(values) == [
                         horner([col[c] for col in cols], j, q)
@@ -571,9 +571,9 @@ class TestAccessOracle:
         rounds = data.draw(st.integers(0, 3))
         inner = sum(net.inner_degree for net in nets)
         per_chunk = t.outer_degree + inner
-        # Draws in 1..q-1 are all accepted, leading coefficients included.
+        # Draws in 0..q-1 are all accepted.
         draws = data.draw(st.lists(
-            st.integers(1, q - 1),
+            st.integers(0, q - 1),
             min_size=len(chunks) * (per_chunk + rounds * inner),
             max_size=len(chunks) * (per_chunk + rounds * inner)))
         rng = ScriptedRng(draws, q)
@@ -721,6 +721,99 @@ class TestSecrecyEnumeration:
                 hists.append(c)
             flat = all(h == hists[0] for h in hists)
             assert flat == (verdict is Access.NO_INFORMATION)
+
+    def test_dealt_and_refreshed_values_match_the_oracle(self):
+        # The library itself, not a model of it: deal and then one refresh
+        # replay every in-range word sequence, at q = 5 on a mother and
+        # one daughter of two nodes each, inner and outer degree 1 (deal
+        # draws p_1 and each network's c_1, refresh each network's c_1).
+        # A held set is the shares of epochs 0 and 1 and the deltas of
+        # round 1 it names. Its values must be distributed independently
+        # of the secret exactly when the oracle finds no information.
+        q = 5
+        t = Topology(q, (NetworkSpec("m", 2, 1, LinkKind.ITS),
+                         NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL)), 0, 1)
+        nodes = all_nodes(t)
+        items = [(kind, nid, j, epoch)
+                 for kind, epoch in (("share", 0), ("share", 1),
+                                     ("delta", 1))
+                 for nid, j in nodes]
+
+        def run(rng_words, call, *args):
+            rng = ScriptedRng(rng_words, q)
+            result = call(*args, rng)
+            assert rng.values == []  # every word drawn is kept
+            return result
+
+        rounds = [run(words, refresh, t, 1, 0)
+                  for words in itertools.product(range(q), repeat=2)]
+        # views[s]: one int per word sequence for secret s, 3 bits per
+        # item in the order of `items`.
+        views = []
+        for secret in range(q):
+            views.append(packed := [])
+            for words in itertools.product(range(q), repeat=3):
+                dealt = run(words, deal, [secret], t)
+                shares = [dealt[nid][j - 1] for nid, j in nodes]
+                for deltas in rounds:
+                    values = [s.values[0] for s in shares]
+                    values += [apply_node_refresh(s, deltas[s.network_id])
+                               .values[0] for s in shares]
+                    values += [deltas[nid].delta(j)[0] for nid, j in nodes]
+                    packed.append(sum(v << 3 * i
+                                      for i, v in enumerate(values)))
+
+        def no_information(bits):
+            know = protocol.AdversaryKnowledge(t)
+            held = [item for i, item in enumerate(items) if bits >> i & 1]
+            for item in held:
+                know.add(*item, ())
+            verdict = know.recover() is None
+            if all(kind == "share" for kind, *_ in held):
+                assert verdict == (access_oracle(
+                    [(nid, j, epoch) for _, nid, j, epoch in held], t)
+                    is Access.NO_INFORMATION)
+            return verdict
+
+        def secret_free(bits):
+            mask = sum(7 << 3 * i for i in range(len(items)) if bits >> i & 1)
+            hists = [Counter(map(operator.and_, view, itertools.repeat(mask)))
+                     for view in views]
+            return all(h == hists[0] for h in hists[1:])
+
+        n = len(items)
+        free = [no_information(bits) for bits in range(1 << n)]
+        # A view's part is secret-independent when the view is, and a view
+        # holding a secret-dependent part is secret-dependent. So checking
+        # the largest NoInformation sets and the smallest Reconstructs
+        # sets checks every set: each NoInformation set lies in a largest
+        # one, and each Reconstructs set holds a smallest one.
+        largest = [b for b in range(1 << n) if free[b] and not any(
+            free[b | 1 << i] for i in range(n) if not b >> i & 1)]
+        smallest = [b for b in range(1 << n) if not free[b] and all(
+            free[b & ~(1 << i)] for i in range(n) if b >> i & 1)]
+        for bits in largest + smallest:
+            assert secret_free(bits) == free[bits], [
+                item for i, item in enumerate(items) if bits >> i & 1]
+
+        def verdict(*held):
+            return free[sum(1 << items.index(item) for item in held)]
+
+        m0 = [("share", "m", j, 0) for j in (1, 2)]
+        d0 = [("share", "d1", j, 0) for j in (1, 2)]
+        hndl = d0 + [("delta", "d1", j, 1) for j in (1, 2)]
+        cross = [("share", "m", 1, 0), ("share", "m", 2, 1)]
+        # The whole mother, at either epoch; every classical payload (the
+        # daughter's shares and deltas) with one mother node; mother nodes
+        # from two epochs with the whole daughter, which the mother node's
+        # delta of round 1 turns into the whole mother at epoch 0.
+        assert verdict(*m0)
+        assert verdict(*[("share", "m", j, 1) for j in (1, 2)])
+        assert verdict(*hndl, ("share", "m", 1, 1))
+        assert verdict(*cross, *d0)
+        assert not verdict(*cross, *d0, ("delta", "m", 2, 1))
+        assert not verdict(*m0, ("share", "d1", 1, 0),
+                           ("share", "d1", 2, 1), ("delta", "d1", 2, 1))
 
 
 class TestAvailability:
