@@ -134,7 +134,7 @@ def cmd_deal(args) -> int:
 
         def write(share: NodeShare) -> None:
             commit.stage(_share_path(out_dir, share),
-                         formats.share_bytes(share, q))
+                         formats.share_blocks(share, q))
             chunk_counts.append(len(share.values))
 
         # The chunks are made in the argument list, so that deal can drop
@@ -203,7 +203,7 @@ def cmd_refresh(args) -> int:
             done[net.id].add(share.node_index)
             updated = apply_node_refresh(share, deltas[net.id])
             share = None
-            commit.stage(path, formats.share_bytes(updated, q))
+            commit.stage(path, formats.share_blocks(updated, q))
             del updated
             if len(done[net.id]) == net.node_count:
                 del deltas[net.id]  # its columns are no longer needed

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import re
 from itertools import repeat
-from typing import List
+from typing import Iterator, List
 
 from .errors import CorruptData
+from .field import BLOCK_WORDS
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -22,9 +23,6 @@ FORMAT_VERSION = 1
 # in-process callers may still build small-field topologies for analysis.
 MIN_USER_MODULUS = 257
 
-# _parse_hex checks this many values per joined block, so the check's
-# scratch copy stays small on a share of many chunks.
-HEX_CHECK_BLOCK = 4096
 # A "0" that starts a joined value and is not the whole value.
 _LEADING_ZERO = re.compile(rb",0[^,]")
 
@@ -61,19 +59,27 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
-def _parse_hex(texts: List[str]) -> List[int]:
-    """The values of `texts`, each of which must be lowercase hex with no
-    leading zero ("0" for zero): no sign, prefix, space, underscore,
-    upper case or non-ASCII digit, which int(text, 16) would accept. A
-    block of values is joined once, so the check costs two C-level scans
-    of it rather than a regular expression match per value."""
-    for i in range(0, len(texts), HEX_CHECK_BLOCK):
-        joined = ("," + ",".join(texts[i:i + HEX_CHECK_BLOCK])).encode()
+def _parse_hex(texts: list) -> List[int]:
+    """`texts` with each value converted in place from text to int, and
+    returned. Each text must be lowercase hex with no leading zero ("0"
+    for zero): no sign, prefix, space, underscore, upper case or
+    non-ASCII digit, which int(text, 16) would accept.
+
+    Values are checked and converted one block of BLOCK_WORDS at a time:
+    a block is joined once, so the check costs two C-level scans of it
+    rather than a regular expression match per value, and its texts are
+    freed as its ints are made. The texts and the ints of a long list
+    therefore never exist at the same time. On CorruptData the list is
+    left part converted."""
+    for i in range(0, len(texts), BLOCK_WORDS):
+        block = texts[i:i + BLOCK_WORDS]
+        joined = ("," + ",".join(block)).encode()
         if (joined.translate(None, b"0123456789abcdef,")
                 or _LEADING_ZERO.search(joined)):
             raise CorruptData("a hex value is not lowercase hex without "
                               "leading zeros")
-    return list(map(int, texts, repeat(16)))
+        texts[i:i + BLOCK_WORDS] = map(int, block, repeat(16))
+    return texts
 
 
 def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
@@ -95,6 +101,11 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
             raise CorruptData("exactly one network must be the mother")
         if not all(isinstance(n["id"], str) for n in nets):
             raise CorruptData("network ids must be strings")
+        for n in nets:
+            # A share file is named after its network id.
+            if "/" in n["id"] or "\0" in n["id"]:
+                raise CorruptData(f"network id {n['id']!r} contains / or "
+                                  f"NUL")
         specs = [NetworkSpec(id=n["id"],
                              node_count=_json_int(n, "node_count"),
                              inner_degree=_json_int(n, "inner_degree"),
@@ -137,23 +148,30 @@ def share_to_dict(share: NodeShare, modulus: int) -> dict:
             "values": [f"{v:x}" for v in share.values]}
 
 
-def share_bytes(share: NodeShare, modulus: int) -> bytes:
-    """The share file: canonical_json(share_to_dict(share, modulus)) and a
-    newline, built without a string object per value.
+def share_blocks(share: NodeShare, modulus: int) -> Iterator[bytes]:
+    """The share file, canonical_json(share_to_dict(share, modulus)) and a
+    newline, as a stream of byte blocks: the file's bytes are never built
+    whole, and no string object is made per value.
 
     "values" sorts after every header key, so canonical JSON of the header
-    with an empty "values" list ends in `[]}`; the hex values are spliced
-    into that list by one printf-style pass over the value tuple.
+    with an empty "values" list ends in `[]}`: the header comes first, up
+    to the list's `[`; then the hex values, BLOCK_WORDS at a time, each
+    block formatted by one printf-style pass; then `]}` and the newline.
     """
     head = canonical_json({**_share_header(share, modulus), "values": []})
-    n = len(share.values)
-    template = (head[:-2].decode().replace("%", "%%")
-                + ('"%x' + '","%x' * (n - 1) + '"' if n else "") + "]}\n")
-    return (template % tuple(share.values)).encode()
+    yield head[:-2]
+    values = share.values
+    for i in range(0, len(values), BLOCK_WORDS):
+        block = values[i:i + BLOCK_WORDS]
+        template = ("," if i else "") + '"%x' + '","%x' * (len(block) - 1)
+        yield ((template + '"') % tuple(block)).encode()
+    yield b"]}\n"
 
 
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
-    """Parse a share file dealt under a topology with this modulus."""
+    """Parse a share file dealt under a topology with this modulus. The
+    "values" list of `data`, as json.loads made it, is converted to ints in
+    place (_parse_hex), so `data` is not to be used again."""
     try:
         if not isinstance(data, dict):
             raise CorruptData("a share file holds a JSON object")

@@ -264,12 +264,17 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     network therefore holds one network's shares at a time.
 
     No share is ignored: every share beyond a network's quorum, and every
-    daughter beyond the outer degree, must agree with the polynomial the
-    others determine, else CorruptData names the network and node. A
-    share's disagreement is raised only once the whole stream is checked,
-    so that a failed check anywhere in it decides the error, and then for
-    the first such network in topology order. Errors are detected, not
-    corrected.
+    daughter beyond the first outer_degree recovered, must agree with the
+    polynomial the others determine, else CorruptData names the network
+    and node. A further daughter is checked, and its inner secret
+    dropped, as soon as every daughter before it in topology order is
+    settled, so that a stream sorted by network holds the inner secrets
+    of the mother and outer_degree daughters, not of every daughter.
+    Errors are raised only once the whole stream is checked, so that a
+    failed check anywhere in it decides the error: first a share's
+    disagreement, for the first such network in topology order; then
+    Infeasible; then a daughter's disagreement, for the first such
+    daughter. Errors are detected, not corrected.
     """
     q = topology.modulus
     if isinstance(shares, Mapping):
@@ -277,15 +282,50 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     nets = {net.id: net for net in topology.networks}
     given = dict.fromkeys(nets, 0)
     held: Dict[str, List[NodeShare]] = {}
-    recovered: Dict[str, List[int]] = {}
+    # A further daughter's inner secret is None once it is checked.
+    recovered: Dict[str, Optional[List[int]]] = {}
     faults: Dict[str, str] = {}
+    settled = set()
+    daughters = [net.id for net in topology.daughters()]
+    d = topology.outer_degree
+    chosen: List[str] = []  # the first d daughters recovered
+    disagreement: Optional[str] = None  # of the first further daughter
 
     def settle(nid: str) -> None:
-        have = held.pop(nid)
+        settled.add(nid)
+        have = held.pop(nid, [])
         if len(have) > nets[nid].inner_degree:
             recovered[nid], fault = _inner_secret(nets[nid], have, q)
             if fault:
                 faults[nid] = fault
+
+    def check_daughters() -> None:
+        """Check each further daughter whose place in topology order is
+        decided, against the chosen daughters alone: every daughter's
+        constant functional has a zero first coordinate, so the mother's
+        weight over [mother, *chosen] is always 0."""
+        nonlocal disagreement
+        for nid in daughters:
+            if nid not in settled:
+                return
+            if recovered.get(nid) is None or nid in chosen:
+                continue
+            if len(chosen) < d:
+                chosen.append(nid)
+                continue
+            # The inner secret this daughter must hold, over the chosen
+            # ones.
+            over = express_over_rows(
+                [constant_functional(topology, c) for c in chosen],
+                constant_functional(topology, nid), q)
+            if (over is not None and not disagreement
+                    and weighted_column_sum(
+                        over, [recovered[c] for c in chosen], q)
+                    != recovered[nid]):
+                disagreement = (f"network {nid}: its inner secret disagrees "
+                                f"with networks "
+                                f"{[topology.mother.id, *chosen]}")
+            recovered[nid] = None
 
     for s in checked_shares(shares, topology):
         nid = s.network_id
@@ -294,40 +334,34 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
         given[nid] += 1
         if given[nid] == nets[nid].node_count:
             settle(nid)
-    for nid in list(held):
-        settle(nid)
+            check_daughters()
+    for nid in nets:
+        if nid not in settled:
+            settle(nid)
+    check_daughters()
     for net in topology.networks:
         if net.id in faults:
             raise CorruptData(faults[net.id])
     mother_id = topology.mother.id
-    avail_daughters = [n.id for n in topology.daughters()
-                       if n.id in recovered]
     missing = []
     if mother_id not in recovered:
         missing.append("mother quorum not met")
-    if len(avail_daughters) < topology.outer_degree:
-        missing.append(
-            f"daughter quorums {len(avail_daughters)}/{topology.outer_degree} met")
+    if len(chosen) < d:
+        missing.append(f"daughter quorums {len(chosen)}/{d} met")
     if missing:
         detail = "; ".join(missing) + " (" + ", ".join(
             f"{net.id}: {min(given[net.id], net.inner_degree + 1)}/"
             f"{net.inner_degree + 1}" for net in topology.networks) + ")"
         raise Infeasible(detail)
-    chosen = [mother_id, *avail_daughters[:topology.outer_degree]]
-    rows = [constant_functional(topology, nid) for nid in chosen]
+    rows = [constant_functional(topology, nid)
+            for nid in (mother_id, *chosen)]
     weights = _outer_weights(topology, rows)
     if weights is None:
         raise Infeasible("outer constraint matrix is singular")
-    columns = [recovered[nid] for nid in chosen]
-    for nid in avail_daughters[topology.outer_degree:]:
-        # The inner secret this daughter must hold, over the chosen ones.
-        over = express_over_rows(rows, constant_functional(topology, nid), q)
-        if (over is not None
-                and weighted_column_sum(over, columns, q) != recovered[nid]):
-            raise CorruptData(
-                f"network {nid}: its inner secret disagrees with networks "
-                f"{chosen}")
-    return weighted_column_sum(weights, columns, q)
+    if disagreement:
+        raise CorruptData(disagreement)
+    return weighted_column_sum(
+        weights, [recovered[nid] for nid in (mother_id, *chosen)], q)
 
 
 def _inner_secret(net: NetworkSpec, have: List[NodeShare],

@@ -8,9 +8,9 @@ Two crash-safe transactions:
   reconstruct's output, simulate's report and the simulator's state file
   are written this way.
 - One vault epoch (Commit): deal (epoch 0) and refresh (epoch e) write
-  each share file, and the manifest, as NAME.staged-e; one os.replace of
-  the manifest commits them all. settle finishes or undoes an epoch that
-  stopped part-way.
+  each share file, as a stream of byte blocks, and the manifest as
+  NAME.staged-e; one os.replace of the manifest commits them all. settle
+  finishes or undoes an epoch that stopped part-way.
 
 Every failure is a StorageError.
 """
@@ -21,7 +21,7 @@ import os
 import re
 from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .errors import StorageError
 
@@ -53,6 +53,12 @@ def _fsync(path: Path) -> None:
 def _write_synced(path: Path, data: bytes) -> None:
     path.write_bytes(data)
     _fsync(path)
+
+
+def _write_blocks(path: Path, blocks: Iterable[bytes]) -> None:
+    """Write `blocks` to `path` one after another, each as it is made."""
+    with open(path, "wb") as file:
+        file.writelines(blocks)
 
 
 def _discard(path: Path) -> None:
@@ -95,14 +101,14 @@ class Commit(AbstractContextManager):
     """The files of the vault at `epoch` in `share_dir`, committed as one
     transaction; `command` names it in errors.
 
-    In a with block, stage(path, data) once per share file writes `data`
-    to the file's staged name and flushes it. commit(manifest) flushes the
-    directory, writes and flushes the manifest as
-    manifest.json.staged-EPOCH, and commits the vault by one os.replace of
-    manifest.json. Then the directory is flushed, each staged file takes
-    its final name, and the directory is flushed again. Leaving the block
-    before the commit deletes every staged file; a crash at any point is
-    settled by settle."""
+    In a with block, stage(path, blocks) once per share file writes the
+    byte blocks to the file's staged name, one at a time, and flushes it.
+    commit(manifest) flushes the directory, writes and flushes the
+    manifest as manifest.json.staged-EPOCH, and commits the vault by one
+    os.replace of manifest.json. Then the directory is flushed, each
+    staged file takes its final name, and the directory is flushed again.
+    Leaving the block before the commit deletes every staged file; a
+    crash at any point is settled by settle."""
 
     def __init__(self, share_dir: Path, epoch: int, command: str):
         self.share_dir, self.epoch = share_dir, epoch
@@ -120,10 +126,12 @@ class Commit(AbstractContextManager):
                 _discard(staged)
             _discard(self.manifest)
 
-    def stage(self, path: Path, data: bytes) -> None:
-        self.moves.append((self._staged(path), path))
+    def stage(self, path: Path, blocks: Iterable[bytes]) -> None:
+        staged = self._staged(path)
+        self.moves.append((staged, path))
         with _failing_as(self.uncommitted):
-            _write_synced(self.moves[-1][0], data)
+            _write_blocks(staged, blocks)
+            _fsync(staged)
 
     def commit(self, manifest: bytes) -> int:
         """Commit the staged files with `manifest`; returns their

@@ -3,7 +3,9 @@
 Most are the package's earlier per-value loops, kept verbatim: the draw,
 column sum, hex parser and secret framing that `field`, `formats` and
 `protocol` now run as C-level loops. Each fast kernel must return exactly
-what its reference returns, seeded draws included.
+what its reference returns, seeded draws included. share_bytes is the
+share writer that built a whole file at once, where formats.share_blocks
+streams it.
 
 FunctionalSpace and access_oracle are the dense secrecy oracle, also kept
 verbatim: every held value as one row over all coordinates of the dealer's
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from multishare import formats
 from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows
 from multishare.poly import (hierarchical_split_ints, lagrange_zero_weights,
@@ -70,6 +73,22 @@ def weighted_column_sum(weights: Sequence[int],
 def parse_hex_values(texts: List[str]) -> List[int]:
     """The conversion behind formats._parse_hex's grammar check."""
     return [int(v, 16) for v in texts]
+
+
+def share_bytes(share: NodeShare, modulus: int) -> bytes:
+    """The share file: canonical_json(share_to_dict(share, modulus)) and a
+    newline, built without a string object per value.
+
+    "values" sorts after every header key, so canonical JSON of the header
+    with an empty "values" list ends in `[]}`; the hex values are spliced
+    into that list by one printf-style pass over the value tuple.
+    """
+    head = formats.canonical_json(
+        {**formats._share_header(share, modulus), "values": []})
+    n = len(share.values)
+    template = (head[:-2].decode().replace("%", "%%")
+                + ('"%x' + '","%x' * (n - 1) + '"' if n else "") + "]}\n")
+    return (template % tuple(share.values)).encode()
 
 
 def encode_secret(data: bytes, modulus: int) -> List[int]:

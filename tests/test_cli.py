@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multishare import formats
+from multishare import formats, vault
 from multishare.cli import main
 from multishare.field import DEFAULT_MODULUS, is_probable_prime
 from multishare.formats import topology_to_dict
@@ -22,6 +22,10 @@ from multishare.protocol import LinkKind, NetworkSpec, Topology
 from multishare.simnet import EVENT_KINDS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+# Network ids that would name a share file outside --out, or no file.
+ESCAPING_IDS = ["../evil", "a\x00b"]
 
 
 def write_topology(path: Path, q=DEFAULT_MODULUS, outer=1,
@@ -151,6 +155,24 @@ class TestDeal:
         bad.write_text('{"format_version": 1}')
         assert run(["deal", "--topology", bad, "--secret", secret,
                     "--out", tmp / "shares"]) == 2
+
+    @pytest.mark.parametrize("network_id", ESCAPING_IDS,
+                             ids=["slash", "nul"])
+    def test_network_id_escaping_out_exit2(self, workspace, capsys,
+                                           network_id):
+        # A share file is named after its network id: "../evil" wrote
+        # evil_00N.share.json beside --out, and an id with a NUL ended in
+        # a traceback. Both are refused before any file is written.
+        tmp, _, secret = workspace
+        data = topology_to_dict(write_topology(tmp / "t.json"))
+        data["networks"][1]["id"] = network_id
+        topo = tmp / "bad.json"
+        topo.write_text(json.dumps(data))
+        before = sorted(tmp.rglob("*"))
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", tmp / "shares"]) == 2
+        assert "contains / or NUL" in capsys.readouterr().err
+        assert sorted(tmp.rglob("*")) == before
 
     def test_small_modulus_rejected_at_cli(self, workspace):
         tmp, _, secret = workspace
@@ -652,6 +674,40 @@ class TestReconstruct:
                    + picks) == 0
         assert dest.read_bytes() == secret.read_bytes()
 
+    def test_daughter_checked_early_keeps_error_order(self, workspace,
+                                                       capsys):
+        # d1's shares come from another deal of the same secret, so m and
+        # d1 determine an inner secret for d2 other than the one d2's
+        # shares, consistent with one another, carry. d2 is checked as
+        # soon as d1 and d2 are read, before any mother file, but a
+        # malformed mother file still decides the error.
+        tmp, topo, secret, out = self._deal(workspace)
+        other = tmp / "other"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", other, "--seed", "8"]) == 0
+        for path in other.glob("d1_*.share.json"):
+            (out / path.name).write_bytes(path.read_bytes())
+        dest = tmp / "r.bin"
+        reconstruct = ["reconstruct", "--topology", topo, "--shares", out,
+                       "--out", dest]
+        m_003 = out / "m_003.share.json"
+        intact = m_003.read_bytes()
+        m_003.write_text("{")
+        capsys.readouterr()
+        assert run(reconstruct) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read share {m_003}" in err and "network" not in err
+        m_003.write_bytes(intact)
+        assert run(reconstruct) == 2
+        assert ("network d2: its inner secret disagrees with networks "
+                "['m', 'd1']") in capsys.readouterr().err
+        assert not dest.exists()
+        # Without d1, d2 is a chosen daughter, and agrees with m.
+        for path in out.glob("d1_*.share.json"):
+            path.unlink()
+        assert run(reconstruct) == 0
+        assert dest.read_bytes() == secret.read_bytes()
+
     def test_disagreement_and_epoch_mix_exit3(self, workspace, capsys):
         # d1's shares, read first, disagree; a mother share of another
         # epoch, read last, still decides the error, as it did when every
@@ -706,6 +762,39 @@ class TestReconstruct:
         assert (tmp_path / "r.bin").read_bytes() == secret.read_bytes()
         assert reconstruct_rss <= 1.15 * deal_rss, (deal_rss,
                                                     reconstruct_rss)
+
+
+class TestPeakMemoryGrowth:
+    """Each vault command holds a fixed number of columns, so its peak RSS
+    grows with the secret by a fixed amount per MiB: a column of 1 MiB of
+    secret is 69,906 ints, about 3.7 MiB. Measured at 512 KiB and 1 MiB
+    in fresh interpreters (peak_rss_kib)."""
+
+    # MiB of peak RSS per MiB of secret. On a 2-core x86_64 host with
+    # Python 3.11 the commands grow by about 17, 22 and 23; a share file
+    # built whole in memory, or a hex list parsed into a second list,
+    # would take them over.
+    BOUNDS = {"deal": 20, "refresh": 25, "reconstruct": 25}
+
+    def test_growth_per_mib_of_secret(self, tmp_path):
+        topo = tmp_path / "topology.json"
+        write_topology(topo)
+        peaks = []
+        for kib in (512, 1024):
+            secret = tmp_path / f"{kib}.bin"
+            secret.write_bytes(os.urandom(kib * 1024))
+            out, dest = tmp_path / f"{kib}", tmp_path / f"{kib}.out"
+            peaks.append(peak_rss_kib(
+                ["deal", "--topology", topo, "--secret", secret,
+                 "--out", out],
+                ["refresh", "--topology", topo, "--shares", out],
+                ["reconstruct", "--topology", topo, "--shares", out,
+                 "--out", dest]))
+            assert dest.read_bytes() == secret.read_bytes()
+        growth = {name: round((large - small) / 1024 / 0.5, 1)
+                  for name, small, large in zip(self.BOUNDS, *peaks)}
+        assert all(growth[name] <= bound
+                   for name, bound in self.BOUNDS.items()), (growth, peaks)
 
 
 class TestSharesReadOneAtATime:
@@ -948,7 +1037,9 @@ class TestRefresh:
 class FaultyFiles:
     """Counts the file mutations a command makes (writes, fsyncs,
     replaces and unlinks) and fails the k-th with EIO; a failed write
-    leaves half its bytes. With `crash`, every later mutation fails too and
+    leaves half its bytes. A file written whole (Path.write_bytes) and one
+    written as a stream of blocks (vault._write_blocks) are each one
+    write. With `crash`, every later mutation fails too and
     writes nothing, as if the process had died at the k-th: the error
     path's cleanup is then skipped."""
 
@@ -969,6 +1060,7 @@ class FaultyFiles:
         """fn(*args) with the file mutations counted and faulted."""
         write_bytes, fsync = Path.write_bytes, os.fsync
         replace, unlink = os.replace, Path.unlink
+        write_blocks = vault._write_blocks
 
         def fault():
             return OSError(errno.EIO, "injected fault")
@@ -980,6 +1072,14 @@ class FaultyFiles:
                 raise fault()
             return write_bytes(path, data)
 
+        def faulty_write_blocks(path, blocks):
+            if self._fails("write"):
+                if len(self.log) == self.fail_at:
+                    data = b"".join(blocks)
+                    write_blocks(path, [data[:len(data) // 2]])
+                raise fault()
+            return write_blocks(path, blocks)
+
         def faulty(kind, real):
             def call(*args, **kwargs):
                 if self._fails(kind):
@@ -989,6 +1089,7 @@ class FaultyFiles:
 
         with monkeypatch.context() as patch:
             patch.setattr(Path, "write_bytes", faulty_write_bytes)
+            patch.setattr(vault, "_write_blocks", faulty_write_blocks)
             patch.setattr(Path, "unlink", faulty("unlink", unlink))
             patch.setattr(os, "fsync", faulty("fsync", fsync))
             patch.setattr(os, "replace", faulty("replace", replace))
@@ -1695,7 +1796,8 @@ def malformed_topologies(topology):
                 lambda k, i=i: _replace(topology, ["networks", i, k],
                                         _REMOVE)),
             (JSON_VALUES.filter(lambda v: not isinstance(v, str))
-             | st.sampled_from([x for x in ids if x != net["id"]])).map(
+             | st.sampled_from([x for x in ids if x != net["id"]]
+                               + ESCAPING_IDS)).map(
                 at(["networks", i, "id"])),
             (bad_int(range(net["inner_degree"] + 1, q))
              | st.integers(min_value=q)).map(
@@ -1888,13 +1990,15 @@ class TestMalformedJson:
         lambda t: _replace(t, ["format_version"], 1.0),
         lambda t: _replace(t, ["networks", 0, "mother"], 1),
         lambda t: _replace(t, ["networks", 1, "mother"], None),
+        *(lambda t, i=i: _replace(t, ["networks", 1, "id"], i)
+          for i in ESCAPING_IDS),
         *(lambda t, spell=spell: _replace(t, ["modulus"],
                                           spell(t["modulus"]))
           for spell in NONCANONICAL_HEX.values()),
     ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
             "node_count-inf", "deep", "node_count-float", "node_count-str",
             "inner_degree-float", "outer_degree-bool", "format_version-float",
-            "mother-int", "mother-null",
+            "mother-int", "mother-null", "id-slash", "id-nul",
             *(f"modulus-{name}" for name in NONCANONICAL_HEX)])
     def test_topology_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "topology.json").read_text())
@@ -1926,10 +2030,13 @@ class TestMalformedJson:
         lambda s: {**s, "secret_hex": s["secret_hex"] + "\n"},
         lambda s: {**s, "secret_hex": s["secret_hex"].upper()},
         lambda s: {**s, "secret_hex": s["secret_hex"] + "a"},
+        *(lambda s, i=i: _replace(s, ["topology", "networks", 1, "id"], i)
+          for i in ESCAPING_IDS),
     ], ids=["modulus-257", "event-list", "node-inf", "deep", "node-float",
             "node-str", "node-bool", "topology-node_count-float",
             "refresh-before-deal", "secret_hex-spaces", "secret_hex-newline",
-            "secret_hex-upper", "secret_hex-odd-length"])
+            "secret_hex-upper", "secret_hex-odd-length", "topology-id-slash",
+            "topology-id-nul"])
     def test_scenario_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "scenario.json").read_text())
         path = tmp_path / "s.json"

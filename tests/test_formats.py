@@ -5,9 +5,16 @@ import pytest
 
 import reference
 from multishare import formats
-from multishare.field import DEFAULT_MODULUS
-from multishare.formats import canonical_json, share_bytes, share_to_dict
+from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
+from multishare.formats import canonical_json, share_blocks, share_to_dict
 from multishare.protocol import NodeShare
+
+B = BLOCK_WORDS
+
+ESCAPED_IDS = [
+    "", 'quote"', "back\\slash", "new\nline", "tab\t", "percent %x %s %%",
+    "café", "☃ snow", "emoji \U0001f600", "\x00nul", "}]",
+    '","values":["1']
 
 
 def expected_file(share: NodeShare, modulus: int) -> bytes:
@@ -15,8 +22,16 @@ def expected_file(share: NodeShare, modulus: int) -> bytes:
     return canonical_json(share_to_dict(share, modulus)) + b"\n"
 
 
+def share_bytes(share: NodeShare, modulus: int) -> bytes:
+    """The streamed share file, joined; it must also equal the file that
+    the whole-bytes writer of tests/reference.py builds."""
+    data = b"".join(share_blocks(share, modulus))
+    assert data == reference.share_bytes(share, modulus)
+    return data
+
+
 class TestShareWriter:
-    """share_bytes, one printf-style pass over the values, against
+    """share_blocks, one printf-style pass per block of values, against
     canonical_json(share_to_dict(...))."""
 
     @pytest.mark.parametrize("q", [257, 65537, DEFAULT_MODULUS])
@@ -32,10 +47,7 @@ class TestShareWriter:
         share = NodeShare("d1", 3, 7, values)
         assert share_bytes(share, q) == expected_file(share, q)
 
-    @pytest.mark.parametrize("network_id", [
-        "", 'quote"', "back\\slash", "new\nline", "tab\t", "percent %x %s %%",
-        "café", "☃ snow", "emoji \U0001f600", "\x00nul", "}]",
-        '","values":["1'])
+    @pytest.mark.parametrize("network_id", ESCAPED_IDS)
     def test_network_id_needs_escaping(self, network_id):
         for values in ((), (0,), (5, 0, 2**100)):
             share = NodeShare(network_id, 1, 0, values)
@@ -45,6 +57,29 @@ class TestShareWriter:
     def test_list_values_and_large_fields(self):
         share = NodeShare("m", 2**40, 2**63, [3, 0, 10])
         assert share_bytes(share, 257) == expected_file(share, 257)
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges(self, n):
+        # Values of every hex width, so that a value split across blocks
+        # or a comma lost between them shows; and ids that need escapes.
+        rng = random.Random(n)
+        values = tuple(rng.randrange(DEFAULT_MODULUS) >> rng.randrange(127)
+                       for _ in range(n))
+        for network_id in ("d1", "percent %x %s %%", '","values":["1',
+                           "\x00nul"):
+            share = NodeShare(network_id, 2, 5, values)
+            assert (share_bytes(share, DEFAULT_MODULUS)
+                    == expected_file(share, DEFAULT_MODULUS))
+
+    def test_blocks_are_bounded(self):
+        # No block holds more than BLOCK_WORDS values: the header, one
+        # block per BLOCK_WORDS values, then the closing bytes.
+        share = NodeShare("m", 1, 0, (DEFAULT_MODULUS - 1,) * (2 * B + 1))
+        blocks = list(share_blocks(share, DEFAULT_MODULUS))
+        assert len(blocks) == 1 + 3 + 1
+        width = len(f'"{DEFAULT_MODULUS - 1:x}",')
+        assert max(map(len, blocks)) <= B * width
+        assert blocks[-1] == b"]}\n"
 
     def test_round_trip(self):
         rng = random.Random(3)
@@ -62,8 +97,19 @@ class TestHexParser:
         for q in (257, DEFAULT_MODULUS):
             values = [0, 1, q - 1] + [rng.randrange(q) for _ in range(9000)]
             texts = [format(v, "x") for v in values]
-            assert formats._parse_hex(texts) == values
             assert reference.parse_hex_values(texts) == values
+            assert formats._parse_hex(texts) == values
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_converts_in_place(self, n):
+        texts = [format(v, "x") for v in range(n)]
+        assert formats._parse_hex(texts) is texts
+        assert texts == list(range(n))
+
+    def test_bad_value_in_a_later_block(self):
+        texts = ["1"] * (B + 1) + ["01"]
+        with pytest.raises(formats.CorruptData, match="lowercase hex"):
+            formats._parse_hex(texts)
 
     def test_empty(self):
         assert formats._parse_hex([]) == []

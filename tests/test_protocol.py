@@ -351,6 +351,57 @@ class TestReconstruct:
         with pytest.raises(EpochMismatch):
             reconstruct({"m": dealt["m"], "d1": moved}, t)
 
+    def _foreign_d2(self):
+        """topo3 dealt, with d2's shares, consistent with one another,
+        raised by 1: m and d1 determine another inner secret for d2."""
+        t = topo3()
+        dealt = deal([4, 5], t, deterministic_rng(2))
+        dealt["d2"] = [replace(s, values=tuple((v + 1) % 11
+                                               for v in s.values))
+                       for s in dealt["d2"]]
+        return t, dealt
+
+    def test_further_daughter_checked_once_placed(self, monkeypatch):
+        # Streamed d1, d2, m: d2 is checked against d1 as soon as both
+        # are recovered, before the mother's first share is read; its
+        # disagreement is raised once the stream ends.
+        t, dealt = self._foreign_d2()
+        events = []
+        real = protocol.express_over_rows
+
+        def spy(rows, v, q):
+            events.append("solve")
+            return real(rows, v, q)
+
+        def stream():
+            for nid in ("d1", "d2", "m"):
+                for s in dealt[nid]:
+                    events.append(nid)
+                    yield s
+
+        monkeypatch.setattr(protocol, "express_over_rows", spy)
+        with pytest.raises(CorruptData, match=r"network d2: .* \['m', "
+                                              r"'d1'\]"):
+            reconstruct(stream(), t)
+        assert events == ["d1"] * 3 + ["d2"] * 3 + ["solve"] + ["m"] * 3 + [
+            "solve"]
+
+    def test_daughter_disagreement_raised_last(self):
+        # Checked early, d2's disagreement still yields to a later share
+        # fault and to Infeasible, as when it was checked last.
+        t, dealt = self._foreign_d2()
+        bad = replace(dealt["m"][2], values=(0, 0))
+        with pytest.raises(CorruptData, match="network m: the share of "
+                                              "node 3"):
+            reconstruct({**dealt, "m": [*dealt["m"][:2], bad]}, t)
+        with pytest.raises(Infeasible, match="mother"):
+            reconstruct({**dealt, "m": dealt["m"][:1]}, t)
+        # Without d1, d2 is the chosen daughter.
+        assert reconstruct({"d2": dealt["d2"], "m": dealt["m"]},
+                           t) != [4, 5]
+        assert reconstruct({"d1": dealt["d1"], "m": dealt["m"]},
+                           t) == [4, 5]
+
     def test_round_trip_random_topologies(self):
         rng = deterministic_rng(31)
         q = 257

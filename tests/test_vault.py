@@ -133,8 +133,8 @@ class TestCommit:
 
         def transaction():
             with vault.Commit(share_dir, 4, "refresh") as commit:
-                commit.stage(share_dir / "a.share.json", b"a4")
-                commit.stage(share_dir / "b.share.json", b"b4")
+                commit.stage(share_dir / "a.share.json", [b"a4"])
+                commit.stage(share_dir / "b.share.json", [b"b4"])
                 return commit.commit(b"manifest4")
 
         assert probe.call(monkeypatch, transaction) == 2
@@ -145,12 +145,47 @@ class TestCommit:
                                        "b.share.json": b"b4",
                                        "manifest.json": b"manifest4"}
 
+    def test_stage_writes_blocks_in_turn(self, tmp_path):
+        share_dir = make_dir(tmp_path / "v", {})
+        written = []
+
+        def blocks():
+            for block in (b"head", b"", b"values", b"end"):
+                written.append(block)
+                yield block
+
+        with vault.Commit(share_dir, 0, "deal") as commit:
+            commit.stage(share_dir / "a.share.json", blocks())
+            assert written == [b"head", b"", b"values", b"end"]
+            commit.commit(b"manifest")
+        assert snapshot(share_dir) == {"a.share.json": b"headvaluesend",
+                                       "manifest.json": b"manifest"}
+
+    def test_crash_in_a_stage_leaves_a_partial_file(self, tmp_path,
+                                                    monkeypatch):
+        # The streamed file is one write: a crash there leaves part of it
+        # under its staged name, which settle deletes.
+        share_dir = make_dir(tmp_path / "v", {})
+
+        def transaction():
+            with vault.Commit(share_dir, 0, "deal") as commit:
+                commit.stage(share_dir / "a.share.json",
+                             [b"head", b"values", b"end"])
+
+        probe = FaultyFiles(1, crash=True)
+        with pytest.raises(StorageError, match="deal failed"):
+            probe.call(monkeypatch, transaction)
+        assert probe.log == ["write", "unlink", "unlink"]
+        assert snapshot(share_dir) == {"a.share.json.staged-0": b"headva"}
+        assert vault.settle(share_dir, None) == []
+        assert snapshot(share_dir) == {}
+
     def test_leaving_before_the_commit_deletes_staged_files(self, tmp_path):
         before = {"a.share.json": b"old", "manifest.json": b"m"}
         share_dir = make_dir(tmp_path / "v", before)
         with pytest.raises(KeyError):
             with vault.Commit(share_dir, 1, "refresh") as commit:
-                commit.stage(share_dir / "a.share.json", b"new")
+                commit.stage(share_dir / "a.share.json", [b"new"])
                 raise KeyError("stopped")
         assert snapshot(share_dir) == before
 
@@ -159,7 +194,7 @@ class TestCommit:
 
         def transaction():
             with vault.Commit(share_dir, 0, "deal") as commit:
-                commit.stage(share_dir / "a.share.json", b"a")
+                commit.stage(share_dir / "a.share.json", [b"a"])
 
         with pytest.raises(StorageError,
                            match="deal failed, no file changed"):
