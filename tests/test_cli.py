@@ -1659,10 +1659,101 @@ class TestGoldenOutput:
             "3b56d709b67dca7660a7e806957c3e6e6d4babb77599abdc4545f30532fe5765",
     }
 
+    # The mother second, daughters of inner degree 0 to 2, outer degree 2,
+    # at q = 65537: two-byte chunks, 5,002 of them. Pins where each
+    # network's inner secret lands, which the example (mother first, one
+    # derivative point) cannot. Recorded before deal took its inner
+    # secrets from constant_functional.
+    SPREAD_TOPOLOGY = {
+        "format_version": 1, "modulus": "10001", "outer_degree": 2,
+        "networks": [
+            {"id": "d1", "node_count": 3, "inner_degree": 1,
+             "link": "Classical", "mother": False},
+            {"id": "m", "node_count": 4, "inner_degree": 2, "link": "ITS",
+             "mother": True},
+            {"id": "d2", "node_count": 2, "inner_degree": 0,
+             "link": "Classical", "mother": False},
+            {"id": "d3", "node_count": 3, "inner_degree": 2,
+             "link": "Classical", "mother": False}]}
+    SPREAD_SECRET = hashlib.shake_256(b"multishare golden q65537").digest(
+        10_000)
+    SPREAD_DEALT = {
+        "d1_001.share.json":
+            "a5c031bdc55d52bc98c554317e4da97faa8be9683be15e047564eda88879b33f",
+        "d1_002.share.json":
+            "9dade5b659dcd2575bd068d8ce8db19c2bd04e753fa4a838f4f31dd57ce41518",
+        "d1_003.share.json":
+            "160c7de2f4cd32eff1c5052659d7c5544b7591cb6ccdf7c7df76e283df88df04",
+        "d2_001.share.json":
+            "86acf8bd2bd951a454eb92cf7c3f79dfdf5c3d62447fe54dd1e9fde5d2de769a",
+        "d2_002.share.json":
+            "ab10a843faf393fa94ed1bdaf922920b9642b013622a5a4623e0e7a96245d66c",
+        "d3_001.share.json":
+            "dae2a609186b5e642926de57c584cab05d71b031605ca3db9585bdfd33dc4c96",
+        "d3_002.share.json":
+            "91f105381b40db70396721ef6c4ff57431ab592fc1185b9345fccbf0ed1670d4",
+        "d3_003.share.json":
+            "c6a9747392e440fcec40dbe2ba34a27b7e1fc88ab39c182419501123b9e03c6d",
+        "m_001.share.json":
+            "3130d858bf132d5abe3d92776ea60061e9e361d57724a0534099b5474dd60423",
+        "m_002.share.json":
+            "84efbde319e2cb9535663e735d035d884af52a0d6019f1970568ca60151070bf",
+        "m_003.share.json":
+            "5220637cbb3624917f16f915e3ebbd6ce0d4d9bf7ef68621be43363f0ffd4536",
+        "m_004.share.json":
+            "59cd6581af6a1f3ea9f93dfb51499358b8edaa8048db39cd00f64f9aa4c36c3c",
+        "manifest.json":
+            "794cdf8b467030274fbbc8cbea7213df37ad7262191b087b06b8db5b47f9d115",
+    }
+    SPREAD_REFRESHED = {
+        "d1_001.share.json":
+            "03c82ad821d73c16bf5a861a00831d8c088342dd68df2b277b79b06ca2272d44",
+        "d1_002.share.json":
+            "d0963639860633d5da259ed87467c18cd92af99700fdee39bf7dadaac4ff3d3a",
+        "d1_003.share.json":
+            "3d6db5aa3338ad3919a753945890641a079fa518d7b5287a4ae96cf4d6d09383",
+        "d2_001.share.json":
+            "0a12f6d074b389e59e8a74d9e77a5fc7f1976893c4d84a2b016fa59a5e243828",
+        "d2_002.share.json":
+            "c42b57d5dacd9b1b94fcd8bf1d8fb4528e952ce34486046b15787c9c6bf66aa1",
+        "d3_001.share.json":
+            "68dabe85b40cdecaabac55fb2ababb0dc98ed4769106bd03fc89a451e44e2119",
+        "d3_002.share.json":
+            "56c07d88321bfc90222138bf9d7c19f1e78a1b4fba86ac49b13171dc9b00bec1",
+        "d3_003.share.json":
+            "971e40ab2b029e3b761389861dd54df4bc2050cfb65d68cf348620dedc723e43",
+        "m_001.share.json":
+            "39c9f7cbadc195a6f1b7738e142367adcd170ab14024acae3ffd5b11c5c20bb9",
+        "m_002.share.json":
+            "b2158c6738fdf92c6527326f2deaf7d4946ad68a8c38155298119445c58b0ad6",
+        "m_003.share.json":
+            "611df905063dc20c48e5c0490734bf8c7194bd3dffa74355b7a3cba80afdfda8",
+        "m_004.share.json":
+            "c40c6a1da36d2ef43111365cd8ebbc1627e170e0126945860371e8965ff43b0b",
+        "manifest.json":
+            "d0ad4b9749319ddd5fb5b701c89f7880d9ad642874af6b0ad3965d0bf9ccf863",
+    }
+
     @staticmethod
     def digests(directory: Path) -> dict:
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(directory.iterdir())}
+
+    def test_mother_not_first(self, tmp_path):
+        topology, secret = tmp_path / "topology.json", tmp_path / "secret.bin"
+        topology.write_text(json.dumps(self.SPREAD_TOPOLOGY))
+        secret.write_bytes(self.SPREAD_SECRET)
+        shares = tmp_path / "shares"
+        assert run(["deal", "--topology", topology, "--secret", secret,
+                    "--out", shares, "--seed", "4"]) == 0
+        assert self.digests(shares) == self.SPREAD_DEALT
+        assert run(["refresh", "--topology", topology, "--shares", shares,
+                    "--seed", "5"]) == 0
+        assert self.digests(shares) == self.SPREAD_REFRESHED
+        out = tmp_path / "out.bin"
+        assert run(["reconstruct", "--topology", topology, "--shares",
+                    shares, "--out", out]) == 0
+        assert out.read_bytes() == self.SPREAD_SECRET
 
     def test_deal_refresh_reconstruct(self, tmp_path):
         topology = ROOT / "docs" / "examples" / "topology.json"
