@@ -18,7 +18,8 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
 from .field import crypto_rng, deterministic_rng
 from . import formats, vault
 from .protocol import (NodeShare, Topology, apply_node_refresh,
-                       checked_shares, compute_thresholds_exhaustive,
+                       checked_shares, chunk_size,
+                       compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, decode_secret,
                        encode_secret, reconstruct, refresh,
                        EXHAUSTIVE_DEGREE_BOUND, EXHAUSTIVE_NETWORK_BOUND)
@@ -65,6 +66,18 @@ def _load_topology(path: str) -> Topology:
         raise CliError(EXIT_INPUT, str(exc))
 
 
+def _load_chunking_topology(path: str) -> Topology:
+    """_load_topology for deal and reconstruct, which turn a secret into
+    chunks and back: exit 2, before any file is touched, when the modulus
+    is too small to hold a chunk (chunk_size)."""
+    topology = _load_topology(path)
+    try:
+        chunk_size(topology.modulus)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"topology {path}: {exc}")
+    return topology
+
+
 def _rng(seed):
     return crypto_rng() if seed is None else deterministic_rng(seed)
 
@@ -96,11 +109,10 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
     manifest = share_dir / vault.MANIFEST
     epoch = None
     if manifest.exists():
-        data = _read_json(manifest, "manifest")
         try:
-            written_for = data["topology_digest"]
-            epoch = formats._json_int(data, "epoch")
-        except (KeyError, TypeError, CorruptData) as exc:
+            written_for, epoch = formats.manifest_from_dict(
+                _read_json(manifest, "manifest"))
+        except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
                                        f"{exc}")
         if written_for != digest:
@@ -117,7 +129,7 @@ def cmd_deal(args) -> int:
     has its vault on disk, and one that stops part-way leaves either the
     whole vault or files that the next deal, refresh or reconstruct
     --shares deletes."""
-    topology = _load_topology(args.topology)
+    topology = _load_chunking_topology(args.topology)
     q = topology.modulus
     # Taken before the share work, as refresh and reconstruct --shares
     # take it, so that hashlib, which the digest loads, is mapped before
@@ -151,7 +163,7 @@ def cmd_reconstruct(args) -> int:
     reconstruct asks for them (see protocol.reconstruct)."""
     if args.shares and args.files:
         raise CliError(EXIT_USAGE, "give --shares or share files, not both")
-    topology = _load_topology(args.topology)
+    topology = _load_chunking_topology(args.topology)
     paths = (_share_dir_paths(Path(args.shares),
                               formats.topology_digest(topology))
              if args.shares else [Path(p) for p in args.files])
@@ -257,7 +269,7 @@ def cmd_simulate(args) -> int:
         check_targets(scenario.schedule, sim.topology, sim.dealt)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"cannot run the schedule: {exc}")
-    report = run_scenario(scenario, seed=args.seed, sim=sim)
+    report = run_scenario(scenario, sim=sim)
     report_path = Path(args.report) if args.report else \
         Path(args.scenario).with_suffix(".report.json")
     # The report is staged before the state is saved and takes its name

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import repeat
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .errors import CorruptData
 from .field import BLOCK_WORDS
@@ -210,3 +210,12 @@ def manifest_dict(digest: str, chunk_count: int, epoch: int,
         "stale": sorted(stale),
     }
 
+
+def manifest_from_dict(data) -> Tuple[str, int]:
+    """The topology_digest and epoch of a manifest, the digest as written;
+    CorruptData unless it is a JSON object with both, the epoch a JSON
+    integer."""
+    try:
+        return data["topology_digest"], _json_int(data, "epoch")
+    except (KeyError, TypeError) as exc:
+        raise CorruptData(str(exc)) from exc

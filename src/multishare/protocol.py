@@ -27,8 +27,7 @@ from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (BLOCK_WORDS, DEFAULT_MODULUS, echelon_insert,
                     echelon_reduce, express_over_rows, is_probable_prime,
                     weighted_column_sum)
-from .poly import (birkhoff_matrix_row, hierarchical_split_ints,
-                   iter_split_ints, lagrange_zero_weights, random_columns)
+from .poly import birkhoff_matrix_row, lagrange_zero_weights, random_columns
 
 # compute_thresholds_exhaustive walks up to 2^networks sets of known
 # networks, and finds each network's quorum by an elimination cubic in its
@@ -145,14 +144,14 @@ def deal(secret_chunks: List[int], topology: Topology, rng,
          sink=None) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
-    Per chunk: a hierarchical split with one manager (the mother's inner
-    secret P(1)) and one employee per daughter (daughter i's inner secret
-    P'(i)); then a flat split of each network's inner secret over its
-    nodes, node j holding the inner polynomial's value at j. All chunks
-    are dealt at once, column by column: randomness is drawn as P's
-    coefficient columns p_1..p_D across all chunks, then, network by
-    network in topology order, that network's inner coefficient columns;
-    every coefficient is uniform over 0..q-1.
+    Per chunk: a random outer polynomial P with P(0) the chunk gives each
+    network its inner secret, constant_functional's P(1) for the mother
+    and P'(a) for daughter a; then a random inner polynomial with that
+    constant gives node j its value at j. All chunks are dealt at once,
+    column by column: randomness is drawn as P's coefficient columns
+    p_1..p_D across all chunks, then, network by network in topology
+    order, that network's inner coefficient columns; every coefficient is
+    uniform over 0..q-1.
 
     With `sink`, each share is passed to sink(share) as soon as it is made
     and is not kept, and the result is empty. Memory then stays within the
@@ -183,19 +182,32 @@ def _dealt_shares(secret_chunks: List[int], topology: Topology,
     """deal's shares one at a time, network by network in topology order,
     each network's in node order."""
     q = topology.modulus
-    mother, inner_secrets = hierarchical_split_ints(
-        secret_chunks, topology.outer_degree, 1, len(topology.networks) - 1,
-        q, rng)
+    count = len(secret_chunks)
+    outer = [secret_chunks, *random_columns(topology.outer_degree, count, q,
+                                            rng)]
     del secret_chunks
-    inner_secrets.insert(topology.mother_index, mother.pop())
+    inner_secrets = [
+        weighted_column_sum(constant_functional(topology, net.id), outer, q)
+        for net in topology.networks]
+    del outer
     for net in topology.networks:
         # Popped, so each inner-secret column is freed once dealt; each
         # node's column is evaluated as its share is asked for.
-        columns = iter_split_ints(inner_secrets.pop(0), net.inner_degree,
-                                  net.node_count, q, rng)
+        columns = [inner_secrets.pop(0),
+                   *random_columns(net.inner_degree, count, q, rng)]
         for j in range(1, net.node_count + 1):
-            yield NodeShare(net.id, j, 0, tuple(next(columns)))
+            yield NodeShare(net.id, j, 0, _node_values(j, columns, q))
         del columns
+
+
+def _node_values(node_index: int, columns: Sequence[Sequence[int]],
+                 q: int) -> Tuple[int, ...]:
+    """Node node_index's values of the polynomials whose coefficient
+    columns, constant first, these are: sum_t j^t columns[t], j the node
+    index, in one weighted_column_sum pass. deal evaluates a share and
+    apply_node_refresh an updated one through it."""
+    weights = birkhoff_matrix_row(node_index, 0, len(columns) - 1, q)
+    return tuple(weighted_column_sum(weights, columns, q))
 
 
 def constant_functional(topology: Topology, network_id: str) -> List[int]:
@@ -430,8 +442,8 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
 
 def apply_node_refresh(share: NodeShare,
                        network_refresh: NetworkRefresh) -> NodeShare:
-    """`share` advanced one epoch, in one weighted_column_sum pass over
-    [share, c_1..c_k] with weights (1, j, ..., j^k), j its node index;
+    """`share` advanced one epoch: node j's value (_node_values) over
+    [share, c_1..c_k], j its node index, as deal evaluates a share;
     ValueError unless it is a share of the refreshed network at from_epoch
     with chunk_count values."""
     r = network_refresh
@@ -442,10 +454,8 @@ def apply_node_refresh(share: NodeShare,
         raise ValueError("delta epoch does not match share")
     if len(share.values) != r.chunk_count:
         raise ValueError("chunk count mismatch")
-    weights = birkhoff_matrix_row(share.node_index, 0, len(r.columns),
-                                  r.modulus)
-    return replace(share, epoch=share.epoch + 1, values=tuple(
-        weighted_column_sum(weights, [share.values, *r.columns], r.modulus)))
+    return replace(share, epoch=share.epoch + 1, values=_node_values(
+        share.node_index, [share.values, *r.columns], r.modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,8 @@ def run_scenario(scenario: Scenario, seed: int = 0,
                  sim: Optional[Simulation] = None) -> dict:
     """Apply the schedule and report per-event outcomes plus final
     adversary and availability verdicts. Deterministic per (scenario, seed).
+    `seed` makes the world when no `sim` is given; the report gives the
+    seed of the world it ran in.
     """
     if sim is None:
         sim = Simulation(scenario.topology, scenario.secret, seed)
@@ -413,7 +415,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     except Infeasible as exc:
         owner, owner_detail = False, str(exc)
     return {
-        "seed": seed,
+        "seed": sim.seed,
         "epoch": sim.epoch,
         "events": events_out,
         "adversary_verdict": verdict.value,

@@ -12,13 +12,19 @@ verbatim: every held value as one row over all coordinates of the dealer's
 and the refreshes' randomness, decided by one elimination. The package
 decides the same question network by network (AdversaryKnowledge).
 
-deal, refresh and reconstruct are the eager vault operations, kept
-verbatim: each holds every node's column at once, where the package holds
-one network's columns and one share at a time. Their column sums run on
-weighted_column_sum below. refresh evaluates every node's delta into a
-NodeRefresh record, and apply_node_refresh adds one to a share, where the
-package keeps each network's coefficient columns and updates a share from
-them in one pass.
+deal and refresh share as the protocol is specified, one chunk and one
+polynomial at a time: the same random_ints draws as the package, column
+by column, then each chunk's outer polynomial P evaluated by horner at
+P(1) for the mother and, through derivative_coeffs, at P'(a) for daughter
+a, and each inner polynomial at node j. They call nothing of the
+package's sharing (no multishare.poly or multishare.field function), so
+the column kernel that the package deals and refreshes with is checked
+against code that shares none of its logic. reconstruct is the eager
+vault operation, kept verbatim: it holds every node's column at once,
+where the package holds one network's shares at a time. refresh
+evaluates every node's delta into a NodeRefresh record, and
+apply_node_refresh adds one to a share, where the package keeps each
+network's coefficient columns and updates a share from them in one pass.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from multishare import formats
 from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows
-from multishare.poly import (hierarchical_split_ints, lagrange_zero_weights,
-                             split_ints)
-from multishare.protocol import (LENGTH_HEADER, Access, NodeShare,
-                                 Topology, _outer_weights, checked_shares,
-                                 chunk_size, constant_functional)
+from multishare.poly import lagrange_zero_weights
+from multishare.protocol import (LENGTH_HEADER, Access, NetworkSpec,
+                                 NodeShare, Topology, _outer_weights,
+                                 checked_shares, chunk_size,
+                                 constant_functional)
 
 
 def random_ints(modulus: int, count: int, rng) -> List[int]:
@@ -50,6 +56,19 @@ def random_ints(modulus: int, count: int, rng) -> List[int]:
                 if (v := from_bytes(block[i:i + width], "little")
                     & mask) < modulus]
     return out
+
+
+def horner(coeffs: Sequence[int], x: int, q: int) -> int:
+    """Value at x of the polynomial with these coefficients, mod q."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def derivative_coeffs(coeffs: Sequence[int], q: int) -> List[int]:
+    """Formal derivative: coefficient i*c_i shifted down one slot."""
+    return [i * c % q for i, c in enumerate(coeffs)][1:] or [0]
 
 
 def weighted_column_sum(weights: Sequence[int],
@@ -212,31 +231,46 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
          rng) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
-    Per chunk: a hierarchical split with one manager (the mother's inner
-    secret P(1)) and one employee per daughter (daughter i's inner secret
-    P'(i)); then a flat split of each network's inner secret over its
-    nodes, node j holding the inner polynomial's value at j. All chunks
-    are dealt at once, column by column: randomness is drawn as P's
-    coefficient columns p_1..p_D across all chunks, then, network by
-    network in topology order, that network's inner coefficient columns;
-    every coefficient is uniform over 0..q-1.
+    Randomness is drawn as the package draws it: the outer polynomials'
+    X^1..X^D coefficients, one column across all chunks per power, then,
+    network by network in topology order, that network's inner columns.
+    Then chunk by chunk: P(1) is the mother's inner secret, P'(a) that of
+    the a-th daughter in topology order, and node j holds its inner
+    polynomial's value at j.
     """
     q = topology.modulus
     if secret_chunks and not (0 <= min(secret_chunks)
                               and max(secret_chunks) < q):
         raise ValueError("chunk out of range for the topology modulus")
-    mother, inner_secrets = hierarchical_split_ints(
-        secret_chunks, topology.outer_degree, 1, len(topology.networks) - 1,
-        q, rng)
-    inner_secrets.insert(topology.mother_index, mother.pop())
+    m = len(secret_chunks)
+    outer = [random_ints(q, m, rng) for _ in range(topology.outer_degree)]
+    polys = [[s, *(col[c] for col in outer)]
+             for c, s in enumerate(secret_chunks)]
     out: Dict[str, List[NodeShare]] = {}
-    for net in topology.networks:
-        # Popped, so each inner-secret column is freed once dealt.
-        columns = split_ints(inner_secrets.pop(0), net.inner_degree,
-                             net.node_count, q, rng)
-        out[net.id] = [NodeShare(net.id, j, 0, tuple(col))
-                       for j, col in enumerate(columns, start=1)]
+    daughter = 0
+    for i, net in enumerate(topology.networks):
+        if i == topology.mother_index:
+            secrets = [horner(p, 1, q) for p in polys]
+        else:
+            daughter += 1
+            secrets = [horner(derivative_coeffs(p, q), daughter, q)
+                       for p in polys]
+        out[net.id] = [NodeShare(net.id, j, 0, values) for j, values
+                       in _inner_values(secrets, net, q, rng)]
     return out
+
+
+def _inner_values(secrets: Sequence[int], net: NetworkSpec, q: int,
+                  rng) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(j, values) for each node j of `net`: the values at j of random
+    polynomials of degree net.inner_degree, one per secret, with that
+    secret as constant term; their coefficients are drawn one column
+    across all secrets per power."""
+    cols = [random_ints(q, len(secrets), rng)
+            for _ in range(net.inner_degree)]
+    polys = [[s, *(col[c] for col in cols)] for c, s in enumerate(secrets)]
+    return [(j, tuple(horner(p, j, q) for p in polys))
+            for j in range(1, net.node_count + 1)]
 
 
 def reconstruct(shares: Dict[str, Sequence[NodeShare]],
@@ -323,12 +357,9 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
     all chunks in turn, each uniform."""
     q = topology.modulus
     zeros = [0] * chunk_count
-    out: Dict[str, List[NodeRefresh]] = {}
-    for net in topology.networks:
-        columns = split_ints(zeros, net.inner_degree, net.node_count, q, rng)
-        out[net.id] = [NodeRefresh(net.id, j, epoch, tuple(col))
-                       for j, col in enumerate(columns, start=1)]
-    return out
+    return {net.id: [NodeRefresh(net.id, j, epoch, values) for j, values
+                     in _inner_values(zeros, net, q, rng)]
+            for net in topology.networks}
 
 
 def apply_node_refresh(share: NodeShare, delta: NodeRefresh,

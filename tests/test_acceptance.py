@@ -12,7 +12,6 @@ from multishare.cli import main as cli_main
 from multishare.errors import EpochMismatch, Infeasible
 from multishare.field import DEFAULT_MODULUS, deterministic_rng
 from multishare.formats import canonical_json, topology_to_dict
-from multishare.poly import derivative_coeffs, horner, split_ints
 from multishare.protocol import (Access, LinkKind, NetworkSpec, Topology,
                                  access_oracle, apply_node_refresh,
                                  compute_thresholds_exhaustive,
@@ -20,6 +19,7 @@ from multishare.protocol import (Access, LinkKind, NetworkSpec, Topology,
                                  decode_secret, encode_secret, reconstruct,
                                  refresh)
 from multishare.simnet import Scenario, run_scenario
+from reference import derivative_coeffs, horner
 from test_poly import birkhoff_coeffs, interpolate_zero
 
 
@@ -55,16 +55,22 @@ def enumerate_topologies(q=257, **bounds):
 
 
 def test_criterion_1_shamir_exhaustive():
+    # Every quorum of a dealt network interpolates to its inner secret: the
+    # mother's P(1) = secret + p_1 beside a one-node daughter holding
+    # P'(1) = p_1, at every size, quorum and secret over F_7.
     started = time.monotonic()
     q = 7
     rng = deterministic_rng(1)
     for n in range(1, 6):
         for k in range(1, n + 1):
+            t = build_topology(1, ((n, k - 1), (1, 0)), q)
             for secret in range(q):
-                columns = split_ints([secret], k - 1, n, q, rng)
-                shares = [(x, y) for x, (y,) in enumerate(columns, start=1)]
+                dealt = deal([secret], t, rng)
+                (slope,) = dealt["d1"][0].values
+                shares = [(s.node_index, s.values[0]) for s in dealt["m"]]
                 for subset in itertools.combinations(shares, k):
-                    assert interpolate_zero(subset, q) == secret
+                    assert interpolate_zero(subset, q) == (
+                        secret + slope) % q
     report(1, "shamir exhaustive correctness", started, 10)
 
 

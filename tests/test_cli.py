@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from multishare import formats, vault
 from multishare.cli import main
-from multishare.field import DEFAULT_MODULUS, is_probable_prime
+from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
+                              is_probable_prime)
 from multishare.formats import topology_to_dict
-from multishare.protocol import LinkKind, NetworkSpec, Topology
+from multishare.protocol import LinkKind, NetworkSpec, Topology, deal
 from multishare.simnet import EVENT_KINDS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,6 +183,19 @@ class TestDeal:
         topo_path.write_text(json.dumps(data))
         assert run(["deal", "--topology", topo_path, "--secret", secret,
                     "--out", tmp / "shares"]) == 2
+
+    @pytest.mark.parametrize("q", [257, 65521])
+    def test_modulus_below_chunking_floor_exit2(self, workspace, capsys, q):
+        # A prime modulus of 257..65535 passes the topology checks but
+        # holds no two-byte chunk: deal ended in a ValueError traceback and
+        # left an empty --out behind. It exits 2 before touching a file.
+        tmp, _, secret = workspace
+        write_topology(tmp / "small.json", q=q)
+        before = sorted(tmp.rglob("*"))
+        assert run(["deal", "--topology", tmp / "small.json", "--secret",
+                    secret, "--out", tmp / "shares"]) == 2
+        assert "2^16" in capsys.readouterr().err
+        assert sorted(tmp.rglob("*")) == before
 
     def test_failed_deal_over_a_vault_leaves_it(self, workspace, capsys):
         # Dealing another secret over a refreshed vault, with one share's
@@ -449,6 +463,29 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 0
         assert dest.read_bytes() == secret.read_bytes()
+
+    @pytest.mark.parametrize("q", [257, 65521])
+    def test_modulus_below_chunking_floor_exit2(self, tmp_path, capsys, q):
+        # Share files dealt under a modulus too small for byte chunks made
+        # reconstruct end in a ValueError traceback once it had settled
+        # the directory. It exits 2 before touching a file, a staged one
+        # included, and writes no --out.
+        topo = write_topology(tmp_path / "small.json", q=q)
+        shares = tmp_path / "shares"
+        shares.mkdir()
+        for lst in deal([1, 2], topo, deterministic_rng(0)).values():
+            for share in lst:
+                name = f"{share.network_id}_{share.node_index:03d}"
+                (shares / f"{name}.share.json").write_bytes(
+                    b"".join(formats.share_blocks(share, q)))
+        (shares / "m_001.share.json.staged-1").write_bytes(b"{}")
+        files = snapshot(shares)
+        for where in (["--shares", shares], sorted(shares.glob("*.json"))):
+            assert run(["reconstruct", "--topology", tmp_path / "small.json",
+                        "--out", tmp_path / "out.bin", *where]) == 2
+            assert "2^16" in capsys.readouterr().err
+            assert snapshot(shares) == files
+            assert not (tmp_path / "out.bin").exists()
 
     def test_flushes_the_output(self, workspace, monkeypatch):
         # A reconstruct that exits 0 has its output on disk: the file is
@@ -1266,6 +1303,21 @@ class TestSimulate:
         again = tmp_path / "again.state"
         sim.save_state(again)
         assert again.read_bytes() == state.read_bytes()
+
+    def test_continued_world_reports_its_own_seed(self, tmp_path):
+        # A world continued from --state keeps the seed it was made with;
+        # the report once gave the --seed of the later run instead.
+        path = self._scenario(tmp_path, [{"event": "deal"}])
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", path, "--seed", "3",
+                    "--state", state]) == 0
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "schedule": [{"event": "refresh"}]}))
+        report = tmp_path / "report.json"
+        assert run(["simulate", "--scenario", path, "--seed", "9",
+                    "--state", state, "--report", report]) == 0
+        assert json.loads(report.read_text())["seed"] == 3
+        assert load_state(state).seed == 3
 
     @pytest.mark.parametrize("event", [
         {"event": "compromise_node", "network": "d1", "node": 7},

@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from multishare import formats
+from multishare.errors import CorruptData
 from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
 from multishare.formats import canonical_json, share_blocks, share_to_dict
 from multishare.protocol import NodeShare
@@ -113,3 +114,23 @@ class TestHexParser:
 
     def test_empty(self):
         assert formats._parse_hex([]) == []
+
+
+class TestManifestReader:
+    def test_reads_what_the_writer_wrote(self):
+        data = json.loads(canonical_json(
+            formats.manifest_dict("ab" * 32, 7, 3, ["m/1"])))
+        assert formats.manifest_from_dict(data) == ("ab" * 32, 3)
+
+    @pytest.mark.parametrize("data,message", [
+        ({}, "'topology_digest'"),
+        ([], "list indices must be integers or slices, not str"),
+        ({"topology_digest": "ab"}, "'epoch'"),
+        ({"topology_digest": "ab", "epoch": "1"},
+         "epoch must be an integer, not '1'"),
+        ({"topology_digest": "ab", "epoch": True},
+         "epoch must be an integer, not True")])
+    def test_malformed(self, data, message):
+        with pytest.raises(CorruptData) as err:
+            formats.manifest_from_dict(data)
+        assert str(err.value) == message

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from multishare.field import deterministic_rng, express_over_rows
-from multishare.poly import (birkhoff_matrix_row, derivative_coeffs, horner,
-                             lagrange_zero_weights, random_coeff_columns)
+from multishare.poly import (birkhoff_matrix_row, lagrange_zero_weights,
+                             random_columns)
+from reference import derivative_coeffs, horner
 
 
 def interpolate_zero(points, q):
@@ -83,20 +84,27 @@ class TestDerivative:
 
 class TestRandom:
     def test_degree_zero(self):
-        assert random_coeff_columns(0, [5], 7, deterministic_rng(0)) == [[5]]
+        assert random_columns(0, 5, 7, deterministic_rng(0)) == []
+        with pytest.raises(ValueError):
+            random_columns(-1, 5, 7, deterministic_rng(0))
 
     def test_pinned_constant_and_exact_degree(self):
+        # A constant column in front makes polynomials with that constant
+        # term and `degree` further coefficients, each in 0..q-1.
         rng = deterministic_rng(1)
         for _ in range(20):
-            coeffs = [c for (c,) in random_coeff_columns(2, [0], 7, rng)]
-            assert horner(coeffs, 0, 7) == 0
-            assert len(coeffs) == 3
+            columns = [[0, 3], *random_columns(2, 2, 7, rng)]
+            assert len(columns) == 3
+            assert all(len(col) == 2 and all(0 <= c < 7 for c in col)
+                       for col in columns)
+            for i, constant in enumerate((0, 3)):
+                coeffs = [col[i] for col in columns]
+                assert horner(coeffs, 0, 7) == constant
 
     def test_seeded_regression(self):
-        p1 = random_coeff_columns(1, [4], 11, deterministic_rng(77))
-        p2 = random_coeff_columns(1, [4], 11, deterministic_rng(77))
+        p1 = random_columns(1, 4, 11, deterministic_rng(77))
+        p2 = random_columns(1, 4, 11, deterministic_rng(77))
         assert p1 == p2
-        assert p1[0] == [4]
 
 
 class TestLagrange:

@@ -14,7 +14,6 @@ from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
 from multishare import field, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng, is_probable_prime)
-from multishare.poly import derivative_coeffs, horner, random_coeff_columns
 from multishare.protocol import (Access, LinkKind, NetworkSpec, NodeShare,
                                  Thresholds, Topology, access_oracle,
                                  apply_node_refresh,
@@ -264,9 +263,9 @@ class TestDeal:
     @pytest.mark.parametrize("q", [257, DEFAULT_MODULUS],
                              ids=["q257", "q2^127-1"])
     def test_columns_match_per_chunk_horner(self, q):
-        # Multi-chunk deal and refresh against scalar horner, chunk by
-        # chunk, on the same drawn coefficients (replayed from the seed),
-        # then a reconstruct of the refreshed shares.
+        # Multi-chunk deal and refresh against the per-chunk horner
+        # reference, on a topology whose mother is not first, then a
+        # reconstruct of the refreshed shares.
         nets = (NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
                 NetworkSpec("m", 4, 2, LinkKind.ITS),
                 NetworkSpec("d2", 4, 0, LinkKind.CLASSICAL),
@@ -275,32 +274,14 @@ class TestDeal:
         chunks = [deterministic_rng(c).randrange(q) for c in range(40)]
         m = len(chunks)
         dealt = deal(chunks, t, deterministic_rng(11))
+        assert dealt == reference.deal(chunks, t, deterministic_rng(11))
         deltas = refresh(t, m, 0, deterministic_rng(12))
-
-        replay = deterministic_rng(11)
-        outer = random_coeff_columns(t.outer_degree, chunks, q, replay)
-        polys = [[col[c] for col in outer] for c in range(m)]
-        inner_secrets = {
-            net.id: ([horner(p, 1, q) for p in polys] if net.id == "m"
-                     else [horner(derivative_coeffs(p, q),
-                                  t.derivative_point(net.id), q)
-                           for p in polys])
-            for net in nets}
-        refresh_replay = deterministic_rng(12)
+        want = reference.refresh(t, m, 0, deterministic_rng(12))
         for net in nets:
-            nodes = range(1, net.node_count + 1)
-            assert [s.node_index for s in dealt[net.id]] == list(nodes)
-            for got, secrets, rng in (
-                    ([s.values for s in dealt[net.id]],
-                     inner_secrets[net.id], replay),
-                    ([deltas[net.id].delta(j) for j in nodes], [0] * m,
-                     refresh_replay)):
-                cols = random_coeff_columns(net.inner_degree, secrets, q,
-                                            rng)
-                for j, values in zip(nodes, got):
-                    assert list(values) == [
-                        horner([col[c] for col in cols], j, q)
-                        for c in range(m)]
+            assert [s.node_index for s in dealt[net.id]] == list(
+                range(1, net.node_count + 1))
+            assert [deltas[net.id].delta(d.node_index)
+                    for d in want[net.id]] == [d.values for d in want[net.id]]
         refreshed = {nid: [apply_node_refresh(s, deltas[nid]) for s in lst]
                      for nid, lst in dealt.items()}
         assert reconstruct(refreshed, t) == chunks
@@ -1004,9 +985,10 @@ def small_vaults(draw):
 
 class TestVaultMatchesReference:
     """deal, refresh, apply_node_refresh and reconstruct, which hold one
-    network's columns and one share at a time, against the eager bodies
-    they replaced (tests/reference.py): the same draws, shares, deltas and
-    errors."""
+    network's columns and one share at a time, against tests/reference.py:
+    deal and refresh against per-chunk, per-polynomial references that
+    share none of the column kernel, reconstruct against the eager body it
+    replaced. The same draws, shares, deltas and errors."""
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)

@@ -1,37 +1,47 @@
-"""Flat and two-rank (value / derivative) sharing and refresh, on the int
-routines the protocol deals with: split_ints, hierarchical_split_ints,
-lagrange_zero_weights and per-coefficient Birkhoff solves."""
+"""Flat and two-rank (value / derivative) sharing and refresh: through
+deal and refresh, and on polynomials drawn by random_columns and evaluated
+by the reference's horner, recovered with lagrange_zero_weights and
+per-coefficient Birkhoff solves."""
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from multishare.errors import CorruptData, EpochMismatch
 from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
                               express_over_rows)
-from multishare.poly import (birkhoff_matrix_row, evaluate_columns, horner,
-                             hierarchical_split_ints, split_ints)
+from multishare.poly import birkhoff_matrix_row, random_columns
 from multishare.protocol import (LinkKind, NetworkRefresh, NetworkSpec,
                                  NodeShare, Topology, apply_node_refresh,
-                                 checked_shares, reconstruct, refresh)
+                                 checked_shares, deal, reconstruct, refresh)
+from reference import derivative_coeffs, horner
 from test_poly import birkhoff_coeffs, interpolate_zero
+from test_protocol import ScriptedRng
+
+
+def random_poly(secret, degree, q, rng):
+    """The coefficients of a random polynomial of degree at most `degree`
+    with constant term `secret`."""
+    return [secret, *(c for (c,) in random_columns(degree, 1, q, rng))]
 
 
 def split(secret, k, n, q, rng):
     """[(x, P(x))] for x in 1..n, P random of degree k-1 with P(0) =
     secret."""
-    columns = split_ints([secret], k - 1, n, q, rng)
-    return [(x, y) for x, (y,) in enumerate(columns, start=1)]
+    coeffs = random_poly(secret, k - 1, q, rng)
+    return [(x, horner(coeffs, x, q)) for x in range(1, n + 1)]
 
 
 def hier_split(secret, k, managers, employees, q, rng):
     """(x, order, value) constraints: P(1..managers) at order 0, then
     P'(1..employees) at order 1."""
-    values, slopes = hierarchical_split_ints([secret], k - 1, managers,
-                                             employees, q, rng)
-    return ([(x, 0, y) for x, (y,) in enumerate(values, start=1)]
-            + [(x, 1, y) for x, (y,) in enumerate(slopes, start=1)])
+    coeffs = random_poly(secret, k - 1, q, rng)
+    slopes = derivative_coeffs(coeffs, q)
+    return ([(x, 0, horner(coeffs, x, q)) for x in range(1, managers + 1)]
+            + [(x, 1, horner(slopes, x, q))
+               for x in range(1, employees + 1)])
 
 
 def hier_secret(constraints, k, q):
@@ -59,14 +69,18 @@ class TestSplit:
         assert all(y == 4 for _, y in shares)
 
     def test_forced_polynomial(self):
-        columns = [[3], [2]]  # P = 3 + 2X over F_7
-        assert [evaluate_columns(columns, x, 7) for x in (1, 2, 3)] == [
-            [5], [0], [2]]
+        # P = 3 + 2X over F_7 at nodes 1..3, through the node evaluation
+        # that deal and refresh share: 3 as the constant, 2 as X's column.
+        share = NodeShare("m", 1, 0, (3,))
+        assert [apply_node_refresh(replace(share, node_index=x),
+                                   one_column(2)).values
+                for x in (1, 2, 3)] == [(5,), (0,), (2,)]
 
     def test_shape(self):
-        columns = split_ints([2, 5], 2, 5, 7, deterministic_rng(1))
-        assert len(columns) == 5
-        assert all(len(col) == 2 for col in columns)
+        dealt = deal([2, 5], one_network(7, n=5, degree=2),
+                     deterministic_rng(1))
+        assert [s.node_index for s in dealt["m"]] == [1, 2, 3, 4, 5]
+        assert all(len(s.values) == 2 for s in dealt["m"])
 
     def test_bad_params(self):
         # A quorum above the node count, and node count >= q.
@@ -151,21 +165,29 @@ class TestPerfectSecrecy:
 
 class TestHierarchical:
     def test_degree1_derivative_constant(self):
-        # With forced P = 4 + 3X over F_11 every employee holds 3.
+        # With forced P = 4 + 3X over F_11 deal gives the mother P(1) = 7
+        # and every daughter P'(a) = 3; with inner degree 0 everywhere a
+        # share is its network's inner secret.
         q = 11
-        columns = [[4], [3]]
-        manager = (1, 0, evaluate_columns(columns, 1, q)[0])
-        employees = [(x, 1, evaluate_columns(columns, x, q, order=1)[0])
-                     for x in (1, 2, 3)]
-        assert manager[2] == 7
-        assert all(y == 3 for _, _, y in employees)
-        assert hier_secret([manager, employees[0]], 2, q) == 4
+        t = Topology(q, (NetworkSpec("m", 1, 0, LinkKind.ITS),
+                         *(NetworkSpec(f"d{a}", 1, 0, LinkKind.CLASSICAL)
+                           for a in (1, 2, 3))), 0, 1)
+        dealt = deal([4], t, ScriptedRng([3], q))
+        assert {nid: s.values for nid, (s,) in dealt.items()} == {
+            "m": (7,), "d1": (3,), "d2": (3,), "d3": (3,)}
+        assert hier_secret([(1, 0, 7), (1, 1, 3)], 2, q) == 4
 
     def test_shape(self):
-        values, slopes = hierarchical_split_ints([1], 2, 2, 4, 11,
-                                                 deterministic_rng(0))
-        assert (len(values), len(slopes)) == (2, 4)
-        assert all(len(col) == 1 for col in values + slopes)
+        # One share per node, in topology order, each holding every chunk.
+        t = Topology(11, (NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL),
+                          NetworkSpec("m", 2, 1, LinkKind.ITS),
+                          NetworkSpec("d2", 4, 2, LinkKind.CLASSICAL)), 1, 2)
+        dealt = deal([1, 2, 3], t, deterministic_rng(0))
+        assert {nid: [s.node_index for s in lst]
+                for nid, lst in dealt.items()} == {
+            "d1": [1, 2], "m": [1, 2], "d2": [1, 2, 3, 4]}
+        assert list(dealt) == ["d1", "m", "d2"]
+        assert all(len(s.values) == 3 for lst in dealt.values() for s in lst)
 
     def test_employees_only_no_quorum(self):
         shares = hier_split(5, 2, 1, 4, 11, deterministic_rng(2))
@@ -208,13 +230,16 @@ class TestHierarchical:
 
 class TestRefresh:
     def test_deltas_reconstruct_to_zero(self):
-        deltas = split(0, 2, 3, 7, deterministic_rng(4))
-        for subset in itertools.combinations(deltas, 2):
+        deltas = refresh(one_network(7), 1, 0, deterministic_rng(4))["m"]
+        points = [(x, deltas.delta(x)[0]) for x in (1, 2, 3)]
+        for subset in itertools.combinations(points, 2):
             assert interpolate_zero(subset, 7) == 0
 
     def test_forced_polynomial(self):
         expected = [horner([0, 5], x, 7) for x in (1, 2, 3)]
         assert expected == [5, 3, 1]
+        assert [one_column(5).delta(x) for x in (1, 2, 3)] == [
+            (5,), (3,), (1,)]
 
     def test_shape(self):
         topo = one_network(7, n=4)
@@ -242,14 +267,21 @@ class TestRefresh:
             apply_node_refresh(share, one_column(0, epoch=1))
 
     def test_secret_preserved_across_rounds(self):
+        # Every quorum of the mother keeps its inner secret, and the
+        # vault its secret, through four rounds.
         rng = deterministic_rng(21)
-        shares = split(4, 2, 4, 7, rng)
-        for _ in range(4):
-            deltas = split(0, 2, 4, 7, rng)
-            shares = [(x, (y + d) % 7)
-                      for (x, y), (_, d) in zip(shares, deltas)]
-            for subset in itertools.combinations(shares, 2):
-                assert interpolate_zero(subset, 7) == 4
+        t = one_network(7, n=4)
+        dealt = deal([4], t, rng)
+        points = [(s.node_index, s.values[0]) for s in dealt["m"]]
+        inner = interpolate_zero(points[:2], 7)
+        for epoch in range(4):
+            deltas = refresh(t, 1, epoch, rng)
+            dealt = {nid: [apply_node_refresh(s, deltas[nid]) for s in lst]
+                     for nid, lst in dealt.items()}
+            points = [(s.node_index, s.values[0]) for s in dealt["m"]]
+            for subset in itertools.combinations(points, 2):
+                assert interpolate_zero(subset, 7) == inner
+            assert reconstruct(dealt, t) == [4]
 
     def test_post_refresh_value_uniform_q7(self):
         # Exhaustive over refresh polynomials with Q(0)=0 (any degree
