@@ -8,21 +8,30 @@ Exit codes are a stable scripting contract:
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import stat
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, List
+from typing import List
 
 from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
-from .field import crypto_rng, deterministic_rng
+from .field import BLOCK_WORDS, crypto_rng, deterministic_rng
 from . import formats, vault
-from .protocol import (NodeShare, Topology, apply_node_refresh,
-                       checked_shares, chunk_size,
-                       compute_thresholds_exhaustive,
-                       compute_thresholds_formula, deal, decode_secret,
-                       encode_secret, reconstruct, refresh,
+from .protocol import (LENGTH_HEADER, NodeShare, SecretDecoder, Topology,
+                       apply_node_refresh, checked_shares, chunk_count,
+                       chunk_size, compute_thresholds_exhaustive,
+                       compute_thresholds_formula, deal, reconstruct,
+                       refresh, secret_blocks,
                        EXHAUSTIVE_DEGREE_BOUND, EXHAUSTIVE_NETWORK_BOUND)
+# Not called here, since the vault commands work block by block
+# (secret_blocks, SecretDecoder), but looked up here by name by the
+# benchmark's tracer (perfbench/tracing.py).
+from .protocol import decode_secret, encode_secret  # noqa: F401
 from .simnet import (Scenario, Simulation, check_targets, load_state,
                      run_scenario)
 
@@ -90,13 +99,81 @@ def _json_line(obj) -> bytes:
     return formats.canonical_json(obj) + b"\n"
 
 
-def _load_shares(paths: List[Path], modulus: int) -> Iterator[NodeShare]:
-    """The shares in `paths`, parsed one at a time as they are asked for."""
-    for p in paths:
+def _read_shares(paths: List[Path], topology: Topology,
+                 drain: bool) -> List[NodeShare]:
+    """The shares in `paths`, each header read now and its values block by
+    block later (formats.read_share), checked as a set (checked_shares)
+    as each is read. Any error is the one that reading each file whole in
+    turn would give: a file that cannot be read, or that fails the check,
+    first has the values of the files before it read (_in_turn); with
+    `drain`, the files after one that fails the check are read too, so
+    that an unreadable file anywhere decides."""
+    shares: List[NodeShare] = []
+
+    def read():
+        for p in paths:
+            shares.append(formats.read_share(p, topology.modulus))
+            yield shares[-1]
+
+    with _in_turn(shares):
         try:
-            yield formats.share_from_dict(_read_json(p, "share"), modulus)
-        except CorruptData as exc:
-            raise CliError(EXIT_INPUT, f"cannot read share {p}: {exc}")
+            for _ in checked_shares(read(), topology):
+                pass
+        except formats.UnreadableShare:
+            raise
+        except MultishareError:
+            for share in shares:
+                share.values.read_rest()
+            if drain:
+                for p in paths[len(shares):]:
+                    formats.read_share(p, topology.modulus
+                                       ).values.read_rest()
+            raise
+    return shares
+
+
+@contextmanager
+def _in_turn(shares: List[NodeShare]):
+    """An UnreadableShare from the block raised as reading each share file
+    whole in turn would raise it: the values of the shares before the
+    unreadable one are read first, and the first that cannot be read
+    decides."""
+    try:
+        yield
+    except formats.UnreadableShare as exc:
+        for share in shares:
+            if share.values.path == exc.path:
+                break
+            share.values.read_rest()
+        raise
+
+
+def _secret_reader(file):
+    """The size of the open secret file, and read(n) for its bytes. A
+    regular file's size is taken from stat before any byte is read; any
+    other file (a pipe, say) is read whole first. CapacityError when the
+    secret is too long for its length header."""
+    try:
+        info = os.fstat(file.fileno())
+        if stat.S_ISREG(info.st_mode):
+            size = info.st_size
+        else:
+            file = io.BytesIO(file.read())
+            size = len(file.getvalue())
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read secret: {exc}")
+    if size >= 256 ** LENGTH_HEADER:
+        raise CapacityError(f"the secret has {size} bytes; its "
+                            f"{LENGTH_HEADER}-byte length header holds "
+                            f"at most {256 ** LENGTH_HEADER - 1}")
+
+    def read(n: int) -> bytes:
+        try:
+            return file.read(n)
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read secret: {exc}")
+
+    return size, read
 
 
 def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
@@ -122,13 +199,13 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
 
 
 def cmd_deal(args) -> int:
-    """Deal the secret, writing each node's share file as soon as its
-    share is made; deal (see protocol.deal) then holds one network's
-    columns and one share at a time. The vault is committed at epoch 0 as
-    a refresh commits its epoch (see vault.Commit): a deal that exits 0
-    has its vault on disk, and one that stops part-way leaves either the
-    whole vault or files that the next deal, refresh or reconstruct
-    --shares deletes."""
+    """Deal the secret BLOCK_WORDS chunks at a time: each block is read
+    from the secret file, dealt (deal, one call per block) and appended
+    to every node's share file, so the command holds a block, not a
+    column. The vault is committed at epoch 0 as a refresh commits its
+    epoch (see vault.Commit): a deal that exits 0 has its vault on disk,
+    and one that stops part-way leaves either the whole vault or files
+    that the next deal, refresh or reconstruct --shares deletes."""
     topology = _load_chunking_topology(args.topology)
     q = topology.modulus
     # Taken before the share work, as refresh and reconstruct --shares
@@ -136,31 +213,34 @@ def cmd_deal(args) -> int:
     # the peak of every vault command.
     digest = formats.topology_digest(topology)
     try:
-        secret = Path(args.secret).read_bytes()
+        secret = open(args.secret, "rb")
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read secret: {exc}")
-    out_dir = Path(args.out)
-    vault.new_vault_dir(out_dir)
-    chunk_counts = []  # one per share written
-    with vault.Commit(out_dir, 0, "deal") as commit:
-
-        def write(share: NodeShare) -> None:
-            commit.stage(_share_path(out_dir, share),
-                         formats.share_blocks(share, q))
-            chunk_counts.append(len(share.values))
-
-        # The chunks are made in the argument list, so that deal can drop
-        # them once it has split them.
-        deal(encode_secret(secret, q), topology, _rng(args.seed), sink=write)
-        nodes = commit.commit(_json_line(
-            formats.manifest_dict(digest, chunk_counts[0], 0, [])))
-    print(f"dealt {chunk_counts[0]} chunks to {nodes} nodes in {out_dir}")
+    with secret:
+        size, read = _secret_reader(secret)
+        count = chunk_count(size, q)
+        out_dir = Path(args.out)
+        vault.new_vault_dir(out_dir)
+        rng = _rng(args.seed)
+        with vault.Commit(out_dir, 0, "deal") as commit:
+            for start, chunks in zip(range(0, count, BLOCK_WORDS),
+                                     secret_blocks(read, size, q)):
+                for shares in deal(chunks, topology, rng).values():
+                    for share in shares:
+                        commit.append(_share_path(out_dir, share),
+                                      formats.share_file_block(
+                                          share, q, start, count))
+            nodes = commit.commit(_json_line(
+                formats.manifest_dict(digest, count, 0, [])))
+    print(f"dealt {count} chunks to {nodes} nodes in {out_dir}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    """Recover the secret from the share files, read one at a time as
-    reconstruct asks for them (see protocol.reconstruct)."""
+    """Recover the secret BLOCK_WORDS chunks at a time: the share files'
+    headers are read first, then reconstruct reads each file's next block
+    in turn, checks it and hands the recovered chunks on, decoded, to the
+    output's temporary file (see protocol.reconstruct)."""
     if args.shares and args.files:
         raise CliError(EXIT_USAGE, "give --shares or share files, not both")
     topology = _load_chunking_topology(args.topology)
@@ -169,30 +249,28 @@ def cmd_reconstruct(args) -> int:
              if args.shares else [Path(p) for p in args.files])
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
-    shares = _load_shares(paths, topology.modulus)
+    decoder = SecretDecoder(topology.modulus)
     try:
-        chunks = reconstruct(shares, topology)
-        secret = decode_secret(chunks, topology.modulus)
-    except MultishareError as exc:
-        # The files after a failed check are still read, one at a time,
-        # so that a malformed file anywhere exits 2 before it, as when
-        # every file was read first.
-        for _ in shares:
-            pass
-        if isinstance(exc, CorruptData):
-            raise CliError(EXIT_INPUT, f"corrupt shares: {exc}")
+        shares = _read_shares(paths, topology, drain=True)
+        with _in_turn(shares), vault.appending(Path(args.out)) as append:
+            reconstruct(shares, topology,
+                        sink=lambda chunks: append(decoder.feed(chunks)))
+            decoder.close()
+    except formats.UnreadableShare:
         raise
-    vault.write_file(Path(args.out), secret)
-    print(f"reconstructed {len(secret)} bytes to {args.out}")
+    except CorruptData as exc:
+        raise CliError(EXIT_INPUT, f"corrupt shares: {exc}")
+    print(f"reconstructed {decoder.size} bytes to {args.out}")
     return EXIT_OK
 
 
 def cmd_refresh(args) -> int:
-    """Advance every share one epoch, holding one share's values at a
-    time besides the round's refresh columns, and each network's columns
-    only until its last share is updated. The updated shares are committed
-    at the new epoch by one atomic replace of the manifest (see
-    vault.Commit)."""
+    """Advance every share one epoch, BLOCK_WORDS chunks at a time: per
+    block, the round's refresh columns are drawn (refresh, one call per
+    block), and each share file's block is read, updated
+    (apply_node_refresh) and appended to its staged file in turn. The
+    updated shares are committed at the new epoch by one atomic replace
+    of the manifest (see vault.Commit)."""
     topology = _load_topology(args.topology)
     q = topology.modulus
     share_dir = Path(args.shares)
@@ -200,31 +278,27 @@ def cmd_refresh(args) -> int:
     paths = _share_dir_paths(share_dir, digest)
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
-    shares = checked_shares(_load_shares(paths, q), topology)
-    share = next(shares)  # fixes the epoch and the chunk count
-    epoch, chunk_count = share.epoch, len(share.values)
-    deltas = refresh(topology, chunk_count, epoch, _rng(args.seed))
-    done = {net.id: set() for net in topology.networks}  # nodes updated
-    with vault.Commit(share_dir, epoch + 1, "refresh") as commit:
-        for path in paths:
-            # checked_shares vouches for the node. Each share and its
-            # update are dropped before the next share is read.
-            if share is None:
-                share = next(shares)
-            net = topology.spec(share.network_id)
-            done[net.id].add(share.node_index)
-            updated = apply_node_refresh(share, deltas[net.id])
-            share = None
-            commit.stage(path, formats.share_blocks(updated, q))
-            del updated
-            if len(done[net.id]) == net.node_count:
-                del deltas[net.id]  # its columns are no longer needed
+    shares = _read_shares(paths, topology, drain=False)
+    epoch, count = shares[0].epoch, len(shares[0].values)
+    rng = _rng(args.seed)
+    with vault.Commit(share_dir, epoch + 1, "refresh") as commit, \
+            _in_turn(shares):
+        for start in range(0, max(count, 1), BLOCK_WORDS):
+            n = min(BLOCK_WORDS, count - start)
+            deltas = refresh(topology, n, epoch, rng)
+            for path, share in zip(paths, shares):
+                updated = apply_node_refresh(
+                    replace(share, values=share.values[start:start + n]),
+                    deltas[share.network_id])
+                commit.append(path, formats.share_file_block(
+                    updated, q, start, count))
+        held = {(s.network_id, s.node_index) for s in shares}
         stale = [f"{net.id}/{j}" for net in topology.networks
                  for j in range(1, net.node_count + 1)
-                 if j not in done[net.id]]
-        count = commit.commit(_json_line(formats.manifest_dict(
-            digest, chunk_count, epoch + 1, stale)))
-    print(f"refreshed {count} shares to epoch {epoch + 1}"
+                 if (net.id, j) not in held]
+        refreshed = commit.commit(_json_line(formats.manifest_dict(
+            digest, count, epoch + 1, stale)))
+    print(f"refreshed {refreshed} shares to epoch {epoch + 1}"
           + (f"; stale: {', '.join(stale)}" if stale else ""))
     return EXIT_OK
 

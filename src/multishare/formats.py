@@ -3,15 +3,18 @@ scenarios, plus canonical serialization helpers.
 
 Field elements are lowercase big-endian hex; in memory they are plain
 ints, and the modulus comes from the topology. All JSON emitted through
-canonical_json is byte-stable (sorted keys, fixed separators).
+canonical_json is byte-stable (sorted keys, fixed separators). A share
+file is written (share_file_block) and read (read_share) block by block.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from itertools import repeat
-from typing import Iterator, List, Tuple
+from pathlib import Path
+from typing import List, Optional, Tuple
 
 from .errors import CorruptData
 from .field import BLOCK_WORDS
@@ -25,6 +28,14 @@ MIN_USER_MODULUS = 257
 
 # A "0" that starts a joined value and is not the whole value.
 _LEADING_ZERO = re.compile(rb",0[^,]")
+# In a share file's values, as the tools write them: an empty value, or
+# a "0" that starts a value and is not the whole value.
+_BAD_QUOTED_HEX = re.compile(rb'""|"0[0-9a-f]')
+# The last key of a share file as the tools write it, and the most bytes
+# read to find it: a longer header (a network id of thousands of
+# characters) is read whole.
+_VALUES_KEY = b'"values":['
+HEAD_BYTES = 1 << 16
 
 
 def canonical_json(obj) -> bytes:
@@ -131,7 +142,8 @@ def topology_digest(topology: Topology) -> str:
         canonical_json(topology_to_dict(topology))).hexdigest()
 
 
-def _share_header(share: NodeShare, modulus: int) -> dict:
+def _share_header(share: NodeShare, modulus: int,
+                  chunk_count: int) -> dict:
     """Every field of a share file but its values."""
     return {
         "format_version": FORMAT_VERSION,
@@ -139,33 +151,42 @@ def _share_header(share: NodeShare, modulus: int) -> dict:
         "network_id": share.network_id,
         "node_index": share.node_index,
         "epoch": share.epoch,
-        "chunk_count": len(share.values),
+        "chunk_count": chunk_count,
     }
 
 
 def share_to_dict(share: NodeShare, modulus: int) -> dict:
-    return {**_share_header(share, modulus),
+    return {**_share_header(share, modulus, len(share.values)),
             "values": [f"{v:x}" for v in share.values]}
 
 
-def share_blocks(share: NodeShare, modulus: int) -> Iterator[bytes]:
-    """The share file, canonical_json(share_to_dict(share, modulus)) and a
-    newline, as a stream of byte blocks: the file's bytes are never built
-    whole, and no string object is made per value.
+def share_file_block(share: NodeShare, modulus: int, start: int,
+                     chunk_count: int) -> bytes:
+    """The bytes of the share file of chunk_count values that hold
+    share.values, as values start.. of that file: its header first when
+    start is 0, and its closing `]}` and newline after the last value.
+    Written one after another, the blocks of a share make
+    canonical_json(share_to_dict(share, modulus)) and a newline; with
+    every value at once, one block is the whole file. No string object is
+    made per value.
 
     "values" sorts after every header key, so canonical JSON of the header
-    with an empty "values" list ends in `[]}`: the header comes first, up
-    to the list's `[`; then the hex values, BLOCK_WORDS at a time, each
-    block formatted by one printf-style pass; then `]}` and the newline.
-    """
-    head = canonical_json({**_share_header(share, modulus), "values": []})
-    yield head[:-2]
+    with an empty "values" list ends in `[]}`: the header is that, up to
+    the list's `[`; the hex values are formatted by one printf-style
+    pass."""
     values = share.values
-    for i in range(0, len(values), BLOCK_WORDS):
-        block = values[i:i + BLOCK_WORDS]
-        template = ("," if i else "") + '"%x' + '","%x' * (len(block) - 1)
-        yield ((template + '"') % tuple(block)).encode()
-    yield b"]}\n"
+    parts = []
+    if start == 0:
+        parts.append(canonical_json(
+            {**_share_header(share, modulus, chunk_count),
+             "values": []})[:-2])
+    if values:
+        template = ("," if start else "") + '"%x' + '","%x' * (
+            len(values) - 1) + '"'
+        parts.append((template % tuple(values)).encode())
+    if start + len(values) == chunk_count:
+        parts.append(b"]}\n")
+    return b"".join(parts)
 
 
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
@@ -196,6 +217,202 @@ def share_from_dict(data: dict, modulus: int) -> NodeShare:
                          values=tuple(values))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc
+
+
+class UnreadableShare(CorruptData):
+    """A share file that cannot be read, or is not a valid share file."""
+
+    def __init__(self, path, detail):
+        super().__init__(f"cannot read share {path}: {detail}")
+        self.path = path
+
+
+def read_share(path, modulus: int) -> NodeShare:
+    """The share file at `path`, dealt under a topology with this modulus,
+    with its values as ShareValues: read from the file block by block,
+    in order, as they are asked for. UnreadableShare when the file cannot
+    be read or is not a valid share file (share_from_dict).
+
+    A file in the layout the tools write (share_file_block) is read so:
+    its header alone now, and each block of values when it is asked for.
+    A file in any other layout that JSON allows (white space, another key
+    order, string escapes) is parsed whole now, as share_from_dict parses
+    it, and its values are served from memory."""
+    try:
+        with open(path, "rb") as file:
+            head = file.read(HEAD_BYTES)
+    except OSError as exc:
+        raise UnreadableShare(path, exc) from exc
+    streamed = _streamed_header(head, modulus)
+    if streamed is not None:
+        header, count, offset = streamed
+        if count or head[offset:] == b"]}\n":
+            return replace(header, values=ShareValues(
+                path, modulus, header, count, offset))
+    share = _whole_share(path, modulus)
+    return replace(share, values=ShareValues(
+        path, modulus, replace(share, values=()), len(share.values),
+        whole=share.values))
+
+
+def _streamed_header(head: bytes, modulus: int
+                     ) -> Optional[Tuple[NodeShare, int, int]]:
+    """The header of a share file that starts with the bytes `head`, when
+    it is in the layout the tools write: the share without its values, its
+    chunk_count and the offset of its first value. None otherwise.
+
+    The header ends at the first `"values":[` after which it parses as a
+    canonical JSON object (an earlier one is inside a string, where JSON
+    cannot end); its fields are checked as those of a share of no
+    values."""
+    at = head.find(_VALUES_KEY)
+    while at >= 0:
+        end = at + len(_VALUES_KEY)
+        text = head[:end] + b"]}"
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError):
+            at = head.find(_VALUES_KEY, end)
+            continue
+        if not isinstance(doc, dict) or canonical_json(doc) != text:
+            return None
+        try:
+            header = share_from_dict({**doc, "chunk_count": 0}, modulus)
+        except CorruptData:
+            return None
+        count = doc.get("chunk_count")  # a missing key: read whole
+        if type(count) is not int or count < 0:
+            return None
+        return header, count, end
+    return None
+
+
+def _whole_share(path, modulus: int) -> NodeShare:
+    """The share file at `path`, parsed whole (share_from_dict)."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UnreadableShare(path, exc) from exc
+    try:
+        return share_from_dict(data, modulus)
+    except CorruptData as exc:
+        raise UnreadableShare(path, exc) from exc
+
+
+def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
+    """The values of `region`, `"h","h",...,"h"`, whose texts between the
+    quotes are `texts`: each h lowercase hex without leading zeros, as
+    _parse_hex reads it. None for any other bytes: the counts of quotes
+    and commas leave none inside a value."""
+    n = len(texts)
+    if (region[:1] != b'"' or region[-1:] != b'"'
+            or region.count(b'"') != 2 * n or region.count(b",") != n - 1
+            or region.translate(None, b'0123456789abcdef",')
+            or _BAD_QUOTED_HEX.search(region)):
+        return None
+    return list(map(int, texts, repeat(16)))
+
+
+class ShareValues:
+    """The values of one share file, in order: each slice asked for must
+    start where the last one ended, and is read from the file then. A file
+    in the layout the tools write is read BLOCK_WORDS-sized pieces at a
+    time from where the last piece ended, its hex checked and converted by
+    C-level passes; only the ints of the slice are held. A piece that is
+    not in that layout makes the whole file be parsed (share_from_dict),
+    and its values served from memory from then on; a file read whole
+    from the start comes with them (`whole`).
+
+    UnreadableShare, from a slice, when the file cannot be read or is not
+    a valid share file; and when the header or the values already read
+    are not those of the file parsed whole (a key given twice after them,
+    or a file that changed while it was read)."""
+
+    def __init__(self, path, modulus: int, header: NodeShare, count: int,
+                 offset: int = 0, whole: Optional[tuple] = None):
+        self.path, self.modulus = path, modulus
+        self.header, self.count, self.whole = header, count, whole
+        self.start = self.offset = offset  # first value; next value
+        self.done = 0  # values read
+        # The most bytes of a value: its hex, two quotes and a comma.
+        self.width = len(format(modulus - 1, "x")) + 3
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: slice) -> List[int]:
+        start, stop, step = index.indices(self.count)
+        if start != self.done or step != 1:
+            raise ValueError("a share file's values are read in order")
+        if stop <= start:
+            return []
+        if self.whole is None:
+            values = self._read(stop - start)
+            if values is not None:
+                return values
+            self._read_whole()
+        self.done = stop
+        return list(self.whole[start:stop])
+
+    def read_rest(self) -> None:
+        """Read the values not read yet, and drop them: the file's last
+        chance to be found unreadable."""
+        for i in range(self.done, self.count, BLOCK_WORDS):
+            self[i:i + BLOCK_WORDS]
+
+    def _read(self, n: int) -> Optional[List[int]]:
+        """The next n values, read in the layout the tools write; None
+        when the file is not in it there."""
+        last = self.done + n == self.count
+        limit = n * self.width + 3
+        try:
+            with open(self.path, "rb") as file:
+                file.seek(self.offset)
+                data = file.read(limit + 1)
+        except OSError as exc:
+            raise UnreadableShare(self.path, exc) from exc
+        if last:
+            if len(data) > limit or data[-3:] != b"]}\n":
+                return None
+            region, used = data[:-3], len(data)
+            texts = region[1:-1].split(b'","')
+            if len(texts) != n:
+                return None
+        else:
+            # The n values, then `","` and the next value.
+            texts = data.split(b'","', n)
+            if len(texts) <= n:
+                return None
+            used = len(data) - len(texts.pop()) - 1
+            region = data[:used - 1]
+            texts[0] = texts[0][1:]
+        values = _quoted_hex(region, texts)
+        if values is None or max(values) >= self.modulus:
+            return None
+        self.offset += used
+        self.done += n
+        return values
+
+    def _read_whole(self) -> None:
+        share = _whole_share(self.path, self.modulus)
+        if (replace(share, values=()) != self.header
+                or len(share.values) != self.count
+                or self.done and not self._agrees(share.values)):
+            raise UnreadableShare(
+                self.path, "the fields or values read before do not match "
+                "the file parsed whole: it changed while it was read, or "
+                "gives a key twice")
+        self.whole = share.values
+
+    def _agrees(self, values) -> bool:
+        """Whether the values read so far, read again, are `values`'s."""
+        again = ShareValues(self.path, self.modulus, self.header,
+                            self.count, self.start)
+        for i in range(0, self.done, BLOCK_WORDS):
+            n = min(BLOCK_WORDS, self.done - i)
+            if again._read(n) != list(values[i:i + n]):
+                return False
+        return True
 
 
 def manifest_dict(digest: str, chunk_count: int, epoch: int,

@@ -15,6 +15,7 @@ coordinates at once is the tests' reference (tests/reference.py).
 
 from __future__ import annotations
 
+import io
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -140,64 +141,40 @@ class Access(Enum):
 # Dealing and reconstruction
 
 
-def deal(secret_chunks: List[int], topology: Topology, rng,
-         sink=None) -> Dict[str, List[NodeShare]]:
+def deal(secret_chunks: Sequence[int], topology: Topology,
+         rng) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
     Per chunk: a random outer polynomial P with P(0) the chunk gives each
     network its inner secret, constant_functional's P(1) for the mother
     and P'(a) for daughter a; then a random inner polynomial with that
-    constant gives node j its value at j. All chunks are dealt at once,
-    column by column: randomness is drawn as P's coefficient columns
-    p_1..p_D across all chunks, then, network by network in topology
+    constant gives node j its value at j. Chunks are dealt BLOCK_WORDS at
+    a time, column by column: per block, randomness is drawn as P's
+    coefficient columns p_1..p_D, then, network by network in topology
     order, that network's inner coefficient columns; every coefficient is
-    uniform over 0..q-1.
-
-    With `sink`, each share is passed to sink(share) as soon as it is made
-    and is not kept, and the result is empty. Memory then stays within the
-    inner secrets not yet dealt, one network's coefficient columns and one
-    share; `secret_chunks` is dropped after the outer split, unless the
-    caller holds on to it.
+    uniform over 0..q-1. Dealing a secret block by block, one call per
+    block, therefore draws what one call on the whole secret draws.
     """
     q = topology.modulus
     if secret_chunks and not (0 <= min(secret_chunks)
                               and max(secret_chunks) < q):
         raise ValueError("chunk out of range for the topology modulus")
-    shares = _dealt_shares(secret_chunks, topology, rng)
-    del secret_chunks
-    if sink is None:
-        out: Dict[str, List[NodeShare]] = {
-            net.id: [] for net in topology.networks}
-        for share in shares:
-            out[share.network_id].append(share)
-        return out
-    for share in shares:
-        sink(share)
-        del share  # not held while the next share is made
-    return {}
-
-
-def _dealt_shares(secret_chunks: List[int], topology: Topology,
-                  rng) -> Iterator[NodeShare]:
-    """deal's shares one at a time, network by network in topology order,
-    each network's in node order."""
-    q = topology.modulus
-    count = len(secret_chunks)
-    outer = [secret_chunks, *random_columns(topology.outer_degree, count, q,
-                                            rng)]
-    del secret_chunks
-    inner_secrets = [
-        weighted_column_sum(constant_functional(topology, net.id), outer, q)
-        for net in topology.networks]
-    del outer
-    for net in topology.networks:
-        # Popped, so each inner-secret column is freed once dealt; each
-        # node's column is evaluated as its share is asked for.
-        columns = [inner_secrets.pop(0),
-                   *random_columns(net.inner_degree, count, q, rng)]
-        for j in range(1, net.node_count + 1):
-            yield NodeShare(net.id, j, 0, _node_values(j, columns, q))
-        del columns
+    functionals = [constant_functional(topology, net.id)
+                   for net in topology.networks]
+    values = {net.id: [[] for _ in range(net.node_count)]
+              for net in topology.networks}
+    for i in range(0, len(secret_chunks), BLOCK_WORDS):
+        block = secret_chunks[i:i + BLOCK_WORDS]
+        outer = [block, *random_columns(topology.outer_degree, len(block), q,
+                                        rng)]
+        for net, functional in zip(topology.networks, functionals):
+            columns = [weighted_column_sum(functional, outer, q),
+                       *random_columns(net.inner_degree, len(block), q, rng)]
+            for j, node in enumerate(values[net.id], start=1):
+                node += _node_values(j, columns, q)
+    return {nid: [NodeShare(nid, j, 0, tuple(node))
+                  for j, node in enumerate(nodes, start=1)]
+            for nid, nodes in values.items()}
 
 
 def _node_values(node_index: int, columns: Sequence[Sequence[int]],
@@ -263,137 +240,155 @@ def checked_shares(shares: Iterable[NodeShare],
 
 
 def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
-                topology: Topology) -> List[int]:
+                topology: Topology, sink=None) -> List[int]:
     """Recover all chunks, or raise Infeasible naming what is missing.
 
     `shares` is a mapping of network id to that network's shares, or one
     stream of shares in any order, checked as they arrive
     (checked_shares). Needs an inner quorum on the mother plus inner
-    quorums on at least outer_degree daughters. A network's shares are
-    held until all node_count of them have arrived, or the stream ends;
-    then its lowest-index quorum recovers its inner secret by
-    interpolation at zero, and its shares are dropped. A stream sorted by
-    network therefore holds one network's shares at a time.
+    quorums on at least outer_degree daughters. Each network's
+    lowest-index quorum recovers its inner secret by interpolation at
+    zero, and the mother and the first outer_degree daughters with a
+    quorum recover the secret.
+
+    The stream is read first for the shares themselves: once all
+    node_count shares of a network have arrived, or the stream ends, the
+    network's quorum is fixed, and a daughter beyond the first
+    outer_degree is placed, its weights over them solved, as soon as
+    every daughter before it in topology order is. Then the values are
+    read BLOCK_WORDS chunks at a time, every share's block in stream
+    order, so a share's values may be any sequence whose slices are read
+    in turn (a share file read block by block, say).
 
     No share is ignored: every share beyond a network's quorum, and every
-    daughter beyond the first outer_degree recovered, must agree with the
+    daughter beyond the first outer_degree, must agree with the
     polynomial the others determine, else CorruptData names the network
-    and node. A further daughter is checked, and its inner secret
-    dropped, as soon as every daughter before it in topology order is
-    settled, so that a stream sorted by network holds the inner secrets
-    of the mother and outer_degree daughters, not of every daughter.
-    Errors are raised only once the whole stream is checked, so that a
-    failed check anywhere in it decides the error: first a share's
-    disagreement, for the first such network in topology order; then
-    Infeasible; then a daughter's disagreement, for the first such
-    daughter. Errors are detected, not corrected.
+    and node. Errors are raised only once every block is checked, so
+    that a failed check anywhere decides the error: first a share's
+    disagreement, for the first such network in topology order and its
+    lowest such node; then Infeasible; then a daughter's disagreement,
+    for the first such daughter. Errors are detected, not corrected.
+
+    With `sink`, each block of chunks is passed to sink(block) as soon as
+    it is recovered, and the result is empty: a sink that keeps them must
+    drop them when reconstruct raises.
     """
     q = topology.modulus
     if isinstance(shares, Mapping):
         shares = chain.from_iterable(shares.values())
     nets = {net.id: net for net in topology.networks}
-    given = dict.fromkeys(nets, 0)
-    held: Dict[str, List[NodeShare]] = {}
-    # A further daughter's inner secret is None once it is checked.
-    recovered: Dict[str, Optional[List[int]]] = {}
-    faults: Dict[str, str] = {}
+    given: List[NodeShare] = []  # in stream order
+    held: Dict[str, List[NodeShare]] = {nid: [] for nid in nets}
+    # Per network with a quorum: its quorum, their interpolation weights,
+    # and each further share with its weights over the quorum.
+    quorums: Dict[str, tuple] = {}
     settled = set()
     daughters = [net.id for net in topology.daughters()]
     d = topology.outer_degree
-    chosen: List[str] = []  # the first d daughters recovered
-    disagreement: Optional[str] = None  # of the first further daughter
+    chosen: List[str] = []  # the first d daughters with a quorum
+    # A further daughter's weights over the chosen ones; None when its
+    # constant functional is outside their span, which leaves it unchecked.
+    further: Dict[str, Optional[list]] = {}
 
     def settle(nid: str) -> None:
         settled.add(nid)
-        have = held.pop(nid, [])
-        if len(have) > nets[nid].inner_degree:
-            recovered[nid], fault = _inner_secret(nets[nid], have, q)
-            if fault:
-                faults[nid] = fault
+        have = sorted(held[nid], key=lambda s: s.node_index)
+        need = nets[nid].inner_degree + 1
+        if len(have) >= need:
+            xs = [s.node_index for s in have[:need]]
+            # P(x) is the value at zero of X -> P(X + x).
+            quorums[nid] = (have[:need], lagrange_zero_weights(xs, q), [
+                (s, lagrange_zero_weights([a - s.node_index for a in xs], q))
+                for s in have[need:]])
 
-    def check_daughters() -> None:
-        """Check each further daughter whose place in topology order is
-        decided, against the chosen daughters alone: every daughter's
-        constant functional has a zero first coordinate, so the mother's
-        weight over [mother, *chosen] is always 0."""
-        nonlocal disagreement
+    def place_daughters() -> None:
         for nid in daughters:
             if nid not in settled:
                 return
-            if recovered.get(nid) is None or nid in chosen:
+            if nid not in quorums or nid in chosen or nid in further:
                 continue
             if len(chosen) < d:
                 chosen.append(nid)
                 continue
             # The inner secret this daughter must hold, over the chosen
-            # ones.
-            over = express_over_rows(
+            # ones: every daughter's constant functional has a zero first
+            # coordinate, so the mother's weight over [mother, *chosen]
+            # is always 0.
+            further[nid] = express_over_rows(
                 [constant_functional(topology, c) for c in chosen],
                 constant_functional(topology, nid), q)
-            if (over is not None and not disagreement
-                    and weighted_column_sum(
-                        over, [recovered[c] for c in chosen], q)
-                    != recovered[nid]):
-                disagreement = (f"network {nid}: its inner secret disagrees "
-                                f"with networks "
-                                f"{[topology.mother.id, *chosen]}")
-            recovered[nid] = None
 
     for s in checked_shares(shares, topology):
-        nid = s.network_id
-        held.setdefault(nid, []).append(s)
-        del s  # not held past its network
-        given[nid] += 1
-        if given[nid] == nets[nid].node_count:
-            settle(nid)
-            check_daughters()
+        given.append(s)
+        held[s.network_id].append(s)
+        if len(held[s.network_id]) == nets[s.network_id].node_count:
+            settle(s.network_id)
+            place_daughters()
     for nid in nets:
         if nid not in settled:
             settle(nid)
-    check_daughters()
-    for net in topology.networks:
-        if net.id in faults:
-            raise CorruptData(faults[net.id])
+    place_daughters()
     mother_id = topology.mother.id
     missing = []
-    if mother_id not in recovered:
+    if mother_id not in quorums:
         missing.append("mother quorum not met")
     if len(chosen) < d:
         missing.append(f"daughter quorums {len(chosen)}/{d} met")
+    weights = None if missing else _outer_weights(
+        topology, [constant_functional(topology, nid)
+                   for nid in (mother_id, *chosen)])
+
+    faults: Dict[str, int] = {}  # network id -> lowest disagreeing node
+    disagreeing = set()  # further daughters
+
+    def inner_secrets(i: int) -> Dict[str, List[int]]:
+        """The inner secrets of block i, with every further share and
+        daughter checked; the shares' values are held until it returns."""
+        block = {(s.network_id, s.node_index): s.values[i:i + BLOCK_WORDS]
+                 for s in given}
+        inner = {}
+        for nid, (quorum, w, extra) in quorums.items():
+            columns = [block[nid, s.node_index] for s in quorum]
+            inner[nid] = weighted_column_sum(w, columns, q)
+            for s, shifted in extra:
+                if (weighted_column_sum(shifted, columns, q)
+                        != list(block[nid, s.node_index])):
+                    faults[nid] = min(faults.get(nid, s.node_index),
+                                      s.node_index)
+        for nid, over in further.items():
+            if over is not None and weighted_column_sum(
+                    over, [inner[c] for c in chosen], q) != inner[nid]:
+                disagreeing.add(nid)
+        return inner
+
+    out: List[int] = []
+    count = len(given[0].values) if given else 0
+    for i in range(0, count, BLOCK_WORDS):
+        inner = inner_secrets(i)
+        if weights is not None:
+            chunks = weighted_column_sum(
+                weights, [inner[nid] for nid in (mother_id, *chosen)], q)
+            if sink is None:
+                out += chunks
+            else:
+                sink(chunks)
+    for net in topology.networks:
+        if net.id in faults:
+            xs = [s.node_index for s in quorums[net.id][0]]
+            raise CorruptData(f"network {net.id}: the share of node "
+                              f"{faults[net.id]} disagrees with nodes {xs}")
     if missing:
         detail = "; ".join(missing) + " (" + ", ".join(
-            f"{net.id}: {min(given[net.id], net.inner_degree + 1)}/"
+            f"{net.id}: {min(len(held[net.id]), net.inner_degree + 1)}/"
             f"{net.inner_degree + 1}" for net in topology.networks) + ")"
         raise Infeasible(detail)
-    rows = [constant_functional(topology, nid)
-            for nid in (mother_id, *chosen)]
-    weights = _outer_weights(topology, rows)
     if weights is None:
         raise Infeasible("outer constraint matrix is singular")
-    if disagreement:
-        raise CorruptData(disagreement)
-    return weighted_column_sum(
-        weights, [recovered[nid] for nid in (mother_id, *chosen)], q)
-
-
-def _inner_secret(net: NetworkSpec, have: List[NodeShare],
-                  q: int) -> Tuple[List[int], Optional[str]]:
-    """The inner secret that the lowest-index quorum of `have`, at least a
-    quorum of net's shares, determines; and a message naming the first
-    further share that disagrees with it, if one does."""
-    need = net.inner_degree + 1
-    have.sort(key=lambda s: s.node_index)
-    quorum, extra = have[:need], have[need:]
-    xs = [s.node_index for s in quorum]
-    columns = [s.values for s in quorum]
-    secret = weighted_column_sum(lagrange_zero_weights(xs, q), columns, q)
-    for s in extra:
-        # P(x) is the value at zero of X -> P(X + x).
-        shifted = lagrange_zero_weights([a - s.node_index for a in xs], q)
-        if weighted_column_sum(shifted, columns, q) != list(s.values):
-            return secret, (f"network {net.id}: the share of node "
-                            f"{s.node_index} disagrees with nodes {xs}")
-    return secret, None
+    for nid in daughters:
+        if nid in disagreeing:
+            raise CorruptData(f"network {nid}: its inner secret disagrees "
+                              f"with networks {[mother_id, *chosen]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +422,25 @@ class NetworkRefresh:
 def refresh(topology: Topology, chunk_count: int, epoch: int,
             rng) -> Dict[str, NetworkRefresh]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
-    the outer polynomial is untouched. Randomness is drawn network by
-    network in topology order, each network's coefficient columns
-    c_1..c_k across all chunks in turn, each uniform. No delta is
+    the outer polynomial is untouched. Randomness is drawn BLOCK_WORDS
+    chunks at a time, as deal draws it: per block, network by network in
+    topology order, each network's coefficient columns c_1..c_k in turn,
+    each uniform. A refresh drawn block by block, one call per block,
+    therefore draws what one call on every chunk draws. No delta is
     evaluated here: apply_node_refresh updates a share from its network's
     columns, and NetworkRefresh.delta evaluates a node's delta, when
     asked."""
     q = topology.modulus
-    return {net.id: NetworkRefresh(
-                net.id, epoch, net.node_count, chunk_count, q,
-                tuple(random_columns(net.inner_degree, chunk_count, q, rng)))
+    columns = {net.id: [[] for _ in range(net.inner_degree)]
+               for net in topology.networks}
+    for i in range(0, chunk_count, BLOCK_WORDS):
+        n = min(BLOCK_WORDS, chunk_count - i)
+        for net in topology.networks:
+            for column, drawn in zip(columns[net.id], random_columns(
+                    net.inner_degree, n, q, rng)):
+                column += drawn
+    return {net.id: NetworkRefresh(net.id, epoch, net.node_count,
+                                   chunk_count, q, tuple(columns[net.id]))
             for net in topology.networks}
 
 
@@ -664,43 +668,101 @@ def chunk_size(modulus: int) -> int:
     return (modulus.bit_length() - 1) // 8
 
 
+def chunk_count(size: int, modulus: int) -> int:
+    """How many chunks encode_secret makes of a secret of `size` bytes."""
+    return -(-(LENGTH_HEADER + size) // chunk_size(modulus))
+
+
+def secret_blocks(read, size: int, modulus: int) -> Iterator[List[int]]:
+    """encode_secret's chunks of a secret of `size` bytes, BLOCK_WORDS at a
+    time, each block as it is asked for: read(n) must return the secret's
+    next n bytes. Each block is framed (the length header before the first,
+    zero padding after the last), split by one struct.unpack and converted
+    by a C-level map."""
+    block = chunk_size(modulus)
+    if size >= 256 ** LENGTH_HEADER:
+        raise ValueError("secret too large for the length header")
+    count = chunk_count(size, modulus)
+    head = size.to_bytes(LENGTH_HEADER, "big")
+    left = size
+    for i in range(0, count, BLOCK_WORDS):
+        n = min(count - i, BLOCK_WORDS)
+        want = min(n * block - len(head), left)
+        data = read(want)
+        if len(data) != want:
+            raise CorruptData("the secret is shorter than its size")
+        left -= want
+        framed = b"".join((head, data,
+                           bytes(n * block - len(head) - want)))
+        head = b""
+        words = struct.unpack(f"{block}s" * n, framed)
+        yield list(map(int.from_bytes, words, repeat("big")))
+
+
 def encode_secret(data: bytes, modulus: int = DEFAULT_MODULUS
                   ) -> List[int]:
     """Length-prefix then split into fixed-size blocks, one chunk value per
-    block. Up to BLOCK_WORDS blocks are split by one struct.unpack_from
-    and converted by a C-level map."""
-    block = chunk_size(modulus)
-    if len(data) >= 2**32:
-        raise ValueError("secret too large for the length header")
-    header = len(data).to_bytes(LENGTH_HEADER, "big")
-    pad = (-(LENGTH_HEADER + len(data))) % block
-    framed = b"".join((header, data, b"\x00" * pad))
-    count = len(framed) // block
-    chunks: List[int] = []
-    for i in range(0, count, BLOCK_WORDS):
-        n = min(count - i, BLOCK_WORDS)
-        words = struct.unpack_from(f"{block}s" * n, framed, i * block)
-        chunks += map(int.from_bytes, words, repeat("big"))
-    return chunks
+    block (secret_blocks over `data`)."""
+    return list(chain.from_iterable(
+        secret_blocks(io.BytesIO(data).read, len(data), modulus)))
+
+
+class SecretDecoder:
+    """decode_secret over a stream of chunk blocks. feed(chunks) returns
+    the secret's bytes among them (nothing once a chunk is out of range);
+    close(), once the stream has ended, raises the CorruptData that
+    decode_secret raises on the whole stream. `size` counts the bytes
+    returned."""
+
+    def __init__(self, modulus: int):
+        self.block = chunk_size(modulus)
+        self.chunks = self.seen = self.size = 0  # seen: framed bytes
+        self.head = b""
+        self.end: Optional[int] = None  # of the secret, in framed bytes
+        self.out_of_range = self.nonzero_padding = False
+
+    def feed(self, chunks: Sequence[int]) -> bytes:
+        self.chunks += len(chunks)
+        if self.out_of_range:
+            return b""
+        try:
+            raw = b"".join(map(int.to_bytes, chunks, repeat(self.block),
+                               repeat("big")))
+        except OverflowError:  # a chunk of more than `block` bytes
+            self.out_of_range = True
+            return b""
+        start = self.seen
+        self.seen += len(raw)
+        if self.end is None:
+            self.head += raw[:LENGTH_HEADER - start]
+            if len(self.head) < LENGTH_HEADER:
+                return b""
+            self.end = LENGTH_HEADER + int.from_bytes(self.head, "big")
+        pad = max(self.end - start, 0)  # where the padding starts in raw
+        if pad < len(raw) and raw.count(0, pad) != len(raw) - pad:
+            self.nonzero_padding = True
+        data = raw[max(LENGTH_HEADER - start, 0):pad]
+        self.size += len(data)
+        return data
+
+    def close(self) -> None:
+        if not self.chunks:
+            raise CorruptData("no chunks")
+        if self.out_of_range:
+            raise CorruptData("chunk value out of range")
+        if self.end is None:
+            raise CorruptData("truncated chunk stream")
+        if self.end > self.seen:
+            raise CorruptData("declared length exceeds payload")
+        if self.nonzero_padding:
+            raise CorruptData("nonzero padding")
 
 
 def decode_secret(chunks: Sequence[int], modulus: int) -> bytes:
-    if not chunks:
+    if not chunks:  # before the modulus is checked, as it always was
         raise CorruptData("no chunks")
-    block = chunk_size(modulus)
-    raw = bytearray()
-    try:
-        for i in range(0, len(chunks), BLOCK_WORDS):
-            raw += b"".join(map(int.to_bytes, chunks[i:i + BLOCK_WORDS],
-                                repeat(block), repeat("big")))
-    except OverflowError:  # a chunk of more than `block` bytes
-        raise CorruptData("chunk value out of range") from None
-    if len(raw) < LENGTH_HEADER:
-        raise CorruptData("truncated chunk stream")
-    length = int.from_bytes(raw[:LENGTH_HEADER], "big")
-    end = LENGTH_HEADER + length
-    if end > len(raw):
-        raise CorruptData("declared length exceeds payload")
-    if raw.count(0, end) != len(raw) - end:
-        raise CorruptData("nonzero padding")
-    return bytes(raw[LENGTH_HEADER:end])
+    decoder = SecretDecoder(modulus)
+    data = b"".join([decoder.feed(chunks[i:i + BLOCK_WORDS])
+                     for i in range(0, len(chunks), BLOCK_WORDS)])
+    decoder.close()
+    return data

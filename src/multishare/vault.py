@@ -2,13 +2,14 @@
 
 Two crash-safe transactions:
 
-- One file (write_file, writing): written and flushed as PATH.tmp, moved
-  over PATH by one os.replace, and its directory flushed. Once it returns
-  the file is on disk, and a failed write leaves no partial file.
-  reconstruct's output, simulate's report and the simulator's state file
-  are written this way.
-- One vault epoch (Commit): deal (epoch 0) and refresh (epoch e) write
-  each share file, as a stream of byte blocks, and the manifest as
+- One file (appending, and writing and write_file built on it): written
+  and flushed as PATH.tmp, moved over PATH by one os.replace, and its
+  directory flushed.
+  Once it returns the file is on disk, and a failed write leaves no
+  partial file. reconstruct's output (appended block by block),
+  simulate's report and the simulator's state file are written this way.
+- One vault epoch (Commit): deal (epoch 0) and refresh (epoch e) append
+  to each share file, block by block, and write the manifest, as
   NAME.staged-e; one os.replace of the manifest commits them all. settle
   finishes or undoes an epoch that stopped part-way.
 
@@ -21,7 +22,7 @@ import os
 import re
 from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from .errors import StorageError
 
@@ -50,15 +51,10 @@ def _fsync(path: Path) -> None:
         os.close(fd)
 
 
-def _write_synced(path: Path, data: bytes) -> None:
-    path.write_bytes(data)
-    _fsync(path)
-
-
-def _write_blocks(path: Path, blocks: Iterable[bytes]) -> None:
-    """Write `blocks` to `path` one after another, each as it is made."""
-    with open(path, "wb") as file:
-        file.writelines(blocks)
+def _write_block(path: Path, data: bytes, mode: str) -> None:
+    """Write `data` to `path`: mode "wb" makes it, "ab" appends to it."""
+    with open(path, mode) as file:
+        file.write(data)
 
 
 def _discard(path: Path) -> None:
@@ -70,25 +66,54 @@ def _discard(path: Path) -> None:
 
 
 @contextmanager
-def writing(path: Path, data: bytes):
-    """Write `data` to `path` once the block completes: it is written and
-    flushed as PATH.tmp before the block runs, and takes its name after,
-    with the directory flushed. An error in the block, or a failed write,
-    deletes PATH.tmp and leaves `path` as it was."""
-    if not path.name:  # a path like "."
-        raise StorageError(f"cannot write {path}: not a file name")
-    tmp = path.with_name(path.name + ".tmp")
+def appending(path: Path):
+    """Write `path` durably from the byte blocks that append(block), the
+    function the with block gets, adds in turn: PATH.tmp is made at the
+    first append, and once the block completes it is flushed and takes
+    its name, with the directory flushed. append(block, flush=True) also
+    flushes PATH.tmp at once. An error in the block, or a failed write,
+    deletes PATH.tmp and leaves `path` as it was; nothing is touched
+    before the first append."""
+    tmp = None  # made by the first append
+    unflushed = False
+
+    def append(block: bytes, flush: bool = False) -> None:
+        nonlocal tmp, unflushed
+        if not path.name:  # a path like "."
+            raise StorageError(f"cannot write {path}: not a file name")
+        mode = "ab" if tmp else "wb"
+        tmp = path.with_name(path.name + ".tmp")
+        unflushed = True
+        with _failing_as(f"cannot write {path}"):
+            _write_block(tmp, block, mode)
+            if flush:
+                _fsync(tmp)
+                unflushed = False
+
     try:
+        yield append
+        if tmp is None:
+            append(b"")
         with _failing_as(f"cannot write {path}"):
-            _write_synced(tmp, data)
-        yield
-        with _failing_as(f"cannot write {path}"):
+            if unflushed:
+                _fsync(tmp)
             os.replace(tmp, path)
     except BaseException:
-        _discard(tmp)
+        if tmp is not None:
+            _discard(tmp)
         raise
     with _failing_as(f"cannot write {path}: flushing its directory failed"):
         _fsync(path.parent)
+
+
+@contextmanager
+def writing(path: Path, data: bytes):
+    """Write `data` to `path` once the block completes (appending): it is
+    written and flushed as PATH.tmp before the block runs, and takes its
+    name after."""
+    with appending(path) as append:
+        append(data, flush=True)
+        yield
 
 
 def write_file(path: Path, data: bytes) -> None:
@@ -101,18 +126,18 @@ class Commit(AbstractContextManager):
     """The files of the vault at `epoch` in `share_dir`, committed as one
     transaction; `command` names it in errors.
 
-    In a with block, stage(path, blocks) once per share file writes the
-    byte blocks to the file's staged name, one at a time, and flushes it.
-    commit(manifest) flushes the directory, writes and flushes the
-    manifest as manifest.json.staged-EPOCH, and commits the vault by one
-    os.replace of manifest.json. Then the directory is flushed, each
-    staged file takes its final name, and the directory is flushed again.
-    Leaving the block before the commit deletes every staged file; a
-    crash at any point is settled by settle."""
+    In a with block, append(path, block) adds a block of bytes to the
+    staged name of the share file at `path`, made by its first append.
+    commit(manifest) flushes each staged file and the directory, writes
+    and flushes the manifest as manifest.json.staged-EPOCH, and commits
+    the vault by one os.replace of manifest.json. Then the directory is
+    flushed, each staged file takes its final name, and the directory is
+    flushed again. Leaving the block before the commit deletes every
+    staged file; a crash at any point is settled by settle."""
 
     def __init__(self, share_dir: Path, epoch: int, command: str):
         self.share_dir, self.epoch = share_dir, epoch
-        self.moves = []  # (staged, final) per share file, in the order written
+        self.staged = {}  # final name -> staged name, in the order made
         self.manifest = self._staged(share_dir / MANIFEST)
         self.committed = False
         self.uncommitted = f"{command} failed, no file changed"
@@ -122,33 +147,38 @@ class Commit(AbstractContextManager):
 
     def __exit__(self, *exc_info) -> None:
         if not self.committed:
-            for staged, _ in self.moves:
+            for staged in self.staged.values():
                 _discard(staged)
             _discard(self.manifest)
 
-    def stage(self, path: Path, blocks: Iterable[bytes]) -> None:
-        staged = self._staged(path)
-        self.moves.append((staged, path))
+    def append(self, path: Path, block: bytes) -> None:
+        staged = self.staged.get(path)
+        mode = "ab"
+        if staged is None:
+            staged = self.staged[path] = self._staged(path)
+            mode = "wb"
         with _failing_as(self.uncommitted):
-            _write_blocks(staged, blocks)
-            _fsync(staged)
+            _write_block(staged, block, mode)
 
     def commit(self, manifest: bytes) -> int:
         """Commit the staged files with `manifest`; returns their
         number."""
         with _failing_as(self.uncommitted):
+            for staged in self.staged.values():
+                _fsync(staged)
             _fsync(self.share_dir)
-            _write_synced(self.manifest, manifest)
+            self.manifest.write_bytes(manifest)
+            _fsync(self.manifest)
             os.replace(self.manifest, self.share_dir / MANIFEST)
         self.committed = True
         with _failing_as(f"epoch {self.epoch} is committed, but not every "
                          f"share has its final name; the next refresh or "
                          f"reconstruct --shares finishes it"):
             _fsync(self.share_dir)
-            for staged, final in self.moves:
+            for final, staged in self.staged.items():
                 os.replace(staged, final)
             _fsync(self.share_dir)
-        return len(self.moves)
+        return len(self.staged)
 
 
 def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:

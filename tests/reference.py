@@ -4,8 +4,8 @@ Most are the package's earlier per-value loops, kept verbatim: the draw,
 column sum, hex parser and secret framing that `field`, `formats` and
 `protocol` now run as C-level loops. Each fast kernel must return exactly
 what its reference returns, seeded draws included. share_bytes is the
-share writer that built a whole file at once, where formats.share_blocks
-streams it.
+share writer that built a whole file at once, where
+formats.share_file_block writes it block by block.
 
 FunctionalSpace and access_oracle are the dense secrecy oracle, also kept
 verbatim: every held value as one row over all coordinates of the dealer's
@@ -14,7 +14,8 @@ decides the same question network by network (AdversaryKnowledge).
 
 deal and refresh share as the protocol is specified, one chunk and one
 polynomial at a time: the same random_ints draws as the package, column
-by column, then each chunk's outer polynomial P evaluated by horner at
+by column within each block of BLOCK_WORDS chunks, then each chunk's
+outer polynomial P evaluated by horner at
 P(1) for the mother and, through derivative_coeffs, at P'(a) for daughter
 a, and each inner polynomial at node j. They call nothing of the
 package's sharing (no multishare.poly or multishare.field function), so
@@ -103,7 +104,8 @@ def share_bytes(share: NodeShare, modulus: int) -> bytes:
     into that list by one printf-style pass over the value tuple.
     """
     head = formats.canonical_json(
-        {**formats._share_header(share, modulus), "values": []})
+        {**formats._share_header(share, modulus, len(share.values)),
+         "values": []})
     n = len(share.values)
     template = (head[:-2].decode().replace("%", "%%")
                 + ('"%x' + '","%x' * (n - 1) + '"' if n else "") + "]}\n")
@@ -231,33 +233,38 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
          rng) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
-    Randomness is drawn as the package draws it: the outer polynomials'
-    X^1..X^D coefficients, one column across all chunks per power, then,
-    network by network in topology order, that network's inner columns.
-    Then chunk by chunk: P(1) is the mother's inner secret, P'(a) that of
-    the a-th daughter in topology order, and node j holds its inner
-    polynomial's value at j.
+    Randomness is drawn as the package draws it, BLOCK_WORDS chunks at a
+    time: per block, the outer polynomials' X^1..X^D coefficients, one
+    column across the block's chunks per power, then, network by network
+    in topology order, that network's inner columns. Then chunk by chunk:
+    P(1) is the mother's inner secret, P'(a) that of the a-th daughter in
+    topology order, and node j holds its inner polynomial's value at j.
     """
     q = topology.modulus
     if secret_chunks and not (0 <= min(secret_chunks)
                               and max(secret_chunks) < q):
         raise ValueError("chunk out of range for the topology modulus")
-    m = len(secret_chunks)
-    outer = [random_ints(q, m, rng) for _ in range(topology.outer_degree)]
-    polys = [[s, *(col[c] for col in outer)]
-             for c, s in enumerate(secret_chunks)]
-    out: Dict[str, List[NodeShare]] = {}
-    daughter = 0
-    for i, net in enumerate(topology.networks):
-        if i == topology.mother_index:
-            secrets = [horner(p, 1, q) for p in polys]
-        else:
-            daughter += 1
-            secrets = [horner(derivative_coeffs(p, q), daughter, q)
-                       for p in polys]
-        out[net.id] = [NodeShare(net.id, j, 0, values) for j, values
-                       in _inner_values(secrets, net, q, rng)]
-    return out
+    values = {net.id: [[] for _ in range(net.node_count)]
+              for net in topology.networks}
+    for start in range(0, len(secret_chunks), BLOCK_WORDS):
+        block = secret_chunks[start:start + BLOCK_WORDS]
+        outer = [random_ints(q, len(block), rng)
+                 for _ in range(topology.outer_degree)]
+        polys = [[s, *(col[c] for col in outer)]
+                 for c, s in enumerate(block)]
+        daughter = 0
+        for i, net in enumerate(topology.networks):
+            if i == topology.mother_index:
+                secrets = [horner(p, 1, q) for p in polys]
+            else:
+                daughter += 1
+                secrets = [horner(derivative_coeffs(p, q), daughter, q)
+                           for p in polys]
+            for j, node in _inner_values(secrets, net, q, rng):
+                values[net.id][j - 1] += node
+    return {nid: [NodeShare(nid, j, 0, tuple(node))
+                  for j, node in enumerate(nodes, start=1)]
+            for nid, nodes in values.items()}
 
 
 def _inner_values(secrets: Sequence[int], net: NetworkSpec, q: int,
@@ -352,14 +359,21 @@ class NodeRefresh:
 def refresh(topology: Topology, chunk_count: int, epoch: int,
             rng) -> Dict[str, List[NodeRefresh]]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
-    the outer polynomial is untouched. Randomness is drawn network by
-    network in topology order, each network's coefficient columns across
-    all chunks in turn, each uniform."""
+    the outer polynomial is untouched. Randomness is drawn as deal draws
+    it, BLOCK_WORDS chunks at a time: per block, network by network in
+    topology order, each network's coefficient columns across the block's
+    chunks in turn, each uniform."""
     q = topology.modulus
-    zeros = [0] * chunk_count
-    return {net.id: [NodeRefresh(net.id, j, epoch, values) for j, values
-                     in _inner_values(zeros, net, q, rng)]
-            for net in topology.networks}
+    values = {net.id: [[] for _ in range(net.node_count)]
+              for net in topology.networks}
+    for start in range(0, chunk_count, BLOCK_WORDS):
+        zeros = [0] * min(BLOCK_WORDS, chunk_count - start)
+        for net in topology.networks:
+            for j, node in _inner_values(zeros, net, q, rng):
+                values[net.id][j - 1] += node
+    return {nid: [NodeRefresh(nid, j, epoch, tuple(node))
+                  for j, node in enumerate(nodes, start=1)]
+            for nid, nodes in values.items()}
 
 
 def apply_node_refresh(share: NodeShare, delta: NodeRefresh,

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,8 @@ import reference
 from multishare import formats
 from multishare.errors import CorruptData
 from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
-from multishare.formats import canonical_json, share_blocks, share_to_dict
+from multishare.formats import (canonical_json, share_file_block,
+                                share_to_dict)
 from multishare.protocol import NodeShare
 
 B = BLOCK_WORDS
@@ -23,16 +25,27 @@ def expected_file(share: NodeShare, modulus: int) -> bytes:
     return canonical_json(share_to_dict(share, modulus)) + b"\n"
 
 
+def file_blocks(share: NodeShare, modulus: int) -> list:
+    """The share file as deal and refresh write it, one block of values
+    at a time."""
+    n = len(share.values)
+    return [share_file_block(replace(share, values=share.values[i:i + B]),
+                             modulus, i, n)
+            for i in range(0, max(n, 1), B)]
+
+
 def share_bytes(share: NodeShare, modulus: int) -> bytes:
     """The streamed share file, joined; it must also equal the file that
-    the whole-bytes writer of tests/reference.py builds."""
-    data = b"".join(share_blocks(share, modulus))
+    share_file_block makes of every value at once, and the one that the
+    whole-bytes writer of tests/reference.py builds."""
+    data = b"".join(file_blocks(share, modulus))
+    assert data == share_file_block(share, modulus, 0, len(share.values))
     assert data == reference.share_bytes(share, modulus)
     return data
 
 
 class TestShareWriter:
-    """share_blocks, one printf-style pass per block of values, against
+    """share_file_block, one printf-style pass per block of values, against
     canonical_json(share_to_dict(...))."""
 
     @pytest.mark.parametrize("q", [257, 65537, DEFAULT_MODULUS])
@@ -73,14 +86,18 @@ class TestShareWriter:
                     == expected_file(share, DEFAULT_MODULUS))
 
     def test_blocks_are_bounded(self):
-        # No block holds more than BLOCK_WORDS values: the header, one
-        # block per BLOCK_WORDS values, then the closing bytes.
+        # No block holds more than BLOCK_WORDS values: the header comes
+        # with the first block of values, and the closing bytes with the
+        # last.
         share = NodeShare("m", 1, 0, (DEFAULT_MODULUS - 1,) * (2 * B + 1))
-        blocks = list(share_blocks(share, DEFAULT_MODULUS))
-        assert len(blocks) == 1 + 3 + 1
+        blocks = file_blocks(share, DEFAULT_MODULUS)
+        assert len(blocks) == 3
         width = len(f'"{DEFAULT_MODULUS - 1:x}",')
-        assert max(map(len, blocks)) <= B * width
-        assert blocks[-1] == b"]}\n"
+        head = len(share_file_block(replace(share, values=()),
+                                    DEFAULT_MODULUS, 0, 2 * B + 1))
+        assert len(blocks[0]) <= head + B * width
+        assert max(map(len, blocks[1:])) <= B * width + 3
+        assert blocks[-1].endswith(b'"]}\n')
 
     def test_round_trip(self):
         rng = random.Random(3)

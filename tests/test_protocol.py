@@ -343,9 +343,10 @@ class TestReconstruct:
         return t, dealt
 
     def test_further_daughter_checked_once_placed(self, monkeypatch):
-        # Streamed d1, d2, m: d2 is checked against d1 as soon as both
-        # are recovered, before the mother's first share is read; its
-        # disagreement is raised once the stream ends.
+        # Streamed d1, d2, m: d2 is placed, its weights over d1 solved,
+        # as soon as both networks are in, before the mother's first
+        # share is read; its disagreement is raised once every block is
+        # checked.
         t, dealt = self._foreign_d2()
         events = []
         real = protocol.express_over_rows
@@ -998,10 +999,6 @@ class TestVaultMatchesReference:
         q = t.modulus
         want = reference.deal(chunks, t, deterministic_rng(seed))
         assert deal(chunks, t, deterministic_rng(seed)) == want
-        streamed = []
-        assert deal(list(chunks), t, deterministic_rng(seed),
-                    sink=streamed.append) == {}
-        assert streamed == [s for lst in want.values() for s in lst]
 
         got = refresh(t, len(chunks), epoch, deterministic_rng(seed + 1))
         deltas = reference.refresh(t, len(chunks), epoch,

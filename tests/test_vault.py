@@ -133,12 +133,12 @@ class TestCommit:
 
         def transaction():
             with vault.Commit(share_dir, 4, "refresh") as commit:
-                commit.stage(share_dir / "a.share.json", [b"a4"])
-                commit.stage(share_dir / "b.share.json", [b"b4"])
+                commit.append(share_dir / "a.share.json", b"a4")
+                commit.append(share_dir / "b.share.json", b"b4")
                 return commit.commit(b"manifest4")
 
         assert probe.call(monkeypatch, transaction) == 2
-        assert probe.log == (["write", "fsync"] * 2
+        assert probe.log == (["write"] * 2 + ["fsync"] * 2
                              + ["fsync", "write", "fsync", "replace", "fsync"]
                              + ["replace"] * 2 + ["fsync"])
         assert snapshot(share_dir) == {"a.share.json": b"a4",
@@ -146,37 +146,40 @@ class TestCommit:
                                        "manifest.json": b"manifest4"}
 
     def test_stage_writes_blocks_in_turn(self, tmp_path):
-        share_dir = make_dir(tmp_path / "v", {})
-        written = []
-
-        def blocks():
-            for block in (b"head", b"", b"values", b"end"):
-                written.append(block)
-                yield block
-
+        # Blocks appended to several staged files in turn, as deal and
+        # refresh append one block of every share file at a time; the
+        # first append to a staged name replaces what it held.
+        share_dir = make_dir(tmp_path / "v", {
+            "a.share.json.staged-0": b"left by a crash"})
         with vault.Commit(share_dir, 0, "deal") as commit:
-            commit.stage(share_dir / "a.share.json", blocks())
-            assert written == [b"head", b"", b"values", b"end"]
+            for block in (b"head", b"", b"values", b"end"):
+                commit.append(share_dir / "a.share.json", b"a-" + block)
+                commit.append(share_dir / "b.share.json", b"b-" + block)
+                assert snapshot(share_dir)["b.share.json.staged-0"] == \
+                    snapshot(share_dir)["a.share.json.staged-0"].replace(
+                        b"a-", b"b-")
             commit.commit(b"manifest")
-        assert snapshot(share_dir) == {"a.share.json": b"headvaluesend",
-                                       "manifest.json": b"manifest"}
+        assert snapshot(share_dir) == {
+            "a.share.json": b"a-heada-a-valuesa-end",
+            "b.share.json": b"b-headb-b-valuesb-end",
+            "manifest.json": b"manifest"}
 
     def test_crash_in_a_stage_leaves_a_partial_file(self, tmp_path,
                                                     monkeypatch):
-        # The streamed file is one write: a crash there leaves part of it
+        # Each append is one write: a crash there leaves part of the file
         # under its staged name, which settle deletes.
         share_dir = make_dir(tmp_path / "v", {})
 
         def transaction():
             with vault.Commit(share_dir, 0, "deal") as commit:
-                commit.stage(share_dir / "a.share.json",
-                             [b"head", b"values", b"end"])
+                commit.append(share_dir / "a.share.json", b"head")
+                commit.append(share_dir / "a.share.json", b"values")
 
-        probe = FaultyFiles(1, crash=True)
+        probe = FaultyFiles(2, crash=True)
         with pytest.raises(StorageError, match="deal failed"):
             probe.call(monkeypatch, transaction)
-        assert probe.log == ["write", "unlink", "unlink"]
-        assert snapshot(share_dir) == {"a.share.json.staged-0": b"headva"}
+        assert probe.log == ["write", "write", "unlink", "unlink"]
+        assert snapshot(share_dir) == {"a.share.json.staged-0": b"headval"}
         assert vault.settle(share_dir, None) == []
         assert snapshot(share_dir) == {}
 
@@ -185,7 +188,7 @@ class TestCommit:
         share_dir = make_dir(tmp_path / "v", before)
         with pytest.raises(KeyError):
             with vault.Commit(share_dir, 1, "refresh") as commit:
-                commit.stage(share_dir / "a.share.json", [b"new"])
+                commit.append(share_dir / "a.share.json", b"new")
                 raise KeyError("stopped")
         assert snapshot(share_dir) == before
 
@@ -194,7 +197,8 @@ class TestCommit:
 
         def transaction():
             with vault.Commit(share_dir, 0, "deal") as commit:
-                commit.stage(share_dir / "a.share.json", [b"a"])
+                commit.append(share_dir / "a.share.json", b"a")
+                commit.commit(b"manifest")
 
         with pytest.raises(StorageError,
                            match="deal failed, no file changed"):
@@ -210,6 +214,36 @@ class TestWriting:
             with vault.writing(path, b"later"):
                 raise KeyError("state not saved")
         assert snapshot(tmp_path) == {"report.json": b"earlier"}
+
+    def test_appending_writes_blocks_in_turn(self, tmp_path, monkeypatch):
+        # Each block is one write to PATH.tmp, which is flushed and renamed
+        # once the with block completes; nothing is touched before the
+        # first block, and an error after it deletes PATH.tmp.
+        path = tmp_path / "secret.bin"
+        probe = FaultyFiles()
+
+        def blocks(*data):
+            with vault.appending(path) as append:
+                for block in data:
+                    append(block)
+
+        probe.call(monkeypatch, blocks, b"ab", b"", b"cd")
+        assert probe.log == ["write"] * 3 + ["fsync", "replace", "fsync"]
+        assert snapshot(tmp_path) == {"secret.bin": b"abcd"}
+        blocks()
+        assert snapshot(tmp_path) == {"secret.bin": b""}
+        (tmp_path / "secret.bin.tmp").write_bytes(b"not ours")
+        for data in ((), (b"ab",)):
+            with pytest.raises(KeyError):
+                with vault.appending(path) as append:
+                    for block in data:
+                        append(block)
+                    raise KeyError("shares disagree")
+            assert (tmp_path / "secret.bin.tmp").exists() == (not data)
+        assert snapshot(tmp_path) == {"secret.bin": b""}
+        with pytest.raises(StorageError, match="cannot write"):
+            FaultyFiles(2).call(monkeypatch, blocks, b"ab", b"cd")
+        assert snapshot(tmp_path) == {"secret.bin": b""}
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(StorageError, match="cannot write"):
