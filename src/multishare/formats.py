@@ -10,10 +10,10 @@ file is written (share_file_block) and read (read_share) block by block.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import replace
 from itertools import repeat
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import CorruptData
@@ -32,10 +32,18 @@ _LEADING_ZERO = re.compile(rb",0[^,]")
 # a "0" that starts a value and is not the whole value.
 _BAD_QUOTED_HEX = re.compile(rb'""|"0[0-9a-f]')
 # The last key of a share file as the tools write it, and the most bytes
-# read to find it: a longer header (a network id of thousands of
-# characters) is read whole.
-_VALUES_KEY = b'"values":['
+# read to find it. A share file is named after its network id, so the
+# header of any file the tools can write is far shorter.
+_VALUES_KEY = b'"values":'
 HEAD_BYTES = 1 << 16
+
+# Why a share file is refused.
+NOT_HEX = "a hex value is not lowercase hex without leading zeros"
+OUT_OF_RANGE = "a value is out of range for the modulus"
+COUNT_MISMATCH = "chunk_count does not match values"
+NOT_CANONICAL = ("not in the layout the tools write (canonical JSON and a "
+                 "newline)")
+ENDS_EARLY = "the file ends early"
 
 
 def canonical_json(obj) -> bytes:
@@ -87,8 +95,7 @@ def _parse_hex(texts: list) -> List[int]:
         joined = ("," + ",".join(block)).encode()
         if (joined.translate(None, b"0123456789abcdef,")
                 or _LEADING_ZERO.search(joined)):
-            raise CorruptData("a hex value is not lowercase hex without "
-                              "leading zeros")
+            raise CorruptData(NOT_HEX)
         texts[i:i + BLOCK_WORDS] = map(int, block, repeat(16))
     return texts
 
@@ -189,10 +196,9 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
     return b"".join(parts)
 
 
-def share_from_dict(data: dict, modulus: int) -> NodeShare:
-    """Parse a share file dealt under a topology with this modulus. The
-    "values" list of `data`, as json.loads made it, is converted to ints in
-    place (_parse_hex), so `data` is not to be used again."""
+def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int]:
+    """The share of no values whose header fields (every field of a share
+    file but its values) `data` holds, and its chunk_count."""
     try:
         if not isinstance(data, dict):
             raise CorruptData("a share file holds a JSON object")
@@ -204,19 +210,32 @@ def share_from_dict(data: dict, modulus: int) -> NodeShare:
         network_id = data["network_id"]
         if not isinstance(network_id, str):
             raise CorruptData("network_id must be a string")
+        count = _json_int(data, "chunk_count")
+        if count < 0:
+            raise CorruptData(COUNT_MISMATCH)
+        return NodeShare(network_id=network_id,
+                         node_index=_json_int(data, "node_index"),
+                         epoch=_json_int(data, "epoch"), values=()), count
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptData(f"malformed share file: {exc}") from exc
+
+
+def share_from_dict(data: dict, modulus: int) -> NodeShare:
+    """Parse a share file dealt under a topology with this modulus. The
+    "values" list of `data`, as json.loads made it, is converted to ints in
+    place (_parse_hex), so `data` is not to be used again."""
+    header, count = _header_from_dict(data, modulus)
+    try:
         if not isinstance(data["values"], list):
             raise CorruptData("values must be a list")
         values = _parse_hex(data["values"])
-        if values and max(values) >= modulus:
-            raise CorruptData("a value is out of range for the modulus")
-        if len(values) != _json_int(data, "chunk_count"):
-            raise CorruptData("chunk_count does not match values")
-        return NodeShare(network_id=network_id,
-                         node_index=_json_int(data, "node_index"),
-                         epoch=_json_int(data, "epoch"),
-                         values=tuple(values))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc
+    if values and max(values) >= modulus:
+        raise CorruptData(OUT_OF_RANGE)
+    if len(values) != count:
+        raise CorruptData(COUNT_MISMATCH)
+    return replace(header, values=tuple(values))
 
 
 class UnreadableShare(CorruptData):
@@ -229,74 +248,57 @@ class UnreadableShare(CorruptData):
 
 def read_share(path, modulus: int) -> NodeShare:
     """The share file at `path`, dealt under a topology with this modulus,
-    with its values as ShareValues: read from the file block by block,
-    in order, as they are asked for. UnreadableShare when the file cannot
-    be read or is not a valid share file (share_from_dict).
-
-    A file in the layout the tools write (share_file_block) is read so:
-    its header alone now, and each block of values when it is asked for.
-    A file in any other layout that JSON allows (white space, another key
-    order, string escapes) is parsed whole now, as share_from_dict parses
-    it, and its values are served from memory."""
+    with its values as ShareValues: its header is read now, and its values
+    block by block, in order, as they are asked for. The file must be in
+    the layout the tools write (share_file_block): the canonical JSON of
+    the share and a newline. UnreadableShare when it cannot be read or is
+    not in that layout, or when its header is not that of a valid share
+    file (with share_from_dict's message)."""
     try:
         with open(path, "rb") as file:
             head = file.read(HEAD_BYTES)
-    except OSError as exc:
+            identity = _identity(file)
+        header, count, offset = _header(head, modulus)
+    except (OSError, CorruptData) as exc:
         raise UnreadableShare(path, exc) from exc
-    streamed = _streamed_header(head, modulus)
-    if streamed is not None:
-        header, count, offset = streamed
-        if count or head[offset:] == b"]}\n":
-            return replace(header, values=ShareValues(
-                path, modulus, header, count, offset))
-    share = _whole_share(path, modulus)
-    return replace(share, values=ShareValues(
-        path, modulus, replace(share, values=()), len(share.values),
-        whole=share.values))
+    return replace(header, values=ShareValues(path, modulus, count, offset,
+                                              identity))
 
 
-def _streamed_header(head: bytes, modulus: int
-                     ) -> Optional[Tuple[NodeShare, int, int]]:
-    """The header of a share file that starts with the bytes `head`, when
-    it is in the layout the tools write: the share without its values, its
-    chunk_count and the offset of its first value. None otherwise.
+def _identity(file) -> tuple:
+    """What tells the open `file` from a file put in its place, or the
+    same file rewritten: its device, inode, size and modification time."""
+    info = os.fstat(file.fileno())
+    return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
 
-    The header ends at the first `"values":[` after which it parses as a
-    canonical JSON object (an earlier one is inside a string, where JSON
-    cannot end); its fields are checked as those of a share of no
-    values."""
+
+def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int]:
+    """The header of a share file that starts with the bytes `head`: the
+    share without its values, its chunk_count and the offset of its first
+    value. CorruptData unless it is in the layout the tools write and its
+    fields are valid.
+
+    The header ends at the first `"values":`, the last key: canonical
+    JSON escapes every quote inside a string, so no string holds those
+    bytes."""
     at = head.find(_VALUES_KEY)
-    while at >= 0:
-        end = at + len(_VALUES_KEY)
-        text = head[:end] + b"]}"
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError):
-            at = head.find(_VALUES_KEY, end)
-            continue
-        if not isinstance(doc, dict) or canonical_json(doc) != text:
-            return None
-        try:
-            header = share_from_dict({**doc, "chunk_count": 0}, modulus)
-        except CorruptData:
-            return None
-        count = doc.get("chunk_count")  # a missing key: read whole
-        if type(count) is not int or count < 0:
-            return None
-        return header, count, end
-    return None
-
-
-def _whole_share(path, modulus: int) -> NodeShare:
-    """The share file at `path`, parsed whole (share_from_dict)."""
+    if at < 0:
+        raise CorruptData(NOT_CANONICAL)
+    end = at + len(_VALUES_KEY)
+    text = head[:end] + b"[]}"
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise UnreadableShare(path, exc) from exc
-    try:
-        return share_from_dict(data, modulus)
-    except CorruptData as exc:
-        raise UnreadableShare(path, exc) from exc
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        raise CorruptData(NOT_CANONICAL) from None
+    if canonical_json(doc) != text:
+        raise CorruptData(NOT_CANONICAL)
+    header, count = _header_from_dict(doc, modulus)
+    if head[end:end + 1] != b"[":
+        raise CorruptData("values must be a list")
+    if not count and head[end + 1:] != b"]}\n":
+        raise CorruptData(COUNT_MISMATCH if head[end + 1:end + 2] == b'"'
+                          else NOT_CANONICAL)
+    return header, count, end + 1
 
 
 def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
@@ -313,26 +315,55 @@ def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
     return list(map(int, texts, repeat(16)))
 
 
+def _values_fault(data: bytes, n: int, last: bool, modulus: int,
+                  asked: int) -> str:
+    """Why `data`, read from where a value of a share file starts, does not
+    hold n values in the layout the tools write, and then `","` before a
+    further value or, when they are the `last`, `]}` and a newline. `data`
+    is the `asked` bytes unless the file ends first. Value by value, for
+    the error message only."""
+    if not data.startswith(b'"'):
+        return NOT_CANONICAL if data else ENDS_EARLY
+    at = 1
+    for i in range(n):
+        close = data.find(b'"', at)
+        if close < 0 and len(data) < asked:
+            return ENDS_EARLY
+        text = data[at:close] if close >= 0 else data[at:]
+        if (not text or text.translate(None, b"0123456789abcdef")
+                or text[:1] == b"0" and len(text) > 1):
+            return NOT_HEX
+        if close < 0 or int(text, 16) >= modulus:
+            return OUT_OF_RANGE
+        sep, other = b'","', b'"]}\n'
+        if last and i == n - 1:
+            sep, other = other, sep
+        if not data.startswith(sep, close):
+            if data.startswith(other, close):
+                return COUNT_MISMATCH
+            return ENDS_EARLY if sep.startswith(data[close:]) else \
+                NOT_CANONICAL
+        at = close + len(sep)
+    return NOT_CANONICAL
+
+
 class ShareValues:
     """The values of one share file, in order: each slice asked for must
-    start where the last one ended, and is read from the file then. A file
-    in the layout the tools write is read BLOCK_WORDS-sized pieces at a
-    time from where the last piece ended, its hex checked and converted by
-    C-level passes; only the ints of the slice are held. A piece that is
-    not in that layout makes the whole file be parsed (share_from_dict),
-    and its values served from memory from then on; a file read whole
-    from the start comes with them (`whole`).
+    start where the last one ended, and is read from the file then,
+    BLOCK_WORDS-sized pieces at a time from where the last piece ended,
+    its hex checked and converted by C-level passes; only the ints of the
+    slice are held.
 
     UnreadableShare, from a slice, when the file cannot be read or is not
-    a valid share file; and when the header or the values already read
-    are not those of the file parsed whole (a key given twice after them,
-    or a file that changed while it was read)."""
+    a valid share file in the layout the tools write; and when it is no
+    longer the file whose header was read: each read opens the
+    file again, and its device, inode, size and modification time must be
+    those it had then."""
 
-    def __init__(self, path, modulus: int, header: NodeShare, count: int,
-                 offset: int = 0, whole: Optional[tuple] = None):
-        self.path, self.modulus = path, modulus
-        self.header, self.count, self.whole = header, count, whole
-        self.start = self.offset = offset  # first value; next value
+    def __init__(self, path, modulus: int, count: int, offset: int,
+                 identity: tuple):
+        self.path, self.modulus, self.count = path, modulus, count
+        self.offset, self.identity = offset, identity  # of the next value
         self.done = 0  # values read
         # The most bytes of a value: its hex, two quotes and a comma.
         self.width = len(format(modulus - 1, "x")) + 3
@@ -346,73 +377,44 @@ class ShareValues:
             raise ValueError("a share file's values are read in order")
         if stop <= start:
             return []
-        if self.whole is None:
-            values = self._read(stop - start)
-            if values is not None:
-                return values
-            self._read_whole()
+        n = stop - start
+        last = stop == self.count
+        limit = n * self.width + 3
+        try:
+            with open(self.path, "rb") as file:
+                if _identity(file) != self.identity:
+                    raise UnreadableShare(self.path,
+                                          "changed while it was read")
+                file.seek(self.offset)
+                data = file.read(limit + 1)
+        except OSError as exc:
+            raise UnreadableShare(self.path, exc) from exc
+        values = None
+        if last:
+            texts = data[1:-4].split(b'","')
+            if (len(data) <= limit and data[-3:] == b"]}\n"
+                    and len(texts) == n):
+                used = len(data)
+                values = _quoted_hex(data[:-3], texts)
+        else:
+            # The n values, then `","` and the next value.
+            texts = data.split(b'","', n)
+            if len(texts) > n:
+                used = len(data) - len(texts.pop()) - 1
+                texts[0] = texts[0][1:]
+                values = _quoted_hex(data[:used - 1], texts)
+        if values is None or max(values) >= self.modulus:
+            raise UnreadableShare(self.path, _values_fault(
+                data, n, last, self.modulus, limit + 1))
+        self.offset += used
         self.done = stop
-        return list(self.whole[start:stop])
+        return values
 
     def read_rest(self) -> None:
         """Read the values not read yet, and drop them: the file's last
         chance to be found unreadable."""
         for i in range(self.done, self.count, BLOCK_WORDS):
             self[i:i + BLOCK_WORDS]
-
-    def _read(self, n: int) -> Optional[List[int]]:
-        """The next n values, read in the layout the tools write; None
-        when the file is not in it there."""
-        last = self.done + n == self.count
-        limit = n * self.width + 3
-        try:
-            with open(self.path, "rb") as file:
-                file.seek(self.offset)
-                data = file.read(limit + 1)
-        except OSError as exc:
-            raise UnreadableShare(self.path, exc) from exc
-        if last:
-            if len(data) > limit or data[-3:] != b"]}\n":
-                return None
-            region, used = data[:-3], len(data)
-            texts = region[1:-1].split(b'","')
-            if len(texts) != n:
-                return None
-        else:
-            # The n values, then `","` and the next value.
-            texts = data.split(b'","', n)
-            if len(texts) <= n:
-                return None
-            used = len(data) - len(texts.pop()) - 1
-            region = data[:used - 1]
-            texts[0] = texts[0][1:]
-        values = _quoted_hex(region, texts)
-        if values is None or max(values) >= self.modulus:
-            return None
-        self.offset += used
-        self.done += n
-        return values
-
-    def _read_whole(self) -> None:
-        share = _whole_share(self.path, self.modulus)
-        if (replace(share, values=()) != self.header
-                or len(share.values) != self.count
-                or self.done and not self._agrees(share.values)):
-            raise UnreadableShare(
-                self.path, "the fields or values read before do not match "
-                "the file parsed whole: it changed while it was read, or "
-                "gives a key twice")
-        self.whole = share.values
-
-    def _agrees(self, values) -> bool:
-        """Whether the values read so far, read again, are `values`'s."""
-        again = ShareValues(self.path, self.modulus, self.header,
-                            self.count, self.start)
-        for i in range(0, self.done, BLOCK_WORDS):
-            n = min(BLOCK_WORDS, self.done - i)
-            if again._read(n) != list(values[i:i + n]):
-                return False
-        return True
 
 
 def manifest_dict(digest: str, chunk_count: int, epoch: int,

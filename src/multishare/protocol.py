@@ -251,12 +251,10 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     zero, and the mother and the first outer_degree daughters with a
     quorum recover the secret.
 
-    The stream is read first for the shares themselves: once all
-    node_count shares of a network have arrived, or the stream ends, the
-    network's quorum is fixed, and a daughter beyond the first
-    outer_degree is placed, its weights over them solved, as soon as
-    every daughter before it in topology order is. Then the values are
-    read BLOCK_WORDS chunks at a time, every share's block in stream
+    The stream is read first for the shares themselves. Once it ends,
+    each network's quorum is fixed, and each daughter beyond the first
+    outer_degree is placed, its weights over them solved. Then the values
+    are read BLOCK_WORDS chunks at a time, every share's block in stream
     order, so a share's values may be any sequence whose slices are read
     in turn (a share file read block by block, say).
 
@@ -282,7 +280,6 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     # Per network with a quorum: its quorum, their interpolation weights,
     # and each further share with its weights over the quorum.
     quorums: Dict[str, tuple] = {}
-    settled = set()
     daughters = [net.id for net in topology.daughters()]
     d = topology.outer_degree
     chosen: List[str] = []  # the first d daughters with a quorum
@@ -290,44 +287,31 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     # constant functional is outside their span, which leaves it unchecked.
     further: Dict[str, Optional[list]] = {}
 
-    def settle(nid: str) -> None:
-        settled.add(nid)
+    for s in checked_shares(shares, topology):
+        given.append(s)
+        held[s.network_id].append(s)
+    for nid, net in nets.items():
         have = sorted(held[nid], key=lambda s: s.node_index)
-        need = nets[nid].inner_degree + 1
+        need = net.inner_degree + 1
         if len(have) >= need:
             xs = [s.node_index for s in have[:need]]
             # P(x) is the value at zero of X -> P(X + x).
             quorums[nid] = (have[:need], lagrange_zero_weights(xs, q), [
                 (s, lagrange_zero_weights([a - s.node_index for a in xs], q))
                 for s in have[need:]])
-
-    def place_daughters() -> None:
-        for nid in daughters:
-            if nid not in settled:
-                return
-            if nid not in quorums or nid in chosen or nid in further:
-                continue
-            if len(chosen) < d:
-                chosen.append(nid)
-                continue
-            # The inner secret this daughter must hold, over the chosen
-            # ones: every daughter's constant functional has a zero first
-            # coordinate, so the mother's weight over [mother, *chosen]
-            # is always 0.
-            further[nid] = express_over_rows(
-                [constant_functional(topology, c) for c in chosen],
-                constant_functional(topology, nid), q)
-
-    for s in checked_shares(shares, topology):
-        given.append(s)
-        held[s.network_id].append(s)
-        if len(held[s.network_id]) == nets[s.network_id].node_count:
-            settle(s.network_id)
-            place_daughters()
-    for nid in nets:
-        if nid not in settled:
-            settle(nid)
-    place_daughters()
+    for nid in daughters:
+        if nid not in quorums:
+            continue
+        if len(chosen) < d:
+            chosen.append(nid)
+            continue
+        # The inner secret this daughter must hold, over the chosen ones:
+        # every daughter's constant functional has a zero first
+        # coordinate, so the mother's weight over [mother, *chosen] is
+        # always 0.
+        further[nid] = express_over_rows(
+            [constant_functional(topology, c) for c in chosen],
+            constant_functional(topology, nid), q)
     mother_id = topology.mother.id
     missing = []
     if mother_id not in quorums:

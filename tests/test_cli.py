@@ -19,8 +19,8 @@ from multishare.cli import main
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, deterministic_rng,
                               is_probable_prime)
 from multishare.formats import topology_to_dict
-from multishare.protocol import (LinkKind, NetworkSpec, Topology, deal,
-                                 encode_secret)
+from multishare.protocol import (LinkKind, NetworkSpec, SecretDecoder,
+                                 Topology, deal, encode_secret)
 from multishare.simnet import EVENT_KINDS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -461,8 +461,8 @@ def malformed_share_files(share):
             lambda n: with_key("chunk_count", n)),
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
     )
-    # Each document also in the layout the tools write, which read_share
-    # reads block by block rather than whole.
+    # Each document both in the layout the tools write, which read_share
+    # reads block by block, and as json.dumps writes it, which it refuses.
     return (documents.flatmap(lambda d: st.sampled_from(
         [json.dumps(d).encode(), formats.canonical_json(d) + b"\n"]))
             | st.binary(max_size=40))
@@ -549,33 +549,37 @@ class TestReconstruct:
                     "--out", tmp / "r.bin"] + picks) == 3
         assert "mother" in capsys.readouterr().err
 
-    def test_epoch_mix_exit3(self, workspace):
+    def test_epoch_mix_exit3(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
         one = out / "d1_001.share.json"
         data = json.loads(one.read_text())
         data["epoch"] = 1
-        one.write_text(json.dumps(data))
+        one.write_bytes(formats.canonical_json(data) + b"\n")
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 3
+        assert "EpochMismatch" in capsys.readouterr().err
 
-    def test_foreign_modulus_exit2(self, workspace):
+    def test_foreign_modulus_exit2(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
         for path in out.glob("*.share.json"):
             data = json.loads(path.read_text())
             data["modulus"] = format(2**521 - 1, "x")
-            path.write_text(json.dumps(data))
+            path.write_bytes(formats.canonical_json(data) + b"\n")
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
+        assert ("share modulus does not match the topology"
+                in capsys.readouterr().err)
 
-    def test_chunk_count_mismatch_exit2(self, workspace):
+    def test_chunk_count_mismatch_exit2(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
         for path in out.glob("d1_*.share.json"):
             data = json.loads(path.read_text())
             data["values"].pop()
             data["chunk_count"] -= 1
-            path.write_text(json.dumps(data))
+            path.write_bytes(formats.canonical_json(data) + b"\n")
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
+        assert "inconsistent chunk counts" in capsys.readouterr().err
 
     def test_same_node_twice_exit2(self, workspace):
         tmp, topo, secret, out = self._deal(workspace)
@@ -595,7 +599,7 @@ class TestReconstruct:
         data = json.loads((out / "m_002.share.json").read_text())
         data[field] = value
         stray = tmp / "stray.share.json"
-        stray.write_text(json.dumps(data))
+        stray.write_bytes(formats.canonical_json(data) + b"\n")
         picks = [out / "m_001.share.json", stray,
                  out / "d1_001.share.json", out / "d1_002.share.json",
                  out / "m_003.share.json"]
@@ -652,22 +656,24 @@ class TestReconstruct:
     ], ids=["values-string", "node_index-float", "node_index-bool",
             "node_index-string", "epoch-true", "epoch-false",
             "chunk_count-float", "format_version-bool"])
-    def test_loosely_typed_share_exit2(self, workspace, field, loosen):
+    def test_loosely_typed_share_exit2(self, workspace, capsys, field,
+                                       loosen):
         # Each of these once parsed as a valid share of node m/1 (a string
         # as its characters' hex values, 1.9 and True as 1, False as 0).
         tmp, topo, secret, out = self._deal(workspace, seed="1")
         path = out / "m_001.share.json"
         data = json.loads(path.read_text())
         data[field] = loosen(data)
-        path.write_text(json.dumps(data))
+        path.write_bytes(formats.canonical_json(data) + b"\n")
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
+        assert f"{field} must be " in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("spell", NONCANONICAL_HEX.values(),
                              ids=NONCANONICAL_HEX.keys())
     @pytest.mark.parametrize("field", ["values", "modulus"])
-    def test_noncanonical_hex_exit2(self, workspace, field, spell):
+    def test_noncanonical_hex_exit2(self, workspace, capsys, field, spell):
         # The same value in a spelling int(text, 16) would accept.
         tmp, topo, secret, out = self._deal(workspace, seed="1")
         path = out / "d1_001.share.json"
@@ -681,13 +687,16 @@ class TestReconstruct:
         else:
             data["modulus"] = text = spell("7" + "f" * 31)
         assert format(int(text, 16), "x") != text
-        path.write_text(json.dumps(data))
+        path.write_bytes(formats.canonical_json(data) + b"\n")
         before = snapshot(out)
+        capsys.readouterr()
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
+        assert "not lowercase hex" in capsys.readouterr().err
         assert not (tmp / "r.bin").exists()
         assert run(["refresh", "--topology", topo, "--shares", out,
                     "--seed", "2"]) == 2
+        assert "not lowercase hex" in capsys.readouterr().err
         assert snapshot(out) == before
 
     def test_one_corrupted_value_exit2(self, tmp_path, capsys):
@@ -703,7 +712,7 @@ class TestReconstruct:
         data = json.loads(path.read_text())
         value = int(data["values"][0], 16)
         data["values"][0] = format((value + 1) % DEFAULT_MODULUS, "x")
-        path.write_text(json.dumps(data))
+        path.write_bytes(formats.canonical_json(data) + b"\n")
         dest = tmp_path / "r.bin"
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 2
@@ -774,7 +783,7 @@ class TestReconstruct:
         path = out / "d1_001.share.json"
         data = json.loads(path.read_text())
         data["values"][0] = format(int(data["values"][0], 16) ^ 1, "x")
-        path.write_text(json.dumps(data))
+        path.write_bytes(formats.canonical_json(data) + b"\n")
         dest = tmp / "r.bin"
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 2
@@ -782,26 +791,31 @@ class TestReconstruct:
         path = out / "m_003.share.json"
         data = json.loads(path.read_text())
         data["epoch"] = 1
-        path.write_text(json.dumps(data))
+        path.write_bytes(formats.canonical_json(data) + b"\n")
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 3
         assert "EpochMismatch" in capsys.readouterr().err
         assert not dest.exists()
 
-    def test_malformed_file_after_failed_check_exit2(self, workspace):
+    def test_malformed_file_after_failed_check_exit2(self, workspace,
+                                                     capsys):
         # A failed check on d1's shares, and a malformed mother share read
         # after it: exit 2, as when every file was read before any check.
         tmp, topo, secret, out = self._deal(workspace, seed="1")
         path = out / "d1_001.share.json"
         data = json.loads(path.read_text())
         data["epoch"] = 1
-        path.write_text(json.dumps(data))
+        path.write_bytes(formats.canonical_json(data) + b"\n")
         dest = tmp / "r.bin"
+        capsys.readouterr()
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 3
+        assert "EpochMismatch" in capsys.readouterr().err
         (out / "m_003.share.json").write_text("{")
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 2
+        assert (f"cannot read share {out / 'm_003.share.json'}:"
+                in capsys.readouterr().err)
         assert not dest.exists()
 
     def test_peak_memory_near_deal(self, tmp_path):
@@ -950,22 +964,12 @@ class TestBlockBoundaries:
             assert dest.read_bytes() == data
 
 
-def today_reads(data: bytes) -> bool:
-    """Whether the whole-file reader that every share file went through
-    before files were read block by block takes `data` as a share file
-    of the example topology's modulus."""
-    try:
-        formats.share_from_dict(json.loads(data.decode()), DEFAULT_MODULUS)
-    except (ValueError, formats.CorruptData):
-        return False
-    return True
-
-
 class TestShareFileLayouts:
-    """read_share reads a share file in the layout the tools write block
-    by block, and any other file as it always did, whole: a truncated file
-    exits 2 wherever it is cut, a disagreement in a late block is named
-    as before, and other layouts keep their meaning."""
+    """read_share reads a share file block by block, in the layout the
+    tools write and in no other: a truncated file exits 2 wherever it is
+    cut, a disagreement in a late block is named as before, and a file in
+    another layout, or replaced while it is read, exits 2 and changes
+    nothing."""
 
     B = BLOCK_WORDS
 
@@ -979,25 +983,29 @@ class TestShareFileLayouts:
                     "--out", out, "--seed", "1"]) == 0
         return topo, data, out
 
+    @staticmethod
+    def _refused(topo, out, path, capsys, label=None):
+        """Check that reconstruct and refresh both exit 2 naming `path`,
+        write no output and leave `out` as it was."""
+        before = snapshot(out)
+        dest = out.parent / "r.bin"
+        capsys.readouterr()
+        for argv in (["reconstruct", "--out", dest], ["refresh"]):
+            assert run([*argv, "--topology", topo, "--shares", out]) == 2, (
+                argv[0], label)
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"error: cannot read share {path}: "), (argv[0], label)
+            assert captured.out == "", (argv[0], label)
+            assert snapshot(out) == before, (argv[0], label)
+        assert not dest.exists(), label
+
     def _check_cuts(self, topo, out, name, cuts, capsys):
         path = out / name
         whole = path.read_bytes()
-        dest = out.parent / "r.bin"
         for cut in sorted(cuts):
             path.write_bytes(whole[:cut])
-            before = snapshot(out)
-            want = 0 if today_reads(whole[:cut]) else 2
-            assert run(["reconstruct", "--topology", topo, "--shares", out,
-                        "--out", dest]) == want, cut
-            assert dest.exists() == (want == 0), cut
-            dest.unlink(missing_ok=True)
-            assert run(["refresh", "--topology", topo, "--shares", out,
-                        "--seed", "2"]) == want, cut
-            if want:
-                assert "cannot read share" in capsys.readouterr().err, cut
-                assert snapshot(out) == before, cut
-            else:
-                restore(out, before)
+            self._refused(topo, out, path, capsys, cut)
         path.write_bytes(whole)
 
     def test_truncated_header_exit2(self, workspace, capsys):
@@ -1013,8 +1021,7 @@ class TestShareFileLayouts:
     def test_truncated_at_block_edges_exit2(self, tmp_path, capsys):
         # Two networks of two nodes; the first block of values ends, and
         # the second begins, at `edge`. Cut there and at the end, +-8
-        # bytes; cutting the final newline alone leaves a file that the
-        # whole-file reader takes, and so does read_share.
+        # bytes, the cut that drops only the final newline included.
         topo, _, out = self._vault(tmp_path, self.B + 9, (2, 2), (1, 1))
         path = out / "m_001.share.json"
         data = path.read_bytes()
@@ -1023,7 +1030,9 @@ class TestShareFileLayouts:
         tail = len(data) - 3
         assert data[edge - 1:edge] == b"," and data[tail:] == b"]}\n"
         cuts = {at + d for at in (edge, tail) for d in range(-8, 9)}
-        self._check_cuts(topo, out, path.name, cuts - {len(data)}, capsys)
+        assert len(data) - 1 in cuts
+        self._check_cuts(topo, out, path.name,
+                         {cut for cut in cuts if cut < len(data)}, capsys)
 
     def test_corrupted_value_in_last_block_exit2(self, tmp_path, capsys):
         # As when the file was read whole, the disagreement names d1's
@@ -1075,13 +1084,12 @@ class TestShareFileLayouts:
         ("escape", 5), ("escape", BLOCK_WORDS + 3)],
         ids=["indent", "space-first-block", "space-last-block",
              "escape-first-block", "escape-last-block"])
-    def test_other_layouts_read_as_before(self, tmp_path, rewrite, at):
-        # A share file rewritten in another layout holds the same share:
-        # reconstruct recovers the secret, and refresh writes the files it
-        # writes from the file as the tools wrote it.
-        topo, data, out = self._vault(tmp_path, self.B + 9)
-        canonical = tmp_path / "canonical"
-        shutil.copytree(out, canonical)
+    def test_other_layouts_read_as_before(self, tmp_path, capsys, rewrite,
+                                          at):
+        # A share file rewritten in another layout holds the same share as
+        # JSON, but only the tools' layout is read: reconstruct and refresh
+        # refuse it, wherever the change is.
+        topo, _, out = self._vault(tmp_path, self.B + 9)
         path = out / "m_002.share.json"
         text = path.read_text()
         text = {"indent": lambda: json.dumps(json.loads(text), indent=1),
@@ -1089,21 +1097,13 @@ class TestShareFileLayouts:
                 "escape": lambda: self._escape(text, at)}[rewrite]()
         assert json.loads(text) == json.loads(path.read_text())
         path.write_text(text)
-        dest = tmp_path / "r.bin"
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", dest]) == 0
-        assert dest.read_bytes() == data
-        for directory in (out, canonical):
-            assert run(["refresh", "--topology", topo, "--shares",
-                        directory, "--seed", "2"]) == 0
-        assert snapshot(out) == snapshot(canonical)
+        self._refused(topo, out, path, capsys)
 
     def test_key_given_twice(self, tmp_path, capsys):
-        # A later key wins in JSON. A second "values" met within the
-        # first block has the file read whole, as it always was; met after
-        # values already read block by block, it is read whole too, and
-        # refused if the values read do not stay its values.
-        topo, data, out = self._vault(tmp_path, self.B + 9)
+        # A later key wins in JSON, but a file that gives a key twice is
+        # not in the tools' layout: refused whether the second "values"
+        # agrees with the first or not, and wherever it is met.
+        topo, _, out = self._vault(tmp_path, self.B + 9)
         path = out / "d2_003.share.json"
         whole = path.read_bytes()
         head = whole[:whole.index(b"[")]
@@ -1111,23 +1111,49 @@ class TestShareFileLayouts:
         other = (out / "d2_001.share.json").read_bytes()
         others = other[other.index(b"["):-2]
         five = json.dumps(json.loads(others)[:5]).encode()
-        dest = tmp_path / "r.bin"
-        for first, last, ok in ((five, mine, True), (mine, mine, True),
-                                (mine, others, False)):
+        for first, last in ((five, mine), (mine, mine), (mine, others)):
             path.write_bytes(head + first + b',"values":' + last + b"}\n")
-            dest.unlink(missing_ok=True)
-            capsys.readouterr()
-            assert run(["reconstruct", "--topology", topo, "--shares", out,
-                        "--out", dest]) == (0 if ok else 2)
-            if ok:
-                assert dest.read_bytes() == data
-            else:
-                assert "gives a key twice" in capsys.readouterr().err
-        # A header field given again after the values is met only there.
+            self._refused(topo, out, path, capsys, (first[:9], last[:9]))
+        # A header field given again after the values.
         path.write_bytes(whole[:-2] + b',"epoch":1}\n')
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", dest]) == 2
-        assert "gives a key twice" in capsys.readouterr().err
+        self._refused(topo, out, path, capsys)
+
+    def test_replaced_between_blocks_exit2(self, capsys, monkeypatch,
+                                           tmp_path):
+        # A refresh committed while a reconstruct of an exact quorum is
+        # between its first and second block: the files the reconstruct
+        # reads next are not those whose headers it read.
+        topo = ROOT / "docs" / "examples" / "topology.json"
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(os.urandom(200_000))
+        out = tmp_path / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out]) == 0
+        picks = [out / f"{name}.share.json"
+                 for name in ("m_001", "m_002", "d1_001", "d1_002")]
+        refreshed = []
+        real = SecretDecoder.feed
+
+        def feed(decoder, chunks):
+            if not refreshed:
+                assert run(["refresh", "--topology", topo,
+                            "--shares", out]) == 0
+                refreshed.append(snapshot(out))
+            return real(decoder, chunks)
+
+        monkeypatch.setattr(SecretDecoder, "feed", feed)
+        dest = tmp_path / "r.bin"
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--out", dest,
+                    *picks]) == 2
+        err = capsys.readouterr().err
+        named = re.fullmatch(r"error: cannot read share (.*): changed while "
+                             r"it was read\n", err)
+        assert named and named.group(1) in map(str, picks), err
+        assert not dest.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "secret.bin", "shares"]
+        assert snapshot(out) == refreshed[0]
 
     def test_unwritable_output_before_a_later_block(self, tmp_path, capsys):
         # The output is made with the first recovered block: an unwritable
@@ -1311,7 +1337,7 @@ class TestRefresh:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stale"] == ["d2/2"]
 
-    def test_mixed_epoch_input_exit3(self, workspace):
+    def test_mixed_epoch_input_exit3(self, workspace, capsys):
         tmp, topo, secret = workspace
         out = tmp / "shares"
         run(["deal", "--topology", topo, "--secret", secret,
@@ -1319,8 +1345,9 @@ class TestRefresh:
         one = out / "d1_001.share.json"
         data = json.loads(one.read_text())
         data["epoch"] = 5
-        one.write_text(json.dumps(data))
+        one.write_bytes(formats.canonical_json(data) + b"\n")
         assert run(["refresh", "--topology", topo, "--shares", out]) == 3
+        assert "EpochMismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, name", [
         ("node_index", 9, "d1_009"),
@@ -1328,17 +1355,22 @@ class TestRefresh:
         ("node_index", 3, "d1_003_copy"),
     ])
     def test_share_not_a_distinct_node_exit2_unchanged(self, workspace,
-                                                       field, value, name):
+                                                       capsys, field, value,
+                                                       name):
         tmp, topo, secret = workspace
         out = tmp / "shares"
         run(["deal", "--topology", topo, "--secret", secret,
              "--out", out, "--seed", "1"])
         data = json.loads((out / "d1_003.share.json").read_text())
         data[field] = value
-        (out / f"{name}.share.json").write_text(json.dumps(data))
+        (out / f"{name}.share.json").write_bytes(
+            formats.canonical_json(data) + b"\n")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
         assert run(["refresh", "--topology", topo, "--shares", out,
                     "--seed", "2"]) == 2
+        assert ("given twice" if name.endswith("_copy") else
+                "not a node of the topology") in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_share_under_another_name_refreshed_in_place(self, tmp_path):

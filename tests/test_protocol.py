@@ -342,32 +342,6 @@ class TestReconstruct:
                        for s in dealt["d2"]]
         return t, dealt
 
-    def test_further_daughter_checked_once_placed(self, monkeypatch):
-        # Streamed d1, d2, m: d2 is placed, its weights over d1 solved,
-        # as soon as both networks are in, before the mother's first
-        # share is read; its disagreement is raised once every block is
-        # checked.
-        t, dealt = self._foreign_d2()
-        events = []
-        real = protocol.express_over_rows
-
-        def spy(rows, v, q):
-            events.append("solve")
-            return real(rows, v, q)
-
-        def stream():
-            for nid in ("d1", "d2", "m"):
-                for s in dealt[nid]:
-                    events.append(nid)
-                    yield s
-
-        monkeypatch.setattr(protocol, "express_over_rows", spy)
-        with pytest.raises(CorruptData, match=r"network d2: .* \['m', "
-                                              r"'d1'\]"):
-            reconstruct(stream(), t)
-        assert events == ["d1"] * 3 + ["d2"] * 3 + ["solve"] + ["m"] * 3 + [
-            "solve"]
-
     def test_daughter_disagreement_raised_last(self):
         # Checked early, d2's disagreement still yields to a later share
         # fault and to Infeasible, as when it was checked last.
