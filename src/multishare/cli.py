@@ -200,17 +200,16 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
 
 def cmd_deal(args) -> int:
     """Deal the secret BLOCK_WORDS chunks at a time: each block is read
-    from the secret file, dealt (deal, one call per block) and appended
-    to every node's share file, so the command holds a block, not a
-    column. The vault is committed at epoch 0 as a refresh commits its
-    epoch (see vault.Commit): a deal that exits 0 has its vault on disk,
-    and one that stops part-way leaves either the whole vault or files
-    that the next deal, refresh or reconstruct --shares deletes."""
+    from the secret file and dealt (deal, one call per block), and each
+    node's share of it is appended to the node's share file as soon as
+    it is evaluated, so the command holds a block of the secret and one
+    node's share of it, not a column. The vault is committed at epoch 0
+    as a refresh commits its epoch (see vault.Commit): a deal that exits
+    0 has its vault on disk, and one that stops part-way leaves either
+    the whole vault or files that the next deal, refresh or reconstruct
+    --shares deletes."""
     topology = _load_chunking_topology(args.topology)
     q = topology.modulus
-    # Taken before the share work, as refresh and reconstruct --shares
-    # take it, so that hashlib, which the digest loads, is mapped before
-    # the peak of every vault command.
     digest = formats.topology_digest(topology)
     try:
         secret = open(args.secret, "rb")
@@ -225,11 +224,9 @@ def cmd_deal(args) -> int:
         with vault.Commit(out_dir, 0, "deal") as commit:
             for start, chunks in zip(range(0, count, BLOCK_WORDS),
                                      secret_blocks(read, size, q)):
-                for shares in deal(chunks, topology, rng).values():
-                    for share in shares:
-                        commit.append(_share_path(out_dir, share),
-                                      formats.share_file_block(
-                                          share, q, start, count))
+                deal(chunks, topology, rng, sink=lambda share: commit.append(
+                    _share_path(out_dir, share),
+                    formats.share_file_block(share, q, start, count)))
             nodes = commit.commit(_json_line(
                 formats.manifest_dict(digest, count, 0, [])))
     print(f"dealt {count} chunks to {nodes} nodes in {out_dir}")

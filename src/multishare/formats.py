@@ -142,11 +142,20 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
 
 
 def topology_digest(topology: Topology) -> str:
-    # Imported here: hashlib maps OpenSSL's libcrypto, which only the vault
-    # commands need.
-    import hashlib
-    return hashlib.sha256(
-        canonical_json(topology_to_dict(topology))).hexdigest()
+    """The SHA-256 hex digest of the topology's canonical JSON.
+
+    Hashed by the interpreter's built-in SHA-256 (_sha2 from Python 3.12,
+    _sha256 before), imported here: hashlib imports _hashlib, which maps
+    OpenSSL's libcrypto, about 3.5 MiB of RSS for a digest of a few
+    hundred bytes. hashlib is the fallback where neither is built."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(canonical_json(topology_to_dict(topology))).hexdigest()
 
 
 def _share_header(share: NodeShare, modulus: int,

@@ -141,8 +141,8 @@ class Access(Enum):
 # Dealing and reconstruction
 
 
-def deal(secret_chunks: Sequence[int], topology: Topology,
-         rng) -> Dict[str, List[NodeShare]]:
+def deal(secret_chunks: Sequence[int], topology: Topology, rng,
+         sink=None) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
     Per chunk: a random outer polynomial P with P(0) the chunk gives each
@@ -154,6 +154,12 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
     order, that network's inner coefficient columns; every coefficient is
     uniform over 0..q-1. Dealing a secret block by block, one call per
     block, therefore draws what one call on the whole secret draws.
+
+    With `sink`, each node's share of a block, a NodeShare of that block's
+    values, is passed to sink(share) as soon as it is evaluated (per
+    block, network by network in topology order, node by node), and the
+    result is empty: only one network's coefficient columns and one
+    node's values are held at a time. The draws are the same either way.
     """
     q = topology.modulus
     if secret_chunks and not (0 <= min(secret_chunks)
@@ -161,8 +167,13 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
         raise ValueError("chunk out of range for the topology modulus")
     functionals = [constant_functional(topology, net.id)
                    for net in topology.networks]
-    values = {net.id: [[] for _ in range(net.node_count)]
-              for net in topology.networks}
+    values: Dict[str, list] = {}  # without a sink, each node's values
+    if sink is None:
+        values = {net.id: [[] for _ in range(net.node_count)]
+                  for net in topology.networks}
+
+        def sink(share: NodeShare) -> None:
+            values[share.network_id][share.node_index - 1] += share.values
     for i in range(0, len(secret_chunks), BLOCK_WORDS):
         block = secret_chunks[i:i + BLOCK_WORDS]
         outer = [block, *random_columns(topology.outer_degree, len(block), q,
@@ -170,8 +181,8 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
         for net, functional in zip(topology.networks, functionals):
             columns = [weighted_column_sum(functional, outer, q),
                        *random_columns(net.inner_degree, len(block), q, rng)]
-            for j, node in enumerate(values[net.id], start=1):
-                node += _node_values(j, columns, q)
+            for j in range(1, net.node_count + 1):
+                sink(NodeShare(net.id, j, 0, _node_values(j, columns, q)))
     return {nid: [NodeShare(nid, j, 0, tuple(node))
                   for j, node in enumerate(nodes, start=1)]
             for nid, nodes in values.items()}
@@ -254,9 +265,13 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     The stream is read first for the shares themselves. Once it ends,
     each network's quorum is fixed, and each daughter beyond the first
     outer_degree is placed, its weights over them solved. Then the values
-    are read BLOCK_WORDS chunks at a time, every share's block in stream
-    order, so a share's values may be any sequence whose slices are read
-    in turn (a share file read block by block, say).
+    are read BLOCK_WORDS chunks at a time, so a share's values may be any
+    sequence whose slices are read in turn (a share file read block by
+    block, say). Per block, the networks are taken in the order their
+    first share appears in the stream, and each network's shares in
+    stream order: a network's block is read, checked and reduced to its
+    inner secret, then dropped before the next network's is read. Only
+    the block's inner secrets are held across networks.
 
     No share is ignored: every share beyond a network's quorum, and every
     daughter beyond the first outer_degree, must agree with the
@@ -274,9 +289,9 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     q = topology.modulus
     if isinstance(shares, Mapping):
         shares = chain.from_iterable(shares.values())
-    nets = {net.id: net for net in topology.networks}
-    given: List[NodeShare] = []  # in stream order
-    held: Dict[str, List[NodeShare]] = {nid: [] for nid in nets}
+    # Each network's shares in stream order, the networks in the order
+    # their first share appears.
+    held: Dict[str, List[NodeShare]] = {}
     # Per network with a quorum: its quorum, their interpolation weights,
     # and each further share with its weights over the quorum.
     quorums: Dict[str, tuple] = {}
@@ -287,11 +302,13 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     # constant functional is outside their span, which leaves it unchecked.
     further: Dict[str, Optional[list]] = {}
 
+    count = 0  # chunks per share, the same for each (checked_shares)
     for s in checked_shares(shares, topology):
-        given.append(s)
-        held[s.network_id].append(s)
-    for nid, net in nets.items():
-        have = sorted(held[nid], key=lambda s: s.node_index)
+        held.setdefault(s.network_id, []).append(s)
+        count = len(s.values)
+    for nid, group in held.items():
+        net = topology.spec(nid)
+        have = sorted(group, key=lambda s: s.node_index)
         need = net.inner_degree + 1
         if len(have) >= need:
             xs = [s.node_index for s in have[:need]]
@@ -325,30 +342,30 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     faults: Dict[str, int] = {}  # network id -> lowest disagreeing node
     disagreeing = set()  # further daughters
 
-    def inner_secrets(i: int) -> Dict[str, List[int]]:
-        """The inner secrets of block i, with every further share and
-        daughter checked; the shares' values are held until it returns."""
-        block = {(s.network_id, s.node_index): s.values[i:i + BLOCK_WORDS]
-                 for s in given}
-        inner = {}
-        for nid, (quorum, w, extra) in quorums.items():
-            columns = [block[nid, s.node_index] for s in quorum]
-            inner[nid] = weighted_column_sum(w, columns, q)
-            for s, shifted in extra:
-                if (weighted_column_sum(shifted, columns, q)
-                        != list(block[nid, s.node_index])):
-                    faults[nid] = min(faults.get(nid, s.node_index),
-                                      s.node_index)
+    def inner_secret(nid: str, i: int) -> Optional[List[int]]:
+        """Network nid's inner secret of block i, None without a quorum,
+        with every further share checked; the network's block is read
+        here and held until it returns."""
+        block = {s.node_index: s.values[i:i + BLOCK_WORDS]
+                 for s in held[nid]}
+        if nid not in quorums:
+            return None
+        quorum, w, extra = quorums[nid]
+        columns = [block[s.node_index] for s in quorum]
+        for s, shifted in extra:
+            if (weighted_column_sum(shifted, columns, q)
+                    != list(block[s.node_index])):
+                faults[nid] = min(faults.get(nid, s.node_index),
+                                  s.node_index)
+        return weighted_column_sum(w, columns, q)
+
+    out: List[int] = []
+    for i in range(0, count, BLOCK_WORDS):
+        inner = {nid: inner_secret(nid, i) for nid in held}
         for nid, over in further.items():
             if over is not None and weighted_column_sum(
                     over, [inner[c] for c in chosen], q) != inner[nid]:
                 disagreeing.add(nid)
-        return inner
-
-    out: List[int] = []
-    count = len(given[0].values) if given else 0
-    for i in range(0, count, BLOCK_WORDS):
-        inner = inner_secrets(i)
         if weights is not None:
             chunks = weighted_column_sum(
                 weights, [inner[nid] for nid in (mother_id, *chosen)], q)
@@ -363,7 +380,8 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
                               f"{faults[net.id]} disagrees with nodes {xs}")
     if missing:
         detail = "; ".join(missing) + " (" + ", ".join(
-            f"{net.id}: {min(len(held[net.id]), net.inner_degree + 1)}/"
+            f"{net.id}: "
+            f"{min(len(held.get(net.id, ())), net.inner_degree + 1)}/"
             f"{net.inner_degree + 1}" for net in topology.networks) + ")"
         raise Infeasible(detail)
     if weights is None:

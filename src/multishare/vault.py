@@ -202,11 +202,13 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
 
 
 def new_vault_dir(out_dir: Path) -> None:
-    """Make `out_dir` for a deal. StorageError when it cannot be made, or
-    already holds a vault: a manifest, a share file or a staged file.
-    Dealing over a vault could leave neither secret recoverable. In a
-    directory without a manifest, the files staged at epoch 0 are first
-    deleted: only a deal writes them, and that deal never committed."""
+    """Make `out_dir` for a deal, with any missing parents, and flush each
+    directory made and the parent of the topmost. StorageError when it
+    cannot be made, or already holds a vault: a manifest, a share file or
+    a staged file. Dealing over a vault could leave neither secret
+    recoverable. In a directory without a manifest, the files staged at
+    epoch 0 are first deleted: only a deal writes them, and that deal
+    never committed."""
     try:
         names = sorted(p.name for p in out_dir.iterdir())
     except (FileNotFoundError, NotADirectoryError):
@@ -230,4 +232,13 @@ def new_vault_dir(out_dir: Path) -> None:
                            f"{', ...' if len(names) > 3 else ''}); "
                            f"deal into a new directory")
     with _failing_as(f"cannot make directory {out_dir}"):
+        made = []  # the directories mkdir makes, the deepest first
+        parent = out_dir
+        while not parent.exists() and parent != parent.parent:
+            made.append(parent)
+            parent = parent.parent
         out_dir.mkdir(parents=True, exist_ok=True)
+        # Each directory made is flushed, and the one the topmost is named
+        # in, so that the path of a vault whose deal exits 0 is on disk.
+        for directory in made + [parent] if made else []:
+            _fsync(directory)

@@ -1,18 +1,24 @@
+import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from multishare import formats
 from multishare.errors import CorruptData
 from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
 from multishare.formats import (canonical_json, share_file_block,
-                                share_to_dict)
-from multishare.protocol import NodeShare
+                                share_to_dict, topology_digest,
+                                topology_to_dict)
+from multishare.protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 B = BLOCK_WORDS
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 ESCAPED_IDS = [
     "", 'quote"', "back\\slash", "new\nline", "tab\t", "percent %x %s %%",
@@ -151,3 +157,58 @@ class TestManifestReader:
         with pytest.raises(CorruptData) as err:
             formats.manifest_from_dict(data)
         assert str(err.value) == message
+
+
+@st.composite
+def topologies(draw):
+    """A small topology: any network ids, the mother anywhere."""
+    q = draw(st.sampled_from([257, 65537, DEFAULT_MODULUS]))
+    ids = draw(st.lists(st.text(max_size=6), min_size=2, max_size=5,
+                        unique=True))
+    mother = draw(st.integers(0, len(ids) - 1))
+    nets = []
+    for i, nid in enumerate(ids):
+        n = draw(st.integers(1, 6))
+        nets.append(NetworkSpec(nid, n, draw(st.integers(0, n - 1)),
+                                LinkKind.ITS if i == mother
+                                else LinkKind.CLASSICAL))
+    return Topology(q, tuple(nets), mother, draw(st.integers(1, len(ids) - 1)))
+
+
+def example_topologies():
+    """The topologies of docs/examples."""
+    topology = json.loads((EXAMPLES / "topology.json").read_text())
+    scenario = json.loads((EXAMPLES / "scenario.json").read_text())
+    return [formats.topology_from_dict(data)
+            for data in (topology, scenario["topology"])]
+
+
+def hashlib_digest(topology: Topology) -> str:
+    return hashlib.sha256(
+        canonical_json(topology_to_dict(topology))).hexdigest()
+
+
+class TestTopologyDigest:
+    """topology_digest, by the interpreter's built-in SHA-256, against
+    hashlib's: the digest in every manifest written so far must not
+    change."""
+
+    def test_examples(self):
+        for topology in example_topologies():
+            assert topology_digest(topology) == hashlib_digest(topology)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(topologies())
+    def test_matches_hashlib(self, topology):
+        assert topology_digest(topology) == hashlib_digest(topology)
+
+    def test_hashlib_fallback(self, monkeypatch):
+        # With neither built-in module importable (None in sys.modules
+        # makes an import fail), the digest comes from hashlib.
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        with pytest.raises(ImportError):
+            import _sha256  # noqa: F401
+        for topology in example_topologies():
+            assert topology_digest(topology) == hashlib_digest(topology)

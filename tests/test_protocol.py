@@ -987,6 +987,48 @@ class TestVaultMatchesReference:
                 assert (apply_node_refresh(share, got[nid])
                         == reference.apply_node_refresh(share, delta, q))
 
+    @staticmethod
+    def check_deal_sink(t, chunks, seed):
+        """deal with a sink hands out, block by block, network by network
+        in topology order and node by node, each node's share of the
+        block that deal returns, and draws what deal draws."""
+        rng, sink_rng = deterministic_rng(seed), deterministic_rng(seed)
+        want = deal(chunks, t, rng)
+        got = []
+        assert deal(chunks, t, sink_rng, sink=got.append) == {}
+        assert sink_rng.getstate() == rng.getstate()
+        assert [(s.network_id, s.node_index, s.epoch, len(s.values))
+                for s in got] == [
+            (net.id, j, 0, len(chunks[i:i + BLOCK_WORDS]))
+            for i in range(0, len(chunks), BLOCK_WORDS)
+            for net in t.networks for j in range(1, net.node_count + 1)]
+        joined = {nid: [NodeShare(nid, j, 0, ()) for j in
+                        range(1, t.spec(nid).node_count + 1)]
+                  for nid in want}
+        for s in got:
+            node = joined[s.network_id][s.node_index - 1]
+            joined[s.network_id][s.node_index - 1] = replace(
+                node, values=node.values + tuple(s.values))
+        assert joined == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(small_vaults())
+    def test_deal_sink(self, vault):
+        self.check_deal_sink(*vault)
+
+    def test_deal_sink_across_blocks(self):
+        # Three blocks, the last of one chunk, on a topology whose mother
+        # is not first.
+        nets = (NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
+                NetworkSpec("m", 4, 2, LinkKind.ITS),
+                NetworkSpec("d2", 2, 0, LinkKind.CLASSICAL))
+        t = Topology(DEFAULT_MODULUS, nets, 1, 2)
+        rng = deterministic_rng(5)
+        chunks = [rng.randrange(DEFAULT_MODULUS)
+                  for _ in range(2 * BLOCK_WORDS + 1)]
+        self.check_deal_sink(t, chunks, 6)
+
     def test_apply_rejects_what_does_not_fit(self):
         t = topo3()
         share = deal([4, 5], t, deterministic_rng(0))["d1"][1]

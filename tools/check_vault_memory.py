@@ -1,6 +1,6 @@
 """Check that the vault commands' memory stays flat at a large secret.
 
-    python3 tools/check_vault_memory.py [--mib 16] [--limit-mib 32]
+    python3 tools/check_vault_memory.py [--mib 16] [--limit-mib 26]
 
 Deals, refreshes and reconstructs a random secret of --mib MiB on the
 example topology (docs/examples/topology.json: three networks of three
@@ -50,7 +50,7 @@ def same_bytes(a: Path, b: Path) -> bool:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--mib", type=int, default=16)
-    ap.add_argument("--limit-mib", type=float, default=32.0)
+    ap.add_argument("--limit-mib", type=float, default=26.0)
     args = ap.parse_args(argv)
     topology = ROOT / "docs" / "examples" / "topology.json"
     failed = []
