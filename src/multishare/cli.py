@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
@@ -99,52 +99,17 @@ def _json_line(obj) -> bytes:
     return formats.canonical_json(obj) + b"\n"
 
 
-def _read_shares(paths: List[Path], topology: Topology,
-                 drain: bool) -> List[NodeShare]:
-    """The shares in `paths`, each header read now and its values block by
-    block later (formats.read_share), checked as a set (checked_shares)
-    as each is read. Any error is the one that reading each file whole in
-    turn would give: a file that cannot be read, or that fails the check,
-    first has the values of the files before it read (_in_turn); with
-    `drain`, the files after one that fails the check are read too, so
-    that an unreadable file anywhere decides."""
-    shares: List[NodeShare] = []
-
-    def read():
-        for p in paths:
-            shares.append(formats.read_share(p, topology.modulus))
-            yield shares[-1]
-
-    with _in_turn(shares):
-        try:
-            for _ in checked_shares(read(), topology):
-                pass
-        except formats.UnreadableShare:
-            raise
-        except MultishareError:
-            for share in shares:
-                share.values.read_rest()
-            if drain:
-                for p in paths[len(shares):]:
-                    formats.read_share(p, topology.modulus
-                                       ).values.read_rest()
-            raise
-    return shares
-
-
 @contextmanager
-def _in_turn(shares: List[NodeShare]):
-    """An UnreadableShare from the block raised as reading each share file
-    whole in turn would raise it: the values of the shares before the
-    unreadable one are read first, and the first that cannot be read
-    decides."""
+def _share_file_errors(paths: List[Path], modulus: int):
+    """A CorruptData or EpochMismatch from the block raised as the error
+    of the share files at `paths`: the first of them, in order, that
+    cannot be read whole decides, and if each can, the error met. The
+    files are read again from the start to find it."""
     try:
         yield
-    except formats.UnreadableShare as exc:
-        for share in shares:
-            if share.values.path == exc.path:
-                break
-            share.values.read_rest()
+    except (CorruptData, EpochMismatch):
+        for p in paths:
+            formats.read_share(p, modulus).values.read_rest()
         raise
 
 
@@ -198,6 +163,24 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
     return vault.settle(share_dir, epoch)
 
 
+def _check_out(out: Path, share_dir: Optional[Path],
+               files: List[Path]) -> None:
+    """Exit 64 when writing `out` would replace a share file being read:
+    one of `files`, or, given the vault directory `share_dir`, one of its
+    share files; or would put a file named as a vault's are
+    (vault.is_vault_file) into `share_dir`."""
+    target = os.path.realpath(out)
+    if share_dir is not None:
+        if (os.path.dirname(target) == os.path.realpath(share_dir)
+                and vault.is_vault_file(os.path.basename(target))):
+            raise CliError(EXIT_USAGE, f"--out {out} is a file of the "
+                                       f"vault in {share_dir}")
+        files = share_dir.glob(vault.SHARE_GLOB)
+    if target in map(os.path.realpath, files):
+        raise CliError(EXIT_USAGE, f"--out {out} is a share file being "
+                                   f"read")
+
+
 def cmd_deal(args) -> int:
     """Deal the secret BLOCK_WORDS chunks at a time: each block is read
     from the secret file and dealt (deal, one call per block), and each
@@ -235,21 +218,29 @@ def cmd_deal(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     """Recover the secret BLOCK_WORDS chunks at a time: the share files'
-    headers are read first, then reconstruct reads each file's next block
-    in turn, checks it and hands the recovered chunks on, decoded, to the
-    output's temporary file (see protocol.reconstruct)."""
+    headers are read first, then reconstruct checks them as a set, reads
+    each file's next block in turn, checks it and hands the recovered
+    chunks on, decoded, to the output's temporary file (see
+    protocol.reconstruct). An error in the share files is that of the
+    first file that cannot be read whole (_share_file_errors). An --out
+    that would overwrite a share file being read, or a file of the
+    --shares vault, is a usage error."""
     if args.shares and args.files:
         raise CliError(EXIT_USAGE, "give --shares or share files, not both")
+    _check_out(Path(args.out), Path(args.shares) if args.shares else None,
+               [Path(p) for p in args.files])
     topology = _load_chunking_topology(args.topology)
+    q = topology.modulus
     paths = (_share_dir_paths(Path(args.shares),
                               formats.topology_digest(topology))
              if args.shares else [Path(p) for p in args.files])
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
-    decoder = SecretDecoder(topology.modulus)
+    decoder = SecretDecoder(q)
     try:
-        shares = _read_shares(paths, topology, drain=True)
-        with _in_turn(shares), vault.appending(Path(args.out)) as append:
+        with _share_file_errors(paths, q), \
+                vault.appending(Path(args.out)) as append:
+            shares = [formats.read_share(p, q) for p in paths]
             reconstruct(shares, topology,
                         sink=lambda chunks: append(decoder.feed(chunks)))
             decoder.close()
@@ -262,12 +253,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_refresh(args) -> int:
-    """Advance every share one epoch, BLOCK_WORDS chunks at a time: per
-    block, the round's refresh columns are drawn (refresh, one call per
-    block), and each share file's block is read, updated
+    """Advance every share one epoch, BLOCK_WORDS chunks at a time: the
+    share files' headers are read and checked as a set (checked_shares);
+    then, per block, the round's refresh columns are drawn (refresh, one
+    call per block), and each share file's block is read, updated
     (apply_node_refresh) and appended to its staged file in turn. The
     updated shares are committed at the new epoch by one atomic replace
-    of the manifest (see vault.Commit)."""
+    of the manifest (see vault.Commit). An error in the share files is
+    that of the first file that cannot be read whole
+    (_share_file_errors), as in reconstruct."""
     topology = _load_topology(args.topology)
     q = topology.modulus
     share_dir = Path(args.shares)
@@ -275,26 +269,28 @@ def cmd_refresh(args) -> int:
     paths = _share_dir_paths(share_dir, digest)
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
-    shares = _read_shares(paths, topology, drain=False)
-    epoch, count = shares[0].epoch, len(shares[0].values)
-    rng = _rng(args.seed)
-    with vault.Commit(share_dir, epoch + 1, "refresh") as commit, \
-            _in_turn(shares):
-        for start in range(0, max(count, 1), BLOCK_WORDS):
-            n = min(BLOCK_WORDS, count - start)
-            deltas = refresh(topology, n, epoch, rng)
-            for path, share in zip(paths, shares):
-                updated = apply_node_refresh(
-                    replace(share, values=share.values[start:start + n]),
-                    deltas[share.network_id])
-                commit.append(path, formats.share_file_block(
-                    updated, q, start, count))
-        held = {(s.network_id, s.node_index) for s in shares}
-        stale = [f"{net.id}/{j}" for net in topology.networks
-                 for j in range(1, net.node_count + 1)
-                 if (net.id, j) not in held]
-        refreshed = commit.commit(_json_line(formats.manifest_dict(
-            digest, count, epoch + 1, stale)))
+    with _share_file_errors(paths, q):
+        shares = [formats.read_share(p, q) for p in paths]
+        list(checked_shares(shares, topology))
+        epoch, count = shares[0].epoch, len(shares[0].values)
+        rng = _rng(args.seed)
+        with vault.Commit(share_dir, epoch + 1, "refresh") as commit:
+            for start in range(0, max(count, 1), BLOCK_WORDS):
+                n = min(BLOCK_WORDS, count - start)
+                deltas = refresh(topology, n, epoch, rng)
+                for path, share in zip(paths, shares):
+                    updated = apply_node_refresh(
+                        replace(share,
+                                values=share.values[start:start + n]),
+                        deltas[share.network_id])
+                    commit.append(path, formats.share_file_block(
+                        updated, q, start, count))
+            held = {(s.network_id, s.node_index) for s in shares}
+            stale = [f"{net.id}/{j}" for net in topology.networks
+                     for j in range(1, net.node_count + 1)
+                     if (net.id, j) not in held]
+            refreshed = commit.commit(_json_line(formats.manifest_dict(
+                digest, count, epoch + 1, stale)))
     print(f"refreshed {refreshed} shares to epoch {epoch + 1}"
           + (f"; stale: {', '.join(stale)}" if stale else ""))
     return EXIT_OK

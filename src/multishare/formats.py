@@ -26,8 +26,10 @@ FORMAT_VERSION = 1
 # in-process callers may still build small-field topologies for analysis.
 MIN_USER_MODULUS = 257
 
-# A "0" that starts a joined value and is not the whole value.
-_LEADING_ZERO = re.compile(rb",0[^,]")
+# A field element's text: lowercase hex without leading zeros.
+_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+# What a network id may not hold, since a share file is named after it.
+_BAD_ID = re.compile("[/\0\ud800-\udfff]")
 # In a share file's values, as the tools write them: an empty value, or
 # a "0" that starts a value and is not the whole value.
 _BAD_QUOTED_HEX = re.compile(rb'""|"0[0-9a-f]')
@@ -78,26 +80,14 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
-def _parse_hex(texts: list) -> List[int]:
-    """`texts` with each value converted in place from text to int, and
-    returned. Each text must be lowercase hex with no leading zero ("0"
-    for zero): no sign, prefix, space, underscore, upper case or
-    non-ASCII digit, which int(text, 16) would accept.
-
-    Values are checked and converted one block of BLOCK_WORDS at a time:
-    a block is joined once, so the check costs two C-level scans of it
-    rather than a regular expression match per value, and its texts are
-    freed as its ints are made. The texts and the ints of a long list
-    therefore never exist at the same time. On CorruptData the list is
-    left part converted."""
-    for i in range(0, len(texts), BLOCK_WORDS):
-        block = texts[i:i + BLOCK_WORDS]
-        joined = ("," + ",".join(block)).encode()
-        if (joined.translate(None, b"0123456789abcdef,")
-                or _LEADING_ZERO.search(joined)):
-            raise CorruptData(NOT_HEX)
-        texts[i:i + BLOCK_WORDS] = map(int, block, repeat(16))
-    return texts
+def _parse_hex(text: str) -> int:
+    """The value of `text`, lowercase hex with no leading zero ("0" for
+    zero): no sign, prefix, space, underscore, upper case or non-ASCII
+    digit, which int(text, 16) would accept. CorruptData (NOT_HEX) for any
+    other text; TypeError when `text` is not a string."""
+    if not _HEX.fullmatch(text):
+        raise CorruptData(NOT_HEX)
+    return int(text, 16)
 
 
 def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
@@ -107,7 +97,7 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
         version = _json_int(data, "format_version")
         if version != FORMAT_VERSION:
             raise CorruptData(f"unsupported format_version {version}")
-        [modulus] = _parse_hex([data["modulus"]])
+        modulus = _parse_hex(data["modulus"])
         nets = data["networks"]
         if not (isinstance(nets, list)
                 and all(isinstance(n, dict) for n in nets)):
@@ -120,10 +110,9 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
         if not all(isinstance(n["id"], str) for n in nets):
             raise CorruptData("network ids must be strings")
         for n in nets:
-            # A share file is named after its network id.
-            if "/" in n["id"] or "\0" in n["id"]:
+            if _BAD_ID.search(n["id"]):
                 raise CorruptData(f"network id {n['id']!r} contains / or "
-                                  f"NUL")
+                                  f"NUL, or a lone surrogate")
         specs = [NetworkSpec(id=n["id"],
                              node_count=_json_int(n, "node_count"),
                              inner_degree=_json_int(n, "inner_degree"),
@@ -214,7 +203,7 @@ def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int]:
         version = _json_int(data, "format_version")
         if version != FORMAT_VERSION:
             raise CorruptData(f"unsupported format_version {version}")
-        if _parse_hex([data["modulus"]]) != [modulus]:
+        if _parse_hex(data["modulus"]) != modulus:
             raise CorruptData("share modulus does not match the topology")
         network_id = data["network_id"]
         if not isinstance(network_id, str):
@@ -230,14 +219,12 @@ def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int]:
 
 
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
-    """Parse a share file dealt under a topology with this modulus. The
-    "values" list of `data`, as json.loads made it, is converted to ints in
-    place (_parse_hex), so `data` is not to be used again."""
+    """Parse a share file dealt under a topology with this modulus."""
     header, count = _header_from_dict(data, modulus)
     try:
         if not isinstance(data["values"], list):
             raise CorruptData("values must be a list")
-        values = _parse_hex(data["values"])
+        values = list(map(_parse_hex, data["values"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc
     if values and max(values) >= modulus:
@@ -252,7 +239,6 @@ class UnreadableShare(CorruptData):
 
     def __init__(self, path, detail):
         super().__init__(f"cannot read share {path}: {detail}")
-        self.path = path
 
 
 def read_share(path, modulus: int) -> NodeShare:
@@ -339,8 +325,7 @@ def _values_fault(data: bytes, n: int, last: bool, modulus: int,
         if close < 0 and len(data) < asked:
             return ENDS_EARLY
         text = data[at:close] if close >= 0 else data[at:]
-        if (not text or text.translate(None, b"0123456789abcdef")
-                or text[:1] == b"0" and len(text) > 1):
+        if not _HEX.fullmatch(text.decode("latin-1")):
             return NOT_HEX
         if close < 0 or int(text, 16) >= modulus:
             return OUT_OF_RANGE

@@ -21,16 +21,26 @@ from __future__ import annotations
 import os
 import re
 from contextlib import AbstractContextManager, contextmanager
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Optional
 
 from .errors import StorageError
 
 MANIFEST = "manifest.json"
+# The names of a vault's share files.
+SHARE_GLOB = "*.share.json"
 # The staged name of a share file or the manifest: NAME.staged-EPOCH, a
-# name the *.share.json glob does not match.
+# name SHARE_GLOB does not match.
 STAGED_NAME = re.compile(
     r"(.+\.share\.json|manifest\.json)\.staged-(-?[0-9]+)")
+
+
+def is_vault_file(name: str) -> bool:
+    """Whether a file named `name` is a vault's: its manifest, a share
+    file or a staged file."""
+    return (name == MANIFEST or fnmatchcase(name, SHARE_GLOB)
+            or STAGED_NAME.fullmatch(name) is not None)
 
 
 @contextmanager
@@ -198,7 +208,7 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
                 path.unlink()
         if staged:
             _fsync(share_dir)
-    return sorted(share_dir.glob("*.share.json"))
+    return sorted(share_dir.glob(SHARE_GLOB))
 
 
 def new_vault_dir(out_dir: Path) -> None:
@@ -223,9 +233,7 @@ def new_vault_dir(out_dir: Path) -> None:
             for name in uncommitted:
                 (out_dir / name).unlink(missing_ok=True)
         names = [name for name in names if name not in uncommitted]
-    names = [name for name in names
-             if name == MANIFEST or name.endswith(".share.json")
-             or STAGED_NAME.fullmatch(name)]
+    names = list(filter(is_vault_file, names))
     if names:
         raise StorageError(f"{out_dir} already holds a vault "
                            f"({', '.join(names[:3])}"

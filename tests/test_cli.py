@@ -26,8 +26,9 @@ from multishare.simnet import EVENT_KINDS, load_state
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# Network ids that would name a share file outside --out, or no file.
-ESCAPING_IDS = ["../evil", "a\x00b"]
+# Network ids that would name a share file outside --out, or no file: a
+# lone surrogate is valid JSON but names no file, as it has no UTF-8.
+ESCAPING_IDS = ["../evil", "a\x00b", "\ud800"]
 
 
 def write_topology(path: Path, q=DEFAULT_MODULUS, outer=1,
@@ -174,7 +175,7 @@ class TestDeal:
                     "--out", tmp / "shares"]) == 2
 
     @pytest.mark.parametrize("network_id", ESCAPING_IDS,
-                             ids=["slash", "nul"])
+                             ids=["slash", "nul", "surrogate"])
     def test_network_id_escaping_out_exit2(self, workspace, capsys,
                                            network_id):
         # A share file is named after its network id: "../evil" wrote
@@ -571,6 +572,39 @@ class TestReconstruct:
                     other / "d1_001.share.json"]) == 64
         assert "not both" in capsys.readouterr().err
         assert not dest.exists()
+
+    def test_out_over_the_vault_exit64(self, workspace, capsys):
+        # An --out that is a share file being read, or a file of the
+        # --shares vault, was replaced by the recovered secret, and every
+        # later refresh or reconstruct of the vault failed. It is refused
+        # before any file is touched, a staged one included.
+        tmp, topo, secret, out = self._deal(workspace)
+        (out / "m_001.share.json.staged-1").write_bytes(b"{}")
+        picks = [out / "m_001.share.json", out / "m_002.share.json",
+                 out / "d1_001.share.json", out / "d1_002.share.json"]
+        link = tmp / "link.bin"
+        link.symlink_to(picks[1])
+        files = snapshot(out)
+        for where, dest in [
+                *((["--shares", out], out / name) for name in (
+                    "m_001.share.json", "manifest.json", "new.share.json",
+                    "m_001.share.json.staged-0")),
+                (["--shares", out], out / ".." / out.name
+                 / "d2_003.share.json"),
+                (["--shares", out], link),
+                (picks, picks[0]),
+                (picks, link)]:
+            capsys.readouterr()
+            assert run(["reconstruct", "--topology", topo, "--out", dest,
+                        *where]) == 64, dest
+            assert capsys.readouterr().err.startswith(f"error: --out {dest} ")
+            assert snapshot(out) == files, dest
+            assert link.resolve() == picks[1]
+        # Any other name in the vault's directory is an output like any.
+        (out / "m_001.share.json.staged-1").unlink()
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", out / "secret.bin"]) == 0
+        assert (out / "secret.bin").read_bytes() == secret.read_bytes()
 
     def test_daughters_only_exit3(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
@@ -1222,6 +1256,23 @@ class TestShareFileLayouts:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "secret.bin", "shares"]
         assert snapshot(out) == refreshed[0]
+
+    def test_unreadable_file_after_failed_check_exit2(self, tmp_path,
+                                                      capsys):
+        # d1_001 is of another epoch, and m_003, read after it, is bad
+        # only in its last block: for refresh as for reconstruct, the
+        # first file that cannot be read whole decides the error, not the
+        # failed check.
+        topo, _, out = self._vault(tmp_path, self.B + 9)
+        path = out / "d1_001.share.json"
+        share = json.loads(path.read_bytes())
+        share["epoch"] = 1
+        path.write_bytes(formats.canonical_json(share) + b"\n")
+        path = out / "m_003.share.json"
+        share = json.loads(path.read_bytes())
+        share["values"][-1] = "0" + share["values"][-1]
+        path.write_bytes(formats.canonical_json(share) + b"\n")
+        self._refused(topo, out, path, capsys)
 
     def test_unwritable_output_before_a_later_block(self, tmp_path, capsys):
         # The output is made with the first recovered block: an unwritable
@@ -2607,7 +2658,7 @@ class TestMalformedJson:
     ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
             "node_count-inf", "deep", "node_count-float", "node_count-str",
             "inner_degree-float", "outer_degree-bool", "format_version-float",
-            "mother-int", "mother-null", "id-slash", "id-nul",
+            "mother-int", "mother-null", "id-slash", "id-nul", "id-surrogate",
             *(f"modulus-{name}" for name in NONCANONICAL_HEX)])
     def test_topology_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "topology.json").read_text())
@@ -2645,7 +2696,7 @@ class TestMalformedJson:
             "node-str", "node-bool", "topology-node_count-float",
             "refresh-before-deal", "secret_hex-spaces", "secret_hex-newline",
             "secret_hex-upper", "secret_hex-odd-length", "topology-id-slash",
-            "topology-id-nul"])
+            "topology-id-nul", "topology-id-surrogate"])
     def test_scenario_exit2(self, tmp_path, edit):
         data = json.loads((self.EXAMPLES / "scenario.json").read_text())
         path = tmp_path / "s.json"

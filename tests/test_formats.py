@@ -114,7 +114,21 @@ class TestShareWriter:
 
 
 class TestHexParser:
-    """_parse_hex's conversion against the per-value loop it replaced."""
+    """_parse_hex reads one value in the hex grammar: lowercase hex
+    without leading zeros ("0" for zero)."""
+
+    @pytest.mark.parametrize("text", ["0", "1", "a",
+                                      format(DEFAULT_MODULUS - 1, "x")])
+    def test_accepts(self, text):
+        assert formats._parse_hex(text) == int(text, 16)
+
+    # Each but the empty text is a spelling int(text, 16) accepts.
+    @pytest.mark.parametrize("text", [
+        "", "00", "01", "A", " 1", "1\n", "+1", "-1", "0x1", "1_0",
+        "\u0661"])
+    def test_refuses(self, text):
+        with pytest.raises(CorruptData, match="lowercase hex"):
+            formats._parse_hex(text)
 
     def test_matches_reference(self):
         rng = random.Random(8)
@@ -122,21 +136,15 @@ class TestHexParser:
             values = [0, 1, q - 1] + [rng.randrange(q) for _ in range(9000)]
             texts = [format(v, "x") for v in values]
             assert reference.parse_hex_values(texts) == values
-            assert formats._parse_hex(texts) == values
-
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
-    def test_converts_in_place(self, n):
-        texts = [format(v, "x") for v in range(n)]
-        assert formats._parse_hex(texts) is texts
-        assert texts == list(range(n))
+            for text, value in zip(texts, values):
+                assert formats._parse_hex(text) == value
 
     def test_bad_value_in_a_later_block(self):
-        texts = ["1"] * (B + 1) + ["01"]
-        with pytest.raises(formats.CorruptData, match="lowercase hex"):
-            formats._parse_hex(texts)
-
-    def test_empty(self):
-        assert formats._parse_hex([]) == []
+        data = share_to_dict(NodeShare("m", 1, 0, (1,) * (B + 2)),
+                             DEFAULT_MODULUS)
+        data["values"][-1] = "01"
+        with pytest.raises(CorruptData, match="lowercase hex"):
+            formats.share_from_dict(data, DEFAULT_MODULUS)
 
 
 class TestManifestReader:
