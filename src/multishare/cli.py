@@ -163,19 +163,26 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
     return vault.settle(share_dir, epoch)
 
 
-def _check_out(out: Path, share_dir: Optional[Path],
+def _check_out(out: Path, topology: Path, share_dir: Optional[Path],
                files: List[Path]) -> None:
-    """Exit 64 when writing `out` would replace a share file being read:
-    one of `files`, or, given the vault directory `share_dir`, one of its
-    share files; or would put a file named as a vault's are
-    (vault.is_vault_file) into `share_dir`."""
+    """Exit 64 when writing `out` would replace a file being read: the
+    `topology` file, or a share file being read (one of `files`, or,
+    given the vault directory `share_dir`, one of its share files); or
+    would put a file named as a vault's are (vault.is_vault_file) into
+    `share_dir` or into the directory of any of `files`."""
     target = os.path.realpath(out)
+    if target == os.path.realpath(topology):
+        raise CliError(EXIT_USAGE, f"--out {out} is the topology file "
+                                   f"{topology}")
     if share_dir is not None:
-        if (os.path.dirname(target) == os.path.realpath(share_dir)
-                and vault.is_vault_file(os.path.basename(target))):
-            raise CliError(EXIT_USAGE, f"--out {out} is a file of the "
-                                       f"vault in {share_dir}")
-        files = share_dir.glob(vault.SHARE_GLOB)
+        vaults = {os.path.realpath(share_dir)}
+        files = list(share_dir.glob(vault.SHARE_GLOB))
+    else:
+        vaults = {os.path.dirname(os.path.realpath(p)) for p in files}
+    directory, name = os.path.split(target)
+    if directory in vaults and vault.is_vault_file(name):
+        raise CliError(EXIT_USAGE, f"--out {out} is a file of the vault in "
+                                   f"{share_dir or directory}")
     if target in map(os.path.realpath, files):
         raise CliError(EXIT_USAGE, f"--out {out} is a share file being "
                                    f"read")
@@ -223,11 +230,13 @@ def cmd_reconstruct(args) -> int:
     chunks on, decoded, to the output's temporary file (see
     protocol.reconstruct). An error in the share files is that of the
     first file that cannot be read whole (_share_file_errors). An --out
-    that would overwrite a share file being read, or a file of the
-    --shares vault, is a usage error."""
+    that would overwrite the topology or a share file being read, or a
+    file of the vault they are read from, is a usage error
+    (_check_out)."""
     if args.shares and args.files:
         raise CliError(EXIT_USAGE, "give --shares or share files, not both")
-    _check_out(Path(args.out), Path(args.shares) if args.shares else None,
+    _check_out(Path(args.out), Path(args.topology),
+               Path(args.shares) if args.shares else None,
                [Path(p) for p in args.files])
     topology = _load_chunking_topology(args.topology)
     q = topology.modulus

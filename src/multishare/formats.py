@@ -4,7 +4,9 @@ scenarios, plus canonical serialization helpers.
 Field elements are lowercase big-endian hex; in memory they are plain
 ints, and the modulus comes from the topology. All JSON emitted through
 canonical_json is byte-stable (sorted keys, fixed separators). A share
-file is written (share_file_block) and read (read_share) block by block.
+file is written (share_file_block) and read (read_share) block by block;
+its values are written at a fixed width (share format v2), and files of
+share format v1, without leading zeros, are still read.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import struct
+from binascii import hexlify, unhexlify
 from dataclasses import replace
 from itertools import repeat
 from typing import List, Optional, Tuple
@@ -21,6 +25,9 @@ from .field import BLOCK_WORDS
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
+# The version of the share files the tools write. Readers also take v1
+# share files, whose values are hex without leading zeros.
+SHARE_FORMAT_VERSION = 2
 
 # User-supplied moduli below this are rejected at the file boundary;
 # in-process callers may still build small-field topologies for analysis.
@@ -28,6 +35,9 @@ MIN_USER_MODULUS = 257
 
 # A field element's text: lowercase hex without leading zeros.
 _HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+_HEX_DIGITS = b"0123456789abcdef"
+# A value's text in a v2 share file, whose length is checked apart.
+_LOWER_HEX = re.compile("[0-9a-f]*")
 # What a network id may not hold, since a share file is named after it.
 _BAD_ID = re.compile("[/\0\ud800-\udfff]")
 # In a share file's values, as the tools write them: an empty value, or
@@ -41,6 +51,7 @@ HEAD_BYTES = 1 << 16
 
 # Why a share file is refused.
 NOT_HEX = "a hex value is not lowercase hex without leading zeros"
+NOT_FIXED_HEX = "a value is not lowercase hex of {} digits"
 OUT_OF_RANGE = "a value is out of range for the modulus"
 COUNT_MISMATCH = "chunk_count does not match values"
 NOT_CANONICAL = ("not in the layout the tools write (canonical JSON and a "
@@ -147,11 +158,18 @@ def topology_digest(topology: Topology) -> str:
     return sha256(canonical_json(topology_to_dict(topology))).hexdigest()
 
 
+def value_width(modulus: int) -> int:
+    """The bytes of each value in a v2 share file: those of modulus - 1,
+    so that every value below the modulus fits. It is written as twice
+    as many lowercase hex digits."""
+    return ((modulus - 1).bit_length() + 7) // 8
+
+
 def _share_header(share: NodeShare, modulus: int,
                   chunk_count: int) -> dict:
     """Every field of a share file but its values."""
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": SHARE_FORMAT_VERSION,
         "modulus": format(modulus, "x"),
         "network_id": share.network_id,
         "node_index": share.node_index,
@@ -161,8 +179,11 @@ def _share_header(share: NodeShare, modulus: int,
 
 
 def share_to_dict(share: NodeShare, modulus: int) -> dict:
+    """The share file's document: each value as the hex of its
+    value_width-byte big-endian form, leading zeros included."""
+    digits = 2 * value_width(modulus)
     return {**_share_header(share, modulus, len(share.values)),
-            "values": [f"{v:x}" for v in share.values]}
+            "values": [f"{v:0{digits}x}" for v in share.values]}
 
 
 def share_file_block(share: NodeShare, modulus: int, start: int,
@@ -172,13 +193,13 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
     start is 0, and its closing `]}` and newline after the last value.
     Written one after another, the blocks of a share make
     canonical_json(share_to_dict(share, modulus)) and a newline; with
-    every value at once, one block is the whole file. No string object is
-    made per value.
+    every value at once, one block is the whole file.
 
     "values" sorts after every header key, so canonical JSON of the header
     with an empty "values" list ends in `[]}`: the header is that, up to
-    the list's `[`; the hex values are formatted by one printf-style
-    pass."""
+    the list's `[`. The values take three C-level passes and no string
+    object each: their big-endian forms are joined, hexlify puts a quote
+    between each two values' digits, and each quote becomes `","`."""
     values = share.values
     parts = []
     if start == 0:
@@ -186,22 +207,25 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
             {**_share_header(share, modulus, chunk_count),
              "values": []})[:-2])
     if values:
-        template = ("," if start else "") + '"%x' + '","%x' * (
-            len(values) - 1) + '"'
-        parts.append((template % tuple(values)).encode())
+        width = value_width(modulus)
+        raw = b"".join(map(int.to_bytes, values, repeat(width),
+                           repeat("big")))
+        parts += [b',"' if start else b'"',
+                  hexlify(raw, b'"', width).replace(b'"', b'","'), b'"']
     if start + len(values) == chunk_count:
         parts.append(b"]}\n")
     return b"".join(parts)
 
 
-def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int]:
+def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int, int]:
     """The share of no values whose header fields (every field of a share
-    file but its values) `data` holds, and its chunk_count."""
+    file but its values) `data` holds, its chunk_count and its
+    format_version (1 or 2)."""
     try:
         if not isinstance(data, dict):
             raise CorruptData("a share file holds a JSON object")
         version = _json_int(data, "format_version")
-        if version != FORMAT_VERSION:
+        if version not in (1, SHARE_FORMAT_VERSION):
             raise CorruptData(f"unsupported format_version {version}")
         if _parse_hex(data["modulus"]) != modulus:
             raise CorruptData("share modulus does not match the topology")
@@ -213,18 +237,33 @@ def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int]:
             raise CorruptData(COUNT_MISMATCH)
         return NodeShare(network_id=network_id,
                          node_index=_json_int(data, "node_index"),
-                         epoch=_json_int(data, "epoch"), values=()), count
+                         epoch=_json_int(data, "epoch"),
+                         values=()), count, version
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc
 
 
+def _parse_fixed_hex(text: str, digits: int) -> int:
+    """The value of `text`, a value of a v2 share file: exactly `digits`
+    lowercase hex digits. CorruptData (NOT_FIXED_HEX) for any other text;
+    TypeError when `text` is not a string."""
+    if len(text) != digits or not _LOWER_HEX.fullmatch(text):
+        raise CorruptData(NOT_FIXED_HEX.format(digits))
+    return int(text, 16)
+
+
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
-    """Parse a share file dealt under a topology with this modulus."""
-    header, count = _header_from_dict(data, modulus)
+    """Parse a share file of either version dealt under a topology with
+    this modulus."""
+    header, count, version = _header_from_dict(data, modulus)
     try:
         if not isinstance(data["values"], list):
             raise CorruptData("values must be a list")
-        values = list(map(_parse_hex, data["values"]))
+        if version == 1:
+            values = list(map(_parse_hex, data["values"]))
+        else:
+            values = list(map(_parse_fixed_hex, data["values"],
+                              repeat(2 * value_width(modulus))))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc
     if values and max(values) >= modulus:
@@ -244,20 +283,24 @@ class UnreadableShare(CorruptData):
 def read_share(path, modulus: int) -> NodeShare:
     """The share file at `path`, dealt under a topology with this modulus,
     with its values as ShareValues: its header is read now, and its values
-    block by block, in order, as they are asked for. The file must be in
-    the layout the tools write (share_file_block): the canonical JSON of
-    the share and a newline. UnreadableShare when it cannot be read or is
-    not in that layout, or when its header is not that of a valid share
-    file (with share_from_dict's message)."""
+    block by block, in order, as they are asked for, by the reader of the
+    file's version. The file must be in the layout the tools write: the
+    canonical JSON of the share and a newline, its values at the fixed
+    width of share_file_block in a v2 file and without leading zeros in a
+    v1 file. UnreadableShare when it cannot be read or is not in that
+    layout, or when its header is not that of a valid share file (with
+    share_from_dict's message); a v2 file also when its size is not the
+    one its chunk_count gives."""
     try:
         with open(path, "rb") as file:
             head = file.read(HEAD_BYTES)
             identity = _identity(file)
-        header, count, offset = _header(head, modulus)
+        header, count, offset, version = _header(head, modulus)
+        reader = _ShareValuesV1 if version == 1 else _ShareValuesV2
+        values = reader(path, modulus, count, offset, identity)
     except (OSError, CorruptData) as exc:
         raise UnreadableShare(path, exc) from exc
-    return replace(header, values=ShareValues(path, modulus, count, offset,
-                                              identity))
+    return replace(header, values=values)
 
 
 def _identity(file) -> tuple:
@@ -267,11 +310,11 @@ def _identity(file) -> tuple:
     return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
 
 
-def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int]:
+def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int, int]:
     """The header of a share file that starts with the bytes `head`: the
-    share without its values, its chunk_count and the offset of its first
-    value. CorruptData unless it is in the layout the tools write and its
-    fields are valid.
+    share without its values, its chunk_count, the offset of its first
+    value and its format_version. CorruptData unless it is in the layout
+    the tools write and its fields are valid.
 
     The header ends at the first `"values":`, the last key: canonical
     JSON escapes every quote inside a string, so no string holds those
@@ -287,13 +330,67 @@ def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int]:
         raise CorruptData(NOT_CANONICAL) from None
     if canonical_json(doc) != text:
         raise CorruptData(NOT_CANONICAL)
-    header, count = _header_from_dict(doc, modulus)
+    header, count, version = _header_from_dict(doc, modulus)
     if head[end:end + 1] != b"[":
         raise CorruptData("values must be a list")
     if not count and head[end + 1:] != b"]}\n":
         raise CorruptData(COUNT_MISMATCH if head[end + 1:end + 2] == b'"'
                           else NOT_CANONICAL)
-    return header, count, end + 1
+    return header, count, end + 1, version
+
+
+class ShareValues:
+    """The values of one share file, in order: each slice asked for must
+    start where the last one ended, and is read from the file then, its
+    bytes checked and converted by C-level passes (_read, one per share
+    format version); only the ints of the slice are held.
+
+    UnreadableShare, from a slice, when the file cannot be read or is not
+    a valid share file in the layout the tools write; and when it is no
+    longer the file whose header was read: each read opens the
+    file again, and its device, inode, size and modification time must be
+    those it had then."""
+
+    def __init__(self, path, modulus: int, count: int, offset: int,
+                 identity: tuple):
+        self.path, self.modulus, self.count = path, modulus, count
+        self.offset, self.identity = offset, identity  # of the next value
+        self.done = 0  # values read
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: slice) -> List[int]:
+        start, stop, step = index.indices(self.count)
+        if start != self.done or step != 1:
+            raise ValueError("a share file's values are read in order")
+        if stop <= start:
+            return []
+        try:
+            with open(self.path, "rb") as file:
+                if _identity(file) != self.identity:
+                    raise CorruptData("changed while it was read")
+                file.seek(self.offset)
+                values, used = self._read(file, stop - start,
+                                          stop == self.count)
+        except (OSError, CorruptData) as exc:
+            raise UnreadableShare(self.path, exc) from exc
+        self.offset += used
+        self.done = stop
+        return values
+
+    def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
+        """The next n values, read from `file`, which is at the first of
+        them, and the bytes they take: then `","` before a further value,
+        or, when they are the `last`, `]}` and a newline. CorruptData,
+        with the reason, unless the bytes hold them so."""
+        raise NotImplementedError
+
+    def read_rest(self) -> None:
+        """Read the values not read yet, and drop them: the file's last
+        chance to be found unreadable."""
+        for i in range(self.done, self.count, BLOCK_WORDS):
+            self[i:i + BLOCK_WORDS]
 
 
 def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
@@ -304,7 +401,7 @@ def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
     n = len(texts)
     if (region[:1] != b'"' or region[-1:] != b'"'
             or region.count(b'"') != 2 * n or region.count(b",") != n - 1
-            or region.translate(None, b'0123456789abcdef",')
+            or region.translate(None, _HEX_DIGITS + b'",')
             or _BAD_QUOTED_HEX.search(region)):
         return None
     return list(map(int, texts, repeat(16)))
@@ -312,11 +409,11 @@ def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
 
 def _values_fault(data: bytes, n: int, last: bool, modulus: int,
                   asked: int) -> str:
-    """Why `data`, read from where a value of a share file starts, does not
-    hold n values in the layout the tools write, and then `","` before a
-    further value or, when they are the `last`, `]}` and a newline. `data`
-    is the `asked` bytes unless the file ends first. Value by value, for
-    the error message only."""
+    """Why `data`, read from where a value of a v1 share file starts, does
+    not hold n values in the layout the tools write, and then `","`
+    before a further value or, when they are the `last`, `]}` and a
+    newline. `data` is the `asked` bytes unless the file ends first. Value
+    by value, for the error message only."""
     if not data.startswith(b'"'):
         return NOT_CANONICAL if data else ENDS_EARLY
     at = 1
@@ -341,48 +438,19 @@ def _values_fault(data: bytes, n: int, last: bool, modulus: int,
     return NOT_CANONICAL
 
 
-class ShareValues:
-    """The values of one share file, in order: each slice asked for must
-    start where the last one ended, and is read from the file then,
-    BLOCK_WORDS-sized pieces at a time from where the last piece ended,
-    its hex checked and converted by C-level passes; only the ints of the
-    slice are held.
+class _ShareValuesV1(ShareValues):
+    """The values of a v1 share file, hex without leading zeros: a block
+    of values is found by splitting the bytes from the end of the last
+    one, at most the widest values' worth."""
 
-    UnreadableShare, from a slice, when the file cannot be read or is not
-    a valid share file in the layout the tools write; and when it is no
-    longer the file whose header was read: each read opens the
-    file again, and its device, inode, size and modification time must be
-    those it had then."""
-
-    def __init__(self, path, modulus: int, count: int, offset: int,
-                 identity: tuple):
-        self.path, self.modulus, self.count = path, modulus, count
-        self.offset, self.identity = offset, identity  # of the next value
-        self.done = 0  # values read
+    def __init__(self, *args):
+        super().__init__(*args)
         # The most bytes of a value: its hex, two quotes and a comma.
-        self.width = len(format(modulus - 1, "x")) + 3
+        self.width = len(format(self.modulus - 1, "x")) + 3
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index: slice) -> List[int]:
-        start, stop, step = index.indices(self.count)
-        if start != self.done or step != 1:
-            raise ValueError("a share file's values are read in order")
-        if stop <= start:
-            return []
-        n = stop - start
-        last = stop == self.count
+    def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
         limit = n * self.width + 3
-        try:
-            with open(self.path, "rb") as file:
-                if _identity(file) != self.identity:
-                    raise UnreadableShare(self.path,
-                                          "changed while it was read")
-                file.seek(self.offset)
-                data = file.read(limit + 1)
-        except OSError as exc:
-            raise UnreadableShare(self.path, exc) from exc
+        data = file.read(limit + 1)
         values = None
         if last:
             texts = data[1:-4].split(b'","')
@@ -398,17 +466,57 @@ class ShareValues:
                 texts[0] = texts[0][1:]
                 values = _quoted_hex(data[:used - 1], texts)
         if values is None or max(values) >= self.modulus:
-            raise UnreadableShare(self.path, _values_fault(
-                data, n, last, self.modulus, limit + 1))
-        self.offset += used
-        self.done = stop
-        return values
+            raise CorruptData(_values_fault(data, n, last, self.modulus,
+                                            limit + 1))
+        return values, used
 
-    def read_rest(self) -> None:
-        """Read the values not read yet, and drop them: the file's last
-        chance to be found unreadable."""
-        for i in range(self.done, self.count, BLOCK_WORDS):
-            self[i:i + BLOCK_WORDS]
+
+class _ShareValuesV2(ShareValues):
+    """The values of a v2 share file, each `"`, 2w lowercase hex digits
+    (w = value_width) and `"`, with a comma between each two: value i
+    starts i strides after the first, so the file's size is checked
+    against its chunk_count when it is opened, and a block is read by its
+    byte count alone."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.width = value_width(self.modulus)
+        self.stride = 2 * self.width + 3  # a value, its quotes and a comma
+        size = self.offset + max(self.count * self.stride - 1, 0) + 3
+        if self.identity[2] != size:
+            raise CorruptData(
+                f"the file has {self.identity[2]} bytes, not the {size} "
+                f"that its chunk_count of {self.count} values of "
+                f"{2 * self.width} hex digits gives")
+
+    def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
+        stride, digits = self.stride, 2 * self.width
+        end = n * stride  # past the comma, or the `]`, after the last
+        data = file.read(end + 2 if last else end)
+        # The quotes around each value, the comma between each two, and
+        # what follows the last, by strided slices.
+        if (data[:end:stride] != b'"' * n
+                or data[stride - 2:end:stride] != b'"' * n
+                or data[stride - 1:end - stride:stride] != b"," * (n - 1)
+                or data[end - 1:] != (b"]}\n" if last else b",")):
+            raise CorruptData(NOT_CANONICAL)
+        # The digits; one more byte of any of those among them, or any
+        # other byte but lowercase hex, is a bad value.
+        hex_digits = data.translate(None, b'",]}\n')
+        del data
+        if (len(hex_digits) != n * digits
+                or hex_digits.translate(None, _HEX_DIGITS)):
+            raise CorruptData(NOT_FIXED_HEX.format(digits))
+        # The words as bytes objects. The Struct, about 32 bytes a word, is
+        # not kept: the struct module's own cache would hold it.
+        words = struct.Struct(f"{self.width}s" * n).unpack(
+            unhexlify(hex_digits))
+        del hex_digits
+        values = list(map(int.from_bytes, words, repeat("big")))
+        del words
+        if max(values) >= self.modulus:
+            raise CorruptData(OUT_OF_RANGE)
+        return values, end
 
 
 def manifest_dict(digest: str, chunk_count: int, epoch: int,

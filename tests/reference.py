@@ -3,9 +3,11 @@
 Most are the package's earlier per-value loops, kept verbatim: the draw,
 column sum, hex parser and secret framing that `field`, `formats` and
 `protocol` now run as C-level loops. Each fast kernel must return exactly
-what its reference returns, seeded draws included. share_bytes is the
-share writer that built a whole file at once, where
-formats.share_file_block writes it block by block.
+what its reference returns, seeded draws included. share_bytes and
+read_share_bytes write and read a v2 share file a value at a time, where
+formats.share_file_block and formats.read_share convert a block of values
+by C-level passes; share_file_block_v1 is the writer of v1 share files,
+kept to make the v1 vaults that readers must still take.
 
 FunctionalSpace and access_oracle are the dense secrecy oracle, also kept
 verbatim: every held value as one row over all coordinates of the dealer's
@@ -30,6 +32,7 @@ network's coefficient columns and updates a share from them in one pass.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -95,21 +98,72 @@ def parse_hex_values(texts: List[str]) -> List[int]:
     return [int(v, 16) for v in texts]
 
 
-def share_bytes(share: NodeShare, modulus: int) -> bytes:
-    """The share file: canonical_json(share_to_dict(share, modulus)) and a
-    newline, built without a string object per value.
+def share_file_block_v1(share: NodeShare, modulus: int, start: int,
+                        chunk_count: int) -> bytes:
+    """formats.share_file_block as it wrote share files before v2: the
+    same blocks, but with "format_version" 1 and each value as lowercase
+    hex without leading zeros ("0" for zero), one printf-style pass over
+    the block's values."""
+    values = share.values
+    parts = []
+    if start == 0:
+        parts.append(formats.canonical_json(
+            {**formats._share_header(share, modulus, chunk_count),
+             "format_version": 1, "values": []})[:-2])
+    if values:
+        template = ("," if start else "") + '"%x' + '","%x' * (
+            len(values) - 1) + '"'
+        parts.append((template % tuple(values)).encode())
+    if start + len(values) == chunk_count:
+        parts.append(b"]}\n")
+    return b"".join(parts)
 
-    "values" sorts after every header key, so canonical JSON of the header
-    with an empty "values" list ends in `[]}`; the hex values are spliced
-    into that list by one printf-style pass over the value tuple.
-    """
+
+def share_bytes_v1(share: NodeShare, modulus: int) -> bytes:
+    """The v1 share file of `share`, its values in one block."""
+    return share_file_block_v1(share, modulus, 0, len(share.values))
+
+
+def share_bytes(share: NodeShare, modulus: int) -> bytes:
+    """The v2 share file of `share`, a value at a time: each value as
+    "%0*x" at twice value_width digits, spliced into the canonical JSON of
+    the header with an empty "values" list, which ends in `[]}`."""
+    digits = 2 * formats.value_width(modulus)
     head = formats.canonical_json(
         {**formats._share_header(share, modulus, len(share.values)),
          "values": []})
-    n = len(share.values)
-    template = (head[:-2].decode().replace("%", "%%")
-                + ('"%x' + '","%x' * (n - 1) + '"' if n else "") + "]}\n")
-    return (template % tuple(share.values)).encode()
+    texts = ['"%0*x"' % (digits, v) for v in share.values]
+    return head[:-2] + ",".join(texts).encode() + b"]}\n"
+
+
+def read_share_bytes(data: bytes, modulus: int) -> NodeShare:
+    """The share in the v2 share file `data`, a value at a time:
+    CorruptData unless `data` is the canonical JSON of a v2 share file
+    and a newline, its header valid, and each value "%0*x" of a value
+    below the modulus at twice value_width digits."""
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        raise CorruptData("not JSON") from None
+    if formats.canonical_json(doc) + b"\n" != data:
+        raise CorruptData("not canonical")
+    if not isinstance(doc, dict) or doc.get("format_version") != 2:
+        raise CorruptData("not a v2 share file")
+    header, count, _ = formats._header_from_dict(doc, modulus)
+    texts = doc.get("values")
+    if not isinstance(texts, list) or len(texts) != count:
+        raise CorruptData("values")
+    digits = 2 * formats.value_width(modulus)
+    values = []
+    for text in texts:
+        if not (isinstance(text, str) and len(text) == digits
+                and all(c in "0123456789abcdef" for c in text)):
+            raise CorruptData(f"value {text!r}")
+        value = int(text, 16)
+        if value >= modulus:
+            raise CorruptData(f"value {text!r} out of range")
+        values.append(value)
+    return replace(header, values=tuple(values))
 
 
 def encode_secret(data: bytes, modulus: int) -> List[int]:

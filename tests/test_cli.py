@@ -430,6 +430,11 @@ def _encode(doc) -> bytes:
     return doc if isinstance(doc, bytes) else json.dumps(doc).encode()
 
 
+def v2_hex(value: int, q=DEFAULT_MODULUS) -> str:
+    """`value` as a v2 share file writes it (formats.share_to_dict)."""
+    return f"{value:0{2 * formats.value_width(q)}x}"
+
+
 def _hex_value(text):
     """The value of `text` under the documented hex grammar (lowercase, no
     leading zero, "0" for zero), else None."""
@@ -477,7 +482,10 @@ def malformed_share_files(share):
         st.tuples(st.sampled_from(["node_index", "epoch", "chunk_count"]),
                   JSON_VALUES.filter(lambda v: type(v) is not int)).map(
             lambda kv: with_key(*kv)),
-        JSON_VALUES.filter(lambda v: type(v) is not int or v != 1).map(
+        # Each version names its own value layout: a v2 file's values
+        # may also read as those of a v1 file.
+        JSON_VALUES.filter(
+            lambda v: type(v) is not int or v not in (1, 2)).map(
             lambda v: with_key("format_version", v)),
         JSON_VALUES.filter(lambda v: not isinstance(v, str)
                            or _hex_value(v) != q).map(
@@ -605,6 +613,37 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", out / "secret.bin"]) == 0
         assert (out / "secret.bin").read_bytes() == secret.read_bytes()
+
+    def test_out_over_the_topology_or_a_vault_file_exit64(self, workspace,
+                                                          capsys):
+        # An --out that was the topology file took the recovered secret,
+        # and the next refresh exited 2; in the share-file form, an --out
+        # that was the vault's manifest replaced it. Both are refused
+        # before any file is touched, as is any vault file's name in the
+        # directory of a share file given.
+        tmp, topo, secret, out = self._deal(workspace)
+        picks = [out / "m_001.share.json", out / "m_002.share.json",
+                 out / "d1_001.share.json", out / "d1_002.share.json"]
+        link = tmp / "topology-link.json"
+        link.symlink_to(topo)
+        files, topology = snapshot(out), topo.read_bytes()
+        for where, dest, what in [
+                (["--shares", out], topo, "the topology file"),
+                (picks, topo, "the topology file"),
+                (picks, link, "the topology file"),
+                (picks, out / "manifest.json", "a file of the vault"),
+                (picks, out / "d2_003.share.json", "a file of the vault"),
+                (picks, out / "new.share.json", "a file of the vault"),
+                (picks, out / "m_001.share.json.staged-1",
+                 "a file of the vault")]:
+            capsys.readouterr()
+            assert run(["reconstruct", "--topology", topo, "--out", dest,
+                        *where]) == 64, dest
+            assert capsys.readouterr().err.startswith(
+                f"error: --out {dest} is {what}"), dest
+            assert snapshot(out) == files and topo.read_bytes() == topology
+        assert not (out / "new.share.json").exists()
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 0
 
     def test_daughters_only_exit3(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
@@ -752,15 +791,20 @@ class TestReconstruct:
             data["modulus"] = text = spell("7" + "f" * 31)
         assert format(int(text, 16), "x") != text
         path.write_bytes(formats.canonical_json(data) + b"\n")
+        # A value is written at a fixed width: a spelling of another
+        # length makes the file's size other than its chunk_count gives.
+        message = ("not lowercase hex" if field == "modulus"
+                   or len(formats.canonical_json(text)) == 34
+                   else "that its chunk_count of")
         before = snapshot(out)
         capsys.readouterr()
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
-        assert "not lowercase hex" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp / "r.bin").exists()
         assert run(["refresh", "--topology", topo, "--shares", out,
                     "--seed", "2"]) == 2
-        assert "not lowercase hex" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert snapshot(out) == before
 
     def test_one_corrupted_value_exit2(self, tmp_path, capsys):
@@ -775,13 +819,36 @@ class TestReconstruct:
         path = out / "d1_001.share.json"
         data = json.loads(path.read_text())
         value = int(data["values"][0], 16)
-        data["values"][0] = format((value + 1) % DEFAULT_MODULUS, "x")
+        data["values"][0] = v2_hex((value + 1) % DEFAULT_MODULUS)
         path.write_bytes(formats.canonical_json(data) + b"\n")
         dest = tmp_path / "r.bin"
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 2
         err = capsys.readouterr().err
         assert "network d1" in err and "node 3" in err
+        assert not dest.exists()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "with exactly a quorum of each network no share is checked, so a "
+        "changed value gives a wrong secret; ROADMAP item 10 (tamper "
+        "detection at exactly a quorum)"))
+    def test_changed_value_at_exact_quorum_exit2(self, tmp_path):
+        topo = ROOT / "docs" / "examples" / "topology.json"
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(deterministic_rng(1).randbytes(1000))
+        out = tmp_path / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        path = out / "m_001.share.json"
+        data = json.loads(path.read_text())
+        data["values"][0] = v2_hex(
+            (int(data["values"][0], 16) + 1) % DEFAULT_MODULUS)
+        path.write_bytes(formats.canonical_json(data) + b"\n")
+        dest = tmp_path / "r.bin"
+        picks = [out / f"{name}.share.json"
+                 for name in ("m_001", "m_002", "d1_001", "d1_002")]
+        assert run(["reconstruct", "--topology", topo, "--out", dest,
+                    *picks]) == 2
         assert not dest.exists()
 
     def test_daughter_from_another_dealing_exit2(self, workspace, capsys):
@@ -847,7 +914,7 @@ class TestReconstruct:
         tmp, topo, secret, out = self._deal(workspace, seed="1")
         path = out / "d1_001.share.json"
         data = json.loads(path.read_text())
-        data["values"][0] = format(int(data["values"][0], 16) ^ 1, "x")
+        data["values"][0] = v2_hex(int(data["values"][0], 16) ^ 1)
         path.write_bytes(formats.canonical_json(data) + b"\n")
         dest = tmp / "r.bin"
         assert run(["reconstruct", "--topology", topo, "--shares", out,
@@ -1120,6 +1187,43 @@ class TestShareFileLayouts:
         self._check_cuts(topo, out, "m_002.share.json", range(head + 1),
                          capsys)
 
+    def test_truncated_in_first_and_last_value_exit2(self, workspace,
+                                                      capsys):
+        # Cut at every byte of the first value and of the last, its
+        # quotes and the comma after the first included, and of the
+        # closing bytes.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        data = (out / "d2_001.share.json").read_bytes()
+        first = data.index(b'"values":[') + len(b'"values":[')
+        last = data.rindex(b',"') + 1
+        assert len(data) - last == 37
+        cuts = {*range(first, first + 35), *range(last, len(data))}
+        self._check_cuts(topo, out, "d2_001.share.json", cuts, capsys)
+
+    @pytest.mark.parametrize("fault", ["appended", "upper", "non-hex",
+                                       "short", "q"])
+    def test_bad_value_exit2(self, tmp_path, capsys, fault):
+        # One byte appended; or one value, in the last block, in upper
+        # case, with a non-hex digit, a digit short, or equal to q.
+        topo, _, out = self._vault(tmp_path, self.B + 9)
+        path = out / "d1_002.share.json"
+        data = path.read_bytes()
+        share = json.loads(data)
+        at = next(i for i in range(self.B + 1, len(share["values"]))
+                  if re.search("[a-f]", share["values"][i]))
+        text = share["values"][at]
+        share["values"][at] = {
+            "appended": text, "upper": text.upper(),
+            "non-hex": "g" + text[1:], "short": text[1:],
+            "q": v2_hex(DEFAULT_MODULUS)}[fault]
+        path.write_bytes(formats.canonical_json(share) + b"\n"
+                         + (b"\n" if fault == "appended" else b""))
+        assert path.read_bytes() != data
+        self._refused(topo, out, path, capsys)
+
     def test_truncated_at_block_edges_exit2(self, tmp_path, capsys):
         # Two networks of two nodes; the first block of values ends, and
         # the second begins, at `edge`. Cut there and at the end, +-8
@@ -1142,8 +1246,8 @@ class TestShareFileLayouts:
         topo, data, out = self._vault(tmp_path, self.B + 9)
         path = out / "d1_001.share.json"
         share = json.loads(path.read_bytes())
-        share["values"][-2] = format(
-            (int(share["values"][-2], 16) + 1) % DEFAULT_MODULUS, "x")
+        share["values"][-2] = v2_hex(
+            (int(share["values"][-2], 16) + 1) % DEFAULT_MODULUS)
         path.write_bytes(formats.canonical_json(share) + b"\n")
         topology = formats.topology_from_dict(json.loads(topo.read_text()))
         grouped = {}
@@ -1270,7 +1374,7 @@ class TestShareFileLayouts:
         path.write_bytes(formats.canonical_json(share) + b"\n")
         path = out / "m_003.share.json"
         share = json.loads(path.read_bytes())
-        share["values"][-1] = "0" + share["values"][-1]
+        share["values"][-1] = "g" + share["values"][-1][1:]
         path.write_bytes(formats.canonical_json(share) + b"\n")
         self._refused(topo, out, path, capsys)
 
@@ -1280,7 +1384,7 @@ class TestShareFileLayouts:
         topo, _, out = self._vault(tmp_path, self.B + 9)
         path = out / "d1_001.share.json"
         share = json.loads(path.read_bytes())
-        share["values"][-1] = share["values"][-1].upper() + "G"
+        share["values"][-1] = "G" + share["values"][-1][1:]
         path.write_bytes(formats.canonical_json(share) + b"\n")
         capsys.readouterr()
         for dest, error in ((tmp_path / "missing" / "r.bin", "cannot write"),
@@ -1322,11 +1426,11 @@ class TestShareFileLayouts:
         topo, _, out = self._vault(tmp_path, self.B + 9)
         d1 = out / "d1_001.share.json"
         share = json.loads(d1.read_bytes())
-        share["values"][-1] = share["values"][-1].upper() + "G"
+        share["values"][-1] = "G" + share["values"][-1][1:]
         d1.write_bytes(formats.canonical_json(share) + b"\n")
         d2 = out / "d2_001.share.json"
         share = json.loads(d2.read_bytes())
-        share["values"][0] = "0" + share["values"][0]
+        share["values"][0] = "g" + share["values"][0][1:]
         d2.write_bytes(formats.canonical_json(share) + b"\n")
         argv = {"reconstruct": ["reconstruct", "--topology", topo,
                                 "--shares", out, "--out", tmp_path / "r"],
@@ -1342,6 +1446,97 @@ class TestShareFileLayouts:
             if command == "refresh":
                 assert snapshot(out) == {**before, **(
                     {"m_003.share.json": b"{"} if bad_header else {})}
+
+
+def to_v1(directory: Path, q=DEFAULT_MODULUS) -> None:
+    """Rewrite each share file in `directory` in share format v1, by the
+    v1 writer of tests/reference.py."""
+    for path in directory.glob("*.share.json"):
+        share = formats.share_from_dict(json.loads(path.read_bytes()), q)
+        path.write_bytes(reference.share_bytes_v1(share, q))
+
+
+def share_versions(directory: Path) -> set:
+    return {json.loads(p.read_bytes())["format_version"]
+            for p in directory.glob("*.share.json")}
+
+
+class TestShareFormatV1:
+    """Vaults written before share format v2 still work: their files are
+    read, alone or beside v2 files of the same epoch, and the next
+    refresh rewrites every file as v2 in its one commit."""
+
+    B = BLOCK_WORDS
+
+    def _vaults(self, tmp, chunks):
+        """A vault dealt at seed 1, and its copy in share format v1."""
+        topo = tmp / "topology.json"
+        write_topology(topo)
+        data = chunks_secret(tmp / "secret.bin", chunks)
+        v2, v1 = tmp / "v2", tmp / "v1"
+        assert run(["deal", "--topology", topo, "--secret",
+                    tmp / "secret.bin", "--out", v2, "--seed", "1"]) == 0
+        shutil.copytree(v2, v1)
+        to_v1(v1)
+        assert share_versions(v1) == {1} and share_versions(v2) == {2}
+        return topo, data, v2, v1
+
+    def test_reconstructs_and_refresh_upgrades(self, tmp_path):
+        topo, data, v2, v1 = self._vaults(tmp_path, self.B + 9)
+        dest = tmp_path / "r.bin"
+        quorum = [v1 / f"{name}.share.json"
+                  for name in ("m_001", "m_003", "d2_002", "d2_003")]
+        for given in (["--shares", v1], quorum):
+            dest.unlink(missing_ok=True)
+            assert run(["reconstruct", "--topology", topo, "--out", dest,
+                        *given]) == 0
+            assert dest.read_bytes() == data
+        # The same refresh of either vault writes the same v2 files.
+        for vault_dir in (v1, v2):
+            assert run(["refresh", "--topology", topo, "--shares",
+                        vault_dir, "--seed", "2"]) == 0
+        assert share_versions(v1) == {2}
+        assert snapshot(v1) == snapshot(v2)
+
+    def test_mixed_versions_reconstruct(self, tmp_path):
+        topo, data, v2, v1 = self._vaults(tmp_path, self.B + 9)
+        for name in ("m_002.share.json", "d1_001.share.json",
+                     "d1_003.share.json", "d2_002.share.json"):
+            (v2 / name).write_bytes((v1 / name).read_bytes())
+        assert share_versions(v2) == {1, 2}
+        dest = tmp_path / "r.bin"
+        quorum = [v2 / f"{name}.share.json"
+                  for name in ("m_001", "m_002", "d1_001", "d1_002")]
+        for given in (["--shares", v2], quorum):
+            dest.unlink(missing_ok=True)
+            assert run(["reconstruct", "--topology", topo, "--out", dest,
+                        *given]) == 0
+            assert dest.read_bytes() == data
+
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["cleanup", "crash"])
+    def test_upgrade_fault_at_every_mutation(self, tmp_path, monkeypatch,
+                                             capsys, crash):
+        # A refresh of a v1 vault that fails or dies at any file mutation
+        # leaves the whole v1 epoch or the whole v2 one, once settled.
+        topo, data, _, out = self._vaults(tmp_path, 5)
+        dest = tmp_path / "r.bin"
+        refresh = ["refresh", "--topology", topo, "--shares", out,
+                   "--seed", "3"]
+        old = snapshot(out)
+        probe = FaultyFiles()
+        assert probe.run(monkeypatch, refresh) == 0
+        new = snapshot(out)
+        assert share_versions(out) == {2}
+        for k in range(1, len(probe.log) + 1):
+            restore(out, old)
+            assert FaultyFiles(k, crash).run(monkeypatch, refresh) == 2, k
+            dest.unlink(missing_ok=True)
+            assert run(["reconstruct", "--topology", topo, "--shares", out,
+                        "--out", dest]) == 0, k
+            assert dest.read_bytes() == data, k
+            assert snapshot(out) in (old, new), k
+        capsys.readouterr()
 
 
 class TestManifest:
@@ -2114,10 +2309,13 @@ class TestGoldenOutput:
     or to the share codec fails here. RECONSTRUCTED and the simulator's
     digests were recorded before the share writer, the draws, the column
     sums and the secret framing were rewritten as C-level loops. The share
-    directories of secrets of more than one block (SHARE_DIR, SPREAD_*)
-    were recorded when dealing and refresh began to draw block by block,
-    and the per-chunk reference reproduces them
-    (test_reference_reproduces_share_digests)."""
+    directories of secrets of more than one block (SHARE_DIR, SPREAD_DEALT
+    and SPREAD_REFRESHED) were recorded in share format v1 when dealing
+    and refresh began to draw block by block, and the per-chunk reference
+    reproduces them (test_reference_reproduces_share_digests). The files
+    are now v2 (the *_V2 digests); re-encoded by the v1 writer of
+    tests/reference.py, they give the recorded digests, so the values are
+    those recorded."""
 
     # 200,000 bytes: 13,334 chunks, more than three draw blocks.
     SECRET = hashlib.shake_256(b"multishare golden").digest(200_000)
@@ -2142,6 +2340,29 @@ class TestGoldenOutput:
             "0ec402f657c0202a1e2a11d160b08d6ef9c7e3da8c99794b3e02d7b6774da463",
         "manifest.json":
             "ad9e49c2dd7a8abd3c20f38b1b5a568649066b8b43931c63c9162b82f2dc40ce",
+    }
+    # The same files in share format v2: the same values, each at the
+    # fixed width, the manifest unchanged.
+    SHARE_DIR_V2 = {
+        "d1_001.share.json":
+            "c47bd0cc09f27a1f39239cd37352c51eb355062205bf8b4e7f830101e7f0a474",
+        "d1_002.share.json":
+            "8a8226747cdbb2ae18c7af7f311f9c6344c3e8444ace838289e25a5f7f0f0c7c",
+        "d1_003.share.json":
+            "5cd6b8997f4547cc174f54a653fbabf3af00be56b57947e07e29efe5664573b9",
+        "d2_001.share.json":
+            "a6859369b59008bec59a96f73753b2fd80b28c100404e5d0632ca26991df579b",
+        "d2_002.share.json":
+            "fa48b45000c44048afc38aa1761f7adc49ef8f2010a451846e69c9c9be20a274",
+        "d2_003.share.json":
+            "fb551ee9eba4536da39addf55ee66a607629f03c7fd76e4e42e0bee6b79e58fa",
+        "m_001.share.json":
+            "d079e59ba46d1683a8cf0dd29644eecd12eaabdf68327153949c751253189ffe",
+        "m_002.share.json":
+            "416e3f96b726ecb6468c70721faa21485fcdb3b21642a2ce1330129b7783dfa8",
+        "m_003.share.json":
+            "c357f9e65165b14ce128f348129de4715fe8b01865cc0aba1dabd6420110f525",
+        "manifest.json": SHARE_DIR["manifest.json"],
     }
     RECONSTRUCTED = (
         "d00328c552c71961af61bfda0ec83b27b8018038e54d00349ac265778e0d5a58")
@@ -2264,10 +2485,80 @@ class TestGoldenOutput:
             "d0ad4b9749319ddd5fb5b701c89f7880d9ad642874af6b0ad3965d0bf9ccf863",
     }
 
+    # SPREAD_DEALT and SPREAD_REFRESHED in share format v2.
+    SPREAD_DEALT_V2 = {
+        "d1_001.share.json":
+            "a562c78d40b0a18e102d72896ee18af13181dad3d1edb4cb756859d330ef0d9d",
+        "d1_002.share.json":
+            "c960bca7b3fd21af6f1d61a65787b3afcbc0d9c932fe2cca2ef3a80d34eb35ad",
+        "d1_003.share.json":
+            "0e6ba0b8715a8c0cb9fe36e4a9ce5ba05f69250d467bff64b9c49ab3dfd4ca11",
+        "d2_001.share.json":
+            "f63114bb890937e392e603b0fb10e0037a497d568aba2c5fb4356384234d1f7d",
+        "d2_002.share.json":
+            "a9e7cee134b02314fcf559e9f190c0c97139591e1a47801b94820e1cc33d2f1a",
+        "d3_001.share.json":
+            "777f0e7f68bb879143029ac2f58066fffc40e64af26965d9f5a59d304363db19",
+        "d3_002.share.json":
+            "221c5f2fcf8997e7ccdbe6a1dfbbcc5ee4ab4744e84f7aad91d4f28ead92e7a8",
+        "d3_003.share.json":
+            "4c390f912dcfa862712c0569ddfb644c1f2fe6249dc174892b02fed47590f785",
+        "m_001.share.json":
+            "a70af0595b21ca888f785097c7f9e355ea9836e9d64628bd53edae979d519be9",
+        "m_002.share.json":
+            "2771922e360f714cb5d2d5703af6a01fec474b97034cded39518b792578688bd",
+        "m_003.share.json":
+            "59c3860606feddfa2d807c6991a539f0778bfc21934f7839c1d63cade9e8a614",
+        "m_004.share.json":
+            "1c0f6cfe93f747fd61ba04066c88976e2726088f117d90ff200c3db34243d64d",
+        "manifest.json": SPREAD_DEALT["manifest.json"],
+    }
+    SPREAD_REFRESHED_V2 = {
+        "d1_001.share.json":
+            "ba3835e26405824508a6fac2375d8a23198c56ef5d80a9855bcbeb4425d5c19c",
+        "d1_002.share.json":
+            "15d0d91556155b5abcd45a64b15b39574648fac062d93e6ff9ce053fc4926c37",
+        "d1_003.share.json":
+            "f56f022d14a9e9db5e580c2c42a1686cf48c2779c16fdbb71221424a8da46e7c",
+        "d2_001.share.json":
+            "bf13f7f06739112862ad27d81d1ebfa1059a5cad0f3a29d8bad64b2e48c83c16",
+        "d2_002.share.json":
+            "484c03ca980d97dd698ac69462449d194ded4f09942a213a652a5a23f5a94883",
+        "d3_001.share.json":
+            "fda7f515c744210918eb0c6a75e84f6d4ffbc62131b7682c036d7c5af7bd6278",
+        "d3_002.share.json":
+            "59ec6944b4324a2cf39e1daf09ac0d35252b270da78f8c153ed2f0ccc0be1d85",
+        "d3_003.share.json":
+            "002a2d8e042fbbf38497605b9c91796b6deb26cba99db1d1629cb412fe854e91",
+        "m_001.share.json":
+            "720dbc437f1d05d62c690547c820b4e905738bf8055610accbb2effb06fa3625",
+        "m_002.share.json":
+            "603daac957b30c74bf032fc44a0500be957a313c2fcb1dd643d5a5f9bd475798",
+        "m_003.share.json":
+            "0a3a2af447420fe670930472e343e62d49f87777a670619eca693bc8a914d0c4",
+        "m_004.share.json":
+            "cdb86dee7f4d19399ef4674af6b7d9b42ba3bccfe079e17add12342923c7888d",
+        "manifest.json": SPREAD_REFRESHED["manifest.json"],
+    }
+
     @staticmethod
     def digests(directory: Path) -> dict:
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(directory.iterdir())}
+
+    @staticmethod
+    def v1_digests(directory: Path, q: int) -> dict:
+        """The digests of the files in `directory`, each share file
+        re-encoded by the v1 writer of tests/reference.py: those of the
+        files the values were recorded in, before share format v2."""
+        out = {}
+        for p in sorted(directory.iterdir()):
+            data = p.read_bytes()
+            if p.name.endswith(".share.json"):
+                data = reference.share_bytes_v1(
+                    formats.share_from_dict(json.loads(data), q), q)
+            out[p.name] = hashlib.sha256(data).hexdigest()
+        return out
 
     def test_mother_not_first(self, tmp_path):
         topology, secret = tmp_path / "topology.json", tmp_path / "secret.bin"
@@ -2276,10 +2567,12 @@ class TestGoldenOutput:
         shares = tmp_path / "shares"
         assert run(["deal", "--topology", topology, "--secret", secret,
                     "--out", shares, "--seed", "4"]) == 0
-        assert self.digests(shares) == self.SPREAD_DEALT
+        assert self.digests(shares) == self.SPREAD_DEALT_V2
+        assert self.v1_digests(shares, 65537) == self.SPREAD_DEALT
         assert run(["refresh", "--topology", topology, "--shares", shares,
                     "--seed", "5"]) == 0
-        assert self.digests(shares) == self.SPREAD_REFRESHED
+        assert self.digests(shares) == self.SPREAD_REFRESHED_V2
+        assert self.v1_digests(shares, 65537) == self.SPREAD_REFRESHED
         out = tmp_path / "out.bin"
         assert run(["reconstruct", "--topology", topology, "--shares",
                     shares, "--out", out]) == 0
@@ -2297,7 +2590,7 @@ class TestGoldenOutput:
 
         def files(shares, epoch):
             out = {f"{nid}_{s.node_index:03d}.share.json":
-                   hashlib.sha256(reference.share_bytes(s, q)).hexdigest()
+                   hashlib.sha256(reference.share_bytes_v1(s, q)).hexdigest()
                    for nid, lst in shares.items() for s in lst}
             out["manifest.json"] = hashlib.sha256(formats.canonical_json(
                 formats.manifest_dict(digest, len(chunks), epoch, []))
@@ -2332,7 +2625,8 @@ class TestGoldenOutput:
                     "--out", shares, "--seed", "1"]) == 0
         assert run(["refresh", "--topology", topology, "--shares", shares,
                     "--seed", "2"]) == 0
-        assert self.digests(shares) == self.SHARE_DIR
+        assert self.digests(shares) == self.SHARE_DIR_V2
+        assert self.v1_digests(shares, DEFAULT_MODULUS) == self.SHARE_DIR
         out = tmp_path / "out.bin"
         assert run(["reconstruct", "--topology", topology, "--shares",
                     shares, "--out", out]) == 0
@@ -2364,6 +2658,19 @@ class TestDocumentedExamples:
         path = tmp_path / "topology.json"
         path.write_text(example)
         assert run(["thresholds", "--topology", path]) == 0
+
+    def test_formats_md_share(self, tmp_path):
+        # The documented share file, written in the tools' layout, has
+        # the documented size and reads back its values.
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text[text.index("## Share file"):]
+        example = json.loads(
+            re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        path = tmp_path / "d1_002.share.json"
+        path.write_bytes(formats.canonical_json(example) + b"\n")
+        assert f"this file has {path.stat().st_size} bytes" in section
+        share = formats.read_share(path, DEFAULT_MODULUS)
+        assert share.values[0:2] == [int(v, 16) for v in example["values"]]
 
     def test_formats_md_state(self, tmp_path):
         # The documented payload is the one the documented scenario saves

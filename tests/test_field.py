@@ -83,13 +83,16 @@ class TestArithmetic:
 
 
 class TestHex:
-    def test_zero_is_single_digit(self):
-        share = NodeShare("m", 1, 0, (0,))
-        assert share_to_dict(share, 7)["values"] == ["0"]
+    """A share value is written as the hex of its big-endian form at the
+    byte width of q - 1 (share format v2)."""
 
-    def test_no_leading_zeros(self):
+    def test_zero_fills_the_width(self):
+        share = NodeShare("m", 1, 0, (0,))
+        assert share_to_dict(share, 7)["values"] == ["00"]
+
+    def test_leading_zeros_to_the_width(self):
         share = NodeShare("m", 1, 0, (255,))
-        assert share_to_dict(share, 257)["values"] == ["ff"]
+        assert share_to_dict(share, 257)["values"] == ["00ff"]
 
 
 class TestRandom:

@@ -43,15 +43,24 @@ def file_blocks(share: NodeShare, modulus: int) -> list:
 def share_bytes(share: NodeShare, modulus: int) -> bytes:
     """The streamed share file, joined; it must also equal the file that
     share_file_block makes of every value at once, and the one that the
-    whole-bytes writer of tests/reference.py builds."""
+    per-value writer of tests/reference.py builds."""
     data = b"".join(file_blocks(share, modulus))
     assert data == share_file_block(share, modulus, 0, len(share.values))
     assert data == reference.share_bytes(share, modulus)
     return data
 
 
+def read_whole(path, modulus: int) -> NodeShare:
+    """The share file at `path` as read_share reads it, block by block."""
+    share = formats.read_share(path, modulus)
+    values = []
+    for i in range(0, len(share.values), B):
+        values += share.values[i:i + B]
+    return replace(share, values=tuple(values))
+
+
 class TestShareWriter:
-    """share_file_block, one printf-style pass per block of values, against
+    """share_file_block, three C-level passes per block of values, against
     canonical_json(share_to_dict(...))."""
 
     @pytest.mark.parametrize("q", [257, 65537, DEFAULT_MODULUS])
@@ -98,7 +107,7 @@ class TestShareWriter:
         share = NodeShare("m", 1, 0, (DEFAULT_MODULUS - 1,) * (2 * B + 1))
         blocks = file_blocks(share, DEFAULT_MODULUS)
         assert len(blocks) == 3
-        width = len(f'"{DEFAULT_MODULUS - 1:x}",')
+        width = len(f'"{DEFAULT_MODULUS - 1:032x}",')
         head = len(share_file_block(replace(share, values=()),
                                     DEFAULT_MODULUS, 0, 2 * B + 1))
         assert len(blocks[0]) <= head + B * width
@@ -112,6 +121,91 @@ class TestShareWriter:
         data = json.loads(share_bytes(share, DEFAULT_MODULUS))
         assert formats.share_from_dict(data, DEFAULT_MODULUS) == share
 
+
+
+class TestFixedWidth:
+    """Share format v2: every value is the 2w lowercase hex digits of its
+    w-byte big-endian form, w the byte width of q - 1. share_file_block
+    and read_share, which convert a block of values by C-level passes,
+    against the per-value writer and reader of tests/reference.py."""
+
+    QS = [257, 65537, DEFAULT_MODULUS]
+
+    @pytest.mark.parametrize("q, digits", [(7, 2), (257, 4), (65537, 6),
+                                           (2**61 - 1, 16),
+                                           (DEFAULT_MODULUS, 32)])
+    def test_width(self, q, digits):
+        assert 2 * formats.value_width(q) == digits
+        assert share_to_dict(NodeShare("m", 1, 0, (0, q - 1)), q)[
+            "values"] == ["0" * digits, f"{q - 1:0{digits}x}"]
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_write_and_read_match_reference(self, tmp_path, q, n):
+        rng = random.Random(n * q)
+        values = tuple(rng.choice((0, q - 1, rng.randrange(q)))
+                       for _ in range(n))
+        share = NodeShare("d1", 2, 3, values)
+        data = share_bytes(share, q)
+        path = tmp_path / "d1_002.share.json"
+        path.write_bytes(data)
+        assert reference.read_share_bytes(data, q) == share
+        assert read_whole(path, q) == share
+
+    @pytest.mark.parametrize("q", QS)
+    def test_v1_file_read(self, tmp_path, q):
+        rng = random.Random(q)
+        share = NodeShare("m", 1, 4, tuple(rng.randrange(q)
+                                           for _ in range(B + 2)))
+        path = tmp_path / "m_001.share.json"
+        path.write_bytes(reference.share_bytes_v1(share, q))
+        assert b'"format_version":1' in path.read_bytes()
+        assert read_whole(path, q) == share
+
+    @staticmethod
+    def _faults(data: bytes, q: int):
+        """`data`, a v2 share file, broken one way at a time, by name."""
+        digits = 2 * formats.value_width(q)
+        first = data.index(b'"values":["') + len(b'"values":["')
+        last = len(data) - 3 - digits
+        value = data[first:first + digits]
+        yield "appended", data + b" "
+        yield "cut", data[:-1]
+        yield "upper", data.replace(value, value.upper(), 1)
+        yield "non-hex", data[:last] + b"g" + data[last + 1:]
+        yield "short", data[:first] + data[first + 1:]
+        yield "q", data[:last] + b"%0*x" % (digits, q) + data[last + digits:]
+        yield "long", data[:first] + b"0" + data[first:]
+        # The same size, each byte a hex digit or a separator, but one
+        # separator moved or replaced: each is caught by one check.
+        second = first + digits + 3
+        yield "shifted", (data[:first] + data[first + 1:second] + b"0"
+                          + data[second:])
+        for name, at, byte in (("opening", second - 1, b","),
+                               ("closing", first + digits, b","),
+                               ("comma", first + digits + 1, b'"')):
+            yield name, data[:at] + byte + data[at + 1:]
+        yield "tail", data[:-3] + b"}]\n"
+        # Separator bytes in place of a digit, or of two.
+        for name, bad in (("quote-digit", b'"'), ("bracket-digits", b"]}")):
+            yield name, data[:first] + bad + data[first + len(bad):]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_faults_refused_by_both(self, tmp_path, q):
+        rng = random.Random(q)
+        # The first value has a letter to put in upper case.
+        share = NodeShare("m", 1, 0, (q - 2,) + tuple(
+            rng.randrange(q) for _ in range(B + 1)))
+        data = share_bytes(share, q)
+        path = tmp_path / "m_001.share.json"
+        for name, bad in self._faults(data, q):
+            assert bad != data, name
+            path.write_bytes(bad)
+            with pytest.raises(CorruptData):
+                reference.read_share_bytes(bad, q)
+            with pytest.raises(formats.UnreadableShare) as err:
+                read_whole(path, q)
+            assert str(err.value).startswith(f"cannot read share {path}: ")
 
 class TestHexParser:
     """_parse_hex reads one value in the hex grammar: lowercase hex

@@ -7,15 +7,19 @@ example topology (docs/examples/topology.json: three networks of three
 nodes, outer degree 1), in a temporary directory outside the checkout.
 Each command runs in a fresh interpreter started from this small one, so
 that its ru_maxrss is its own (a child's ru_maxrss also counts the
-high-water RSS of the process that started it). Prints each command's
-peak RSS and wall time, and exits 1 if any peak exceeds --limit-mib MiB,
-a command fails, or the recovered secret differs from the dealt one.
+high-water RSS of the process that started it). After deal and after
+refresh, each share file must be in share format v2: say
+"format_version":2 and have the size its chunk_count gives. Prints each
+command's peak RSS and wall time, and exits 1 if any peak exceeds
+--limit-mib MiB, a command fails, a share file is not v2 at its size, or
+the recovered secret differs from the dealt one.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,35 @@ def run(argv):
     _, status, usage = os.wait4(proc.pid, 0)
     return (os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024,
             time.perf_counter() - start)
+
+
+def share_file_faults(shares: Path) -> list:
+    """What is wrong with the share files in `shares` as share format v2
+    files: each must say "format_version":2, and its size must be that of
+    its header, through `"values":[`, then chunk_count values of 2w hex
+    digits (w the byte width of modulus - 1), each in quotes and a comma
+    between each two, then `]}` and a newline. Read from each header
+    alone, by a regular expression: this small interpreter imports no
+    more than it must."""
+    faults = []
+    for path in sorted(shares.glob("*.share.json")):
+        with open(path, "rb") as file:
+            head = file.read(1 << 16)
+        values = head.find(b'"values":[') + len(b'"values":[')
+        fields = dict(re.findall(
+            rb'"(chunk_count|format_version|modulus)":"?([0-9a-f]+)',
+            head[:values]))
+        if fields.get(b"format_version") != b"2":
+            faults.append(f"{path.name} is not in share format v2")
+            continue
+        width = ((int(fields[b"modulus"], 16) - 1).bit_length() + 7) // 8
+        digits = 2 * width
+        count = int(fields[b"chunk_count"])
+        size = values + max(count * (digits + 3) - 1, 0) + 3
+        if path.stat().st_size != size:
+            faults.append(f"{path.name} has {path.stat().st_size} bytes, "
+                          f"not the {size} of {count} values")
+    return faults
 
 
 def same_bytes(a: Path, b: Path) -> bool:
@@ -76,6 +109,9 @@ def main(argv=None) -> int:
             elif peak > args.limit_mib:
                 failed.append(f"{command[0]} peaked at {peak:.1f} MiB, "
                               f"above {args.limit_mib} MiB")
+            if command[0] != "reconstruct":
+                failed += [f"after {command[0]}: {fault}"
+                           for fault in share_file_faults(shares)]
         if not failed and not same_bytes(tmp / "secret.bin", out):
             failed.append("the recovered secret differs from the dealt one")
     for line in failed:
