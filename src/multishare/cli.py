@@ -339,6 +339,13 @@ def cmd_simulate(args) -> int:
             sim = load_state(args.state)
         except (StateError, OSError) as exc:
             raise CliError(EXIT_INPUT, f"cannot load state: {exc}")
+        differs = [name for name, saved, given in (
+            ("topology", sim.topology, scenario.topology),
+            ("secret", sim.secret, scenario.secret)) if saved != given]
+        if differs:
+            verb = "differ" if len(differs) > 1 else "differs"
+            raise CliError(EXIT_INPUT, f"the state's {' and '.join(differs)}"
+                                       f" {verb} from the scenario's")
     else:
         sim = Simulation(scenario.topology, scenario.secret, args.seed)
     try:

@@ -18,7 +18,7 @@ import struct
 from binascii import hexlify, unhexlify
 from dataclasses import replace
 from itertools import repeat
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import CorruptData
 from .field import BLOCK_WORDS
@@ -40,9 +40,6 @@ _HEX_DIGITS = b"0123456789abcdef"
 _LOWER_HEX = re.compile("[0-9a-f]*")
 # What a network id may not hold, since a share file is named after it.
 _BAD_ID = re.compile("[/\0\ud800-\udfff]")
-# In a share file's values, as the tools write them: an empty value, or
-# a "0" that starts a value and is not the whole value.
-_BAD_QUOTED_HEX = re.compile(rb'""|"0[0-9a-f]')
 # The last key of a share file as the tools write it, and the most bytes
 # read to find it. A share file is named after its network id, so the
 # header of any file the tools can write is far shorter.
@@ -342,8 +339,8 @@ def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int, int]:
 class ShareValues:
     """The values of one share file, in order: each slice asked for must
     start where the last one ended, and is read from the file then, its
-    bytes checked and converted by C-level passes (_read, one per share
-    format version); only the ints of the slice are held.
+    bytes checked and converted in one pass (_read, one per share format
+    version); only the ints of the slice are held.
 
     UnreadableShare, from a slice, when the file cannot be read or is not
     a valid share file in the layout the tools write; and when it is no
@@ -393,55 +390,11 @@ class ShareValues:
             self[i:i + BLOCK_WORDS]
 
 
-def _quoted_hex(region: bytes, texts: List[bytes]) -> Optional[List[int]]:
-    """The values of `region`, `"h","h",...,"h"`, whose texts between the
-    quotes are `texts`: each h lowercase hex without leading zeros, as
-    _parse_hex reads it. None for any other bytes: the counts of quotes
-    and commas leave none inside a value."""
-    n = len(texts)
-    if (region[:1] != b'"' or region[-1:] != b'"'
-            or region.count(b'"') != 2 * n or region.count(b",") != n - 1
-            or region.translate(None, _HEX_DIGITS + b'",')
-            or _BAD_QUOTED_HEX.search(region)):
-        return None
-    return list(map(int, texts, repeat(16)))
-
-
-def _values_fault(data: bytes, n: int, last: bool, modulus: int,
-                  asked: int) -> str:
-    """Why `data`, read from where a value of a v1 share file starts, does
-    not hold n values in the layout the tools write, and then `","`
-    before a further value or, when they are the `last`, `]}` and a
-    newline. `data` is the `asked` bytes unless the file ends first. Value
-    by value, for the error message only."""
-    if not data.startswith(b'"'):
-        return NOT_CANONICAL if data else ENDS_EARLY
-    at = 1
-    for i in range(n):
-        close = data.find(b'"', at)
-        if close < 0 and len(data) < asked:
-            return ENDS_EARLY
-        text = data[at:close] if close >= 0 else data[at:]
-        if not _HEX.fullmatch(text.decode("latin-1")):
-            return NOT_HEX
-        if close < 0 or int(text, 16) >= modulus:
-            return OUT_OF_RANGE
-        sep, other = b'","', b'"]}\n'
-        if last and i == n - 1:
-            sep, other = other, sep
-        if not data.startswith(sep, close):
-            if data.startswith(other, close):
-                return COUNT_MISMATCH
-            return ENDS_EARLY if sep.startswith(data[close:]) else \
-                NOT_CANONICAL
-        at = close + len(sep)
-    return NOT_CANONICAL
-
-
 class _ShareValuesV1(ShareValues):
     """The values of a v1 share file, hex without leading zeros: a block
-    of values is found by splitting the bytes from the end of the last
-    one, at most the widest values' worth."""
+    of values is read from the end of the last one, at most the widest
+    values' worth, and walked value by value, each checked and converted
+    in turn."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -449,26 +402,38 @@ class _ShareValuesV1(ShareValues):
         self.width = len(format(self.modulus - 1, "x")) + 3
 
     def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
-        limit = n * self.width + 3
-        data = file.read(limit + 1)
-        values = None
-        if last:
-            texts = data[1:-4].split(b'","')
-            if (len(data) <= limit and data[-3:] == b"]}\n"
-                    and len(texts) == n):
-                used = len(data)
-                values = _quoted_hex(data[:-3], texts)
-        else:
-            # The n values, then `","` and the next value.
-            texts = data.split(b'","', n)
-            if len(texts) > n:
-                used = len(data) - len(texts.pop()) - 1
-                texts[0] = texts[0][1:]
-                values = _quoted_hex(data[:used - 1], texts)
-        if values is None or max(values) >= self.modulus:
-            raise CorruptData(_values_fault(data, n, last, self.modulus,
-                                            limit + 1))
-        return values, used
+        # More bytes than n values and what follows them can take, so
+        # that bytes past the last value, or a value too long, show.
+        asked = n * self.width + 4
+        data = file.read(asked)
+        if not data.startswith(b'"'):
+            raise CorruptData(NOT_CANONICAL if data else ENDS_EARLY)
+        values = []
+        at = 1
+        for i in range(n):
+            close = data.find(b'"', at)
+            if close < 0 and len(data) < asked:
+                raise CorruptData(ENDS_EARLY)
+            # A value that runs past the bytes read has too many digits.
+            value = _parse_hex((data[at:close] if close >= 0
+                                else data[at:]).decode("latin-1"))
+            if close < 0 or value >= self.modulus:
+                raise CorruptData(OUT_OF_RANGE)
+            values.append(value)
+            sep, other = b'","', b'"]}\n'
+            if last and i == n - 1:
+                sep, other = other, sep
+            if not data.startswith(sep, close):
+                if data.startswith(other, close):
+                    raise CorruptData(COUNT_MISMATCH)
+                raise CorruptData(ENDS_EARLY if sep.startswith(data[close:])
+                                  else NOT_CANONICAL)
+            at = close + len(sep)
+        if not last:
+            return values, at - 1  # up to the next value's opening quote
+        if at != len(data):
+            raise CorruptData(NOT_CANONICAL)
+        return values, at
 
 
 class _ShareValuesV2(ShareValues):

@@ -192,8 +192,9 @@ def _node_values(node_index: int, columns: Sequence[Sequence[int]],
                  q: int) -> Tuple[int, ...]:
     """Node node_index's values of the polynomials whose coefficient
     columns, constant first, these are: sum_t j^t columns[t], j the node
-    index, in one weighted_column_sum pass. deal evaluates a share and
-    apply_node_refresh an updated one through it."""
+    index, in one weighted_column_sum pass. deal evaluates a share,
+    apply_node_refresh an updated one and NetworkRefresh.delta a delta
+    through it."""
     weights = birkhoff_matrix_row(node_index, 0, len(columns) - 1, q)
     return tuple(weighted_column_sum(weights, columns, q))
 
@@ -411,14 +412,12 @@ class NetworkRefresh:
     columns: Tuple[List[int], ...]
 
     def delta(self, node_index: int) -> Tuple[int, ...]:
-        """Node node_index's delta, one value per chunk."""
+        """Node node_index's delta, one value per chunk: its value
+        (_node_values) over [0, c_1..c_k]."""
         if not 1 <= node_index <= self.node_count:
             raise ValueError("no such node")
-        if not self.columns:
-            return (0,) * self.chunk_count
-        q = self.modulus
-        weights = birkhoff_matrix_row(node_index, 0, len(self.columns), q)
-        return tuple(weighted_column_sum(weights[1:], self.columns, q))
+        return _node_values(node_index, [(0,) * self.chunk_count,
+                                         *self.columns], self.modulus)
 
 
 def refresh(topology: Topology, chunk_count: int, epoch: int,

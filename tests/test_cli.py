@@ -714,13 +714,20 @@ class TestReconstruct:
         assert "not a node of the topology" in err
         assert not dest.exists()
 
-    def test_malformed_share_file_exit2(self, workspace, capsys):
-        # Fuzz: one share file of a dealt directory replaced by a
-        # malformed one; reconstruct and refresh must exit 2, never raise,
-        # and refresh must leave the directory as it was.
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_malformed_share_file_exit2(self, workspace, capsys, version):
+        # Fuzz: one share file of a dealt directory, in share format
+        # `version`, replaced by a malformed one; reconstruct and refresh
+        # must exit 2, never raise, and refresh must leave the directory
+        # as it was. The other files stay v2.
         tmp, topo, secret, out = self._deal(workspace, seed="1")
         target = out / "m_001.share.json"
+        if version == 1:
+            target.write_bytes(reference.share_bytes_v1(
+                formats.share_from_dict(json.loads(target.read_bytes()),
+                                        DEFAULT_MODULUS), DEFAULT_MODULUS))
         share = json.loads(target.read_text())
+        assert share["format_version"] == version
         dest = tmp / "r.bin"
 
         @settings(max_examples=200, deadline=None, derandomize=True,
@@ -1017,20 +1024,35 @@ class TestPeakMemoryLevel:
     RATIO = 1.05
 
     def test_deal_and_reconstruct_near_refresh(self, tmp_path):
+        # And a v1 copy of the dealt vault: its reconstruct, and the
+        # refresh that rewrites it as v2, peak at the v2 refresh's level.
         topo = tmp_path / "topology.json"
         write_topology(topo)
         secret = tmp_path / "secret.bin"
         secret.write_bytes(os.urandom(512 * 1024))
         out, dest = tmp_path / "shares", tmp_path / "r.bin"
-        deal_rss, refresh_rss, reconstruct_rss = peak_rss_kib(
-            ["deal", "--topology", topo, "--secret", secret, "--out", out],
+        v1, v1_dest = tmp_path / "v1", tmp_path / "v1.bin"
+        deal_rss, = peak_rss_kib(
+            ["deal", "--topology", topo, "--secret", secret, "--out", out])
+        shutil.copytree(out, v1)
+        to_v1(v1)
+        (refresh_rss, reconstruct_rss, v1_reconstruct_rss,
+         v1_refresh_rss) = peak_rss_kib(
             ["refresh", "--topology", topo, "--shares", out],
             ["reconstruct", "--topology", topo, "--shares", out,
-             "--out", dest])
+             "--out", dest],
+            ["reconstruct", "--topology", topo, "--shares", v1,
+             "--out", v1_dest],
+            ["refresh", "--topology", topo, "--shares", v1])
         assert dest.read_bytes() == secret.read_bytes()
-        peaks = (deal_rss, refresh_rss, reconstruct_rss)
+        assert v1_dest.read_bytes() == secret.read_bytes()
+        assert share_versions(v1) == {2}
+        peaks = (deal_rss, refresh_rss, reconstruct_rss,
+                 v1_reconstruct_rss, v1_refresh_rss)
         assert deal_rss <= self.RATIO * refresh_rss, peaks
         assert reconstruct_rss <= self.RATIO * refresh_rss, peaks
+        assert v1_reconstruct_rss <= self.RATIO * refresh_rss, peaks
+        assert v1_refresh_rss <= self.RATIO * refresh_rss, peaks
 
 
 class TestSharesReadBlockByBlock:
@@ -2005,6 +2027,37 @@ class TestSimulate:
         assert run(["simulate", "--scenario", bigger,
                     "--state", state]) == 2
         assert state.read_bytes() == saved
+
+    @pytest.mark.parametrize("name, edit", [
+        ("secret", lambda d: {**d, "secret_hex": "00" * 8}),
+        ("topology", lambda d: {**d, "topology": {
+            **d["topology"], "networks": [
+                {**n, "node_count": 4} if n["id"] == "d1" else n
+                for n in d["topology"]["networks"]]}}),
+    ], ids=["secret", "topology"])
+    def test_state_of_another_scenario_exit2(self, tmp_path, capsys, name,
+                                             edit):
+        # A run on a saved world must be of the scenario that made it:
+        # its report judges the adversary's recovered secret against the
+        # saved secret, not the scenario's.
+        data = json.loads(
+            (ROOT / "docs" / "examples" / "scenario.json").read_text())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        state = tmp_path / "w.state"
+        assert run(["simulate", "--scenario", path, "--state", state]) == 0
+        saved = state.read_bytes()
+        other = edit({**data, "schedule": [
+            ev for ev in data["schedule"] if ev["event"] != "deal"]})
+        path.write_text(json.dumps(other))
+        report = tmp_path / "other.json"
+        capsys.readouterr()
+        assert run(["simulate", "--scenario", path, "--state", state,
+                    "--report", report]) == 2
+        assert (f"the state's {name} differs from the scenario's"
+                in capsys.readouterr().err)
+        assert state.read_bytes() == saved
+        assert not report.exists()
 
     def test_second_deal_exit2(self, tmp_path, capsys):
         # The adversary would hold one mother share from each of two

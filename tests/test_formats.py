@@ -207,6 +207,62 @@ class TestFixedWidth:
                 read_whole(path, q)
             assert str(err.value).startswith(f"cannot read share {path}: ")
 
+
+class TestV1Faults:
+    """Share format v1: each value lowercase hex without leading zeros.
+    read_share reads a v1 file value by value, and refuses it at its
+    first fault with the reason."""
+
+    @staticmethod
+    def _faults(data: bytes, q: int, share: NodeShare):
+        """`data`, the v1 share file of `share`, broken one way at a time:
+        (name, bytes, the reason read_share gives)."""
+        first = data.index(b'"values":["') + len(b'"values":["')
+        head = b"%x" % share.values[0]
+        tail = b"%x" % share.values[-1]
+        last = len(data) - 4 - len(tail)  # where the last value starts
+        for name, bad in (("appended", data + b" "),
+                          ("space", data.replace(b'","', b'", "', 1)),
+                          ("tail", data[:-3] + b"}]\n")):
+            yield name, bad, formats.NOT_CANONICAL
+        for name, bad in (("cut", data[:-1]),
+                          ("cut-last-value", data[:last + 1]),
+                          ("cut-first-block", data[:len(data) // 2])):
+            yield name, bad, formats.ENDS_EARLY
+        for name, bad in (
+                ("leading-zero", data[:first] + b"0" + data[first:]),
+                ("upper", data[:first] + head.upper()
+                 + data[first + len(head):]),
+                ("empty", data[:first] + data[first + len(head):]),
+                ("non-hex", data[:first] + b"g" + data[first + 1:]),
+                ("second-block", data[:last] + b"0" + data[last:])):
+            yield name, bad, formats.NOT_HEX
+        for name, text in (("q", b"%x" % q), ("40-digits", b"f" * 40)):
+            yield (name, data[:first] + text + data[first + len(head):],
+                   formats.OUT_OF_RANGE)
+        for name, bad in (
+                ("dropped", data[:last - 3] + data[last + len(tail):]),
+                ("added", data[:last] + tail + b'","' + data[last:])):
+            yield name, bad, formats.COUNT_MISMATCH
+
+    @pytest.mark.parametrize("q", TestFixedWidth.QS)
+    def test_faults_and_their_messages(self, tmp_path, q):
+        rng = random.Random(q)
+        # The first value has a letter to put in upper case.
+        share = NodeShare("m", 1, 4, (q - 2,) + tuple(
+            rng.randrange(q) for _ in range(B + 1)))
+        data = reference.share_bytes_v1(share, q)
+        path = tmp_path / "m_001.share.json"
+        path.write_bytes(data)
+        assert read_whole(path, q) == share
+        for name, bad, message in self._faults(data, q, share):
+            assert bad != data, name
+            path.write_bytes(bad)
+            with pytest.raises(formats.UnreadableShare) as err:
+                read_whole(path, q)
+            assert str(err.value).endswith(f": {message}"), name
+
+
 class TestHexParser:
     """_parse_hex reads one value in the hex grammar: lowercase hex
     without leading zeros ("0" for zero)."""
