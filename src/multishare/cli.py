@@ -32,7 +32,7 @@ from .protocol import (LENGTH_HEADER, NodeShare, SecretDecoder, Topology,
 # (secret_blocks, SecretDecoder), but looked up here by name by the
 # benchmark's tracer (perfbench/tracing.py).
 from .protocol import decode_secret, encode_secret  # noqa: F401
-from .simnet import (Scenario, Simulation, check_targets, load_state,
+from .simnet import (Scenario, Simulation, check_deal_order, load_state,
                      run_scenario)
 
 EXIT_OK = 0
@@ -163,13 +163,28 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
     return vault.settle(share_dir, epoch)
 
 
+def _check_regular(path, option: str) -> None:
+    """Exit 64 when `path`, once symbolic links are followed, is something
+    other than a regular file (a directory, a FIFO or a device, say):
+    writing it would replace that with a regular file, and reading a FIFO
+    would wait for a writer. A path that does not exist yet passes."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return
+    if not stat.S_ISREG(mode):
+        raise CliError(EXIT_USAGE, f"{option} {path} is not a regular file")
+
+
 def _check_out(out: Path, topology: Path, share_dir: Optional[Path],
                files: List[Path]) -> None:
-    """Exit 64 when writing `out` would replace a file being read: the
-    `topology` file, or a share file being read (one of `files`, or,
-    given the vault directory `share_dir`, one of its share files); or
-    would put a file named as a vault's are (vault.is_vault_file) into
-    `share_dir` or into the directory of any of `files`."""
+    """Exit 64 when `out` is not a regular file (_check_regular); or when
+    writing it would replace a file being read: the `topology` file, or a
+    share file being read (one of `files`, or, given the vault directory
+    `share_dir`, one of its share files); or would put a file named as a
+    vault's are (vault.is_vault_file) into `share_dir` or into the
+    directory of any of `files`."""
+    _check_regular(out, "--out")
     target = os.path.realpath(out)
     if target == os.path.realpath(topology):
         raise CliError(EXIT_USAGE, f"--out {out} is the topology file "
@@ -329,6 +344,15 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Run the scenario's schedule, on the world saved in --state when it
+    exists, and write the report (and save the world to --state). A
+    --report or --state that is not a regular file is a usage error
+    (_check_regular), found before any file is read."""
+    report_path = Path(args.report) if args.report else \
+        Path(args.scenario).with_suffix(".report.json")
+    _check_regular(report_path, "--report")
+    if args.state:
+        _check_regular(args.state, "--state")
     data = _read_json(args.scenario, "scenario")
     try:
         scenario = Scenario.from_dict(data)
@@ -349,12 +373,10 @@ def cmd_simulate(args) -> int:
     else:
         sim = Simulation(scenario.topology, scenario.secret, args.seed)
     try:
-        check_targets(scenario.schedule, sim.topology, sim.dealt)
+        check_deal_order(scenario.schedule, sim.dealt)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"cannot run the schedule: {exc}")
     report = run_scenario(scenario, sim=sim)
-    report_path = Path(args.report) if args.report else \
-        Path(args.scenario).with_suffix(".report.json")
     # The report is staged before the state is saved and takes its name
     # after, so that a run whose state cannot be saved leaves no report
     # and any earlier state file as it was.

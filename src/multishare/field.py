@@ -1,19 +1,50 @@
 """Prime-field arithmetic and exact linear algebra over F_q.
 
 Everything here is exact big-integer math: no tolerances exist anywhere.
-Values are plain ints in 0..q-1 with the modulus passed alongside; a
-column is a list of them, one per secret chunk. Apart from the entropy
-draws, every function is pure, so concurrent use needs no
-synchronization.
+Values are ints in 0..q-1 with the modulus passed alongside. A column,
+one value per secret chunk, is handed on in Blocks: each Block packs its
+values into one int, and this module alone knows how.
+Apart from the entropy draws, every function is pure, so concurrent use
+needs no synchronization.
+
+The block layout. Value i of an n-value block sits in slot i of the
+int's big-endian bytes: bits (n-1-i)*S up to (n-i)*S, where a slot is
+S/8 = word_bytes(q) + HEADROOM bytes. A value below q fills only the
+word at the low end of its slot; the HEADROOM (two) bytes above it take
+the carries of a weighted sum. So one add, subtract, shift, mask, or
+multiply by a small int acts on every value of a block at once, in one
+C loop over the int, and no carry crosses into the next slot: the SWAR
+technique (Lamport, Multiple byte processing with full-word
+instructions, CACM 1975). Blocks are made from and turned back into the
+fixed-width big-endian words of share files and of the secret framing
+by one int.from_bytes or int.to_bytes and one strided bytearray slice
+copy per byte of a word (from_words, to_words).
+
+The reduction. weighted_column_sum adds each column times its weight's
+signed representative (a negative weight -w as w times q minus the
+column), so that a slot holds at most q times the weights' absolute
+sum, and then reduces every slot mod q at once: Barrett's quotient
+estimate, read from each slot's top bits, falls short by at most one,
+and one conditional subtraction of q, the slots at or above q told by
+their top bit once 2^(S-1) - q is added, ends it. Weights too large for
+the headroom (full-size interpolation weights, say) are applied to the
+even and the odd slots apart, each half spread over slots twice as wide.
+
+The draw. random_ints reads rng.randbytes as little-endian words, as the
+value-by-value draw it replaced did, so that seeded draws, and so seeded
+share files, stay what they were; the slice copy that spreads a block of
+words into slots reverses each word's bytes at no extra cost.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from itertools import repeat
-from operator import add, and_, mod, mul
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import not_
+from typing import Iterator, List, Optional, Tuple
 
 # Mersenne prime 2^127 - 1: fast reduction, comfortably above any chunk value.
 DEFAULT_MODULUS = 2**127 - 1
@@ -23,10 +54,23 @@ MILLER_RABIN_ROUNDS = 64
 # Most words random_ints asks rng.randbytes for at once: a 64 KiB block
 # at 2^127 - 1, below the C allocator's mmap threshold, so drawing
 # megabytes of coefficients does not raise that threshold and leave the
-# freed blocks on the heap.
+# freed blocks on the heap. The vault commands work on blocks of this
+# many chunks.
 BLOCK_WORDS = 4096
 
+# Bytes of a slot above its value's word.
+HEADROOM = 2
+# Bits of a slot's value below its top q.bit_length() that the quotient
+# estimate of _reduce reads too.
+_EXTRA = 2
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+OUT_OF_RANGE = "a value is out of range for the modulus"
+
+# Byte translation tables that mask a byte to its low k bits, k = 1..8:
+# 0..2^k - 1 over and over.
+_TOP_MASKS = [bytes(range(1 << k)) * (256 >> k) for k in range(1, 9)]
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
@@ -69,9 +113,221 @@ def crypto_rng() -> random.SystemRandom:
     return random.SystemRandom()
 
 
-def random_ints(modulus: int, count: int, rng) -> List[int]:
+def word_bytes(modulus: int) -> int:
+    """The bytes of a word that holds modulus.bit_length() bits."""
+    return (modulus.bit_length() + 7) // 8
+
+
+def _slot_bytes(modulus: int) -> int:
+    return (modulus.bit_length() + 7) // 8 + HEADROOM
+
+
+class Block(Sequence):
+    """A block of values below `modulus`, packed one per slot into the int
+    `word` (see the module docstring). It reads as a sequence of ints:
+    indexing, iterating and comparing with a list or tuple unpack it; a
+    slice is a Block, and so is the concatenation block + block."""
+
+    __slots__ = ("word", "length", "modulus")
+
+    def __init__(self, word: int, length: int, modulus: int):
+        self.word, self.length, self.modulus = word, length, modulus
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[int]:
+        slot, n = _slot_bytes(self.modulus), self.length
+        return map(int.from_bytes, struct.unpack(
+            f"{slot}s" * n, self.word.to_bytes(n * slot, "big")),
+            repeat("big"))
+
+    def __getitem__(self, index):
+        bits, n = 8 * _slot_bytes(self.modulus), self.length
+        if isinstance(index, slice):
+            start, stop, step = index.indices(n)
+            if step != 1:
+                return as_block(list(self)[index], self.modulus)
+            size = max(stop - start, 0)
+            if size == n:
+                return self
+            return Block(self.word >> (n - start - size) * bits
+                         & (1 << size * bits) - 1, size, self.modulus)
+        if not -n <= index < n:
+            raise IndexError("block index out of range")
+        return self.word >> (n - 1 - index % n) * bits & (1 << bits) - 1
+
+    def __add__(self, other):
+        if not (isinstance(other, Block) and other.modulus == self.modulus):
+            return NotImplemented
+        if not self.length:
+            return other
+        bits = 8 * _slot_bytes(self.modulus)
+        return Block(self.word << other.length * bits | other.word,
+                     self.length + other.length, self.modulus)
+
+    def __eq__(self, other):
+        if isinstance(other, Block) and other.modulus == self.modulus:
+            return self.length == other.length and self.word == other.word
+        if not isinstance(other, (Block, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Block({list(self)!r}, modulus={self.modulus})"
+
+
+def zeros(count: int, modulus: int) -> Block:
+    """The Block of `count` zeros."""
+    return Block(0, count, modulus)
+
+
+def as_block(values, modulus: int) -> Block:
+    """`values` as a Block: itself when it is a Block of this modulus;
+    else the ints it holds, ValueError unless each is in 0..modulus-1."""
+    if type(values) is Block and values.modulus == modulus:
+        return values
+    values = list(values)
+    if values and not (0 <= min(values) and max(values) < modulus):
+        raise ValueError(OUT_OF_RANGE)
+    slot = _slot_bytes(modulus)
+    return Block(int.from_bytes(b"".join(map(
+        int.to_bytes, values, repeat(slot), repeat("big"))), "big"),
+        len(values), modulus)
+
+
+def _spread(data: bytes, width: int, slot: int,
+            little: bool = False) -> bytearray:
+    """The words of `width` bytes in `data`, each as the low end of a slot
+    of `slot` bytes, big-endian: as they are, or, when `little`, each
+    word's bytes reversed."""
+    buf = bytearray(len(data) // width * slot)
+    for k in range(width):
+        buf[slot - width + k::slot] = data[width - 1 - k if little else k
+                                           ::width]
+    return buf
+
+
+class _Layout:
+    """The masks of n slots of `bits` bits for the modulus q, built once
+    (_layout): `qs` holds q in each slot, `top` each slot's top bit,
+    `offset` 2^(bits-1) - q in each slot and `low` the low bits that hold
+    a slot's quotient estimate in _reduce; `even`, in the slots of twice
+    the width of a narrow slot, that narrow slot. A weighted sum may be
+    reduced here when its weights' absolute sum is at most `limit`."""
+
+    __slots__ = ("q", "bits", "limit", "shift", "m", "c", "low", "qs",
+                 "top", "offset", "even")
+
+    def __init__(self, q: int, n: int, slot: int, spread: int):
+        b = q.bit_length()
+        self.q, self.bits = q, 8 * slot * spread
+        one = int.from_bytes((bytes(slot * spread - 1) + b"\1") * n, "big")
+        # A slot holds less than q * limit < 2^(bits - 1), with the top
+        # bit spare; and an estimate's product hi * m fits in its slot.
+        e = min(self.bits - 1 - b, (self.bits - 2 * _EXTRA - 2) // 2)
+        self.limit = 1 << e
+        self.shift = b - _EXTRA
+        self.c = e + _EXTRA + 2
+        self.m = (1 << self.shift + self.c) // q
+        self.low = ((1 << e + _EXTRA) - 1) * one
+        self.qs = q * one
+        self.top = one << self.bits - 1
+        self.offset = self.top - self.qs
+        self.even = ((1 << 8 * slot) - 1) * one if spread == 2 else None
+
+
+@lru_cache(maxsize=8)
+def _layout(q: int, n: int, spread: int = 1) -> _Layout:
+    """The masks of an n-value block mod q, or, with spread 2, of its even
+    (or odd) values in slots twice as wide."""
+    return _Layout(q, -(-n // spread), _slot_bytes(q), spread)
+
+
+def _reduce(x: int, most: int, lay: _Layout) -> int:
+    """x, whose slots each hold at most `most`, at most q * lay.limit,
+    each slot reduced mod q. When most >= 2q, Barrett's estimate t of a
+    slot's quotient, read from its top bits, is at most one short, so
+    x - t * q is below 2q; then each slot at or above q, whose top bit is
+    set once `offset` is added, loses q."""
+    if most >= 2 * lay.q:
+        t = ((x >> lay.shift & lay.low) * lay.m >> lay.c) & lay.low
+        x -= t * lay.q
+    top = (x + lay.offset) & lay.top
+    return x - ((top - (top >> lay.bits - 1)) & lay.qs)
+
+
+def _weigh(terms: List[Tuple[int, int]], lay: _Layout) -> Tuple[int, int]:
+    """sum(w * word) over the (w, word) terms, slot by slot, a negative w
+    applied as |w| * (q - word); and the most a slot of it can hold, at
+    most sum(|w|) * q."""
+    acc = neg = over = under = 0
+    for w, word in terms:
+        if w > 0:
+            acc += word if w == 1 else word * w
+            over += w
+        else:
+            neg += word if w == -1 else word * -w
+            under -= w
+    if under:
+        acc += lay.qs * under - neg
+    return acc, over * (lay.q - 1) + under * lay.q
+
+
+def weighted_column_sum(weights: Sequence[int],
+                        columns: Sequence[Sequence[int]], q: int) -> Block:
+    """Entry-wise sum of weights[k] * columns[k], mod q, as a Block.
+
+    Columns all have one length; each is a Block or a sequence of ints
+    below q (as_block). A weight w multiplies as its signed representative
+    (w - q when 2w > q), so interpolation weights such as 2 and -1 stay
+    small ints, and every slot is summed at once and reduced once
+    (_reduce). Weights whose absolute sum exceeds the layout's headroom
+    are applied, each in 0..q-1, to the even and the odd values apart, in
+    slots twice as wide; ValueError for more weights than even those
+    hold, thousands at the least.
+    """
+    n = len(columns[0])
+    terms = []  # (signed weight, column)
+    total = 0
+    for w, col in zip(weights, columns):
+        if type(col) is not Block or col.modulus != q:
+            col = as_block(col, q)
+        if col.length != n:
+            raise ValueError("columns differ in length")
+        w %= q
+        if w:
+            if 2 * w > q:
+                w -= q
+            terms.append((w, col))
+            total += abs(w)
+    if total == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    if not total or not n:
+        return zeros(n, q)
+    lay = _layout(q, n)
+    if total <= lay.limit:
+        return Block(_reduce(*_weigh([(w, col.word) for w, col in terms],
+                                     lay), lay), n, q)
+    # Full-size weights, each as its representative in 0..q-1: a negative
+    # one would cost a full-size multiple of q.
+    terms = [(w % q, col) for w, col in terms]
+    wide = _layout(q, n, 2)
+    if sum(w for w, _ in terms) > wide.limit:
+        raise ValueError("too many weights for one sum")
+    bits = lay.bits
+    even, odd = (_reduce(*_weigh([(w, col.word >> shift & wide.even)
+                                  for w, col in terms], wide), wide)
+                 for shift in (0, bits))
+    return Block(even | odd << bits, n, q)
+
+
+def random_ints(modulus: int, count: int, rng) -> Block:
     """`count` uniform values in 0..modulus-1, by rejection sampling over
-    rng.randbytes.
+    rng.randbytes, as a Block.
 
     Each attempt draws one block of ceil(bits/8)-byte little-endian words
     (bits = modulus.bit_length()), one word per value still missing, at
@@ -80,47 +336,57 @@ def random_ints(modulus: int, count: int, rng) -> List[int]:
     words are topped up by the next block. With crypto_rng the block is
     os.urandom: nothing expands the entropy.
 
-    A block is split by one struct.unpack and converted and masked by
-    C-level maps; when its greatest word is in range, as almost always at
-    2^127 - 1, it is kept whole.
+    The words are spread into slots (_spread) with the mask applied to
+    their top bytes, and tested against the modulus slot by slot at once;
+    when none is out of range, as almost always at 2^127 - 1, the block
+    is kept whole, else the slots in range are kept, in order.
     """
-    bits = modulus.bit_length()
-    width = (bits + 7) // 8
-    mask = (1 << bits) - 1
-    out: List[int] = []
+    width, slot = word_bytes(modulus), _slot_bytes(modulus)
+    top_mask = _TOP_MASKS[modulus.bit_length() - 8 * width + 7]
+    out = zeros(0, modulus)
     while len(out) < count:
         n = min(count - len(out), BLOCK_WORDS)
-        words = struct.unpack(f"{width}s" * n, rng.randbytes(n * width))
-        block = list(map(and_, map(int.from_bytes, words, repeat("little")),
-                         repeat(mask)))
-        if max(block) < modulus:
-            out += block
-        else:
-            out += [v for v in block if v < modulus]
+        buf = _spread(rng.randbytes(n * width), width, slot, little=True)
+        buf[HEADROOM::slot] = buf[HEADROOM::slot].translate(top_mask)
+        word = int.from_bytes(buf, "big")
+        lay = _layout(modulus, n)
+        over = (word + lay.offset) & lay.top
+        if over:
+            # A slot's top bit is in its first byte.
+            kept = b"".join(compress(
+                struct.unpack(f"{slot}s" * n, buf),
+                map(not_, over.to_bytes(n * slot, "big")[::slot])))
+            n = len(kept) // slot
+            word = int.from_bytes(kept, "big")
+        out += Block(word, n, modulus)
     return out
 
 
-def weighted_column_sum(weights: Sequence[int],
-                        columns: Sequence[Sequence[int]], q: int) -> List[int]:
-    """Entry-wise sum of weights[k] * columns[k], mod q.
+def from_words(data: bytes, width: int, modulus: int) -> Block:
+    """The Block of the big-endian words of `width` bytes, at most
+    word_bytes(modulus), that `data` holds one after another; ValueError
+    (OUT_OF_RANGE) unless each is below the modulus."""
+    n = len(data) // width
+    word = int.from_bytes(_spread(data, width, _slot_bytes(modulus)), "big")
+    lay = _layout(modulus, n)
+    if (word + lay.offset) & lay.top:
+        raise ValueError(OUT_OF_RANGE)
+    return Block(word, n, modulus)
 
-    Columns all have one length. One pass of C-level maps over every
-    column with a nonzero weight, reduced once at the end. A weight w
-    multiplies as its signed representative (w - q when 2w > q), so
-    interpolation weights such as 2 and -1 stay small ints.
-    """
-    terms = []
-    for w, col in zip(weights, columns):
-        w %= q
-        if w:
-            w = w - q if 2 * w > q else w
-            terms.append(col if w == 1 else map(mul, col, repeat(w)))
-    if not terms:
-        return [0] * len(columns[0])
-    acc, *rest = terms
-    for term in rest:
-        acc = map(add, acc, term)
-    return list(map(mod, acc, repeat(q)))
+
+def to_words(block: Block, width: int) -> bytes:
+    """The values of `block` as big-endian words of `width` bytes, at most
+    word_bytes of its modulus, one after another; ValueError when a value
+    does not fit."""
+    n, slot = block.length, _slot_bytes(block.modulus)
+    data = block.word.to_bytes(n * slot, "big")
+    for k in range(slot - width):
+        if data[k::slot].count(0) != n:
+            raise ValueError(f"a value does not fit in {width} bytes")
+    out = bytearray(n * width)
+    for k in range(width):
+        out[k::width] = data[slot - width + k::slot]
+    return bytes(out)
 
 
 def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],

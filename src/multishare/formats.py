@@ -1,12 +1,13 @@
 """File formats: JSON schemas for topologies, shares, manifests and
 scenarios, plus canonical serialization helpers.
 
-Field elements are lowercase big-endian hex; in memory they are plain
-ints, and the modulus comes from the topology. All JSON emitted through
-canonical_json is byte-stable (sorted keys, fixed separators). A share
-file is written (share_file_block) and read (read_share) block by block;
-its values are written at a fixed width (share format v2), and files of
-share format v1, without leading zeros, are still read.
+Field elements are lowercase big-endian hex; in memory they are ints, a
+share's values in field Blocks, and the modulus comes from the topology.
+All JSON emitted through canonical_json is byte-stable (sorted keys,
+fixed separators). A share file is written (share_file_block) and read
+(read_share) block by block; its values are written at a fixed width
+(share format v2), and files of share format v1, without leading zeros,
+are still read.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from __future__ import annotations
 import json
 import os
 import re
-import struct
 from binascii import hexlify, unhexlify
 from dataclasses import replace
 from itertools import repeat
 from typing import List, Tuple
 
 from .errors import CorruptData
-from .field import BLOCK_WORDS
+from .field import (BLOCK_WORDS, Block, as_block, from_words, to_words,
+                    zeros)
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -194,9 +195,10 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
 
     "values" sorts after every header key, so canonical JSON of the header
     with an empty "values" list ends in `[]}`: the header is that, up to
-    the list's `[`. The values take three C-level passes and no string
-    object each: their big-endian forms are joined, hexlify puts a quote
-    between each two values' digits, and each quote becomes `","`."""
+    the list's `[`. The values, a Block (as_block), take three C-level
+    passes and no object each: their big-endian forms are unpacked whole
+    (to_words), hexlify puts a quote between each two values' digits, and
+    each quote becomes `","`."""
     values = share.values
     parts = []
     if start == 0:
@@ -205,8 +207,7 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
              "values": []})[:-2])
     if values:
         width = value_width(modulus)
-        raw = b"".join(map(int.to_bytes, values, repeat(width),
-                           repeat("big")))
+        raw = to_words(as_block(values, modulus), width)
         parts += [b',"' if start else b'"',
                   hexlify(raw, b'"', width).replace(b'"', b'","'), b'"']
     if start + len(values) == chunk_count:
@@ -340,7 +341,7 @@ class ShareValues:
     """The values of one share file, in order: each slice asked for must
     start where the last one ended, and is read from the file then, its
     bytes checked and converted in one pass (_read, one per share format
-    version); only the ints of the slice are held.
+    version); only the slice, a Block, is held.
 
     UnreadableShare, from a slice, when the file cannot be read or is not
     a valid share file in the layout the tools write; and when it is no
@@ -357,12 +358,12 @@ class ShareValues:
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, index: slice) -> List[int]:
+    def __getitem__(self, index: slice) -> Block:
         start, stop, step = index.indices(self.count)
         if start != self.done or step != 1:
             raise ValueError("a share file's values are read in order")
         if stop <= start:
-            return []
+            return zeros(0, self.modulus)
         try:
             with open(self.path, "rb") as file:
                 if _identity(file) != self.identity:
@@ -376,7 +377,7 @@ class ShareValues:
         self.done = stop
         return values
 
-    def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
+    def _read(self, file, n: int, last: bool) -> Tuple[Block, int]:
         """The next n values, read from `file`, which is at the first of
         them, and the bytes they take: then `","` before a further value,
         or, when they are the `last`, `]}` and a newline. CorruptData,
@@ -401,7 +402,7 @@ class _ShareValuesV1(ShareValues):
         # The most bytes of a value: its hex, two quotes and a comma.
         self.width = len(format(self.modulus - 1, "x")) + 3
 
-    def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
+    def _read(self, file, n: int, last: bool) -> Tuple[Block, int]:
         # More bytes than n values and what follows them can take, so
         # that bytes past the last value, or a value too long, show.
         asked = n * self.width + 4
@@ -429,6 +430,7 @@ class _ShareValuesV1(ShareValues):
                 raise CorruptData(ENDS_EARLY if sep.startswith(data[close:])
                                   else NOT_CANONICAL)
             at = close + len(sep)
+        values = as_block(values, self.modulus)
         if not last:
             return values, at - 1  # up to the next value's opening quote
         if at != len(data):
@@ -454,7 +456,7 @@ class _ShareValuesV2(ShareValues):
                 f"that its chunk_count of {self.count} values of "
                 f"{2 * self.width} hex digits gives")
 
-    def _read(self, file, n: int, last: bool) -> Tuple[List[int], int]:
+    def _read(self, file, n: int, last: bool) -> Tuple[Block, int]:
         stride, digits = self.stride, 2 * self.width
         end = n * stride  # past the comma, or the `]`, after the last
         data = file.read(end + 2 if last else end)
@@ -472,15 +474,11 @@ class _ShareValuesV2(ShareValues):
         if (len(hex_digits) != n * digits
                 or hex_digits.translate(None, _HEX_DIGITS)):
             raise CorruptData(NOT_FIXED_HEX.format(digits))
-        # The words as bytes objects. The Struct, about 32 bytes a word, is
-        # not kept: the struct module's own cache would hold it.
-        words = struct.Struct(f"{self.width}s" * n).unpack(
-            unhexlify(hex_digits))
-        del hex_digits
-        values = list(map(int.from_bytes, words, repeat("big")))
-        del words
-        if max(values) >= self.modulus:
-            raise CorruptData(OUT_OF_RANGE)
+        try:
+            values = from_words(unhexlify(hex_digits), self.width,
+                                self.modulus)
+        except ValueError:
+            raise CorruptData(OUT_OF_RANGE) from None
         return values, end
 
 

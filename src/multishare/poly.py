@@ -1,8 +1,9 @@
-"""Polynomials over F_q, as plain-int coefficient columns.
+"""Polynomials over F_q, as coefficient columns.
 
-A column holds one coefficient across many polynomials. random_columns
-draws the X^1..X^degree columns; the protocol puts a constant column in
-front and evaluates them with birkhoff_matrix_row's weights.
+A column holds one coefficient across many polynomials, in a field
+Block. random_columns draws the X^1..X^degree columns; the protocol puts
+a constant column in front and evaluates them with birkhoff_matrix_row's
+weights.
 lagrange_zero_weights and birkhoff_matrix_row give the linear weights
 that dealing, refresh, interpolation and the oracle solve with.
 """
@@ -15,7 +16,7 @@ from . import field
 
 
 def random_columns(degree: int, count: int, q: int,
-                   rng) -> List[List[int]]:
+                   rng) -> List[field.Block]:
     """The X^1..X^degree coefficient columns of `count` random
     polynomials, in order, every entry uniform over 0..q-1: a leading
     coefficient may be 0, as it must for any `degree` values to be

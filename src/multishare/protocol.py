@@ -16,18 +16,18 @@ coordinates at once is the tests' reference (tests/reference.py).
 from __future__ import annotations
 
 import io
-import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
-from .field import (BLOCK_WORDS, DEFAULT_MODULUS, echelon_insert,
-                    echelon_reduce, express_over_rows, is_probable_prime,
-                    weighted_column_sum)
+from .field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
+                    echelon_insert, echelon_reduce, express_over_rows,
+                    from_words, is_probable_prime, to_words,
+                    weighted_column_sum, zeros)
 from .poly import birkhoff_matrix_row, lagrange_zero_weights, random_columns
 
 # compute_thresholds_exhaustive walks up to 2^networks sets of known
@@ -120,7 +120,9 @@ class NodeShare:
     network_id: str
     node_index: int
     epoch: int
-    values: Tuple[int, ...]  # one per secret chunk, each in 0..modulus-1
+    # One per secret chunk, each in 0..modulus-1: a Block (field) as the
+    # package deals, refreshes and reads them, or any sequence of ints.
+    values: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,9 @@ def deal(secret_chunks: Sequence[int], topology: Topology, rng,
     uniform over 0..q-1. Dealing a secret block by block, one call per
     block, therefore draws what one call on the whole secret draws.
 
+    Each block of chunks becomes a Block (as_block): a block of ints is
+    checked then, ValueError unless each is in 0..q-1.
+
     With `sink`, each node's share of a block, a NodeShare of that block's
     values, is passed to sink(share) as soon as it is evaluated (per
     block, network by network in topology order, node by node), and the
@@ -162,20 +167,17 @@ def deal(secret_chunks: Sequence[int], topology: Topology, rng,
     node's values are held at a time. The draws are the same either way.
     """
     q = topology.modulus
-    if secret_chunks and not (0 <= min(secret_chunks)
-                              and max(secret_chunks) < q):
-        raise ValueError("chunk out of range for the topology modulus")
     functionals = [constant_functional(topology, net.id)
                    for net in topology.networks]
     values: Dict[str, list] = {}  # without a sink, each node's values
     if sink is None:
-        values = {net.id: [[] for _ in range(net.node_count)]
+        values = {net.id: [zeros(0, q)] * net.node_count
                   for net in topology.networks}
 
         def sink(share: NodeShare) -> None:
             values[share.network_id][share.node_index - 1] += share.values
     for i in range(0, len(secret_chunks), BLOCK_WORDS):
-        block = secret_chunks[i:i + BLOCK_WORDS]
+        block = as_block(secret_chunks[i:i + BLOCK_WORDS], q)
         outer = [block, *random_columns(topology.outer_degree, len(block), q,
                                         rng)]
         for net, functional in zip(topology.networks, functionals):
@@ -183,20 +185,20 @@ def deal(secret_chunks: Sequence[int], topology: Topology, rng,
                        *random_columns(net.inner_degree, len(block), q, rng)]
             for j in range(1, net.node_count + 1):
                 sink(NodeShare(net.id, j, 0, _node_values(j, columns, q)))
-    return {nid: [NodeShare(nid, j, 0, tuple(node))
+    return {nid: [NodeShare(nid, j, 0, node)
                   for j, node in enumerate(nodes, start=1)]
             for nid, nodes in values.items()}
 
 
 def _node_values(node_index: int, columns: Sequence[Sequence[int]],
-                 q: int) -> Tuple[int, ...]:
+                 q: int) -> Block:
     """Node node_index's values of the polynomials whose coefficient
     columns, constant first, these are: sum_t j^t columns[t], j the node
     index, in one weighted_column_sum pass. deal evaluates a share,
     apply_node_refresh an updated one and NetworkRefresh.delta a delta
     through it."""
     weights = birkhoff_matrix_row(node_index, 0, len(columns) - 1, q)
-    return tuple(weighted_column_sum(weights, columns, q))
+    return weighted_column_sum(weights, columns, q)
 
 
 def constant_functional(topology: Topology, network_id: str) -> List[int]:
@@ -268,11 +270,13 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     outer_degree is placed, its weights over them solved. Then the values
     are read BLOCK_WORDS chunks at a time, so a share's values may be any
     sequence whose slices are read in turn (a share file read block by
-    block, say). Per block, the networks are taken in the order their
-    first share appears in the stream, and each network's shares in
-    stream order: a network's block is read, checked and reduced to its
-    inner secret, then dropped before the next network's is read. Only
-    the block's inner secrets are held across networks.
+    block, say); each slice becomes a Block (as_block), so a slice of
+    ints is checked then, ValueError unless each is in 0..q-1. Per block,
+    the networks are taken in the order their first share appears in the
+    stream, and each network's shares in stream order: a network's block
+    is read, checked and reduced to its inner secret, then dropped before
+    the next network's is read. Only the block's inner secrets are held
+    across networks.
 
     No share is ignored: every share beyond a network's quorum, and every
     daughter beyond the first outer_degree, must agree with the
@@ -343,11 +347,11 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     faults: Dict[str, int] = {}  # network id -> lowest disagreeing node
     disagreeing = set()  # further daughters
 
-    def inner_secret(nid: str, i: int) -> Optional[List[int]]:
+    def inner_secret(nid: str, i: int) -> Optional[Block]:
         """Network nid's inner secret of block i, None without a quorum,
         with every further share checked; the network's block is read
         here and held until it returns."""
-        block = {s.node_index: s.values[i:i + BLOCK_WORDS]
+        block = {s.node_index: as_block(s.values[i:i + BLOCK_WORDS], q)
                  for s in held[nid]}
         if nid not in quorums:
             return None
@@ -355,7 +359,7 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
         columns = [block[s.node_index] for s in quorum]
         for s, shifted in extra:
             if (weighted_column_sum(shifted, columns, q)
-                    != list(block[s.node_index])):
+                    != block[s.node_index]):
                 faults[nid] = min(faults.get(nid, s.node_index),
                                   s.node_index)
         return weighted_column_sum(w, columns, q)
@@ -402,22 +406,23 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
 class NetworkRefresh:
     """One network's refresh of one round: the coefficient columns
     c_1..c_k (k its inner degree) of its zero-constant refresh
-    polynomials, one entry per chunk. Node j's delta is
+    polynomials, each a Block of one entry per chunk. Node j's delta is
     sum_t j^t c_t; apply_node_refresh adds it to node j's share."""
     network_id: str
     from_epoch: int
     node_count: int
     chunk_count: int
     modulus: int
-    columns: Tuple[List[int], ...]
+    columns: Tuple[Block, ...]
 
-    def delta(self, node_index: int) -> Tuple[int, ...]:
+    def delta(self, node_index: int) -> Block:
         """Node node_index's delta, one value per chunk: its value
         (_node_values) over [0, c_1..c_k]."""
         if not 1 <= node_index <= self.node_count:
             raise ValueError("no such node")
-        return _node_values(node_index, [(0,) * self.chunk_count,
-                                         *self.columns], self.modulus)
+        q = self.modulus
+        return _node_values(node_index,
+                            [zeros(self.chunk_count, q), *self.columns], q)
 
 
 def refresh(topology: Topology, chunk_count: int, epoch: int,
@@ -432,14 +437,15 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
     columns, and NetworkRefresh.delta evaluates a node's delta, when
     asked."""
     q = topology.modulus
-    columns = {net.id: [[] for _ in range(net.inner_degree)]
+    columns = {net.id: [zeros(0, q)] * net.inner_degree
                for net in topology.networks}
     for i in range(0, chunk_count, BLOCK_WORDS):
         n = min(BLOCK_WORDS, chunk_count - i)
         for net in topology.networks:
-            for column, drawn in zip(columns[net.id], random_columns(
-                    net.inner_degree, n, q, rng)):
-                column += drawn
+            held = columns[net.id]
+            for t, drawn in enumerate(random_columns(net.inner_degree, n, q,
+                                                     rng)):
+                held[t] += drawn
     return {net.id: NetworkRefresh(net.id, epoch, net.node_count,
                                    chunk_count, q, tuple(columns[net.id]))
             for net in topology.networks}
@@ -450,7 +456,7 @@ def apply_node_refresh(share: NodeShare,
     """`share` advanced one epoch: node j's value (_node_values) over
     [share, c_1..c_k], j its node index, as deal evaluates a share;
     ValueError unless it is a share of the refreshed network at from_epoch
-    with chunk_count values."""
+    with chunk_count values, each in 0..q-1 (as_block)."""
     r = network_refresh
     if (share.network_id != r.network_id
             or not 1 <= share.node_index <= r.node_count):
@@ -524,7 +530,7 @@ class AdversaryKnowledge:
         return [net.id for net in self.topology.networks
                 if net.id in self._inner]
 
-    def recover(self) -> Optional[List[int]]:
+    def recover(self) -> Optional[Block]:
         """The secret chunks when the captures determine them, else None."""
         known = self.known_networks()
         weights = _outer_weights(
@@ -674,12 +680,12 @@ def chunk_count(size: int, modulus: int) -> int:
     return -(-(LENGTH_HEADER + size) // chunk_size(modulus))
 
 
-def secret_blocks(read, size: int, modulus: int) -> Iterator[List[int]]:
+def secret_blocks(read, size: int, modulus: int) -> Iterator[Block]:
     """encode_secret's chunks of a secret of `size` bytes, BLOCK_WORDS at a
-    time, each block as it is asked for: read(n) must return the secret's
-    next n bytes. Each block is framed (the length header before the first,
-    zero padding after the last), split by one struct.unpack and converted
-    by a C-level map."""
+    time, each block as a Block as it is asked for: read(n) must return
+    the secret's next n bytes. Each block is framed (the length header
+    before the first, zero padding after the last) and packed whole, its
+    chunks the framing's big-endian words (from_words)."""
     block = chunk_size(modulus)
     if size >= 256 ** LENGTH_HEADER:
         raise ValueError("secret too large for the length header")
@@ -696,8 +702,7 @@ def secret_blocks(read, size: int, modulus: int) -> Iterator[List[int]]:
         framed = b"".join((head, data,
                            bytes(n * block - len(head) - want)))
         head = b""
-        words = struct.unpack(f"{block}s" * n, framed)
-        yield list(map(int.from_bytes, words, repeat("big")))
+        yield from_words(framed, block, modulus)
 
 
 def encode_secret(data: bytes, modulus: int = DEFAULT_MODULUS
@@ -709,13 +714,15 @@ def encode_secret(data: bytes, modulus: int = DEFAULT_MODULUS
 
 
 class SecretDecoder:
-    """decode_secret over a stream of chunk blocks. feed(chunks) returns
-    the secret's bytes among them (nothing once a chunk is out of range);
+    """decode_secret over a stream of chunk blocks, Blocks or sequences of
+    ints. feed(chunks) returns the secret's bytes among them (nothing once
+    a chunk is out of range: negative, or wider than chunk_size bytes);
     close(), once the stream has ended, raises the CorruptData that
     decode_secret raises on the whole stream. `size` counts the bytes
     returned."""
 
     def __init__(self, modulus: int):
+        self.modulus = modulus
         self.block = chunk_size(modulus)
         self.chunks = self.seen = self.size = 0  # seen: framed bytes
         self.head = b""
@@ -727,9 +734,8 @@ class SecretDecoder:
         if self.out_of_range:
             return b""
         try:
-            raw = b"".join(map(int.to_bytes, chunks, repeat(self.block),
-                               repeat("big")))
-        except OverflowError:  # a chunk of more than `block` bytes
+            raw = to_words(as_block(chunks, self.modulus), self.block)
+        except ValueError:  # a chunk below 0, or of more than `block` bytes
             self.out_of_range = True
             return b""
         start = self.seen

@@ -77,20 +77,18 @@ class Scenario:
             if not (isinstance(ev, dict) and isinstance(ev.get("event"), str)
                     and ev["event"] in EVENT_KINDS):
                 raise ValueError(f"unknown event {ev!r}")
+        check_deal_order(schedule)
         check_targets(schedule, topology)
         return cls(topology=topology, secret=secret, schedule=schedule)
 
 
-def check_targets(schedule, topology: Topology,
-                  dealt: Optional[bool] = None) -> None:
-    """ValueError unless every network and node the events name exist and
-    the secret is dealt at most once and before any refresh: by a `deal`
-    event ahead of the first `refresh`, or by none when the state is
-    `dealt` already.
-    With `dealt` None (no state known yet), only a second `deal` in the
-    schedule is rejected. The protocol deals once and then refreshes; a
-    second dealing would mix two sets of shares in the adversary's
-    view."""
+def check_deal_order(schedule, dealt: Optional[bool] = None) -> None:
+    """ValueError unless the secret is dealt at most once and before any
+    refresh: by a `deal` event ahead of the first `refresh`, or by none
+    when the state is `dealt` already. With `dealt` None (no state known
+    yet), only a second `deal` in the schedule is rejected. The protocol
+    deals once and then refreshes; a second dealing would mix two sets of
+    shares in the adversary's view."""
     kinds = [ev["event"] for ev in schedule]
     if kinds.count("deal") + bool(dealt) > 1:
         raise ValueError("the secret is dealt once and then refreshed; "
@@ -100,6 +98,10 @@ def check_targets(schedule, topology: Topology,
                  or kinds.index("refresh") < kinds.index("deal"))):
         raise ValueError("this schedule refreshes before the secret is "
                          "dealt")
+
+
+def check_targets(schedule, topology: Topology) -> None:
+    """ValueError unless every network and node the events name exist."""
     for ev in schedule:
         kind = ev["event"]
         if kind not in NETWORK_EVENTS:

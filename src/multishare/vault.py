@@ -83,7 +83,9 @@ def appending(path: Path):
     its name, with the directory flushed. append(block, flush=True) also
     flushes PATH.tmp at once. An error in the block, or a failed write,
     deletes PATH.tmp and leaves `path` as it was; nothing is touched
-    before the first append."""
+    before the first append. A symbolic link is written through: PATH is
+    its target, which the new file replaces, and the link stays."""
+    target = Path(os.path.realpath(path))
     tmp = None  # made by the first append
     unflushed = False
 
@@ -92,7 +94,7 @@ def appending(path: Path):
         if not path.name:  # a path like "."
             raise StorageError(f"cannot write {path}: not a file name")
         mode = "ab" if tmp else "wb"
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = target.with_name(target.name + ".tmp")
         unflushed = True
         with _failing_as(f"cannot write {path}"):
             _write_block(tmp, block, mode)
@@ -107,13 +109,13 @@ def appending(path: Path):
         with _failing_as(f"cannot write {path}"):
             if unflushed:
                 _fsync(tmp)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
     except BaseException:
         if tmp is not None:
             _discard(tmp)
         raise
     with _failing_as(f"cannot write {path}: flushing its directory failed"):
-        _fsync(path.parent)
+        _fsync(target.parent)
 
 
 @contextmanager

@@ -2,9 +2,12 @@
 
 Most are the package's earlier per-value loops, kept verbatim: the draw,
 column sum, hex parser and secret framing that `field`, `formats` and
-`protocol` now run as C-level loops. Each fast kernel must return exactly
-what its reference returns, seeded draws included. share_bytes and
-read_share_bytes write and read a v2 share file a value at a time, where
+`protocol` now run as C-level loops over packed blocks (field.Block);
+words_to_ints and ints_to_words are the per-value forms of the block
+conversions field.from_words and field.to_words. Each fast kernel must
+return exactly what its reference returns, seeded draws included.
+share_bytes and read_share_bytes write and read a v2 share file a value
+at a time, where
 formats.share_file_block and formats.read_share convert a block of values
 by C-level passes; share_file_block_v1 is the writer of v1 share files,
 kept to make the v1 vaults that readers must still take.
@@ -91,6 +94,22 @@ def weighted_column_sum(weights: Sequence[int],
     for w, col in middle:
         acc = [a + w * c for a, c in zip(acc, col)]
     return [(a + w_last * c) % q for a, c in zip(acc, last)]
+
+
+def words_to_ints(data: bytes, width: int, modulus: int) -> List[int]:
+    """The big-endian words of `width` bytes in `data`, a word at a time;
+    ValueError unless each is below the modulus (field.from_words)."""
+    values = [int.from_bytes(data[i:i + width], "big")
+              for i in range(0, len(data), width)]
+    if any(v >= modulus for v in values):
+        raise ValueError("a value is out of range for the modulus")
+    return values
+
+
+def ints_to_words(values: Sequence[int], width: int) -> bytes:
+    """Each value as a big-endian word of `width` bytes, a value at a
+    time; OverflowError when one does not fit (field.to_words)."""
+    return b"".join(v.to_bytes(width, "big") for v in values)
 
 
 def parse_hex_values(texts: List[str]) -> List[int]:

@@ -19,8 +19,9 @@ from multishare.cli import main
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, deterministic_rng,
                               is_probable_prime)
 from multishare.formats import topology_to_dict
-from multishare.protocol import (LinkKind, NetworkSpec, SecretDecoder,
-                                 Topology, deal, encode_secret)
+from multishare.protocol import (LENGTH_HEADER, LinkKind, NetworkSpec,
+                                 SecretDecoder, Topology, chunk_size, deal,
+                                 encode_secret)
 from multishare.simnet import EVENT_KINDS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -645,6 +646,39 @@ class TestReconstruct:
         assert not (out / "new.share.json").exists()
         assert run(["refresh", "--topology", topo, "--shares", out]) == 0
 
+    def test_out_not_a_regular_file_exit64(self, workspace, capsys):
+        # An --out that was a FIFO, or a link to one, was replaced by a
+        # regular file holding the secret; a directory exited 2, but only
+        # after the secret was written beside it as DIR.tmp.
+        tmp, topo, secret, out = self._deal(workspace)
+        fifo, link, directory = tmp / "fifo", tmp / "link", tmp / "dir"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        directory.mkdir()
+        files = snapshot(out)
+        for dest in (fifo, link, directory):
+            capsys.readouterr()
+            assert run(["reconstruct", "--topology", topo, "--shares", out,
+                        "--out", dest]) == 64, dest
+            assert capsys.readouterr().err.startswith(
+                f"error: --out {dest} is not a regular file"), dest
+        assert fifo.is_fifo() and link.is_symlink() and directory.is_dir()
+        assert sorted(p.name for p in tmp.iterdir()) == [
+            "dir", "fifo", "link", "secret.bin", "shares", "topology.json"]
+        assert snapshot(out) == files
+
+    def test_out_link_to_a_regular_file_written_through(self, workspace):
+        tmp, topo, secret, out = self._deal(workspace)
+        target, link = tmp / "target.bin", tmp / "link.bin"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", link]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == secret.read_bytes()
+        assert not (tmp / "link.bin.tmp").exists()
+        assert not (tmp / "target.bin.tmp").exists()
+
     def test_daughters_only_exit3(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
         picks = sorted(out.glob("d*.share.json"))
@@ -1153,6 +1187,44 @@ class TestBlockBoundaries:
             assert run(["reconstruct", "--topology", topo, "--out", dest,
                         *given]) == 0, given
             assert dest.read_bytes() == data
+
+
+class TestKernelRegimes:
+    """deal, refresh and reconstruct of a secret of a block and a chunk
+    through the other regimes of the column kernel, the recovered secret
+    compared byte for byte: moduli whose words have no spare bit
+    (2^32 - 5, 32 bits), whose draws reject about half their words (65537)
+    and whose words take 66 bytes (2^521 - 1); and reconstructions that
+    take full-size weights, Lagrange weights from nodes 1 and 3 and outer
+    weights at outer degree 2."""
+
+    @staticmethod
+    def _round_trip(tmp, q=DEFAULT_MODULUS, outer=1, picks=None):
+        topo = tmp / "topology.json"
+        write_topology(topo, q=q, outer=outer)
+        secret, out, dest = tmp / "secret.bin", tmp / "shares", tmp / "r.bin"
+        data = os.urandom(chunk_size(q) * (BLOCK_WORDS + 1) - LENGTH_HEADER)
+        secret.write_bytes(data)
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out]) == 0
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 0
+        given = (["--shares", out] if picks is None
+                 else [out / f"{name}.share.json" for name in picks])
+        assert run(["reconstruct", "--topology", topo, "--out", dest,
+                    *given]) == 0
+        assert dest.read_bytes() == data
+
+    @pytest.mark.parametrize("q", [2**32 - 5, 65537, 2**521 - 1],
+                             ids=["2^32-5", "65537", "2^521-1"])
+    def test_moduli(self, tmp_path, q):
+        self._round_trip(tmp_path, q=q)
+
+    def test_full_size_lagrange_weights(self, tmp_path):
+        self._round_trip(tmp_path, picks=["m_001", "m_003", "d1_001",
+                                          "d1_003", "d2_001", "d2_003"])
+
+    def test_full_size_outer_weights(self, tmp_path):
+        self._round_trip(tmp_path, outer=2)
 
 
 class TestShareFileLayouts:
@@ -2013,20 +2085,44 @@ class TestSimulate:
         assert not state.exists()
         assert not (tmp_path / "scenario.report.json").exists()
 
-    def test_state_lacking_event_target_exit2(self, tmp_path):
-        small = self._scenario(tmp_path, [{"event": "deal"}])
-        state = tmp_path / "world.state"
-        assert run(["simulate", "--scenario", small, "--state", state]) == 0
-        saved = state.read_bytes()
-        data = json.loads(small.read_text())
-        data["topology"]["networks"][1]["node_count"] = 4
-        data["schedule"] = [
-            {"event": "compromise_node", "network": "d1", "node": 4}]
-        bigger = tmp_path / "bigger.json"
-        bigger.write_text(json.dumps(data))
-        assert run(["simulate", "--scenario", bigger,
-                    "--state", state]) == 2
-        assert state.read_bytes() == saved
+    def test_report_or_state_not_a_regular_file_exit64(self, tmp_path,
+                                                      capsys):
+        # A --report FIFO was replaced by a regular file; a --state FIFO
+        # would hang the state's load, waiting for a writer, so the
+        # command runs in a child with a timeout.
+        path = self._scenario(tmp_path, [{"event": "deal"}])
+        fifo, link, directory = (tmp_path / "fifo", tmp_path / "link",
+                                 tmp_path / "dir")
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        directory.mkdir()
+        for option, dest in [("--report", fifo), ("--report", link),
+                             ("--report", directory), ("--state", fifo),
+                             ("--state", link), ("--state", directory)]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "multishare.cli", "simulate",
+                 "--scenario", str(path), option, str(dest)],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 64, (option, dest, proc.stderr)
+            assert proc.stderr.startswith(
+                f"error: {option} {dest} is not a regular file")
+        assert fifo.is_fifo() and link.is_symlink() and directory.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dir", "fifo", "link", "scenario.json", "t.json"]
+
+    def test_report_and_state_links_written_through(self, tmp_path):
+        path = self._scenario(tmp_path, [{"event": "deal"}])
+        report, state = tmp_path / "r.json", tmp_path / "w.state"
+        report_link, state_link = tmp_path / "r-link", tmp_path / "s-link"
+        report.write_text("old")
+        report_link.symlink_to(report)
+        state_link.symlink_to(state)
+        assert run(["simulate", "--scenario", path, "--report", report_link,
+                    "--state", state_link]) == 0
+        assert report_link.is_symlink() and state_link.is_symlink()
+        assert json.loads(report.read_text())["epoch"] == 0
+        assert load_state(state).dealt
 
     @pytest.mark.parametrize("name, edit", [
         ("secret", lambda d: {**d, "secret_hex": "00" * 8}),
@@ -2252,8 +2348,7 @@ class TestUnwritableOutput:
     SCENARIO = ROOT / "docs" / "examples" / "scenario.json"
 
     @pytest.mark.parametrize("case", [
-        "deal-out-is-a-file", "reconstruct-out-is-a-directory",
-        "reconstruct-out-is-cwd", "reconstruct-out-parent-missing",
+        "deal-out-is-a-file", "reconstruct-out-parent-missing",
         "simulate-report-dir-missing", "simulate-state-dir-missing"])
     def test_exit2(self, workspace, capsys, monkeypatch, case):
         tmp, topo, secret = workspace
@@ -2267,8 +2362,6 @@ class TestUnwritableOutput:
         argv = {
             "deal-out-is-a-file": ["deal", "--topology", topo, "--secret",
                                    secret, "--out", secret],
-            "reconstruct-out-is-a-directory": rebuild + [shares],
-            "reconstruct-out-is-cwd": rebuild + ["."],
             "reconstruct-out-parent-missing": rebuild + [missing],
             "simulate-report-dir-missing": ["simulate", "--scenario",
                                             self.SCENARIO, "--report",
@@ -2284,6 +2377,26 @@ class TestUnwritableOutput:
         # No partial output is left behind.
         assert not list(tmp.rglob("*.tmp"))
         assert not missing.parent.exists()
+
+    @pytest.mark.parametrize("case", [
+        "reconstruct-out-is-a-directory", "reconstruct-out-is-cwd"])
+    def test_exit64(self, workspace, capsys, monkeypatch, case):
+        # An --out that is a directory is not a regular file: a usage
+        # error found before any file is read or written (it used to exit
+        # 2, once the secret was written beside it as DIR.tmp).
+        tmp, topo, secret = workspace
+        shares = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", shares, "--seed", "1"]) == 0
+        monkeypatch.chdir(tmp)
+        out = {"reconstruct-out-is-a-directory": shares,
+               "reconstruct-out-is-cwd": "."}[case]
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--shares", shares,
+                    "--out", out]) == 64
+        assert capsys.readouterr().err.startswith(
+            f"error: --out {out} is not a regular file")
+        assert not list(tmp.rglob("*.tmp"))
 
 
 class TestLoadOnUse:

@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 
 import reference
-from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, crypto_rng,
-                              deterministic_rng, echelon_insert,
-                              express_over_rows, is_probable_prime,
-                              random_ints, weighted_column_sum)
+from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
+                              crypto_rng, deterministic_rng, echelon_insert,
+                              express_over_rows, from_words,
+                              is_probable_prime, random_ints, to_words,
+                              weighted_column_sum, word_bytes, zeros)
 from multishare.formats import share_to_dict
 from multishare.protocol import NodeShare
 
@@ -339,3 +340,110 @@ class TestKernelsMatchReference:
                       for _ in columns]
                 assert (weighted_column_sum(ws, columns, q)
                         == reference.weighted_column_sum(ws, columns, q))
+
+
+class TestBlocksMatchReference:
+    """Every block function of field against the per-value references
+    (tests/reference.py), block by block: over moduli of every word
+    layout (one byte, a spare bit or none, 66 bytes), block lengths from 0
+    to BLOCK_WORDS, values 0 and q - 1 among random ones, and weights 0,
+    +-1, q - 1, (q +- 1)/2 and random full-size ones, up to 8 terms."""
+
+    MODULI = [2, 5, 7, 257, 65537, 2**32 - 5, 2**61 - 1, DEFAULT_MODULUS,
+              2**521 - 1]
+    LENGTHS = [0, 1, 2, BLOCK_WORDS - 1, BLOCK_WORDS]
+
+    @staticmethod
+    def _columns(q, n, k, rng):
+        """k columns of n values: 0 and q - 1 in turn at the front, then
+        random ones, and the last column all q - 1."""
+        columns = [[(0, q - 1)[(i + j) % 2] if i < 8 else rng.randrange(q)
+                    for i in range(n)] for j in range(k - 1)]
+        return columns + [[q - 1] * n]
+
+    @staticmethod
+    def _weights(q, rng):
+        special = sorted({0, 1, -1, q - 1, (q - 1) // 2, (q + 1) // 2})
+        sets = [[w] for w in special]
+        sets += [[rng.randrange(q) for _ in range(k)] for k in (2, 3, 8)]
+        sets += [[rng.choice(special + [rng.randrange(q)])
+                  for _ in range(8)] for _ in range(3)]
+        sets.append([q - 1] * 8)  # the most a sum may hold
+        return sets
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_weighted_column_sum(self, q):
+        rng = random.Random(q)
+        for n in self.LENGTHS:
+            columns = self._columns(q, n, 8, rng)
+            blocks = [as_block(col, q) for col in columns]
+            for ws in self._weights(q, rng):
+                want = reference.weighted_column_sum(ws, columns, q)
+                got = weighted_column_sum(ws, blocks[:len(ws)], q)
+                assert isinstance(got, Block) and len(got) == n
+                assert list(got) == want, (n, ws)
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_weighted_column_sum_many_terms(self, q):
+        # Small weights whose sum outgrows the headroom take the path of
+        # full-size ones.
+        rng = random.Random(q)
+        columns = self._columns(q, 5, 300, rng)
+        for ws in ([(q - 1) // 2] * 300, [q - 1] * 300,
+                   [rng.randrange(q) for _ in columns]):
+            assert (list(weighted_column_sum(ws, columns, q))
+                    == reference.weighted_column_sum(ws, columns, q))
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_words(self, q):
+        rng = random.Random(q)
+        width = word_bytes(q)
+        for n in self.LENGTHS:
+            (values,) = self._columns(q, n, 2, rng)[:1]
+            data = reference.ints_to_words(values, width)
+            block = from_words(data, width, q)
+            assert list(block) == reference.words_to_ints(data, width, q)
+            assert block == as_block(values, q)
+            assert to_words(block, width) == data
+            for narrow in range(1, width):
+                try:
+                    want = reference.ints_to_words(values, narrow)
+                except OverflowError:
+                    with pytest.raises(ValueError):
+                        to_words(block, narrow)
+                else:
+                    assert to_words(block, narrow) == want
+                    assert from_words(want, narrow, q) == block
+        # A word at or above q is refused, wherever it is.
+        for at in (0, 1, BLOCK_WORDS - 1):
+            values = [0] * BLOCK_WORDS
+            values[at] = 2 ** (8 * width) - 1
+            data = reference.ints_to_words(values, width)
+            with pytest.raises(ValueError):
+                reference.words_to_ints(data, width, q)
+            with pytest.raises(ValueError):
+                from_words(data, width, q)
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_sequence(self, q):
+        rng = random.Random(q)
+        values = self._columns(q, BLOCK_WORDS + 3, 2, rng)[0]
+        block = as_block(values, q)
+        assert len(block) == len(values) and list(block) == values
+        assert block == values and block == tuple(values)
+        assert hash(block) == hash(tuple(values))
+        for i in (0, 1, 7, BLOCK_WORDS, -1, -len(values)):
+            assert block[i] == values[i]
+        for a, b in ((0, 0), (0, 1), (3, 9), (1, BLOCK_WORDS + 1),
+                     (BLOCK_WORDS, None), (-5, None), (None, None)):
+            assert block[a:b] == values[a:b]
+            assert isinstance(block[a:b], Block)
+        assert block[::3] == values[::3]
+        assert block[:5] + block[5:] == block
+        assert zeros(0, q) + block == block == block + zeros(0, q)
+        assert zeros(3, q) == [0, 0, 0]
+        with pytest.raises(IndexError):
+            block[len(values)]
+        for bad in ([q], [-1], [0, q + 5]):
+            with pytest.raises(ValueError):
+                as_block(bad, q)

@@ -233,6 +233,9 @@ class TestDeal:
     def test_chunk_modulus_checked(self):
         with pytest.raises(ValueError):
             deal([11], topo3(), deterministic_rng(0))
+        # Checked where its block of chunks is packed, in any block.
+        with pytest.raises(ValueError):
+            deal([0] * BLOCK_WORDS + [-1], topo3(), deterministic_rng(0))
 
     def test_scripted_rejections_skipped(self):
         # The worked example's draws, with rejected words in between:
