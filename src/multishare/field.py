@@ -23,12 +23,20 @@ copy per byte of a word (from_words, to_words).
 The reduction. weighted_column_sum adds each column times its weight's
 signed representative (a negative weight -w as w times q minus the
 column), so that a slot holds at most q times the weights' absolute
-sum, and then reduces every slot mod q at once: Barrett's quotient
-estimate, read from each slot's top bits, falls short by at most one,
-and one conditional subtraction of q, the slots at or above q told by
-their top bit once 2^(S-1) - q is added, ends it. Weights too large for
-the headroom (full-size interpolation weights, say) are applied to the
-even and the odd slots apart, each half spread over slots twice as wide.
+sum, and then reduces every slot mod q at once. At a Mersenne modulus
+q = 2^b - 1, such as the default 2^127 - 1, each slot's bits above b
+are added to its low b bits (a fold), as 2^b = 1 mod q: a slot of at
+most M is left at most q + (M >> b). A slot holds at most q * 2^e, e
+the layout's headroom exponent, so one fold leaves it below q + 2^e,
+which is at most 2q when e < b: in every narrow slot once b > 22, as e
+is at most 22 there. The slots twice as wide at 2^127 - 1 (e = 141)
+take a second fold, and a tiny q a few more. At any other q, Barrett's
+quotient estimate, read from each slot's top bits, falls short by at
+most one. Either way one conditional subtraction of q, the slots at or
+above q told by their top bit once 2^(S-1) - q is added, ends it.
+Weights too large for the headroom (full-size interpolation weights,
+say) are applied to the even and the odd slots apart, each half spread
+over slots twice as wide.
 
 The draw. random_ints reads rng.randbytes as little-endian words, as the
 value-by-value draw it replaced did, so that seeded draws, and so seeded
@@ -215,12 +223,14 @@ class _Layout:
     """The masks of n slots of `bits` bits for the modulus q, built once
     (_layout): `qs` holds q in each slot, `top` each slot's top bit,
     `offset` 2^(bits-1) - q in each slot and `low` the low bits that hold
-    a slot's quotient estimate in _reduce; `even`, in the slots of twice
+    a slot's quotient estimate in _reduce; `high`, when q is 2^b - 1, the
+    low bits - b bits of each slot, where its bits above b land once
+    shifted right by b (None at other q); `even`, in the slots of twice
     the width of a narrow slot, that narrow slot. A weighted sum may be
     reduced here when its weights' absolute sum is at most `limit`."""
 
     __slots__ = ("q", "bits", "limit", "shift", "m", "c", "low", "qs",
-                 "top", "offset", "even")
+                 "top", "offset", "high", "even")
 
     def __init__(self, q: int, n: int, slot: int, spread: int):
         b = q.bit_length()
@@ -237,6 +247,8 @@ class _Layout:
         self.qs = q * one
         self.top = one << self.bits - 1
         self.offset = self.top - self.qs
+        self.high = (((1 << self.bits - b) - 1) * one if q & q + 1 == 0
+                     else None)
         self.even = ((1 << 8 * slot) - 1) * one if spread == 2 else None
 
 
@@ -249,11 +261,18 @@ def _layout(q: int, n: int, spread: int = 1) -> _Layout:
 
 def _reduce(x: int, most: int, lay: _Layout) -> int:
     """x, whose slots each hold at most `most`, at most q * lay.limit,
-    each slot reduced mod q. When most >= 2q, Barrett's estimate t of a
+    each slot reduced mod q. While most >= 2q at q = 2^b - 1, each slot's
+    bits above b are added to its low b bits (2^b = 1 mod q), which
+    leaves at most q + (most >> b); at other q, Barrett's estimate t of a
     slot's quotient, read from its top bits, is at most one short, so
-    x - t * q is below 2q; then each slot at or above q, whose top bit is
+    x - t * q is below 2q. Then each slot at or above q, whose top bit is
     set once `offset` is added, loses q."""
-    if most >= 2 * lay.q:
+    if lay.high is not None:
+        b = lay.q.bit_length()
+        while most >= 2 * lay.q:
+            x = (x & lay.qs) + (x >> b & lay.high)
+            most = lay.q + (most >> b)
+    elif most >= 2 * lay.q:
         t = ((x >> lay.shift & lay.low) * lay.m >> lay.c) & lay.low
         x -= t * lay.q
     top = (x + lay.offset) & lay.top

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from binascii import hexlify, unhexlify
+from binascii import Error as BinasciiError, hexlify, unhexlify
 from dataclasses import replace
 from itertools import repeat
 from typing import List, Tuple
@@ -36,7 +36,9 @@ MIN_USER_MODULUS = 257
 
 # A field element's text: lowercase hex without leading zeros.
 _HEX = re.compile("0|[1-9a-f][0-9a-f]*")
-_HEX_DIGITS = b"0123456789abcdef"
+# Upper-case hex digits as a byte that is not hex, for unhexlify,
+# which takes both cases, to refuse them.
+_UPPER_NOT_HEX = bytes.maketrans(b"ABCDEF", b"gggggg")
 # A value's text in a v2 share file, whose length is checked apart.
 _LOWER_HEX = re.compile("[0-9a-f]*")
 # What a network id may not hold, since a share file is named after it.
@@ -467,16 +469,18 @@ class _ShareValuesV2(ShareValues):
                 or data[stride - 1:end - stride:stride] != b"," * (n - 1)
                 or data[end - 1:] != (b"]}\n" if last else b",")):
             raise CorruptData(NOT_CANONICAL)
-        # The digits; one more byte of any of those among them, or any
-        # other byte but lowercase hex, is a bad value.
-        hex_digits = data.translate(None, b'",]}\n')
+        # The digits, upper-case ones made non-hex in the same pass; one
+        # more byte of any of those separators among them changes their
+        # count, and unhexlify refuses any other byte but lowercase hex.
+        hex_digits = data.translate(_UPPER_NOT_HEX, b'",]}\n')
         del data
-        if (len(hex_digits) != n * digits
-                or hex_digits.translate(None, _HEX_DIGITS)):
+        if len(hex_digits) != n * digits:
             raise CorruptData(NOT_FIXED_HEX.format(digits))
         try:
             values = from_words(unhexlify(hex_digits), self.width,
                                 self.modulus)
+        except BinasciiError:
+            raise CorruptData(NOT_FIXED_HEX.format(digits)) from None
         except ValueError:
             raise CorruptData(OUT_OF_RANGE) from None
         return values, end

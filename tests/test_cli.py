@@ -1318,6 +1318,19 @@ class TestShareFileLayouts:
         assert path.read_bytes() != data
         self._refused(topo, out, path, capsys)
 
+    @pytest.mark.parametrize("byte", [b"A", b"f", b"g", b" ", b'"', b",",
+                                      b"\x80"])
+    def test_bad_digit_exit2(self, tmp_path, capsys, byte):
+        # One byte in place of the first digit of a value in the last
+        # block: a byte that is not a lowercase hex digit, or a digit
+        # that takes the value to q or above.
+        topo, _, out = self._vault(tmp_path, self.B + 9)
+        path = out / "d1_002.share.json"
+        data = path.read_bytes()
+        at = data.rindex(b',"') + 2
+        path.write_bytes(data[:at] + byte + data[at + 1:])
+        self._refused(topo, out, path, capsys, byte)
+
     def test_truncated_at_block_edges_exit2(self, tmp_path, capsys):
         # Two networks of two nodes; the first block of values ends, and
         # the second begins, at `edge`. Cut there and at the end, +-8

@@ -6,8 +6,9 @@ from collections import Counter
 import pytest
 
 import reference
-from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
-                              crypto_rng, deterministic_rng, echelon_insert,
+from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, _layout,
+                              _reduce, as_block, crypto_rng,
+                              deterministic_rng, echelon_insert,
                               express_over_rows, from_words,
                               is_probable_prime, random_ints, to_words,
                               weighted_column_sum, word_bytes, zeros)
@@ -349,8 +350,8 @@ class TestBlocksMatchReference:
     to BLOCK_WORDS, values 0 and q - 1 among random ones, and weights 0,
     +-1, q - 1, (q +- 1)/2 and random full-size ones, up to 8 terms."""
 
-    MODULI = [2, 5, 7, 257, 65537, 2**32 - 5, 2**61 - 1, DEFAULT_MODULUS,
-              2**521 - 1]
+    MODULI = [2, 3, 5, 7, 31, 127, 257, 8191, 65537, 2**31 - 1, 2**32 - 5,
+              2**61 - 1, 2**89 - 1, DEFAULT_MODULUS, 2**521 - 1]
     LENGTHS = [0, 1, 2, BLOCK_WORDS - 1, BLOCK_WORDS]
 
     @staticmethod
@@ -447,3 +448,68 @@ class TestBlocksMatchReference:
         for bad in ([q], [-1], [0, q + 5]):
             with pytest.raises(ValueError):
                 as_block(bad, q)
+
+
+# Mersenne primes 2^b - 1, reduced by folding, of every slot layout: b
+# from 2 to 521, with no spare bit in the word (b = 8k - 1) or more.
+MERSENNE = [2**b - 1 for b in (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 127,
+                               521)]
+
+
+class TestReduce:
+    """_reduce, which folds at q = 2^b - 1 and runs Barrett's step at
+    other q, against slot % q, slot by slot, at the bounds of a slot."""
+
+    @staticmethod
+    def _check(q, slots, lay):
+        """_reduce of the slots `slots`, told the most is their max."""
+        bits = lay.bits
+        x = sum(v << (len(slots) - 1 - i) * bits
+                for i, v in enumerate(slots))
+        got = _reduce(x, max(slots), lay)
+        assert [got >> (len(slots) - 1 - i) * bits & (1 << bits) - 1
+                for i in range(len(slots))] == [v % q for v in slots]
+
+    @pytest.mark.parametrize("q", MERSENNE + [2, 65537, 2**32 - 5])
+    @pytest.mark.parametrize("spread", [1, 2])
+    def test_slot_bounds(self, q, spread):
+        rng = random.Random(q)
+        lay = _layout(q, 2 * 12, spread)  # 12 slots either way
+        assert (lay.high is not None) == (q & q + 1 == 0)
+        most = q * lay.limit
+        slots = [most, most - 1, 2 * q, 2 * q - 1, q, 0]
+        slots += [rng.randrange(most + 1) for _ in range(6)]
+        self._check(q, slots, lay)
+        # At most 2q, as a weight of -2 on a column of 0 gives.
+        self._check(q, [2 * q, 2 * q - 1, q, q - 1, 0, 0], lay)
+
+    @pytest.mark.parametrize("q", MERSENNE)
+    def test_weights_at_the_limit(self, q):
+        # Sums whose weights' absolute sum is exactly the headroom's
+        # limit, or one less, signs mixed; each sum's first slot at the
+        # most it can hold, its second at the least.
+        rng = random.Random(q)
+        limit = _layout(q, 4).limit
+        for total in (limit, limit - 1):
+            weights = []
+            while total:
+                w = rng.randint(1, min(total, (q - 1) // 2))
+                weights.append(rng.choice((w, -w)))
+                total -= w
+            columns = [[q - 1 if w > 0 else 0, 0 if w > 0 else q - 1,
+                        rng.randrange(q), rng.randrange(q)]
+                       for w in weights]
+            assert (list(weighted_column_sum(weights, columns, q))
+                    == reference.weighted_column_sum(weights, columns, q))
+
+    @pytest.mark.parametrize("q", [2**7 - 1, 2**31 - 1, DEFAULT_MODULUS])
+    def test_wide_weights_at_the_limit(self, q):
+        # Full-size weights totalling exactly the wide slots' limit: the
+        # fewest terms that can, at these q.
+        limit = _layout(q, 2, 2).limit
+        count, rest = divmod(limit, q - 1)
+        weights = [q - 1] * count + [rest]
+        columns = [[q - 1, q - 1]] * len(weights)
+        blocks = [as_block(columns[0], q)] * len(weights)
+        assert (list(weighted_column_sum(weights, blocks, q))
+                == reference.weighted_column_sum(weights, columns, q))

@@ -208,6 +208,39 @@ class TestFixedWidth:
             assert str(err.value).startswith(f"cannot read share {path}: ")
 
 
+    @pytest.mark.parametrize("q", [65537, DEFAULT_MODULUS])
+    def test_every_byte_at_a_digit(self, tmp_path, q):
+        # Each of the 256 bytes in turn at the first digit of value 0, a
+        # middle digit of a middle value and the last digit of the last
+        # value, q - 1: read_share takes exactly the files the per-value
+        # reader takes, and refuses every other with the reason.
+        digits = 2 * formats.value_width(q)
+        share = NodeShare("m", 1, 0, (0, 1, q // 3, 5, q - 1))
+        data = share_bytes(share, q)
+        first = data.index(b'"values":["') + len(b'"values":["')
+        stride = digits + 3
+        path = tmp_path / "m_001.share.json"
+        for at in (first, first + 2 * stride + digits // 2,
+                   first + 4 * stride + digits - 1):
+            for byte in range(256):
+                bad = data[:at] + bytes([byte]) + data[at + 1:]
+                path.write_bytes(bad)
+                try:
+                    want = reference.read_share_bytes(bad, q)
+                except CorruptData:
+                    want = None
+                if want is not None:
+                    assert read_whole(path, q) == want, (at, byte)
+                    continue
+                message = (formats.OUT_OF_RANGE
+                           if byte in b"0123456789abcdef"
+                           else formats.NOT_FIXED_HEX.format(digits))
+                with pytest.raises(formats.UnreadableShare) as err:
+                    formats.read_share(path, q).values.read_rest()
+                assert str(err.value) == (
+                    f"cannot read share {path}: {message}"), (at, byte)
+
+
 class TestV1Faults:
     """Share format v1: each value lowercase hex without leading zeros.
     read_share reads a v1 file value by value, and refuses it at its
