@@ -446,7 +446,7 @@ def main(argv=None) -> int:
         print(f"error: EpochMismatch: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except Infeasible as exc:
-        print(f"error: infeasible: {exc.missing}", file=sys.stderr)
+        print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,14 +17,8 @@ class EpochMismatch(MultishareError):
 
 
 class Infeasible(MultishareError):
-    """Reconstruction is impossible with the given share set.
-
-    ``missing`` names what is lacking (human-readable).
-    """
-
-    def __init__(self, missing):
-        super().__init__(missing)
-        self.missing = missing
+    """Reconstruction is impossible with the given share set; the message
+    names what is lacking."""
 
 
 class CapacityError(MultishareError):

@@ -21,8 +21,8 @@ from itertools import repeat
 from typing import List, Tuple
 
 from .errors import CorruptData
-from .field import (BLOCK_WORDS, Block, as_block, from_words, to_words,
-                    zeros)
+from .field import (BLOCK_WORDS, OUT_OF_RANGE, Block, as_block, from_words,
+                    to_words, word_bytes, zeros)
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -52,7 +52,6 @@ HEAD_BYTES = 1 << 16
 # Why a share file is refused.
 NOT_HEX = "a hex value is not lowercase hex without leading zeros"
 NOT_FIXED_HEX = "a value is not lowercase hex of {} digits"
-OUT_OF_RANGE = "a value is out of range for the modulus"
 COUNT_MISMATCH = "chunk_count does not match values"
 NOT_CANONICAL = ("not in the layout the tools write (canonical JSON and a "
                  "newline)")
@@ -158,13 +157,6 @@ def topology_digest(topology: Topology) -> str:
     return sha256(canonical_json(topology_to_dict(topology))).hexdigest()
 
 
-def value_width(modulus: int) -> int:
-    """The bytes of each value in a v2 share file: those of modulus - 1,
-    so that every value below the modulus fits. It is written as twice
-    as many lowercase hex digits."""
-    return ((modulus - 1).bit_length() + 7) // 8
-
-
 def _share_header(share: NodeShare, modulus: int,
                   chunk_count: int) -> dict:
     """Every field of a share file but its values."""
@@ -180,8 +172,8 @@ def _share_header(share: NodeShare, modulus: int,
 
 def share_to_dict(share: NodeShare, modulus: int) -> dict:
     """The share file's document: each value as the hex of its
-    value_width-byte big-endian form, leading zeros included."""
-    digits = 2 * value_width(modulus)
+    word_bytes-byte big-endian form, leading zeros included."""
+    digits = 2 * word_bytes(modulus)
     return {**_share_header(share, modulus, len(share.values)),
             "values": [f"{v:0{digits}x}" for v in share.values]}
 
@@ -208,7 +200,7 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
             {**_share_header(share, modulus, chunk_count),
              "values": []})[:-2])
     if values:
-        width = value_width(modulus)
+        width = word_bytes(modulus)
         raw = to_words(as_block(values, modulus), width)
         parts += [b',"' if start else b'"',
                   hexlify(raw, b'"', width).replace(b'"', b'","'), b'"']
@@ -263,7 +255,7 @@ def share_from_dict(data: dict, modulus: int) -> NodeShare:
             values = list(map(_parse_hex, data["values"]))
         else:
             values = list(map(_parse_fixed_hex, data["values"],
-                              repeat(2 * value_width(modulus))))
+                              repeat(2 * word_bytes(modulus))))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed share file: {exc}") from exc
     if values and max(values) >= modulus:
@@ -442,14 +434,14 @@ class _ShareValuesV1(ShareValues):
 
 class _ShareValuesV2(ShareValues):
     """The values of a v2 share file, each `"`, 2w lowercase hex digits
-    (w = value_width) and `"`, with a comma between each two: value i
+    (w = word_bytes) and `"`, with a comma between each two: value i
     starts i strides after the first, so the file's size is checked
     against its chunk_count when it is opened, and a block is read by its
     byte count alone."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.width = value_width(self.modulus)
+        self.width = word_bytes(self.modulus)
         self.stride = 2 * self.width + 3  # a value, its quotes and a comma
         size = self.offset + max(self.count * self.stride - 1, 0) + 3
         if self.identity[2] != size:

@@ -33,14 +33,20 @@ STATE_VERSION = 2
 # alone would also take spaces, a newline and upper case).
 _SECRET_HEX = re.compile("(?:[0-9a-f]{2})*")
 
-EVENT_KINDS = frozenset({
-    "deal", "refresh", "compromise_network", "compromise_node",
-    "release_node", "fail_node", "attempt_reconstruct",
-    "hndl_decrypt_classical"})
-# Events naming a target network, and those of them that also name a node.
-NETWORK_EVENTS = frozenset({
-    "compromise_network", "compromise_node", "release_node", "fail_node"})
-NODE_EVENTS = NETWORK_EVENTS - {"compromise_network"}
+# Each event kind: the Simulation method that applies it and returns its
+# report outcome, and the fields the event takes besides "event", passed
+# to the method in this order. Only "actor" may be left out.
+EVENTS = {
+    "deal": ("owner_store", ()),
+    "refresh": ("owner_refresh", ()),
+    "compromise_network": ("compromise_network", ("network",)),
+    "compromise_node": ("compromise_node", ("network", "node")),
+    "release_node": ("release_node", ("network", "node")),
+    "fail_node": ("fail_node", ("network", "node")),
+    "hndl_decrypt_classical": ("decrypt_classical", ()),
+    "attempt_reconstruct": ("attempt", ("actor",)),
+}
+EVENT_KINDS = frozenset(EVENTS)
 
 
 @dataclass
@@ -50,7 +56,6 @@ class SimNode:
     store: Optional[NodeShare] = None
     alive: bool = True
     compromised: bool = False
-    stale: bool = False
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,10 @@ class Scenario:
             raise ValueError(f"malformed scenario: {exc}") from exc
         for ev in schedule:
             if not (isinstance(ev, dict) and isinstance(ev.get("event"), str)
-                    and ev["event"] in EVENT_KINDS):
+                    and ev["event"] in EVENTS):
                 raise ValueError(f"unknown event {ev!r}")
         check_deal_order(schedule)
-        check_targets(schedule, topology)
+        check_fields(schedule, topology)
         return cls(topology=topology, secret=secret, schedule=schedule)
 
 
@@ -100,15 +105,23 @@ def check_deal_order(schedule, dealt: Optional[bool] = None) -> None:
                          "dealt")
 
 
-def check_targets(schedule, topology: Topology) -> None:
-    """ValueError unless every network and node the events name exist."""
+def check_fields(schedule, topology: Topology) -> None:
+    """ValueError unless every event has only the fields its kind takes
+    (EVENTS), every network and node it names exist, and its actor, if
+    given, is owner or adversary."""
     for ev in schedule:
-        kind = ev["event"]
-        if kind not in NETWORK_EVENTS:
+        fields = EVENTS[ev["event"]][1]
+        stray = sorted(set(ev) - {"event", *fields})
+        if stray:
+            raise ValueError(f"event {ev!r} takes no field {stray[0]!r}")
+        if ev.get("actor", "owner") not in ("owner", "adversary"):
+            raise ValueError(f"event {ev!r}: the actor is owner or "
+                             f"adversary")
+        if "network" not in fields:
             continue
         try:
             net = topology.spec(ev["network"])
-            if (kind in NODE_EVENTS and not
+            if ("node" in fields and not
                     1 <= formats._json_int(ev, "node") <= net.node_count):
                 raise ValueError(f"no node {ev['node']} in network {net.id}")
         except (KeyError, TypeError, ValueError, CorruptData) as exc:
@@ -161,7 +174,6 @@ class Simulation:
             for share in dealt[net.id]:
                 node = self.nodes[(net.id, share.node_index)]
                 node.store = share
-                node.stale = False
                 delivered += 1
                 if classical:
                     self._send(("share", net.id, share.node_index, 0,
@@ -189,7 +201,6 @@ class Simulation:
                                 deltas[net.id].delta(j)))
                 node = self.nodes[(net.id, j)]
                 if not node.alive:
-                    node.stale = True
                     stale.append(f"{net.id}/{j}")
                     continue
                 if node.store is not None and node.store.epoch == self.epoch:
@@ -209,7 +220,7 @@ class Simulation:
             raise Infeasible("nothing dealt yet")
         usable: Dict[str, List[NodeShare]] = {}
         for node in self.nodes.values():
-            if (node.alive and not node.stale and node.store is not None
+            if (node.alive and node.store is not None
                     and node.store.epoch == self.epoch):
                 usable.setdefault(node.network_id, []).append(node.store)
         # Looked up at call time, so that a wrapper installed on the
@@ -240,30 +251,34 @@ class Simulation:
         if node.store is not None:
             self._leak_store(node)
 
-    def compromise_node(self, network_id: str, node_index: int) -> None:
+    def compromise_node(self, network_id: str, node_index: int) -> dict:
         self._compromise(self.nodes[(network_id, node_index)])
         self.history.append({"event": "compromise_node",
                              "network": network_id, "node": node_index})
+        return {"compromised": f"{network_id}/{node_index}"}
 
-    def compromise_network(self, network_id: str) -> None:
+    def compromise_network(self, network_id: str) -> dict:
         for j in range(1, self.topology.spec(network_id).node_count + 1):
             self._compromise(self.nodes[(network_id, j)])
         self.history.append({"event": "compromise_network",
                              "network": network_id})
+        return {"compromised": network_id}
 
-    def release_node(self, network_id: str, node_index: int) -> None:
+    def release_node(self, network_id: str, node_index: int) -> dict:
         """End a compromise: later writes stay private, earlier captures
         stay with the adversary."""
         self.nodes[(network_id, node_index)].compromised = False
         self.history.append({"event": "release_node",
                              "network": network_id, "node": node_index})
+        return {"released": f"{network_id}/{node_index}"}
 
-    def fail_node(self, network_id: str, node_index: int) -> None:
+    def fail_node(self, network_id: str, node_index: int) -> dict:
         self.nodes[(network_id, node_index)].alive = False
         self.history.append({"event": "fail_node",
                              "network": network_id, "node": node_index})
+        return {"failed": f"{network_id}/{node_index}"}
 
-    def decrypt_classical(self) -> None:
+    def decrypt_classical(self) -> dict:
         """Harvest-now-decrypt-later: every classical payload, past and
         future, becomes adversary-readable."""
         if not self.hndl:
@@ -271,6 +286,7 @@ class Simulation:
             for capture in self.transcript:
                 self._capture(capture)
         self.history.append({"event": "hndl_decrypt_classical"})
+        return {"hndl": True}
 
     def adversary_rows(self) -> List[tuple]:
         """The captures: everything the adversary holds, in the order it
@@ -290,45 +306,26 @@ class Simulation:
 
     # -- events -----------------------------------------------------------
 
+    def attempt(self, actor: str = "owner") -> dict:
+        """The outcome of an attempt_reconstruct event: the owner's
+        reconstruction from its live nodes, or the adversary's exact
+        verdict on what it holds."""
+        if actor == "owner":
+            try:
+                return {"actor": "owner", "result": "ok",
+                        "matches": self.owner_reconstruct() == self.secret}
+            except Infeasible as exc:
+                return {"actor": "owner", "result": "infeasible",
+                        "missing": str(exc)}
+        verdict, data = self.adversary_verdict()
+        return {"actor": "adversary", "verdict": verdict.value,
+                "matches": None if data is None else data == self.secret}
+
     def apply(self, ev: dict) -> dict:
-        """Apply one scenario event and return its report outcome."""
-        kind = ev["event"]
-        try:
-            if kind == "deal":
-                return self.owner_store()
-            if kind == "refresh":
-                return self.owner_refresh()
-            if kind == "compromise_network":
-                self.compromise_network(ev["network"])
-                return {"compromised": ev["network"]}
-            if kind == "compromise_node":
-                self.compromise_node(ev["network"], ev["node"])
-                return {"compromised": f"{ev['network']}/{ev['node']}"}
-            if kind == "release_node":
-                self.release_node(ev["network"], ev["node"])
-                return {"released": f"{ev['network']}/{ev['node']}"}
-            if kind == "fail_node":
-                self.fail_node(ev["network"], ev["node"])
-                return {"failed": f"{ev['network']}/{ev['node']}"}
-            if kind == "hndl_decrypt_classical":
-                self.decrypt_classical()
-                return {"hndl": True}
-            if kind == "attempt_reconstruct":
-                if ev.get("actor", "owner") == "owner":
-                    try:
-                        data = self.owner_reconstruct()
-                        return {"actor": "owner", "result": "ok",
-                                "matches": data == self.secret}
-                    except Infeasible as exc:
-                        return {"actor": "owner", "result": "infeasible",
-                                "missing": str(exc)}
-                verdict, data = self.adversary_verdict()
-                return {"actor": "adversary", "verdict": verdict.value,
-                        "matches": (None if data is None
-                                    else data == self.secret)}
-        except KeyError as exc:
-            raise ValueError(f"malformed event {ev!r}: {exc}") from exc
-        raise ValueError(f"unknown event {kind!r}")
+        """Apply one scenario event, checked as Scenario.from_dict does,
+        and return its report outcome."""
+        method, fields = EVENTS[ev["event"]]
+        return getattr(self, method)(*(ev[f] for f in fields if f in ev))
 
     # -- persistence: a replay log ---------------------------------------
 
@@ -410,19 +407,15 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         sim = Simulation(scenario.topology, scenario.secret, seed)
     events_out = [{"event": ev["event"], "outcome": sim.apply(ev)}
                   for ev in scenario.schedule]
-    verdict, recovered = sim.adversary_verdict()
-    try:
-        owner = sim.owner_reconstruct() == sim.secret if sim.dealt else False
-        owner_detail = "ok" if owner else "mismatch"
-    except Infeasible as exc:
-        owner, owner_detail = False, str(exc)
+    adversary, owner = sim.attempt("adversary"), sim.attempt("owner")
+    available = owner.get("matches", False)
     return {
         "seed": sim.seed,
         "epoch": sim.epoch,
         "events": events_out,
-        "adversary_verdict": verdict.value,
-        "adversary_recovered_secret": (None if recovered is None
-                                       else recovered == sim.secret),
-        "owner_available": owner,
-        "owner_detail": owner_detail,
+        "adversary_verdict": adversary["verdict"],
+        "adversary_recovered_secret": adversary["matches"],
+        "owner_available": available,
+        "owner_detail": owner.get("missing",
+                                  "ok" if available else "mismatch"),
     }

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from multishare import formats
 from multishare.errors import CorruptData, Infeasible
-from multishare.field import BLOCK_WORDS, express_over_rows
+from multishare.field import BLOCK_WORDS, express_over_rows, word_bytes
 from multishare.poly import lagrange_zero_weights
 from multishare.protocol import (LENGTH_HEADER, Access, NetworkSpec,
                                  NodeShare, Topology, _outer_weights,
@@ -145,9 +145,9 @@ def share_bytes_v1(share: NodeShare, modulus: int) -> bytes:
 
 def share_bytes(share: NodeShare, modulus: int) -> bytes:
     """The v2 share file of `share`, a value at a time: each value as
-    "%0*x" at twice value_width digits, spliced into the canonical JSON of
+    "%0*x" at twice word_bytes digits, spliced into the canonical JSON of
     the header with an empty "values" list, which ends in `[]}`."""
-    digits = 2 * formats.value_width(modulus)
+    digits = 2 * word_bytes(modulus)
     head = formats.canonical_json(
         {**formats._share_header(share, modulus, len(share.values)),
          "values": []})
@@ -159,7 +159,7 @@ def read_share_bytes(data: bytes, modulus: int) -> NodeShare:
     """The share in the v2 share file `data`, a value at a time:
     CorruptData unless `data` is the canonical JSON of a v2 share file
     and a newline, its header valid, and each value "%0*x" of a value
-    below the modulus at twice value_width digits."""
+    below the modulus at twice word_bytes digits."""
     try:
         doc = json.loads(data)
     except ValueError:
@@ -172,7 +172,7 @@ def read_share_bytes(data: bytes, modulus: int) -> NodeShare:
     texts = doc.get("values")
     if not isinstance(texts, list) or len(texts) != count:
         raise CorruptData("values")
-    digits = 2 * formats.value_width(modulus)
+    digits = 2 * word_bytes(modulus)
     values = []
     for text in texts:
         if not (isinstance(text, str) and len(text) == digits

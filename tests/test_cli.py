@@ -17,12 +17,12 @@ import reference
 from multishare import formats, vault
 from multishare.cli import main
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, deterministic_rng,
-                              is_probable_prime)
+                              is_probable_prime, word_bytes)
 from multishare.formats import topology_to_dict
 from multishare.protocol import (LENGTH_HEADER, LinkKind, NetworkSpec,
                                  SecretDecoder, Topology, chunk_size, deal,
                                  encode_secret)
-from multishare.simnet import EVENT_KINDS, load_state
+from multishare.simnet import EVENT_KINDS, EVENTS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -433,7 +433,7 @@ def _encode(doc) -> bytes:
 
 def v2_hex(value: int, q=DEFAULT_MODULUS) -> str:
     """`value` as a v2 share file writes it (formats.share_to_dict)."""
-    return f"{value:0{2 * formats.value_width(q)}x}"
+    return f"{value:0{2 * word_bytes(q)}x}"
 
 
 def _hex_value(text):
@@ -2098,6 +2098,31 @@ class TestSimulate:
         assert not state.exists()
         assert not (tmp_path / "scenario.report.json").exists()
 
+    @pytest.mark.parametrize("event", [
+        {"event": "attempt_reconstruct", "actor": "owner "},
+        {"event": "attempt_reconstruct", "actor": "Adversary"},
+        {"event": "attempt_reconstruct", "actor": 7},
+        {"event": "attempt_reconstruct", "actor": []},
+        {"event": "compromise_node", "network": "d1", "node": 1,
+         "nodes": [2]},
+        {"event": "attempt_reconstruct", "actr": "adversary"},
+        {"event": "compromise_network", "network": "m", "node": 1},
+    ], ids=["actor-space", "actor-case", "actor-int", "actor-list",
+            "nodes", "actr", "node-on-network"])
+    def test_event_fields_checked_exit2(self, tmp_path, capsys, event):
+        # An actor other than "owner" once ran as the adversary, and a
+        # field the kind does not take was ignored.
+        data = json.loads(
+            (ROOT / "docs" / "examples" / "scenario.json").read_text())
+        data["schedule"].insert(2, event)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        state = tmp_path / "world.state"
+        assert run(["simulate", "--scenario", path, "--state", state]) == 2
+        assert "cannot load scenario" in capsys.readouterr().err
+        assert not state.exists()
+        assert not (tmp_path / "scenario.report.json").exists()
+
     def test_report_or_state_not_a_regular_file_exit64(self, tmp_path,
                                                       capsys):
         # A --report FIFO was replaced by a regular file; a --state FIFO
@@ -2867,6 +2892,17 @@ class TestDocumentedExamples:
                     "--report", tmp_path / "report.json"]) == 0
         assert json.loads(state.read_bytes()[12:]) == example
 
+    def test_formats_md_events(self):
+        # The documented event table names each kind and the fields it
+        # takes, as simnet.EVENTS states them.
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text[text.index("Event kinds"):text.index("## Report")]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M)
+        assert {kind: tuple(re.findall(r"`(\w+)`", cell))
+                for kind, cell in rows} == {
+            kind: fields for kind, (_, fields) in EVENTS.items()}
+        assert len(rows) == len(EVENTS)
+
     def test_readme_library(self):
         # The README's library example runs as written, so a name that
         # leaves the package cannot stay in it.
@@ -3015,6 +3051,20 @@ def malformed_scenarios(scenario):
                   JSON_VALUES.filter(lambda v: v not in ids)).map(
             lambda ev: {**scenario, "schedule": schedule + [
                 {"event": ev[0], "network": ev[1], "node": 1}]}),
+        # An actor that is neither owner nor adversary.
+        (JSON_VALUES.filter(lambda v: v not in ("owner", "adversary"))
+         | st.sampled_from(["owner ", "Adversary", "OWNER"])).map(
+            lambda v: {**scenario, "schedule": schedule + [
+                {"event": "attempt_reconstruct", "actor": v}]}),
+        # A field the event's kind does not take.
+        st.tuples(st.integers(0, len(schedule) - 1),
+                  st.text(max_size=8) | st.sampled_from(
+                      ["network", "node", "nodes", "actor", "actr"]),
+                  JSON_VALUES).filter(
+            lambda ikv: ikv[1] not in {
+                "event", *EVENTS[schedule[ikv[0]]["event"]][1]}).map(
+            lambda ikv: _replace(scenario, ["schedule", ikv[0], ikv[1]],
+                                 ikv[2])),
         # A refresh before the deal, or with no deal at all.
         st.integers(0, len(schedule)).map(
             lambda i: {**scenario, "schedule": [

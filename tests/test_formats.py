@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from multishare import formats
 from multishare.errors import CorruptData
-from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
+from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS, word_bytes
 from multishare.formats import (canonical_json, share_file_block,
                                 share_to_dict, topology_digest,
                                 topology_to_dict)
@@ -125,8 +125,8 @@ class TestShareWriter:
 
 class TestFixedWidth:
     """Share format v2: every value is the 2w lowercase hex digits of its
-    w-byte big-endian form, w the byte width of q - 1. share_file_block
-    and read_share, which convert a block of values by C-level passes,
+    w-byte big-endian form, w = word_bytes(q). share_file_block and
+    read_share, which convert a block of values by C-level passes,
     against the per-value writer and reader of tests/reference.py."""
 
     QS = [257, 65537, DEFAULT_MODULUS]
@@ -135,7 +135,7 @@ class TestFixedWidth:
                                            (2**61 - 1, 16),
                                            (DEFAULT_MODULUS, 32)])
     def test_width(self, q, digits):
-        assert 2 * formats.value_width(q) == digits
+        assert 2 * word_bytes(q) == digits
         assert share_to_dict(NodeShare("m", 1, 0, (0, q - 1)), q)[
             "values"] == ["0" * digits, f"{q - 1:0{digits}x}"]
 
@@ -165,7 +165,7 @@ class TestFixedWidth:
     @staticmethod
     def _faults(data: bytes, q: int):
         """`data`, a v2 share file, broken one way at a time, by name."""
-        digits = 2 * formats.value_width(q)
+        digits = 2 * word_bytes(q)
         first = data.index(b'"values":["') + len(b'"values":["')
         last = len(data) - 3 - digits
         value = data[first:first + digits]
@@ -214,7 +214,7 @@ class TestFixedWidth:
         # middle digit of a middle value and the last digit of the last
         # value, q - 1: read_share takes exactly the files the per-value
         # reader takes, and refuses every other with the reason.
-        digits = 2 * formats.value_width(q)
+        digits = 2 * word_bytes(q)
         share = NodeShare("m", 1, 0, (0, 1, q // 3, 5, q - 1))
         data = share_bytes(share, q)
         first = data.index(b'"values":["') + len(b'"values":["')

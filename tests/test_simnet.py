@@ -54,6 +54,24 @@ class TestScenarioParsing:
         with pytest.raises(ValueError):
             scenario([{"event": "deal"}, event])
 
+    @pytest.mark.parametrize("actor", ["owner ", "Adversary", 7, []],
+                             ids=["space", "case", "int", "list"])
+    def test_unknown_actor_rejected(self, actor):
+        # Any actor but "owner" once ran as the adversary.
+        with pytest.raises(ValueError, match="actor"):
+            scenario([{"event": "deal"},
+                      {"event": "attempt_reconstruct", "actor": actor}])
+
+    @pytest.mark.parametrize("event", [
+        {"event": "compromise_node", "network": "d1", "node": 1,
+         "nodes": [2]},
+        {"event": "attempt_reconstruct", "actr": "adversary"},
+        {"event": "compromise_network", "network": "m", "node": 1},
+    ], ids=["nodes", "actr", "node-on-network"])
+    def test_field_the_kind_does_not_take_rejected(self, event):
+        with pytest.raises(ValueError, match="takes no field"):
+            scenario([{"event": "deal"}, event])
+
     def test_second_deal_rejected(self):
         with pytest.raises(ValueError, match="dealt once"):
             scenario([{"event": "deal"}, {"event": "refresh"},
@@ -119,8 +137,17 @@ class TestOwner:
         sim.fail_node("d1", 2)
         out = sim.owner_refresh()
         assert out["stale"] == ["d1/2"]
-        assert sim.nodes[("d1", 2)].stale
+        assert sim.nodes[("d1", 2)].store.epoch < sim.epoch
         assert sim.owner_reconstruct() == b"payload"
+
+    def test_undealt_report_says_what_is_missing(self):
+        # The final owner_detail once read "mismatch" here.
+        report = run_scenario(scenario([{"event": "attempt_reconstruct"}]))
+        missing = "nothing dealt yet"
+        assert report["events"][0]["outcome"] == {
+            "actor": "owner", "result": "infeasible", "missing": missing}
+        assert report["owner_available"] is False
+        assert report["owner_detail"] == missing
 
     def test_fail_witness_blocks(self):
         sim = Simulation(topo(), b"payload", seed=2)
@@ -186,6 +213,30 @@ class TestAdversary:
         ]), seed=7)
         assert report["adversary_verdict"] == "Reconstructs"
         assert report["adversary_recovered_secret"] is True
+
+    @pytest.mark.parametrize("released", [False, True])
+    def test_compromise_before_the_deal_leaks_the_dealt_share(self,
+                                                              released):
+        # A node compromised before the deal leaks the share dealt to it;
+        # one released before the deal leaks nothing.
+        held_nodes = [("m", 1), ("m", 2), ("d1", 1), ("d1", 2)]
+        schedule = [{"event": "compromise_node", "network": nid, "node": j}
+                    for nid, j in held_nodes]
+        if released:
+            schedule.append({"event": "release_node", "network": "m",
+                             "node": 1})
+            held_nodes.remove(("m", 1))
+        report = run_scenario(scenario(schedule + [
+            {"event": "deal"},
+            {"event": "attempt_reconstruct", "actor": "adversary"}]),
+            seed=7)
+        assert report["epoch"] == 0
+        assert report["adversary_verdict"] == reference.access_oracle(
+            held_nodes, topo()).value
+        assert report["adversary_verdict"] == ("NoInformation" if released
+                                               else "Reconstructs")
+        assert report["adversary_recovered_secret"] is (None if released
+                                                        else True)
 
     def test_sticky_compromise_leaks_refresh_writes(self):
         sim = Simulation(topo(), b"payload", seed=3)
