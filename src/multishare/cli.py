@@ -22,9 +22,9 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
 from .field import BLOCK_WORDS, crypto_rng, deterministic_rng
 from . import formats, vault
-from .protocol import (LENGTH_HEADER, NodeShare, SecretDecoder, Topology,
-                       apply_node_refresh, checked_shares, chunk_count,
-                       chunk_size, compute_thresholds_exhaustive,
+from .protocol import (SecretDecoder, Topology, apply_node_refresh,
+                       checked_shares, chunk_count, chunk_size,
+                       compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, reconstruct,
                        refresh, secret_blocks,
                        EXHAUSTIVE_DEGREE_BOUND, EXHAUSTIVE_NETWORK_BOUND)
@@ -66,22 +66,19 @@ def _read_json(path, what: str):
         raise CliError(EXIT_INPUT, f"cannot read {what} {path}: {exc}")
 
 
-def _load_topology(path: str) -> Topology:
+def _load_topology(path: str, chunking: bool = False) -> Topology:
+    """The topology in file `path`; exit 2 when it cannot be read or is
+    not valid. Deal and reconstruct, which turn a secret into chunks and
+    back, load it `chunking`: then also exit 2, before any file is
+    touched, when the modulus is too small to hold a chunk (chunk_size)."""
     try:
-        return formats.topology_from_dict(
+        topology = formats.topology_from_dict(
             _read_json(path, "topology"),
             min_modulus=formats.MIN_USER_MODULUS)
+        if chunking:
+            chunk_size(topology.modulus)
     except CorruptData as exc:
         raise CliError(EXIT_INPUT, str(exc))
-
-
-def _load_chunking_topology(path: str) -> Topology:
-    """_load_topology for deal and reconstruct, which turn a secret into
-    chunks and back: exit 2, before any file is touched, when the modulus
-    is too small to hold a chunk (chunk_size)."""
-    topology = _load_topology(path)
-    try:
-        chunk_size(topology.modulus)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"topology {path}: {exc}")
     return topology
@@ -89,10 +86,6 @@ def _load_chunking_topology(path: str) -> Topology:
 
 def _rng(seed):
     return crypto_rng() if seed is None else deterministic_rng(seed)
-
-
-def _share_path(out_dir: Path, share: NodeShare) -> Path:
-    return out_dir / f"{share.network_id}_{share.node_index:03d}.share.json"
 
 
 def _json_line(obj) -> bytes:
@@ -116,8 +109,7 @@ def _share_file_errors(paths: List[Path], modulus: int):
 def _secret_reader(file):
     """The size of the open secret file, and read(n) for its bytes. A
     regular file's size is taken from stat before any byte is read; any
-    other file (a pipe, say) is read whole first. CapacityError when the
-    secret is too long for its length header."""
+    other file (a pipe, say) is read whole first."""
     try:
         info = os.fstat(file.fileno())
         if stat.S_ISREG(info.st_mode):
@@ -127,10 +119,6 @@ def _secret_reader(file):
             size = len(file.getvalue())
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read secret: {exc}")
-    if size >= 256 ** LENGTH_HEADER:
-        raise CapacityError(f"the secret has {size} bytes; its "
-                            f"{LENGTH_HEADER}-byte length header holds "
-                            f"at most {256 ** LENGTH_HEADER - 1}")
 
     def read(n: int) -> bytes:
         try:
@@ -145,12 +133,13 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
     """The share files in `share_dir`, once a deal or refresh that stopped
     part-way is settled (vault.settle); exit 2 when the directory's
     manifest, if it has one, cannot be read or names a topology whose
-    topology_digest is not `digest`."""
-    if not share_dir.is_dir():
+    topology_digest is not `digest`, or when there is no directory."""
+    names = vault.listing(share_dir)
+    if names is None:
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
     manifest = share_dir / vault.MANIFEST
     epoch = None
-    if manifest.exists():
+    if vault.MANIFEST in names:
         try:
             written_for, epoch = formats.manifest_from_dict(
                 _read_json(manifest, "manifest"))
@@ -191,7 +180,7 @@ def _check_out(out: Path, topology: Path, share_dir: Optional[Path],
                                    f"{topology}")
     if share_dir is not None:
         vaults = {os.path.realpath(share_dir)}
-        files = list(share_dir.glob(vault.SHARE_GLOB))
+        files = vault.share_files(share_dir)
     else:
         vaults = {os.path.dirname(os.path.realpath(p)) for p in files}
     directory, name = os.path.split(target)
@@ -213,7 +202,7 @@ def cmd_deal(args) -> int:
     0 has its vault on disk, and one that stops part-way leaves either
     the whole vault or files that the next deal, refresh or reconstruct
     --shares deletes."""
-    topology = _load_chunking_topology(args.topology)
+    topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
     digest = formats.topology_digest(topology)
     try:
@@ -230,7 +219,8 @@ def cmd_deal(args) -> int:
             for start, chunks in zip(range(0, count, BLOCK_WORDS),
                                      secret_blocks(read, size, q)):
                 deal(chunks, topology, rng, sink=lambda share: commit.append(
-                    _share_path(out_dir, share),
+                    out_dir / vault.SHARE_NAME.format(share.network_id,
+                                                      share.node_index),
                     formats.share_file_block(share, q, start, count)))
             nodes = commit.commit(_json_line(
                 formats.manifest_dict(digest, count, 0, [])))
@@ -253,7 +243,7 @@ def cmd_reconstruct(args) -> int:
     _check_out(Path(args.out), Path(args.topology),
                Path(args.shares) if args.shares else None,
                [Path(p) for p in args.files])
-    topology = _load_chunking_topology(args.topology)
+    topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
     paths = (_share_dir_paths(Path(args.shares),
                               formats.topology_digest(topology))

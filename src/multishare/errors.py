@@ -22,7 +22,7 @@ class Infeasible(MultishareError):
 
 
 class CapacityError(MultishareError):
-    """Exhaustive analysis was asked for a topology above its size bound."""
+    """A bound is exceeded: the exhaustive search's, or a length header's."""
 
 
 class CorruptData(MultishareError):

@@ -81,9 +81,8 @@ OUT_OF_RANGE = "a value is out of range for the modulus"
 _TOP_MASKS = [bytes(range(1 << k)) * (256 >> k) for k in range(1, 9)]
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
-                      rng: Optional[random.Random] = None) -> bool:
-    """Miller-Rabin with `rounds` random bases (error < 4^-rounds)."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with 64 (MILLER_RABIN_ROUNDS) bases: error < 4^-64."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -96,8 +95,8 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
     while d % 2 == 0:
         d //= 2
         r += 1
-    rng = rng or random.Random(0xC0FFEE ^ n)
-    for _ in range(rounds):
+    rng = random.Random(0xC0FFEE ^ n)
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -424,12 +424,11 @@ class _ShareValuesV1(ShareValues):
                 raise CorruptData(ENDS_EARLY if sep.startswith(data[close:])
                                   else NOT_CANONICAL)
             at = close + len(sep)
-        values = as_block(values, self.modulus)
-        if not last:
-            return values, at - 1  # up to the next value's opening quote
-        if at != len(data):
+        if last and at != len(data):
             raise CorruptData(NOT_CANONICAL)
-        return values, at
+        del data
+        # Up to the next value's opening quote, or past the last.
+        return as_block(values, self.modulus), at if last else at - 1
 
 
 class _ShareValuesV2(ShareValues):
@@ -494,8 +493,12 @@ def manifest_dict(digest: str, chunk_count: int, epoch: int,
 def manifest_from_dict(data) -> Tuple[str, int]:
     """The topology_digest and epoch of a manifest, the digest as written;
     CorruptData unless it is a JSON object with both, the epoch a JSON
-    integer."""
+    integer, and format_version the JSON integer 1."""
     try:
-        return data["topology_digest"], _json_int(data, "epoch")
+        digest, epoch = data["topology_digest"], _json_int(data, "epoch")
+        version = _json_int(data, "format_version")
+        if version != FORMAT_VERSION:
+            raise CorruptData(f"unsupported format_version {version}")
+        return digest, epoch
     except (KeyError, TypeError) as exc:
         raise CorruptData(str(exc)) from exc

@@ -596,7 +596,9 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     is reached by holding sum(q_i, i in K) nodes of |K| networks; a
     non-reconstructing K by disabling n_i - q_i + 1 nodes of each network
     outside K. t_f0 disables only mother nodes (K holds every daughter),
-    t_f1 only daughter nodes (K holds the mother).
+    t_f1 only daughter nodes (K holds the mother). No K of daughters alone
+    reconstructs (their constant functionals have first coordinate 0), so
+    t_f0 disables the mother alone and t_fail is min(t_f0, t_f1).
 
     The sets K are walked depth first, networks added in index order.
     Each K extends its parent's echelon basis of constant functionals by
@@ -624,12 +626,12 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             know.add("share", net.id, held, 0, ())
         quorums.append(held)
     kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
+    t_f0 = kill[topology.mother_index]
     rows = [constant_functional(topology, net.id) for net in nets]
     q = topology.modulus
     mother = 1 << topology.mother_index
-    daughters = (1 << len(nets)) - 1 - mother
     # Each minimum starts above any value it can take.
-    t_networks = t_nodes = t_fail = t_f0 = t_f1 = topology.total_nodes() + 1
+    t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
     pivots: list = []  # the echelon basis of the set being visited
 
     def visit(known: int, size: int, held: int, cost: int,
@@ -637,10 +639,7 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
         """Count the non-reconstructing set `known` (|K| = size, held and
         cost its node counts), then walk its supersets that add networks
         above its highest; `secret` is its remainder."""
-        nonlocal t_networks, t_nodes, t_fail, t_f0, t_f1
-        t_fail = min(t_fail, cost)
-        if known & daughters == daughters:
-            t_f0 = min(t_f0, cost)
+        nonlocal t_networks, t_nodes, t_f1
         if known & mother:
             t_f1 = min(t_f1, cost)
         for i in range(known.bit_length(), len(nets)):
@@ -660,7 +659,7 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     if t_nodes > topology.total_nodes():
         raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
-                      t_fail=t_fail, t_f0=t_f0, t_f1=t_f1)
+                      t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +675,12 @@ def chunk_size(modulus: int) -> int:
 
 
 def chunk_count(size: int, modulus: int) -> int:
-    """How many chunks encode_secret makes of a secret of `size` bytes."""
+    """How many chunks encode_secret makes of a secret of `size` bytes.
+    CapacityError when the secret is too long for its length header."""
+    if size >= 256 ** LENGTH_HEADER:
+        raise CapacityError(f"the secret has {size} bytes; its "
+                            f"{LENGTH_HEADER}-byte length header holds "
+                            f"at most {256 ** LENGTH_HEADER - 1}")
     return -(-(LENGTH_HEADER + size) // chunk_size(modulus))
 
 
@@ -687,8 +691,6 @@ def secret_blocks(read, size: int, modulus: int) -> Iterator[Block]:
     before the first, zero padding after the last) and packed whole, its
     chunks the framing's big-endian words (from_words)."""
     block = chunk_size(modulus)
-    if size >= 256 ** LENGTH_HEADER:
-        raise ValueError("secret too large for the length header")
     count = chunk_count(size, modulus)
     head = size.to_bytes(LENGTH_HEADER, "big")
     left = size

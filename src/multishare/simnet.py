@@ -367,11 +367,11 @@ class Simulation:
         return sim
 
     def save_state(self, path) -> None:
-        """Write the state file durably (vault.write_file); a failed write
+        """Write the state file durably (vault.appending); a failed write
         raises StorageError and leaves an earlier state file as it was."""
         payload = canonical_json(self.to_state())
-        vault.write_file(Path(path), STATE_MAGIC
-                         + struct.pack(">Q", len(payload)) + payload)
+        with vault.appending(Path(path)) as append:
+            append(STATE_MAGIC + struct.pack(">Q", len(payload)) + payload)
 
 
 def load_state(path) -> Simulation:

@@ -2,18 +2,18 @@
 
 Two crash-safe transactions:
 
-- One file (appending, and writing and write_file built on it): written
-  and flushed as PATH.tmp, moved over PATH by one os.replace, and its
-  directory flushed.
-  Once it returns the file is on disk, and a failed write leaves no
-  partial file. reconstruct's output (appended block by block),
+- One file (appending, and writing built on it): written and flushed as
+  PATH.tmp, moved over PATH by one os.replace, and its directory
+  flushed. Once it returns the file is on disk, and a failed write
+  leaves no partial file. reconstruct's output (appended block by block),
   simulate's report and the simulator's state file are written this way.
 - One vault epoch (Commit): deal (epoch 0) and refresh (epoch e) append
   to each share file, block by block, and write the manifest, as
   NAME.staged-e; one os.replace of the manifest commits them all. settle
   finishes or undoes an epoch that stopped part-way.
 
-Every failure is a StorageError.
+Every failure is a StorageError. A vault's files are named (SHARE_NAME)
+and its directory listed (listing) here alone.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import List, Optional
 from .errors import StorageError
 
 MANIFEST = "manifest.json"
-# The names of a vault's share files.
+# Share file names; node j of network I has SHARE_NAME.format(I, j).
 SHARE_GLOB = "*.share.json"
+SHARE_NAME = "{}_{:03d}.share.json"
 # The staged name of a share file or the manifest: NAME.staged-EPOCH, a
 # name SHARE_GLOB does not match.
 STAGED_NAME = re.compile(
@@ -50,6 +51,22 @@ def _failing_as(message: str):
         yield
     except OSError as exc:
         raise StorageError(f"{message}: {exc}") from exc
+
+
+def listing(directory: Path) -> Optional[List[str]]:
+    """The names in `directory`, sorted; None when it is missing or not a
+    directory. StorageError when it cannot be read."""
+    with _failing_as(f"cannot read directory {directory}"):
+        try:
+            return sorted(p.name for p in directory.iterdir())
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+
+
+def share_files(directory: Path) -> List[Path]:
+    """The share files in `directory` (listing), sorted."""
+    return [directory / name for name in listing(directory) or ()
+            if fnmatchcase(name, SHARE_GLOB)]
 
 
 def _fsync(path: Path) -> None:
@@ -128,12 +145,6 @@ def writing(path: Path, data: bytes):
         yield
 
 
-def write_file(path: Path, data: bytes) -> None:
-    """Write `data` to `path` durably (see writing)."""
-    with writing(path, data):
-        pass
-
-
 class Commit(AbstractContextManager):
     """The files of the vault at `epoch` in `share_dir`, committed as one
     transaction; `command` names it in errors.
@@ -164,11 +175,8 @@ class Commit(AbstractContextManager):
             _discard(self.manifest)
 
     def append(self, path: Path, block: bytes) -> None:
-        staged = self.staged.get(path)
-        mode = "ab"
-        if staged is None:
-            staged = self.staged[path] = self._staged(path)
-            mode = "wb"
+        mode = "ab" if path in self.staged else "wb"
+        staged = self.staged.setdefault(path, self._staged(path))
         with _failing_as(self.uncommitted):
             _write_block(staged, block, mode)
 
@@ -199,8 +207,8 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
     (None without a manifest) decides: staged files of that epoch were
     committed and take their final names; any other staged file is
     deleted."""
-    staged = [(p, m) for p in sorted(share_dir.iterdir())
-              if (m := STAGED_NAME.fullmatch(p.name))]
+    staged = [(share_dir / name, m) for name in listing(share_dir) or ()
+              if (m := STAGED_NAME.fullmatch(name))]
     with _failing_as(f"cannot settle the staged files of an earlier deal "
                      f"or refresh in {share_dir}"):
         for path, m in staged:
@@ -210,7 +218,7 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
                 path.unlink()
         if staged:
             _fsync(share_dir)
-    return sorted(share_dir.glob(SHARE_GLOB))
+    return share_files(share_dir)
 
 
 def new_vault_dir(out_dir: Path) -> None:
@@ -221,21 +229,16 @@ def new_vault_dir(out_dir: Path) -> None:
     recoverable. In a directory without a manifest, the files staged at
     epoch 0 are first deleted: only a deal writes them, and that deal
     never committed."""
-    try:
-        names = sorted(p.name for p in out_dir.iterdir())
-    except (FileNotFoundError, NotADirectoryError):
-        names = []  # no vault; mkdir reports a path it cannot use
-    except OSError as exc:
-        raise StorageError(f"cannot read directory {out_dir}: {exc}") from exc
-    if MANIFEST not in names:
-        uncommitted = [name for name in names
-                       if (m := STAGED_NAME.fullmatch(name)) and m[2] == "0"]
-        with _failing_as(f"cannot delete the files of an uncommitted deal "
-                         f"in {out_dir}"):
-            for name in uncommitted:
-                (out_dir / name).unlink(missing_ok=True)
-        names = [name for name in names if name not in uncommitted]
-    names = list(filter(is_vault_file, names))
+    names = listing(out_dir) or []  # None: mkdir reports what is wrong
+    uncommitted = [] if MANIFEST in names else [
+        name for name in names
+        if (m := STAGED_NAME.fullmatch(name)) and m[2] == "0"]
+    with _failing_as(f"cannot delete the files of an uncommitted deal in "
+                     f"{out_dir}"):
+        for name in uncommitted:
+            (out_dir / name).unlink(missing_ok=True)
+    names = [name for name in names
+             if is_vault_file(name) and name not in uncommitted]
     if names:
         raise StorageError(f"{out_dir} already holds a vault "
                            f"({', '.join(names[:3])}"

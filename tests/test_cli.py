@@ -153,6 +153,26 @@ class TestDeal:
                     "--secret", tmp / "missing.bin",
                     "--out", tmp / "shares"]) == 2
 
+    def test_secret_from_a_pipe(self, workspace):
+        # A secret that is not a regular file, as `--secret /dev/stdin`
+        # reads a pipe, is read whole before it is dealt.
+        tmp, topo, secret = workspace
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(secret.read_bytes())
+        try:
+            assert run(["deal", "--topology", topo,
+                        "--secret", f"/dev/fd/{read_end}",
+                        "--out", tmp / "shares", "--seed", "1"]) == 0
+        finally:
+            os.close(read_end)
+        assert run(["reconstruct", "--topology", topo,
+                    "--shares", tmp / "shares", "--out", tmp / "r.bin"]) == 0
+        assert (tmp / "r.bin").read_bytes() == secret.read_bytes()
+        run(["deal", "--topology", topo, "--secret", secret,
+             "--out", tmp / "from-file", "--seed", "1"])
+        assert snapshot(tmp / "shares") == snapshot(tmp / "from-file")
+
     def test_secret_of_4_gib_exit4(self, workspace, capsys):
         # A secret of 2^32 bytes does not fit its 4-byte length header. It
         # was read whole and then ended in a ValueError traceback; its
@@ -582,6 +602,33 @@ class TestReconstruct:
         assert "not both" in capsys.readouterr().err
         assert not dest.exists()
 
+    def test_shares_not_a_directory_exit2(self, workspace, capsys):
+        tmp, topo, secret, out = self._deal(workspace)
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        for shares in (out / "m_001.share.json", tmp / "missing"):
+            assert run(["reconstruct", "--topology", topo, "--shares",
+                        shares, "--out", dest]) == 2
+            assert (f"{shares} is not a directory"
+                    in capsys.readouterr().err)
+        assert not dest.exists()
+
+    def test_out_over_a_share_file_named_otherwise_exit64(self, workspace,
+                                                          capsys):
+        # A share file read by a name no vault file has is still refused
+        # as --out: it is a file being read.
+        tmp, topo, secret, out = self._deal(workspace)
+        share = tmp / "m1.bin"
+        share.write_bytes((out / "m_001.share.json").read_bytes())
+        picks = [share, out / "m_002.share.json", out / "d1_001.share.json",
+                 out / "d1_002.share.json"]
+        before = share.read_bytes()
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--out", share]
+                   + picks) == 64
+        assert "is a share file being read" in capsys.readouterr().err
+        assert share.read_bytes() == before
+
     def test_out_over_the_vault_exit64(self, workspace, capsys):
         # An --out that is a share file being read, or a file of the
         # --shares vault, was replaced by the recovered secret, and every
@@ -717,6 +764,21 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", tmp / "r.bin"]) == 2
         assert "inconsistent chunk counts" in capsys.readouterr().err
+
+    def test_no_chunks_but_values_exit2(self, workspace, capsys):
+        # A canonical header that says chunk_count 0, followed by values.
+        tmp, topo, secret, out = self._deal(workspace)
+        target = out / "m_001.share.json"
+        doc = json.loads(target.read_bytes())
+        target.write_bytes(formats.canonical_json(
+            {**doc, "chunk_count": 0}) + b"\n")
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert (f"cannot read share {target}: chunk_count does not match "
+                f"values" in capsys.readouterr().err)
+        assert not dest.exists()
 
     def test_same_node_twice_exit2(self, workspace):
         tmp, topo, secret, out = self._deal(workspace)
@@ -1684,6 +1746,30 @@ class TestManifest:
         assert run(["refresh", "--topology", topo, "--shares", out]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("version", [..., 0, 2, 7, -1, 1.0, True, "1",
+                                         None, [1]],
+                             ids=["missing", "0", "2", "7", "-1", "float",
+                                  "bool", "str", "null", "list"])
+    def test_other_format_version_exit2(self, workspace, capsys, version):
+        # A manifest of any version but the JSON integer 1 is refused, even
+        # one that names the topology and an epoch.
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        manifest = out / "manifest.json"
+        manifest.write_text(json.dumps(_replace(
+            json.loads(manifest.read_text()), ["format_version"],
+            _REMOVE if version is ... else version)))
+        before = snapshot(out)
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"cannot read manifest {manifest}: ") == 2
+        assert "format_version" in err
+        assert snapshot(out) == before
+        assert not dest.exists()
+
     def test_manifest_fuzz_exit2(self, workspace, capsys):
         # Fuzz: the manifest of a dealt directory replaced by one that does
         # not name the topology or has no integer epoch; both commands exit
@@ -1721,6 +1807,42 @@ class TestManifest:
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", dest]) == 0
         assert dest.read_bytes() == secret.read_bytes()
+
+
+class TestUnlistableVault:
+    """A vault directory that cannot be listed (EACCES, say) exits 2 and
+    is left as it was. For root a directory without read permission
+    still lists, so the listing is made to fail."""
+
+    def test_exit2_unchanged(self, workspace, monkeypatch, capsys):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        dest = tmp / "r.bin"
+        run(["deal", "--topology", topo, "--secret", secret, "--out", out,
+             "--seed", "1"])
+        before = snapshot(out)
+        iterdir = Path.iterdir
+
+        def unlistable(path):
+            if path == out:
+                raise PermissionError(errno.EACCES, "Permission denied",
+                                      str(path))
+            return iterdir(path)
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "iterdir", unlistable)
+            for argv in (
+                    ["refresh", "--topology", topo, "--shares", out],
+                    ["reconstruct", "--topology", topo, "--shares", out,
+                     "--out", dest],
+                    ["deal", "--topology", topo, "--secret", secret,
+                     "--out", out]):
+                assert run(argv) == 2, argv[0]
+                assert (f"error: cannot read directory {out}: "
+                        in capsys.readouterr().err), argv[0]
+        assert snapshot(out) == before
+        assert not dest.exists()
 
 
 class TestRefresh:
@@ -3146,15 +3268,18 @@ def malformed_states(state):
 
 def malformed_manifests(manifest):
     """Manifest documents that do not name the topology of the valid
-    manifest dict `manifest`, or whose epoch is not an integer."""
+    manifest dict `manifest`, or whose epoch is not an integer, or whose
+    format_version is not the integer 1."""
     digest = manifest["topology_digest"]
     return st.one_of(
         JSON_VALUES.filter(lambda v: type(v) is not int).map(
             lambda v: {**manifest, "epoch": v}),
+        JSON_VALUES.filter(lambda v: type(v) is not int or v != 1).map(
+            lambda v: {**manifest, "format_version": v}),
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from(sorted(manifest)).map(
             lambda k: _replace(manifest, [k], _REMOVE)).filter(
-            lambda m: "topology_digest" not in m),
+            lambda m: not {"topology_digest", "format_version"} <= set(m)),
         (JSON_VALUES | st.text("0123456789abcdef", min_size=64, max_size=64)
          | st.just(digest.upper())).filter(lambda v: v != digest).map(
             lambda v: {**manifest, "topology_digest": v}),
@@ -3311,6 +3436,20 @@ class TestMalformedJson:
                     "--report", report]) == 2
         assert "cannot load state" in capsys.readouterr().err
         assert path.read_bytes() == blob
+        assert not report.exists()
+
+    @pytest.mark.parametrize("tail", [b"", b"\0" * 7],
+                             ids=["magic-only", "7-bytes"])
+    def test_state_truncated_exit2(self, tmp_path, capsys, tail):
+        path, state, scenario = self._state(tmp_path)
+        path.write_bytes(b"MSS1" + tail)
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["simulate", "--scenario", scenario, "--state", path,
+                    "--report", report]) == 2
+        assert ("cannot load state: truncated state file"
+                in capsys.readouterr().err)
+        assert path.read_bytes() == b"MSS1" + tail
         assert not report.exists()
 
     def test_state_fuzz_exit2(self, tmp_path, capsys):

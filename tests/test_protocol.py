@@ -868,6 +868,18 @@ class TestChunking:
         with pytest.raises(ValueError):
             encode_secret(b"x", 257)
 
+    def test_size_limit_of_the_length_header(self):
+        # Checked once, by chunk_count, which secret_blocks calls before
+        # it reads a byte.
+        q = DEFAULT_MODULUS
+        assert protocol.chunk_count(256**4 - 1, q) == -(-(256**4 + 3) // 15)
+        for blocks in (lambda: protocol.chunk_count(256**4, q),
+                       lambda: next(protocol.secret_blocks(
+                           pytest.fail, 256**4, q))):
+            with pytest.raises(CapacityError, match="length header holds "
+                                                    "at most 4294967295"):
+                blocks()
+
     def test_out_of_range_chunk_rejected(self):
         q = 2**127 - 1
         with pytest.raises(CorruptData):

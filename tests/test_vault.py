@@ -247,9 +247,11 @@ class TestWriting:
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(StorageError, match="cannot write"):
-            vault.write_file(tmp_path / "missing" / "out", b"x")
+            with vault.writing(tmp_path / "missing" / "out", b"x"):
+                pass
         with pytest.raises(StorageError, match="cannot write"):
-            vault.write_file(Path("."), b"x")
+            with vault.writing(Path("."), b"x"):
+                pass
         assert list(tmp_path.iterdir()) == []
 
 
