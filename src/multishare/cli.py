@@ -289,7 +289,7 @@ def cmd_refresh(args) -> int:
         epoch, count = shares[0].epoch, len(shares[0].values)
         rng = _rng(args.seed)
         with vault.Commit(share_dir, epoch + 1, "refresh") as commit:
-            for start in range(0, max(count, 1), BLOCK_WORDS):
+            for start in range(0, count, BLOCK_WORDS):
                 n = min(BLOCK_WORDS, count - start)
                 deltas = refresh(topology, n, epoch, rng)
                 for path, share in zip(paths, shares):

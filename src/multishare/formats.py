@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from .errors import CorruptData
 from .field import (BLOCK_WORDS, OUT_OF_RANGE, Block, as_block, from_words,
-                    to_words, word_bytes, zeros)
+                    to_words, word_bytes)
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -43,6 +43,8 @@ _UPPER_NOT_HEX = bytes.maketrans(b"ABCDEF", b"gggggg")
 _LOWER_HEX = re.compile("[0-9a-f]*")
 # What a network id may not hold, since a share file is named after it.
 _BAD_ID = re.compile("[/\0\ud800-\udfff]")
+# A node's name in a manifest's stale list: network id, slash, index.
+_NODE_NAME = re.compile("[^/\0\ud800-\udfff]*/[1-9][0-9]*")
 # The last key of a share file as the tools write it, and the most bytes
 # read to find it. A share file is named after its network id, so the
 # header of any file the tools can write is far shorter.
@@ -225,7 +227,7 @@ def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int, int]:
         if not isinstance(network_id, str):
             raise CorruptData("network_id must be a string")
         count = _json_int(data, "chunk_count")
-        if count < 0:
+        if count < 1:  # even an empty secret is one chunk
             raise CorruptData(COUNT_MISMATCH)
         return NodeShare(network_id=network_id,
                          node_index=_json_int(data, "node_index"),
@@ -325,9 +327,6 @@ def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int, int]:
     header, count, version = _header_from_dict(doc, modulus)
     if head[end:end + 1] != b"[":
         raise CorruptData("values must be a list")
-    if not count and head[end + 1:] != b"]}\n":
-        raise CorruptData(COUNT_MISMATCH if head[end + 1:end + 2] == b'"'
-                          else NOT_CANONICAL)
     return header, count, end + 1, version
 
 
@@ -356,8 +355,6 @@ class ShareValues:
         start, stop, step = index.indices(self.count)
         if start != self.done or step != 1:
             raise ValueError("a share file's values are read in order")
-        if stop <= start:
-            return zeros(0, self.modulus)
         try:
             with open(self.path, "rb") as file:
                 if _identity(file) != self.identity:
@@ -442,7 +439,7 @@ class _ShareValuesV2(ShareValues):
         super().__init__(*args)
         self.width = word_bytes(self.modulus)
         self.stride = 2 * self.width + 3  # a value, its quotes and a comma
-        size = self.offset + max(self.count * self.stride - 1, 0) + 3
+        size = self.offset + self.count * self.stride + 2
         if self.identity[2] != size:
             raise CorruptData(
                 f"the file has {self.identity[2]} bytes, not the {size} "
@@ -492,13 +489,22 @@ def manifest_dict(digest: str, chunk_count: int, epoch: int,
 
 def manifest_from_dict(data) -> Tuple[str, int]:
     """The topology_digest and epoch of a manifest, the digest as written;
-    CorruptData unless it is a JSON object with both, the epoch a JSON
-    integer, and format_version the JSON integer 1."""
+    CorruptData unless it is a JSON object with every field manifest_dict
+    writes: the epoch a JSON integer, format_version the JSON integer 1,
+    chunk_count a JSON integer of at least 1, and stale a list of
+    `network/node` names."""
     try:
         digest, epoch = data["topology_digest"], _json_int(data, "epoch")
         version = _json_int(data, "format_version")
         if version != FORMAT_VERSION:
             raise CorruptData(f"unsupported format_version {version}")
+        if _json_int(data, "chunk_count") < 1:
+            raise CorruptData("chunk_count must be at least 1")
+        stale = data["stale"]
+        if not (isinstance(stale, list) and all(
+                isinstance(name, str) and _NODE_NAME.fullmatch(name)
+                for name in stale)):
+            raise CorruptData("stale must be a list of network/node names")
         return digest, epoch
     except (KeyError, TypeError) as exc:
         raise CorruptData(str(exc)) from exc

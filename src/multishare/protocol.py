@@ -28,7 +28,10 @@ from .field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
                     echelon_insert, echelon_reduce, express_over_rows,
                     from_words, is_probable_prime, to_words,
                     weighted_column_sum, zeros)
-from .poly import birkhoff_matrix_row, lagrange_zero_weights, random_columns
+from .poly import birkhoff_matrix_row, random_columns
+# Not called here, but looked up here by name by the benchmark's tracer
+# (perfbench/tracing.py).
+from .poly import lagrange_zero_weights  # noqa: F401
 
 # compute_thresholds_exhaustive walks up to 2^networks sets of known
 # networks, and finds each network's quorum by an elimination cubic in its
@@ -212,17 +215,6 @@ def constant_functional(topology: Topology, network_id: str) -> List[int]:
     return birkhoff_matrix_row(topology.derivative_point(network_id), 1, d, q)
 
 
-def _outer_weights(topology: Topology,
-                   rows: Sequence[Sequence[int]]) -> Optional[list]:
-    """Weights expressing the secret P(0) over the inner secrets whose
-    constant functionals are `rows`, in the order given; None when they do
-    not determine it. The one outer solve: reconstruction and the
-    adversary oracle decide through it; compute_thresholds_exhaustive
-    builds the same span incrementally."""
-    return express_over_rows(rows, [1] + [0] * topology.outer_degree,
-                             topology.modulus)
-
-
 def checked_shares(shares: Iterable[NodeShare],
                    topology: Topology) -> Iterator[NodeShare]:
     """Yield each share once it is checked against the ones before it, so
@@ -253,39 +245,71 @@ def checked_shares(shares: Iterable[NodeShare],
         del s  # not held while the next share is read
 
 
+class _QuorumPlan:
+    """The one linear rule of both levels of the hierarchy: each member
+    holds the value of its row, a functional of unknown coefficients
+    whose first, the constant term, is the target. The first `size` are
+    the quorum. `weights` give the target over the quorum, None when its
+    rows do not span it; `further`, each further member over the quorum,
+    None when outside their span, which leaves it unchecked. Each is
+    solved once (express_over_rows)."""
+
+    def __init__(self, rows: Sequence[Sequence[int]], size: int, q: int):
+        quorum = rows[:size]
+        self.q = q
+        self.weights = express_over_rows(
+            quorum, [1] + [0] * (len(rows[0]) - 1), q)
+        self.further = [express_over_rows(quorum, row, q)
+                        for row in rows[size:]]
+
+    def check(self, columns: Sequence[Block]
+              ) -> Tuple[Optional[Block], List[int]]:
+        """From a block of values, a column per member in order: the
+        target's block (None without weights), and the positions of the
+        further members that disagree with the quorum."""
+        q = self.q
+        size = len(columns) - len(self.further)
+        quorum = columns[:size]
+        bad = [size + i for i, over in enumerate(self.further)
+               if over is not None
+               and weighted_column_sum(over, quorum, q) != columns[size + i]]
+        return (None if self.weights is None
+                else weighted_column_sum(self.weights, quorum, q)), bad
+
+
 def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
                 topology: Topology, sink=None) -> List[int]:
     """Recover all chunks, or raise Infeasible naming what is missing.
 
     `shares` is a mapping of network id to that network's shares, or one
     stream of shares in any order, checked as they arrive
-    (checked_shares). Needs an inner quorum on the mother plus inner
-    quorums on at least outer_degree daughters. Each network's
-    lowest-index quorum recovers its inner secret by interpolation at
-    zero, and the mother and the first outer_degree daughters with a
-    quorum recover the secret.
+    (checked_shares). One rule (_QuorumPlan) recovers at both levels. In
+    each network, the held nodes in index order are the members, and the
+    lowest k+1 (k its inner degree) are the quorum that recovers the
+    network's inner secret. Over the networks, the mother and the
+    daughters with a quorum, in topology order, are the members, and the
+    mother and the first outer_degree such daughters are the quorum that
+    recovers the secret.
 
     The stream is read first for the shares themselves. Once it ends,
-    each network's quorum is fixed, and each daughter beyond the first
-    outer_degree is placed, its weights over them solved. Then the values
-    are read BLOCK_WORDS chunks at a time, so a share's values may be any
-    sequence whose slices are read in turn (a share file read block by
-    block, say); each slice becomes a Block (as_block), so a slice of
-    ints is checked then, ValueError unless each is in 0..q-1. Per block,
-    the networks are taken in the order their first share appears in the
-    stream, and each network's shares in stream order: a network's block
-    is read, checked and reduced to its inner secret, then dropped before
-    the next network's is read. Only the block's inner secrets are held
-    across networks.
+    each plan is solved. Then the values are read BLOCK_WORDS chunks at a
+    time, so a share's values may be any sequence whose slices are read
+    in turn (a share file read block by block, say); each slice becomes a
+    Block (as_block), so a slice of ints is checked then, ValueError
+    unless each is in 0..q-1. Per block, the networks are taken in the
+    order their first share appears in the stream, and each network's
+    shares in stream order: a network's block is read, checked and
+    reduced to its inner secret, then dropped before the next network's
+    is read. Only the block's inner secrets are held across networks.
 
-    No share is ignored: every share beyond a network's quorum, and every
-    daughter beyond the first outer_degree, must agree with the
-    polynomial the others determine, else CorruptData names the network
-    and node. Errors are raised only once every block is checked, so
-    that a failed check anywhere decides the error: first a share's
-    disagreement, for the first such network in topology order and its
-    lowest such node; then Infeasible; then a daughter's disagreement,
-    for the first such daughter. Errors are detected, not corrected.
+    No share is ignored: every member beyond a quorum, a node or a
+    daughter, must agree with the polynomial the quorum determines, else
+    CorruptData names the network and node. Errors are raised only once
+    every block is checked, so that a failed check anywhere decides the
+    error: first a share's disagreement, for the first such network in
+    topology order and its lowest such node; then Infeasible; then a
+    daughter's disagreement, for the first such daughter. Errors are
+    detected, not corrected.
 
     With `sink`, each block of chunks is passed to sink(block) as soon as
     it is recovered, and the result is empty: a sink that keeps them must
@@ -297,104 +321,69 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     # Each network's shares in stream order, the networks in the order
     # their first share appears.
     held: Dict[str, List[NodeShare]] = {}
-    # Per network with a quorum: its quorum, their interpolation weights,
-    # and each further share with its weights over the quorum.
-    quorums: Dict[str, tuple] = {}
-    daughters = [net.id for net in topology.daughters()]
-    d = topology.outer_degree
-    chosen: List[str] = []  # the first d daughters with a quorum
-    # A further daughter's weights over the chosen ones; None when its
-    # constant functional is outside their span, which leaves it unchecked.
-    further: Dict[str, Optional[list]] = {}
-
     count = 0  # chunks per share, the same for each (checked_shares)
     for s in checked_shares(shares, topology):
         held.setdefault(s.network_id, []).append(s)
         count = len(s.values)
+    nodes: Dict[str, List[int]] = {}  # each network's, in index order
+    plans: Dict[str, _QuorumPlan] = {}
     for nid, group in held.items():
-        net = topology.spec(nid)
-        have = sorted(group, key=lambda s: s.node_index)
-        need = net.inner_degree + 1
-        if len(have) >= need:
-            xs = [s.node_index for s in have[:need]]
-            # P(x) is the value at zero of X -> P(X + x).
-            quorums[nid] = (have[:need], lagrange_zero_weights(xs, q), [
-                (s, lagrange_zero_weights([a - s.node_index for a in xs], q))
-                for s in have[need:]])
-    for nid in daughters:
-        if nid not in quorums:
-            continue
-        if len(chosen) < d:
-            chosen.append(nid)
-            continue
-        # The inner secret this daughter must hold, over the chosen ones:
-        # every daughter's constant functional has a zero first
-        # coordinate, so the mother's weight over [mother, *chosen] is
-        # always 0.
-        further[nid] = express_over_rows(
-            [constant_functional(topology, c) for c in chosen],
-            constant_functional(topology, nid), q)
+        k = topology.spec(nid).inner_degree
+        nodes[nid] = sorted(s.node_index for s in group)
+        plans[nid] = _QuorumPlan(
+            [birkhoff_matrix_row(j, 0, k, q) for j in nodes[nid]], k + 1, q)
+    met = {nid for nid, plan in plans.items() if plan.weights is not None}
     mother_id = topology.mother.id
+    members = [mother_id, *(n.id for n in topology.daughters()
+                            if n.id in met)]
+    d = topology.outer_degree
     missing = []
-    if mother_id not in quorums:
+    if mother_id not in met:
         missing.append("mother quorum not met")
-    if len(chosen) < d:
-        missing.append(f"daughter quorums {len(chosen)}/{d} met")
-    weights = None if missing else _outer_weights(
-        topology, [constant_functional(topology, nid)
-                   for nid in (mother_id, *chosen)])
+    if len(members) <= d:
+        missing.append(f"daughter quorums {len(members) - 1}/{d} met")
+    outer = None if missing else _QuorumPlan(
+        [constant_functional(topology, nid) for nid in members], d + 1, q)
 
     faults: Dict[str, int] = {}  # network id -> lowest disagreeing node
-    disagreeing = set()  # further daughters
-
-    def inner_secret(nid: str, i: int) -> Optional[Block]:
-        """Network nid's inner secret of block i, None without a quorum,
-        with every further share checked; the network's block is read
-        here and held until it returns."""
-        block = {s.node_index: as_block(s.values[i:i + BLOCK_WORDS], q)
-                 for s in held[nid]}
-        if nid not in quorums:
-            return None
-        quorum, w, extra = quorums[nid]
-        columns = [block[s.node_index] for s in quorum]
-        for s, shifted in extra:
-            if (weighted_column_sum(shifted, columns, q)
-                    != block[s.node_index]):
-                faults[nid] = min(faults.get(nid, s.node_index),
-                                  s.node_index)
-        return weighted_column_sum(w, columns, q)
-
+    disagreeing = set()  # daughters beyond the outer quorum
     out: List[int] = []
     for i in range(0, count, BLOCK_WORDS):
-        inner = {nid: inner_secret(nid, i) for nid in held}
-        for nid, over in further.items():
-            if over is not None and weighted_column_sum(
-                    over, [inner[c] for c in chosen], q) != inner[nid]:
-                disagreeing.add(nid)
-        if weights is not None:
-            chunks = weighted_column_sum(
-                weights, [inner[nid] for nid in (mother_id, *chosen)], q)
+        inner = {}
+        for nid, group in held.items():
+            block = {s.node_index: as_block(s.values[i:i + BLOCK_WORDS], q)
+                     for s in group}
+            inner[nid], bad = plans[nid].check(
+                [block[j] for j in nodes[nid]])
+            del block  # not held while the next network's is read
+            if bad:
+                j = nodes[nid][bad[0]]
+                faults[nid] = min(faults.get(nid, j), j)
+        if outer is not None and outer.weights is not None:
+            chunks, bad = outer.check([inner[nid] for nid in members])
+            disagreeing.update(members[b] for b in bad)
             if sink is None:
                 out += chunks
             else:
                 sink(chunks)
     for net in topology.networks:
         if net.id in faults:
-            xs = [s.node_index for s in quorums[net.id][0]]
+            quorum = nodes[net.id][:net.inner_degree + 1]
             raise CorruptData(f"network {net.id}: the share of node "
-                              f"{faults[net.id]} disagrees with nodes {xs}")
+                              f"{faults[net.id]} disagrees with nodes "
+                              f"{quorum}")
     if missing:
         detail = "; ".join(missing) + " (" + ", ".join(
             f"{net.id}: "
             f"{min(len(held.get(net.id, ())), net.inner_degree + 1)}/"
             f"{net.inner_degree + 1}" for net in topology.networks) + ")"
         raise Infeasible(detail)
-    if weights is None:
+    if outer.weights is None:
         raise Infeasible("outer constraint matrix is singular")
-    for nid in daughters:
+    for nid in members:
         if nid in disagreeing:
             raise CorruptData(f"network {nid}: its inner secret disagrees "
-                              f"with networks {[mother_id, *chosen]}")
+                              f"with networks {members[:d + 1]}")
     return out
 
 
@@ -513,7 +502,9 @@ class AdversaryKnowledge:
             return
         q = self.topology.modulus
         k = net.inner_degree
-        powers = [pow(node_index, t, q) for t in range(1, k + 1)]
+        # The node's functional over its inner coefficients but the
+        # constant, which c carries.
+        powers = birkhoff_matrix_row(node_index, 0, k, q)[1:]
         if kind == "share":
             row, c = powers * (epoch + 1), 1
         else:
@@ -533,9 +524,9 @@ class AdversaryKnowledge:
     def recover(self) -> Optional[Block]:
         """The secret chunks when the captures determine them, else None."""
         known = self.known_networks()
-        weights = _outer_weights(
-            self.topology,
-            [constant_functional(self.topology, nid) for nid in known])
+        weights = express_over_rows(
+            [constant_functional(self.topology, nid) for nid in known],
+            [1] + [0] * self.topology.outer_degree, self.topology.modulus)
         if weights is None:
             return None
         return weighted_column_sum(

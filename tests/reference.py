@@ -44,9 +44,8 @@ from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows, word_bytes
 from multishare.poly import lagrange_zero_weights
 from multishare.protocol import (LENGTH_HEADER, Access, NetworkSpec,
-                                 NodeShare, Topology, _outer_weights,
-                                 checked_shares, chunk_size,
-                                 constant_functional)
+                                 NodeShare, Topology, checked_shares,
+                                 chunk_size, constant_functional)
 
 
 def random_ints(modulus: int, count: int, rng) -> List[int]:
@@ -405,7 +404,7 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
         raise Infeasible(detail)
     chosen = [mother_id, *avail_daughters[:topology.outer_degree]]
     rows = [constant_functional(topology, nid) for nid in chosen]
-    weights = _outer_weights(topology, rows)
+    weights = express_over_rows(rows, [1] + [0] * topology.outer_degree, q)
     if weights is None:
         raise Infeasible("outer constraint matrix is singular")
     columns = [recovered[nid] for nid in chosen]

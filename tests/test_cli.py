@@ -780,6 +780,38 @@ class TestReconstruct:
                 f"values" in capsys.readouterr().err)
         assert not dest.exists()
 
+    @pytest.mark.parametrize("manifest", ["kept", "zero", "removed"])
+    def test_no_chunks_exit2_unchanged(self, workspace, capsys, manifest):
+        # A vault whose share files (and manifest) say chunk_count 0:
+        # refresh exited 0 and rewrote it, while reconstruct refused it
+        # ("no chunks"). Both now refuse it and change nothing: a share
+        # holds one chunk at least, and so does a manifest.
+        tmp, topo, secret, out = self._deal(workspace)
+        names = [p.name for p in out.glob("*.share.json")]
+        if manifest == "removed":
+            (out / "manifest.json").unlink()
+        elif manifest == "zero":
+            names.append("manifest.json")
+        for name in names:
+            doc = json.loads((out / name).read_bytes())
+            (out / name).write_bytes(formats.canonical_json(
+                {**doc, "chunk_count": 0,
+                 **({"values": []} if "values" in doc else {})}) + b"\n")
+        before = snapshot(out)
+        culprit = (f"manifest {out / 'manifest.json'}: chunk_count must be "
+                   f"at least 1" if manifest == "zero" else
+                   f"share {min(out.glob('*.share.json'))}: chunk_count "
+                   f"does not match values")
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 2
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert capsys.readouterr().err.count(f"cannot read {culprit}") == 2
+        assert snapshot(out) == before
+        assert not dest.exists()
+
     def test_same_node_twice_exit2(self, workspace):
         tmp, topo, secret, out = self._deal(workspace)
         picks = [out / "m_001.share.json", out / "m_001.share.json",
@@ -1796,6 +1828,39 @@ class TestManifest:
 
         check()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value", [
+        ("chunk_count", ...), ("chunk_count", 0), ("chunk_count", -1),
+        ("chunk_count", 1.0), ("chunk_count", "1"), ("chunk_count", True),
+        ("stale", ...), ("stale", "nonsense"), ("stale", None),
+        ("stale", ["m"]), ("stale", ["m/0"]), ("stale", ["m/01"]),
+        ("stale", ["a/b/1"]), ("stale", ["m/\u0661"]), ("stale", [1])],
+        ids=["chunk_count-missing", "chunk_count-0", "chunk_count-neg",
+             "chunk_count-float", "chunk_count-str", "chunk_count-bool",
+             "stale-missing", "stale-str", "stale-null", "stale-no-slash",
+             "stale-node-0", "stale-leading-zero", "stale-two-slashes",
+             "stale-non-ascii-digit", "stale-int"])
+    def test_malformed_field_exit2(self, workspace, capsys, field, value):
+        # Every field that docs/formats.md lists is checked: a manifest
+        # without chunk_count, say, and with "stale": "nonsense" made
+        # both commands exit 0.
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        manifest = out / "manifest.json"
+        manifest.write_text(json.dumps(_replace(
+            json.loads(manifest.read_text()), [field],
+            _REMOVE if value is ... else value)))
+        before = snapshot(out)
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"cannot read manifest {manifest}: ") == 2
+        assert field in err
+        assert snapshot(out) == before
+        assert not dest.exists()
 
     def test_missing_manifest_allowed(self, workspace):
         tmp, topo, secret, out, _ = self._deal(workspace)

@@ -149,6 +149,14 @@ class TestFixedWidth:
         data = share_bytes(share, q)
         path = tmp_path / "d1_002.share.json"
         path.write_bytes(data)
+        if not n:
+            # The writer writes no values, but a share holds one chunk at
+            # least (an empty secret is one), so both readers refuse it.
+            with pytest.raises(CorruptData, match="chunk_count"):
+                reference.read_share_bytes(data, q)
+            with pytest.raises(formats.UnreadableShare, match="chunk_count"):
+                read_whole(path, q)
+            return
         assert reference.read_share_bytes(data, q) == share
         assert read_whole(path, q) == share
 
@@ -296,6 +304,42 @@ class TestV1Faults:
             assert str(err.value).endswith(f": {message}"), name
 
 
+    @pytest.mark.parametrize("q", TestFixedWidth.QS)
+    def test_value_past_the_buffer(self, tmp_path, q):
+        # A value so long that no closing quote is among the bytes read
+        # for its block, which the file fills: it is out of range, and the
+        # file does not end early.
+        width = len(format(q - 1, "x")) + 3
+        share = NodeShare("m", 1, 0, (1, 16 ** (3 * width)))
+        path = tmp_path / "m_001.share.json"
+        path.write_bytes(reference.share_bytes_v1(share, q))
+        with pytest.raises(formats.UnreadableShare) as err:
+            read_whole(path, q)
+        assert str(err.value).endswith(f": {formats.OUT_OF_RANGE}")
+
+
+class TestReadInOrder:
+    """A share file's values are read in order: a slice that does not
+    start where the last one ended, or that skips values, is refused."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_out_of_order_slice_refused(self, tmp_path, version):
+        q = DEFAULT_MODULUS
+        share = NodeShare("m", 1, 0, tuple(range(2 * B + 1)))
+        path = tmp_path / "m_001.share.json"
+        path.write_bytes(reference.share_bytes_v1(share, q) if version == 1
+                         else share_bytes(share, q))
+        values = formats.read_share(path, q).values
+        for index in (slice(1, B), slice(B, 2 * B), slice(0, B, 2)):
+            with pytest.raises(ValueError, match="in order"):
+                values[index]
+        assert list(values[0:B]) == list(range(B))
+        for index in (slice(0, B), slice(B + 1, 2 * B), slice(B, None, 2)):
+            with pytest.raises(ValueError, match="in order"):
+                values[index]
+        assert list(values[B:]) == list(range(B, 2 * B + 1))
+
+
 class TestHexParser:
     """_parse_hex reads one value in the hex grammar: lowercase hex
     without leading zeros ("0" for zero)."""
@@ -335,6 +379,12 @@ class TestManifestReader:
         data = json.loads(canonical_json(
             formats.manifest_dict("ab" * 32, 7, 3, ["m/1"])))
         assert formats.manifest_from_dict(data) == ("ab" * 32, 3)
+
+    @pytest.mark.parametrize("stale", [
+        [], ["m/1", "d2/10"], ["/1"], ["café %s\n/7"]])
+    def test_stale_names(self, stale):
+        data = formats.manifest_dict("ab" * 32, 1, 0, stale)
+        assert formats.manifest_from_dict(data) == ("ab" * 32, 0)
 
     @pytest.mark.parametrize("data,message", [
         ({}, "'topology_digest'"),

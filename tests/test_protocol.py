@@ -122,8 +122,9 @@ def plain_walk_thresholds(topology):
     ok, bad = [], []
     for known in range(1 << len(nets)):
         inside = [i for i in range(len(nets)) if known >> i & 1]
-        if protocol._outer_weights(topology,
-                                   [rows[i] for i in inside]) is not None:
+        if field.express_over_rows([rows[i] for i in inside],
+                                   [1] + [0] * topology.outer_degree,
+                                   topology.modulus) is not None:
             ok.append(inside)
         else:
             bad.append((set(inside), sum(kill) - sum(kill[i]
@@ -1062,15 +1063,22 @@ class TestVaultMatchesReference:
               database=None)
     @given(small_vaults(), st.data())
     def test_reconstruct(self, vault, data):
-        # A random subset of the shares, perhaps with a corrupted value and
-        # a share of another epoch, given as a mapping and as one stream in
-        # a random order: the outcome is the reference's, errors included,
+        # A random subset of the shares, perhaps with one network's inner
+        # secret shifted (a constant added to each of its values, so that
+        # only the outer check can see it), a corrupted value and a share
+        # of another epoch, given as a mapping and as one stream in a
+        # random order: the outcome is the reference's, errors included,
         # as a failed check decides over any disagreement.
         t, chunks, seed = vault
         q = t.modulus
         dealt = reference.deal(chunks, t, deterministic_rng(seed))
         shares = [s for lst in dealt.values() for s in lst
                   if data.draw(st.booleans())]
+        if shares and data.draw(st.booleans()):
+            nid = data.draw(st.sampled_from([s.network_id for s in shares]))
+            c = data.draw(st.integers(1, q - 1))
+            shares = [replace(s, values=tuple((v + c) % q for v in s.values))
+                      if s.network_id == nid else s for s in shares]
         if shares and data.draw(st.booleans()):
             i = data.draw(st.integers(0, len(shares) - 1))
             c = data.draw(st.integers(0, len(chunks) - 1))
