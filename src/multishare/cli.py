@@ -14,7 +14,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -294,8 +293,7 @@ def cmd_refresh(args) -> int:
                 deltas = refresh(topology, n, epoch, rng)
                 for path, share in zip(paths, shares):
                     updated = apply_node_refresh(
-                        replace(share,
-                                values=share.values[start:start + n]),
+                        share._replace(values=share.values[start:start + n]),
                         deltas[share.network_id])
                     commit.append(path, formats.share_file_block(
                         updated, q, start, count))

@@ -418,7 +418,8 @@ def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],
     entries being 0; payloads all have one length. A row that reduces to
     zero lies in the span, and its reduced payload is its payload minus
     the pivot payloads weighted by the combination of pivot rows that
-    equals it. `row` and `payload` themselves are not modified.
+    equals it. `row` and `payload` themselves are not modified; an empty
+    payload stays as it is.
     """
     for col, prow, ppay in pivots:
         f = row[col] if col < len(row) else 0
@@ -432,7 +433,8 @@ def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],
             else:
                 row = ([(a - f * b) % q for a, b in zip(row, prow)]
                        + list(row[n:]))
-            payload = [(a - f * b) % q for a, b in zip(payload, ppay)]
+            if payload:
+                payload = [(a - f * b) % q for a, b in zip(payload, ppay)]
     return row, payload
 
 
@@ -446,7 +448,8 @@ def echelon_insert(pivots: list, row: Sequence[int], payload: Sequence[int],
         if a:
             inv = pow(a, -1, q)
             pivots.append((col, [x * inv % q for x in row],
-                           [x * inv % q for x in payload]))
+                           [x * inv % q for x in payload] if payload
+                           else payload))
             return None
     return payload
 

@@ -16,13 +16,12 @@ import json
 import os
 import re
 from binascii import Error as BinasciiError, hexlify, unhexlify
-from dataclasses import replace
 from itertools import repeat
 from typing import List, Tuple
 
 from .errors import CorruptData
 from .field import (BLOCK_WORDS, OUT_OF_RANGE, Block, as_block, from_words,
-                    to_words, word_bytes)
+                    to_words, word_bytes, zeros)
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -264,7 +263,7 @@ def share_from_dict(data: dict, modulus: int) -> NodeShare:
         raise CorruptData(OUT_OF_RANGE)
     if len(values) != count:
         raise CorruptData(COUNT_MISMATCH)
-    return replace(header, values=tuple(values))
+    return header._replace(values=tuple(values))
 
 
 class UnreadableShare(CorruptData):
@@ -294,7 +293,7 @@ def read_share(path, modulus: int) -> NodeShare:
         values = reader(path, modulus, count, offset, identity)
     except (OSError, CorruptData) as exc:
         raise UnreadableShare(path, exc) from exc
-    return replace(header, values=values)
+    return header._replace(values=values)
 
 
 def _identity(file) -> tuple:
@@ -355,6 +354,8 @@ class ShareValues:
         start, stop, step = index.indices(self.count)
         if start != self.done or step != 1:
             raise ValueError("a share file's values are read in order")
+        if stop <= start:
+            return zeros(0, self.modulus)
         try:
             with open(self.path, "rb") as file:
                 if _identity(file) != self.identity:

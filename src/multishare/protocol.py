@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import io
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
@@ -45,24 +44,43 @@ class LinkKind(Enum):
     CLASSICAL = "Classical"  # recordable by a harvesting adversary
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     id: str
     node_count: int
     inner_degree: int
     link: LinkKind
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Mother + daughter networks, inner degrees, and the outer degree."""
+# A NamedTuple may not define __new__ or _make in its body, so Topology,
+# which checks itself in both, subclasses its fields.
+class _TopologyFields(NamedTuple):
     modulus: int
     networks: Tuple[NetworkSpec, ...]
     mother_index: int
     outer_degree: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "networks", tuple(self.networks))
+
+class Topology(_TopologyFields):
+    """Mother + daughter networks, inner degrees, and the outer degree.
+    Every way of making one (the constructor, _make, _replace) checks it
+    (__post_init__): ValueError for a topology the protocol cannot
+    deal."""
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, networks: Iterable[NetworkSpec],
+                mother_index: int, outer_degree: int) -> "Topology":
+        self = super().__new__(cls, modulus, tuple(networks), mother_index,
+                               outer_degree)
+        # Looked up on the class at call time, so that a wrapper installed
+        # there (the benchmark's tracer) sees every check.
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Topology":
+        return cls(*iterable)
+
+    def __post_init__(self) -> None:
         if len(self.networks) < 2:
             raise ValueError("need at least two networks")
         if not 0 <= self.mother_index < len(self.networks):
@@ -118,8 +136,7 @@ class Topology:
         return sum(n.node_count for n in self.networks)
 
 
-@dataclass(frozen=True)
-class NodeShare:
+class NodeShare(NamedTuple):
     network_id: str
     node_index: int
     epoch: int
@@ -128,8 +145,7 @@ class NodeShare:
     values: Sequence[int]
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     t_networks: int
     t_nodes: int
     t_fail: int
@@ -391,8 +407,7 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
 # Proactive refresh
 
 
-@dataclass(frozen=True)
-class NetworkRefresh:
+class NetworkRefresh(NamedTuple):
     """One network's refresh of one round: the coefficient columns
     c_1..c_k (k its inner degree) of its zero-constant refresh
     polynomials, each a Block of one entry per chunk. Node j's delta is
@@ -454,7 +469,7 @@ def apply_node_refresh(share: NodeShare,
         raise ValueError("delta epoch does not match share")
     if len(share.values) != r.chunk_count:
         raise ValueError("chunk count mismatch")
-    return replace(share, epoch=share.epoch + 1, values=_node_values(
+    return share._replace(epoch=share.epoch + 1, values=_node_values(
         share.node_index, [share.values, *r.columns], r.modulus))
 
 
@@ -583,21 +598,28 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     Nodes within a network are interchangeable for access, and a held set
     decides only through the networks it makes known: network i is known
     once its first q_i nodes are held, q_i the fewest whose shares
-    determine its inner secret. A reconstructing set K of known networks
-    is reached by holding sum(q_i, i in K) nodes of |K| networks; a
-    non-reconstructing K by disabling n_i - q_i + 1 nodes of each network
-    outside K. t_f0 disables only mother nodes (K holds every daughter),
-    t_f1 only daughter nodes (K holds the mother). No K of daughters alone
-    reconstructs (their constant functionals have first coordinate 0), so
-    t_f0 disables the mother alone and t_fail is min(t_f0, t_f1).
+    determine its inner secret. q_i depends only on the inner degree and
+    the modulus (a node's row is birkhoff_matrix_row(j, 0, k, q)), so the
+    oracle is asked once per distinct inner degree. A reconstructing set
+    K of known networks is reached by holding sum(q_i, i in K) nodes of
+    |K| networks; a non-reconstructing K by disabling n_i - q_i + 1 nodes
+    of each network outside K. t_f0 disables only mother nodes (K holds
+    every daughter), t_f1 only daughter nodes (K holds the mother). No K
+    of daughters alone reconstructs (their constant functionals have
+    first coordinate 0), so t_f0 disables the mother alone and t_fail is
+    min(t_f0, t_f1).
 
-    The sets K are walked depth first, networks added in index order.
-    Each K extends its parent's echelon basis of constant functionals by
-    its last network's, and reduces the parent's remainder of the secret
-    functional [1, 0, ..., 0] by the new pivot alone: K reconstructs iff
-    that remainder is zero. A reconstructing K's supersets are skipped,
-    as their span holds K's, they need no fewer nodes or networks, and a
-    reconstructing set never counts towards a failure threshold.
+    Hence only the sets that hold the mother are walked: they are every
+    reconstructing set and every set that counts towards t_f1. The walk
+    starts from {mother}, which does not reconstruct (its functional,
+    P(1), is [1, 1, ..., 1] over at least two coordinates), and adds the
+    daughters depth first in topology order. Each K extends its parent's
+    echelon basis of constant functionals by its last network's, and
+    reduces the parent's remainder of the secret functional [1, 0, ...,
+    0] by the new pivot alone: K reconstructs iff that remainder is zero.
+    A reconstructing K's supersets are skipped, as their span holds K's,
+    they need no fewer nodes or networks, and a reconstructing set never
+    counts towards a failure threshold.
     """
     nets = topology.networks
     degree = max(net.inner_degree for net in nets)
@@ -608,45 +630,52 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             f"exhaustive bounds of {EXHAUSTIVE_NETWORK_BOUND} networks and "
             f"inner degree {EXHAUSTIVE_DEGREE_BOUND}")
     know = AdversaryKnowledge(topology)
-    quorums = []
+    need: Dict[int, int] = {}  # inner degree -> quorum
     for net in nets:
         held = 0
-        while net.id not in know.known_networks():
+        while net.inner_degree not in need:
             held += 1
             assert held <= net.node_count  # Topology keeps quorums in range
             know.add("share", net.id, held, 0, ())
-        quorums.append(held)
-    kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
-    t_f0 = kill[topology.mother_index]
-    rows = [constant_functional(topology, net.id) for net in nets]
+            if net.id in know.known_networks():
+                need[net.inner_degree] = held
+    # The mother first, then the daughters in topology order.
+    order = [topology.mother, *topology.daughters()]
+    quorums = [need[net.inner_degree] for net in order]
+    kill = [net.node_count - quorum + 1
+            for net, quorum in zip(order, quorums)]
+    rows = [constant_functional(topology, net.id) for net in order]
+    assert not any(row[0] for row in rows[1:])  # as P'(a) has no secret term
+    t_f0 = kill[0]
     q = topology.modulus
-    mother = 1 << topology.mother_index
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
     pivots: list = []  # the echelon basis of the set being visited
 
-    def visit(known: int, size: int, held: int, cost: int,
+    def visit(top: int, size: int, held: int, cost: int,
               secret: Sequence[int]) -> None:
-        """Count the non-reconstructing set `known` (|K| = size, held and
-        cost its node counts), then walk its supersets that add networks
-        above its highest; `secret` is its remainder."""
+        """Count a non-reconstructing set K (|K| = size, `top` the
+        position in `order` of its last network, held and cost its node
+        counts), then walk its supersets that add networks after that;
+        `secret` is its remainder."""
         nonlocal t_networks, t_nodes, t_f1
-        if known & mother:
-            t_f1 = min(t_f1, cost)
-        for i in range(known.bit_length(), len(nets)):
+        t_f1 = min(t_f1, cost)
+        for i in range(top + 1, len(order)):
             added = echelon_insert(pivots, rows[i], (), q) is None
             rest = (echelon_reduce(pivots[-1:], secret, (), q)[0] if added
                     else secret)
             if any(rest):
-                visit(known | 1 << i, size + 1, held + quorums[i],
-                      cost - kill[i], rest)
+                visit(i, size + 1, held + quorums[i], cost - kill[i], rest)
             else:
                 t_nodes = min(t_nodes, held + quorums[i])
                 t_networks = min(t_networks, size + 1)
             if added:
                 pivots.pop()
 
-    visit(0, 0, 0, sum(kill), [1] + [0] * topology.outer_degree)
+    echelon_insert(pivots, rows[0], (), q)
+    visit(0, 1, quorums[0], sum(kill[1:]),
+          echelon_reduce(pivots, [1] + [0] * topology.outer_degree, (),
+                         q)[0])
     if t_nodes > topology.total_nodes():
         raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,

@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import formats, protocol, vault
 from .errors import CorruptData, Infeasible, StateError
@@ -49,17 +48,20 @@ EVENTS = {
 EVENT_KINDS = frozenset(EVENTS)
 
 
-@dataclass
 class SimNode:
-    network_id: str
-    node_index: int
-    store: Optional[NodeShare] = None
-    alive: bool = True
-    compromised: bool = False
+    """One node of the simulated world: its store, if any, and whether it
+    is alive and compromised."""
+    __slots__ = ("network_id", "node_index", "store", "alive", "compromised")
+
+    def __init__(self, network_id: str, node_index: int):
+        self.network_id = network_id
+        self.node_index = node_index
+        self.store: Optional[NodeShare] = None
+        self.alive = True
+        self.compromised = False
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     topology: Topology
     secret: bytes
     schedule: Tuple[dict, ...]

@@ -36,7 +36,7 @@ network's coefficient columns and updates a share from them in one pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from multishare import formats
@@ -181,7 +181,7 @@ def read_share_bytes(data: bytes, modulus: int) -> NodeShare:
         if value >= modulus:
             raise CorruptData(f"value {text!r} out of range")
         values.append(value)
-    return replace(header, values=tuple(values))
+    return header._replace(values=tuple(values))
 
 
 def encode_secret(data: bytes, modulus: int) -> List[int]:
@@ -457,6 +457,6 @@ def apply_node_refresh(share: NodeShare, delta: NodeRefresh,
         raise ValueError("delta epoch does not match share")
     if len(share.values) != len(delta.values):
         raise ValueError("chunk count mismatch")
-    return replace(share, epoch=share.epoch + 1,
-                   values=tuple(weighted_column_sum(
-                       (1, 1), (share.values, delta.values), modulus)))
+    return share._replace(epoch=share.epoch + 1,
+                          values=tuple(weighted_column_sum(
+                              (1, 1), (share.values, delta.values), modulus)))

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,7 +34,7 @@ def file_blocks(share: NodeShare, modulus: int) -> list:
     """The share file as deal and refresh write it, one block of values
     at a time."""
     n = len(share.values)
-    return [share_file_block(replace(share, values=share.values[i:i + B]),
+    return [share_file_block(share._replace(values=share.values[i:i + B]),
                              modulus, i, n)
             for i in range(0, max(n, 1), B)]
 
@@ -56,7 +55,7 @@ def read_whole(path, modulus: int) -> NodeShare:
     values = []
     for i in range(0, len(share.values), B):
         values += share.values[i:i + B]
-    return replace(share, values=tuple(values))
+    return share._replace(values=tuple(values))
 
 
 class TestShareWriter:
@@ -108,7 +107,7 @@ class TestShareWriter:
         blocks = file_blocks(share, DEFAULT_MODULUS)
         assert len(blocks) == 3
         width = len(f'"{DEFAULT_MODULUS - 1:032x}",')
-        head = len(share_file_block(replace(share, values=()),
+        head = len(share_file_block(share._replace(values=()),
                                     DEFAULT_MODULUS, 0, 2 * B + 1))
         assert len(blocks[0]) <= head + B * width
         assert max(map(len, blocks[1:])) <= B * width + 3
@@ -338,6 +337,26 @@ class TestReadInOrder:
             with pytest.raises(ValueError, match="in order"):
                 values[index]
         assert list(values[B:]) == list(range(B, 2 * B + 1))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_empty_slice_reads_nothing(self, tmp_path, version):
+        # An empty slice where the last one ended is an empty Block, and
+        # the file is not opened for it: after the whole file is read, it
+        # may be gone.
+        q = DEFAULT_MODULUS
+        share = NodeShare("m", 1, 0, tuple(range(B + 1)))
+        path = tmp_path / "m_001.share.json"
+        path.write_bytes(reference.share_bytes_v1(share, q) if version == 1
+                         else share_bytes(share, q))
+        values = formats.read_share(path, q).values
+        assert len(values[0:0]) == 0
+        assert list(values[0:B]) == list(range(B))
+        assert len(values[B:B]) == 0
+        assert list(values[B:]) == [B]
+        path.unlink()
+        for index in (slice(len(values), None), slice(B + 1, B + 1)):
+            empty = values[index]
+            assert len(empty) == 0 and empty.modulus == q
 
 
 class TestHexParser:

@@ -1,8 +1,12 @@
 """Every name that a module of the package imports is used in it: an
 import that nothing uses is dead code. The exceptions are listed below,
-each with its reason."""
+each with its reason. And no module imports `dataclasses`, whose own
+imports would add to every command's start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,39 @@ def test_each_exception_still_holds():
         assert name in unused_imports(module), (module, name)
         if reason == TRACER_ONLY:
             assert f'"{name}"' in tracer, (module, name)
+
+
+# What importing `dataclasses` brings into a process besides itself: with
+# it, about 12 ms of every command's start-up.
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
+
+
+def modules_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after `statement`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"{statement}; import sys; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_start_up_imports_nothing_heavy():
+    bare = modules_after("pass")
+    added = modules_after("import multishare.cli") - bare
+    assert "multishare.cli" in added
+    assert sorted(added & HEAVY) == []

@@ -3,7 +3,6 @@ import itertools
 import operator
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +182,16 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology(15, nets, 0, 1)
 
+    def test_replace_and_make_check_too(self):
+        # _replace and _make build through the constructor's check.
+        t = topo3()
+        with pytest.raises(ValueError, match="outer degree"):
+            t._replace(outer_degree=len(t.networks))
+        with pytest.raises(ValueError, match="mother index"):
+            Topology._make([11, t.networks, 3, 1])
+        assert t._replace(outer_degree=2) == topo3(outer=2)
+        assert Topology._make(t) == t
+
     def test_default_modulus_skips_primality_test(self, monkeypatch):
         # 2^127 - 1 is a proven prime, so Topology accepts it without
         # Miller-Rabin; every other modulus still goes through the test.
@@ -324,8 +333,8 @@ class TestReconstruct:
     def test_share_not_a_node_rejected(self, network_id, node_index):
         # Node 12 is node 1 modulo 11; d9 is not a network of the topology.
         t, dealt = self._dealt_example()
-        stray = replace(dealt["m"][1], network_id=network_id,
-                        node_index=node_index)
+        stray = dealt["m"][1]._replace(network_id=network_id,
+                                       node_index=node_index)
         with pytest.raises(CorruptData, match="not a node"):
             reconstruct({"m": [dealt["m"][0], stray], "d1": dealt["d1"]}, t)
 
@@ -341,7 +350,7 @@ class TestReconstruct:
         raised by 1: m and d1 determine another inner secret for d2."""
         t = topo3()
         dealt = deal([4, 5], t, deterministic_rng(2))
-        dealt["d2"] = [replace(s, values=tuple((v + 1) % 11
+        dealt["d2"] = [s._replace(values=tuple((v + 1) % 11
                                                for v in s.values))
                        for s in dealt["d2"]]
         return t, dealt
@@ -350,7 +359,7 @@ class TestReconstruct:
         # Checked early, d2's disagreement still yields to a later share
         # fault and to Infeasible, as when it was checked last.
         t, dealt = self._foreign_d2()
-        bad = replace(dealt["m"][2], values=(0, 0))
+        bad = dealt["m"][2]._replace(values=(0, 0))
         with pytest.raises(CorruptData, match="network m: the share of "
                                               "node 3"):
             reconstruct({**dealt, "m": [*dealt["m"][:2], bad]}, t)
@@ -432,17 +441,24 @@ class TestThresholdExhaustive:
     @pytest.mark.parametrize("q", [257, 5, 7, 11, 13])
     def test_matches_plain_walk(self, q):
         # Every enumerated small topology that is valid at q (all 5,346
-        # at 257), over fields small enough for derivative points to
-        # collide.
+        # at 257), with the mother at each index in turn, over fields
+        # small enough for derivative points to collide.
         checked = 0
         for outer, nets in enumerate_specs():
-            try:
-                t = build_topology(outer, nets, q)
-            except ValueError:
-                continue
-            assert compute_thresholds_exhaustive(t) == \
-                plain_walk_thresholds(t), (q, outer, nets)
-            checked += 1
+            for mother in range(len(nets)):
+                # The mother's spec, nets[0], moves to index `mother`.
+                rotated = nets[-mother:] + nets[:-mother]
+                try:
+                    t = Topology(q, tuple(
+                        NetworkSpec(f"n{i}", n, d,
+                                    LinkKind.ITS if i == mother
+                                    else LinkKind.CLASSICAL)
+                        for i, (n, d) in enumerate(rotated)), mother, outer)
+                except ValueError:
+                    continue
+                assert compute_thresholds_exhaustive(t) == \
+                    plain_walk_thresholds(t), (q, mother, outer, nets)
+                checked += mother == 0
         assert checked == 5346 if q == 257 else checked > 0
 
     @pytest.mark.parametrize("outer", [1, 3, 6, 11])
@@ -454,7 +470,8 @@ class TestThresholdExhaustive:
     @pytest.mark.parametrize("outer", [1, 6, 11])
     def test_work_bound(self, monkeypatch, outer):
         # Eliminations, quorum discovery included, stay within 3 per set
-        # of known networks; one outer solve per set would take 28,720.
+        # of known networks that holds the mother, the only sets walked;
+        # one outer solve per set of all 2^12 would take 28,720.
         calls = 0
         real = field.echelon_reduce
 
@@ -466,7 +483,7 @@ class TestThresholdExhaustive:
         monkeypatch.setattr(field, "echelon_reduce", counting)
         monkeypatch.setattr(protocol, "echelon_reduce", counting)
         compute_thresholds_exhaustive(twelve_networks(outer))
-        assert 0 < calls <= 3 * 2**12
+        assert 0 < calls <= 3 * 2**11
 
     def test_capacity_bound(self):
         # One network more than the subset walk's bound, and an inner
@@ -488,8 +505,8 @@ class TestThresholdExhaustive:
         formula = compute_thresholds_formula(t)
         kill = sorted(n.node_count - n.inner_degree for n in t.daughters())
         t_f1 = sum(kill[:len(t.networks) - t.outer_degree])
-        assert compute_thresholds_exhaustive(t) == replace(
-            formula, t_f1=t_f1, t_fail=min(formula.t_f0, t_f1))
+        assert compute_thresholds_exhaustive(t) == formula._replace(
+            t_f1=t_f1, t_fail=min(formula.t_f0, t_f1))
 
 
 class TestAccessOracle:
@@ -999,7 +1016,7 @@ class TestVaultMatchesReference:
                 len(lst), epoch)
             for share, delta in zip(want[nid], lst):
                 assert got[nid].delta(delta.node_index) == delta.values
-                share = replace(share, epoch=epoch)
+                share = share._replace(epoch=epoch)
                 assert (apply_node_refresh(share, got[nid])
                         == reference.apply_node_refresh(share, delta, q))
 
@@ -1023,8 +1040,8 @@ class TestVaultMatchesReference:
                   for nid in want}
         for s in got:
             node = joined[s.network_id][s.node_index - 1]
-            joined[s.network_id][s.node_index - 1] = replace(
-                node, values=node.values + tuple(s.values))
+            joined[s.network_id][s.node_index - 1] = node._replace(
+                values=node.values + tuple(s.values))
         assert joined == want
 
     @settings(max_examples=60, deadline=None, derandomize=True,
@@ -1054,7 +1071,7 @@ class TestVaultMatchesReference:
             with pytest.raises(ValueError):
                 apply_node_refresh(share, bad)
         with pytest.raises(ValueError):
-            apply_node_refresh(replace(share, node_index=4), deltas["d1"])
+            apply_node_refresh(share._replace(node_index=4), deltas["d1"])
         for j in (0, 4):
             with pytest.raises(ValueError):
                 deltas["d1"].delta(j)
@@ -1077,17 +1094,17 @@ class TestVaultMatchesReference:
         if shares and data.draw(st.booleans()):
             nid = data.draw(st.sampled_from([s.network_id for s in shares]))
             c = data.draw(st.integers(1, q - 1))
-            shares = [replace(s, values=tuple((v + c) % q for v in s.values))
+            shares = [s._replace(values=tuple((v + c) % q for v in s.values))
                       if s.network_id == nid else s for s in shares]
         if shares and data.draw(st.booleans()):
             i = data.draw(st.integers(0, len(shares) - 1))
             c = data.draw(st.integers(0, len(chunks) - 1))
             values = list(shares[i].values)
             values[c] = (values[c] + 1) % q
-            shares[i] = replace(shares[i], values=tuple(values))
+            shares[i] = shares[i]._replace(values=tuple(values))
         if shares and data.draw(st.booleans()):
             i = data.draw(st.integers(0, len(shares) - 1))
-            shares[i] = replace(shares[i], epoch=1)
+            shares[i] = shares[i]._replace(epoch=1)
         grouped = {}
         for s in shares:
             grouped.setdefault(s.network_id, []).append(s)

@@ -5,7 +5,6 @@ per-coefficient Birkhoff solves."""
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -72,7 +71,7 @@ class TestSplit:
         # P = 3 + 2X over F_7 at nodes 1..3, through the node evaluation
         # that deal and refresh share: 3 as the constant, 2 as X's column.
         share = NodeShare("m", 1, 0, (3,))
-        assert [apply_node_refresh(replace(share, node_index=x),
+        assert [apply_node_refresh(share._replace(node_index=x),
                                    one_column(2)).values
                 for x in (1, 2, 3)] == [(5,), (0,), (2,)]
 
