@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 from collections.abc import Mapping
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -32,9 +33,8 @@ from .poly import birkhoff_matrix_row, random_columns
 # (perfbench/tracing.py).
 from .poly import lagrange_zero_weights  # noqa: F401
 
-# compute_thresholds_exhaustive walks up to 2^networks sets of known
-# networks, and finds each network's quorum by an elimination cubic in its
-# inner degree.
+# compute_thresholds_exhaustive walks up to 2^(networks - 1) sets of known
+# networks; a quorum is found by an elimination cubic in the inner degree.
 EXHAUSTIVE_NETWORK_BOUND = 12
 EXHAUSTIVE_DEGREE_BOUND = 100
 
@@ -224,11 +224,15 @@ def constant_functional(topology: Topology, network_id: str) -> List[int]:
     """A network's inner secret as a functional over the outer polynomial's
     coefficients [secret, p_1..p_D]: P(1) for the mother, P'(a) for
     daughter a."""
-    q = topology.modulus
-    d = topology.outer_degree
-    if network_id == topology.mother.id:
-        return birkhoff_matrix_row(1, 0, d, q)
-    return birkhoff_matrix_row(topology.derivative_point(network_id), 1, d, q)
+    position = (0 if network_id == topology.mother.id
+                else topology.derivative_point(network_id))
+    return _functional(topology.modulus, topology.outer_degree, position)
+
+
+def _functional(q: int, degree: int, position: int) -> List[int]:
+    """constant_functional at `position` in [mother, *daughters]."""
+    return (birkhoff_matrix_row(1, 0, degree, q) if position == 0
+            else birkhoff_matrix_row(position, 1, degree, q))
 
 
 def checked_shares(shares: Iterable[NodeShare],
@@ -591,35 +595,21 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
 
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
-    """Definitional thresholds from the decomposed oracle, by a walk over
-    the sets of known networks. Bounded to EXHAUSTIVE_NETWORK_BOUND
+    """Definitional thresholds, bounded to EXHAUSTIVE_NETWORK_BOUND
     networks and inner degree EXHAUSTIVE_DEGREE_BOUND.
 
-    Nodes within a network are interchangeable for access, and a held set
-    decides only through the networks it makes known: network i is known
-    once its first q_i nodes are held, q_i the fewest whose shares
-    determine its inner secret. q_i depends only on the inner degree and
-    the modulus (a node's row is birkhoff_matrix_row(j, 0, k, q)), so the
-    oracle is asked once per distinct inner degree. A reconstructing set
-    K of known networks is reached by holding sum(q_i, i in K) nodes of
-    |K| networks; a non-reconstructing K by disabling n_i - q_i + 1 nodes
-    of each network outside K. t_f0 disables only mother nodes (K holds
-    every daughter), t_f1 only daughter nodes (K holds the mother). No K
-    of daughters alone reconstructs (their constant functionals have
-    first coordinate 0), so t_f0 disables the mother alone and t_fail is
-    min(t_f0, t_f1).
-
-    Hence only the sets that hold the mother are walked: they are every
-    reconstructing set and every set that counts towards t_f1. The walk
-    starts from {mother}, which does not reconstruct (its functional,
-    P(1), is [1, 1, ..., 1] over at least two coordinates), and adds the
-    daughters depth first in topology order. Each K extends its parent's
-    echelon basis of constant functionals by its last network's, and
-    reduces the parent's remainder of the secret functional [1, 0, ...,
-    0] by the new pivot alone: K reconstructs iff that remainder is zero.
-    A reconstructing K's supersets are skipped, as their span holds K's,
-    they need no fewer nodes or networks, and a reconstructing set never
-    counts towards a failure threshold.
+    Nodes within a network are interchangeable for access, so a held set
+    decides only through the networks it makes known: network i once its
+    first q_i nodes are held, q_i its _quorum. A reconstructing set K of
+    known networks is reached by holding sum(q_i, i in K) nodes of |K|
+    networks; a non-reconstructing K by disabling n_i - q_i + 1 nodes of
+    each network outside K. t_f0 disables only mother nodes (K holds every
+    daughter), t_f1 only daughter nodes (K holds the mother). No K of
+    daughters alone reconstructs (their constant functionals have first
+    coordinate 0), so t_f0 disables the mother alone and t_fail is
+    min(t_f0, t_f1). Which K reconstruct depends only on the shape
+    (modulus, outer degree, network count): _walk finds the sets that
+    matter once per shape and process; each topology sums over them.
     """
     nets = topology.networks
     degree = max(net.inner_degree for net in nets)
@@ -629,57 +619,68 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             f"{len(nets)} networks of inner degree up to {degree} exceed the "
             f"exhaustive bounds of {EXHAUSTIVE_NETWORK_BOUND} networks and "
             f"inner degree {EXHAUSTIVE_DEGREE_BOUND}")
-    know = AdversaryKnowledge(topology)
-    need: Dict[int, int] = {}  # inner degree -> quorum
-    for net in nets:
-        held = 0
-        while net.inner_degree not in need:
-            held += 1
-            assert held <= net.node_count  # Topology keeps quorums in range
-            know.add("share", net.id, held, 0, ())
-            if net.id in know.known_networks():
-                need[net.inner_degree] = held
-    # The mother first, then the daughters in topology order.
-    order = [topology.mother, *topology.daughters()]
-    quorums = [need[net.inner_degree] for net in order]
-    kill = [net.node_count - quorum + 1
-            for net, quorum in zip(order, quorums)]
-    rows = [constant_functional(topology, net.id) for net in order]
-    assert not any(row[0] for row in rows[1:])  # as P'(a) has no secret term
-    t_f0 = kill[0]
     q = topology.modulus
+    order = [topology.mother, *topology.daughters()]  # as _walk places them
+    quorums = [_quorum(net.inner_degree, q) for net in order]
+    kill = [net.node_count - k + 1 for net, k in zip(order, quorums)]
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
+    for known, reconstructs in _walk(q, topology.outer_degree, len(order)):
+        if reconstructs:
+            t_nodes = min(t_nodes, sum(quorums[i] for i in known))
+            t_networks = min(t_networks, len(known))
+        else:
+            t_f1 = min(t_f1, sum(kill) - sum(kill[i] for i in known))
+    if t_nodes > topology.total_nodes():
+        raise Infeasible("no node subset reconstructs")
+    return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
+                      t_fail=min(kill[0], t_f1), t_f0=kill[0], t_f1=t_f1)
+
+
+@lru_cache(maxsize=256)
+def _quorum(inner_degree: int, q: int) -> int:
+    """The fewest first nodes whose shares determine their network's inner
+    secret, by AdversaryKnowledge.add's rule: each node's row but the
+    constant joins one echelon basis with c = 1, until c alone remains."""
+    pivots: list = []
+    for held in range(1, q):  # Topology: quorum <= node count < q
+        rest = echelon_insert(
+            pivots, birkhoff_matrix_row(held, 0, inner_degree, q)[1:], [1], q)
+        if rest is not None and rest[0]:
+            return held
+
+
+@lru_cache(maxsize=64)
+def _walk(q: int, outer_degree: int, network_count: int) -> tuple:
+    """(K, whether K reconstructs) for each set K of known networks, as
+    positions in [mother, *daughters], that holds the mother and extends
+    no reconstructing set by later networks (those need no fewer nodes or
+    networks, and count towards no failure threshold). Depth first from
+    {mother}, whose P(1) = [1, ..., 1] does not reconstruct, adding
+    daughters in order: K's echelon basis of constant functionals is its
+    parent's and its last network's row, and K reconstructs iff the new
+    pivot reduces the parent's remainder of [1, 0, ..., 0] to zero."""
+    rows = [_functional(q, outer_degree, i) for i in range(network_count)]
+    assert not any(row[0] for row in rows[1:])  # as P'(a) has no secret term
+    family: list = []
     pivots: list = []  # the echelon basis of the set being visited
 
-    def visit(top: int, size: int, held: int, cost: int,
-              secret: Sequence[int]) -> None:
-        """Count a non-reconstructing set K (|K| = size, `top` the
-        position in `order` of its last network, held and cost its node
-        counts), then walk its supersets that add networks after that;
-        `secret` is its remainder."""
-        nonlocal t_networks, t_nodes, t_f1
-        t_f1 = min(t_f1, cost)
-        for i in range(top + 1, len(order)):
+    def visit(known: Tuple[int, ...], secret: Sequence[int]) -> None:
+        family.append((known, False))
+        for i in range(known[-1] + 1, network_count):
             added = echelon_insert(pivots, rows[i], (), q) is None
             rest = (echelon_reduce(pivots[-1:], secret, (), q)[0] if added
                     else secret)
             if any(rest):
-                visit(i, size + 1, held + quorums[i], cost - kill[i], rest)
+                visit(known + (i,), rest)
             else:
-                t_nodes = min(t_nodes, held + quorums[i])
-                t_networks = min(t_networks, size + 1)
+                family.append((known + (i,), True))
             if added:
                 pivots.pop()
 
     echelon_insert(pivots, rows[0], (), q)
-    visit(0, 1, quorums[0], sum(kill[1:]),
-          echelon_reduce(pivots, [1] + [0] * topology.outer_degree, (),
-                         q)[0])
-    if t_nodes > topology.total_nodes():
-        raise Infeasible("no node subset reconstructs")
-    return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
-                      t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
+    visit((0,), echelon_reduce(pivots, [1] + [0] * outer_degree, (), q)[0])
+    return tuple(family)
 
 
 # ---------------------------------------------------------------------------

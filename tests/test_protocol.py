@@ -103,10 +103,20 @@ def dense_thresholds(topology):
         t_f1=min(disabled(c) for c in bad if c[mother] == ns[mother]))
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def spans_secret(q, outer_degree, rows):
+    """Whether the constant functionals `rows` span the secret's, by its
+    own express_over_rows solve from scratch. Memoized on the rows, so
+    each distinct set of rows is solved once per session."""
+    return field.express_over_rows(list(rows), [1] + [0] * outer_degree,
+                                   q) is not None
+
+
 def plain_walk_thresholds(topology):
     """Reference for compute_thresholds_exhaustive's pruned walk: every
-    one of the 2^L sets of known networks, each decided by its own outer
-    solve, with the quorums found as the walk finds them."""
+    one of the 2^L sets of known networks, each decided by an outer solve
+    over its rows from the topology's own constant_functional
+    (spans_secret), with the quorums found as the walk finds them."""
     nets = topology.networks
     know = protocol.AdversaryKnowledge(topology)
     quorums = []
@@ -117,13 +127,13 @@ def plain_walk_thresholds(topology):
             know.add("share", net.id, held, 0, ())
         quorums.append(held)
     kill = [net.node_count - need + 1 for net, need in zip(nets, quorums)]
-    rows = [protocol.constant_functional(topology, net.id) for net in nets]
+    rows = [tuple(protocol.constant_functional(topology, net.id))
+            for net in nets]
     ok, bad = [], []
     for known in range(1 << len(nets)):
         inside = [i for i in range(len(nets)) if known >> i & 1]
-        if field.express_over_rows([rows[i] for i in inside],
-                                   [1] + [0] * topology.outer_degree,
-                                   topology.modulus) is not None:
+        if spans_secret(topology.modulus, topology.outer_degree,
+                        tuple(rows[i] for i in inside)):
             ok.append(inside)
         else:
             bad.append((set(inside), sum(kill) - sum(kill[i]
@@ -471,7 +481,11 @@ class TestThresholdExhaustive:
     def test_work_bound(self, monkeypatch, outer):
         # Eliminations, quorum discovery included, stay within 3 per set
         # of known networks that holds the mother, the only sets walked;
-        # one outer solve per set of all 2^12 would take 28,720.
+        # one outer solve per set of all 2^12 would take 28,720. Quorums
+        # and walk are solved once per process: another topology of the
+        # same shape and inner degree makes none.
+        protocol._quorum.cache_clear()
+        protocol._walk.cache_clear()
         calls = 0
         real = field.echelon_reduce
 
@@ -484,6 +498,48 @@ class TestThresholdExhaustive:
         monkeypatch.setattr(protocol, "echelon_reduce", counting)
         compute_thresholds_exhaustive(twelve_networks(outer))
         assert 0 < calls <= 3 * 2**11
+        calls = 0
+        t = build_topology(outer, [(n, 3) for n in range(4, 16)],
+                           q=DEFAULT_MODULUS)
+        compute_thresholds_exhaustive(t)
+        assert calls == 0
+
+    @pytest.mark.parametrize("order", [(5, 257), (257, 5)])
+    def test_shapes_are_keyed_by_modulus(self, monkeypatch, order):
+        # At q = 5 the mother and the third daughter reconstruct at outer
+        # degree 2 (P'(3) = p_1 + 6 p_2 = p_1 + p_2), at 257 they do not:
+        # a cache that dropped the modulus would hand one field's sets to
+        # the other, whichever came first.
+        nets = [(2, 1), (1, 0), (3, 2), (4, 0)]
+
+        def thresholds(q):
+            # As enumerated, and with the mother moved to index 2.
+            moved = Topology(q, tuple(
+                NetworkSpec(f"n{i}", n, d,
+                            LinkKind.ITS if i == 2 else LinkKind.CLASSICAL)
+                for i, (n, d) in enumerate(nets[1:3] + nets[:1] + nets[3:])),
+                2, 2)
+            return [compute_thresholds_exhaustive(t)
+                    for t in (build_topology(2, nets, q), moved)]
+
+        protocol._quorum.cache_clear()
+        protocol._walk.cache_clear()
+        cached = {q: thresholds(q) for q in order}
+        monkeypatch.setattr(protocol, "_quorum", protocol._quorum.__wrapped__)
+        monkeypatch.setattr(protocol, "_walk", protocol._walk.__wrapped__)
+        for q in order:
+            assert cached[q] == thresholds(q)
+        assert all(a != b for a, b in zip(cached[5], cached[257]))
+
+    def test_family_is_the_closed_forms(self):
+        # At the default modulus, up to the network bound, a walked set
+        # reconstructs iff it holds the mother and at least outer_degree
+        # daughters: the access structure the closed form assumes.
+        for l in range(2, protocol.EXHAUSTIVE_NETWORK_BOUND + 1):
+            for outer in range(1, l):
+                for known, ok in protocol._walk(DEFAULT_MODULUS, outer, l):
+                    assert known[0] == 0 and ok == (len(known) > outer), (
+                        l, outer, known)
 
     def test_capacity_bound(self):
         # One network more than the subset walk's bound, and an inner
