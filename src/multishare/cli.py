@@ -15,18 +15,18 @@ import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
 from .field import BLOCK_WORDS, crypto_rng, deterministic_rng
 from . import formats, vault
-from .protocol import (SecretDecoder, Topology, apply_node_refresh,
+from .protocol import (NodeShare, SecretDecoder, Topology,
+                       apply_node_refresh,
                        checked_shares, chunk_count, chunk_size,
                        compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, reconstruct,
-                       refresh, secret_blocks,
-                       EXHAUSTIVE_DEGREE_BOUND, EXHAUSTIVE_NETWORK_BOUND)
+                       refresh, secret_blocks, EXHAUSTIVE_NETWORK_BOUND)
 # Not called here, since the vault commands work block by block
 # (secret_blocks, SecretDecoder), but looked up here by name by the
 # benchmark's tracer (perfbench/tracing.py).
@@ -128,19 +128,21 @@ def _secret_reader(file):
     return size, read
 
 
-def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
+def _share_dir_paths(share_dir: Path, digest: str
+                     ) -> Tuple[List[Path], Dict[str, int]]:
     """The share files in `share_dir`, once a deal or refresh that stopped
-    part-way is settled (vault.settle); exit 2 when the directory's
-    manifest, if it has one, cannot be read or names a topology whose
-    topology_digest is not `digest`, or when there is no directory."""
+    part-way is settled (vault.settle), and the epoch and chunk_count its
+    manifest gives, by name (none without a manifest); exit 2 when the
+    manifest cannot be read or names a topology whose topology_digest is
+    not `digest`, or when there is no directory."""
     names = vault.listing(share_dir)
     if names is None:
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
     manifest = share_dir / vault.MANIFEST
-    epoch = None
+    given = {}
     if vault.MANIFEST in names:
         try:
-            written_for, epoch = formats.manifest_from_dict(
+            written_for, epoch, count = formats.manifest_from_dict(
                 _read_json(manifest, "manifest"))
         except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
@@ -148,35 +150,53 @@ def _share_dir_paths(share_dir: Path, digest: str) -> List[Path]:
         if written_for != digest:
             raise CliError(EXIT_INPUT, f"{manifest} was written for another "
                                        f"topology")
-    return vault.settle(share_dir, epoch)
+        given = {"epoch": epoch, "chunk_count": count}
+    return vault.settle(share_dir, given.get("epoch")), given
 
 
-def _check_regular(path, option: str) -> None:
-    """Exit 64 when `path`, once symbolic links are followed, is something
-    other than a regular file (a directory, a FIFO or a device, say):
-    writing it would replace that with a regular file, and reading a FIFO
-    would wait for a writer. A path that does not exist yet passes."""
+def _check_manifest(share_dir: Path, given: Dict[str, int],
+                    share: NodeShare) -> None:
+    """Exit 2 when the epoch or chunk_count that the manifest in
+    `share_dir` gives (`given`, from _share_dir_paths) is not that of the
+    share files, of which `share` is one, checked as a set."""
+    found = {"epoch": share.epoch, "chunk_count": len(share.values)}
+    for name, value in given.items():
+        if value != found[name]:
+            raise CliError(EXIT_INPUT, f"{share_dir / vault.MANIFEST} gives "
+                                       f"{name} {value}, the share files "
+                                       f"{found[name]}")
+
+
+def _check_output(path, option: str, inputs: Dict[str, Path]) -> None:
+    """Exit 64 when the output `path`, once symbolic links are followed,
+    is something other than a regular file (a directory, a FIFO or a
+    device, say): writing it would replace that with a regular file, and
+    reading a FIFO would wait for a writer. A path that does not exist yet
+    passes that check. Exit 64 too when it is a file being read: one of
+    `inputs`, which names each ("topology", say) and gives its path."""
     try:
-        mode = os.stat(path).st_mode
-    except OSError:
-        return
-    if not stat.S_ISREG(mode):
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # not there yet
+        regular = True
+    if not regular:
         raise CliError(EXIT_USAGE, f"{option} {path} is not a regular file")
+    target = os.path.realpath(path)
+    for what, read in inputs.items():
+        if target == os.path.realpath(read):
+            raise CliError(EXIT_USAGE, f"{option} {path} is the {what} file "
+                                       f"{read}")
 
 
 def _check_out(out: Path, topology: Path, share_dir: Optional[Path],
                files: List[Path]) -> None:
-    """Exit 64 when `out` is not a regular file (_check_regular); or when
-    writing it would replace a file being read: the `topology` file, or a
-    share file being read (one of `files`, or, given the vault directory
-    `share_dir`, one of its share files); or would put a file named as a
-    vault's are (vault.is_vault_file) into `share_dir` or into the
-    directory of any of `files`."""
-    _check_regular(out, "--out")
+    """Exit 64 when `out` is not a regular file or is the `topology` file
+    (_check_output); or when writing it would replace a share file being
+    read (one of `files`, or, given the vault directory `share_dir`, one
+    of its share files), or would put a file named as a vault's are
+    (vault.is_vault_file) into `share_dir` or into the directory of any of
+    `files`."""
+    _check_output(out, "--out", {"topology": topology})
     target = os.path.realpath(out)
-    if target == os.path.realpath(topology):
-        raise CliError(EXIT_USAGE, f"--out {out} is the topology file "
-                                   f"{topology}")
     if share_dir is not None:
         vaults = {os.path.realpath(share_dir)}
         files = vault.share_files(share_dir)
@@ -229,10 +249,11 @@ def cmd_deal(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     """Recover the secret BLOCK_WORDS chunks at a time: the share files'
-    headers are read first, then reconstruct checks them as a set, reads
-    each file's next block in turn, checks it and hands the recovered
-    chunks on, decoded, to the output's temporary file (see
-    protocol.reconstruct). An error in the share files is that of the
+    headers are read first (from a --shares vault, then checked as a set
+    and against its manifest: _check_manifest), then reconstruct checks
+    them as a set, reads each file's next block in turn, checks it and
+    hands the recovered chunks on, decoded, to the output's temporary
+    file (see protocol.reconstruct). An error in the share files is that of the
     first file that cannot be read whole (_share_file_errors). An --out
     that would overwrite the topology or a share file being read, or a
     file of the vault they are read from, is a usage error
@@ -244,9 +265,9 @@ def cmd_reconstruct(args) -> int:
                [Path(p) for p in args.files])
     topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
-    paths = (_share_dir_paths(Path(args.shares),
-                              formats.topology_digest(topology))
-             if args.shares else [Path(p) for p in args.files])
+    paths, given = (_share_dir_paths(Path(args.shares),
+                                     formats.topology_digest(topology))
+                    if args.shares else ([Path(p) for p in args.files], {}))
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
     decoder = SecretDecoder(q)
@@ -254,6 +275,9 @@ def cmd_reconstruct(args) -> int:
         with _share_file_errors(paths, q), \
                 vault.appending(Path(args.out)) as append:
             shares = [formats.read_share(p, q) for p in paths]
+            if args.shares:
+                list(checked_shares(shares, topology))
+                _check_manifest(Path(args.shares), given, shares[0])
             reconstruct(shares, topology,
                         sink=lambda chunks: append(decoder.feed(chunks)))
             decoder.close()
@@ -267,8 +291,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_refresh(args) -> int:
     """Advance every share one epoch, BLOCK_WORDS chunks at a time: the
-    share files' headers are read and checked as a set (checked_shares);
-    then, per block, the round's refresh columns are drawn (refresh, one
+    share files' headers are read and checked as a set (checked_shares),
+    then against the manifest (_check_manifest); then, per block, the round's refresh columns are drawn (refresh, one
     call per block), and each share file's block is read, updated
     (apply_node_refresh) and appended to its staged file in turn. The
     updated shares are committed at the new epoch by one atomic replace
@@ -279,12 +303,13 @@ def cmd_refresh(args) -> int:
     q = topology.modulus
     share_dir = Path(args.shares)
     digest = formats.topology_digest(topology)
-    paths = _share_dir_paths(share_dir, digest)
+    paths, given = _share_dir_paths(share_dir, digest)
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
     with _share_file_errors(paths, q):
         shares = [formats.read_share(p, q) for p in paths]
         list(checked_shares(shares, topology))
+        _check_manifest(share_dir, given, shares[0])
         epoch, count = shares[0].epoch, len(shares[0].values)
         rng = _rng(args.seed)
         with vault.Commit(share_dir, epoch + 1, "refresh") as commit:
@@ -334,13 +359,16 @@ def cmd_thresholds(args) -> int:
 def cmd_simulate(args) -> int:
     """Run the scenario's schedule, on the world saved in --state when it
     exists, and write the report (and save the world to --state). A
-    --report or --state that is not a regular file is a usage error
-    (_check_regular), found before any file is read."""
+    --report or --state that is not a regular file, or that would replace
+    a file being read (the scenario, or the state for --report), is a
+    usage error (_check_output), found before any file is read."""
     report_path = Path(args.report) if args.report else \
         Path(args.scenario).with_suffix(".report.json")
-    _check_regular(report_path, "--report")
+    scenario = {"scenario": Path(args.scenario)}
+    state = {"state": Path(args.state)} if args.state else {}
+    _check_output(report_path, "--report", {**scenario, **state})
     if args.state:
-        _check_regular(args.state, "--state")
+        _check_output(args.state, "--state", scenario)
     data = _read_json(args.scenario, "scenario")
     try:
         scenario = Scenario.from_dict(data)
@@ -408,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True)
     p.add_argument("--oracle", action="store_true",
                    help=f"also run the exhaustive search (<= "
-                        f"{EXHAUSTIVE_NETWORK_BOUND} networks, inner degree "
-                        f"<= {EXHAUSTIVE_DEGREE_BOUND})")
+                        f"{EXHAUSTIVE_NETWORK_BOUND} networks)")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("simulate", help="run an adversary scenario")

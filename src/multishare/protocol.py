@@ -34,9 +34,8 @@ from .poly import birkhoff_matrix_row, random_columns
 from .poly import lagrange_zero_weights  # noqa: F401
 
 # compute_thresholds_exhaustive walks up to 2^(networks - 1) sets of known
-# networks; a quorum is found by an elimination cubic in the inner degree.
+# networks.
 EXHAUSTIVE_NETWORK_BOUND = 12
-EXHAUSTIVE_DEGREE_BOUND = 100
 
 
 class LinkKind(Enum):
@@ -596,32 +595,33 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     """Definitional thresholds, bounded to EXHAUSTIVE_NETWORK_BOUND
-    networks and inner degree EXHAUSTIVE_DEGREE_BOUND.
+    networks.
 
     Nodes within a network are interchangeable for access, so a held set
-    decides only through the networks it makes known: network i once its
-    first q_i nodes are held, q_i its _quorum. A reconstructing set K of
-    known networks is reached by holding sum(q_i, i in K) nodes of |K|
-    networks; a non-reconstructing K by disabling n_i - q_i + 1 nodes of
-    each network outside K. t_f0 disables only mother nodes (K holds every
-    daughter), t_f1 only daughter nodes (K holds the mother). No K of
-    daughters alone reconstructs (their constant functionals have first
-    coordinate 0), so t_f0 disables the mother alone and t_fail is
-    min(t_f0, t_f1). Which K reconstruct depends only on the shape
-    (modulus, outer degree, network count): _walk finds the sets that
-    matter once per shape and process; each topology sums over them.
+    decides only through the networks it makes known: network i once q_i
+    of its nodes are held, q_i = k_i + 1 for inner degree k_i. Node
+    indices 1..n_i are distinct and nonzero below the modulus (Topology),
+    so any k_i + 1 rows (1, j, ..., j^k_i) form an invertible Vandermonde
+    system, and any k_i rows (j, ..., j^k_i) are independent and leave the
+    inner secret uniform. A reconstructing set K of known networks is
+    reached by holding sum(q_i, i in K) nodes of |K| networks; a
+    non-reconstructing K by disabling n_i - q_i + 1 nodes of each network
+    outside K. t_f0 disables only mother nodes (K holds every daughter),
+    t_f1 only daughter nodes (K holds the mother). No K of daughters alone
+    reconstructs (their constant functionals have first coordinate 0), so
+    t_f0 disables the mother alone and t_fail is min(t_f0, t_f1). Which K
+    reconstruct depends only on the shape (modulus, outer degree, network
+    count): _walk finds the sets that matter once per shape and process;
+    each topology sums over them.
     """
     nets = topology.networks
-    degree = max(net.inner_degree for net in nets)
-    if (len(nets) > EXHAUSTIVE_NETWORK_BOUND
-            or degree > EXHAUSTIVE_DEGREE_BOUND):
+    if len(nets) > EXHAUSTIVE_NETWORK_BOUND:
         raise CapacityError(
-            f"{len(nets)} networks of inner degree up to {degree} exceed the "
-            f"exhaustive bounds of {EXHAUSTIVE_NETWORK_BOUND} networks and "
-            f"inner degree {EXHAUSTIVE_DEGREE_BOUND}")
+            f"{len(nets)} networks exceed the exhaustive bound of "
+            f"{EXHAUSTIVE_NETWORK_BOUND} networks")
     q = topology.modulus
     order = [topology.mother, *topology.daughters()]  # as _walk places them
-    quorums = [_quorum(net.inner_degree, q) for net in order]
+    quorums = [net.inner_degree + 1 for net in order]
     kill = [net.node_count - k + 1 for net, k in zip(order, quorums)]
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
@@ -635,19 +635,6 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
         raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=min(kill[0], t_f1), t_f0=kill[0], t_f1=t_f1)
-
-
-@lru_cache(maxsize=256)
-def _quorum(inner_degree: int, q: int) -> int:
-    """The fewest first nodes whose shares determine their network's inner
-    secret, by AdversaryKnowledge.add's rule: each node's row but the
-    constant joins one echelon basis with c = 1, until c alone remains."""
-    pivots: list = []
-    for held in range(1, q):  # Topology: quorum <= node count < q
-        rest = echelon_insert(
-            pivots, birkhoff_matrix_row(held, 0, inner_degree, q)[1:], [1], q)
-        if rest is not None and rest[0]:
-            return held
 
 
 @lru_cache(maxsize=64)

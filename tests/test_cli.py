@@ -1864,6 +1864,32 @@ class TestManifest:
         assert snapshot(out) == before
         assert not dest.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("epoch", 5), ("epoch", 1), ("chunk_count", 1), ("chunk_count", 5)])
+    def test_counts_other_than_the_shares_exit2(self, workspace, capsys,
+                                                field, value):
+        # A manifest whose epoch or chunk_count is not the share files'
+        # was accepted: reconstruct exited 0, and refresh wrote the share
+        # files' chunk_count and the manifest's epoch plus one.
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        manifest = out / "manifest.json"
+        found = {"epoch": 0, "chunk_count": 4}  # 51 bytes in 15-byte chunks
+        assert json.loads(manifest.read_text())["chunk_count"] == 4
+        manifest.write_text(json.dumps(_replace(
+            json.loads(manifest.read_text()), [field], value)))
+        before = snapshot(out)
+        dest = tmp / "r.bin"
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 2
+        assert run(["refresh", "--topology", topo, "--shares", out,
+                    "--seed", "2"]) == 2
+        assert capsys.readouterr().err == 2 * (
+            f"error: {manifest} gives {field} {value}, the share files "
+            f"{found[field]}\n")
+        assert snapshot(out) == before
+        assert not dest.exists()
+
     def test_missing_manifest_allowed(self, workspace):
         tmp, topo, secret, out, _ = self._deal(workspace)
         (out / "manifest.json").unlink()
@@ -2175,10 +2201,20 @@ class TestThresholds:
         write_topology(big, q=257, counts=(2,) * 13, degrees=(1,) * 13)
         assert run(["thresholds", "--topology", big, "--oracle"]) == 4
         assert "13 networks" in capsys.readouterr().err
-        # An inner degree above the quorum search's bound.
+
+    def test_high_inner_degree_oracle(self, workspace, capsys):
+        # No bound on the inner degree: a network's quorum is its inner
+        # degree plus one, as the thresholds without --oracle take it.
+        tmp, _, _ = workspace
+        big = tmp / "big.json"
         write_topology(big, q=257, counts=(102, 2, 2), degrees=(101, 1, 1))
-        assert run(["thresholds", "--topology", big, "--oracle"]) == 4
-        assert "inner degree up to 101" in capsys.readouterr().err
+        assert run(["thresholds", "--topology", big, "--oracle"]) == 0
+        out = capsys.readouterr().out
+        exhaustive = out[out.index("exhaustive-search thresholds:"):]
+        for line in ("t_networks = 2", "t_nodes    = 104", "t_f0       = 1",
+                     "t_f1       = 2", "t_fail     = 1"):
+            assert f"  {line}\n" in exhaustive
+        assert "DISCREPANCY: t_f1 formula=1 exhaustive=2" in out
 
     def test_27_node_oracle_reports_discrepancy(self, workspace, capsys):
         # 27 nodes, beyond the former total-node bound of 20.
@@ -2337,6 +2373,46 @@ class TestSimulate:
         assert fifo.is_fifo() and link.is_symlink() and directory.is_dir()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "dir", "fifo", "link", "scenario.json", "t.json"]
+
+    @pytest.mark.parametrize("saved", [False, True],
+                             ids=["new-state", "saved-state"])
+    @pytest.mark.parametrize("report, state, what", [
+        ("scenario.json", None, "scenario"),
+        ("w.state", "w.state", "state"),
+        ("link", "w.state", "state"),
+        (None, "scenario.json", "scenario"),
+    ], ids=["report-scenario", "report-state", "report-link-state",
+            "state-scenario"])
+    def test_output_is_an_input_exit64(self, tmp_path, capsys, report,
+                                       state, what, saved):
+        # A --report over the scenario replaced it with the report; one
+        # over a new --state failed to rename the state's temporary file
+        # after the report had taken it, leaving the state saved.
+        path = self._scenario(tmp_path, [{"event": "deal"}])
+        (tmp_path / "link").symlink_to("w.state")
+
+        def files():  # a link to a state not saved yet reads as False
+            return {p.name: p.exists() and p.read_bytes()
+                    for p in sorted(tmp_path.iterdir())}
+
+        if saved:
+            assert run(["simulate", "--scenario", path, "--report",
+                        tmp_path / "r.json", "--state",
+                        tmp_path / "w.state"]) == 0
+        before = files()
+        argv = ["simulate", "--scenario", path]
+        if report:
+            argv += ["--report", tmp_path / report]
+        if state:
+            argv += ["--state", tmp_path / state]
+        capsys.readouterr()
+        assert run(argv) == 64
+        option = "--report" if report else "--state"
+        dest = tmp_path / (report or state)
+        assert capsys.readouterr().err == (
+            f"error: {option} {dest} is the {what} file "
+            f"{tmp_path / (state if what == 'state' else 'scenario.json')}\n")
+        assert files() == before
 
     def test_report_and_state_links_written_through(self, tmp_path):
         path = self._scenario(tmp_path, [{"event": "deal"}])

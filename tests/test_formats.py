@@ -397,13 +397,13 @@ class TestManifestReader:
     def test_reads_what_the_writer_wrote(self):
         data = json.loads(canonical_json(
             formats.manifest_dict("ab" * 32, 7, 3, ["m/1"])))
-        assert formats.manifest_from_dict(data) == ("ab" * 32, 3)
+        assert formats.manifest_from_dict(data) == ("ab" * 32, 3, 7)
 
     @pytest.mark.parametrize("stale", [
         [], ["m/1", "d2/10"], ["/1"], ["café %s\n/7"]])
     def test_stale_names(self, stale):
         data = formats.manifest_dict("ab" * 32, 1, 0, stale)
-        assert formats.manifest_from_dict(data) == ("ab" * 32, 0)
+        assert formats.manifest_from_dict(data) == ("ab" * 32, 0, 1)
 
     @pytest.mark.parametrize("data,message", [
         ({}, "'topology_digest'"),

@@ -116,7 +116,8 @@ def plain_walk_thresholds(topology):
     """Reference for compute_thresholds_exhaustive's pruned walk: every
     one of the 2^L sets of known networks, each decided by an outer solve
     over its rows from the topology's own constant_functional
-    (spans_secret), with the quorums found as the walk finds them."""
+    (spans_secret), with each network's quorum found by feeding the
+    oracle its first nodes until the network is known."""
     nets = topology.networks
     know = protocol.AdversaryKnowledge(topology)
     quorums = []
@@ -479,12 +480,10 @@ class TestThresholdExhaustive:
 
     @pytest.mark.parametrize("outer", [1, 6, 11])
     def test_work_bound(self, monkeypatch, outer):
-        # Eliminations, quorum discovery included, stay within 3 per set
-        # of known networks that holds the mother, the only sets walked;
-        # one outer solve per set of all 2^12 would take 28,720. Quorums
-        # and walk are solved once per process: another topology of the
-        # same shape and inner degree makes none.
-        protocol._quorum.cache_clear()
+        # Eliminations stay within 3 per set of known networks that holds
+        # the mother, the only sets walked; one outer solve per set of all
+        # 2^12 would take 28,720. The walk is solved once per process:
+        # another topology of the same shape makes none.
         protocol._walk.cache_clear()
         calls = 0
         real = field.echelon_reduce
@@ -522,10 +521,8 @@ class TestThresholdExhaustive:
             return [compute_thresholds_exhaustive(t)
                     for t in (build_topology(2, nets, q), moved)]
 
-        protocol._quorum.cache_clear()
         protocol._walk.cache_clear()
         cached = {q: thresholds(q) for q in order}
-        monkeypatch.setattr(protocol, "_quorum", protocol._quorum.__wrapped__)
         monkeypatch.setattr(protocol, "_walk", protocol._walk.__wrapped__)
         for q in order:
             assert cached[q] == thresholds(q)
@@ -542,13 +539,17 @@ class TestThresholdExhaustive:
                         l, outer, known)
 
     def test_capacity_bound(self):
-        # One network more than the subset walk's bound, and an inner
-        # degree above the quorum search's.
+        # One network more than the subset walk's bound.
         many = [(2, 1)] * (protocol.EXHAUSTIVE_NETWORK_BOUND + 1)
-        degree = protocol.EXHAUSTIVE_DEGREE_BOUND + 1
-        for nets in (many, [(2, 1), (degree + 1, degree)]):
-            with pytest.raises(CapacityError):
-                compute_thresholds_exhaustive(build_topology(1, nets))
+        with pytest.raises(CapacityError):
+            compute_thresholds_exhaustive(build_topology(1, many))
+
+    @pytest.mark.parametrize("degree", [101, 150])
+    def test_any_inner_degree(self, degree):
+        # A network's quorum is its inner degree plus one at any degree,
+        # as the oracle finds it one node at a time.
+        t = build_topology(1, [(2, 1), (degree + 1, degree)])
+        assert compute_thresholds_exhaustive(t) == plain_walk_thresholds(t)
 
     def test_large_topology_matches_corrected_closed_form(self):
         # 10 networks and 120 nodes, far beyond a count-vector
@@ -598,6 +599,25 @@ class TestAccessOracle:
         with pytest.raises(ValueError):
             knowledge.add("delta", "d1", 1, 0, ())
         knowledge.add("delta", "d1", 1, 1, ())
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13, 257, 65537,
+                                   DEFAULT_MODULUS],
+                             ids=lambda q: "2^127-1" if q > 2**64 else q)
+    def test_network_known_at_inner_degree_plus_one(self, q):
+        # The quorum the thresholds take, k + 1 for inner degree k: fed
+        # distinct nodes in index order, in reverse and in a seeded random
+        # order, the oracle first knows the network at the (k + 1)-th.
+        rng = random.Random(q)
+        for k in range(min(q - 2, 30) + 1):
+            n = min(q - 1, k + 4)
+            t = build_topology(1, [(n, k), (1, 0)], q)
+            nodes = list(range(1, n + 1))
+            for order in (nodes, nodes[::-1], rng.sample(nodes, n)):
+                knowledge = protocol.AdversaryKnowledge(t)
+                for held, j in enumerate(order, start=1):
+                    knowledge.add("share", "m", j, 0, ())
+                    assert (knowledge.known_networks() == ["m"]) == \
+                        (held > k), (q, k, order, held)
 
     def test_all_nodes(self):
         t = topo3()
