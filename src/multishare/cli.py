@@ -22,9 +22,8 @@ from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
 from .field import BLOCK_WORDS, crypto_rng, deterministic_rng
 from . import formats, vault
 from .protocol import (NodeShare, SecretDecoder, Topology,
-                       apply_node_refresh,
-                       checked_shares, chunk_count, chunk_size,
-                       compute_thresholds_exhaustive,
+                       apply_node_refresh, check_shares, chunk_count,
+                       chunk_size, compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, reconstruct,
                        refresh, secret_blocks, EXHAUSTIVE_NETWORK_BOUND)
 # Not called here, since the vault commands work block by block
@@ -128,43 +127,49 @@ def _secret_reader(file):
     return size, read
 
 
-def _share_dir_paths(share_dir: Path, digest: str
-                     ) -> Tuple[List[Path], Dict[str, int]]:
-    """The share files in `share_dir`, once a deal or refresh that stopped
-    part-way is settled (vault.settle), and the epoch and chunk_count its
-    manifest gives, by name (none without a manifest); exit 2 when the
-    manifest cannot be read or names a topology whose topology_digest is
-    not `digest`, or when there is no directory."""
+def _open_vault(share_dir: Path, topology: Topology
+                ) -> Tuple[List[Path], List[NodeShare]]:
+    """The share files of the vault in `share_dir`, settled (vault.settle),
+    and their shares, headers read. Exit 2 when there is no directory or
+    no share file, and, before settling, when the manifest cannot be read
+    or was written for a topology other than `topology`. The shares are
+    checked as a set (check_shares, _share_file_errors), then against the
+    manifest: exit 2 when its epoch or chunk_count is not theirs, or it
+    lists as stale a node that has a share file."""
     names = vault.listing(share_dir)
     if names is None:
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
     manifest = share_dir / vault.MANIFEST
-    given = {}
+    given, stale = {}, []  # what the manifest gives
     if vault.MANIFEST in names:
+        data = _read_json(manifest, "manifest")
         try:
-            written_for, epoch, count = formats.manifest_from_dict(
-                _read_json(manifest, "manifest"))
+            written_for, epoch, count = formats.manifest_from_dict(data)
         except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
                                        f"{exc}")
-        if written_for != digest:
+        if written_for != formats.topology_digest(topology):
             raise CliError(EXIT_INPUT, f"{manifest} was written for another "
                                        f"topology")
-        given = {"epoch": epoch, "chunk_count": count}
-    return vault.settle(share_dir, given.get("epoch")), given
-
-
-def _check_manifest(share_dir: Path, given: Dict[str, int],
-                    share: NodeShare) -> None:
-    """Exit 2 when the epoch or chunk_count that the manifest in
-    `share_dir` gives (`given`, from _share_dir_paths) is not that of the
-    share files, of which `share` is one, checked as a set."""
-    found = {"epoch": share.epoch, "chunk_count": len(share.values)}
+        given, stale = {"epoch": epoch, "chunk_count": count}, data["stale"]
+    paths = vault.settle(share_dir, given.get("epoch"))
+    if not paths:
+        raise CliError(EXIT_INPUT, "no share files found")
+    q = topology.modulus
+    with _share_file_errors(paths, q):
+        shares = [formats.read_share(p, q) for p in paths]
+        epoch, count = check_shares(shares, topology)
+    found = {"epoch": epoch, "chunk_count": count}
     for name, value in given.items():
         if value != found[name]:
-            raise CliError(EXIT_INPUT, f"{share_dir / vault.MANIFEST} gives "
-                                       f"{name} {value}, the share files "
-                                       f"{found[name]}")
+            raise CliError(EXIT_INPUT, f"{manifest} gives {name} {value}, "
+                                       f"the share files {found[name]}")
+    held = {f"{s.network_id}/{s.node_index}" for s in shares}
+    filed = sorted(held.intersection(stale))
+    if filed:
+        raise CliError(EXIT_INPUT, f"{manifest} lists as stale nodes that "
+                                   f"have a share file: {', '.join(filed)}")
+    return paths, shares
 
 
 def _check_output(path, option: str, inputs: Dict[str, Path]) -> None:
@@ -249,15 +254,14 @@ def cmd_deal(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     """Recover the secret BLOCK_WORDS chunks at a time: the share files'
-    headers are read first (from a --shares vault, then checked as a set
-    and against its manifest: _check_manifest), then reconstruct checks
-    them as a set, reads each file's next block in turn, checks it and
-    hands the recovered chunks on, decoded, to the output's temporary
-    file (see protocol.reconstruct). An error in the share files is that of the
-    first file that cannot be read whole (_share_file_errors). An --out
-    that would overwrite the topology or a share file being read, or a
-    file of the vault they are read from, is a usage error
-    (_check_out)."""
+    headers are read first (from a --shares vault, then checked: see
+    _open_vault), then reconstruct checks them as a set, reads each file's
+    next block in turn, checks it and hands the recovered chunks on,
+    decoded, to the output's temporary file (see protocol.reconstruct).
+    An error in the share files is that of the first file that cannot be
+    read whole (_share_file_errors). An --out that would overwrite the
+    topology or a share file being read, or a file of the vault they are
+    read from, is a usage error (_check_out)."""
     if args.shares and args.files:
         raise CliError(EXIT_USAGE, "give --shares or share files, not both")
     _check_out(Path(args.out), Path(args.topology),
@@ -265,19 +269,17 @@ def cmd_reconstruct(args) -> int:
                [Path(p) for p in args.files])
     topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
-    paths, given = (_share_dir_paths(Path(args.shares),
-                                     formats.topology_digest(topology))
-                    if args.shares else ([Path(p) for p in args.files], {}))
-    if not paths:
-        raise CliError(EXIT_INPUT, "no share files found")
     decoder = SecretDecoder(q)
     try:
+        if args.shares:
+            paths, shares = _open_vault(Path(args.shares), topology)
+        else:
+            paths = [Path(p) for p in args.files]
+            if not paths:
+                raise CliError(EXIT_INPUT, "no share files found")
+            shares = (formats.read_share(p, q) for p in paths)
         with _share_file_errors(paths, q), \
                 vault.appending(Path(args.out)) as append:
-            shares = [formats.read_share(p, q) for p in paths]
-            if args.shares:
-                list(checked_shares(shares, topology))
-                _check_manifest(Path(args.shares), given, shares[0])
             reconstruct(shares, topology,
                         sink=lambda chunks: append(decoder.feed(chunks)))
             decoder.close()
@@ -291,43 +293,37 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_refresh(args) -> int:
     """Advance every share one epoch, BLOCK_WORDS chunks at a time: the
-    share files' headers are read and checked as a set (checked_shares),
-    then against the manifest (_check_manifest); then, per block, the round's refresh columns are drawn (refresh, one
-    call per block), and each share file's block is read, updated
-    (apply_node_refresh) and appended to its staged file in turn. The
-    updated shares are committed at the new epoch by one atomic replace
-    of the manifest (see vault.Commit). An error in the share files is
-    that of the first file that cannot be read whole
+    vault is opened (_open_vault: the share files' headers are read and
+    checked); then, per block, the round's refresh columns are drawn
+    (refresh, one call per block), and each share file's block is read,
+    updated (apply_node_refresh) and appended to its staged file in turn.
+    The updated shares are committed at the new epoch by one atomic
+    replace of the manifest (see vault.Commit). An error in the share
+    files is that of the first file that cannot be read whole
     (_share_file_errors), as in reconstruct."""
     topology = _load_topology(args.topology)
     q = topology.modulus
     share_dir = Path(args.shares)
-    digest = formats.topology_digest(topology)
-    paths, given = _share_dir_paths(share_dir, digest)
-    if not paths:
-        raise CliError(EXIT_INPUT, "no share files found")
-    with _share_file_errors(paths, q):
-        shares = [formats.read_share(p, q) for p in paths]
-        list(checked_shares(shares, topology))
-        _check_manifest(share_dir, given, shares[0])
-        epoch, count = shares[0].epoch, len(shares[0].values)
-        rng = _rng(args.seed)
-        with vault.Commit(share_dir, epoch + 1, "refresh") as commit:
-            for start in range(0, count, BLOCK_WORDS):
-                n = min(BLOCK_WORDS, count - start)
-                deltas = refresh(topology, n, epoch, rng)
-                for path, share in zip(paths, shares):
-                    updated = apply_node_refresh(
-                        share._replace(values=share.values[start:start + n]),
-                        deltas[share.network_id])
-                    commit.append(path, formats.share_file_block(
-                        updated, q, start, count))
-            held = {(s.network_id, s.node_index) for s in shares}
-            stale = [f"{net.id}/{j}" for net in topology.networks
-                     for j in range(1, net.node_count + 1)
-                     if (net.id, j) not in held]
-            refreshed = commit.commit(_json_line(formats.manifest_dict(
-                digest, count, epoch + 1, stale)))
+    paths, shares = _open_vault(share_dir, topology)
+    epoch, count = shares[0].epoch, len(shares[0].values)
+    rng = _rng(args.seed)
+    with _share_file_errors(paths, q), \
+            vault.Commit(share_dir, epoch + 1, "refresh") as commit:
+        for start in range(0, count, BLOCK_WORDS):
+            n = min(BLOCK_WORDS, count - start)
+            deltas = refresh(topology, n, epoch, rng)
+            for path, share in zip(paths, shares):
+                updated = apply_node_refresh(
+                    share._replace(values=share.values[start:start + n]),
+                    deltas[share.network_id])
+                commit.append(path, formats.share_file_block(
+                    updated, q, start, count))
+        held = {(s.network_id, s.node_index) for s in shares}
+        stale = [f"{net.id}/{j}" for net in topology.networks
+                 for j in range(1, net.node_count + 1)
+                 if (net.id, j) not in held]
+        refreshed = commit.commit(_json_line(formats.manifest_dict(
+            formats.topology_digest(topology), count, epoch + 1, stale)))
     print(f"refreshed {refreshed} shares to epoch {epoch + 1}"
           + (f"; stale: {', '.join(stale)}" if stale else ""))
     return EXIT_OK

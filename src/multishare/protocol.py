@@ -49,6 +49,11 @@ class NetworkSpec(NamedTuple):
     inner_degree: int
     link: LinkKind
 
+    @property
+    def quorum(self) -> int:
+        """Any this many of its nodes recover the inner secret."""
+        return self.inner_degree + 1
+
 
 # A NamedTuple may not define __new__ or _make in its body, so Topology,
 # which checks itself in both, subclasses its fields.
@@ -94,7 +99,7 @@ class Topology(_TopologyFields):
                 raise ValueError(f"network {net.id}: need at least one node")
             if net.inner_degree < 0:
                 raise ValueError(f"network {net.id}: negative degree")
-            if net.inner_degree + 1 > net.node_count:
+            if net.quorum > net.node_count:
                 raise ValueError(
                     f"network {net.id}: quorum exceeds node count")
             if net.node_count >= self.modulus:
@@ -234,15 +239,15 @@ def _functional(q: int, degree: int, position: int) -> List[int]:
             else birkhoff_matrix_row(position, 1, degree, q))
 
 
-def checked_shares(shares: Iterable[NodeShare],
-                   topology: Topology) -> Iterator[NodeShare]:
-    """Yield each share once it is checked against the ones before it, so
-    a caller may hold one share at a time. Raise EpochMismatch when the
-    shares span epochs; CorruptData when their chunk counts differ or a
-    share is not a distinct node of the topology. Only the first share's
-    epoch and chunk count are kept, not the share."""
+def check_shares(shares: Iterable[NodeShare],
+                 topology: Topology) -> Tuple[int, int]:
+    """The epoch and chunk count of a set of shares, (0, 0) for none,
+    each share checked in turn against the ones before it: EpochMismatch
+    when the shares span epochs; CorruptData when their chunk counts
+    differ or a share is not a distinct node of the topology."""
     node_counts = {net.id: net.node_count for net in topology.networks}
     seen = set()
+    epoch = chunk_count = 0
     for s in shares:
         if not seen:
             epoch, chunk_count = s.epoch, len(s.values)
@@ -260,8 +265,7 @@ def checked_shares(shares: Iterable[NodeShare],
             raise CorruptData(
                 f"share {s.network_id}/{s.node_index} given twice")
         seen.add(pos)
-        yield s
-        del s  # not held while the next share is read
+    return epoch, chunk_count
 
 
 class _QuorumPlan:
@@ -301,25 +305,25 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     """Recover all chunks, or raise Infeasible naming what is missing.
 
     `shares` is a mapping of network id to that network's shares, or one
-    stream of shares in any order, checked as they arrive
-    (checked_shares). One rule (_QuorumPlan) recovers at both levels. In
-    each network, the held nodes in index order are the members, and the
-    lowest k+1 (k its inner degree) are the quorum that recovers the
-    network's inner secret. Over the networks, the mother and the
-    daughters with a quorum, in topology order, are the members, and the
-    mother and the first outer_degree such daughters are the quorum that
-    recovers the secret.
+    stream of shares in any order, checked as a set (check_shares). One
+    rule (_QuorumPlan) recovers at both levels. In each network, the held
+    nodes in index order are the members, and the lowest quorum of them
+    (NetworkSpec.quorum) recovers the network's inner secret. Over the
+    networks, the mother and the daughters with a quorum, in topology
+    order, are the members, and the mother and the first outer_degree
+    such daughters are the quorum that recovers the secret.
 
-    The stream is read first for the shares themselves. Once it ends,
-    each plan is solved. Then the values are read BLOCK_WORDS chunks at a
-    time, so a share's values may be any sequence whose slices are read
-    in turn (a share file read block by block, say); each slice becomes a
-    Block (as_block), so a slice of ints is checked then, ValueError
-    unless each is in 0..q-1. Per block, the networks are taken in the
-    order their first share appears in the stream, and each network's
-    shares in stream order: a network's block is read, checked and
-    reduced to its inner secret, then dropped before the next network's
-    is read. Only the block's inner secrets are held across networks.
+    The stream is read first for the shares themselves. Once they are
+    checked, each plan is solved. Then the values are read BLOCK_WORDS
+    chunks at a time, so a share's values may be any sequence whose
+    slices are read in turn (a share file read block by block, say); each
+    slice becomes a Block (as_block), so a slice of ints is checked then,
+    ValueError unless each is in 0..q-1. Per block, the networks are taken
+    in the order their first share appears in the stream, and each
+    network's shares in stream order: a network's block is read, checked
+    and reduced to its inner secret, then dropped before the next
+    network's is read. Only the block's inner secrets are held across
+    networks.
 
     No share is ignored: every member beyond a quorum, a node or a
     daughter, must agree with the polynomial the quorum determines, else
@@ -335,22 +339,22 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     drop them when reconstruct raises.
     """
     q = topology.modulus
-    if isinstance(shares, Mapping):
-        shares = chain.from_iterable(shares.values())
+    shares = list(chain.from_iterable(shares.values())
+                  if isinstance(shares, Mapping) else shares)
+    count = check_shares(shares, topology)[1]
     # Each network's shares in stream order, the networks in the order
     # their first share appears.
     held: Dict[str, List[NodeShare]] = {}
-    count = 0  # chunks per share, the same for each (checked_shares)
-    for s in checked_shares(shares, topology):
+    for s in shares:
         held.setdefault(s.network_id, []).append(s)
-        count = len(s.values)
     nodes: Dict[str, List[int]] = {}  # each network's, in index order
     plans: Dict[str, _QuorumPlan] = {}
     for nid, group in held.items():
-        k = topology.spec(nid).inner_degree
+        net = topology.spec(nid)
         nodes[nid] = sorted(s.node_index for s in group)
         plans[nid] = _QuorumPlan(
-            [birkhoff_matrix_row(j, 0, k, q) for j in nodes[nid]], k + 1, q)
+            [birkhoff_matrix_row(j, 0, net.inner_degree, q)
+             for j in nodes[nid]], net.quorum, q)
     met = {nid for nid, plan in plans.items() if plan.weights is not None}
     mother_id = topology.mother.id
     members = [mother_id, *(n.id for n in topology.daughters()
@@ -387,15 +391,14 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
                 sink(chunks)
     for net in topology.networks:
         if net.id in faults:
-            quorum = nodes[net.id][:net.inner_degree + 1]
+            quorum = nodes[net.id][:net.quorum]
             raise CorruptData(f"network {net.id}: the share of node "
                               f"{faults[net.id]} disagrees with nodes "
                               f"{quorum}")
     if missing:
         detail = "; ".join(missing) + " (" + ", ".join(
-            f"{net.id}: "
-            f"{min(len(held.get(net.id, ())), net.inner_degree + 1)}/"
-            f"{net.inner_degree + 1}" for net in topology.networks) + ")"
+            f"{net.id}: {min(len(held.get(net.id, ())), net.quorum)}/"
+            f"{net.quorum}" for net in topology.networks) + ")"
         raise Infeasible(detail)
     if outer.weights is None:
         raise Infeasible("outer constraint matrix is singular")
@@ -584,10 +587,10 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
     daughters = topology.daughters()
     l = len(topology.networks)
     t_networks = t_p
-    inner_t = sorted(n.inner_degree + 1 for n in daughters)
-    t_nodes = (mother.inner_degree + 1) + sum(inner_t[:t_p - 1])
-    t_f0 = mother.node_count - (mother.inner_degree + 1) + 1
-    kill = sorted(n.node_count - (n.inner_degree + 1) + 1 for n in daughters)
+    inner_t = sorted(n.quorum for n in daughters)
+    t_nodes = mother.quorum + sum(inner_t[:t_p - 1])
+    t_f0 = mother.node_count - mother.quorum + 1
+    kill = sorted(n.node_count - n.quorum + 1 for n in daughters)
     t_f1 = sum(kill[:l - t_p])
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
@@ -621,8 +624,8 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             f"{EXHAUSTIVE_NETWORK_BOUND} networks")
     q = topology.modulus
     order = [topology.mother, *topology.daughters()]  # as _walk places them
-    quorums = [net.inner_degree + 1 for net in order]
-    kill = [net.node_count - k + 1 for net, k in zip(order, quorums)]
+    quorums = [net.quorum for net in order]
+    kill = [net.node_count - net.quorum + 1 for net in order]
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
     for known, reconstructs in _walk(q, topology.outer_degree, len(order)):

@@ -44,7 +44,7 @@ from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows, word_bytes
 from multishare.poly import lagrange_zero_weights
 from multishare.protocol import (LENGTH_HEADER, Access, NetworkSpec,
-                                 NodeShare, Topology, checked_shares,
+                                 NodeShare, Topology, check_shares,
                                  chunk_size, constant_functional)
 
 
@@ -359,15 +359,13 @@ def reconstruct(shares: Dict[str, Sequence[NodeShare]],
     Needs an inner quorum on the mother plus inner quorums on at least
     outer_degree daughters; each network's lowest-index quorum recovers
     its inner secret by interpolation at zero. Checks the shares with
-    checked_shares first. No share is ignored: every share beyond a
+    check_shares first. No share is ignored: every share beyond a
     network's quorum, and every daughter beyond the outer degree, must
     agree with the polynomial the others determine, else CorruptData
     names the network and node. Errors are detected, not corrected.
     """
     q = topology.modulus
-    for _ in checked_shares((s for lst in shares.values() for s in lst),
-                            topology):
-        pass
+    check_shares([s for lst in shares.values() for s in lst], topology)
     recovered: Dict[str, List[int]] = {}
     quorum_report = []
     for net in topology.networks:

@@ -1,15 +1,20 @@
-"""Every name that a module of the package imports is used in it: an
-import that nothing uses is dead code. The exceptions are listed below,
-each with its reason. And no module imports `dataclasses`, whose own
-imports would add to every command's start-up."""
+"""Every name that a module of the package imports is used in it, and
+every function, method and class it defines is named somewhere else in
+the package: an import or a definition that nothing uses is dead code.
+The exceptions are listed below, each with its reason. And no module
+imports `dataclasses`, whose own imports would add to every command's
+start-up."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from multishare.simnet import EVENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "multishare"
@@ -59,6 +64,82 @@ def test_each_exception_still_holds():
         assert name in unused_imports(module), (module, name)
         if reason == TRACER_ONLY:
             assert f'"{name}"' in tracer, (module, name)
+
+
+def references(tree) -> Counter:
+    """How often each name is read in `tree`: as a name, as an attribute,
+    or as a name imported from a module."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def definitions(tree, prefix=""):
+    """(qualified name, node) of each function, method and class defined
+    in `tree`, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from definitions(node, prefix)
+
+
+def unreferenced_definitions() -> list:
+    """(module, qualified name) of each definition in the package, dunder
+    methods aside, whose name is read nowhere in the package outside its
+    own body. Names are matched by spelling alone, so a definition that
+    shares its name with something in use is not caught."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    package = sum(map(references, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for qualified, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if package[name] == references(node)[name]:
+                found.append((module, qualified))
+    return found
+
+
+# (module, qualified name): why a definition that the package does not
+# name is kept, besides those named by perfbench/tracing.py (which wraps
+# them by name) and the Simulation methods that simnet.EVENTS names.
+UNREFERENCED = {
+    ("cli", "_Parser.error"): "argparse calls it on a usage error",
+    ("protocol", "Topology._make"): "NamedTuple's _replace calls it, so "
+                                    "that a replaced topology is checked",
+}
+
+
+def test_every_definition_is_used():
+    tracer = TRACER.read_text(encoding="utf-8")
+    dispatched = {method for method, _ in EVENTS.values()}
+    assert [(module, qualified)
+            for module, qualified in unreferenced_definitions()
+            if (module, qualified) not in UNREFERENCED
+            and f'"{qualified.rpartition(".")[2]}"' not in tracer
+            and not (module == "simnet"
+                     and qualified.startswith("Simulation.")
+                     and qualified[len("Simulation."):] in dispatched)
+            ] == []
+
+
+def test_each_kept_definition_is_still_unreferenced():
+    # A definition that the package now names, or that is gone, leaves
+    # the list.
+    found = unreferenced_definitions()
+    for key in UNREFERENCED:
+        assert key in found, key
 
 
 # What importing `dataclasses` brings into a process besides itself: with

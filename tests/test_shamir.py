@@ -14,7 +14,7 @@ from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
 from multishare.poly import birkhoff_matrix_row, random_columns
 from multishare.protocol import (LinkKind, NetworkRefresh, NetworkSpec,
                                  NodeShare, Topology, apply_node_refresh,
-                                 checked_shares, deal, reconstruct, refresh)
+                                 check_shares, deal, reconstruct, refresh)
 from reference import derivative_coeffs, horner
 from test_poly import birkhoff_coeffs, interpolate_zero
 from test_protocol import ScriptedRng
@@ -103,8 +103,8 @@ class TestReconstruct:
     def test_epoch_mix_rejected(self):
         topo = one_network(7)
         with pytest.raises(EpochMismatch):
-            list(checked_shares([NodeShare("m", 1, 0, (5,)),
-                                 NodeShare("m", 2, 1, (0,))], topo))
+            check_shares([NodeShare("m", 1, 0, (5,)),
+                          NodeShare("m", 2, 1, (0,))], topo)
 
     def test_duplicate_x_rejected(self):
         with pytest.raises(ValueError):
