@@ -127,15 +127,15 @@ def _secret_reader(file):
     return size, read
 
 
-def _open_vault(share_dir: Path, topology: Topology
+def _open_vault(share_dir: Path, topology: Topology, digest: str
                 ) -> Tuple[List[Path], List[NodeShare]]:
     """The share files of the vault in `share_dir`, settled (vault.settle),
     and their shares, headers read. Exit 2 when there is no directory or
     no share file, and, before settling, when the manifest cannot be read
-    or was written for a topology other than `topology`. The shares are
+    or its topology_digest is not `digest`, `topology`'s. The shares are
     checked as a set (check_shares, _share_file_errors), then against the
     manifest: exit 2 when its epoch or chunk_count is not theirs, or it
-    lists as stale a node that has a share file."""
+    lists as stale a node that has a share file or `topology` lacks."""
     names = vault.listing(share_dir)
     if names is None:
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
@@ -148,7 +148,7 @@ def _open_vault(share_dir: Path, topology: Topology
         except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
                                        f"{exc}")
-        if written_for != formats.topology_digest(topology):
+        if written_for != digest:
             raise CliError(EXIT_INPUT, f"{manifest} was written for another "
                                        f"topology")
         given, stale = {"epoch": epoch, "chunk_count": count}, data["stale"]
@@ -165,10 +165,14 @@ def _open_vault(share_dir: Path, topology: Topology
             raise CliError(EXIT_INPUT, f"{manifest} gives {name} {value}, "
                                        f"the share files {found[name]}")
     held = {f"{s.network_id}/{s.node_index}" for s in shares}
-    filed = sorted(held.intersection(stale))
-    if filed:
-        raise CliError(EXIT_INPUT, f"{manifest} lists as stale nodes that "
-                                   f"have a share file: {', '.join(filed)}")
+    counts = {net.id: net.node_count for net in topology.networks}
+    lacked = {name for name in stale  # each "network/index", index >= 1
+              if int(name.split("/")[1]) > counts.get(name.split("/")[0], 0)}
+    for fault, names in (("have a share file", held.intersection(stale)),
+                         ("the topology lacks", lacked)):
+        if names:
+            raise CliError(EXIT_INPUT, f"{manifest} lists as stale nodes "
+                           f"that {fault}: {', '.join(sorted(names))}")
     return paths, shares
 
 
@@ -272,7 +276,8 @@ def cmd_reconstruct(args) -> int:
     decoder = SecretDecoder(q)
     try:
         if args.shares:
-            paths, shares = _open_vault(Path(args.shares), topology)
+            paths, shares = _open_vault(Path(args.shares), topology,
+                                        formats.topology_digest(topology))
         else:
             paths = [Path(p) for p in args.files]
             if not paths:
@@ -304,7 +309,8 @@ def cmd_refresh(args) -> int:
     topology = _load_topology(args.topology)
     q = topology.modulus
     share_dir = Path(args.shares)
-    paths, shares = _open_vault(share_dir, topology)
+    digest = formats.topology_digest(topology)
+    paths, shares = _open_vault(share_dir, topology, digest)
     epoch, count = shares[0].epoch, len(shares[0].values)
     rng = _rng(args.seed)
     with _share_file_errors(paths, q), \
@@ -323,7 +329,7 @@ def cmd_refresh(args) -> int:
                  for j in range(1, net.node_count + 1)
                  if (net.id, j) not in held]
         refreshed = commit.commit(_json_line(formats.manifest_dict(
-            formats.topology_digest(topology), count, epoch + 1, stale)))
+            digest, count, epoch + 1, stale)))
     print(f"refreshed {refreshed} shares to epoch {epoch + 1}"
           + (f"; stale: {', '.join(stale)}" if stale else ""))
     return EXIT_OK

@@ -331,9 +331,12 @@ def _header(head: bytes, modulus: int) -> Tuple[NodeShare, int, int, int]:
 
 class ShareValues:
     """The values of one share file, in order: each slice asked for must
-    start where the last one ended, and is read from the file then, its
-    bytes checked and converted in one pass (_read, one per share format
-    version); only the slice, a Block, is held.
+    start where the last one ended, and is read from the file then; only
+    the slice, a Block, is held. A subclass per share format version
+    reads it in one pass, by _read(file, n, last): the next n values from
+    `file`, which is at the first, and the bytes they take, then `","`
+    or, after the `last`, `]}` and a newline; CorruptData, with the
+    reason, unless the bytes hold them so.
 
     UnreadableShare, from a slice, when the file cannot be read or is not
     a valid share file in the layout the tools write; and when it is no
@@ -368,13 +371,6 @@ class ShareValues:
         self.offset += used
         self.done = stop
         return values
-
-    def _read(self, file, n: int, last: bool) -> Tuple[Block, int]:
-        """The next n values, read from `file`, which is at the first of
-        them, and the bytes they take: then `","` before a further value,
-        or, when they are the `last`, `]}` and a newline. CorruptData,
-        with the reason, unless the bytes hold them so."""
-        raise NotImplementedError
 
     def read_rest(self) -> None:
         """Read the values not read yet, and drop them: the file's last

@@ -91,6 +91,8 @@ class Topology(_TopologyFields):
             raise ValueError("mother index out of range")
         if not 1 <= self.outer_degree <= len(self.networks) - 1:
             raise ValueError("outer degree must be in 1..(networks-1)")
+        if len(self.networks) - 1 >= self.modulus:
+            raise ValueError("daughter count must be below modulus")
         ids = [n.id for n in self.networks]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate network ids")
@@ -273,9 +275,12 @@ class _QuorumPlan:
     holds the value of its row, a functional of unknown coefficients
     whose first, the constant term, is the target. The first `size` are
     the quorum. `weights` give the target over the quorum, None when its
-    rows do not span it; `further`, each further member over the quorum,
-    None when outside their span, which leaves it unchecked. Each is
-    solved once (express_over_rows)."""
+    rows do not span it; `further`, each further member over the quorum.
+    Each is solved once (express_over_rows). A full quorum is invertible,
+    as Topology keeps node indices 1..n and daughter points 1..L-1
+    distinct nonzero residues (n, L-1 < q): k+1 node rows (1, j, ...,
+    j^k) are Vandermonde, and P(1) = (1, ..., 1) with D daughters' P'(a)
+    has determinant D! V(a_1..a_D), D <= L-1 < q."""
 
     def __init__(self, rows: Sequence[Sequence[int]], size: int, q: int):
         quorum = rows[:size]
@@ -294,8 +299,7 @@ class _QuorumPlan:
         size = len(columns) - len(self.further)
         quorum = columns[:size]
         bad = [size + i for i, over in enumerate(self.further)
-               if over is not None
-               and weighted_column_sum(over, quorum, q) != columns[size + i]]
+               if weighted_column_sum(over, quorum, q) != columns[size + i]]
         return (None if self.weights is None
                 else weighted_column_sum(self.weights, quorum, q)), bad
 
@@ -382,7 +386,7 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
             if bad:
                 j = nodes[nid][bad[0]]
                 faults[nid] = min(faults.get(nid, j), j)
-        if outer is not None and outer.weights is not None:
+        if outer is not None:
             chunks, bad = outer.check([inner[nid] for nid in members])
             disagreeing.update(members[b] for b in bad)
             if sink is None:
@@ -400,8 +404,6 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
             f"{net.id}: {min(len(held.get(net.id, ())), net.quorum)}/"
             f"{net.quorum}" for net in topology.networks) + ")"
         raise Infeasible(detail)
-    if outer.weights is None:
-        raise Infeasible("outer constraint matrix is singular")
     for nid in members:
         if nid in disagreeing:
             raise CorruptData(f"network {nid}: its inner secret disagrees "
@@ -597,20 +599,17 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
 
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
-    """Definitional thresholds, bounded to EXHAUSTIVE_NETWORK_BOUND
-    networks.
+    """Definitional thresholds, up to EXHAUSTIVE_NETWORK_BOUND networks.
 
     Nodes within a network are interchangeable for access, so a held set
     decides only through the networks it makes known: network i once q_i
-    of its nodes are held, q_i = k_i + 1 for inner degree k_i. Node
-    indices 1..n_i are distinct and nonzero below the modulus (Topology),
-    so any k_i + 1 rows (1, j, ..., j^k_i) form an invertible Vandermonde
-    system, and any k_i rows (j, ..., j^k_i) are independent and leave the
-    inner secret uniform. A reconstructing set K of known networks is
-    reached by holding sum(q_i, i in K) nodes of |K| networks; a
-    non-reconstructing K by disabling n_i - q_i + 1 nodes of each network
-    outside K. t_f0 disables only mother nodes (K holds every daughter),
-    t_f1 only daughter nodes (K holds the mother). No K of daughters alone
+    of its nodes are held, q_i = k_i + 1 for inner degree k_i: any q_i
+    node rows recover the inner secret (_QuorumPlan), and fewer leave it
+    uniform. A reconstructing set K of known networks is reached by
+    holding sum(q_i, i in K) nodes of |K| networks; a non-reconstructing K
+    by disabling n_i - q_i + 1 nodes of each network outside K. t_f0
+    disables only mother nodes (K holds every daughter), t_f1 only
+    daughter nodes (K holds the mother). No K of daughters alone
     reconstructs (their constant functionals have first coordinate 0), so
     t_f0 disables the mother alone and t_fail is min(t_f0, t_f1). Which K
     reconstruct depends only on the shape (modulus, outer degree, network
@@ -634,8 +633,6 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             t_networks = min(t_networks, len(known))
         else:
             t_f1 = min(t_f1, sum(kill) - sum(kill[i] for i in known))
-    if t_nodes > topology.total_nodes():
-        raise Infeasible("no node subset reconstructs")
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=min(kill[0], t_f1), t_f0=kill[0], t_f1=t_f1)
 

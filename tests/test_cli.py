@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from multishare import formats, vault
+from multishare import cli, formats, vault
 from multishare.cli import main
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, deterministic_rng,
                               is_probable_prime, word_bytes)
@@ -211,11 +212,27 @@ class TestDeal:
             run(["deal", "--secret", secret, "--out", tmp / "x"])
         assert err.value.code == 64
 
-    def test_unreadable_secret(self, workspace):
-        tmp, topo, _ = workspace
+    def test_unreadable_secret(self, workspace, monkeypatch, capsys):
+        tmp, topo, secret = workspace
         assert run(["deal", "--topology", topo,
                     "--secret", tmp / "missing.bin",
                     "--out", tmp / "shares"]) == 2
+
+        class Unreadable(io.FileIO):
+            def read(self, n=-1):
+                raise OSError(errno.EIO, "Input/output error")
+
+        # A secret whose stat fails (a file object without a descriptor),
+        # and one whose read fails; neither leaves a vault behind.
+        for opened in (lambda path, mode: io.BytesIO(b"x"),
+                       lambda path, mode: Unreadable(path)):
+            monkeypatch.setattr(cli, "open", opened, raising=False)
+            capsys.readouterr()
+            assert run(["deal", "--topology", topo, "--secret", secret,
+                        "--out", tmp / "shares"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: cannot read secret: ")
+            assert not list(tmp.glob("shares/*"))
 
     def test_secret_from_a_pipe(self, workspace):
         # A secret that is not a regular file, as `--secret /dev/stdin`
@@ -665,6 +682,14 @@ class TestReconstruct:
                     other / "d1_001.share.json"]) == 64
         assert "not both" in capsys.readouterr().err
         assert not dest.exists()
+
+    def test_no_shares_given_exit2(self, workspace, capsys):
+        tmp, topo, _, _ = self._deal(workspace)
+        capsys.readouterr()
+        assert run(["reconstruct", "--topology", topo,
+                    "--out", tmp / "r.bin"]) == 2
+        assert capsys.readouterr().err == "error: no share files found\n"
+        assert not (tmp / "r.bin").exists()
 
     def test_shares_not_a_directory_exit2(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
@@ -1217,6 +1242,12 @@ class TestPeakMemoryLevel:
     # under 0.001. The level is mostly imports: a deal that holds every
     # node's share of a block before writing the first reads 1.032.
     RATIO = 1.05
+    # The most that each command's data part may be, in KiB: deal,
+    # refresh, reconstruct, v1 reconstruct and v1 refresh. Ten isolated
+    # runs on the same host read 1,449 to 1,450, 1,376 to 1,377, 1,417,
+    # 1,867 and 1,797; each bound is 12% to 13% above. The deal that
+    # holds every node's share of a block reads 1,952 and fails here.
+    DATA_KIB = (1625, 1550, 1600, 2100, 2025)
 
     def test_deal_and_reconstruct_near_refresh(self, tmp_path):
         # And a v1 copy of the dealt vault: its reconstruct, and the
@@ -1246,6 +1277,8 @@ class TestPeakMemoryLevel:
             imported + data for _, _, data in levels)
         for level in (deal, reconstruct, v1_reconstruct, v1_refresh):
             assert level <= self.RATIO * refresh, levels
+        for (_, _, data), bound in zip(levels, self.DATA_KIB):
+            assert data <= bound, levels
 
 
 class TestSharesReadBlockByBlock:
@@ -1973,6 +2006,32 @@ class TestManifest:
                            f"{manifest} lists as stale nodes that have a "
                            f"share file: d2/2, m/1", commands=[command])
 
+    @pytest.mark.parametrize("command", VAULT_COMMANDS)
+    def test_stale_node_the_topology_lacks_exit2(self, workspace, capsys,
+                                                 command):
+        # No refresh of this topology lists such a node, so the list was
+        # edited since; both commands took it (exit 0).
+        tmp, topo, secret, out, _ = self._deal(workspace)
+        manifest = out / "manifest.json"
+        # A stale list that omits a node without a file passes: a file
+        # may be lost at any time.
+        (out / "d2_003.share.json").unlink()
+        assert json.loads(manifest.read_text())["stale"] == []
+        dest = tmp / "ok.bin"
+        assert run(["refresh", "--topology", topo, "--shares", out]
+                   if command == "refresh" else
+                   ["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 0
+        assert command == "refresh" or dest.read_bytes() == secret.read_bytes()
+        for stale, lacked in ((["d2/4"], "d2/4"),
+                              (["x/1", "d2/3", "m/9"], "m/9, x/1")):
+            manifest.write_text(json.dumps(_replace(
+                json.loads(manifest.read_text()), ["stale"], stale)))
+            assert_vault_fault(capsys, tmp, topo, out, 2,
+                               f"{manifest} lists as stale nodes that the "
+                               f"topology lacks: {lacked}",
+                               commands=[command])
+
     def test_missing_manifest_allowed(self, workspace):
         tmp, topo, secret, out, _ = self._deal(workspace)
         (out / "manifest.json").unlink()
@@ -2045,6 +2104,29 @@ class TestRefresh:
         run(["refresh", "--topology", topo, "--shares", out, "--seed", "3"])
         share = json.loads((out / "m_001.share.json").read_text())
         assert share["epoch"] == 2
+
+    @pytest.mark.parametrize("command", VAULT_COMMANDS)
+    def test_topology_digested_once(self, workspace, monkeypatch, command):
+        # refresh digested the topology twice: once to check the manifest
+        # and once for the manifest it writes.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        run(["deal", "--topology", topo, "--secret", secret,
+             "--out", out, "--seed", "1"])
+        real, digests = formats.topology_digest, []
+
+        def digest(topology):
+            digests.append(real(topology))
+            return digests[-1]
+
+        monkeypatch.setattr(formats, "topology_digest", digest)
+        assert run(["refresh", "--topology", topo, "--shares", out]
+                   if command == "refresh" else
+                   ["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 0
+        assert len(digests) == 1
+        assert json.loads((out / "manifest.json").read_text())[
+            "topology_digest"] == digests[0]
 
     def test_missing_node_flagged_stale(self, workspace):
         tmp, topo, secret = workspace
@@ -2276,6 +2358,34 @@ class TestThresholds:
         assert run(["thresholds", "--topology", small, "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "DISCREPANCY: t_f1" in out
+
+    def test_daughter_count_at_modulus_exit2(self, workspace, capsys):
+        # Daughter a's point is a mod q: at q = 257, 258 daughters gave d1
+        # and d258 one point, thresholds counted them as two networks
+        # (exit 0), and reconstruct found the outer system singular.
+        tmp, _, secret = workspace
+        data = topology_to_dict(write_topology(tmp / "t.json", q=257))
+        daughter = data["networks"][1]
+        path = tmp / "many.json"
+        for count in (256, 257, 258):
+            path.write_text(json.dumps({**data, "networks": [
+                data["networks"][0], *({**daughter, "id": f"d{a}"}
+                                       for a in range(1, count + 1))]}))
+            capsys.readouterr()
+            if count < 257:
+                assert run(["thresholds", "--topology", path]) == 0
+                assert "t_networks = 2" in capsys.readouterr().out
+                # deal takes the topology, and refuses its modulus alone.
+                want = "modulus must be at least 2^16"
+            else:
+                want = "daughter count must be below modulus"
+                assert run(["thresholds", "--topology", path]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: invalid topology: {want}\n")
+            assert run(["deal", "--topology", path, "--secret", secret,
+                        "--out", tmp / "shares"]) == 2
+            assert want in capsys.readouterr().err
+            assert not (tmp / "shares").exists()
 
     def test_oversized_oracle_exit4(self, workspace, capsys):
         tmp, _, _ = workspace
@@ -3535,6 +3645,9 @@ class TestMalformedJson:
         lambda t: _replace(t, ["networks", 1, "inner_degree"], 1.5),
         lambda t: _replace(t, ["outer_degree"], True),
         lambda t: _replace(t, ["format_version"], 1.0),
+        lambda t: _replace(t, ["format_version"], 2),
+        lambda t: _replace(t, ["networks", 1, "node_count"], 0),
+        lambda t: _replace(t, ["networks", 1, "inner_degree"], -1),
         lambda t: _replace(t, ["networks", 0, "mother"], 1),
         lambda t: _replace(t, ["networks", 1, "mother"], None),
         *(lambda t, i=i: _replace(t, ["networks", 1, "id"], i)
@@ -3545,6 +3658,7 @@ class TestMalformedJson:
     ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
             "node_count-inf", "deep", "node_count-float", "node_count-str",
             "inner_degree-float", "outer_degree-bool", "format_version-float",
+            "format_version-2", "node_count-0", "inner_degree-neg",
             "mother-int", "mother-null", "id-slash", "id-nul", "id-surrogate",
             *(f"modulus-{name}" for name in NONCANONICAL_HEX)])
     def test_topology_exit2(self, tmp_path, edit):

@@ -215,6 +215,8 @@ class TestMatrix:
             express_over_rows([[1, 2], [1]], [1, 2], 7)
         with pytest.raises(ValueError):
             express_over_rows([[1, 2]], [1, 2, 3], 7)
+        with pytest.raises(ValueError, match="columns differ in length"):
+            weighted_column_sum([1, 1], [[1, 2], [1]], 7)
 
     def test_rank_invariant_under_row_ops(self):
         rng = random.Random(99)
@@ -513,3 +515,6 @@ class TestReduce:
         blocks = [as_block(columns[0], q)] * len(weights)
         assert (list(weighted_column_sum(weights, blocks, q))
                 == reference.weighted_column_sum(weights, columns, q))
+        # One more full-size weight is more than the wide slots hold.
+        with pytest.raises(ValueError, match="too many weights for one sum"):
+            weighted_column_sum(weights + [q // 2], blocks + blocks[:1], q)

@@ -120,6 +120,21 @@ class TestShareWriter:
         data = json.loads(share_bytes(share, DEFAULT_MODULUS))
         assert formats.share_from_dict(data, DEFAULT_MODULUS) == share
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [d], "a share file holds a JSON object"),
+        (lambda d: {**d, "values": "00"}, "values must be a list"),
+        (lambda d: {k: v for k, v in d.items() if k != "values"},
+         "malformed share file: 'values'"),
+        (lambda d: {**d, "values": ["f" * 32] * 2}, formats.OUT_OF_RANGE),
+        (lambda d: {**d, "values": d["values"][:1]}, formats.COUNT_MISMATCH),
+    ], ids=["not-an-object", "values-string", "values-missing",
+            "out-of-range", "count-mismatch"])
+    def test_refusals(self, edit, message):
+        data = share_to_dict(NodeShare("m", 2, 4, (1, 2)), DEFAULT_MODULUS)
+        with pytest.raises(CorruptData) as err:
+            formats.share_from_dict(edit(data), DEFAULT_MODULUS)
+        assert str(err.value) == message
+
 
 
 class TestFixedWidth:
@@ -193,6 +208,8 @@ class TestFixedWidth:
                                ("comma", first + digits + 1, b'"')):
             yield name, data[:at] + byte + data[at + 1:]
         yield "tail", data[:-3] + b"}]\n"
+        yield "version-3", data.replace(b'"format_version":2',
+                                        b'"format_version":3')
         # Separator bytes in place of a digit, or of two.
         for name, bad in (("quote-digit", b'"'), ("bracket-digits", b"]}")):
             yield name, data[:first] + bad + data[first + len(bad):]

@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import operator
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
-from multishare import field, protocol
+from multishare import field, poly, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng, is_probable_prime)
 from multishare.protocol import (Access, LinkKind, NetworkSpec, NodeShare,
@@ -162,6 +163,8 @@ class TestTopology:
         assert t.derivative_point("d1") == 1
         assert t.derivative_point("d2") == 2
         assert t.total_nodes() == 9
+        with pytest.raises(ValueError, match="m is not a daughter network"):
+            t.derivative_point("m")
 
     def test_needs_two_networks(self):
         with pytest.raises(ValueError):
@@ -180,6 +183,15 @@ class TestTopology:
                 NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL))
         with pytest.raises(ValueError):
             Topology(11, nets, 0, 1)
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 257])
+    def test_daughter_count_below_modulus(self, q):
+        # Daughter a's point is a mod q: daughter q's would be 0, and
+        # daughter a > q's that of daughter a - q.
+        assert len(build_topology(1, [(1, 0)] * q, q).daughters()) == q - 1
+        with pytest.raises(ValueError,
+                           match="daughter count must be below modulus"):
+            build_topology(1, [(1, 0)] * (q + 1), q)
 
     def test_link_kinds_enforced(self):
         nets = (NetworkSpec("m", 3, 1, LinkKind.CLASSICAL),
@@ -221,6 +233,55 @@ class TestTopology:
             with pytest.raises(ValueError):
                 topo3(q=composite)
         assert tested == [257, 561, 2**127 + 1, (2**61 - 1) * (2**31 - 1)]
+
+
+class TestQuorumPlansFullRank:
+    """Topology keeps node indices 1..n and daughter points 1..L-1
+    distinct nonzero residues, so every plan that reconstruct builds over
+    a full quorum finds its weights and checks every further member: a
+    further member's changed value, and only it, is flagged. Every
+    choice of quorum, at every size that Topology takes."""
+
+    @staticmethod
+    def _check_plan(rows, size, q, rng):
+        plan = protocol._QuorumPlan(rows, size, q)
+        assert plan.weights is not None
+        assert None not in plan.further
+        coefficients = [rng.randrange(q) for _ in rows[0]]
+        columns = [[sum(r * c for r, c in zip(row, coefficients)) % q]
+                   for row in rows]
+        assert plan.check(columns) == ([coefficients[0]], [])
+        for i in range(size, len(rows)):
+            changed = columns[:i] + [[(columns[i][0] + 1) % q]] \
+                + columns[i + 1:]
+            assert plan.check(changed)[1] == [i]
+
+    @pytest.mark.parametrize("q", [5, 7, 11])
+    def test_outer_plans(self, q):
+        rng = random.Random(q)
+        for l in range(2, q + 1):
+            for d in range(1, l):
+                t = build_topology(d, [(1, 0)] * l, q)
+                rows = [protocol.constant_functional(t, net.id)
+                        for net in t.networks]
+                for chosen in itertools.combinations(range(1, l), d):
+                    rest = [a for a in range(1, l) if a not in chosen]
+                    self._check_plan([rows[0], *(rows[a] for a in chosen),
+                                      *(rows[a] for a in rest)], d + 1, q,
+                                     rng)
+
+    @pytest.mark.parametrize("q", [5, 7, 11])
+    def test_inner_plans(self, q):
+        rng = random.Random(q)
+        for n in range(1, q):
+            for k in range(n):
+                rows = {j: poly.birkhoff_matrix_row(j, 0, k, q)
+                        for j in range(1, n + 1)}
+                for quorum in itertools.combinations(rows, k + 1):
+                    self._check_plan(
+                        [rows[j] for j in quorum]
+                        + [rows[j] for j in rows if j not in quorum],
+                        k + 1, q, rng)
 
 
 class TestDeal:
@@ -982,6 +1043,12 @@ class TestChunking:
     def test_truncated_rejected(self):
         with pytest.raises(CorruptData):
             decode_secret([], 2**127 - 1)
+        with pytest.raises(CorruptData, match="no chunks"):
+            protocol.SecretDecoder(2**127 - 1).close()
+        # A secret file that shrinks between its stat and its read.
+        with pytest.raises(CorruptData, match="shorter than its size"):
+            list(protocol.secret_blocks(io.BytesIO(b"ab").read, 3,
+                                        2**127 - 1))
 
 
 def _outcome(f, *args):
