@@ -23,7 +23,8 @@ from .field import BLOCK_WORDS, crypto_rng, deterministic_rng
 from . import formats, vault
 from .protocol import (NodeShare, SecretDecoder, Topology,
                        apply_node_refresh, check_shares, chunk_count,
-                       chunk_size, compute_thresholds_exhaustive,
+                       chunk_size, closed_form_certified,
+                       compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, reconstruct,
                        refresh, secret_blocks, EXHAUSTIVE_NETWORK_BOUND)
 # Not called here, since the vault commands work block by block
@@ -144,21 +145,22 @@ def _open_vault(share_dir: Path, topology: Topology, digest: str
     if vault.MANIFEST in names:
         data = _read_json(manifest, "manifest")
         try:
-            written_for, epoch, count = formats.manifest_from_dict(data)
+            written_for, epoch, count, stale = formats.manifest_from_dict(
+                data)
         except CorruptData as exc:
             raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
                                        f"{exc}")
         if written_for != digest:
             raise CliError(EXIT_INPUT, f"{manifest} was written for another "
                                        f"topology")
-        given, stale = {"epoch": epoch, "chunk_count": count}, data["stale"]
+        given = {"epoch": epoch, "chunk_count": count}
     paths = vault.settle(share_dir, given.get("epoch"))
     if not paths:
         raise CliError(EXIT_INPUT, "no share files found")
     q = topology.modulus
     with _share_file_errors(paths, q):
         shares = [formats.read_share(p, q) for p in paths]
-        epoch, count = check_shares(shares, topology)
+        epoch, count, _ = check_shares(shares, topology)
     found = {"epoch": epoch, "chunk_count": count}
     for name, value in given.items():
         if value != found[name]:
@@ -342,10 +344,23 @@ def _print_thresholds(title: str, thresholds) -> None:
 
 
 def cmd_thresholds(args) -> int:
+    """Print the closed-form thresholds and whether they are certified at
+    the topology's modulus (closed_form_certified). The exhaustive
+    thresholds and any discrepancy follow with --oracle, and also when
+    the closed form is not certified and the topology is within the
+    exhaustive bound; beyond it, a line says that nothing checked it."""
     topology = _load_topology(args.topology)
     formula = compute_thresholds_formula(topology)
     _print_thresholds("formula thresholds (T = degree + 1):", formula)
-    if args.oracle:
+    networks = len(topology.networks)
+    certified = closed_form_certified(topology.modulus,
+                                      topology.outer_degree, networks)
+    print(f"closed form {'' if certified else 'not '}certified at modulus "
+          f"{topology.modulus}")
+    if not (args.oracle or certified) and networks > EXHAUSTIVE_NETWORK_BOUND:
+        print(f"nothing checked the closed form: the exhaustive search "
+              f"takes at most {EXHAUSTIVE_NETWORK_BOUND} networks")
+    elif args.oracle or not certified:
         oracle = compute_thresholds_exhaustive(topology)
         _print_thresholds("exhaustive-search thresholds:", oracle)
         for name in THRESHOLD_FIELDS:

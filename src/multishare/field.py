@@ -126,7 +126,7 @@ def word_bytes(modulus: int) -> int:
 
 
 def _slot_bytes(modulus: int) -> int:
-    return (modulus.bit_length() + 7) // 8 + HEADROOM
+    return word_bytes(modulus) + HEADROOM
 
 
 class Block(Sequence):
@@ -425,14 +425,9 @@ def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],
         f = row[col] if col < len(row) else 0
         if f:
             n = len(prow)
-            if len(row) == n:
-                row = [(a - f * b) % q for a, b in zip(row, prow)]
-            elif len(row) < n:
-                row = [(a - f * b) % q
-                       for a, b in zip([*row, *[0] * (n - len(row))], prow)]
-            else:
-                row = ([(a - f * b) % q for a, b in zip(row, prow)]
-                       + list(row[n:]))
+            if len(row) < n:
+                row = [*row, *[0] * (n - len(row))]
+            row = [(a - f * b) % q for a, b in zip(row, prow)] + list(row[n:])
             if payload:
                 payload = [(a - f * b) % q for a, b in zip(payload, ppay)]
     return row, payload

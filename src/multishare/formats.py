@@ -484,12 +484,12 @@ def manifest_dict(digest: str, chunk_count: int, epoch: int,
     }
 
 
-def manifest_from_dict(data) -> Tuple[str, int, int]:
-    """The topology_digest, epoch and chunk_count of a manifest, the
-    digest as written; CorruptData unless it is a JSON object with every
-    field manifest_dict writes: the epoch a JSON integer, format_version
-    the JSON integer 1, chunk_count a JSON integer of at least 1, and
-    stale a list of `network/node` names."""
+def manifest_from_dict(data) -> Tuple[str, int, int, List[str]]:
+    """The topology_digest, epoch, chunk_count and stale names of a
+    manifest, the digest as written; CorruptData unless it is a JSON
+    object with every field manifest_dict writes: the epoch a JSON
+    integer, format_version the JSON integer 1, chunk_count a JSON integer
+    of at least 1, and stale a list of `network/node` names."""
     try:
         digest, epoch = data["topology_digest"], _json_int(data, "epoch")
         version = _json_int(data, "format_version")
@@ -503,6 +503,6 @@ def manifest_from_dict(data) -> Tuple[str, int, int]:
                 isinstance(name, str) and _NODE_NAME.fullmatch(name)
                 for name in stale)):
             raise CorruptData("stale must be a list of network/node names")
-        return digest, epoch, count
+        return digest, epoch, count, stale
     except (KeyError, TypeError) as exc:
         raise CorruptData(str(exc)) from exc

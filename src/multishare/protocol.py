@@ -16,6 +16,7 @@ coordinates at once is the tests' reference (tests/reference.py).
 from __future__ import annotations
 
 import io
+import math
 from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
@@ -241,17 +242,19 @@ def _functional(q: int, degree: int, position: int) -> List[int]:
             else birkhoff_matrix_row(position, 1, degree, q))
 
 
-def check_shares(shares: Iterable[NodeShare],
-                 topology: Topology) -> Tuple[int, int]:
-    """The epoch and chunk count of a set of shares, (0, 0) for none,
-    each share checked in turn against the ones before it: EpochMismatch
-    when the shares span epochs; CorruptData when their chunk counts
-    differ or a share is not a distinct node of the topology."""
+def check_shares(shares: Iterable[NodeShare], topology: Topology
+                 ) -> Tuple[int, int, Dict[str, List[NodeShare]]]:
+    """The epoch and chunk count of a set of shares, (0, 0) for none, and
+    the shares grouped by network: each network's in node-index order,
+    the networks in the order their first share appears. Each share is
+    checked in turn against the ones before it: EpochMismatch when the
+    shares span epochs; CorruptData when their chunk counts differ or a
+    share is not a distinct node of the topology."""
     node_counts = {net.id: net.node_count for net in topology.networks}
-    seen = set()
+    held: Dict[str, Dict[int, NodeShare]] = {}
     epoch = chunk_count = 0
     for s in shares:
-        if not seen:
+        if not held:
             epoch, chunk_count = s.epoch, len(s.values)
         elif s.epoch != epoch:
             raise EpochMismatch(
@@ -259,15 +262,16 @@ def check_shares(shares: Iterable[NodeShare],
         elif len(s.values) != chunk_count:
             raise CorruptData(f"inconsistent chunk counts "
                               f"{sorted({chunk_count, len(s.values)})}")
-        pos = (s.network_id, s.node_index)
         if not 1 <= s.node_index <= node_counts.get(s.network_id, 0):
             raise CorruptData(f"share {s.network_id}/{s.node_index} is not "
                               f"a node of the topology")
-        if pos in seen:
+        group = held.setdefault(s.network_id, {})
+        if s.node_index in group:
             raise CorruptData(
                 f"share {s.network_id}/{s.node_index} given twice")
-        seen.add(pos)
-    return epoch, chunk_count
+        group[s.node_index] = s
+    return epoch, chunk_count, {nid: [group[j] for j in sorted(group)]
+                                for nid, group in held.items()}
 
 
 class _QuorumPlan:
@@ -280,7 +284,9 @@ class _QuorumPlan:
     as Topology keeps node indices 1..n and daughter points 1..L-1
     distinct nonzero residues (n, L-1 < q): k+1 node rows (1, j, ...,
     j^k) are Vandermonde, and P(1) = (1, ..., 1) with D daughters' P'(a)
-    has determinant D! V(a_1..a_D), D <= L-1 < q."""
+    has determinant D! V(a_1..a_D), D <= L-1 < q. The oracle
+    (AdversaryKnowledge.recover) takes every known network as the quorum,
+    which need not span the target."""
 
     def __init__(self, rows: Sequence[Sequence[int]], size: int, q: int):
         quorum = rows[:size]
@@ -317,17 +323,17 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     order, are the members, and the mother and the first outer_degree
     such daughters are the quorum that recovers the secret.
 
-    The stream is read first for the shares themselves. Once they are
-    checked, each plan is solved. Then the values are read BLOCK_WORDS
-    chunks at a time, so a share's values may be any sequence whose
-    slices are read in turn (a share file read block by block, say); each
-    slice becomes a Block (as_block), so a slice of ints is checked then,
-    ValueError unless each is in 0..q-1. Per block, the networks are taken
-    in the order their first share appears in the stream, and each
-    network's shares in stream order: a network's block is read, checked
-    and reduced to its inner secret, then dropped before the next
-    network's is read. Only the block's inner secrets are held across
-    networks.
+    The stream is read first for the shares themselves. Once check_shares
+    has checked and grouped them, each plan is solved. Then the values are
+    read BLOCK_WORDS chunks at a time, so a share's values may be any
+    sequence whose slices are read in turn (a share file read block by
+    block, say); each slice becomes a Block (as_block), so a slice of ints
+    is checked then, ValueError unless each is in 0..q-1. Per block, the
+    networks are taken in check_shares' order, the order their first
+    share appears in the stream, and each network's shares in node-index
+    order: a network's block is read, checked and reduced to its inner
+    secret, then dropped before the next network's is read. Only the
+    block's inner secrets are held across networks.
 
     No share is ignored: every member beyond a quorum, a node or a
     daughter, must agree with the polynomial the quorum determines, else
@@ -343,22 +349,15 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     drop them when reconstruct raises.
     """
     q = topology.modulus
-    shares = list(chain.from_iterable(shares.values())
-                  if isinstance(shares, Mapping) else shares)
-    count = check_shares(shares, topology)[1]
-    # Each network's shares in stream order, the networks in the order
-    # their first share appears.
-    held: Dict[str, List[NodeShare]] = {}
-    for s in shares:
-        held.setdefault(s.network_id, []).append(s)
-    nodes: Dict[str, List[int]] = {}  # each network's, in index order
+    _, count, held = check_shares(
+        chain.from_iterable(shares.values()) if isinstance(shares, Mapping)
+        else shares, topology)
     plans: Dict[str, _QuorumPlan] = {}
     for nid, group in held.items():
         net = topology.spec(nid)
-        nodes[nid] = sorted(s.node_index for s in group)
         plans[nid] = _QuorumPlan(
-            [birkhoff_matrix_row(j, 0, net.inner_degree, q)
-             for j in nodes[nid]], net.quorum, q)
+            [birkhoff_matrix_row(s.node_index, 0, net.inner_degree, q)
+             for s in group], net.quorum, q)
     met = {nid for nid, plan in plans.items() if plan.weights is not None}
     mother_id = topology.mother.id
     members = [mother_id, *(n.id for n in topology.daughters()
@@ -378,13 +377,10 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     for i in range(0, count, BLOCK_WORDS):
         inner = {}
         for nid, group in held.items():
-            block = {s.node_index: as_block(s.values[i:i + BLOCK_WORDS], q)
-                     for s in group}
             inner[nid], bad = plans[nid].check(
-                [block[j] for j in nodes[nid]])
-            del block  # not held while the next network's is read
+                [as_block(s.values[i:i + BLOCK_WORDS], q) for s in group])
             if bad:
-                j = nodes[nid][bad[0]]
+                j = group[bad[0]].node_index
                 faults[nid] = min(faults.get(nid, j), j)
         if outer is not None:
             chunks, bad = outer.check([inner[nid] for nid in members])
@@ -395,7 +391,7 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
                 sink(chunks)
     for net in topology.networks:
         if net.id in faults:
-            quorum = nodes[net.id][:net.quorum]
+            quorum = [s.node_index for s in held[net.id][:net.quorum]]
             raise CorruptData(f"network {net.id}: the share of node "
                               f"{faults[net.id]} disagrees with nodes "
                               f"{quorum}")
@@ -545,16 +541,16 @@ class AdversaryKnowledge:
                 if net.id in self._inner]
 
     def recover(self) -> Optional[Block]:
-        """The secret chunks when the captures determine them, else None."""
+        """The secret chunks when the captures determine them, else None:
+        the target of the quorum plan (_QuorumPlan) whose quorum is every
+        known network."""
         known = self.known_networks()
-        weights = express_over_rows(
-            [constant_functional(self.topology, nid) for nid in known],
-            [1] + [0] * self.topology.outer_degree, self.topology.modulus)
-        if weights is None:
+        if not known:
             return None
-        return weighted_column_sum(
-            weights, [self._inner[nid] for nid in known],
-            self.topology.modulus)
+        plan = _QuorumPlan(
+            [constant_functional(self.topology, nid) for nid in known],
+            len(known), self.topology.modulus)
+        return plan.check([self._inner[nid] for nid in known])[0]
 
 
 def access_oracle(node_set: Iterable, topology: Topology) -> Access:
@@ -596,6 +592,26 @@ def compute_thresholds_formula(topology: Topology) -> Thresholds:
     t_f1 = sum(kill[:l - t_p])
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
+
+
+def closed_form_certified(q: int, outer_degree: int,
+                          network_count: int) -> bool:
+    """Whether the shape's access structure is provably the one the
+    closed form assumes: a set of known networks reconstructs iff it
+    holds the mother and at least D = outer_degree daughters. The mother
+    with D daughters does (_QuorumPlan), daughters alone never do, and
+    fewer daughters with the mother do only if some D-1 do. The mother
+    with D-1 daughters at points a_i reconstructs iff the integrals of
+    x^j over [0, 1], j < D, are a combination of the columns (a_i^j),
+    iff q divides V(a) * N, V(a) their Vandermonde product (a unit mod q,
+    the points being distinct below q) and N = lcm(1..D) * the integral
+    of prod(x - a_i) over [0, 1]. N is a nonzero integer (the integrand
+    keeps one sign there) with |N| <= lcm(1..D) * prod(a_i). So no D-1
+    of the points 1..L-1 reconstruct once q exceeds lcm(1..D) *
+    prod(L-D+1..L-1). A shape below that bound may still hold: _walk
+    decides it."""
+    d, l = outer_degree, network_count
+    return q > math.lcm(*range(1, d + 1)) * math.prod(range(l - d + 1, l))
 
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:

@@ -21,8 +21,8 @@ from . import formats, protocol, vault
 from .errors import CorruptData, Infeasible, StateError
 from .field import deterministic_rng
 from .formats import canonical_json, topology_from_dict, topology_to_dict
-from .protocol import (Access, AdversaryKnowledge, LinkKind, NodeShare,
-                       Topology, apply_node_refresh, deal, decode_secret,
+from .protocol import (Access, AdversaryKnowledge, NodeShare, Topology,
+                       apply_node_refresh, deal, decode_secret,
                        encode_secret, refresh)
 
 STATE_MAGIC = b"MSS1"
@@ -157,9 +157,16 @@ class Simulation:
         self.transcript: List[tuple] = []
         self.captures: List[tuple] = []
         self._knowledge = AdversaryKnowledge(topology)
-        # The world-changing events applied so far, each appended by its
-        # own mutator; with the seed it determines everything above.
+        # The world-changing events applied so far, each recorded by its
+        # own mutator (_record); with the seed it determines everything
+        # above.
         self.history: List[dict] = []
+
+    def _record(self, kind: str, *args) -> None:
+        """Append an event of `kind` to the history, `args` its fields in
+        the order EVENTS names them."""
+        fields = EVENTS[kind][1]
+        self.history.append({"event": kind, **dict(zip(fields, args))})
 
     # -- owner actions ----------------------------------------------------
 
@@ -171,8 +178,11 @@ class Simulation:
         self.chunk_count = len(chunks)
         dealt = deal(chunks, self.topology, self.rng)
         delivered = 0
+        # Topology gives the mother the ITS link and each daughter a
+        # classical one.
+        mother = self.topology.mother.id
         for net in self.topology.networks:
-            classical = net.link is LinkKind.CLASSICAL
+            classical = net.id != mother
             for share in dealt[net.id]:
                 node = self.nodes[(net.id, share.node_index)]
                 node.store = share
@@ -184,7 +194,7 @@ class Simulation:
                     self._leak_store(node)
         self.epoch = 0
         self.dealt = True
-        self.history.append({"event": "deal"})
+        self._record("deal")
         return {"delivered": delivered, "chunks": self.chunk_count}
 
     def owner_refresh(self) -> dict:
@@ -195,8 +205,9 @@ class Simulation:
                          self.rng)
         round_no = self.epoch + 1
         applied, stale = 0, []
+        mother = self.topology.mother.id
         for net in self.topology.networks:
-            classical = net.link is LinkKind.CLASSICAL
+            classical = net.id != mother
             for j in range(1, net.node_count + 1):
                 if classical:
                     self._send(("delta", net.id, j, round_no,
@@ -212,7 +223,7 @@ class Simulation:
                     if node.compromised:
                         self._leak_store(node)
         self.epoch = round_no
-        self.history.append({"event": "refresh"})
+        self._record("refresh")
         return {"applied": applied, "stale": sorted(stale),
                 "epoch": self.epoch}
 
@@ -255,29 +266,25 @@ class Simulation:
 
     def compromise_node(self, network_id: str, node_index: int) -> dict:
         self._compromise(self.nodes[(network_id, node_index)])
-        self.history.append({"event": "compromise_node",
-                             "network": network_id, "node": node_index})
+        self._record("compromise_node", network_id, node_index)
         return {"compromised": f"{network_id}/{node_index}"}
 
     def compromise_network(self, network_id: str) -> dict:
         for j in range(1, self.topology.spec(network_id).node_count + 1):
             self._compromise(self.nodes[(network_id, j)])
-        self.history.append({"event": "compromise_network",
-                             "network": network_id})
+        self._record("compromise_network", network_id)
         return {"compromised": network_id}
 
     def release_node(self, network_id: str, node_index: int) -> dict:
         """End a compromise: later writes stay private, earlier captures
         stay with the adversary."""
         self.nodes[(network_id, node_index)].compromised = False
-        self.history.append({"event": "release_node",
-                             "network": network_id, "node": node_index})
+        self._record("release_node", network_id, node_index)
         return {"released": f"{network_id}/{node_index}"}
 
     def fail_node(self, network_id: str, node_index: int) -> dict:
         self.nodes[(network_id, node_index)].alive = False
-        self.history.append({"event": "fail_node",
-                             "network": network_id, "node": node_index})
+        self._record("fail_node", network_id, node_index)
         return {"failed": f"{network_id}/{node_index}"}
 
     def decrypt_classical(self) -> dict:
@@ -287,7 +294,7 @@ class Simulation:
             self.hndl = True
             for capture in self.transcript:
                 self._capture(capture)
-        self.history.append({"event": "hndl_decrypt_classical"})
+        self._record("hndl_decrypt_classical")
         return {"hndl": True}
 
     def adversary_rows(self) -> List[tuple]:

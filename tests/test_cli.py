@@ -2419,6 +2419,46 @@ class TestThresholds:
                 "disables one daughter too few)\n"
                 in capsys.readouterr().out)
 
+    def test_certified_closed_form(self, workspace, capsys):
+        _, topo, _ = workspace
+        assert run(["thresholds", "--topology", topo]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"  t_fail     = 2\nclosed form certified at "
+                            f"modulus {DEFAULT_MODULUS}\n")
+
+    def test_uncertified_closed_form_is_checked(self, workspace, capsys):
+        # At q = 257 the mother with d2, d3 and d6 reconstructs, so the
+        # closed form overstates secrecy. It is not certified there, and
+        # the exhaustive thresholds follow, once with --oracle too.
+        tmp, _, _ = workspace
+        path = tmp / "t257.json"
+        write_topology(path, q=257, outer=4, counts=(3,) * 7,
+                       degrees=(1,) * 7)
+        outs = []
+        for oracle in ([], ["--oracle"]):
+            assert run(["thresholds", "--topology", path, *oracle]) == 0
+            outs.append(capsys.readouterr().out)
+        out = outs[0]
+        assert outs[1] == out
+        formula, _, exhaustive = out.partition(
+            "closed form not certified at modulus 257\n"
+            "exhaustive-search thresholds:\n")
+        assert "  t_networks = 5\n" in formula
+        assert exhaustive.startswith("  t_networks = 4\n  t_nodes    = 8\n")
+        assert exhaustive.count("DISCREPANCY: t_networks formula=5 "
+                                "exhaustive=4\n") == 1
+
+    def test_uncertified_beyond_the_bound(self, workspace, capsys):
+        tmp, _, _ = workspace
+        path = tmp / "big.json"
+        write_topology(path, q=257, outer=4, counts=(2,) * 13,
+                       degrees=(1,) * 13)
+        assert run(["thresholds", "--topology", path]) == 0
+        assert capsys.readouterr().out.endswith(
+            "  t_fail     = 1\nclosed form not certified at modulus 257\n"
+            "nothing checked the closed form: the exhaustive search takes "
+            "at most 12 networks\n")
+
 
 class TestSimulate:
     def _scenario(self, tmp, schedule):

@@ -452,6 +452,25 @@ class TestBlocksMatchReference:
                 as_block(bad, q)
 
 
+class TestBlockOperands:
+    """What a Block does with an operand that is not a Block of its own
+    modulus."""
+
+    def test_sum_with_other_modulus_or_list(self):
+        block = as_block([1, 2], 7)
+        for other in (as_block([1, 2], 11), [1, 2]):
+            with pytest.raises(TypeError):
+                block + other
+
+    def test_unequal_to_int_or_none(self):
+        block = as_block([1], 7)
+        for other in (1, None):
+            assert block != other and not block == other
+
+    def test_repr(self):
+        assert repr(as_block([1, 2], 7)) == "Block([1, 2], modulus=7)"
+
+
 # Mersenne primes 2^b - 1, reduced by folding, of every slot layout: b
 # from 2 to 521, with no spare bit in the word (b = 8k - 1) or more.
 MERSENNE = [2**b - 1 for b in (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 127,

@@ -333,6 +333,18 @@ class TestV1Faults:
             read_whole(path, q)
         assert str(err.value).endswith(f": {formats.OUT_OF_RANGE}")
 
+    @pytest.mark.parametrize("q", TestFixedWidth.QS)
+    def test_document_parses(self, q):
+        # The whole-document reader takes a v1 share too, and refuses a
+        # value with a leading zero.
+        share = NodeShare("m", 1, 4, (0, 1, q - 1))
+        data = json.loads(reference.share_bytes_v1(share, q))
+        assert formats.share_from_dict(data, q) == share
+        data["values"][1] = "01"
+        with pytest.raises(CorruptData) as err:
+            formats.share_from_dict(data, q)
+        assert str(err.value) == formats.NOT_HEX
+
 
 class TestReadInOrder:
     """A share file's values are read in order: a slice that does not
@@ -414,13 +426,14 @@ class TestManifestReader:
     def test_reads_what_the_writer_wrote(self):
         data = json.loads(canonical_json(
             formats.manifest_dict("ab" * 32, 7, 3, ["m/1"])))
-        assert formats.manifest_from_dict(data) == ("ab" * 32, 3, 7)
+        assert formats.manifest_from_dict(data) == ("ab" * 32, 3, 7, ["m/1"])
 
     @pytest.mark.parametrize("stale", [
         [], ["m/1", "d2/10"], ["/1"], ["café %s\n/7"]])
     def test_stale_names(self, stale):
         data = formats.manifest_dict("ab" * 32, 1, 0, stale)
-        assert formats.manifest_from_dict(data) == ("ab" * 32, 0, 1)
+        assert formats.manifest_from_dict(data) == (
+            "ab" * 32, 0, 1, sorted(stale))
 
     @pytest.mark.parametrize("data,message", [
         ({}, "'topology_digest'"),

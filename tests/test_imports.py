@@ -176,3 +176,29 @@ def test_cli_start_up_imports_nothing_heavy():
     added = modules_after("import multishare.cli") - bare
     assert "multishare.cli" in added
     assert sorted(added & HEAVY) == []
+
+
+def test_link_kind_is_named_where_topologies_are_made():
+    # A network's link follows from its role: the mother's is ITS, each
+    # daughter's classical. Topology checks that and formats reads it;
+    # the simulator asks whether a network is the mother.
+    naming = {path.name for path in SRC.glob("*.py") if references(
+        ast.parse(path.read_text(encoding="utf-8")))["LinkKind"]}
+    assert naming == {"protocol.py", "formats.py", "__init__.py"}
+
+
+def history_appends(tree) -> int:
+    """How many calls `history.append(...)` there are in `tree`."""
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "append"
+               and isinstance(node.func.value, ast.Attribute)
+               and node.func.value.attr == "history"
+               for node in ast.walk(tree))
+
+
+def test_history_is_recorded_in_one_place():
+    # Each history entry is built from EVENTS, in Simulation._record.
+    tree = ast.parse((SRC / "simnet.py").read_text(encoding="utf-8"))
+    record = dict(definitions(tree))["Simulation._record"]
+    assert history_appends(tree) == history_appends(record) == 1

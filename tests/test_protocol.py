@@ -599,6 +599,24 @@ class TestThresholdExhaustive:
                     assert known[0] == 0 and ok == (len(known) > outer), (
                         l, outer, known)
 
+    @pytest.mark.parametrize("q,most", [
+        (5, 9), (7, 9), (11, 9), (13, 9), (257, 9), (65537, 12),
+        (DEFAULT_MODULUS, 12)])
+    def test_certified_shapes_are_the_closed_forms(self, q, most):
+        # The certificate is sound: wherever it holds, up to `most`
+        # networks (fewer than q daughters), a walked set reconstructs iff
+        # it holds the mother and at least outer_degree daughters.
+        certified = 0
+        for l in range(2, min(most, q) + 1):
+            for outer in range(1, l):
+                if not protocol.closed_form_certified(q, outer, l):
+                    continue
+                certified += 1
+                for known, ok in protocol._walk(q, outer, l):
+                    assert known[0] == 0 and ok == (len(known) > outer), (
+                        q, l, outer, known)
+        assert certified
+
     def test_capacity_bound(self):
         # One network more than the subset walk's bound.
         many = [(2, 1)] * (protocol.EXHAUSTIVE_NETWORK_BOUND + 1)

@@ -106,6 +106,17 @@ class TestReconstruct:
             check_shares([NodeShare("m", 1, 0, (5,)),
                           NodeShare("m", 2, 1, (0,))], topo)
 
+    def test_shares_grouped_by_network(self):
+        # The networks in the order their first share appears, each
+        # network's shares in node-index order.
+        topo = one_network(7)
+        m1, m3, d1 = (NodeShare("m", 1, 2, (4,)), NodeShare("m", 3, 2, (5,)),
+                      NodeShare("d1", 1, 2, (1,)))
+        epoch, count, held = check_shares([d1, m3, m1], topo)
+        assert (epoch, count, list(held.items())) == (
+            2, 1, [("d1", [d1]), ("m", [m1, m3])])
+        assert check_shares([], topo) == (0, 0, {})
+
     def test_duplicate_x_rejected(self):
         with pytest.raises(ValueError):
             interpolate_zero([(1, 5), (1, 5)], 7)
