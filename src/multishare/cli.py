@@ -71,9 +71,7 @@ def _load_topology(path: str, chunking: bool = False) -> Topology:
     back, load it `chunking`: then also exit 2, before any file is
     touched, when the modulus is too small to hold a chunk (chunk_size)."""
     try:
-        topology = formats.topology_from_dict(
-            _read_json(path, "topology"),
-            min_modulus=formats.MIN_USER_MODULUS)
+        topology = formats.topology_from_dict(_read_json(path, "topology"))
         if chunking:
             chunk_size(topology.modulus)
     except CorruptData as exc:
@@ -129,12 +127,14 @@ def _secret_reader(file):
 
 
 def _open_vault(share_dir: Path, topology: Topology, digest: str
-                ) -> Tuple[List[Path], List[NodeShare]]:
-    """The share files of the vault in `share_dir`, settled (vault.settle),
-    and their shares, headers read. Exit 2 when there is no directory or
-    no share file, and, before settling, when the manifest cannot be read
-    or its topology_digest is not `digest`, `topology`'s. The shares are
-    checked as a set (check_shares, _share_file_errors), then against the
+                ) -> Tuple[List[Path], List[NodeShare], int, int, List[str]]:
+    """The share files of the vault in `share_dir`, settled (vault.settle);
+    their shares, headers read; the shares' epoch and chunk count; and the
+    names ("network/index") of the topology's nodes without a share file,
+    in topology order. Exit 2 when there is no directory or no share file,
+    and, before settling, when the manifest cannot be read or its
+    topology_digest is not `digest`, `topology`'s. The shares are checked
+    as a set (check_shares, _share_file_errors), then against the
     manifest: exit 2 when its epoch or chunk_count is not theirs, or it
     lists as stale a node that has a share file or `topology` lacks."""
     names = vault.listing(share_dir)
@@ -167,15 +167,14 @@ def _open_vault(share_dir: Path, topology: Topology, digest: str
             raise CliError(EXIT_INPUT, f"{manifest} gives {name} {value}, "
                                        f"the share files {found[name]}")
     held = {f"{s.network_id}/{s.node_index}" for s in shares}
-    counts = {net.id: net.node_count for net in topology.networks}
-    lacked = {name for name in stale  # each "network/index", index >= 1
-              if int(name.split("/")[1]) > counts.get(name.split("/")[0], 0)}
+    nodes = [f"{net.id}/{j}" for net in topology.networks
+             for j in range(1, net.node_count + 1)]
     for fault, names in (("have a share file", held.intersection(stale)),
-                         ("the topology lacks", lacked)):
+                         ("the topology lacks", set(stale).difference(nodes))):
         if names:
             raise CliError(EXIT_INPUT, f"{manifest} lists as stale nodes "
                            f"that {fault}: {', '.join(sorted(names))}")
-    return paths, shares
+    return paths, shares, epoch, count, [n for n in nodes if n not in held]
 
 
 def _check_output(path, option: str, inputs: Dict[str, Path]) -> None:
@@ -278,8 +277,8 @@ def cmd_reconstruct(args) -> int:
     decoder = SecretDecoder(q)
     try:
         if args.shares:
-            paths, shares = _open_vault(Path(args.shares), topology,
-                                        formats.topology_digest(topology))
+            paths, shares, *_ = _open_vault(
+                Path(args.shares), topology, formats.topology_digest(topology))
         else:
             paths = [Path(p) for p in args.files]
             if not paths:
@@ -312,8 +311,8 @@ def cmd_refresh(args) -> int:
     q = topology.modulus
     share_dir = Path(args.shares)
     digest = formats.topology_digest(topology)
-    paths, shares = _open_vault(share_dir, topology, digest)
-    epoch, count = shares[0].epoch, len(shares[0].values)
+    paths, shares, epoch, count, stale = _open_vault(share_dir, topology,
+                                                     digest)
     rng = _rng(args.seed)
     with _share_file_errors(paths, q), \
             vault.Commit(share_dir, epoch + 1, "refresh") as commit:
@@ -326,10 +325,6 @@ def cmd_refresh(args) -> int:
                     deltas[share.network_id])
                 commit.append(path, formats.share_file_block(
                     updated, q, start, count))
-        held = {(s.network_id, s.node_index) for s in shares}
-        stale = [f"{net.id}/{j}" for net in topology.networks
-                 for j in range(1, net.node_count + 1)
-                 if (net.id, j) not in held]
         refreshed = commit.commit(_json_line(formats.manifest_dict(
             digest, count, epoch + 1, stale)))
     print(f"refreshed {refreshed} shares to epoch {epoch + 1}"
@@ -347,29 +342,33 @@ def cmd_thresholds(args) -> int:
     """Print the closed-form thresholds and whether they are certified at
     the topology's modulus (closed_form_certified). The exhaustive
     thresholds and any discrepancy follow with --oracle, and also when
-    the closed form is not certified and the topology is within the
-    exhaustive bound; beyond it, a line says that nothing checked it."""
+    the closed form is not certified. When the exhaustive search refuses
+    the topology (CapacityError), --oracle exits 4, and otherwise a line
+    says that nothing checked the closed form."""
     topology = _load_topology(args.topology)
     formula = compute_thresholds_formula(topology)
     _print_thresholds("formula thresholds (T = degree + 1):", formula)
-    networks = len(topology.networks)
-    certified = closed_form_certified(topology.modulus,
-                                      topology.outer_degree, networks)
+    certified = closed_form_certified(topology.modulus, topology.outer_degree,
+                                      len(topology.networks))
     print(f"closed form {'' if certified else 'not '}certified at modulus "
           f"{topology.modulus}")
-    if not (args.oracle or certified) and networks > EXHAUSTIVE_NETWORK_BOUND:
+    if certified and not args.oracle:
+        return EXIT_OK
+    try:
+        oracle = compute_thresholds_exhaustive(topology)
+    except CapacityError:
+        if args.oracle:
+            raise
         print(f"nothing checked the closed form: the exhaustive search "
               f"takes at most {EXHAUSTIVE_NETWORK_BOUND} networks")
-    elif args.oracle or not certified:
-        oracle = compute_thresholds_exhaustive(topology)
-        _print_thresholds("exhaustive-search thresholds:", oracle)
-        for name in THRESHOLD_FIELDS:
-            a, b = getattr(formula, name), getattr(oracle, name)
-            if a != b:
-                note = (" (the closed form disables one daughter too few)"
-                        if name in ("t_f1", "t_fail") else "")
-                print(f"DISCREPANCY: {name} formula={a} "
-                      f"exhaustive={b}{note}")
+        return EXIT_OK
+    _print_thresholds("exhaustive-search thresholds:", oracle)
+    for name in THRESHOLD_FIELDS:
+        a, b = getattr(formula, name), getattr(oracle, name)
+        if a != b:
+            note = (" (the closed form disables one daughter too few)"
+                    if name in ("t_f1", "t_fail") else "")
+            print(f"DISCREPANCY: {name} formula={a} exhaustive={b}{note}")
     return EXIT_OK
 
 

@@ -29,8 +29,8 @@ FORMAT_VERSION = 1
 # share files, whose values are hex without leading zeros.
 SHARE_FORMAT_VERSION = 2
 
-# User-supplied moduli below this are rejected at the file boundary;
-# in-process callers may still build small-field topologies for analysis.
+# Topology files with a modulus below this are refused; in-process
+# callers may still build small-field topologies for analysis.
 MIN_USER_MODULUS = 257
 
 # A field element's text: lowercase hex without leading zeros.
@@ -101,7 +101,7 @@ def _parse_hex(text: str) -> int:
     return int(text, 16)
 
 
-def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
+def topology_from_dict(data: dict) -> Topology:
     try:
         if not isinstance(data, dict):
             raise CorruptData("a topology is a JSON object")
@@ -132,8 +132,8 @@ def topology_from_dict(data: dict, min_modulus: int = 0) -> Topology:
         outer = _json_int(data, "outer_degree")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptData(f"malformed topology file: {exc}") from exc
-    if modulus < min_modulus:
-        raise CorruptData(f"modulus must be at least {min_modulus}")
+    if modulus < MIN_USER_MODULUS:
+        raise CorruptData(f"modulus must be at least {MIN_USER_MODULUS}")
     try:
         return Topology(modulus=modulus, networks=tuple(specs),
                         mother_index=mothers[0], outer_degree=outer)

@@ -27,12 +27,8 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
                     echelon_insert, echelon_reduce, express_over_rows,
-                    from_words, is_probable_prime, to_words,
+                    from_words, is_probable_prime, random_ints, to_words,
                     weighted_column_sum, zeros)
-from .poly import birkhoff_matrix_row, random_columns
-# Not called here, but looked up here by name by the benchmark's tracer
-# (perfbench/tracing.py).
-from .poly import lagrange_zero_weights  # noqa: F401
 
 # compute_thresholds_exhaustive walks up to 2^(networks - 1) sets of known
 # networks.
@@ -166,6 +162,47 @@ class Access(Enum):
 
 
 # ---------------------------------------------------------------------------
+# Polynomial rows: the linear weights that dealing, refresh, reconstruct
+# and the oracle solve with
+
+
+def lagrange_zero_weights(xs: Sequence[int], q: int) -> list:
+    """Weights w_j with P(0) = sum(w_j * y_j); precomputable per x-set.
+    The package recovers through _QuorumPlan instead; the tests interpolate
+    with these weights, and the benchmark's tracer looks them up here."""
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate x coordinates")
+    if 0 in xs:
+        raise ValueError("interpolation point x=0 is not allowed")
+    weights = []
+    for j, xj in enumerate(xs):
+        num, den = 1, 1
+        for m, xm in enumerate(xs):
+            if m == j:
+                continue
+            num = num * (-xm) % q
+            den = den * (xj - xm) % q
+        weights.append(num * pow(den, -1, q) % q)
+    return weights
+
+
+def birkhoff_matrix_row(point: int, order: int, degree: int, q: int) -> list:
+    """Row of powers (order 0) or derivative-of-powers (order 1) for the
+    unknown coefficient vector (a_0 .. a_degree)."""
+    if order == 0:
+        row, p = [], 1
+        for _ in range(degree + 1):
+            row.append(p)
+            p = p * point % q
+        return row
+    row, p = [0], 1
+    for i in range(1, degree + 1):
+        row.append(i * p % q)
+        p = p * point % q
+    return row
+
+
+# ---------------------------------------------------------------------------
 # Dealing and reconstruction
 
 
@@ -204,11 +241,12 @@ def deal(secret_chunks: Sequence[int], topology: Topology, rng,
             values[share.network_id][share.node_index - 1] += share.values
     for i in range(0, len(secret_chunks), BLOCK_WORDS):
         block = as_block(secret_chunks[i:i + BLOCK_WORDS], q)
-        outer = [block, *random_columns(topology.outer_degree, len(block), q,
-                                        rng)]
+        outer = [block, *(random_ints(q, len(block), rng)
+                          for _ in range(topology.outer_degree))]
         for net, functional in zip(topology.networks, functionals):
             columns = [weighted_column_sum(functional, outer, q),
-                       *random_columns(net.inner_degree, len(block), q, rng)]
+                       *(random_ints(q, len(block), rng)
+                         for _ in range(net.inner_degree))]
             for j in range(1, net.node_count + 1):
                 sink(NodeShare(net.id, j, 0, _node_values(j, columns, q)))
     return {nid: [NodeShare(nid, j, 0, node)
@@ -451,9 +489,8 @@ def refresh(topology: Topology, chunk_count: int, epoch: int,
         n = min(BLOCK_WORDS, chunk_count - i)
         for net in topology.networks:
             held = columns[net.id]
-            for t, drawn in enumerate(random_columns(net.inner_degree, n, q,
-                                                     rng)):
-                held[t] += drawn
+            for t in range(net.inner_degree):
+                held[t] += random_ints(q, n, rng)
     return {net.id: NetworkRefresh(net.id, epoch, net.node_count,
                                    chunk_count, q, tuple(columns[net.id]))
             for net in topology.networks}

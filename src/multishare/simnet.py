@@ -45,7 +45,6 @@ EVENTS = {
     "hndl_decrypt_classical": ("decrypt_classical", ()),
     "attempt_reconstruct": ("attempt", ("actor",)),
 }
-EVENT_KINDS = frozenset(EVENTS)
 
 
 class SimNode:
@@ -231,11 +230,9 @@ class Simulation:
         """Decode from every live current-epoch node."""
         if not self.dealt:
             raise Infeasible("nothing dealt yet")
-        usable: Dict[str, List[NodeShare]] = {}
-        for node in self.nodes.values():
-            if (node.alive and node.store is not None
-                    and node.store.epoch == self.epoch):
-                usable.setdefault(node.network_id, []).append(node.store)
+        usable = [node.store for node in self.nodes.values()
+                  if node.alive and node.store is not None
+                  and node.store.epoch == self.epoch]
         # Looked up at call time, so that a wrapper installed on the
         # protocol module (the perfbench tracer) sees this call.
         chunks = protocol.reconstruct(usable, self.topology)

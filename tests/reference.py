@@ -23,9 +23,9 @@ by column within each block of BLOCK_WORDS chunks, then each chunk's
 outer polynomial P evaluated by horner at
 P(1) for the mother and, through derivative_coeffs, at P'(a) for daughter
 a, and each inner polynomial at node j. They call nothing of the
-package's sharing (no multishare.poly or multishare.field function), so
-the column kernel that the package deals and refreshes with is checked
-against code that shares none of its logic. reconstruct is the eager
+package's sharing (no multishare.field function, nor protocol's draws or
+polynomial rows), so the column kernel that the package deals and
+refreshes with is checked against code that shares none of its logic. reconstruct is the eager
 vault operation, kept verbatim: it holds every node's column at once,
 where the package holds one network's shares at a time. refresh
 evaluates every node's delta into a NodeRefresh record, and
@@ -37,15 +37,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from multishare import formats
 from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows, word_bytes
-from multishare.poly import lagrange_zero_weights
 from multishare.protocol import (LENGTH_HEADER, Access, NetworkSpec,
                                  NodeShare, Topology, check_shares,
-                                 chunk_size, constant_functional)
+                                 chunk_size, constant_functional,
+                                 lagrange_zero_weights)
 
 
 def random_ints(modulus: int, count: int, rng) -> List[int]:
@@ -299,6 +300,26 @@ def access_oracle(node_set: Iterable, topology: Topology,
     rows = [space.share_row(nid, idx, ep) for nid, idx, ep in held]
     hit = express_over_rows(rows, space.secret_functional(), topology.modulus)
     return Access.RECONSTRUCTS if hit is not None else Access.NO_INFORMATION
+
+
+def moment_reconstructs(q: int, outer_degree: int,
+                        points: Sequence[int]) -> bool:
+    """Whether the mother with the daughters at `points` (distinct, in
+    1..q-1) determines the secret, by the moment criterion rather than by
+    elimination. P(0) = P(1) - integral of P' over [0, 1], and the points
+    fix P', of degree D - 1 (D = outer_degree), up to prod(x - a) * r(x)
+    for any r of degree below D - |points|. So the secret is determined
+    iff the integral of prod(x - a) * x^j over [0, 1] is 0 mod q for
+    every j < D - |points|; always, with D points or more. Each integral
+    is an exact Fraction whose denominator divides lcm(1..D), a unit
+    mod q when D < q."""
+    coeffs = [1]  # of prod(x - a), constant first
+    for a in points:
+        coeffs = [low - a * c for low, c in zip([0, *coeffs], [*coeffs, 0])]
+    return all(
+        sum(Fraction(c, k + j + 1) for k, c in enumerate(coeffs))
+        .numerator % q == 0
+        for j in range(outer_degree - len(points)))
 
 
 def deal(secret_chunks: Sequence[int], topology: Topology,

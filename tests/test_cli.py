@@ -24,7 +24,7 @@ from multishare.formats import topology_to_dict
 from multishare.protocol import (LENGTH_HEADER, LinkKind, NetworkSpec,
                                  SecretDecoder, Topology, chunk_size, deal,
                                  encode_secret)
-from multishare.simnet import EVENT_KINDS, EVENTS, load_state
+from multishare.simnet import EVENTS, load_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -2128,16 +2128,21 @@ class TestRefresh:
         assert json.loads((out / "manifest.json").read_text())[
             "topology_digest"] == digests[0]
 
-    def test_missing_node_flagged_stale(self, workspace):
+    def test_missing_node_flagged_stale(self, workspace, capsys):
+        # Printed in topology order, written to the manifest sorted.
         tmp, topo, secret = workspace
         out = tmp / "shares"
         run(["deal", "--topology", topo, "--secret", secret,
              "--out", out, "--seed", "1"])
-        (out / "d2_002.share.json").unlink()
+        (out / "m_001.share.json").unlink()
+        (out / "d1_002.share.json").unlink()
+        capsys.readouterr()
         assert run(["refresh", "--topology", topo, "--shares", out,
                     "--seed", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "refreshed 7 shares to epoch 1; stale: m/1, d1/2\n")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["stale"] == ["d2/2"]
+        assert manifest["stale"] == ["d1/2", "m/1"]
 
     def test_mixed_epoch_input_exit3(self, workspace, capsys):
         tmp, topo, secret = workspace
@@ -3536,7 +3541,7 @@ def malformed_scenarios(scenario):
             lambda iv: _replace(scenario, ["schedule", iv[0]], iv[1])),
         st.tuples(st.integers(0, len(schedule) - 1),
                   JSON_VALUES.filter(lambda v: not isinstance(v, str)
-                                     or v not in EVENT_KINDS)).map(
+                                     or v not in EVENTS)).map(
             lambda iv: _replace(scenario, ["schedule", iv[0], "event"],
                                 iv[1])),
         st.tuples(st.sampled_from(node_events), st.sampled_from(ids),
@@ -3612,7 +3617,7 @@ def malformed_states(state):
             lambda iv: _replace(state, ["history", iv[0]], iv[1])),
         st.tuples(st.integers(0, len(history) - 1),
                   JSON_VALUES.filter(lambda v: not isinstance(v, str)
-                                     or v not in EVENT_KINDS)
+                                     or v not in EVENTS)
                   | st.just("attempt_reconstruct")).map(
             lambda iv: _replace(state, ["history", iv[0], "event"], iv[1])),
         st.tuples(st.integers(0, len(history) - 1),

@@ -28,7 +28,6 @@ TRACER_ONLY = "looked up here by name by perfbench/tracing.py"
 UNUSED = {
     ("cli", "encode_secret"): TRACER_ONLY,
     ("cli", "decode_secret"): TRACER_ONLY,
-    ("protocol", "lagrange_zero_weights"): TRACER_ONLY,
 }
 # The package root imports the public names for the package's users.
 REEXPORTS = {"__init__"}

@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from multishare.field import deterministic_rng, express_over_rows
-from multishare.poly import (birkhoff_matrix_row, lagrange_zero_weights,
-                             random_columns)
+from multishare.protocol import birkhoff_matrix_row, lagrange_zero_weights
 from reference import derivative_coeffs, horner
 
 
@@ -80,31 +79,6 @@ class TestDerivative:
             rhs = [(a * u + b * v) % q for u, v in
                    zip(derivative_coeffs(p, q), derivative_coeffs(r, q))]
             assert lhs == rhs
-
-
-class TestRandom:
-    def test_degree_zero(self):
-        assert random_columns(0, 5, 7, deterministic_rng(0)) == []
-        with pytest.raises(ValueError):
-            random_columns(-1, 5, 7, deterministic_rng(0))
-
-    def test_pinned_constant_and_exact_degree(self):
-        # A constant column in front makes polynomials with that constant
-        # term and `degree` further coefficients, each in 0..q-1.
-        rng = deterministic_rng(1)
-        for _ in range(20):
-            columns = [[0, 3], *random_columns(2, 2, 7, rng)]
-            assert len(columns) == 3
-            assert all(len(col) == 2 and all(0 <= c < 7 for c in col)
-                       for col in columns)
-            for i, constant in enumerate((0, 3)):
-                coeffs = [col[i] for col in columns]
-                assert horner(coeffs, 0, 7) == constant
-
-    def test_seeded_regression(self):
-        p1 = random_columns(1, 4, 11, deterministic_rng(77))
-        p2 = random_columns(1, 4, 11, deterministic_rng(77))
-        assert p1 == p2
 
 
 class TestLagrange:

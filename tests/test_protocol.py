@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
-from multishare import field, poly, protocol
+from multishare import field, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng, is_probable_prime)
 from multishare.protocol import (Access, LinkKind, NetworkSpec, NodeShare,
@@ -275,7 +275,7 @@ class TestQuorumPlansFullRank:
         rng = random.Random(q)
         for n in range(1, q):
             for k in range(n):
-                rows = {j: poly.birkhoff_matrix_row(j, 0, k, q)
+                rows = {j: protocol.birkhoff_matrix_row(j, 0, k, q)
                         for j in range(1, n + 1)}
                 for quorum in itertools.combinations(rows, k + 1):
                     self._check_plan(
@@ -616,6 +616,24 @@ class TestThresholdExhaustive:
                     assert known[0] == 0 and ok == (len(known) > outer), (
                         q, l, outer, known)
         assert certified
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13, 257])
+    def test_walk_is_the_moment_criterion(self, q):
+        # Every set of known networks that holds the mother, up to 10
+        # networks (fewer than q daughters): the walk lists it, or a
+        # prefix of it that reconstructs, and its verdict is the moment
+        # criterion's, computed over exact rationals.
+        for l in range(2, min(10, q) + 1):
+            for outer in range(1, l):
+                family = dict(protocol._walk(q, outer, l))
+                for size in range(l):
+                    for points in itertools.combinations(range(1, l), size):
+                        known = (0, *points)
+                        walked = next(
+                            family[known[:i]] for i in range(1, size + 2)
+                            if family[known[:i]] or i == size + 1)
+                        assert walked == reference.moment_reconstructs(
+                            q, outer, points), (q, l, outer, known)
 
     def test_capacity_bound(self):
         # One network more than the subset walk's bound.

@@ -1,5 +1,5 @@
 """Flat and two-rank (value / derivative) sharing and refresh: through
-deal and refresh, and on polynomials drawn by random_columns and evaluated
+deal and refresh, and on polynomials drawn by random_ints and evaluated
 by the reference's horner, recovered with lagrange_zero_weights and
 per-coefficient Birkhoff solves."""
 
@@ -10,11 +10,11 @@ import pytest
 
 from multishare.errors import CorruptData, EpochMismatch
 from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
-                              express_over_rows)
-from multishare.poly import birkhoff_matrix_row, random_columns
+                              express_over_rows, random_ints)
 from multishare.protocol import (LinkKind, NetworkRefresh, NetworkSpec,
                                  NodeShare, Topology, apply_node_refresh,
-                                 check_shares, deal, reconstruct, refresh)
+                                 birkhoff_matrix_row, check_shares, deal,
+                                 reconstruct, refresh)
 from reference import derivative_coeffs, horner
 from test_poly import birkhoff_coeffs, interpolate_zero
 from test_protocol import ScriptedRng
@@ -23,7 +23,7 @@ from test_protocol import ScriptedRng
 def random_poly(secret, degree, q, rng):
     """The coefficients of a random polynomial of degree at most `degree`
     with constant term `secret`."""
-    return [secret, *(c for (c,) in random_columns(degree, 1, q, rng))]
+    return [secret, *(random_ints(q, 1, rng)[0] for _ in range(degree))]
 
 
 def split(secret, k, n, q, rng):
