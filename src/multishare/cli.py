@@ -230,7 +230,8 @@ def cmd_deal(args) -> int:
     as a refresh commits its epoch (see vault.Commit): a deal that exits
     0 has its vault on disk, and one that stops part-way leaves either
     the whole vault or files that the next deal, refresh or reconstruct
-    --shares deletes."""
+    --shares deletes. A dealt vault whose shape the closed form is not
+    certified at (closed_form_certified) gets one warning on stderr."""
     topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
     digest = formats.topology_digest(topology)
@@ -254,6 +255,11 @@ def cmd_deal(args) -> int:
             nodes = commit.commit(_json_line(
                 formats.manifest_dict(digest, count, 0, [])))
     print(f"dealt {count} chunks to {nodes} nodes in {out_dir}")
+    if not closed_form_certified(q, topology.outer_degree,
+                                 len(topology.networks)):
+        print(f"warning: closed form not certified at modulus {q}: its "
+              f"thresholds may overstate secrecy (see thresholds)",
+              file=sys.stderr)
     return EXIT_OK
 
 

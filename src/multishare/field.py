@@ -7,18 +7,24 @@ values into one int, and this module alone knows how.
 Apart from the entropy draws, every function is pure, so concurrent use
 needs no synchronization.
 
-The block layout. Value i of an n-value block sits in slot i of the
-int's big-endian bytes: bits (n-1-i)*S up to (n-i)*S, where a slot is
-S/8 = word_bytes(q) + HEADROOM bytes. A value below q fills only the
-word at the low end of its slot; the HEADROOM (two) bytes above it take
+The block layout. Value i of an n-value block sits in slot i of the int:
+bits (n-1-i)*S up to (n-i)*S, where a slot of S = 8w + HEADROOM bits (w =
+word_bytes(q), HEADROOM = 12) is 2w + 3 hex digits. A value below q fills
+only the low 8w bits of its slot; the three hex digits above them take
 the carries of a weighted sum. So one add, subtract, shift, mask, or
-multiply by a small int acts on every value of a block at once, in one
-C loop over the int, and no carry crosses into the next slot: the SWAR
-technique (Lamport, Multiple byte processing with full-word
-instructions, CACM 1975). Blocks are made from and turned back into the
-fixed-width big-endian words of share files and of the secret framing
-by one int.from_bytes or int.to_bytes and one strided bytearray slice
-copy per byte of a word (from_words, to_words).
+multiply by a small int acts on every value of a block at once, in one C
+loop over the int, and no carry crosses into the next slot: the SWAR
+technique (Lamport, Multiple byte processing with full-word instructions,
+CACM 1975).
+
+A slot is the stride of a value in a share file of format v2 (formats),
+its three top digits in line with the `","` before the value: the hex of
+a block is its values' text but for those three bytes each, so one
+hexlify or unhexlify and three strided stores convert a block (to_hex,
+from_hex). Two slots make 2w + 3 whole bytes, so the fixed-width words
+of the draws and of the secret framing go through pairs of slots as
+bytes, each word byte-aligned and the first of a pair 4 bits above its
+slot, which one shift under a mask puts right (_pack, to_words).
 
 The reduction. weighted_column_sum adds each column times its weight's
 signed representative (a negative weight -w as w times q minus the
@@ -28,8 +34,8 @@ q = 2^b - 1, such as the default 2^127 - 1, each slot's bits above b
 are added to its low b bits (a fold), as 2^b = 1 mod q: a slot of at
 most M is left at most q + (M >> b). A slot holds at most q * 2^e, e
 the layout's headroom exponent, so one fold leaves it below q + 2^e,
-which is at most 2q when e < b: in every narrow slot once b > 22, as e
-is at most 22 there. The slots twice as wide at 2^127 - 1 (e = 141)
+which is at most 2q when e < b: in every narrow slot once b > 18, as e
+is at most 18 there. The slots twice as wide at 2^127 - 1 (e = 137)
 take a second fold, and a tiny q a few more. At any other q, Barrett's
 quotient estimate, read from each slot's top bits, falls short by at
 most one. Either way one conditional subtraction of q, the slots at or
@@ -40,18 +46,17 @@ over slots twice as wide.
 
 The draw. random_ints reads rng.randbytes as little-endian words, as the
 value-by-value draw it replaced did, so that seeded draws, and so seeded
-share files, stay what they were; the slice copy that spreads a block of
-words into slots reverses each word's bytes at no extra cost.
+share files, stay what they were.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from binascii import Error as BinasciiError, hexlify, unhexlify
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import not_
+from itertools import repeat
 from typing import Iterator, List, Optional, Tuple
 
 # Mersenne prime 2^127 - 1: fast reduction, comfortably above any chunk value.
@@ -66,8 +71,8 @@ MILLER_RABIN_ROUNDS = 64
 # many chunks.
 BLOCK_WORDS = 4096
 
-# Bytes of a slot above its value's word.
-HEADROOM = 2
+# Bits of a slot above its value's word: three hex digits.
+HEADROOM = 12
 # Bits of a slot's value below its top q.bit_length() that the quotient
 # estimate of _reduce reads too.
 _EXTRA = 2
@@ -125,8 +130,8 @@ def word_bytes(modulus: int) -> int:
     return (modulus.bit_length() + 7) // 8
 
 
-def _slot_bytes(modulus: int) -> int:
-    return word_bytes(modulus) + HEADROOM
+def _slot_bits(modulus: int) -> int:
+    return 8 * word_bytes(modulus) + HEADROOM
 
 
 class Block(Sequence):
@@ -144,13 +149,17 @@ class Block(Sequence):
         return self.length
 
     def __iter__(self) -> Iterator[int]:
-        slot, n = _slot_bytes(self.modulus), self.length
+        n, w = self.length, word_bytes(self.modulus)
+        if n <= _SMALL_BLOCK:  # each slot shifted down in turn
+            bits = 8 * w + HEADROOM
+            return map(((1 << bits) - 1).__and__, map(
+                self.word.__rshift__, range((n - 1) * bits, -1, -bits)))
         return map(int.from_bytes, struct.unpack(
-            f"{slot}s" * n, self.word.to_bytes(n * slot, "big")),
-            repeat("big"))
+            f"{w + 3}x{w}s" * (n % 2) + f"x{w}s2x{w}s" * (n // 2),
+            _pairs(self)), repeat("big"))
 
     def __getitem__(self, index):
-        bits, n = 8 * _slot_bytes(self.modulus), self.length
+        bits, n = _slot_bits(self.modulus), self.length
         if isinstance(index, slice):
             start, stop, step = index.indices(n)
             if step != 1:
@@ -169,9 +178,8 @@ class Block(Sequence):
             return NotImplemented
         if not self.length:
             return other
-        bits = 8 * _slot_bytes(self.modulus)
-        return Block(self.word << other.length * bits | other.word,
-                     self.length + other.length, self.modulus)
+        return Block(self.word << other.length * _slot_bits(self.modulus)
+                     | other.word, self.length + other.length, self.modulus)
 
     def __eq__(self, other):
         if isinstance(other, Block) and other.modulus == self.modulus:
@@ -200,41 +208,40 @@ def as_block(values, modulus: int) -> Block:
     values = list(values)
     if values and not (0 <= min(values) and max(values) < modulus):
         raise ValueError(OUT_OF_RANGE)
-    slot = _slot_bytes(modulus)
-    return Block(int.from_bytes(b"".join(map(
-        int.to_bytes, values, repeat(slot), repeat("big"))), "big"),
-        len(values), modulus)
-
-
-def _spread(data: bytes, width: int, slot: int,
-            little: bool = False) -> bytearray:
-    """The words of `width` bytes in `data`, each as the low end of a slot
-    of `slot` bytes, big-endian: as they are, or, when `little`, each
-    word's bytes reversed."""
-    buf = bytearray(len(data) // width * slot)
-    for k in range(width):
-        buf[slot - width + k::slot] = data[width - 1 - k if little else k
-                                           ::width]
-    return buf
+    w = word_bytes(modulus)
+    return Block(_pack(b"".join(map(int.to_bytes, values, repeat(w),
+                                    repeat("big"))), w, modulus),
+                 len(values), modulus)
 
 
 class _Layout:
     """The masks of n slots of `bits` bits for the modulus q, built once
-    (_layout): `qs` holds q in each slot, `top` each slot's top bit,
-    `offset` 2^(bits-1) - q in each slot and `low` the low bits that hold
-    a slot's quotient estimate in _reduce; `high`, when q is 2^b - 1, the
+    (_layout): `qs` holds q in each slot, `top` each slot's top bit and
+    `offset` 2^(bits-1) - q in each slot; when q is 2^b - 1, `high` the
     low bits - b bits of each slot, where its bits above b land once
-    shifted right by b (None at other q); `even`, in the slots of twice
-    the width of a narrow slot, that narrow slot. A weighted sum may be
-    reduced here when its weights' absolute sum is at most `limit`."""
+    shifted right by b, and at other q `low` the low bits that hold a
+    slot's quotient estimate in _reduce (each None otherwise); `pairs`,
+    in narrow slots, every bit of the second slot of each pair of slots
+    counted from the low end, that is of the odd slots of an even block
+    and the even slots of an odd one (None in slots twice as wide). A
+    weighted sum may be reduced here when its weights' absolute sum is at
+    most `limit`."""
 
     __slots__ = ("q", "bits", "limit", "shift", "m", "c", "low", "qs",
-                 "top", "offset", "high", "even")
+                 "top", "offset", "high", "pairs")
 
-    def __init__(self, q: int, n: int, slot: int, spread: int):
-        b = q.bit_length()
-        self.q, self.bits = q, 8 * slot * spread
-        one = int.from_bytes((bytes(slot * spread - 1) + b"\1") * n, "big")
+    def __init__(self, q: int, n: int, spread: int):
+        b, slot = q.bit_length(), _slot_bits(q)
+        self.q, self.bits = q, slot * spread
+        # 1 in the low slot of each pair, a pair being slot / 4 bytes.
+        one = int.from_bytes((bytes(slot // 4 - 1) + b"\1") * -(-n // 2),
+                             "big")
+        self.pairs = None
+        if spread == 1:
+            self.pairs = ((1 << slot) - 1) * one
+            one |= one << slot
+            if n % 2:
+                one ^= 1 << n * slot  # the odd block's empty slot
         # A slot holds less than q * limit < 2^(bits - 1), with the top
         # bit spare; and an estimate's product hi * m fits in its slot.
         e = min(self.bits - 1 - b, (self.bits - 2 * _EXTRA - 2) // 2)
@@ -242,20 +249,21 @@ class _Layout:
         self.shift = b - _EXTRA
         self.c = e + _EXTRA + 2
         self.m = (1 << self.shift + self.c) // q
-        self.low = ((1 << e + _EXTRA) - 1) * one
         self.qs = q * one
         self.top = one << self.bits - 1
         self.offset = self.top - self.qs
-        self.high = (((1 << self.bits - b) - 1) * one if q & q + 1 == 0
-                     else None)
-        self.even = ((1 << 8 * slot) - 1) * one if spread == 2 else None
+        self.low = self.high = None
+        if q & q + 1 == 0:
+            self.high = ((1 << self.bits - b) - 1) * one
+        else:
+            self.low = ((1 << e + _EXTRA) - 1) * one
 
 
 @lru_cache(maxsize=8)
 def _layout(q: int, n: int, spread: int = 1) -> _Layout:
     """The masks of an n-value block mod q, or, with spread 2, of its even
     (or odd) values in slots twice as wide."""
-    return _Layout(q, -(-n // spread), _slot_bytes(q), spread)
+    return _Layout(q, n, spread)
 
 
 def _reduce(x: int, most: int, lay: _Layout) -> int:
@@ -293,6 +301,67 @@ def _weigh(terms: List[Tuple[int, int]], lay: _Layout) -> Tuple[int, int]:
     if under:
         acc += lay.qs * under - neg
     return acc, over * (lay.q - 1) + under * lay.q
+
+
+def _in_range(word: int, lay: _Layout) -> bool:
+    """Whether every slot of `word` holds less than q: a slot of at least
+    q, and less than 2^(bits - 1), sets its top bit once offset is
+    added."""
+    return not (word + lay.offset) & lay.top
+
+
+# The most values of a small block, which _pack converts a value at a
+# time and iteration a slot at a time; a larger block takes a strided
+# slice copy per byte of a word, or one struct, over the whole block.
+_SMALL_BLOCK = 64
+
+
+def _pack(data, width: int, modulus: int, little: bool = False) -> int:
+    """The int of the block mod `modulus` whose values are the words of
+    `width` bytes in `data`, each as it is or, when `little`, with its
+    bytes reversed.
+
+    The words go into pairs of slots as bytes, 2w + 3 each (w =
+    word_bytes): a zero byte, the pair's first word, two zero bytes and
+    its second word, each word padded to w bytes by zeros in front. An
+    odd block's first pair has no first word. Then each pair's first word
+    is shifted 4 bits down, from the top of its bytes to that of its
+    slot."""
+    n, w = len(data) // width, word_bytes(modulus)
+    if n % 2:
+        data = bytes(width) + data
+    count, size, pad = n + n % 2, 2 * w + 3, w - width
+    if count <= _SMALL_BLOCK:
+        # Reversed whole: each word's bytes, and the words' order.
+        words = struct.unpack(f"{width}s" * count,
+                              data[::-1] if little else data)
+        pairs = struct.pack(f"{1 + pad}x{width}s{2 + pad}x{width}s"
+                            * (count // 2),
+                            *(words[::-1] if little else words))
+    else:
+        pairs = bytearray(count // 2 * size)
+        for k in range(width):
+            src = width - 1 - k if little else k
+            pairs[1 + pad + k::size] = data[src::2 * width]
+            pairs[size - width + k::size] = data[width + src::2 * width]
+    # Rebound at each step, so that at most three copies are held.
+    pairs = int.from_bytes(pairs, "big")
+    low = pairs & _layout(modulus, n).pairs
+    pairs ^= low
+    pairs >>= 4
+    return low | pairs
+
+
+def _pairs(block: Block) -> bytes:
+    """The pairs of slots of `block` as bytes (_pack): each pair's first
+    value shifted 4 bits up, from the top of its slot to that of its
+    bytes."""
+    n, q = block.length, block.modulus
+    low = block.word & _layout(q, n).pairs
+    pairs = block.word ^ low
+    pairs <<= 4
+    return (low | pairs).to_bytes(-(-n // 2) * (2 * word_bytes(q) + 3),
+                                  "big")
 
 
 def weighted_column_sum(weights: Sequence[int],
@@ -337,10 +406,10 @@ def weighted_column_sum(weights: Sequence[int],
     if sum(w for w, _ in terms) > wide.limit:
         raise ValueError("too many weights for one sum")
     bits = lay.bits
-    even, odd = (_reduce(*_weigh([(w, col.word >> shift & wide.even)
+    low, high = (_reduce(*_weigh([(w, col.word >> shift & lay.pairs)
                                   for w, col in terms], wide), wide)
                  for shift in (0, bits))
-    return Block(even | odd << bits, n, q)
+    return Block(low | high << bits, n, q)
 
 
 def random_ints(modulus: int, count: int, rng) -> Block:
@@ -354,29 +423,23 @@ def random_ints(modulus: int, count: int, rng) -> Block:
     words are topped up by the next block. With crypto_rng the block is
     os.urandom: nothing expands the entropy.
 
-    The words are spread into slots (_spread) with the mask applied to
-    their top bytes, and tested against the modulus slot by slot at once;
-    when none is out of range, as almost always at 2^127 - 1, the block
-    is kept whole, else the slots in range are kept, in order.
+    The mask is applied to the words' top bytes, the words are packed
+    (_pack) and tested against the modulus slot by slot at once; when
+    none is out of range, as almost always at 2^127 - 1, the block is
+    kept whole, else the values in range are kept, in order.
     """
-    width, slot = word_bytes(modulus), _slot_bytes(modulus)
+    width = word_bytes(modulus)
     top_mask = _TOP_MASKS[modulus.bit_length() - 8 * width + 7]
     out = zeros(0, modulus)
     while len(out) < count:
         n = min(count - len(out), BLOCK_WORDS)
-        buf = _spread(rng.randbytes(n * width), width, slot, little=True)
-        buf[HEADROOM::slot] = buf[HEADROOM::slot].translate(top_mask)
-        word = int.from_bytes(buf, "big")
-        lay = _layout(modulus, n)
-        over = (word + lay.offset) & lay.top
-        if over:
-            # A slot's top bit is in its first byte.
-            kept = b"".join(compress(
-                struct.unpack(f"{slot}s" * n, buf),
-                map(not_, over.to_bytes(n * slot, "big")[::slot])))
-            n = len(kept) // slot
-            word = int.from_bytes(kept, "big")
-        out += Block(word, n, modulus)
+        data = bytearray(rng.randbytes(n * width))
+        # Each little-endian word's top byte.
+        data[width - 1::width] = data[width - 1::width].translate(top_mask)
+        block = Block(_pack(data, width, modulus, little=True), n, modulus)
+        if not _in_range(block.word, _layout(modulus, n)):
+            block = as_block([v for v in block if v < modulus], modulus)
+        out += block
     return out
 
 
@@ -385,9 +448,8 @@ def from_words(data: bytes, width: int, modulus: int) -> Block:
     word_bytes(modulus), that `data` holds one after another; ValueError
     (OUT_OF_RANGE) unless each is below the modulus."""
     n = len(data) // width
-    word = int.from_bytes(_spread(data, width, _slot_bytes(modulus)), "big")
-    lay = _layout(modulus, n)
-    if (word + lay.offset) & lay.top:
+    word = _pack(data, width, modulus)
+    if not _in_range(word, _layout(modulus, n)):
         raise ValueError(OUT_OF_RANGE)
     return Block(word, n, modulus)
 
@@ -395,16 +457,60 @@ def from_words(data: bytes, width: int, modulus: int) -> Block:
 def to_words(block: Block, width: int) -> bytes:
     """The values of `block` as big-endian words of `width` bytes, at most
     word_bytes of its modulus, one after another; ValueError when a value
-    does not fit."""
-    n, slot = block.length, _slot_bytes(block.modulus)
-    data = block.word.to_bytes(n * slot, "big")
-    for k in range(slot - width):
-        if data[k::slot].count(0) != n:
+    does not fit. Its pairs of slots (_pairs) give each word by strided
+    slice copies."""
+    n, w = block.length, word_bytes(block.modulus)
+    pairs, size = _pairs(block), 2 * w + 3
+    for k in range(1, 1 + w - width):  # each word's bytes above width
+        if (pairs[k::size].count(0) + pairs[w + 2 + k::size].count(0)
+                != 2 * (len(pairs) // size)):
             raise ValueError(f"a value does not fit in {width} bytes")
-    out = bytearray(n * width)
+    words = bytearray((n + n % 2) * width)
     for k in range(width):
-        out[k::width] = data[slot - width + k::slot]
-    return bytes(out)
+        words[k::2 * width] = pairs[w + 1 - width + k::size]
+        words[width + k::2 * width] = pairs[size - width + k::size]
+    del words[:n % 2 * width]
+    return bytes(words)
+
+
+def to_hex(block: Block, lead: bytes) -> bytearray:
+    """The values of `block` as text: each as the 2w lowercase hex digits
+    of its w-byte big-endian word (w = word_bytes of its modulus), after
+    the three bytes `lead`. That is the hex of the block's slots, with
+    `lead` over the top three digits of each."""
+    n, stride = block.length, _slot_bits(block.modulus) // 4
+    text = bytearray(hexlify(block.word.to_bytes(-(-n * stride // 2),
+                                                 "big")))
+    del text[:n % 2]  # the digit above an odd number of slots
+    for k in range(3):
+        text[k::stride] = lead[k:k + 1] * n
+    return text
+
+
+def from_hex(text: bytearray, n: int, modulus: int) -> Block:
+    """The Block of the n values that `text` holds as to_hex writes them,
+    but that the first value's lead may be left out, in part or whole:
+    value i's 2w digits end (n - 1 - i) * (2w + 3) bytes before the end,
+    and no lead is read. `text` is changed in place and emptied once
+    read, so that it and the block's int are not held at once.
+    binascii.Error (a ValueError) unless each digit is lowercase hex;
+    ValueError (OUT_OF_RANGE) unless each value is below the modulus.
+
+    The text, behind a zero digit when n is odd and the lead left out, is
+    the hex of the block once each lead is three zeros, as three strided
+    stores make it, in place."""
+    stride = _slot_bits(modulus) // 4
+    text[:0] = b"0" * (n % 2 + n * stride - len(text))
+    if any(map(text.__contains__, b"ABCDEF")):  # unhexlify takes them
+        raise BinasciiError("an upper-case hex digit")
+    for k in range(n % 2, n % 2 + 3):
+        text[k::stride] = b"0" * n
+    raw = unhexlify(text)
+    del text[:]
+    word = int.from_bytes(raw, "big")
+    if not _in_range(word, _layout(modulus, n)):
+        raise ValueError(OUT_OF_RANGE)
+    return Block(word, n, modulus)
 
 
 def echelon_reduce(pivots: list, row: Sequence[int], payload: Sequence[int],

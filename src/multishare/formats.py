@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import os
 import re
-from binascii import Error as BinasciiError, hexlify, unhexlify
+from binascii import Error as BinasciiError
 from itertools import repeat
 from typing import List, Tuple
 
 from .errors import CorruptData
-from .field import (BLOCK_WORDS, OUT_OF_RANGE, Block, as_block, from_words,
-                    to_words, word_bytes, zeros)
+from .field import (BLOCK_WORDS, OUT_OF_RANGE, Block, as_block, from_hex,
+                    to_hex, word_bytes, zeros)
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
 
 FORMAT_VERSION = 1
@@ -35,9 +35,6 @@ MIN_USER_MODULUS = 257
 
 # A field element's text: lowercase hex without leading zeros.
 _HEX = re.compile("0|[1-9a-f][0-9a-f]*")
-# Upper-case hex digits as a byte that is not hex, for unhexlify,
-# which takes both cases, to refuse them.
-_UPPER_NOT_HEX = bytes.maketrans(b"ABCDEF", b"gggggg")
 # A value's text in a v2 share file, whose length is checked apart.
 _LOWER_HEX = re.compile("[0-9a-f]*")
 # What a network id may not hold, since a share file is named after it.
@@ -190,10 +187,9 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
 
     "values" sorts after every header key, so canonical JSON of the header
     with an empty "values" list ends in `[]}`: the header is that, up to
-    the list's `[`. The values, a Block (as_block), take three C-level
-    passes and no object each: their big-endian forms are unpacked whole
-    (to_words), hexlify puts a quote between each two values' digits, and
-    each quote becomes `","`."""
+    the list's `[`. The values, a Block (as_block), are the text that
+    field.to_hex makes with `","` before each, and no object per value:
+    from the first one's `,"`, or its `"` after the header's `[`."""
     values = share.values
     parts = []
     if start == 0:
@@ -201,10 +197,8 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
             {**_share_header(share, modulus, chunk_count),
              "values": []})[:-2])
     if values:
-        width = word_bytes(modulus)
-        raw = to_words(as_block(values, modulus), width)
-        parts += [b',"' if start else b'"',
-                  hexlify(raw, b'"', width).replace(b'"', b'","'), b'"']
+        text = to_hex(as_block(values, modulus), b'","')
+        parts += [memoryview(text)[1 if start else 2:], b'"']
     if start + len(values) == chunk_count:
         parts.append(b"]}\n")
     return b"".join(parts)
@@ -446,7 +440,8 @@ class _ShareValuesV2(ShareValues):
     def _read(self, file, n: int, last: bool) -> Tuple[Block, int]:
         stride, digits = self.stride, 2 * self.width
         end = n * stride  # past the comma, or the `]`, after the last
-        data = file.read(end + 2 if last else end)
+        data = bytearray(end + 2 if last else end)
+        del data[file.readinto(data):]
         # The quotes around each value, the comma between each two, and
         # what follows the last, by strided slices.
         if (data[:end:stride] != b'"' * n
@@ -454,16 +449,10 @@ class _ShareValuesV2(ShareValues):
                 or data[stride - 1:end - stride:stride] != b"," * (n - 1)
                 or data[end - 1:] != (b"]}\n" if last else b",")):
             raise CorruptData(NOT_CANONICAL)
-        # The digits, upper-case ones made non-hex in the same pass; one
-        # more byte of any of those separators among them changes their
-        # count, and unhexlify refuses any other byte but lowercase hex.
-        hex_digits = data.translate(_UPPER_NOT_HEX, b'",]}\n')
-        del data
-        if len(hex_digits) != n * digits:
-            raise CorruptData(NOT_FIXED_HEX.format(digits))
+        # The digits, each value's after the `","` that from_hex skips.
+        del data[end - 2:]
         try:
-            values = from_words(unhexlify(hex_digits), self.width,
-                                self.modulus)
+            values = from_hex(data, n, self.modulus)
         except BinasciiError:
             raise CorruptData(NOT_FIXED_HEX.format(digits)) from None
         except ValueError:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import io
 import math
-from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from .errors import CapacityError, CorruptData, EpochMismatch, Infeasible
 from .field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
@@ -348,18 +347,18 @@ class _QuorumPlan:
                 else weighted_column_sum(self.weights, quorum, q)), bad
 
 
-def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
-                topology: Topology, sink=None) -> List[int]:
+def reconstruct(shares: Iterable[NodeShare], topology: Topology,
+                sink=None) -> List[int]:
     """Recover all chunks, or raise Infeasible naming what is missing.
 
-    `shares` is a mapping of network id to that network's shares, or one
-    stream of shares in any order, checked as a set (check_shares). One
-    rule (_QuorumPlan) recovers at both levels. In each network, the held
-    nodes in index order are the members, and the lowest quorum of them
-    (NetworkSpec.quorum) recovers the network's inner secret. Over the
-    networks, the mother and the daughters with a quorum, in topology
-    order, are the members, and the mother and the first outer_degree
-    such daughters are the quorum that recovers the secret.
+    `shares` is one stream of shares in any order, checked as a set
+    (check_shares). One rule (_QuorumPlan) recovers at both levels. In
+    each network, the held nodes in index order are the members, and the
+    lowest quorum of them (NetworkSpec.quorum) recovers the network's
+    inner secret. Over the networks, the mother and the daughters with a
+    quorum, in topology order, are the members, and the mother and the
+    first outer_degree such daughters are the quorum that recovers the
+    secret.
 
     The stream is read first for the shares themselves. Once check_shares
     has checked and grouped them, each plan is solved. Then the values are
@@ -387,9 +386,7 @@ def reconstruct(shares: Union[Mapping, Iterable[NodeShare]],
     drop them when reconstruct raises.
     """
     q = topology.modulus
-    _, count, held = check_shares(
-        chain.from_iterable(shares.values()) if isinstance(shares, Mapping)
-        else shares, topology)
+    _, count, held = check_shares(shares, topology)
     plans: Dict[str, _QuorumPlan] = {}
     for nid, group in held.items():
         net = topology.spec(nid)

@@ -31,6 +31,8 @@ where the package holds one network's shares at a time. refresh
 evaluates every node's delta into a NodeRefresh record, and
 apply_node_refresh adds one to a share, where the package keeps each
 network's coefficient columns and updates a share from them in one pass.
+chained makes of deal's mapping of network id to shares the one stream of
+shares that protocol.reconstruct takes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from multishare import formats
@@ -63,6 +66,13 @@ def random_ints(modulus: int, count: int, rng) -> List[int]:
                 if (v := from_bytes(block[i:i + width], "little")
                     & mask) < modulus]
     return out
+
+
+def chained(shares: Dict[str, Sequence[NodeShare]]) -> List[NodeShare]:
+    """The shares of a mapping of network id to that network's shares, as
+    deal returns them, in one stream, network by network: what
+    protocol.reconstruct takes."""
+    return list(chain.from_iterable(shares.values()))
 
 
 def horner(coeffs: Sequence[int], x: int, q: int) -> int:

@@ -19,7 +19,7 @@ from multishare.protocol import (Access, LinkKind, NetworkSpec, Topology,
                                  decode_secret, encode_secret, reconstruct,
                                  refresh)
 from multishare.simnet import Scenario, run_scenario
-from reference import derivative_coeffs, horner
+from reference import chained, derivative_coeffs, horner
 from test_poly import birkhoff_coeffs, interpolate_zero
 
 
@@ -124,7 +124,7 @@ def test_criterion_4_access_dichotomy():
             subset.setdefault(nid, []).append(
                 next(s for s in dealt[nid] if s.node_index == j))
         try:
-            ok = reconstruct(subset, t) == chunks
+            ok = reconstruct(chained(subset), t) == chunks
         except Infeasible:
             ok = False
         assert ok == (access_oracle(held, t) is Access.RECONSTRUCTS)
@@ -255,13 +255,13 @@ def test_criterion_8_refresh_suite():
         deltas = refresh(t, len(chunks), epoch, rng)
         dealt = {nid: [apply_node_refresh(s, deltas[nid]) for s in shares]
                  for nid, shares in dealt.items()}
-        assert decode_secret(reconstruct(dealt, t), q) == msg
+        assert decode_secret(reconstruct(chained(dealt), t), q) == msg
     # Cross-epoch mixing rejected.
     stale = deal(chunks, t, rng)
     mixed = dict(dealt)
     mixed["d1"] = stale["d1"]
     with pytest.raises(EpochMismatch):
-        reconstruct(mixed, t)
+        reconstruct(chained(mixed), t)
     # Post-refresh share value exactly uniform at q=7 under exhaustive
     # refresh-randomness enumeration (all polynomials with R(0)=0).
     q7, k = 7, 3

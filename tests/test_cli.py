@@ -206,6 +206,35 @@ class TestDeal:
         assert json.loads((out / "manifest.json").read_text())[
             "chunk_count"] == 1
 
+    def test_uncertified_shape_warns(self, tmp_path, capsys):
+        # At 65537 the closed form is not certified for ten networks with
+        # D = 5 (65537 < lcm(1..5) * 6 * 7 * 8 * 9): deal warns once on
+        # stderr, and its stdout and exit code are what they would be.
+        topo = tmp_path / "topology.json"
+        write_topology(topo, q=65537, outer=5, counts=(2,) * 10,
+                       degrees=(1,) * 10)
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes(b"x" * 100)
+        out = tmp_path / "shares"
+        capsys.readouterr()
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"dealt 52 chunks to 20 nodes in {out}\n"
+        assert captured.err == (
+            "warning: closed form not certified at modulus 65537: its "
+            "thresholds may overstate secrecy (see thresholds)\n")
+
+    def test_certified_shape_does_not_warn(self, workspace, capsys):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        capsys.readouterr()
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"dealt 4 chunks to 9 nodes in {out}\n"
+        assert captured.err == ""
+
     def test_missing_topology_is_usage_error(self, workspace, capsys):
         tmp, _, secret = workspace
         with pytest.raises(SystemExit) as err:

@@ -4,14 +4,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
-from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, _layout,
-                              _reduce, as_block, crypto_rng,
+from multishare.field import (_SMALL_BLOCK, BLOCK_WORDS, DEFAULT_MODULUS,
+                              Block, _layout, _reduce, as_block, crypto_rng,
                               deterministic_rng, echelon_insert,
-                              express_over_rows, from_words,
-                              is_probable_prime, random_ints, to_words,
-                              weighted_column_sum, word_bytes, zeros)
+                              express_over_rows, from_hex, from_words,
+                              is_probable_prime, random_ints, to_hex,
+                              to_words, weighted_column_sum, word_bytes,
+                              zeros)
 from multishare.formats import share_to_dict
 from multishare.protocol import NodeShare
 
@@ -450,6 +452,100 @@ class TestBlocksMatchReference:
         for bad in ([q], [-1], [0, q + 5]):
             with pytest.raises(ValueError):
                 as_block(bad, q)
+
+
+# A modulus of each word width the slot layout meets: one byte with a
+# spare nibble, two bytes, three, a non-Mersenne prime of 13 bytes (so
+# Barrett's reduction) and the default.
+LAYOUT_MODULI = [5, 257, 65537, 2**100 - 15, DEFAULT_MODULUS]
+# Block lengths odd and even, either side of the most values of a small
+# block and of BLOCK_WORDS.
+LAYOUT_LENGTHS = [1, 2, 3, _SMALL_BLOCK - 1, _SMALL_BLOCK,
+                  _SMALL_BLOCK + 1, BLOCK_WORDS - 1, BLOCK_WORDS,
+                  BLOCK_WORDS + 1]
+
+
+def layout_values(q, n, seed):
+    """n values below q, each 0, q - 1 or a random one."""
+    rng = random.Random(seed)
+    return [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n)]
+
+
+class TestSlotLayout:
+    """The block layout, a slot of 2w + 3 hex digits per value, against
+    the per-value references (tests/reference.py) at every modulus and
+    length above, over seeds: draws, words, hex and the wide sum, which
+    splits a block's slots into its pairs."""
+
+    @pytest.mark.parametrize("q", LAYOUT_MODULI)
+    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_random_ints(self, q, n, seed):
+        fast, slow = deterministic_rng(seed), deterministic_rng(seed)
+        assert list(random_ints(q, n, fast)) == reference.random_ints(
+            q, n, slow)
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("q", LAYOUT_MODULI)
+    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_words(self, q, n, seed):
+        values = layout_values(q, n, seed)
+        for width in range(max(word_bytes(q) - 1, 1), word_bytes(q) + 1):
+            try:
+                data = reference.ints_to_words(values, width)
+            except OverflowError:
+                with pytest.raises(ValueError, match="does not fit"):
+                    to_words(as_block(values, q), width)
+                continue
+            block = from_words(data, width, q)
+            assert list(block) == reference.words_to_ints(data, width, q)
+            assert block == as_block(values, q)
+            assert list(block) == values
+            assert to_words(block, width) == data
+
+    @pytest.mark.parametrize("q", LAYOUT_MODULI)
+    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_hex(self, q, n, seed):
+        # Each value's fixed-width hex after its lead; read back with the
+        # first lead whole, in part or left out.
+        values = layout_values(q, n, seed)
+        digits = 2 * word_bytes(q)
+        block = as_block(values, q)
+        text = to_hex(block, b'","')
+        assert text == b"".join(b'","%0*x' % (digits, v) for v in values)
+        for cut in range(4):
+            assert from_hex(bytearray(text[cut:]), n, q) == block
+
+    @pytest.mark.parametrize("q", LAYOUT_MODULI)
+    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_wide_sum(self, q, n, seed):
+        # Full-size weights take the wide path wherever they outgrow the
+        # headroom, 65537 and up here.
+        rng = random.Random(seed)
+        columns = [layout_values(q, n, seed + k) for k in range(3)]
+        weights = [rng.randrange(q // 2, q) for _ in columns]
+        assert (list(weighted_column_sum(weights, columns, q))
+                == reference.weighted_column_sum(weights, columns, q))
+
+    def test_from_hex_refuses(self):
+        q = DEFAULT_MODULUS
+        text = to_hex(as_block([1, q - 1, 2], q), b'","')
+        for bad, error in ((text.replace(b"f", b"F", 1), "upper-case"),
+                           (text.replace(b"1", b"g", 1), "Non-hex"),
+                           (text.replace(b"7f", b"80", 1), "out of range")):
+            with pytest.raises(ValueError, match=error):
+                from_hex(bytearray(bad), 3, q)
 
 
 class TestBlockOperands:

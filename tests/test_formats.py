@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from multishare.formats import (canonical_json, share_file_block,
                                 share_to_dict, topology_digest,
                                 topology_to_dict)
 from multishare.protocol import LinkKind, NetworkSpec, NodeShare, Topology
+from test_field import LAYOUT_LENGTHS, LAYOUT_MODULI, layout_values
 
 B = BLOCK_WORDS
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -231,6 +233,16 @@ class TestFixedWidth:
                 read_whole(path, q)
             assert str(err.value).startswith(f"cannot read share {path}: ")
 
+    @pytest.mark.parametrize("data", [b'"values":["00"]}\n',
+                                      b'{"epoch":,"values":["00"]}\n'])
+    def test_header_not_json_refused(self, tmp_path, data):
+        # The text up to the "values" key is no JSON document.
+        path = tmp_path / "m_001.share.json"
+        path.write_bytes(data)
+        with pytest.raises(formats.UnreadableShare) as err:
+            formats.read_share(path, DEFAULT_MODULUS)
+        assert str(err.value) == (
+            f"cannot read share {path}: {formats.NOT_CANONICAL}")
 
     @pytest.mark.parametrize("q", [65537, DEFAULT_MODULUS])
     def test_every_byte_at_a_digit(self, tmp_path, q):
@@ -263,6 +275,54 @@ class TestFixedWidth:
                     formats.read_share(path, q).values.read_rest()
                 assert str(err.value) == (
                     f"cannot read share {path}: {message}"), (at, byte)
+
+
+class TestSlotStride:
+    """The v2 writer and reader convert a block of values through the
+    field's slot layout, a slot being a value's stride in the file
+    (field.to_hex, field.from_hex): against the per-value writer and
+    reader of tests/reference.py at the moduli and lengths of
+    tests/test_field.py's TestSlotLayout, and with each byte in turn at
+    each separator before a value, the bytes that the reader overwrites
+    once its strided checks have passed."""
+
+    @pytest.mark.parametrize("q", LAYOUT_MODULI)
+    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
+    @settings(max_examples=2, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_bytes_match_reference(self, q, n, seed):
+        share = NodeShare("d1", 2, 3, tuple(layout_values(q, n, seed)))
+        data = share_bytes(share, q)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d1_002.share.json"
+            path.write_bytes(data)
+            assert read_whole(path, q) == share
+        assert reference.read_share_bytes(data, q) == share
+
+    @pytest.mark.parametrize("n, at", [(5, 2), (B + 1, B)])
+    def test_every_byte_at_a_separator(self, tmp_path, n, at):
+        # The closing quote of value at - 1, the comma and the opening
+        # quote of value `at`: inside a block, and across the edge of the
+        # first block. Any other byte there is refused by both readers,
+        # by read_share as not in the layout the tools write.
+        q = 65537
+        share = NodeShare("m", 1, 0, tuple(layout_values(q, n, n)))
+        data = share_bytes(share, q)
+        opening = (data.index(b'"values":["') + len(b'"values":[')
+                   + at * (2 * word_bytes(q) + 3))
+        path = tmp_path / "m_001.share.json"
+        for pos in range(opening - 2, opening + 1):
+            for byte in set(range(256)) - {data[pos]}:
+                bad = data[:pos] + bytes([byte]) + data[pos + 1:]
+                path.write_bytes(bad)
+                with pytest.raises(CorruptData):
+                    reference.read_share_bytes(bad, q)
+                with pytest.raises(formats.UnreadableShare) as err:
+                    formats.read_share(path, q).values.read_rest()
+                assert str(err.value) == (
+                    f"cannot read share {path}: {formats.NOT_CANONICAL}"
+                ), (pos, byte)
 
 
 class TestV1Faults:

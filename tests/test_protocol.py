@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import chained
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
 from multishare import field, protocol
@@ -343,7 +344,7 @@ class TestDeal:
         assert rng.values == []
         assert dealt["m"][0].values == ((4 + 3 + 2) % 11, (0 + 6 + 7) % 11)
         assert dealt["d1"][1].values == ((3 + 2 * 5) % 11, (6 + 2 * 4) % 11)
-        assert reconstruct(dealt, t) == [4, 0]
+        assert reconstruct(chained(dealt), t) == [4, 0]
 
     @pytest.mark.parametrize("q", [257, DEFAULT_MODULUS],
                              ids=["q257", "q2^127-1"])
@@ -369,8 +370,8 @@ class TestDeal:
                     for d in want[net.id]] == [d.values for d in want[net.id]]
         refreshed = {nid: [apply_node_refresh(s, deltas[nid]) for s in lst]
                      for nid, lst in dealt.items()}
-        assert reconstruct(refreshed, t) == chunks
-        assert reconstruct(dealt, t) == chunks
+        assert reconstruct(chained(refreshed), t) == chunks
+        assert reconstruct(chained(dealt), t) == chunks
 
 
 class TestReconstruct:
@@ -382,22 +383,22 @@ class TestReconstruct:
     def test_quorum_exact_subset(self):
         t, dealt = self._dealt_example()
         subset = {"m": dealt["m"][:2], "d1": [dealt["d1"][0], dealt["d1"][2]]}
-        assert reconstruct(subset, t)[0] == 4
+        assert reconstruct(chained(subset), t)[0] == 4
 
     def test_maximal_set(self):
         t, dealt = self._dealt_example()
-        assert reconstruct(dealt, t)[0] == 4
+        assert reconstruct(chained(dealt), t)[0] == 4
 
     def test_missing_mother_infeasible(self):
         t, dealt = self._dealt_example()
         with pytest.raises(Infeasible) as err:
-            reconstruct({"d1": dealt["d1"], "d2": dealt["d2"]}, t)
+            reconstruct(chained({"d1": dealt["d1"], "d2": dealt["d2"]}), t)
         assert "mother" in str(err.value)
 
     def test_missing_daughters_infeasible(self):
         t, dealt = self._dealt_example()
         with pytest.raises(Infeasible) as err:
-            reconstruct({"m": dealt["m"]}, t)
+            reconstruct(chained({"m": dealt["m"]}), t)
         assert "daughter" in str(err.value)
 
     @pytest.mark.parametrize("network_id, node_index", [
@@ -408,14 +409,15 @@ class TestReconstruct:
         stray = dealt["m"][1]._replace(network_id=network_id,
                                        node_index=node_index)
         with pytest.raises(CorruptData, match="not a node"):
-            reconstruct({"m": [dealt["m"][0], stray], "d1": dealt["d1"]}, t)
+            reconstruct(chained({"m": [dealt["m"][0], stray],
+                                 "d1": dealt["d1"]}), t)
 
     def test_epoch_mix_rejected(self):
         t, dealt = self._dealt_example()
         moved = [NodeShare("d1", s.node_index, 1, s.values)
                  for s in dealt["d1"]]
         with pytest.raises(EpochMismatch):
-            reconstruct({"m": dealt["m"], "d1": moved}, t)
+            reconstruct(chained({"m": dealt["m"], "d1": moved}), t)
 
     def _foreign_d2(self):
         """topo3 dealt, with d2's shares, consistent with one another,
@@ -434,13 +436,13 @@ class TestReconstruct:
         bad = dealt["m"][2]._replace(values=(0, 0))
         with pytest.raises(CorruptData, match="network m: the share of "
                                               "node 3"):
-            reconstruct({**dealt, "m": [*dealt["m"][:2], bad]}, t)
+            reconstruct(chained({**dealt, "m": [*dealt["m"][:2], bad]}), t)
         with pytest.raises(Infeasible, match="mother"):
-            reconstruct({**dealt, "m": dealt["m"][:1]}, t)
+            reconstruct(chained({**dealt, "m": dealt["m"][:1]}), t)
         # Without d1, d2 is the chosen daughter.
-        assert reconstruct({"d2": dealt["d2"], "m": dealt["m"]},
+        assert reconstruct(chained({"d2": dealt["d2"], "m": dealt["m"]}),
                            t) != [4, 5]
-        assert reconstruct({"d1": dealt["d1"], "m": dealt["m"]},
+        assert reconstruct(chained({"d1": dealt["d1"], "m": dealt["m"]}),
                            t) == [4, 5]
 
     def test_round_trip_random_topologies(self):
@@ -462,7 +464,7 @@ class TestReconstruct:
             subset = {"n0": dealt["n0"][:nets[0].inner_degree + 1]}
             for net in t.daughters()[:outer]:
                 subset[net.id] = dealt[net.id][:net.inner_degree + 1]
-            assert reconstruct(subset, t) == chunks
+            assert reconstruct(chained(subset), t) == chunks
 
 
 class TestThresholdFormulas:
@@ -819,7 +821,7 @@ class TestAccessOracle:
                     row = space.delta_row(nid, j, round_no)
                     assert list(network_refresh.delta(j)) == [
                         dot(row, v) for v in vectors]
-        got = reconstruct(shares, t)
+        got = reconstruct(chained(shares), t)
         assert got == chunks
         if secret is not None:
             assert decode_secret(got, q) == secret
@@ -841,7 +843,7 @@ class TestAccessOracle:
                 subset.setdefault(nid, []).append(
                     next(s for s in dealt[nid] if s.node_index == j))
             try:
-                ok = reconstruct(subset, t) == chunks
+                ok = reconstruct(chained(subset), t) == chunks
             except Infeasible:
                 ok = False
             verdict = access_oracle(held, t)
@@ -859,7 +861,7 @@ class TestRefresh:
             dealt = {nid: [apply_node_refresh(s, deltas[nid])
                            for s in shares]
                      for nid, shares in dealt.items()}
-            assert reconstruct(dealt, t) == chunks
+            assert reconstruct(chained(dealt), t) == chunks
 
     def test_shapes(self):
         t = topo3()
@@ -877,7 +879,7 @@ class TestRefresh:
         mixed["d1"] = [apply_node_refresh(s, deltas["d1"])
                        for s in dealt["d1"]]
         with pytest.raises(EpochMismatch):
-            reconstruct(mixed, t)
+            reconstruct(chained(mixed), t)
 
     def test_cross_epoch_capture_no_information(self):
         # One node before refresh plus a different node after refresh,
@@ -1262,8 +1264,8 @@ class TestVaultMatchesReference:
         # A random subset of the shares, perhaps with one network's inner
         # secret shifted (a constant added to each of its values, so that
         # only the outer check can see it), a corrupted value and a share
-        # of another epoch, given as a mapping and as one stream in a
-        # random order: the outcome is the reference's, errors included,
+        # of another epoch, given network by network and as one stream in
+        # a random order: the outcome is the reference's, errors included,
         # as a failed check decides over any disagreement.
         t, chunks, seed = vault
         q = t.modulus
@@ -1288,7 +1290,7 @@ class TestVaultMatchesReference:
         for s in shares:
             grouped.setdefault(s.network_id, []).append(s)
         want = _error_or(reference.reconstruct, grouped, t)
-        assert _error_or(reconstruct, grouped, t) == want
+        assert _error_or(reconstruct, chained(grouped), t) == want
         stream = data.draw(st.permutations(shares))
         assert _error_or(reconstruct, iter(stream), t) == want
 
@@ -1308,4 +1310,4 @@ class TestEndToEnd:
             t = Topology(q, tuple(nets), 0, rng.randrange(1, l))
             msg = rng.randbytes(rng.randrange(1, 200))
             dealt = deal(encode_secret(msg, q), t, rng)
-            assert decode_secret(reconstruct(dealt, t), q) == msg
+            assert decode_secret(reconstruct(chained(dealt), t), q) == msg

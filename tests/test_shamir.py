@@ -15,7 +15,7 @@ from multishare.protocol import (LinkKind, NetworkRefresh, NetworkSpec,
                                  NodeShare, Topology, apply_node_refresh,
                                  birkhoff_matrix_row, check_shares, deal,
                                  reconstruct, refresh)
-from reference import derivative_coeffs, horner
+from reference import chained, derivative_coeffs, horner
 from test_poly import birkhoff_coeffs, interpolate_zero
 from test_protocol import ScriptedRng
 
@@ -128,11 +128,11 @@ class TestReconstruct:
         daughter = [NodeShare("d1", 1, 0, (1,))]
         good = [NodeShare("m", x, 0, (y,))
                 for x, y in ((1, 5), (2, 0), (3, 2))]
-        assert reconstruct({"m": good, "d1": daughter}, topo) == (
-            reconstruct({"m": good[:2], "d1": daughter}, topo))
+        assert reconstruct(chained({"m": good, "d1": daughter}), topo) == (
+            reconstruct(chained({"m": good[:2], "d1": daughter}), topo))
         bad = good[:2] + [NodeShare("m", 3, 0, (6,))]
         with pytest.raises(CorruptData, match="network m: .* node 3"):
-            reconstruct({"m": bad, "d1": daughter}, topo)
+            reconstruct(chained({"m": bad, "d1": daughter}), topo)
 
     def test_round_trip_exhaustive_q7(self):
         rng = deterministic_rng(11)
@@ -291,7 +291,7 @@ class TestRefresh:
             points = [(s.node_index, s.values[0]) for s in dealt["m"]]
             for subset in itertools.combinations(points, 2):
                 assert interpolate_zero(subset, 7) == inner
-            assert reconstruct(dealt, t) == [4]
+            assert reconstruct(chained(dealt), t) == [4]
 
     def test_post_refresh_value_uniform_q7(self):
         # Exhaustive over refresh polynomials with Q(0)=0 (any degree
