@@ -150,10 +150,6 @@ class Block(Sequence):
 
     def __iter__(self) -> Iterator[int]:
         n, w = self.length, word_bytes(self.modulus)
-        if n <= _SMALL_BLOCK:  # each slot shifted down in turn
-            bits = 8 * w + HEADROOM
-            return map(((1 << bits) - 1).__and__, map(
-                self.word.__rshift__, range((n - 1) * bits, -1, -bits)))
         return map(int.from_bytes, struct.unpack(
             f"{w + 3}x{w}s" * (n % 2) + f"x{w}s2x{w}s" * (n // 2),
             _pairs(self)), repeat("big"))
@@ -310,10 +306,11 @@ def _in_range(word: int, lay: _Layout) -> bool:
     return not (word + lay.offset) & lay.top
 
 
-# The most values of a small block, which _pack converts a value at a
-# time and iteration a slot at a time; a larger block takes a strided
-# slice copy per byte of a word, or one struct, over the whole block.
-_SMALL_BLOCK = 64
+# The most values of a block that _pack converts by one struct, an object
+# per word; a larger block takes two strided slice copies per byte of a
+# word, whose fixed cost a short block does not repay. At 2^127 - 1 the
+# two cost the same for a draw of 128 to 192 values.
+_SMALL_BLOCK = 128
 
 
 def _pack(data, width: int, modulus: int, little: bool = False) -> int:

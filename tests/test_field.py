@@ -277,12 +277,13 @@ class TestKernelsMatchReference:
     """The C-level draw and column sum against the per-value loops they
     replaced (tests/reference.py): same values, same words consumed."""
 
-    MODULI = [2, 7, 257, 65537, DEFAULT_MODULUS]
+    MODULI = [2, 5, 7, 257, 65537, 2**100 - 15, DEFAULT_MODULUS]
 
     @pytest.mark.parametrize("q", MODULI)
     def test_random_ints(self, q):
-        for count in (0, 1, 5, BLOCK_WORDS - 1, BLOCK_WORDS,
-                      BLOCK_WORDS + 1, 3 * BLOCK_WORDS + 7):
+        for count in (0, 1, 2, 3, 5, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                      BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1,
+                      3 * BLOCK_WORDS + 7):
             fast, slow = deterministic_rng(count), deterministic_rng(count)
             got = random_ints(q, count, fast)
             assert got == reference.random_ints(q, count, slow)
@@ -355,8 +356,11 @@ class TestBlocksMatchReference:
     +-1, q - 1, (q +- 1)/2 and random full-size ones, up to 8 terms."""
 
     MODULI = [2, 3, 5, 7, 31, 127, 257, 8191, 65537, 2**31 - 1, 2**32 - 5,
-              2**61 - 1, 2**89 - 1, DEFAULT_MODULUS, 2**521 - 1]
-    LENGTHS = [0, 1, 2, BLOCK_WORDS - 1, BLOCK_WORDS]
+              2**61 - 1, 2**89 - 1, 2**100 - 15, DEFAULT_MODULUS,
+              2**521 - 1]
+    # Either side of each length at which _pack changes path.
+    LENGTHS = [0, 1, 2, 3, _SMALL_BLOCK, _SMALL_BLOCK + 1, BLOCK_WORDS - 1,
+               BLOCK_WORDS, BLOCK_WORDS + 1]
 
     @staticmethod
     def _columns(q, n, k, rng):
@@ -458,11 +462,8 @@ class TestBlocksMatchReference:
 # spare nibble, two bytes, three, a non-Mersenne prime of 13 bytes (so
 # Barrett's reduction) and the default.
 LAYOUT_MODULI = [5, 257, 65537, 2**100 - 15, DEFAULT_MODULUS]
-# Block lengths odd and even, either side of the most values of a small
-# block and of BLOCK_WORDS.
-LAYOUT_LENGTHS = [1, 2, 3, _SMALL_BLOCK - 1, _SMALL_BLOCK,
-                  _SMALL_BLOCK + 1, BLOCK_WORDS - 1, BLOCK_WORDS,
-                  BLOCK_WORDS + 1]
+# Block lengths odd and even, either side of BLOCK_WORDS.
+LAYOUT_LENGTHS = [1, 2, 3, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1]
 
 
 def layout_values(q, n, seed):
@@ -474,39 +475,9 @@ def layout_values(q, n, seed):
 class TestSlotLayout:
     """The block layout, a slot of 2w + 3 hex digits per value, against
     the per-value references (tests/reference.py) at every modulus and
-    length above, over seeds: draws, words, hex and the wide sum, which
-    splits a block's slots into its pairs."""
-
-    @pytest.mark.parametrize("q", LAYOUT_MODULI)
-    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
-    @settings(max_examples=3, deadline=None, derandomize=True,
-              database=None)
-    @given(seed=st.integers(0, 2**32))
-    def test_random_ints(self, q, n, seed):
-        fast, slow = deterministic_rng(seed), deterministic_rng(seed)
-        assert list(random_ints(q, n, fast)) == reference.random_ints(
-            q, n, slow)
-        assert fast.getstate() == slow.getstate()
-
-    @pytest.mark.parametrize("q", LAYOUT_MODULI)
-    @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
-    @settings(max_examples=3, deadline=None, derandomize=True,
-              database=None)
-    @given(seed=st.integers(0, 2**32))
-    def test_words(self, q, n, seed):
-        values = layout_values(q, n, seed)
-        for width in range(max(word_bytes(q) - 1, 1), word_bytes(q) + 1):
-            try:
-                data = reference.ints_to_words(values, width)
-            except OverflowError:
-                with pytest.raises(ValueError, match="does not fit"):
-                    to_words(as_block(values, q), width)
-                continue
-            block = from_words(data, width, q)
-            assert list(block) == reference.words_to_ints(data, width, q)
-            assert block == as_block(values, q)
-            assert list(block) == values
-            assert to_words(block, width) == data
+    length above, over seeds: hex and the wide sum, which splits a
+    block's slots into its pairs. The draws and the words are checked in
+    TestKernelsMatchReference and TestBlocksMatchReference."""
 
     @pytest.mark.parametrize("q", LAYOUT_MODULI)
     @pytest.mark.parametrize("n", LAYOUT_LENGTHS)
