@@ -74,8 +74,6 @@ def _load_topology(path: str, chunking: bool = False) -> Topology:
         topology = formats.topology_from_dict(_read_json(path, "topology"))
         if chunking:
             chunk_size(topology.modulus)
-    except CorruptData as exc:
-        raise CliError(EXIT_INPUT, str(exc))
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"topology {path}: {exc}")
     return topology

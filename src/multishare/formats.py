@@ -169,11 +169,10 @@ def _share_header(share: NodeShare, modulus: int,
 
 
 def share_to_dict(share: NodeShare, modulus: int) -> dict:
-    """The share file's document: each value as the hex of its
-    word_bytes-byte big-endian form, leading zeros included."""
-    digits = 2 * word_bytes(modulus)
-    return {**_share_header(share, modulus, len(share.values)),
-            "values": [f"{v:0{digits}x}" for v in share.values]}
+    """The share file's document, as share_file_block writes it: each
+    value as the hex of its word_bytes-byte big-endian form, leading
+    zeros included."""
+    return json.loads(share_file_block(share, modulus, 0, len(share.values)))
 
 
 def share_file_block(share: NodeShare, modulus: int, start: int,
@@ -181,9 +180,9 @@ def share_file_block(share: NodeShare, modulus: int, start: int,
     """The bytes of the share file of chunk_count values that hold
     share.values, as values start.. of that file: its header first when
     start is 0, and its closing `]}` and newline after the last value.
-    Written one after another, the blocks of a share make
-    canonical_json(share_to_dict(share, modulus)) and a newline; with
-    every value at once, one block is the whole file.
+    Written one after another, the blocks of a share make its file, the
+    canonical JSON of its document and a newline; with every value at
+    once, one block is the whole file.
 
     "values" sorts after every header key, so canonical JSON of the header
     with an empty "values" list ends in `[]}`: the header is that, up to

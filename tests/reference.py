@@ -33,6 +33,14 @@ apply_node_refresh adds one to a share, where the package keeps each
 network's coefficient columns and updates a share from them in one pass.
 chained makes of deal's mapping of network id to shares the one stream of
 shares that protocol.reconstruct takes.
+
+interpolate_zero and birkhoff_coeffs are the sharing tests' polynomial
+oracles, built on the package's own solvers: interpolate_zero recovers
+P(0) from points through protocol.lagrange_zero_weights, and
+birkhoff_coeffs every coefficient from (point, order, value)
+constraints, by one field.express_over_rows per coefficient over
+protocol.birkhoff_matrix_row rows. tests/test_protocol.py checks both on
+hand examples and exhaustively over small fields.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ from multishare import formats
 from multishare.errors import CorruptData, Infeasible
 from multishare.field import BLOCK_WORDS, express_over_rows, word_bytes
 from multishare.protocol import (LENGTH_HEADER, Access, NetworkSpec,
-                                 NodeShare, Topology, check_shares,
-                                 chunk_size, constant_functional,
-                                 lagrange_zero_weights)
+                                 NodeShare, Topology, birkhoff_matrix_row,
+                                 check_shares, chunk_size,
+                                 constant_functional, lagrange_zero_weights)
 
 
 def random_ints(modulus: int, count: int, rng) -> List[int]:
@@ -86,6 +94,30 @@ def horner(coeffs: Sequence[int], x: int, q: int) -> int:
 def derivative_coeffs(coeffs: Sequence[int], q: int) -> List[int]:
     """Formal derivative: coefficient i*c_i shifted down one slot."""
     return [i * c % q for i, c in enumerate(coeffs)][1:] or [0]
+
+
+def interpolate_zero(points, q: int) -> int:
+    """P(0) from (x, P(x)) points, through lagrange_zero_weights."""
+    weights = lagrange_zero_weights([x for x, _ in points], q)
+    return sum(w * y for w, (_, y) in zip(weights, points)) % q
+
+
+def birkhoff_coeffs(constraints, degree: int, q: int) -> Optional[List[int]]:
+    """Coefficients a_0..a_degree of the polynomial meeting every
+    (point, order, value) constraint: one express_over_rows per
+    coefficient over the constraints' birkhoff_matrix_row rows. None when
+    some coefficient is undetermined."""
+    rows = [birkhoff_matrix_row(x, order, degree, q)
+            for x, order, _ in constraints]
+    coeffs = []
+    for t in range(degree + 1):
+        weights = express_over_rows(
+            rows, [int(i == t) for i in range(degree + 1)], q)
+        if weights is None:
+            return None
+        coeffs.append(sum(w * v for w, (_, _, v) in zip(weights, constraints))
+                      % q)
+    return coeffs
 
 
 def weighted_column_sum(weights: Sequence[int],

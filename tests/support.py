@@ -1,0 +1,160 @@
+"""Fixtures that several test modules share: make_topology, which
+builds every topology of the standard ids, the enumeration of small
+systems, a scripted entropy source, the block layouts' moduli and
+lengths, and the CLI runner with its file-fault injector. A test module
+imports helpers from here, from reference.py and from multishare, never
+from another test module (tests/test_imports.py checks it)."""
+
+import errno
+import itertools
+import os
+import random
+from pathlib import Path
+
+from multishare import vault
+from multishare.cli import main
+from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
+from multishare.protocol import LinkKind, NetworkSpec, Topology
+
+
+def make_topology(q, nets=((3, 1),) * 3, outer=1, mother=0):
+    """The topology at modulus q of `nets`, one (node count, inner
+    degree) pair per network in topology order, of outer degree `outer`.
+    Network `mother` is the mother "m", on the ITS link; the others are
+    the daughters "d1", "d2", ... in order, each on a classical link. By
+    default three networks of three nodes and inner degree 1."""
+    return Topology(q, tuple(
+        NetworkSpec("m", n, d, LinkKind.ITS) if i == mother else
+        NetworkSpec(f"d{i + (i < mother)}", n, d, LinkKind.CLASSICAL)
+        for i, (n, d) in enumerate(nets)), mother, outer)
+
+
+def all_nodes(topology):
+    """(network id, node index) of every node, in topology order."""
+    return [(net.id, j) for net in topology.networks
+            for j in range(1, net.node_count + 1)]
+
+
+def enumerate_specs(max_networks=4, max_nodes=4, max_degree=2):
+    """(outer degree, ((node count, inner degree), ...)) of every small
+    system, mother first: 5,346 with the defaults."""
+    specs = [(n, d) for n in range(1, max_nodes + 1)
+             for d in range(0, max_degree + 1) if d + 1 <= n]
+    for l in range(2, max_networks + 1):
+        for mother in specs:
+            for daughters in itertools.combinations_with_replacement(
+                    specs, l - 1):
+                for outer in range(1, l):
+                    yield outer, (mother,) + daughters
+
+
+def enumerated_held_sets():
+    """(topology, held nodes) on a seeded sample of the enumerated small
+    topologies at q = 257, each node held with probability 0.6."""
+    rng = random.Random(2024)
+    out = []
+    for outer, nets in rng.sample(list(enumerate_specs()), 600):
+        t = make_topology(257, nets, outer)
+        out.append((t, [node for node in all_nodes(t)
+                        if rng.random() < 0.6]))
+    return out
+
+
+class ScriptedRng:
+    """Feeds randbytes from a fixed list of values (for forced
+    polynomials), each as one ceil(bits/8)-byte little-endian word for a
+    field of this modulus, the width the field's sampler reads."""
+
+    def __init__(self, values, modulus):
+        self.values = list(values)
+        self.width = (modulus.bit_length() + 7) // 8
+
+    def randbytes(self, n):
+        assert n % self.width == 0
+        words = [self.values.pop(0) for _ in range(n // self.width)]
+        return b"".join(v.to_bytes(self.width, "little") for v in words)
+
+
+# A modulus of each word width the slot layout meets: one byte with a
+# spare nibble, two bytes, three, a non-Mersenne prime of 13 bytes (so
+# Barrett's reduction) and the default.
+LAYOUT_MODULI = [5, 257, 65537, 2**100 - 15, DEFAULT_MODULUS]
+# Block lengths odd and even, either side of BLOCK_WORDS.
+LAYOUT_LENGTHS = [1, 2, 3, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1]
+
+
+def layout_values(q, n, seed):
+    """n values below q, each 0, q - 1 or a random one."""
+    rng = random.Random(seed)
+    return [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n)]
+
+
+def run(argv):
+    """The CLI's exit code for `argv`, each argument as its str."""
+    return main([str(a) for a in argv])
+
+
+def snapshot(directory: Path) -> dict:
+    """Every file in `directory`, by name."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class FaultyFiles:
+    """Counts the file mutations a command makes (writes, fsyncs,
+    replaces and unlinks) and fails the k-th with EIO; a failed write
+    leaves half its bytes. A file written whole (Path.write_bytes) is one
+    write, and so is each block written to or appended to a file
+    (vault._write_block). With `crash`, every later mutation fails too and
+    writes nothing, as if the process had died at the k-th: the error
+    path's cleanup is then skipped."""
+
+    def __init__(self, fail_at=None, crash=False):
+        self.fail_at, self.crash = fail_at, crash
+        self.log = []
+
+    def _fails(self, kind) -> bool:
+        self.log.append(kind)
+        k = len(self.log)
+        return self.fail_at is not None and (
+            k == self.fail_at or self.crash and k > self.fail_at)
+
+    def run(self, monkeypatch, argv) -> int:
+        return self.call(monkeypatch, run, argv)
+
+    def call(self, monkeypatch, fn, *args):
+        """fn(*args) with the file mutations counted and faulted."""
+        write_bytes, fsync = Path.write_bytes, os.fsync
+        replace, unlink = os.replace, Path.unlink
+        write_block = vault._write_block
+
+        def fault():
+            return OSError(errno.EIO, "injected fault")
+
+        def faulty_write_bytes(path, data):
+            if self._fails("write"):
+                if len(self.log) == self.fail_at:
+                    write_bytes(path, data[:len(data) // 2])
+                raise fault()
+            return write_bytes(path, data)
+
+        def faulty_write_block(path, data, mode):
+            if self._fails("write"):
+                if len(self.log) == self.fail_at:
+                    write_block(path, data[:len(data) // 2], mode)
+                raise fault()
+            return write_block(path, data, mode)
+
+        def faulty(kind, real):
+            def call(*args, **kwargs):
+                if self._fails(kind):
+                    raise fault()
+                return real(*args, **kwargs)
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_bytes", faulty_write_bytes)
+            patch.setattr(vault, "_write_block", faulty_write_block)
+            patch.setattr(Path, "unlink", faulty("unlink", unlink))
+            patch.setattr(os, "fsync", faulty("fsync", fsync))
+            patch.setattr(os, "replace", faulty("replace", replace))
+            return fn(*args)

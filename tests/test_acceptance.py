@@ -12,15 +12,15 @@ from multishare.cli import main as cli_main
 from multishare.errors import EpochMismatch, Infeasible
 from multishare.field import DEFAULT_MODULUS, deterministic_rng
 from multishare.formats import canonical_json, topology_to_dict
-from multishare.protocol import (Access, LinkKind, NetworkSpec, Topology,
-                                 access_oracle, apply_node_refresh,
+from multishare.protocol import (Access, access_oracle, apply_node_refresh,
                                  compute_thresholds_exhaustive,
                                  compute_thresholds_formula, deal,
                                  decode_secret, encode_secret, reconstruct,
                                  refresh)
 from multishare.simnet import Scenario, run_scenario
-from reference import chained, derivative_coeffs, horner
-from test_poly import birkhoff_coeffs, interpolate_zero
+from reference import (birkhoff_coeffs, chained, derivative_coeffs, horner,
+                       interpolate_zero)
+from support import all_nodes, enumerate_specs, make_topology
 
 
 def report(number, name, started, budget):
@@ -29,29 +29,9 @@ def report(number, name, started, budget):
     print(f"ACCEPTANCE {number} ({name}): PASS ({elapsed:.1f}s)")
 
 
-def enumerate_specs(max_networks=4, max_nodes=4, max_degree=2):
-    """(outer degree, ((node count, inner degree), ...)) of every small
-    system, mother first: 5,346 with the defaults."""
-    specs = [(n, d) for n in range(1, max_nodes + 1)
-             for d in range(0, max_degree + 1) if d + 1 <= n]
-    for l in range(2, max_networks + 1):
-        for mother in specs:
-            for daughters in itertools.combinations_with_replacement(
-                    specs, l - 1):
-                for outer in range(1, l):
-                    yield outer, (mother,) + daughters
-
-
-def build_topology(outer, nets, q=257):
-    specs = [NetworkSpec("m" if i == 0 else f"d{i}", n, d,
-                         LinkKind.ITS if i == 0 else LinkKind.CLASSICAL)
-             for i, (n, d) in enumerate(nets)]
-    return Topology(q, tuple(specs), 0, outer)
-
-
 def enumerate_topologies(q=257, **bounds):
     for outer, nets in enumerate_specs(**bounds):
-        yield build_topology(outer, nets, q)
+        yield make_topology(q, nets, outer)
 
 
 def test_criterion_1_shamir_exhaustive():
@@ -63,7 +43,7 @@ def test_criterion_1_shamir_exhaustive():
     rng = deterministic_rng(1)
     for n in range(1, 6):
         for k in range(1, n + 1):
-            t = build_topology(1, ((n, k - 1), (1, 0)), q)
+            t = make_topology(q, ((n, k - 1), (1, 0)))
             for secret in range(q):
                 dealt = deal([secret], t, rng)
                 (slope,) = dealt["d1"][0].values
@@ -109,14 +89,10 @@ def test_criterion_4_access_dichotomy():
     started = time.monotonic()
     # Part A: l=3, three nodes per network, all degrees 1 -- all 512
     # subsets; actual reconstruction agrees with the rank verdict.
-    q = 11
-    nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-            NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-            NetworkSpec("d2", 3, 1, LinkKind.CLASSICAL))
-    t = Topology(q, nets, 0, 1)
+    t = make_topology(11)
     chunks = [6]
     dealt = deal(chunks, t, deterministic_rng(4))
-    nodes = [(net.id, j) for net in nets for j in (1, 2, 3)]
+    nodes = all_nodes(t)
     for bits in range(2 ** 9):
         held = [nodes[i] for i in range(9) if bits >> i & 1]
         subset = {}
@@ -133,9 +109,7 @@ def test_criterion_4_access_dichotomy():
     # subset has an exactly secret-independent joint distribution under
     # exhaustive dealer-randomness enumeration.
     q = 7
-    nets = (NetworkSpec("m", 2, 1, LinkKind.ITS),
-            NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL))
-    t = Topology(q, nets, 0, 1)
+    t = make_topology(q, ((2, 1),) * 2)
     nodes = [("m", 1), ("m", 2), ("d1", 1), ("d1", 2)]
 
     def value(nid, j, secret, p1, q0, q1):
@@ -196,11 +170,8 @@ def test_criterion_6_whole_network_compromise():
 
 
 def _scenario(schedule):
-    nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-            NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-            NetworkSpec("d2", 3, 1, LinkKind.CLASSICAL))
     return Scenario.from_dict({
-        "topology": topology_to_dict(Topology(65537, nets, 0, 1)),
+        "topology": topology_to_dict(make_topology(65537)),
         "secret_hex": b"long-term secret".hex(),
         "schedule": schedule,
     })
@@ -243,10 +214,7 @@ def test_criterion_8_refresh_suite():
     started = time.monotonic()
     # Secret preserved across 5 refresh rounds (protocol level).
     q = 65537
-    nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-            NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-            NetworkSpec("d2", 3, 1, LinkKind.CLASSICAL))
-    t = Topology(q, nets, 0, 1)
+    t = make_topology(q)
     rng = deterministic_rng(8)
     msg = b"refresh me"
     chunks = encode_secret(msg, q)
@@ -278,10 +246,7 @@ def test_criterion_8_refresh_suite():
 
 def test_criterion_9_cli_round_trip_1mib(tmp_path):
     started = time.monotonic()
-    nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-            NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-            NetworkSpec("d2", 3, 1, LinkKind.CLASSICAL))
-    topo = Topology(DEFAULT_MODULUS, nets, 0, 1)
+    topo = make_topology(DEFAULT_MODULUS)
     topo_path = tmp_path / "topology.json"
     topo_path.write_text(json.dumps(topology_to_dict(topo)))
     data = deterministic_rng(9).randbytes(1 << 20)
@@ -306,7 +271,7 @@ def test_mobile_adversary_100_rounds_hndl(tmp_path):
     throughout, one more daughter node captured per round, then mother
     nodes 2 and 3. Only the third mother node reveals the secret."""
     started = time.monotonic()
-    topo = build_topology(2, ((5, 2),) * 4, DEFAULT_MODULUS)
+    topo = make_topology(DEFAULT_MODULUS, ((5, 2),) * 4, 2)
     daughters = [(f"d{i}", j) for j in range(1, 6) for i in range(1, 4)]
     schedule = [{"event": "deal"}, {"event": "hndl_decrypt_classical"},
                 {"event": "compromise_node", "network": "m", "node": 1}]

@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from multishare import cli, formats, vault
-from multishare.cli import main
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS, deterministic_rng,
                               is_probable_prime, word_bytes)
 from multishare.formats import topology_to_dict
-from multishare.protocol import (LENGTH_HEADER, LinkKind, NetworkSpec,
-                                 SecretDecoder, Topology, chunk_size, deal,
-                                 encode_secret)
+from multishare.protocol import (LENGTH_HEADER, SecretDecoder, chunk_size,
+                                 deal, encode_secret)
 from multishare.simnet import EVENTS, load_state
+from support import FaultyFiles, make_topology, run, snapshot
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,13 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ESCAPING_IDS = ["../evil", "a\x00b", "\ud800"]
 
 
-def write_topology(path: Path, q=DEFAULT_MODULUS, outer=1,
-                   counts=(3, 3, 3), degrees=(1, 1, 1)):
-    nets = tuple(
-        NetworkSpec(("m" if i == 0 else f"d{i}"), c, d,
-                    LinkKind.ITS if i == 0 else LinkKind.CLASSICAL)
-        for i, (c, d) in enumerate(zip(counts, degrees)))
-    topo = Topology(q, nets, 0, outer)
+def write_topology(path: Path, q=DEFAULT_MODULUS, **layout):
+    """make_topology(q, **layout), written to `path` as JSON."""
+    topo = make_topology(q, **layout)
     path.write_text(json.dumps(topology_to_dict(topo)))
     return topo
 
@@ -52,15 +47,6 @@ def workspace(tmp_path):
     secret_path = tmp_path / "secret.bin"
     secret_path.write_bytes(b"the crown jewels " * 3)
     return tmp_path, topo_path, secret_path
-
-
-def run(argv):
-    return main([str(a) for a in argv])
-
-
-def snapshot(directory: Path) -> dict:
-    """Every file in `directory`, by name."""
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def files_under(directory: Path) -> dict:
@@ -211,8 +197,7 @@ class TestDeal:
         # D = 5 (65537 < lcm(1..5) * 6 * 7 * 8 * 9): deal warns once on
         # stderr, and its stdout and exit code are what they would be.
         topo = tmp_path / "topology.json"
-        write_topology(topo, q=65537, outer=5, counts=(2,) * 10,
-                       degrees=(1,) * 10)
+        write_topology(topo, q=65537, nets=((2, 1),) * 10, outer=5)
         secret = tmp_path / "secret.bin"
         secret.write_bytes(b"x" * 100)
         out = tmp_path / "shares"
@@ -1457,9 +1442,9 @@ class TestShareFileLayouts:
 
     B = BLOCK_WORDS
 
-    def _vault(self, tmp, chunks, counts=(3, 3, 3), degrees=(1, 1, 1)):
+    def _vault(self, tmp, chunks, **layout):
         topo = tmp / "topology.json"
-        write_topology(topo, counts=counts, degrees=degrees)
+        write_topology(topo, **layout)
         secret = tmp / "secret.bin"
         data = chunks_secret(secret, chunks)
         out = tmp / "shares"
@@ -1556,7 +1541,7 @@ class TestShareFileLayouts:
         # Two networks of two nodes; the first block of values ends, and
         # the second begins, at `edge`. Cut there and at the end, +-8
         # bytes, the cut that drops only the final newline included.
-        topo, _, out = self._vault(tmp_path, self.B + 9, (2, 2), (1, 1))
+        topo, _, out = self._vault(tmp_path, self.B + 9, nets=((2, 1),) * 2)
         path = out / "m_001.share.json"
         data = path.read_bytes()
         values = json.loads(data)["values"]
@@ -2248,67 +2233,6 @@ class TestRefresh:
         assert refresh_rss <= 1.15 * deal_rss, (deal_rss, refresh_rss)
 
 
-class FaultyFiles:
-    """Counts the file mutations a command makes (writes, fsyncs,
-    replaces and unlinks) and fails the k-th with EIO; a failed write
-    leaves half its bytes. A file written whole (Path.write_bytes) is one
-    write, and so is each block written to or appended to a file
-    (vault._write_block). With `crash`, every later mutation fails too and
-    writes nothing, as if the process had died at the k-th: the error
-    path's cleanup is then skipped."""
-
-    def __init__(self, fail_at=None, crash=False):
-        self.fail_at, self.crash = fail_at, crash
-        self.log = []
-
-    def _fails(self, kind) -> bool:
-        self.log.append(kind)
-        k = len(self.log)
-        return self.fail_at is not None and (
-            k == self.fail_at or self.crash and k > self.fail_at)
-
-    def run(self, monkeypatch, argv) -> int:
-        return self.call(monkeypatch, run, argv)
-
-    def call(self, monkeypatch, fn, *args):
-        """fn(*args) with the file mutations counted and faulted."""
-        write_bytes, fsync = Path.write_bytes, os.fsync
-        replace, unlink = os.replace, Path.unlink
-        write_block = vault._write_block
-
-        def fault():
-            return OSError(errno.EIO, "injected fault")
-
-        def faulty_write_bytes(path, data):
-            if self._fails("write"):
-                if len(self.log) == self.fail_at:
-                    write_bytes(path, data[:len(data) // 2])
-                raise fault()
-            return write_bytes(path, data)
-
-        def faulty_write_block(path, data, mode):
-            if self._fails("write"):
-                if len(self.log) == self.fail_at:
-                    write_block(path, data[:len(data) // 2], mode)
-                raise fault()
-            return write_block(path, data, mode)
-
-        def faulty(kind, real):
-            def call(*args, **kwargs):
-                if self._fails(kind):
-                    raise fault()
-                return real(*args, **kwargs)
-            return call
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_bytes", faulty_write_bytes)
-            patch.setattr(vault, "_write_block", faulty_write_block)
-            patch.setattr(Path, "unlink", faulty("unlink", unlink))
-            patch.setattr(os, "fsync", faulty("fsync", fsync))
-            patch.setattr(os, "replace", faulty("replace", replace))
-            return fn(*args)
-
-
 class TestRefreshFaults:
     """A refresh that fails or dies at any file mutation leaves a directory
     that holds the secret at the old epoch or the new one."""
@@ -2425,7 +2349,7 @@ class TestThresholds:
         tmp, _, _ = workspace
         big = tmp / "big.json"
         # One network more than the subset walk's bound.
-        write_topology(big, q=257, counts=(2,) * 13, degrees=(1,) * 13)
+        write_topology(big, q=257, nets=((2, 1),) * 13)
         assert run(["thresholds", "--topology", big, "--oracle"]) == 4
         assert "13 networks" in capsys.readouterr().err
 
@@ -2434,7 +2358,7 @@ class TestThresholds:
         # degree plus one, as the thresholds without --oracle take it.
         tmp, _, _ = workspace
         big = tmp / "big.json"
-        write_topology(big, q=257, counts=(102, 2, 2), degrees=(101, 1, 1))
+        write_topology(big, q=257, nets=((102, 101), (2, 1), (2, 1)))
         assert run(["thresholds", "--topology", big, "--oracle"]) == 0
         out = capsys.readouterr().out
         exhaustive = out[out.index("exhaustive-search thresholds:"):]
@@ -2447,7 +2371,7 @@ class TestThresholds:
         # 27 nodes, beyond the former total-node bound of 20.
         tmp, _, _ = workspace
         big = tmp / "big.json"
-        write_topology(big, q=257, counts=(9, 9, 9), degrees=(1, 1, 1))
+        write_topology(big, q=257, nets=((9, 1),) * 3)
         assert run(["thresholds", "--topology", big, "--oracle"]) == 0
         assert ("DISCREPANCY: t_f1 formula=8 exhaustive=16 (the closed form "
                 "disables one daughter too few)\n"
@@ -2466,8 +2390,7 @@ class TestThresholds:
         # the exhaustive thresholds follow, once with --oracle too.
         tmp, _, _ = workspace
         path = tmp / "t257.json"
-        write_topology(path, q=257, outer=4, counts=(3,) * 7,
-                       degrees=(1,) * 7)
+        write_topology(path, q=257, nets=((3, 1),) * 7, outer=4)
         outs = []
         for oracle in ([], ["--oracle"]):
             assert run(["thresholds", "--topology", path, *oracle]) == 0
@@ -2485,8 +2408,7 @@ class TestThresholds:
     def test_uncertified_beyond_the_bound(self, workspace, capsys):
         tmp, _, _ = workspace
         path = tmp / "big.json"
-        write_topology(path, q=257, outer=4, counts=(2,) * 13,
-                       degrees=(1,) * 13)
+        write_topology(path, q=257, nets=((2, 1),) * 13, outer=4)
         assert run(["thresholds", "--topology", path]) == 0
         assert capsys.readouterr().out.endswith(
             "  t_fail     = 1\nclosed form not certified at modulus 257\n"

@@ -16,6 +16,7 @@ from multishare.field import (_SMALL_BLOCK, BLOCK_WORDS, DEFAULT_MODULUS,
                               zeros)
 from multishare.formats import share_to_dict
 from multishare.protocol import NodeShare
+from support import LAYOUT_LENGTHS, LAYOUT_MODULI, layout_values
 
 
 def add(a, b, q=7):
@@ -456,20 +457,6 @@ class TestBlocksMatchReference:
         for bad in ([q], [-1], [0, q + 5]):
             with pytest.raises(ValueError):
                 as_block(bad, q)
-
-
-# A modulus of each word width the slot layout meets: one byte with a
-# spare nibble, two bytes, three, a non-Mersenne prime of 13 bytes (so
-# Barrett's reduction) and the default.
-LAYOUT_MODULI = [5, 257, 65537, 2**100 - 15, DEFAULT_MODULUS]
-# Block lengths odd and even, either side of BLOCK_WORDS.
-LAYOUT_LENGTHS = [1, 2, 3, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1]
-
-
-def layout_values(q, n, seed):
-    """n values below q, each 0, q - 1 or a random one."""
-    rng = random.Random(seed)
-    return [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n)]
 
 
 class TestSlotLayout:

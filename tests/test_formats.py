@@ -16,7 +16,7 @@ from multishare.formats import (canonical_json, share_file_block,
                                 share_to_dict, topology_digest,
                                 topology_to_dict)
 from multishare.protocol import LinkKind, NetworkSpec, NodeShare, Topology
-from test_field import LAYOUT_LENGTHS, LAYOUT_MODULI, layout_values
+from support import LAYOUT_LENGTHS, LAYOUT_MODULI, layout_values
 
 B = BLOCK_WORDS
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -25,11 +25,6 @@ ESCAPED_IDS = [
     "", 'quote"', "back\\slash", "new\nline", "tab\t", "percent %x %s %%",
     "café", "☃ snow", "emoji \U0001f600", "\x00nul", "}]",
     '","values":["1']
-
-
-def expected_file(share: NodeShare, modulus: int) -> bytes:
-    """The share file as canonical JSON of the full share dict."""
-    return canonical_json(share_to_dict(share, modulus)) + b"\n"
 
 
 def file_blocks(share: NodeShare, modulus: int) -> list:
@@ -41,7 +36,7 @@ def file_blocks(share: NodeShare, modulus: int) -> list:
             for i in range(0, max(n, 1), B)]
 
 
-def share_bytes(share: NodeShare, modulus: int) -> bytes:
+def streamed_bytes(share: NodeShare, modulus: int) -> bytes:
     """The streamed share file, joined; it must also equal the file that
     share_file_block makes of every value at once, and the one that the
     per-value writer of tests/reference.py builds."""
@@ -62,7 +57,7 @@ def read_whole(path, modulus: int) -> NodeShare:
 
 class TestShareWriter:
     """share_file_block, three C-level passes per block of values, against
-    canonical_json(share_to_dict(...))."""
+    the per-value writer of tests/reference.py."""
 
     @pytest.mark.parametrize("q", [257, 65537, DEFAULT_MODULUS])
     @pytest.mark.parametrize("values", [
@@ -75,18 +70,18 @@ class TestShareWriter:
             rng = random.Random(q)
             values = tuple(rng.randrange(q) for _ in range(5000))
         share = NodeShare("d1", 3, 7, values)
-        assert share_bytes(share, q) == expected_file(share, q)
+        assert streamed_bytes(share, q) == reference.share_bytes(share, q)
 
     @pytest.mark.parametrize("network_id", ESCAPED_IDS)
     def test_network_id_needs_escaping(self, network_id):
         for values in ((), (0,), (5, 0, 2**100)):
             share = NodeShare(network_id, 1, 0, values)
-            assert (share_bytes(share, DEFAULT_MODULUS)
-                    == expected_file(share, DEFAULT_MODULUS))
+            assert (streamed_bytes(share, DEFAULT_MODULUS)
+                    == reference.share_bytes(share, DEFAULT_MODULUS))
 
     def test_list_values_and_large_fields(self):
         share = NodeShare("m", 2**40, 2**63, [3, 0, 10])
-        assert share_bytes(share, 257) == expected_file(share, 257)
+        assert streamed_bytes(share, 257) == reference.share_bytes(share, 257)
 
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_block_edges(self, n):
@@ -98,8 +93,8 @@ class TestShareWriter:
         for network_id in ("d1", "percent %x %s %%", '","values":["1',
                            "\x00nul"):
             share = NodeShare(network_id, 2, 5, values)
-            assert (share_bytes(share, DEFAULT_MODULUS)
-                    == expected_file(share, DEFAULT_MODULUS))
+            assert (streamed_bytes(share, DEFAULT_MODULUS)
+                    == reference.share_bytes(share, DEFAULT_MODULUS))
 
     def test_blocks_are_bounded(self):
         # No block holds more than BLOCK_WORDS values: the header comes
@@ -119,7 +114,7 @@ class TestShareWriter:
         rng = random.Random(3)
         share = NodeShare("m", 2, 4, tuple(rng.randrange(DEFAULT_MODULUS)
                                            for _ in range(300)))
-        data = json.loads(share_bytes(share, DEFAULT_MODULUS))
+        data = json.loads(streamed_bytes(share, DEFAULT_MODULUS))
         assert formats.share_from_dict(data, DEFAULT_MODULUS) == share
 
     @pytest.mark.parametrize("edit, message", [
@@ -162,7 +157,7 @@ class TestFixedWidth:
         values = tuple(rng.choice((0, q - 1, rng.randrange(q)))
                        for _ in range(n))
         share = NodeShare("d1", 2, 3, values)
-        data = share_bytes(share, q)
+        data = streamed_bytes(share, q)
         path = tmp_path / "d1_002.share.json"
         path.write_bytes(data)
         if not n:
@@ -222,7 +217,7 @@ class TestFixedWidth:
         # The first value has a letter to put in upper case.
         share = NodeShare("m", 1, 0, (q - 2,) + tuple(
             rng.randrange(q) for _ in range(B + 1)))
-        data = share_bytes(share, q)
+        data = streamed_bytes(share, q)
         path = tmp_path / "m_001.share.json"
         for name, bad in self._faults(data, q):
             assert bad != data, name
@@ -252,7 +247,7 @@ class TestFixedWidth:
         # reader takes, and refuses every other with the reason.
         digits = 2 * word_bytes(q)
         share = NodeShare("m", 1, 0, (0, 1, q // 3, 5, q - 1))
-        data = share_bytes(share, q)
+        data = streamed_bytes(share, q)
         first = data.index(b'"values":["') + len(b'"values":["')
         stride = digits + 3
         path = tmp_path / "m_001.share.json"
@@ -293,7 +288,7 @@ class TestSlotStride:
     @given(seed=st.integers(0, 2**32))
     def test_bytes_match_reference(self, q, n, seed):
         share = NodeShare("d1", 2, 3, tuple(layout_values(q, n, seed)))
-        data = share_bytes(share, q)
+        data = streamed_bytes(share, q)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d1_002.share.json"
             path.write_bytes(data)
@@ -308,7 +303,7 @@ class TestSlotStride:
         # by read_share as not in the layout the tools write.
         q = 65537
         share = NodeShare("m", 1, 0, tuple(layout_values(q, n, n)))
-        data = share_bytes(share, q)
+        data = streamed_bytes(share, q)
         opening = (data.index(b'"values":["') + len(b'"values":[')
                    + at * (2 * word_bytes(q) + 3))
         path = tmp_path / "m_001.share.json"
@@ -416,7 +411,7 @@ class TestReadInOrder:
         share = NodeShare("m", 1, 0, tuple(range(2 * B + 1)))
         path = tmp_path / "m_001.share.json"
         path.write_bytes(reference.share_bytes_v1(share, q) if version == 1
-                         else share_bytes(share, q))
+                         else streamed_bytes(share, q))
         values = formats.read_share(path, q).values
         for index in (slice(1, B), slice(B, 2 * B), slice(0, B, 2)):
             with pytest.raises(ValueError, match="in order"):
@@ -436,7 +431,7 @@ class TestReadInOrder:
         share = NodeShare("m", 1, 0, tuple(range(B + 1)))
         path = tmp_path / "m_001.share.json"
         path.write_bytes(reference.share_bytes_v1(share, q) if version == 1
-                         else share_bytes(share, q))
+                         else streamed_bytes(share, q))
         values = formats.read_share(path, q).values
         assert len(values[0:0]) == 0
         assert list(values[0:B]) == list(range(B))

@@ -1,9 +1,9 @@
 """Every name that a module of the package imports is used in it, and
 every function, method and class it defines is named somewhere else in
 the package: an import or a definition that nothing uses is dead code.
-The exceptions are listed below, each with its reason. And no module
+The exceptions are listed below, each with its reason. No module
 imports `dataclasses`, whose own imports would add to every command's
-start-up."""
+start-up. And no test module imports another."""
 
 import ast
 import os
@@ -146,17 +146,30 @@ def test_each_kept_definition_is_still_unreferenced():
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
+def imported_modules(path: Path) -> list:
+    """The module that each import statement in file `path` names (None
+    for `from . import ...`)."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module)
+    return names
+
+
 def test_no_module_imports_dataclasses():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
-            else:
-                continue
-            assert "dataclasses" not in names, path.name
+        assert "dataclasses" not in imported_modules(path), path.name
+
+
+def test_no_test_module_imports_another():
+    # What several test modules share lives in tests/support.py and
+    # tests/reference.py, so that each test module reads and runs alone.
+    assert [(path.name, name)
+            for path in sorted((ROOT / "tests").glob("*.py"))
+            for name in imported_modules(path)
+            if name and name.split(".")[0].startswith("test_")] == []
 
 
 def modules_after(statement: str) -> set:

@@ -9,54 +9,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from reference import chained
+from reference import (birkhoff_coeffs, chained, derivative_coeffs, horner,
+                       interpolate_zero)
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
 from multishare import field, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
-                              deterministic_rng, is_probable_prime)
+                              deterministic_rng, express_over_rows,
+                              is_probable_prime)
 from multishare.protocol import (Access, LinkKind, NetworkSpec, NodeShare,
                                  Thresholds, Topology, access_oracle,
-                                 apply_node_refresh,
+                                 apply_node_refresh, birkhoff_matrix_row,
                                  compute_thresholds_exhaustive,
                                  compute_thresholds_formula, deal,
-                                 decode_secret, encode_secret, reconstruct,
-                                 refresh)
-from test_acceptance import build_topology, enumerate_specs
-from test_simnet import enumerated_held_sets
-
-
-class ScriptedRng:
-    """Feeds randbytes from a fixed list of values (for forced
-    polynomials), each as one ceil(bits/8)-byte little-endian word for a
-    field of this modulus, the width the field's sampler reads."""
-
-    def __init__(self, values, modulus):
-        self.values = list(values)
-        self.width = (modulus.bit_length() + 7) // 8
-
-    def randbytes(self, n):
-        assert n % self.width == 0
-        words = [self.values.pop(0) for _ in range(n // self.width)]
-        return b"".join(v.to_bytes(self.width, "little") for v in words)
-
-
-def topo3(q=11, n=3, inner=1, outer=1):
-    nets = (NetworkSpec("m", n, inner, LinkKind.ITS),
-            NetworkSpec("d1", n, inner, LinkKind.CLASSICAL),
-            NetworkSpec("d2", n, inner, LinkKind.CLASSICAL))
-    return Topology(q, nets, 0, outer)
-
-
-def all_nodes(topology):
-    return [(net.id, j) for net in topology.networks
-            for j in range(1, net.node_count + 1)]
+                                 decode_secret, encode_secret,
+                                 lagrange_zero_weights, reconstruct, refresh)
+from support import (ScriptedRng, all_nodes, enumerate_specs,
+                     enumerated_held_sets, make_topology)
 
 
 def dense_sample():
     """The seeded sample of small topologies (at q = 257) on which the
     exhaustive thresholds are checked against the dense reference."""
-    return [build_topology(outer, nets) for outer, nets
+    return [make_topology(257, nets, outer) for outer, nets
             in random.Random(4).sample(list(enumerate_specs()), 150)]
 
 
@@ -153,12 +128,146 @@ def plain_walk_thresholds(topology):
 
 def twelve_networks(outer):
     """12 networks of 12 nodes and inner degree 3: the exhaustive bound."""
-    return build_topology(outer, [(12, 3)] * 12, q=DEFAULT_MODULUS)
+    return make_topology(DEFAULT_MODULUS, [(12, 3)] * 12, outer)
+
+
+def value_and_slopes(coeffs, q, d):
+    """The constraints P(1) and P'(1..d) of the polynomial `coeffs`."""
+    dp = derivative_coeffs(coeffs, q)
+    return ([(1, 0, horner(coeffs, 1, q))]
+            + [(i, 1, horner(dp, i, q)) for i in range(1, d + 1)])
+
+
+class TestEvaluate:
+    def test_hand_values(self):
+        assert horner([3, 2], 1, 7) == 5
+        assert horner([3, 2], 2, 7) == 0  # 7 mod 7
+
+    def test_at_zero_is_constant(self):
+        assert horner([4, 1, 6], 0, 11) == 4
+
+
+class TestNormalization:
+    def test_trailing_zeros_dropped(self):
+        for x in range(7):
+            assert horner([1, 2, 0, 0], x, 7) == horner([1, 2], x, 7)
+
+    def test_zero_polynomial(self):
+        assert all(horner([0, 0], x, 7) == 0 for x in range(7))
+        assert derivative_coeffs([0], 7) == [0]
+
+
+class TestDerivative:
+    def test_hand_example(self):
+        # 3 + 2X + 5X^2 over F_7 -> 2 + 3X  (10 mod 7 = 3)
+        assert derivative_coeffs([3, 2, 5], 7) == [2, 3]
+
+    def test_constant(self):
+        assert derivative_coeffs([5], 7) == [0]
+
+    def test_degree_one(self):
+        assert derivative_coeffs([4, 3], 11) == [3]
+
+    def test_linearity(self):
+        rng = deterministic_rng(5)
+        q = 11
+        for _ in range(30):
+            p = [rng.randrange(q) for _ in range(4)]
+            r = [rng.randrange(q) for _ in range(4)]
+            a, b = rng.randrange(q), rng.randrange(q)
+            lhs = derivative_coeffs([a * u + b * v for u, v in zip(p, r)], q)
+            rhs = [(a * u + b * v) % q for u, v in
+                   zip(derivative_coeffs(p, q), derivative_coeffs(r, q))]
+            assert lhs == rhs
+
+
+class TestLagrange:
+    def test_hand_examples(self):
+        assert interpolate_zero([(1, 5), (2, 0)], 7) == 3
+        assert interpolate_zero([(1, 8), (3, 7)], 11) == 3
+
+    def test_single_point(self):
+        assert interpolate_zero([(1, 4)], 7) == 4
+
+    def test_duplicate_x_rejected(self):
+        with pytest.raises(ValueError):
+            lagrange_zero_weights([1, 1], 7)
+
+    def test_x_zero_rejected(self):
+        with pytest.raises(ValueError):
+            lagrange_zero_weights([0], 7)
+
+    def test_round_trip_exhaustive_q7(self):
+        # Every polynomial of degree <= 3 comes back from d+1 evaluations.
+        q = 7
+        for d in range(4):
+            for coeffs in itertools.product(range(q), repeat=d + 1):
+                pts = [(x, horner(coeffs, x, q)) for x in range(1, d + 2)]
+                assert interpolate_zero(pts, q) == coeffs[0]
+
+
+class TestBirkhoff:
+    def test_hand_example_degree2(self):
+        q = 11
+        cons = [(1, 0, 1), (2, 1, 1), (3, 1, 0)]
+        assert birkhoff_coeffs(cons, 2, q) == [4, 3, 5]
+
+    def test_hand_example_degree1(self):
+        q = 11
+        cons = [(1, 0, 7), (1, 1, 3)]
+        assert birkhoff_coeffs(cons, 1, q) == [4, 3]
+
+    def test_degree_zero(self):
+        assert birkhoff_coeffs([(0, 0, 5)], 0, 7) == [5]
+
+    def test_duplicate_constraint_rejected(self):
+        # A repeated (point, order) adds no information: degree 1 stays
+        # undetermined.
+        cons = [(1, 0, 1), (1, 0, 2)]
+        assert birkhoff_coeffs(cons, 1, 11) is None
+
+    def test_wrong_count_rejected(self):
+        # One constraint cannot fix a degree-1 polynomial.
+        assert birkhoff_coeffs([(1, 0, 1)], 1, 11) is None
+
+    def test_derivative_only_singular(self):
+        cons = [(1, 1, 1), (2, 1, 1)]
+        assert birkhoff_coeffs(cons, 1, 11) is None
+
+    def test_consistency_exhaustive_q11(self):
+        # Value at 1 plus derivatives at 1..d always returns p exactly.
+        q = 11
+        for d in range(1, 4):
+            for coeffs in itertools.product(range(q), repeat=d + 1):
+                cons = value_and_slopes(coeffs, q, d)
+                assert birkhoff_coeffs(cons, d, q) == list(coeffs)
+
+    def test_underdetermined_with_d_constraints(self):
+        # d constraints for degree d: rank of the constraint matrix <= d.
+        q = 11
+        rng = deterministic_rng(3)
+        for d in range(1, 4):
+            for _ in range(20):
+                rows = []
+                seen = set()
+                while len(rows) < d:
+                    pt = rng.randrange(1, q)
+                    order = rng.randrange(2)
+                    if (pt, order) in seen:
+                        continue
+                    seen.add((pt, order))
+                    rows.append(birkhoff_matrix_row(pt, order, d, q))
+                # rank <= d: some unit vector of F_q^(d+1) is outside
+                # the span.
+                units = [[int(i == t) for i in range(d + 1)]
+                         for t in range(d + 1)]
+                assert any(express_over_rows(rows, e, q) is None
+                           for e in units)
 
 
 class TestTopology:
     def test_valid(self):
-        t = topo3()
+        t = make_topology(11)
         assert t.mother.id == "m"
         assert [n.id for n in t.daughters()] == ["d1", "d2"]
         assert t.derivative_point("d1") == 1
@@ -169,30 +278,26 @@ class TestTopology:
 
     def test_needs_two_networks(self):
         with pytest.raises(ValueError):
-            Topology(11, (NetworkSpec("m", 3, 1, LinkKind.ITS),), 0, 1)
+            make_topology(11, [(3, 1)])
 
     def test_outer_degree_bounds(self):
-        nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-                NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL))
         with pytest.raises(ValueError):
-            Topology(11, nets, 0, 2)
+            make_topology(11, [(3, 1)] * 2, outer=2)
         with pytest.raises(ValueError):
-            Topology(11, nets, 0, 0)
+            make_topology(11, [(3, 1)] * 2, outer=0)
 
     def test_quorum_must_fit(self):
-        nets = (NetworkSpec("m", 2, 2, LinkKind.ITS),
-                NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL))
         with pytest.raises(ValueError):
-            Topology(11, nets, 0, 1)
+            make_topology(11, [(2, 2), (3, 1)])
 
     @pytest.mark.parametrize("q", [5, 7, 11, 257])
     def test_daughter_count_below_modulus(self, q):
         # Daughter a's point is a mod q: daughter q's would be 0, and
         # daughter a > q's that of daughter a - q.
-        assert len(build_topology(1, [(1, 0)] * q, q).daughters()) == q - 1
+        assert len(make_topology(q, [(1, 0)] * q).daughters()) == q - 1
         with pytest.raises(ValueError,
                            match="daughter count must be below modulus"):
-            build_topology(1, [(1, 0)] * (q + 1), q)
+            make_topology(q, [(1, 0)] * (q + 1))
 
     def test_link_kinds_enforced(self):
         nets = (NetworkSpec("m", 3, 1, LinkKind.CLASSICAL),
@@ -201,19 +306,17 @@ class TestTopology:
             Topology(11, nets, 0, 1)
 
     def test_modulus_must_be_prime(self):
-        nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-                NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL))
         with pytest.raises(ValueError):
-            Topology(15, nets, 0, 1)
+            make_topology(15, [(3, 1)] * 2)
 
     def test_replace_and_make_check_too(self):
         # _replace and _make build through the constructor's check.
-        t = topo3()
+        t = make_topology(11)
         with pytest.raises(ValueError, match="outer degree"):
             t._replace(outer_degree=len(t.networks))
         with pytest.raises(ValueError, match="mother index"):
             Topology._make([11, t.networks, 3, 1])
-        assert t._replace(outer_degree=2) == topo3(outer=2)
+        assert t._replace(outer_degree=2) == make_topology(11, outer=2)
         assert Topology._make(t) == t
 
     def test_default_modulus_skips_primality_test(self, monkeypatch):
@@ -227,12 +330,12 @@ class TestTopology:
             return is_probable_prime(n)
 
         monkeypatch.setattr(protocol, "is_probable_prime", probe)
-        assert topo3(q=DEFAULT_MODULUS).modulus == DEFAULT_MODULUS
+        assert make_topology(DEFAULT_MODULUS).modulus == DEFAULT_MODULUS
         assert tested == []
-        topo3(q=257)
+        make_topology(257)
         for composite in (561, 2**127 + 1, (2**61 - 1) * (2**31 - 1)):
             with pytest.raises(ValueError):
-                topo3(q=composite)
+                make_topology(composite)
         assert tested == [257, 561, 2**127 + 1, (2**61 - 1) * (2**31 - 1)]
 
 
@@ -262,7 +365,7 @@ class TestQuorumPlansFullRank:
         rng = random.Random(q)
         for l in range(2, q + 1):
             for d in range(1, l):
-                t = build_topology(d, [(1, 0)] * l, q)
+                t = make_topology(q, [(1, 0)] * l, d)
                 rows = [protocol.constant_functional(t, net.id)
                         for net in t.networks]
                 for chosen in itertools.combinations(range(1, l), d):
@@ -288,7 +391,7 @@ class TestQuorumPlansFullRank:
 class TestDeal:
     def test_worked_example(self):
         # Forced P=4+3X, Q0=7+2X, Q1=3+5X, Q2=3+X over F_11.
-        t = topo3()
+        t = make_topology(11)
         rng = ScriptedRng([3, 2, 5, 1], 11)
         dealt = deal([4], t, rng)
         values = {nid: [s.values[0] for s in shares]
@@ -296,7 +399,7 @@ class TestDeal:
         assert values == {"m": [9, 0, 2], "d1": [8, 2, 7], "d2": [4, 5, 6]}
 
     def test_shape(self):
-        t = topo3()
+        t = make_topology(11)
         dealt = deal([4, 5], t,
                      deterministic_rng(0))
         assert sum(len(v) for v in dealt.values()) == 9
@@ -306,26 +409,24 @@ class TestDeal:
 
     def test_degenerate_two_networks(self):
         # deg(P)=1: the single daughter holds shares of the constant P'.
-        nets = (NetworkSpec("m", 2, 1, LinkKind.ITS),
-                NetworkSpec("d1", 2, 0, LinkKind.CLASSICAL))
-        t = Topology(11, nets, 0, 1)
+        t = make_topology(11, [(2, 1), (2, 0)])
         dealt = deal([4], t, deterministic_rng(3))
         d1 = dealt["d1"]
         assert d1[0].values[0] == d1[1].values[0]
 
     def test_chunk_modulus_checked(self):
         with pytest.raises(ValueError):
-            deal([11], topo3(), deterministic_rng(0))
+            deal([11], make_topology(11), deterministic_rng(0))
         # Checked where its block of chunks is packed, in any block.
         with pytest.raises(ValueError):
-            deal([0] * BLOCK_WORDS + [-1], topo3(), deterministic_rng(0))
+            deal([0] * BLOCK_WORDS + [-1], make_topology(11), deterministic_rng(0))
 
     def test_scripted_rejections_skipped(self):
         # The worked example's draws, with rejected words in between:
         # words at or above q = 11, and a word whose bits above
         # bit_length(11) = 4 are masked off (0xf3 -> 3).
         rng = ScriptedRng([12, 11, 0xf3, 14, 2, 5, 13, 15, 1], 11)
-        dealt = deal([4], topo3(), rng)
+        dealt = deal([4], make_topology(11), rng)
         values = {nid: [s.values[0] for s in shares]
                   for nid, shares in dealt.items()}
         assert values == {"m": [9, 0, 2], "d1": [8, 2, 7], "d2": [4, 5, 6]}
@@ -335,7 +436,7 @@ class TestDeal:
         # Two chunks: each column is one block of two words, and only
         # the rejected words are drawn again. A zero is a coefficient like
         # any other.
-        t = topo3()
+        t = make_topology(11)
         rng = ScriptedRng([3, 11, 13, 6,           # p_1: 3, 6
                            12, 2, 7,               # m: 2, 7
                            5, 14, 4,               # d1: 5, 4
@@ -352,18 +453,14 @@ class TestDeal:
         # Multi-chunk deal and refresh against the per-chunk horner
         # reference, on a topology whose mother is not first, then a
         # reconstruct of the refreshed shares.
-        nets = (NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-                NetworkSpec("m", 4, 2, LinkKind.ITS),
-                NetworkSpec("d2", 4, 0, LinkKind.CLASSICAL),
-                NetworkSpec("d3", 5, 3, LinkKind.CLASSICAL))
-        t = Topology(q, nets, 1, 2)
+        t = make_topology(q, [(3, 1), (4, 2), (4, 0), (5, 3)], 2, mother=1)
         chunks = [deterministic_rng(c).randrange(q) for c in range(40)]
         m = len(chunks)
         dealt = deal(chunks, t, deterministic_rng(11))
         assert dealt == reference.deal(chunks, t, deterministic_rng(11))
         deltas = refresh(t, m, 0, deterministic_rng(12))
         want = reference.refresh(t, m, 0, deterministic_rng(12))
-        for net in nets:
+        for net in t.networks:
             assert [s.node_index for s in dealt[net.id]] == list(
                 range(1, net.node_count + 1))
             assert [deltas[net.id].delta(d.node_index)
@@ -376,7 +473,7 @@ class TestDeal:
 
 class TestReconstruct:
     def _dealt_example(self):
-        t = topo3()
+        t = make_topology(11)
         dealt = deal([4], t, ScriptedRng([3, 2, 5, 1], 11))
         return t, dealt
 
@@ -420,9 +517,9 @@ class TestReconstruct:
             reconstruct(chained({"m": dealt["m"], "d1": moved}), t)
 
     def _foreign_d2(self):
-        """topo3 dealt, with d2's shares, consistent with one another,
+        """make_topology(11) dealt, with d2's shares, consistent with one another,
         raised by 1: m and d1 determine another inner secret for d2."""
-        t = topo3()
+        t = make_topology(11)
         dealt = deal([4, 5], t, deterministic_rng(2))
         dealt["d2"] = [s._replace(values=tuple((v + 1) % 11
                                                for v in s.values))
@@ -451,17 +548,15 @@ class TestReconstruct:
         for _ in range(15):
             l = rng.randrange(2, 5)
             nets = []
-            for i in range(l):
+            for _ in range(l):
                 n = rng.randrange(1, 5)
-                d = rng.randrange(0, min(3, n))
-                kind = LinkKind.ITS if i == 0 else LinkKind.CLASSICAL
-                nets.append(NetworkSpec(f"n{i}", n, d, kind))
+                nets.append((n, rng.randrange(0, min(3, n))))
             outer = rng.randrange(1, l)
-            t = Topology(q, tuple(nets), 0, outer)
+            t = make_topology(q, nets, outer)
             chunks = [rng.randrange(q) for _ in range(3)]
             dealt = deal(chunks, t, rng)
             # quorum-exact subset: mother + the first `outer` daughters
-            subset = {"n0": dealt["n0"][:nets[0].inner_degree + 1]}
+            subset = {"m": dealt["m"][:t.mother.inner_degree + 1]}
             for net in t.daughters()[:outer]:
                 subset[net.id] = dealt[net.id][:net.inner_degree + 1]
             assert reconstruct(chained(subset), t) == chunks
@@ -469,38 +564,30 @@ class TestReconstruct:
 
 class TestThresholdFormulas:
     def test_worked_example(self):
-        got = compute_thresholds_formula(topo3())
+        got = compute_thresholds_formula(make_topology(11))
         assert (got.t_networks, got.t_nodes, got.t_f0, got.t_f1,
                 got.t_fail) == (2, 4, 2, 2, 2)
 
     def test_single_node_networks(self):
-        nets = (NetworkSpec("m", 1, 0, LinkKind.ITS),
-                NetworkSpec("d1", 1, 0, LinkKind.CLASSICAL),
-                NetworkSpec("d2", 1, 0, LinkKind.CLASSICAL))
-        got = compute_thresholds_formula(Topology(11, nets, 0, 1))
+        got = compute_thresholds_formula(make_topology(11, [(1, 0)] * 3))
         assert got.t_f0 == 1
 
     def test_minimal_two_networks(self):
-        nets = (NetworkSpec("m", 2, 1, LinkKind.ITS),
-                NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL))
-        got = compute_thresholds_formula(Topology(11, nets, 0, 1))
+        got = compute_thresholds_formula(make_topology(11, [(2, 1)] * 2))
         assert got.t_networks == 2
 
 
 class TestThresholdExhaustive:
     def test_worked_example(self):
-        got = compute_thresholds_exhaustive(topo3())
+        got = compute_thresholds_exhaustive(make_topology(11))
         assert (got.t_networks, got.t_nodes, got.t_fail) == (2, 4, 2)
         # The closed form sums over one daughter; actually denying via
         # daughters requires killing two daughters' quorums.
         assert got.t_f1 == 4
-        assert compute_thresholds_formula(topo3()).t_f1 == 2
+        assert compute_thresholds_formula(make_topology(11)).t_f1 == 2
 
     def test_all_degree_zero(self):
-        nets = (NetworkSpec("m", 2, 0, LinkKind.ITS),
-                NetworkSpec("d1", 2, 0, LinkKind.CLASSICAL),
-                NetworkSpec("d2", 2, 0, LinkKind.CLASSICAL))
-        t = Topology(11, nets, 0, 2)
+        t = make_topology(11, [(2, 0)] * 3, 2)
         got = compute_thresholds_exhaustive(t)
         # One node per required network suffices.
         assert got.t_nodes == 3
@@ -523,11 +610,7 @@ class TestThresholdExhaustive:
                 # The mother's spec, nets[0], moves to index `mother`.
                 rotated = nets[-mother:] + nets[:-mother]
                 try:
-                    t = Topology(q, tuple(
-                        NetworkSpec(f"n{i}", n, d,
-                                    LinkKind.ITS if i == mother
-                                    else LinkKind.CLASSICAL)
-                        for i, (n, d) in enumerate(rotated)), mother, outer)
+                    t = make_topology(q, rotated, outer, mother)
                 except ValueError:
                     continue
                 assert compute_thresholds_exhaustive(t) == \
@@ -561,8 +644,8 @@ class TestThresholdExhaustive:
         compute_thresholds_exhaustive(twelve_networks(outer))
         assert 0 < calls <= 3 * 2**11
         calls = 0
-        t = build_topology(outer, [(n, 3) for n in range(4, 16)],
-                           q=DEFAULT_MODULUS)
+        t = make_topology(DEFAULT_MODULUS, [(n, 3) for n in range(4, 16)],
+                          outer)
         compute_thresholds_exhaustive(t)
         assert calls == 0
 
@@ -576,13 +659,9 @@ class TestThresholdExhaustive:
 
         def thresholds(q):
             # As enumerated, and with the mother moved to index 2.
-            moved = Topology(q, tuple(
-                NetworkSpec(f"n{i}", n, d,
-                            LinkKind.ITS if i == 2 else LinkKind.CLASSICAL)
-                for i, (n, d) in enumerate(nets[1:3] + nets[:1] + nets[3:])),
-                2, 2)
+            moved = make_topology(q, nets[1:3] + nets[:1] + nets[3:], 2, 2)
             return [compute_thresholds_exhaustive(t)
-                    for t in (build_topology(2, nets, q), moved)]
+                    for t in (make_topology(q, nets, 2), moved)]
 
         protocol._walk.cache_clear()
         cached = {q: thresholds(q) for q in order}
@@ -641,13 +720,13 @@ class TestThresholdExhaustive:
         # One network more than the subset walk's bound.
         many = [(2, 1)] * (protocol.EXHAUSTIVE_NETWORK_BOUND + 1)
         with pytest.raises(CapacityError):
-            compute_thresholds_exhaustive(build_topology(1, many))
+            compute_thresholds_exhaustive(make_topology(257, many))
 
     @pytest.mark.parametrize("degree", [101, 150])
     def test_any_inner_degree(self, degree):
         # A network's quorum is its inner degree plus one at any degree,
         # as the oracle finds it one node at a time.
-        t = build_topology(1, [(2, 1), (degree + 1, degree)])
+        t = make_topology(257, [(2, 1), (degree + 1, degree)])
         assert compute_thresholds_exhaustive(t) == plain_walk_thresholds(t)
 
     def test_large_topology_matches_corrected_closed_form(self):
@@ -657,7 +736,7 @@ class TestThresholdExhaustive:
         sizes = [(30, 1), (12, 3), (8, 0), (11, 2), (9, 4), (13, 9),
                  (7, 1), (10, 5), (6, 2), (14, 6)]
         assert sum(n for n, _ in sizes) == 120
-        t = build_topology(8, sizes, q=DEFAULT_MODULUS)
+        t = make_topology(DEFAULT_MODULUS, sizes, 8)
         formula = compute_thresholds_formula(t)
         kill = sorted(n.node_count - n.inner_degree for n in t.daughters())
         t_f1 = sum(kill[:len(t.networks) - t.outer_degree])
@@ -667,7 +746,7 @@ class TestThresholdExhaustive:
 
 class TestAccessOracle:
     def test_empty_set(self):
-        assert access_oracle([], topo3()) is Access.NO_INFORMATION
+        assert access_oracle([], make_topology(11)) is Access.NO_INFORMATION
 
     def test_matches_dense_reference(self):
         # Every input the dense reference oracle decides in the other
@@ -691,10 +770,10 @@ class TestAccessOracle:
         # Node 99 is x = 0 at q = 11, as node 0 is: either holds its
         # network's inner secret outright.
         with pytest.raises(ValueError):
-            access_oracle(held, topo3())
+            access_oracle(held, make_topology(11))
 
     def test_knowledge_rejects_delta_of_round_zero(self):
-        knowledge = protocol.AdversaryKnowledge(topo3())
+        knowledge = protocol.AdversaryKnowledge(make_topology(11))
         with pytest.raises(ValueError):
             knowledge.add("delta", "d1", 1, 0, ())
         knowledge.add("delta", "d1", 1, 1, ())
@@ -709,7 +788,7 @@ class TestAccessOracle:
         rng = random.Random(q)
         for k in range(min(q - 2, 30) + 1):
             n = min(q - 1, k + 4)
-            t = build_topology(1, [(n, k), (1, 0)], q)
+            t = make_topology(q, [(n, k), (1, 0)])
             nodes = list(range(1, n + 1))
             for order in (nodes, nodes[::-1], rng.sample(nodes, n)):
                 knowledge = protocol.AdversaryKnowledge(t)
@@ -719,24 +798,24 @@ class TestAccessOracle:
                         (held > k), (q, k, order, held)
 
     def test_all_nodes(self):
-        t = topo3()
+        t = make_topology(11)
         assert access_oracle(all_nodes(t), t) is Access.RECONSTRUCTS
 
     def test_single_daughter_network(self):
-        t = topo3()
+        t = make_topology(11)
         for nid in ("d1", "d2"):
             held = [(nid, j) for j in (1, 2, 3)]
             assert access_oracle(held, t) is Access.NO_INFORMATION
 
     def test_mother_only(self):
-        t = topo3()
+        t = make_topology(11)
         held = [("m", j) for j in (1, 2, 3)]
         assert access_oracle(held, t) is Access.NO_INFORMATION
 
     def test_rows_match_dealt_values(self):
         # The functional rows evaluate to the actually dealt values on
         # the concrete randomness vector [S, p1, q0, q1, q2].
-        t = topo3()
+        t = make_topology(11)
         dealt = deal([4], t, ScriptedRng([3, 2, 5, 1], 11))
         randomness = [4, 3, 2, 5, 1]
         space = reference.FunctionalSpace(t)
@@ -758,12 +837,10 @@ class TestAccessOracle:
         l = data.draw(st.integers(2, 4))
         mother = data.draw(st.integers(0, l - 1))
         nets = []
-        for i in range(l):
+        for _ in range(l):
             n = data.draw(st.integers(1, 4))
-            d = data.draw(st.integers(0, min(2, n - 1)))
-            kind = LinkKind.ITS if i == mother else LinkKind.CLASSICAL
-            nets.append(NetworkSpec(f"n{i}", n, d, kind))
-        t = Topology(q, tuple(nets), mother, data.draw(st.integers(1, l - 1)))
+            nets.append((n, data.draw(st.integers(0, min(2, n - 1)))))
+        t = make_topology(q, nets, data.draw(st.integers(1, l - 1)), mother)
         secret = None
         if q > 2**16:
             secret = data.draw(st.binary(max_size=5))
@@ -772,7 +849,7 @@ class TestAccessOracle:
             chunks = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
                                         max_size=3))
         rounds = data.draw(st.integers(0, 3))
-        inner = sum(net.inner_degree for net in nets)
+        inner = sum(net.inner_degree for net in t.networks)
         per_chunk = t.outer_degree + inner
         # Draws in 0..q-1 are all accepted.
         draws = data.draw(st.lists(
@@ -799,8 +876,8 @@ class TestAccessOracle:
         m = len(chunks)
         vectors = [[chunk] for chunk in chunks]
         pos = 0
-        for k in ([t.outer_degree] + [net.inner_degree for net in nets]
-                  + rounds * [net.inner_degree for net in nets]):
+        for k in ([t.outer_degree] + [net.inner_degree for net in t.networks]
+                  + rounds * [net.inner_degree for net in t.networks]):
             columns = [draws[pos + i * m:pos + (i + 1) * m] for i in range(k)]
             pos += k * m
             for c, vec in enumerate(vectors):
@@ -828,11 +905,7 @@ class TestAccessOracle:
 
     def test_dichotomy_small_exhaustive(self):
         # Reconstruction succeeds exactly where the oracle says it does.
-        q = 11
-        nets = (NetworkSpec("m", 2, 1, LinkKind.ITS),
-                NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL),
-                NetworkSpec("d2", 2, 0, LinkKind.CLASSICAL))
-        t = Topology(q, nets, 0, 1)
+        t = make_topology(11, [(2, 1), (2, 1), (2, 0)])
         chunks = [9]
         dealt = deal(chunks, t, deterministic_rng(5))
         nodes = all_nodes(t)
@@ -852,7 +925,7 @@ class TestAccessOracle:
 
 class TestRefresh:
     def test_preserves_secret(self):
-        t = topo3()
+        t = make_topology(11)
         rng = deterministic_rng(8)
         chunks = [4, 9]
         dealt = deal(chunks, t, rng)
@@ -864,14 +937,14 @@ class TestRefresh:
             assert reconstruct(chained(dealt), t) == chunks
 
     def test_shapes(self):
-        t = topo3()
+        t = make_topology(11)
         deltas = refresh(t, 1, 0, deterministic_rng(0))
         assert {nid: v.node_count for nid, v in deltas.items()} == \
             {"m": 3, "d1": 3, "d2": 3}
         assert all(v.from_epoch == 0 for v in deltas.values())
 
     def test_mixed_epoch_reconstruct_rejected(self):
-        t = topo3()
+        t = make_topology(11)
         rng = deterministic_rng(8)
         dealt = deal([4], t, rng)
         deltas = refresh(t, 1, 0, rng)
@@ -884,14 +957,14 @@ class TestRefresh:
     def test_cross_epoch_capture_no_information(self):
         # One node before refresh plus a different node after refresh,
         # below quorum in each epoch, reveals nothing.
-        t = topo3()
+        t = make_topology(11)
         held = [("m", 1, 0), ("m", 2, 1), ("d1", 1, 0), ("d1", 2, 1),
                 ("d2", 1, 0), ("d2", 2, 1)]
         assert access_oracle(held, t) is Access.NO_INFORMATION
 
     def test_same_node_across_epochs_still_capped(self):
         # Same node pre+post refresh is one node's worth of information.
-        t = topo3()
+        t = make_topology(11)
         held = [("m", 1, 0), ("m", 1, 1), ("d1", 1, 0), ("d1", 1, 1)]
         assert access_oracle(held, t) is Access.NO_INFORMATION
 
@@ -902,9 +975,7 @@ class TestSecrecyEnumeration:
         # at q=7: enumerate all dealer randomness; every NoInformation
         # subset sees a secret-independent joint distribution.
         q = 7
-        nets = (NetworkSpec("m", 2, 1, LinkKind.ITS),
-                NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL))
-        t = Topology(q, nets, 0, 1)
+        t = make_topology(q, [(2, 1)] * 2)
         nodes = all_nodes(t)
 
         def node_value(nid, j, secret, p1, q0, q1):
@@ -934,8 +1005,7 @@ class TestSecrecyEnumeration:
         # round 1 it names. Its values must be distributed independently
         # of the secret exactly when the oracle finds no information.
         q = 5
-        t = Topology(q, (NetworkSpec("m", 2, 1, LinkKind.ITS),
-                         NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL)), 0, 1)
+        t = make_topology(q, [(2, 1)] * 2)
         nodes = all_nodes(t)
         items = [(kind, nid, j, epoch)
                  for kind, epoch in (("share", 0), ("share", 1),
@@ -1021,7 +1091,7 @@ class TestSecrecyEnumeration:
 
 class TestAvailability:
     def test_fail_witness_blocks_and_smaller_do_not(self):
-        t = topo3()
+        t = make_topology(11)
         oracle = compute_thresholds_exhaustive(t)
         nodes = all_nodes(t)
         # Disabling fewer than t_fail nodes always leaves a qualifying set.
@@ -1162,12 +1232,10 @@ def small_vaults(draw):
     l = draw(st.integers(2, 4))
     mother = draw(st.integers(0, l - 1))
     nets = []
-    for i in range(l):
+    for _ in range(l):
         n = draw(st.integers(1, 4))
-        kind = LinkKind.ITS if i == mother else LinkKind.CLASSICAL
-        nets.append(NetworkSpec(f"n{i}", n, draw(st.integers(0, min(2, n - 1))),
-                                kind))
-    t = Topology(q, tuple(nets), mother, draw(st.integers(1, l - 1)))
+        nets.append((n, draw(st.integers(0, min(2, n - 1)))))
+    t = make_topology(q, nets, draw(st.integers(1, l - 1)), mother)
     chunks = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=5))
     return t, chunks, draw(st.integers(0, 2**32))
 
@@ -1234,17 +1302,15 @@ class TestVaultMatchesReference:
     def test_deal_sink_across_blocks(self):
         # Three blocks, the last of one chunk, on a topology whose mother
         # is not first.
-        nets = (NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-                NetworkSpec("m", 4, 2, LinkKind.ITS),
-                NetworkSpec("d2", 2, 0, LinkKind.CLASSICAL))
-        t = Topology(DEFAULT_MODULUS, nets, 1, 2)
+        t = make_topology(DEFAULT_MODULUS, [(3, 1), (4, 2), (2, 0)], 2,
+                          mother=1)
         rng = deterministic_rng(5)
         chunks = [rng.randrange(DEFAULT_MODULUS)
                   for _ in range(2 * BLOCK_WORDS + 1)]
         self.check_deal_sink(t, chunks, 6)
 
     def test_apply_rejects_what_does_not_fit(self):
-        t = topo3()
+        t = make_topology(11)
         share = deal([4, 5], t, deterministic_rng(0))["d1"][1]
         deltas = refresh(t, 2, 0, deterministic_rng(1))
         for bad in (deltas["m"], refresh(t, 2, 1, deterministic_rng(1))["d1"],
@@ -1302,12 +1368,10 @@ class TestEndToEnd:
         for _ in range(5):
             l = rng.randrange(2, 5)
             nets = []
-            for i in range(l):
+            for _ in range(l):
                 n = rng.randrange(1, 5)
-                d = rng.randrange(0, min(3, n))
-                kind = LinkKind.ITS if i == 0 else LinkKind.CLASSICAL
-                nets.append(NetworkSpec(f"n{i}", n, d, kind))
-            t = Topology(q, tuple(nets), 0, rng.randrange(1, l))
+                nets.append((n, rng.randrange(0, min(3, n))))
+            t = make_topology(q, nets, rng.randrange(1, l))
             msg = rng.randbytes(rng.randrange(1, 200))
             dealt = deal(encode_secret(msg, q), t, rng)
             assert decode_secret(reconstruct(chained(dealt), t), q) == msg

@@ -11,13 +11,12 @@ import pytest
 from multishare.errors import CorruptData, EpochMismatch
 from multishare.field import (DEFAULT_MODULUS, deterministic_rng,
                               express_over_rows, random_ints)
-from multishare.protocol import (LinkKind, NetworkRefresh, NetworkSpec,
-                                 NodeShare, Topology, apply_node_refresh,
-                                 birkhoff_matrix_row, check_shares, deal,
-                                 reconstruct, refresh)
-from reference import chained, derivative_coeffs, horner
-from test_poly import birkhoff_coeffs, interpolate_zero
-from test_protocol import ScriptedRng
+from multishare.protocol import (NetworkRefresh, NodeShare,
+                                 apply_node_refresh, birkhoff_matrix_row,
+                                 check_shares, deal, reconstruct, refresh)
+from reference import (birkhoff_coeffs, chained, derivative_coeffs, horner,
+                       interpolate_zero)
+from support import ScriptedRng, make_topology
 
 
 def random_poly(secret, degree, q, rng):
@@ -55,13 +54,6 @@ def one_column(delta, network="m", epoch=0):
     return NetworkRefresh(network, epoch, 3, 1, 7, ([delta],))
 
 
-def one_network(q, n=3, degree=1):
-    """A mother of n nodes and inner degree `degree`, beside one
-    single-node daughter, outer degree 1."""
-    return Topology(q, (NetworkSpec("m", n, degree, LinkKind.ITS),
-                        NetworkSpec("d1", 1, 0, LinkKind.CLASSICAL)), 0, 1)
-
-
 class TestSplit:
     def test_k1_every_share_is_secret(self):
         shares = split(4, 1, 3, 7, deterministic_rng(0))
@@ -76,7 +68,7 @@ class TestSplit:
                 for x in (1, 2, 3)] == [(5,), (0,), (2,)]
 
     def test_shape(self):
-        dealt = deal([2, 5], one_network(7, n=5, degree=2),
+        dealt = deal([2, 5], make_topology(7, [(5, 2), (1, 0)]),
                      deterministic_rng(1))
         assert [s.node_index for s in dealt["m"]] == [1, 2, 3, 4, 5]
         assert all(len(s.values) == 2 for s in dealt["m"])
@@ -84,9 +76,9 @@ class TestSplit:
     def test_bad_params(self):
         # A quorum above the node count, and node count >= q.
         with pytest.raises(ValueError):
-            one_network(7, n=3, degree=3)
+            make_topology(7, [(3, 3), (1, 0)])
         with pytest.raises(ValueError):
-            one_network(7, n=7, degree=1)
+            make_topology(7, [(7, 1), (1, 0)])
 
 
 class TestReconstruct:
@@ -101,7 +93,7 @@ class TestReconstruct:
         assert express_over_rows(rows, [1, 0], 7) is None
 
     def test_epoch_mix_rejected(self):
-        topo = one_network(7)
+        topo = make_topology(7, [(3, 1), (1, 0)])
         with pytest.raises(EpochMismatch):
             check_shares([NodeShare("m", 1, 0, (5,)),
                           NodeShare("m", 2, 1, (0,))], topo)
@@ -109,7 +101,7 @@ class TestReconstruct:
     def test_shares_grouped_by_network(self):
         # The networks in the order their first share appears, each
         # network's shares in node-index order.
-        topo = one_network(7)
+        topo = make_topology(7, [(3, 1), (1, 0)])
         m1, m3, d1 = (NodeShare("m", 1, 2, (4,)), NodeShare("m", 3, 2, (5,)),
                       NodeShare("d1", 1, 2, (1,)))
         epoch, count, held = check_shares([d1, m3, m1], topo)
@@ -124,7 +116,7 @@ class TestReconstruct:
     def test_verify_flags_corruption(self):
         # reconstruct checks every share beyond the quorum against the
         # quorum's polynomial.
-        topo = one_network(7)
+        topo = make_topology(7, [(3, 1), (1, 0)])
         daughter = [NodeShare("d1", 1, 0, (1,))]
         good = [NodeShare("m", x, 0, (y,))
                 for x, y in ((1, 5), (2, 0), (3, 2))]
@@ -179,9 +171,7 @@ class TestHierarchical:
         # and every daughter P'(a) = 3; with inner degree 0 everywhere a
         # share is its network's inner secret.
         q = 11
-        t = Topology(q, (NetworkSpec("m", 1, 0, LinkKind.ITS),
-                         *(NetworkSpec(f"d{a}", 1, 0, LinkKind.CLASSICAL)
-                           for a in (1, 2, 3))), 0, 1)
+        t = make_topology(q, [(1, 0)] * 4)
         dealt = deal([4], t, ScriptedRng([3], q))
         assert {nid: s.values for nid, (s,) in dealt.items()} == {
             "m": (7,), "d1": (3,), "d2": (3,), "d3": (3,)}
@@ -189,9 +179,7 @@ class TestHierarchical:
 
     def test_shape(self):
         # One share per node, in topology order, each holding every chunk.
-        t = Topology(11, (NetworkSpec("d1", 2, 1, LinkKind.CLASSICAL),
-                          NetworkSpec("m", 2, 1, LinkKind.ITS),
-                          NetworkSpec("d2", 4, 2, LinkKind.CLASSICAL)), 1, 2)
+        t = make_topology(11, [(2, 1), (2, 1), (4, 2)], 2, mother=1)
         dealt = deal([1, 2, 3], t, deterministic_rng(0))
         assert {nid: [s.node_index for s in lst]
                 for nid, lst in dealt.items()} == {
@@ -240,7 +228,8 @@ class TestHierarchical:
 
 class TestRefresh:
     def test_deltas_reconstruct_to_zero(self):
-        deltas = refresh(one_network(7), 1, 0, deterministic_rng(4))["m"]
+        deltas = refresh(make_topology(7, [(3, 1), (1, 0)]), 1, 0,
+                         deterministic_rng(4))["m"]
         points = [(x, deltas.delta(x)[0]) for x in (1, 2, 3)]
         for subset in itertools.combinations(points, 2):
             assert interpolate_zero(subset, 7) == 0
@@ -252,7 +241,7 @@ class TestRefresh:
             (5,), (3,), (1,)]
 
     def test_shape(self):
-        topo = one_network(7, n=4)
+        topo = make_topology(7, [(4, 1), (1, 0)])
         deltas = refresh(topo, 1, 3, deterministic_rng(4))
         assert deltas["m"].node_count == 4
         assert deltas["m"].from_epoch == 3
@@ -280,7 +269,7 @@ class TestRefresh:
         # Every quorum of the mother keeps its inner secret, and the
         # vault its secret, through four rounds.
         rng = deterministic_rng(21)
-        t = one_network(7, n=4)
+        t = make_topology(7, [(4, 1), (1, 0)])
         dealt = deal([4], t, rng)
         points = [(s.node_index, s.values[0]) for s in dealt["m"]]
         inner = interpolate_zero(points[:2], 7)

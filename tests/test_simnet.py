@@ -11,22 +11,14 @@ import reference
 from multishare.errors import Infeasible, StateError
 from multishare.field import DEFAULT_MODULUS, express_over_rows
 from multishare.formats import canonical_json, topology_to_dict
-from multishare.protocol import (Access, AdversaryKnowledge, LinkKind,
-                                 NetworkSpec, Topology, decode_secret)
+from multishare.protocol import Access, AdversaryKnowledge, decode_secret
 from multishare.simnet import Scenario, Simulation, load_state, run_scenario
-from test_acceptance import build_topology, enumerate_specs
-
-
-def topo(q=65537):
-    nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-            NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL),
-            NetworkSpec("d2", 3, 1, LinkKind.CLASSICAL))
-    return Topology(q, nets, 0, 1)
+from support import all_nodes, enumerated_held_sets, make_topology
 
 
 def scenario(schedule, secret=b"attack at dawn", q=65537):
     return Scenario.from_dict({
-        "topology": topology_to_dict(topo(q)),
+        "topology": topology_to_dict(make_topology(q)),
         "secret_hex": secret.hex(),
         "schedule": schedule,
     })
@@ -78,7 +70,7 @@ class TestScenarioParsing:
                       {"event": "deal"}])
 
     def test_owner_deals_once(self):
-        sim = Simulation(topo(), b"secret", seed=1)
+        sim = Simulation(make_topology(65537), b"secret", seed=1)
         sim.owner_store()
         with pytest.raises(ValueError):
             sim.owner_store()
@@ -98,12 +90,12 @@ def held(sim):
 
 class TestDelivery:
     def test_mother_transcript_empty(self):
-        sim = Simulation(topo(), b"secret", seed=1)
+        sim = Simulation(make_topology(65537), b"secret", seed=1)
         sim.owner_store()
         assert recorded(sim, "m") == []
 
     def test_daughter_transcripts_record_each_share(self):
-        sim = Simulation(topo(), b"secret", seed=1)
+        sim = Simulation(make_topology(65537), b"secret", seed=1)
         log = sim.owner_store()
         assert log["delivered"] == 9
         for nid in ("d1", "d2"):
@@ -111,7 +103,7 @@ class TestDelivery:
         assert sim.captures == []
 
     def test_refresh_recorded_on_classical_only(self):
-        sim = Simulation(topo(), b"secret", seed=1)
+        sim = Simulation(make_topology(65537), b"secret", seed=1)
         sim.owner_store()
         sim.owner_refresh()
         assert recorded(sim, "m") == recorded(sim, "m", "delta") == []
@@ -120,19 +112,19 @@ class TestDelivery:
 
 class TestOwner:
     def test_reconstruct_all_alive(self):
-        sim = Simulation(topo(), b"payload", seed=2)
+        sim = Simulation(make_topology(65537), b"payload", seed=2)
         sim.owner_store()
         assert sim.owner_reconstruct() == b"payload"
 
     def test_reconstruct_after_refresh(self):
-        sim = Simulation(topo(), b"payload", seed=2)
+        sim = Simulation(make_topology(65537), b"payload", seed=2)
         sim.owner_store()
         for _ in range(3):
             sim.owner_refresh()
         assert sim.owner_reconstruct() == b"payload"
 
     def test_dead_node_goes_stale(self):
-        sim = Simulation(topo(), b"payload", seed=2)
+        sim = Simulation(make_topology(65537), b"payload", seed=2)
         sim.owner_store()
         sim.fail_node("d1", 2)
         out = sim.owner_refresh()
@@ -150,7 +142,7 @@ class TestOwner:
         assert report["owner_detail"] == missing
 
     def test_fail_witness_blocks(self):
-        sim = Simulation(topo(), b"payload", seed=2)
+        sim = Simulation(make_topology(65537), b"payload", seed=2)
         sim.owner_store()
         sim.fail_node("m", 1)
         sim.fail_node("m", 2)
@@ -160,7 +152,7 @@ class TestOwner:
     def test_infeasible_counts_every_usable_share(self):
         # Once only the chosen quorums were counted: (m: 0/2, d1: 2/2,
         # d2: 0/2).
-        sim = Simulation(topo(), b"payload", seed=2)
+        sim = Simulation(make_topology(65537), b"payload", seed=2)
         sim.owner_store()
         sim.fail_node("m", 1)
         sim.fail_node("m", 2)
@@ -170,7 +162,7 @@ class TestOwner:
 
     def test_explicit_selection_below_quorum(self):
         # Only m/1 and d1/1 are left alive: one share of each.
-        sim = Simulation(topo(), b"payload", seed=2)
+        sim = Simulation(make_topology(65537), b"payload", seed=2)
         sim.owner_store()
         for nid, j in sim.nodes:
             if (nid, j) not in {("m", 1), ("d1", 1)}:
@@ -232,14 +224,14 @@ class TestAdversary:
             seed=7)
         assert report["epoch"] == 0
         assert report["adversary_verdict"] == reference.access_oracle(
-            held_nodes, topo()).value
+            held_nodes, make_topology(65537)).value
         assert report["adversary_verdict"] == ("NoInformation" if released
                                                else "Reconstructs")
         assert report["adversary_recovered_secret"] is (None if released
                                                         else True)
 
     def test_sticky_compromise_leaks_refresh_writes(self):
-        sim = Simulation(topo(), b"payload", seed=3)
+        sim = Simulation(make_topology(65537), b"payload", seed=3)
         sim.owner_store()
         sim.compromise_node("d1", 1)
         before = held(sim)
@@ -291,7 +283,7 @@ class TestAdversary:
         assert report["adversary_verdict"] == "NoInformation"
 
     def test_hndl_replays_the_transcript_once(self):
-        sim = Simulation(topo(), b"payload", seed=3)
+        sim = Simulation(make_topology(65537), b"payload", seed=3)
         sim.owner_store()
         sim.decrypt_classical()
         assert sim.captures == sim.transcript
@@ -303,7 +295,7 @@ class TestAdversary:
         assert len(sim.transcript) == 12
 
     def test_release_keeps_captures_and_stops_leaks(self):
-        sim = Simulation(topo(), b"payload", seed=3)
+        sim = Simulation(make_topology(65537), b"payload", seed=3)
         run_scenario(scenario([
             {"event": "deal"},
             {"event": "compromise_node", "network": "d1", "node": 1},
@@ -322,9 +314,9 @@ class TestAdversary:
             {"event": "refresh"},
             {"event": "compromise_node", "network": "d1", "node": 2},
         ]
-        sim1 = Simulation(topo(), b"x", seed=5)
+        sim1 = Simulation(make_topology(65537), b"x", seed=5)
         run_scenario(scenario(base), seed=5, sim=sim1)
-        sim2 = Simulation(topo(), b"x", seed=5)
+        sim2 = Simulation(make_topology(65537), b"x", seed=5)
         run_scenario(scenario(extra), seed=5, sim=sim2)
         assert held(sim1) <= held(sim2)
 
@@ -345,8 +337,8 @@ class TestDeterminism:
         assert canonical_json(a) == canonical_json(b)
 
     def test_different_seed_differs_in_shares(self):
-        sim1 = Simulation(topo(), b"x", seed=1)
-        sim2 = Simulation(topo(), b"x", seed=2)
+        sim1 = Simulation(make_topology(65537), b"x", seed=1)
+        sim2 = Simulation(make_topology(65537), b"x", seed=2)
         sim1.owner_store()
         sim2.owner_store()
         assert sim1.nodes[("m", 1)].store != sim2.nodes[("m", 1)].store
@@ -354,7 +346,7 @@ class TestDeterminism:
 
 class TestPersistence:
     def _sim(self):
-        sim = Simulation(topo(), b"stored state", seed=9)
+        sim = Simulation(make_topology(65537), b"stored state", seed=9)
         sim.owner_store()
         sim.owner_refresh()
         sim.compromise_node("d1", 2)
@@ -441,34 +433,17 @@ def knowledge_verdict(topology, captures):
     return Access.RECONSTRUCTS, decode_secret(chunks, topology.modulus)
 
 
-def enumerated_held_sets():
-    """(topology, held nodes) on a seeded sample of the enumerated small
-    topologies at q = 257, each node held with probability 0.6."""
-    rng = random.Random(2024)
-    out = []
-    for outer, nets in rng.sample(list(enumerate_specs()), 600):
-        t = build_topology(outer, nets)
-        nodes = [(net.id, j) for net in t.networks
-                 for j in range(1, net.node_count + 1)]
-        out.append((t, [node for node in nodes if rng.random() < 0.6]))
-    return out
-
-
 @st.composite
 def worlds(draw):
     """A small topology at q = 2^127 - 1, a secret, a seed and a schedule
     of owner and adversary events following one deal."""
-    specs = []
-    for i in range(draw(st.integers(2, 4))):
+    nets = []
+    for _ in range(draw(st.integers(2, 4))):
         n = draw(st.integers(1, 4))
-        specs.append(NetworkSpec("m" if i == 0 else f"d{i}", n,
-                                 draw(st.integers(0, min(2, n - 1))),
-                                 LinkKind.ITS if i == 0
-                                 else LinkKind.CLASSICAL))
-    topology = Topology(DEFAULT_MODULUS, tuple(specs), 0,
-                        draw(st.integers(1, len(specs) - 1)))
-    nodes = [(net.id, j) for net in specs
-             for j in range(1, net.node_count + 1)]
+        nets.append((n, draw(st.integers(0, min(2, n - 1)))))
+    topology = make_topology(DEFAULT_MODULUS, nets,
+                             draw(st.integers(1, len(nets) - 1)))
+    nodes = all_nodes(topology)
 
     def targeted(kinds, targets):
         return st.builds(lambda kind, node: {"event": kind,

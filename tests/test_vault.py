@@ -9,9 +9,8 @@ import pytest
 
 from multishare import vault
 from multishare.errors import StorageError
-from multishare.protocol import LinkKind, NetworkSpec, Topology
 from multishare.simnet import Simulation, load_state
-from test_cli import FaultyFiles, snapshot
+from support import FaultyFiles, make_topology, snapshot
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multishare"
 
@@ -25,9 +24,8 @@ def make_dir(path: Path, files: dict) -> Path:
 
 class TestStateFile:
     def _sim(self):
-        nets = (NetworkSpec("m", 3, 1, LinkKind.ITS),
-                NetworkSpec("d1", 3, 1, LinkKind.CLASSICAL))
-        sim = Simulation(Topology(2**127 - 1, nets, 0, 1), b"kept", seed=5)
+        sim = Simulation(make_topology(2**127 - 1, [(3, 1)] * 2), b"kept",
+                         seed=5)
         sim.owner_store()
         return sim
 
