@@ -56,12 +56,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_json(path, what: str):
+def _read_json(path, what: str, regular: bool = False):
     """The JSON document in file `path`; exit 2 when it cannot be read or
-    parsed, nesting too deep included."""
+    parsed, nesting too deep included. A `regular` file is opened by
+    vault.open_regular: exit 2 too when it is a FIFO or another file that
+    is not a regular file. Otherwise a pipe, such as `<(...)`, is read."""
     try:
+        if regular:
+            with io.TextIOWrapper(vault.open_regular(path),
+                                  encoding="utf-8") as file:
+                return json.loads(file.read())
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError, CorruptData) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {what} {path}: {exc}")
 
 
@@ -130,9 +136,9 @@ def _open_vault(share_dir: Path, topology: Topology, digest: str
     their shares, headers read; the shares' epoch and chunk count; and the
     names ("network/index") of the topology's nodes without a share file,
     in topology order. Exit 2 when there is no directory or no share file,
-    and, before settling, when the manifest cannot be read or its
-    topology_digest is not `digest`, `topology`'s. The shares are checked
-    as a set (check_shares, _share_file_errors), then against the
+    and, before settling, when the manifest cannot be read (a FIFO, say)
+    or its topology_digest is not `digest`, `topology`'s. The shares are
+    checked as a set (check_shares, _share_file_errors), then against the
     manifest: exit 2 when its epoch or chunk_count is not theirs, or it
     lists as stale a node that has a share file or `topology` lacks."""
     names = vault.listing(share_dir)
@@ -141,7 +147,7 @@ def _open_vault(share_dir: Path, topology: Topology, digest: str
     manifest = share_dir / vault.MANIFEST
     given, stale = {}, []  # what the manifest gives
     if vault.MANIFEST in names:
-        data = _read_json(manifest, "manifest")
+        data = _read_json(manifest, "manifest", regular=True)
         try:
             written_for, epoch, count, stale = formats.manifest_from_dict(
                 data)

@@ -4,7 +4,8 @@ Plain argument misuse (wrong modulus, bad dimensions, duplicate points)
 raises ValueError; the classes below mark protocol-level conditions a
 caller may want to branch on. The CLI maps each to an exit code:
 EpochMismatch and Infeasible to 3, CapacityError to 4, and the rest to
-2.
+2. docs/refusals.md lists every message a command refuses its input
+with, and its exit code.
 """
 
 

@@ -23,6 +23,7 @@ from .errors import CorruptData
 from .field import (BLOCK_WORDS, OUT_OF_RANGE, Block, as_block, from_hex,
                     to_hex, word_bytes, zeros)
 from .protocol import LinkKind, NetworkSpec, NodeShare, Topology
+from .vault import open_regular
 
 FORMAT_VERSION = 1
 # The version of the share files the tools write. Readers also take v1
@@ -273,12 +274,12 @@ def read_share(path, modulus: int) -> NodeShare:
     file's version. The file must be in the layout the tools write: the
     canonical JSON of the share and a newline, its values at the fixed
     width of share_file_block in a v2 file and without leading zeros in a
-    v1 file. UnreadableShare when it cannot be read or is not in that
-    layout, or when its header is not that of a valid share file (with
-    share_from_dict's message); a v2 file also when its size is not the
-    one its chunk_count gives."""
+    v1 file. UnreadableShare when it cannot be read, is not a regular
+    file (open_regular) or is not in that layout, or when its header is
+    not that of a valid share file (with share_from_dict's message); a v2
+    file also when its size is not the one its chunk_count gives."""
     try:
-        with open(path, "rb") as file:
+        with open_regular(path) as file:
             head = file.read(HEAD_BYTES)
             identity = _identity(file)
         header, count, offset, version = _header(head, modulus)
@@ -353,7 +354,7 @@ class ShareValues:
         if stop <= start:
             return zeros(0, self.modulus)
         try:
-            with open(self.path, "rb") as file:
+            with open_regular(self.path) as file:
                 if _identity(file) != self.identity:
                     raise CorruptData("changed while it was read")
                 file.seek(self.offset)

@@ -12,22 +12,26 @@ Two crash-safe transactions:
   NAME.staged-e; one os.replace of the manifest commits them all. settle
   finishes or undoes an epoch that stopped part-way.
 
-Every failure is a StorageError. A vault's files are named (SHARE_NAME)
-and its directory listed (listing) here alone.
+Every failure is a StorageError, but for a file that open_regular
+refuses. A vault's files are named (SHARE_NAME), its directory listed
+(listing) and its files opened for reading (open_regular) here alone.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import stat
 from contextlib import AbstractContextManager, contextmanager
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Optional
 
-from .errors import StorageError
+from .errors import CorruptData, StorageError
 
 MANIFEST = "manifest.json"
+# Why a vault file that open_regular is given is refused.
+NOT_REGULAR = "not a regular file"
 # Share file names; node j of network I has SHARE_NAME.format(I, j).
 SHARE_GLOB = "*.share.json"
 SHARE_NAME = "{}_{:03d}.share.json"
@@ -61,6 +65,23 @@ def listing(directory: Path) -> Optional[List[str]]:
             return sorted(p.name for p in directory.iterdir())
         except (FileNotFoundError, NotADirectoryError):
             return None
+
+
+def open_regular(path):
+    """The file at `path`, open for reading bytes. CorruptData
+    (NOT_REGULAR), not a StorageError, when it is not a regular file: it
+    is opened without waiting for a writer, so that a FIFO in a vault is
+    refused rather than read forever, and so is a directory or a
+    device."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise CorruptData(NOT_REGULAR)
+        os.set_blocking(fd, True)
+        return open(fd, "rb")
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def share_files(directory: Path) -> List[Path]:

@@ -2094,6 +2094,71 @@ class TestUnlistableVault:
         assert not dest.exists()
 
 
+class TestNotARegularFile:
+    """A share file or a manifest that is not a regular file (a FIFO, a
+    directory or a device) is refused, naming it, and the vault is left
+    as it was. A FIFO is opened without waiting for a writer; the
+    commands run in a child with a timeout, so that a regression fails
+    rather than hangs the suite."""
+
+    def _deal(self, workspace):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        return tmp, topo, out
+
+    @staticmethod
+    def _child(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "multishare.cli", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("name, what", [
+        ("d2_003.share.json", "share"), ("manifest.json", "manifest")])
+    def test_fifo_exit2_unchanged(self, workspace, name, what):
+        tmp, topo, out = self._deal(workspace)
+        fifo, dest = out / name, tmp / "r.bin"
+        fifo.unlink()
+        os.mkfifo(fifo)
+        before = files_under(tmp)
+        listed = ["reconstruct", "--topology", topo, "--out", dest,
+                  *sorted(out.glob("*.share.json"))]
+        argvs = [["refresh", "--topology", topo, "--shares", out],
+                 ["reconstruct", "--topology", topo, "--shares", out,
+                  "--out", dest]]
+        if what == "share":
+            argvs.append(listed)
+        for argv in argvs:
+            proc = self._child(argv)
+            assert (proc.returncode, proc.stderr) == (
+                2, f"error: cannot read {what} {fifo}: not a regular "
+                   f"file\n"), argv
+            assert files_under(tmp) == before, argv
+        assert fifo.is_fifo()
+        if what == "manifest":
+            # Share files named as arguments are read without the
+            # manifest.
+            assert self._child(listed).returncode == 0
+            assert dest.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "device"])
+    @pytest.mark.parametrize("name, what", [
+        ("d2_003.share.json", "share"), ("manifest.json", "manifest")])
+    def test_directory_or_device_exit2_unchanged(self, workspace, capsys,
+                                                 kind, name, what):
+        tmp, topo, out = self._deal(workspace)
+        path = out / name
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.symlink_to(os.devnull)
+        assert_vault_fault(capsys, tmp, topo, out, 2,
+                           f"cannot read {what} {path}: not a regular file")
+
+
 class TestRefresh:
     def test_refresh_then_reconstruct(self, workspace):
         tmp, topo, secret = workspace
