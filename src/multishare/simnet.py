@@ -350,10 +350,11 @@ class Simulation:
     def from_state(cls, state: dict) -> "Simulation":
         """Rebuild the world by replaying its history from the seed.
 
-        The log is checked as a scenario is, and any failure to replay it
-        is a StateError. So is a log that saving the rebuilt world would
-        not write back unchanged: extra fields, or a second spelling of
-        the same value."""
+        The log is checked as a scenario run on a world not yet dealt is,
+        a refresh before the deal included, before any event is replayed,
+        and any failure to replay it is a StateError. So is a log that
+        saving the rebuilt world would not write back unchanged: extra
+        fields, or a second spelling of the same value."""
         try:
             version = formats._json_int(state, "version")
             if version != STATE_VERSION:
@@ -361,12 +362,12 @@ class Simulation:
             log = Scenario.from_dict({"topology": state["topology"],
                                       "secret_hex": state["secret"],
                                       "schedule": state["history"]})
+            check_deal_order(log.schedule, False)
             sim = cls(log.topology, log.secret,
                       formats._json_int(state, "seed"))
             for ev in log.schedule:
                 sim.apply(ev)
-        except (KeyError, TypeError, ValueError, CorruptData,
-                Infeasible) as exc:
+        except (KeyError, TypeError, ValueError, CorruptData) as exc:
             raise StateError(f"corrupt state: {exc}") from exc
         if sim.to_state() != state:
             raise StateError("corrupt state: not as save_state writes it")

@@ -1,7 +1,8 @@
 """Fixtures that several test modules share: make_topology, which
 builds every topology of the standard ids, the enumeration of small
 systems, a scripted entropy source, the block layouts' moduli and
-lengths, and the CLI runner with its file-fault injector. A test module
+lengths, the CLI runner with its file-fault injector, and snapshots of
+what a command must leave as it was. A test module
 imports helpers from here, from reference.py and from multishare, never
 from another test module (tests/test_imports.py checks it)."""
 
@@ -9,6 +10,7 @@ import errno
 import itertools
 import os
 import random
+import stat
 from pathlib import Path
 
 from multishare import vault
@@ -94,9 +96,31 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def tree(root: Path) -> dict:
+    """Every file, directory and link under `root`: a regular file's bytes
+    (its size and modification time past 1 MiB, so that a sparse 4 GiB
+    file is not read), a link's target, and the type of any other, so
+    that a FIFO is not read either."""
+    found = {}
+    for top, dirs, files in os.walk(root):
+        for path in (Path(top, name) for name in dirs + files):
+            info = path.lstat()
+            found[path] = (
+                os.readlink(path) if stat.S_ISLNK(info.st_mode)
+                else stat.S_IFMT(info.st_mode)
+                if not stat.S_ISREG(info.st_mode)
+                else path.read_bytes() if info.st_size < 2**20
+                else (info.st_size, info.st_mtime_ns))
+    return found
+
+
 def snapshot(directory: Path) -> dict:
     """Every file in `directory`, by name."""
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# How a fault that FaultyFiles injects prints.
+INJECTED = "[Errno 5] injected fault"
 
 
 class FaultyFiles:

@@ -23,7 +23,8 @@ from multishare.formats import topology_to_dict
 from multishare.protocol import (LENGTH_HEADER, SecretDecoder, chunk_size,
                                  deal, encode_secret)
 from multishare.simnet import EVENTS, load_state
-from support import FaultyFiles, make_topology, run, snapshot
+from support import (INJECTED, FaultyFiles, make_topology, run, snapshot,
+                     tree)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,12 +50,6 @@ def workspace(tmp_path):
     return tmp_path, topo_path, secret_path
 
 
-def files_under(directory: Path) -> dict:
-    """Every file under `directory`, by its path relative to it."""
-    return {p.relative_to(directory): p.read_bytes()
-            for p in sorted(directory.rglob("*")) if p.is_file()}
-
-
 # The commands that open a vault: they settle it, read its manifest and
 # share headers, and check them before they read a value.
 VAULT_COMMANDS = ("refresh", "reconstruct")
@@ -67,7 +62,7 @@ def assert_vault_fault(capsys, tmp, topo, shares, code, message,
     one line `error: MESSAGE` (reconstruct's after `corrupt shares: ` when
     `corrupt`), and changes no file under `tmp`: the vault stays
     byte-identical and no --out is written."""
-    before = files_under(tmp)
+    before = tree(tmp)
     for command in commands:
         argv = (["refresh", "--topology", topo, "--shares", shares,
                  "--seed", "2"] if command == "refresh" else
@@ -78,7 +73,7 @@ def assert_vault_fault(capsys, tmp, topo, shares, code, message,
         prefix = "corrupt shares: " if corrupt and command != "refresh" else ""
         assert capsys.readouterr().err == f"error: {prefix}{message}\n", \
             command
-        assert files_under(tmp) == before, command
+        assert tree(tmp) == before, command
 
 
 def restore(directory: Path, files: dict) -> None:
@@ -268,21 +263,6 @@ class TestDeal:
              "--out", tmp / "from-file", "--seed", "1"])
         assert snapshot(tmp / "shares") == snapshot(tmp / "from-file")
 
-    def test_secret_of_4_gib_exit4(self, workspace, capsys):
-        # A secret of 2^32 bytes does not fit its 4-byte length header. It
-        # was read whole and then ended in a ValueError traceback; its
-        # size is now checked by stat, before any byte of it is read or
-        # --out is made. The file is sparse: it takes no disk.
-        tmp, topo, _ = workspace
-        big = tmp / "big.bin"
-        with open(big, "wb") as file:
-            file.truncate(2**32)
-        capsys.readouterr()
-        assert run(["deal", "--topology", topo, "--secret", big,
-                    "--out", tmp / "shares"]) == 4
-        assert "length header" in capsys.readouterr().err
-        assert not (tmp / "shares").exists()
-
     def test_invalid_topology(self, workspace):
         tmp, _, secret = workspace
         bad = tmp / "bad.json"
@@ -455,11 +435,17 @@ class TestDeal:
         commit = probe.log.index("replace") + 1  # the manifest's rename
         for k in range(1, len(probe.log) + 1):
             shutil.rmtree(out)
+            capsys.readouterr()
             assert FaultyFiles(k).run(monkeypatch, argv) == 2, k
+            err = capsys.readouterr().err
             got = snapshot(out)
             if k <= commit:
                 assert got == {}, k
                 continue
+            assert err == (
+                f"error: epoch 0 is committed, but not every share has its "
+                f"final name; the next refresh or reconstruct --shares "
+                f"finishes it: {INJECTED}\n"), k
             assert got["manifest.json"] == want["manifest.json"], k
             assert {name.removesuffix(".staged-0"): data
                     for name, data in got.items()} == want, k
@@ -661,16 +647,24 @@ class TestReconstruct:
             assert snapshot(shares) == files
             assert not (tmp_path / "out.bin").exists()
 
-    def test_flushes_the_output(self, workspace, monkeypatch):
+    def test_flushes_the_output(self, workspace, monkeypatch, capsys):
         # A reconstruct that exits 0 has its output on disk: the file is
-        # flushed before its rename, and the directory after it.
+        # flushed before its rename, and the directory after it. When
+        # that last flush fails, the output has its name already.
         tmp, topo, secret, out = self._deal(workspace)
         dest = tmp / "recovered.bin"
+        argv = ["reconstruct", "--topology", topo, "--shares", out,
+                "--out", dest]
         probe = FaultyFiles()
-        assert probe.run(monkeypatch, [
-            "reconstruct", "--topology", topo, "--shares", out,
-            "--out", dest]) == 0
+        assert probe.run(monkeypatch, argv) == 0
         assert probe.log == ["write", "fsync", "replace", "fsync"]
+        assert dest.read_bytes() == secret.read_bytes()
+        dest.unlink()
+        capsys.readouterr()
+        assert FaultyFiles(4).run(monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {dest}: flushing its directory failed: "
+            f"{INJECTED}\n")
         assert dest.read_bytes() == secret.read_bytes()
 
     def test_quorum_exact_file_list(self, workspace):
@@ -759,37 +753,6 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--shares", out,
                     "--out", out / "secret.bin"]) == 0
         assert (out / "secret.bin").read_bytes() == secret.read_bytes()
-
-    def test_out_over_the_topology_or_a_vault_file_exit64(self, workspace,
-                                                          capsys):
-        # An --out that was the topology file took the recovered secret,
-        # and the next refresh exited 2; in the share-file form, an --out
-        # that was the vault's manifest replaced it. Both are refused
-        # before any file is touched, as is any vault file's name in the
-        # directory of a share file given.
-        tmp, topo, secret, out = self._deal(workspace)
-        picks = [out / "m_001.share.json", out / "m_002.share.json",
-                 out / "d1_001.share.json", out / "d1_002.share.json"]
-        link = tmp / "topology-link.json"
-        link.symlink_to(topo)
-        files, topology = snapshot(out), topo.read_bytes()
-        for where, dest, what in [
-                (["--shares", out], topo, "the topology file"),
-                (picks, topo, "the topology file"),
-                (picks, link, "the topology file"),
-                (picks, out / "manifest.json", "a file of the vault"),
-                (picks, out / "d2_003.share.json", "a file of the vault"),
-                (picks, out / "new.share.json", "a file of the vault"),
-                (picks, out / "m_001.share.json.staged-1",
-                 "a file of the vault")]:
-            capsys.readouterr()
-            assert run(["reconstruct", "--topology", topo, "--out", dest,
-                        *where]) == 64, dest
-            assert capsys.readouterr().err.startswith(
-                f"error: --out {dest} is {what}"), dest
-            assert snapshot(out) == files and topo.read_bytes() == topology
-        assert not (out / "new.share.json").exists()
-        assert run(["refresh", "--topology", topo, "--shares", out]) == 0
 
     def test_out_not_a_regular_file_exit64(self, workspace, capsys):
         # An --out that was a FIFO, or a link to one, was replaced by a
@@ -2058,42 +2021,6 @@ class TestManifest:
         assert dest.read_bytes() == secret.read_bytes()
 
 
-class TestUnlistableVault:
-    """A vault directory that cannot be listed (EACCES, say) exits 2 and
-    is left as it was. For root a directory without read permission
-    still lists, so the listing is made to fail."""
-
-    def test_exit2_unchanged(self, workspace, monkeypatch, capsys):
-        tmp, topo, secret = workspace
-        out = tmp / "shares"
-        dest = tmp / "r.bin"
-        run(["deal", "--topology", topo, "--secret", secret, "--out", out,
-             "--seed", "1"])
-        before = snapshot(out)
-        iterdir = Path.iterdir
-
-        def unlistable(path):
-            if path == out:
-                raise PermissionError(errno.EACCES, "Permission denied",
-                                      str(path))
-            return iterdir(path)
-
-        capsys.readouterr()
-        with monkeypatch.context() as patch:
-            patch.setattr(Path, "iterdir", unlistable)
-            for argv in (
-                    ["refresh", "--topology", topo, "--shares", out],
-                    ["reconstruct", "--topology", topo, "--shares", out,
-                     "--out", dest],
-                    ["deal", "--topology", topo, "--secret", secret,
-                     "--out", out]):
-                assert run(argv) == 2, argv[0]
-                assert (f"error: cannot read directory {out}: "
-                        in capsys.readouterr().err), argv[0]
-        assert snapshot(out) == before
-        assert not dest.exists()
-
-
 class TestNotARegularFile:
     """A share file or a manifest that is not a regular file (a FIFO, a
     directory or a device) is refused, naming it, and the vault is left
@@ -2122,7 +2049,7 @@ class TestNotARegularFile:
         fifo, dest = out / name, tmp / "r.bin"
         fifo.unlink()
         os.mkfifo(fifo)
-        before = files_under(tmp)
+        before = tree(tmp)
         listed = ["reconstruct", "--topology", topo, "--out", dest,
                   *sorted(out.glob("*.share.json"))]
         argvs = [["refresh", "--topology", topo, "--shares", out],
@@ -2135,7 +2062,7 @@ class TestNotARegularFile:
             assert (proc.returncode, proc.stderr) == (
                 2, f"error: cannot read {what} {fifo}: not a regular "
                    f"file\n"), argv
-            assert files_under(tmp) == before, argv
+            assert tree(tmp) == before, argv
         assert fifo.is_fifo()
         if what == "manifest":
             # Share files named as arguments are read without the
@@ -2350,10 +2277,18 @@ class TestRefreshFaults:
         for k in range(1, len(probe.log) + 1):
             restore(out, begin)
             faults = FaultyFiles(k, crash)
+            capsys.readouterr()
             assert faults.run(monkeypatch, refresh) == 2, (k, faults.log)
+            err = capsys.readouterr().err
             # Only the commit changes the manifest.
             committed = ((out / "manifest.json").read_bytes()
                          == new["manifest.json"])
+            if committed:
+                epoch = json.loads(new["manifest.json"])["epoch"]
+                assert err == (
+                    f"error: epoch {epoch} is committed, but not every share "
+                    f"has its final name; the next refresh or reconstruct "
+                    f"--shares finishes it: {INJECTED}\n"), k
             if start == "settled" and not crash and not committed:
                 assert snapshot(out) == begin, k
             assert recovers(), k
@@ -2712,28 +2647,6 @@ class TestSimulate:
         assert state.read_bytes() == saved
         assert not report.exists()
 
-    def test_second_deal_exit2(self, tmp_path, capsys):
-        # The adversary would hold one mother share from each of two
-        # independent dealings and combine them as if from one.
-        data = json.loads(
-            (ROOT / "docs" / "examples" / "scenario.json").read_text())
-        data["schedule"] = [
-            {"event": "deal"},
-            {"event": "compromise_node", "network": "m", "node": 1},
-            {"event": "release_node", "network": "m", "node": 1},
-            {"event": "deal"},
-            {"event": "compromise_node", "network": "m", "node": 2},
-            {"event": "hndl_decrypt_classical"},
-            {"event": "attempt_reconstruct", "actor": "adversary"},
-        ]
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(data))
-        state = tmp_path / "world.state"
-        assert run(["simulate", "--scenario", path, "--state", state]) == 2
-        assert "dealt once" in capsys.readouterr().err
-        assert not state.exists()
-        assert not (tmp_path / "scenario.report.json").exists()
-
     def test_deal_on_dealt_state_exit2(self, tmp_path):
         first = self._scenario(tmp_path, [
             {"event": "deal"},
@@ -2840,7 +2753,11 @@ class TestSimulate:
             report.unlink(missing_ok=True)
             capsys.readouterr()
             assert FaultyFiles(k, crash).run(monkeypatch, argv) == 2, k
-            assert "error: cannot write" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write "), k
+            if k == len(probe.log):
+                assert err == (f"error: cannot write {report}: flushing its "
+                               f"directory failed: {INJECTED}\n")
             assert report.exists() == (k == len(probe.log)), k
             assert state.read_bytes() == (earlier if k <= state_replace
                                           else later), k

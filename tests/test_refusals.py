@@ -1,28 +1,51 @@
-"""Every refusal is a row of docs/refusals.md, and every row a refusal.
+"""Every refusal is a row of docs/refusals.md, every row a refusal, and
+every row is run.
 
-Each `raise` under src/multishare/ is read with ast, and its message made
-a template: an f-string's variable parts read as {…}, module constants
-are resolved, a conditional gives both arms, and `self.NAME` is the
-string its class assigns to it. An exception whose constructor builds
-its message (CliError, formats.UnreadableShare), and a helper that
-raises with a message made of its arguments (HELPERS), are read at each
-call with the arguments given there. Each template must match a row of
-the table, each row some template, and each row's exit code must be the
-one cli.main gives the class (CliError's first argument for a CliError).
-The raises that are not refusals are listed in APART, each with its
-reason, as tests/test_imports.py lists its exceptions."""
+The table is tied to the code both ways. Each `raise` under
+src/multishare/ is read with ast, and its message made a template: an
+f-string's variable parts read as {…}, module constants are resolved, a
+conditional gives both arms, and `self.NAME` is the string its class
+assigns to it. An exception whose constructor builds its message
+(CliError, formats.UnreadableShare), and a helper that raises with a
+message made of its arguments (HELPERS), are read at each call with the
+arguments given there. Each template must match a row of the table, and
+each row some template. The raises that are not refusals are listed in
+APART, each with its reason, as tests/test_imports.py lists its
+exceptions.
+
+And each row is made to happen. A trigger (TRIGGERS) is an input that
+makes a command refuse: an edit of the workspace that every case starts
+from (a topology, a secret, a dealt vault and a scenario), a change to
+the command line, or a fault that a hook injects. It names the rows its
+refusal prints, outermost first, with their variable parts. It is run in
+process under each command that all of those rows list, and the command
+must exit with the rows' code, print on stderr `error: ` and the rows
+filled in, one inside the next, and leave every file and directory of
+the workspace as it was. Every row is printed so under every command it
+lists, but the few in UNTRIGGERED, each of which names the test that
+prints it."""
 
 import argparse
 import ast
 import contextlib
+import errno
 import io
 import itertools
+import json
+import operator
+import os
 import re
+import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from multishare import cli, errors, formats
+from multishare import cli, errors, formats, vault
+from multishare.field import DEFAULT_MODULUS, deterministic_rng
+from multishare.formats import canonical_json, topology_to_dict
+from multishare.protocol import deal
+from support import INJECTED, FaultyFiles, make_topology, run, tree
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "multishare"
@@ -48,13 +71,19 @@ APART = {
     ("formats", "manifest_from_dict", PART):
         "the KeyError's or TypeError's text, after `cannot read manifest "
         "{path}: `, whose row names it",
+    ("formats", "_header_from_dict", "a share file holds a JSON object"):
+        "read_share parses a header only as the object its layout makes; "
+        "share_from_dict, which no command calls, refuses any other JSON",
+    ("vault", "appending.append", f"cannot write {PART}: not a file name"):
+        "a path without a name (`.`, `/`) is a directory, which every "
+        "command refuses as an output first (exit 64)",
     ("protocol", "decode_secret", "no chunks"):
         "a share file holds at least one chunk, so no command decodes none",
     ("protocol", "SecretDecoder.close", "no chunks"):
         "a share file holds at least one chunk, so no command decodes none",
     ("simnet", "Simulation.owner_refresh", "nothing dealt yet"):
-        "an Infeasible reached only in a state's replay, printed after "
-        "`corrupt state: `, whose row names it, with that row's exit 2",
+        "check_deal_order refuses a refresh before the deal first, in a "
+        "schedule run on a --state and in a state's history",
     ("simnet", "Simulation.owner_reconstruct", "nothing dealt yet"):
         "the owner's outcome in the report (attempt), not a refusal",
     ("simnet", "Simulation.owner_store", "the secret is already dealt"):
@@ -98,7 +127,6 @@ APART = {
     ("field", "express_over_rows",
      "row length does not match vector length"): GUARD,
 }
-
 
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(SRC.glob("*.py"))}
@@ -213,23 +241,20 @@ def bind(params, call, env) -> dict:
             **{k.arg: (k.value, env) for k in call.keywords}}
 
 
-def raised(call: ast.Call, env):
-    """(class, CliError's code node or None, message templates) of the
-    exception that `call` makes."""
+
+def raised(call: ast.Call, env) -> set:
+    """The message templates of the exception that `call` makes."""
     cls = class_name(call)
     if cls in CONSTRUCTORS:
         params, message = CONSTRUCTORS[cls]
-        bound = bind(params, call, env)
-        code = bound.get("code")
-        return cls, code, templates(message, bound)
-    return cls, None, (templates(call.args[0], env) if call.args else set())
+        return templates(message, bind(params, call, env))
+    return templates(call.args[0], env) if call.args else set()
 
 
 def sites() -> list:
-    """(module, function, class, code, template) of each refusal that a
-    raise under src/multishare/ can make; a raise in one of HELPERS is
-    read at each call of the helper instead. `code` is CliError's, or
-    None."""
+    """(module, function, template) of each refusal that a raise under
+    src/multishare/ can make; a raise in one of HELPERS is read at each
+    call of the helper instead."""
     helpers = {}  # name: (parameters, the raise's call)
     for tree in TREES.values():
         for name, node in functions(tree):
@@ -254,20 +279,15 @@ def sites() -> list:
                     params, call = helpers[inner.func.id]
                     calls.append((call, bind(params, inner, {})))
             for call, env in calls:
-                cls, code, texts = raised(call, env)
-                if code is not None:
-                    code, = map(int, templates(*code))
-                for text in texts:
-                    found.append((module, name, cls, code, text))
+                found += [(module, name, text) for text in raised(call, env)]
     return found
 
 
 SITES = sites()
 
 
-def main_prints(monkeypatch, exc):
-    """The exit code cli.main returns when a command raises `exc`, and
-    what it prints after `error: `."""
+def main_prints(monkeypatch, exc) -> str:
+    """What cli.main prints after `error: ` when a command raises `exc`."""
     def command(args):
         raise exc
 
@@ -275,16 +295,9 @@ def main_prints(monkeypatch, exc):
         parse_args=lambda argv: argparse.Namespace(func=command)))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main([])
+        cli.main([])
     assert err.getvalue().startswith("error: ")
-    return code, err.getvalue()[len("error: "):-1]
-
-
-def exception_class(name: str):
-    for module in (errors, formats, cli):
-        if isinstance(getattr(module, name, None), type):
-            return getattr(module, name)
-    return None
+    return err.getvalue()[len("error: "):-1]
 
 
 def row_regex(template: str):
@@ -293,73 +306,854 @@ def row_regex(template: str):
     return re.compile(".*".join(map(re.escape, template.split(PART))))
 
 
+COMMANDS = ("deal", "refresh", "reconstruct", "thresholds", "simulate")
+
+
+class Row(NamedTuple):
+    code: int
+    section: str
+    commands: tuple  # `all` in the table: COMMANDS
+
+
 def table_rows() -> list:
-    """(exit code, message) of each row of docs/refusals.md."""
-    text = TABLE.read_text(encoding="utf-8")
-    return [(int(code), message) for code, message in re.findall(
-        r"^\| (\d+) \| `([^`]+)` \|", text, re.M)]
+    """(message, Row) of each row of docs/refusals.md, in order."""
+    rows, section = [], None
+    for line in TABLE.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            section = line[3:]
+        elif re.match(r"\| \d", line):
+            code, message, commands = re.fullmatch(
+                r"\| (\d+) \| `([^`]+)` \| .* \| ([a-z, ]+) \|", line).groups()
+            rows.append((message, Row(int(code), section, COMMANDS
+                                      if commands == "all"
+                                      else tuple(commands.split(", ")))))
+    return rows
+
+
+ROWS = dict(table_rows())
 
 
 @pytest.fixture(scope="module")
 def refusals():
-    """(code, template, where) of each refusal: every raise outside APART,
-    a ValueError at exit 2, where a caller wraps it; and each prefix
-    cli.main adds to a message of a class, at that class's code."""
-    found = []
+    """(template, where) of each refusal: every raise outside APART, and
+    each prefix that cli.main adds to the message of an error class."""
+    found = [(text, f"{module}.{function}")
+             for module, function, text in SITES
+             if (module, function, text) not in APART]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for module, function, cls, code, text in SITES:
-            if (module, function, text) in APART:
-                continue
-            where = f"{module}.{function}"
-            if code is not None:
-                found.append((code, text, where))
-            elif cls == "ValueError":
-                found.append((cli.EXIT_INPUT, text, where))
-            else:
-                exc = exception_class(cls)
-                assert exc is not None, (where, cls)
-                instance = exc.__new__(exc)
-                Exception.__init__(instance, text)
-                printed = main_prints(monkeypatch, instance)
-                found.append((printed[0], text, where))
         for exc in vars(errors).values():
             if isinstance(exc, type) and issubclass(exc, Exception):
-                code, printed = main_prints(monkeypatch, exc("MESSAGE"))
-                prefix = printed[:-len("MESSAGE")]
-                if prefix:
-                    found.append((code, prefix + PART,
+                printed = main_prints(monkeypatch, exc("MESSAGE"))
+                if printed != "MESSAGE":
+                    found.append((printed[:-len("MESSAGE")] + PART,
                                   f"cli.main {exc.__name__}"))
     return found
 
 
 def test_every_refusal_is_a_row(refusals):
-    rows = table_rows()
-    assert [(code, text, where) for code, text, where in refusals
-            if not any(row_regex(text).fullmatch(message)
-                       for _, message in rows)] == []
+    assert [(text, where) for text, where in refusals
+            if not any(map(row_regex(text).fullmatch, ROWS))] == []
 
 
 def test_every_row_is_a_refusal(refusals):
     # A row whose refusal was deleted or reworded cannot stay.
-    assert [(code, message) for code, message in table_rows()
+    assert [message for message in ROWS
             if not any(row_regex(text).fullmatch(message)
-                       for _, text, _ in refusals)] == []
-
-
-def test_each_row_has_its_refusals_exit_code(refusals):
-    assert [(code, message, where, expected)
-            for code, message in table_rows()
-            for expected, text, where in refusals
-            if row_regex(text).fullmatch(message) and code != expected] == []
+                       for text, _ in refusals)] == []
 
 
 def test_each_row_is_stated_once():
-    messages = [message for _, message in table_rows()]
+    messages = [message for message, _ in table_rows()]
     assert sorted(m for m in messages if messages.count(m) > 1) == []
 
 
 def test_each_apart_raise_is_still_there():
     # A raise listed apart that is gone, or reworded, leaves the list.
-    found = {(module, function, text)
-             for module, function, _, _, text in SITES}
+    found = {(module, function, text) for module, function, text in SITES}
     assert sorted(set(APART) - found) == []
+
+
+# -- The rows run -------------------------------------------------------
+
+SECRET = b"the crown jewels " * 3  # four chunks at the default modulus
+SCHEDULE = [{"event": "deal"}, {"event": "refresh"}]
+# Seeded files that a case starts without, for triggers to copy in: a
+# vault of another deal of the same secret, and the state that a run of
+# the scenario saves.
+SPARE = ("other/", "world.state")
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory) -> dict:
+    """The bytes of every file of the workspace and of every spare, by its
+    path relative to the workspace."""
+    root = tmp_path_factory.mktemp("seed")
+    doc = topology_to_dict(make_topology(DEFAULT_MODULUS))
+    (root / "topology.json").write_text(json.dumps(doc))
+    (root / "secret.bin").write_bytes(SECRET)
+    (root / "scenario.json").write_text(json.dumps(
+        {"topology": doc, "secret_hex": SECRET.hex(), "schedule": SCHEDULE}))
+    for out, seed in (("shares", 1), ("other", 8)):
+        assert run(["deal", "--topology", root / "topology.json", "--secret",
+                    root / "secret.bin", "--out", root / out,
+                    "--seed", seed]) == 0
+    assert run(["simulate", "--scenario", root / "scenario.json", "--state",
+                root / "world.state", "--report", root / "report.json"]) == 0
+    (root / "report.json").unlink()
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class Workspace(NamedTuple):
+    root: Path
+    seed: dict
+    monkeypatch: pytest.MonkeyPatch
+
+    def write(self, rel: str, data: bytes) -> None:
+        path = self.root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+    def read_json(self, rel: str):
+        return json.loads((self.root / rel).read_bytes())
+
+
+@pytest.fixture
+def workspace(tmp_path, seeded, monkeypatch) -> Workspace:
+    w = Workspace(tmp_path, seeded, monkeypatch)
+    for rel, data in seeded.items():
+        if not rel.startswith(SPARE):
+            w.write(rel, data)
+    return w
+
+
+class P(str):
+    """A path in the workspace, relative to it."""
+
+
+class Reason:
+    """The text of the error that call(*args) raises: what a refusal quotes
+    of the operating system or the JSON parser. A P in `args` is the path
+    in the workspace."""
+
+    def __init__(self, call, *args):
+        self.call, self.args = call, args
+
+
+def resolve(value, root: Path):
+    if isinstance(value, P):
+        return str(root / value)
+    if isinstance(value, Reason):
+        with pytest.raises(Exception) as err:
+            value.call(*(resolve(a, root) for a in value.args))
+        return str(err.value)
+    return value
+
+
+def oserror(code: int, path: str):
+    raise OSError(code, os.strerror(code), path)
+
+
+def decoded(payload: bytes):
+    """A state file's payload, as load_state reads it."""
+    return json.loads(payload.decode("utf-8"))
+
+
+# Each command's command line, but for the changes a trigger makes.
+ARGV = {
+    "deal": ("--topology", P("topology.json"), "--secret", P("secret.bin"),
+             "--out", P("new")),
+    "refresh": ("--topology", P("topology.json"), "--shares", P("shares"),
+                "--seed", "2"),
+    "reconstruct": ("--topology", P("topology.json"), "--shares",
+                    P("shares"), "--out", P("r.bin")),
+    "thresholds": ("--topology", P("topology.json")),
+    "simulate": ("--scenario", P("scenario.json"), "--report",
+                 P("report.json")),
+}
+
+
+def command_line(command: str, changes: dict, root: Path) -> list:
+    options = dict(zip(ARGV[command][::2], ARGV[command][1::2]))
+    options.update(changes)
+    files = options.pop("files", ())
+    argv = [command]
+    for option, value in options.items():
+        argv += ([] if value is None else [option] if value is True
+                 else [option, value])
+    return [resolve(a, root) for a in [*argv, *files]]
+
+
+class Trigger(NamedTuple):
+    """An input that makes a command refuse. `chain` is the rows printed,
+    outermost first: a row is its message, or a tuple of its message and
+    its parts in order, and a chain of one row may be that row; or
+    {command: chain}. `setup` edits the workspace and installs hooks, in
+    turn; a step may return the function that runs the command line.
+    `argv` changes ARGV: an option given None is dropped, and one given
+    True is a flag; "files" are the share files listed. `commands` are
+    those of the rows' commands it is run under, all of them when
+    empty."""
+    chain: object
+    setup: tuple
+    argv: dict
+    commands: tuple
+
+
+def T(chain, *setup, argv=None, commands=()) -> Trigger:
+    return Trigger(chain, setup, argv or {}, commands)
+
+
+# What a command prints before the rows of a table: simulate reads its
+# topology inside the scenario, and reconstruct prints the share set's
+# refusals (but those of exit code 3) after `corrupt shares: `.
+WRAPS = {("Topology file", "simulate"): "cannot load scenario: {reason}",
+         ("Share set", "reconstruct"): "corrupt shares: {reason}"}
+
+
+def chain_of(trigger: Trigger, command: str) -> list:
+    chain = trigger.chain
+    chain = chain[command] if isinstance(chain, dict) else chain
+    return [(row,) if isinstance(row, str) else row
+            for row in ([chain] if isinstance(chain, (str, tuple))
+                        else chain)]
+
+
+def rows_of(trigger: Trigger, command: str) -> list:
+    """(message, *parts) of each row that `trigger` prints under
+    `command`, outermost first, WRAPS's prefix included."""
+    chain = chain_of(trigger, command)
+    outer = chain[0][0]
+    wrap = WRAPS.get((ROWS[outer].section, command))
+    if wrap not in (None, outer) and ROWS[wrap].code == ROWS[outer].code:
+        chain = [(wrap,), *chain]
+    return chain
+
+
+def commands_of(trigger: Trigger) -> tuple:
+    """The commands `trigger` is run under: those that each of its rows
+    lists, or that its chain is given for."""
+    if trigger.commands:
+        return trigger.commands
+    if isinstance(trigger.chain, dict):
+        return tuple(trigger.chain)
+    return tuple(command for command in COMMANDS if all(
+        command in ROWS[row].commands
+        for row, *_ in chain_of(trigger, command)))
+
+
+def printed(rows: list, root: Path) -> str:
+    """The rows filled in, each in the last {…} of the one before."""
+    text = None
+    for message, *parts in reversed(rows):
+        values = [str(resolve(part, root)) for part in parts]
+        values += [] if text is None else [text]
+        assert len(re.findall(r"\{[^}]*\}", message)) == len(values), message
+        values = iter(values)
+        text = re.sub(r"\{[^}]*\}", lambda _: next(values), message)
+    return text
+
+
+# Edits of the workspace. A change is a function of a JSON document, or
+# the path of an entry in it and the entry's new value (at).
+DELETE = object()
+
+
+def at(doc, path: list, value):
+    """A copy of `doc` with the entry at `path` (keys and indices) set to
+    `value`, or to value(entry) when it is callable, or removed when it is
+    DELETE."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value(target[last]) if callable(value) else value
+    return doc
+
+
+def change(args) -> callable:
+    return args[0] if len(args) == 1 else lambda doc: at(doc, *args)
+
+
+def as_json(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+def as_share(doc) -> bytes:
+    return canonical_json(doc) + b"\n"
+
+
+def edit(rel: str, encode, *args):
+    return lambda w: w.write(rel, encode(change(args)(w.read_json(rel))))
+
+
+def topology(*args):
+    """The topology changed, in its file and in the scenario."""
+    def setup(w):
+        doc = change(args)(w.read_json("topology.json"))
+        w.write("topology.json", as_json(doc))
+        w.write("scenario.json", as_json(
+            {**w.read_json("scenario.json"), "topology": doc}))
+    return setup
+
+
+def share(rel: str, *args):
+    return edit(rel, as_share, *args)
+
+
+def manifest(*args):
+    return edit(MANIFEST, as_json, *args)
+
+
+def scenario(*args):
+    return edit("scenario.json", as_json, *args)
+
+
+def state_file(payload: bytes) -> bytes:
+    return b"MSS1" + struct.pack(">Q", len(payload)) + payload
+
+
+def state(*args):
+    """The saved state, its payload changed."""
+    return write("world.state", lambda seed: state_file(as_json(
+        change(args)(json.loads(seed["world.state"][12:])))))
+
+
+def write(rel: str, data):
+    """`rel` written with `data`: bytes, or a function of the seed."""
+    return lambda w: w.write(rel, data(w.seed) if callable(data) else data)
+
+
+def copy(src: str, dst: str):
+    return write(dst, operator.itemgetter(src))
+
+
+def v1(doc) -> dict:
+    """The share file `doc` in share format v1."""
+    return {**doc, "format_version": 1,
+            "values": [format(int(v, 16), "x") for v in doc["values"]]}
+
+
+def remove(*rels):
+    def setup(w):
+        for rel in rels:
+            (w.root / rel).unlink()
+    return setup
+
+
+def mkdir(rel: str):
+    return lambda w: (w.root / rel).mkdir()
+
+
+def vault_of(chunks: list):
+    """The vault replaced by a deal of `chunks` under the topology file's
+    topology: chunks that decode to no secret."""
+    def setup(w):
+        topology = formats.topology_from_dict(w.read_json("topology.json"))
+        q = topology.modulus
+        remove(*SHARES)(w)
+        for shares in deal(chunks, topology, deterministic_rng(0)).values():
+            for s in shares:
+                name = vault.SHARE_NAME.format(s.network_id, s.node_index)
+                w.write(f"shares/{name}",
+                        formats.share_file_block(s, q, 0, len(chunks)))
+        w.write(MANIFEST, as_share(formats.manifest_dict(
+            formats.topology_digest(topology), len(chunks), 0, [])))
+    return setup
+
+
+# Hooks.
+def faulty(k: int):
+    """The k-th file mutation fails (FaultyFiles)."""
+    return lambda w: lambda argv: FaultyFiles(k).run(w.monkeypatch, argv)
+
+
+def unlistable(rel: str):
+    """Listing `rel` fails as it would without read permission, which a
+    directory still gives root."""
+    def setup(w):
+        path, iterdir = w.root / rel, Path.iterdir
+        w.monkeypatch.setattr(Path, "iterdir", lambda p: oserror(
+            errno.EACCES, str(p)) if p == path else iterdir(p))
+    return setup
+
+
+def opened(secret_file):
+    """deal opens its secret as the io.FileIO subclass `secret_file`."""
+    return lambda w: w.monkeypatch.setattr(
+        cli, "open", lambda path, mode: secret_file(path), raising=False)
+
+
+class Unreadable(io.FileIO):
+    def read(self, n=-1):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+class Shrunk(io.FileIO):
+    """A file that ends a byte before its size."""
+
+    def read(self, n=-1):
+        return super().read(n)[:-1]
+
+
+def touched(w):
+    """Each share file is rewritten, by its modification time, as a block
+    of it is about to be read."""
+    real = formats.ShareValues.__getitem__
+
+    def read(values, index):
+        info = os.stat(values.path)
+        os.utime(values.path, ns=(info.st_atime_ns, info.st_mtime_ns + 1))
+        return real(values, index)
+
+    w.monkeypatch.setattr(formats.ShareValues, "__getitem__", read)
+
+
+# Rows that wrap others, and texts that several triggers print.
+READ_TOPOLOGY = "cannot read topology {path}: {reason}"
+INVALID = "invalid topology: {reason}"
+CHUNKING = "modulus must be at least 2^16 for byte chunking"
+READ_SHARE = "cannot read share {path}: {reason}"
+READ_MANIFEST = "cannot read manifest {path}: {reason}"
+LOAD_SCENARIO = "cannot load scenario: {reason}"
+MALFORMED = "malformed scenario: {reason}"
+FIT = "event {event} does not fit the topology: {reason}"
+RUN = "cannot run the schedule: {reason}"
+LOAD_STATE = "cannot load state: {reason}"
+CORRUPT_STATE = "corrupt state: {reason}"
+INTEGER = "{key} must be an integer, not {value}"
+NOT_HEX = "a hex value is not lowercase hex without leading zeros"
+VERSION = "unsupported format_version {version}"
+COUNT = "chunk_count does not match values"
+DIR = "cannot read directory {dir}: {reason}"
+GIVES = "{path} gives {field} {value}, the share files {theirs}"
+STALE = "{path} lists as stale nodes that {fault}: {nodes}"
+NOT_A_NODE = "share {network}/{node} is not a node of the topology"
+TWICE = "share {network}/{node} given twice"
+NOT_REGULAR = "{option} {path} is not a regular file"
+INPUT = "{option} {path} is the {what} file {input}"
+WRITE = "cannot write {path}: {reason}"
+FAILED = "{command} failed, no file changed: {reason}"
+DEALT_TWICE = ("the secret is dealt once and then refreshed; this schedule "
+               "deals it again")
+EARLY_REFRESH = "this schedule refreshes before the secret is dealt"
+DIFFERS = "the state's {what} {verb} from the scenario's"
+
+M1 = "shares/m_001.share.json"
+MANIFEST = "shares/manifest.json"
+SHARES = [f"shares/{n}_00{j}.share.json" for n in ("d1", "d2", "m")
+          for j in (1, 2, 3)]
+QUORUM = [P(f"shares/{n}.share.json")
+          for n in ("m_001", "m_002", "d1_001", "d1_002")]
+LISTED = {"--shares": None, "files": QUORUM}
+STATE = {"--state": P("world.state")}
+INTO_EMPTY = {"--out": P("empty")}
+DEEP = "[" * 100_000 + "]" * 100_000  # beyond the JSON parser's nesting
+ESCAPING_IDS = ["../evil", "a\x00b", "\ud800"]  # ids naming no file in --out
+
+
+def last_plus_one(text: str) -> str:
+    return f"{(int(text, 16) + 1) % DEFAULT_MODULUS:032x}"
+
+
+def event(ev: dict):
+    """The scenario with `ev` after its schedule."""
+    return scenario(["schedule"], [*SCHEDULE, ev])
+
+
+EV_FIELD = {"event": "attempt_reconstruct", "actr": "adversary"}
+EV_ACTOR = {"event": "attempt_reconstruct", "actor": "Adversary"}
+EV_NO_NODE = {"event": "release_node", "network": "m"}
+EV_NODE_STR = {"event": "release_node", "network": "d1", "node": "1"}
+EV_NETWORK = {"event": "compromise_network", "network": "d3"}
+EV_NODE = {"event": "compromise_node", "network": "d1", "node": 7}
+
+TRIGGERS = [
+    # Usage.
+    T("give --shares or share files, not both", argv={"files": QUORUM}),
+
+    # Topology file.
+    T((READ_TOPOLOGY, P("topology.json"), Reason(json.loads, "{")),
+      write("topology.json", b"{")),
+    T((READ_TOPOLOGY, P("topology.json"), Reason(json.loads, DEEP)),
+      write("topology.json", DEEP.encode())),
+    T((READ_TOPOLOGY, P("topology.json"), Reason(bytes.decode, b"\xff")),
+      write("topology.json", b"\xff")),
+    T((READ_TOPOLOGY, P("missing.json"),
+       Reason(oserror, errno.ENOENT, P("missing.json"))),
+      argv={"--topology": P("missing.json")}),
+    T("a topology is a JSON object", topology(lambda doc: [])),
+    T(("malformed topology file: {reason}", "'modulus'"),
+      topology(["modulus"], DELETE)),
+    T(("malformed topology file: {reason}", "'QKD' is not a valid LinkKind"),
+      topology(["networks", 1, "link"], "QKD")),
+    T((VERSION, 2), topology(["format_version"], 2)),
+    T([(READ_SHARE, P(M1)), (VERSION, 3)],
+      share(M1, ["format_version"], 3)),
+    T([(READ_MANIFEST, P(MANIFEST)), (VERSION, 7)],
+      manifest(["format_version"], 7)),
+    T((INTEGER, "outer_degree", True), topology(["outer_degree"], True)),
+    T((INTEGER, "node_count", 3.0),
+      topology(["networks", 2, "node_count"], 3.0)),
+    T([(READ_SHARE, P(M1)), (INTEGER, "node_index", 1.9)],
+      share(M1, ["node_index"], 1.9)),
+    T([(READ_MANIFEST, P(MANIFEST)), (INTEGER, "epoch", "'0'")],
+      manifest(["epoch"], "0")),
+    T([LOAD_STATE, CORRUPT_STATE, (INTEGER, "seed", True)],
+      state(["seed"], True), argv=STATE),
+    T([LOAD_SCENARIO, (FIT, EV_NODE_STR), (INTEGER, "node", "'1'")],
+      event(EV_NODE_STR)),
+    T(NOT_HEX, topology(["modulus"], "0x" + "f" * 31)),
+    T(NOT_HEX, topology(["modulus"], lambda q: "0" + q)),
+    T([(READ_SHARE, P(M1)), NOT_HEX],
+      share(M1, ["modulus"], str.upper)),
+    T([(READ_SHARE, P(M1)), NOT_HEX], share(M1, lambda doc: at(
+        v1(doc), ["values", 0], lambda v: "0" + v))),
+    T("networks must be a list of JSON objects",
+      topology(["networks"], [1, 2])),
+    T("mother must be true or false",
+      topology(["networks", 0, "mother"], 1)),
+    T("exactly one network must be the mother",
+      topology(["networks", 1, "mother"], True)),
+    T("network ids must be strings", topology(["networks", 1, "id"], 7)),
+    *(T(("network id {id} contains / or NUL, or a lone surrogate", repr(i)),
+        topology(["networks", 1, "id"], i)) for i in ESCAPING_IDS),
+    T("modulus must be at least 257", topology(["modulus"], "fb")),
+    T([INVALID, "need at least two networks"],
+      topology(lambda doc: {**doc, "networks": doc["networks"][:1]})),
+    T([INVALID, "outer degree must be in 1..(networks-1)"],
+      topology(["outer_degree"], 3)),
+    T([INVALID, "daughter count must be below modulus"],
+      topology(lambda doc: {**doc, "modulus": "101", "networks": [
+          doc["networks"][0], *({**doc["networks"][1], "id": f"d{a}"}
+                                for a in range(1, 258))]})),
+    T([INVALID, "duplicate network ids"],
+      topology(["networks", 2, "id"], "d1")),
+    T([INVALID, "modulus must be prime"], topology(["modulus"], "102")),
+    T([INVALID, ("network {id}: need at least one node", "d1")],
+      topology(["networks", 1, "node_count"], 0)),
+    T([INVALID, ("network {id}: negative degree", "d1")],
+      topology(["networks", 1, "inner_degree"], -1)),
+    T([INVALID, ("network {id}: quorum exceeds node count", "d1")],
+      topology(["networks", 1, "inner_degree"], 3)),
+    T([INVALID, ("network {id}: node count must be below modulus", "d1")],
+      topology(lambda doc: at(at(doc, ["modulus"], "101"),
+                              ["networks", 1, "node_count"], 257))),
+    T([INVALID, ("network {id}: expected {link} link", "d1", "Classical")],
+      topology(["networks", 1, "link"], "ITS")),
+    T([INVALID, ("network {id}: expected {link} link", "m", "ITS")],
+      topology(["networks", 0, "link"], "Classical")),
+    *(T({"deal": [("topology {path}: {reason}", P("topology.json")),
+                  CHUNKING],
+         "reconstruct": [("topology {path}: {reason}", P("topology.json")),
+                         CHUNKING],
+         "simulate": [LOAD_SCENARIO, MALFORMED, CHUNKING]},
+        topology(["modulus"], q)) for q in ("101", "fff1")),
+    T(("{count} networks exceed the exhaustive bound of 12 networks", 13),
+      topology(lambda doc: topology_to_dict(make_topology(
+          DEFAULT_MODULUS, ((2, 1),) * 13))), argv={"--oracle": True}),
+
+    # Secret file.
+    T(("cannot read secret: {reason}",
+       Reason(oserror, errno.ENOENT, P("missing.bin"))),
+      argv={"--secret": P("missing.bin")}),
+    T(("cannot read secret: {reason}", Reason(oserror, errno.EIO, None)),
+      mkdir("empty"), opened(Unreadable), argv=INTO_EMPTY),
+    T(("the secret has {size} bytes; its 4-byte length header holds at most "
+       "4294967295", 2**32),
+      lambda w: os.truncate(w.root / "secret.bin", 2**32)),  # sparse
+    T("the secret is shorter than its size",
+      mkdir("empty"), opened(Shrunk), argv=INTO_EMPTY),
+
+    # Vault directory and manifest.
+    T(("{dir} is not a directory", P("missing")),
+      argv={"--shares": P("missing")}),
+    T(("{dir} is not a directory", P(M1)), argv={"--shares": P(M1)}),
+    T((DIR, P("shares"), Reason(oserror, errno.EACCES, P("shares"))),
+      unlistable("shares"), commands=("refresh", "reconstruct")),
+    T((DIR, P("shares"), Reason(oserror, errno.EACCES, P("shares"))),
+      unlistable("shares"), argv={"--out": P("shares")}, commands=("deal",)),
+    T("no share files found", remove(*SHARES)),
+    T("no share files found", argv={"--shares": None},
+      commands=("reconstruct",)),
+    T(("{dir} already holds a vault ({names}, ...); deal into a new "
+       "directory", P("shares"),
+       "d1_001.share.json, d1_002.share.json, d1_003.share.json"),
+      argv={"--out": P("shares")}),
+    T(("cannot delete the files of an uncommitted deal in {dir}: {reason}",
+       P("empty"), INJECTED),
+      write("empty/m_001.share.json.staged-0", b"uncommitted"), faulty(1),
+      argv=INTO_EMPTY),
+    *(T(("cannot make directory {dir}: {reason}", P(out),
+         Reason(os.mkdir, P(out))), argv={"--out": P(out)})
+      for out in ("secret.bin", "secret.bin/x")),
+    T(("cannot settle the staged files of an earlier deal or refresh in "
+       "{dir}: {reason}", P("shares"), INJECTED),
+      write("shares/m_001.share.json.staged-5", b"{}"), faulty(1)),
+    T((READ_MANIFEST, P(MANIFEST), Reason(json.loads, "{not json")),
+      write(MANIFEST, b"{not json")),
+    T((READ_MANIFEST, P(MANIFEST),
+       Reason(operator.getitem, [], "topology_digest")),
+      write(MANIFEST, b"[]")),
+    T((READ_MANIFEST, P(MANIFEST), "'epoch'"), manifest(["epoch"], DELETE)),
+    T([(READ_MANIFEST, P(MANIFEST)), "chunk_count must be at least 1"],
+      manifest(["chunk_count"], 0)),
+    T([(READ_MANIFEST, P(MANIFEST)),
+       "stale must be a list of network/node names"],
+      manifest(["stale"], "nonsense")),
+    T(("{path} was written for another topology", P(MANIFEST)),
+      manifest(["topology_digest"], "0" * 64)),
+    T((GIVES, P(MANIFEST), "epoch", 5, 0), manifest(["epoch"], 5)),
+    T((GIVES, P(MANIFEST), "chunk_count", 5, 4),
+      manifest(["chunk_count"], 5)),
+    T((STALE, P(MANIFEST), "have a share file", "m/1"),
+      manifest(["stale"], ["m/1"])),
+    T((STALE, P(MANIFEST), "the topology lacks", "d2/4, x/1"),
+      manifest(["stale"], ["x/1", "d2/4"])),
+
+    # Share files.
+    T([(READ_SHARE, P("shares/d2_003.share.json")), "not a regular file"],
+      remove("shares/d2_003.share.json"), mkdir("shares/d2_003.share.json")),
+    T([(READ_SHARE, P("shares/d2_003.share.json")), "not a regular file"],
+      remove("shares/d2_003.share.json"),
+      lambda w: (w.root / "shares/d2_003.share.json").symlink_to(os.devnull)),
+    T([(READ_MANIFEST, P(MANIFEST)), "not a regular file"],
+      remove(MANIFEST), mkdir(MANIFEST)),
+    T([(READ_SHARE, P(M1)), "not in the layout the tools write (canonical "
+       "JSON and a newline)"],
+      write(M1, lambda seed: as_json(json.loads(seed[M1])) + b"\n")),
+    T([(READ_SHARE, P(M1)), "not in the layout the tools write (canonical "
+       "JSON and a newline)"], write(M1, DEEP.encode())),
+    T([(READ_SHARE, P(M1)), ("malformed share file: {reason}", "'epoch'")],
+      share(M1, ["epoch"], DELETE)),
+    T([(READ_SHARE, P(M1)), "share modulus does not match the topology"],
+      share(M1, ["modulus"], format(2**521 - 1, "x"))),
+    T([(READ_SHARE, P(M1)), "network_id must be a string"],
+      share(M1, ["network_id"], 7)),
+    T([(READ_SHARE, P(M1)), "values must be a list"],
+      share(M1, ["values"], "abcd")),
+    T([(READ_SHARE, P(M1)), COUNT],
+      share(M1, ["chunk_count"], 0)),
+    T([(READ_SHARE, P(M1)), COUNT], share(M1, lambda doc: at(
+        v1(doc), ["values"], lambda values: values + values[:1]))),
+    T([(READ_SHARE, P(M1)),
+       ("the file has {size} bytes, not the {expected} that its chunk_count "
+        "of {count} values of {digits} hex digits gives", 274, 275, 4, 32)],
+      share(M1, ["values", 3], lambda v: v[1:])),
+    T([(READ_SHARE, P(M1)), ("a value is not lowercase hex of {digits} "
+                             "digits", 32)],
+      share(M1, ["values", 0], lambda v: "g" + v[1:])),
+    T([(READ_SHARE, P(M1)), "a value is out of range for the modulus"],
+      share(M1, ["values", 0], "7" + "f" * 31)),
+    T([(READ_SHARE, P(M1)), "the file ends early"],
+      write(M1, lambda seed: as_share(v1(json.loads(seed[M1])))[:-6])),
+    T([(READ_SHARE, P("shares/d1_001.share.json")),
+       "changed while it was read"], touched),
+
+    # Share set.
+    T(["EpochMismatch: {reason}", ("shares span epochs {epochs}", "[0, 1]")],
+      share("shares/d1_001.share.json", ["epoch"], 1)),
+    T(("inconsistent chunk counts {counts}", "[3, 4]"),
+      share("shares/m_003.share.json", lambda doc: {
+          **doc, "chunk_count": 3, "values": doc["values"][:3]})),
+    T((NOT_A_NODE, "d1", 9), copy("shares/d1_003.share.json",
+                                  "shares/x.share.json"),
+      share("shares/x.share.json", ["node_index"], 9)),
+    T((NOT_A_NODE, "d9", 3), copy("shares/d1_003.share.json",
+                                  "shares/x.share.json"),
+      share("shares/x.share.json", ["network_id"], "d9")),
+    T((TWICE, "d1", 3), copy("shares/d1_003.share.json",
+                             "shares/d1_003_copy.share.json")),
+    T((TWICE, "m", 1), argv={**LISTED, "files": QUORUM[:1] + QUORUM},
+      commands=("reconstruct",)),
+    T(("infeasible: {reason}",
+       "mother quorum not met (m: 0/2, d1: 2/2, d2: 2/2)"),
+      argv={**LISTED, "files": [P(name) for name in SHARES[:6]]}),
+    T(("network {id}: the share of node {node} disagrees with nodes "
+       "{quorum}", "d1", 3, "[1, 2]"),
+      share("shares/d1_001.share.json", ["values", 0], last_plus_one)),
+    T(("network {id}: its inner secret disagrees with networks {networks}",
+       "d2", "['m', 'd1']"),
+      *(copy(f"other/d2_00{j}.share.json", f"shares/d2_00{j}.share.json")
+        for j in (1, 2, 3))),
+    T("chunk value out of range", vault_of([2**120])),
+    T("truncated chunk stream",
+      topology(["modulus"], "10001"), vault_of([0])),
+    T("declared length exceeds payload", vault_of([100 << 88])),
+    T("nonzero padding", vault_of([1])),
+
+    # Outputs.
+    T((NOT_REGULAR, "--out", P("shares")), argv={"--out": P("shares")},
+      commands=("reconstruct",)),
+    T((NOT_REGULAR, "--out", P("fifo")), lambda w: os.mkfifo(w.root / "fifo"),
+      argv={"--out": P("fifo")}, commands=("reconstruct",)),
+    *(T((NOT_REGULAR, option, P("shares")), argv={option: P("shares")},
+        commands=("simulate",)) for option in ("--report", "--state")),
+    T((INPUT, "--out", P("topology.json"), "topology", P("topology.json")),
+      argv={"--out": P("topology.json")}, commands=("reconstruct",)),
+    T((INPUT, "--report", P("scenario.json"), "scenario", P("scenario.json")),
+      argv={"--report": P("scenario.json")}, commands=("simulate",)),
+    T((INPUT, "--report", P("world.state"), "state", P("world.state")),
+      argv={**STATE, "--report": P("world.state")}, commands=("simulate",)),
+    T((INPUT, "--state", P("scenario.json"), "scenario", P("scenario.json")),
+      argv={"--state": P("scenario.json")}, commands=("simulate",)),
+    T((INPUT, "--out", P("topology.json"), "topology", P("topology.json")),
+      argv={**LISTED, "--out": P("topology.json")}, commands=("reconstruct",)),
+    T((INPUT, "--out", P("link.json"), "topology", P("topology.json")),
+      lambda w: (w.root / "link.json").symlink_to(w.root / "topology.json"),
+      argv={**LISTED, "--out": P("link.json")}, commands=("reconstruct",)),
+    T(("--out {path} is a file of the vault in {dir}", P(MANIFEST),
+       P("shares")), argv={"--out": P(MANIFEST)}),
+    *(T(("--out {path} is a file of the vault in {dir}", P(f"shares/{name}"),
+         P("shares")), argv={**LISTED, "--out": P(f"shares/{name}")})
+      for name in ("manifest.json", "d2_003.share.json", "new.share.json",
+                   "m_001.share.json.staged-1")),
+    T(("--out {path} is a share file being read", P("m1.bin")),
+      copy(M1, "m1.bin"),
+      argv={**LISTED, "files": [P("m1.bin"), *QUORUM[1:]],
+            "--out": P("m1.bin")}),
+    T((WRITE, P("missing/r.bin"), Reason(open, P("missing/r.bin.tmp"), "wb")),
+      argv={"--out": P("missing/r.bin")}, commands=("reconstruct",)),
+    T((WRITE, P("missing/r.json"),
+       Reason(open, P("missing/r.json.tmp"), "wb")),
+      argv={"--report": P("missing/r.json")}, commands=("simulate",)),
+    T((FAILED, "deal", INJECTED), mkdir("empty"), faulty(1), argv=INTO_EMPTY,
+      commands=("deal",)),
+    T((FAILED, "refresh", INJECTED), faulty(1), commands=("refresh",)),
+
+    # Scenario file.
+    T(("cannot read scenario {path}: {reason}", P("scenario.json"),
+       Reason(json.loads, "{")), write("scenario.json", b"{")),
+    T(("cannot read scenario {path}: {reason}", P("missing.json"),
+       Reason(oserror, errno.ENOENT, P("missing.json"))),
+      argv={"--scenario": P("missing.json")}),
+    T([LOAD_SCENARIO, (MALFORMED, "'schedule'")],
+      scenario(["schedule"], DELETE)),
+    T([LOAD_SCENARIO, (MALFORMED, "'topology'")],
+      write("scenario.json", b'{"schedule": [{"event": "??"}]}')),
+    T([LOAD_SCENARIO, MALFORMED,
+       "secret_hex must be lowercase hex of even length"],
+      scenario(["secret_hex"], str.upper)),
+    T([LOAD_SCENARIO, ("unknown event {event}", {"event": "??"})],
+      event({"event": "??"})),
+    T([LOAD_SCENARIO, ("event {event} takes no field {field}", EV_FIELD,
+                       "'actr'")], event(EV_FIELD)),
+    T([LOAD_SCENARIO, ("event {event}: the actor is owner or adversary",
+                       EV_ACTOR)], event(EV_ACTOR)),
+    T([LOAD_SCENARIO, (FIT, EV_NO_NODE, "'node'")], event(EV_NO_NODE)),
+    T([LOAD_SCENARIO, (FIT, EV_NETWORK), ("unknown network {id}", "d3")],
+      event(EV_NETWORK)),
+    T([LOAD_SCENARIO, (FIT, EV_NODE),
+       ("no node {node} in network {id}", 7, "d1")], event(EV_NODE)),
+    T([LOAD_SCENARIO, DEALT_TWICE], scenario(["schedule"], [
+        {"event": "deal"},
+        {"event": "compromise_node", "network": "m", "node": 1},
+        {"event": "release_node", "network": "m", "node": 1},
+        {"event": "deal"},
+        {"event": "compromise_node", "network": "m", "node": 2},
+        {"event": "hndl_decrypt_classical"},
+        {"event": "attempt_reconstruct", "actor": "adversary"}]),
+      argv=STATE),
+    T([RUN, DEALT_TWICE], copy("world.state", "world.state"), argv=STATE),
+    T([RUN, EARLY_REFRESH], scenario(["schedule"], SCHEDULE[::-1])),
+    T([LOAD_STATE, CORRUPT_STATE, EARLY_REFRESH],
+      state(["history"], SCHEDULE[::-1]), argv=STATE),
+
+    # State file.
+    T([LOAD_STATE, "bad magic; not a simulation state file"],
+      write("world.state", b"XXXX"), argv=STATE),
+    *(T([LOAD_STATE, "truncated state file"],
+        write("world.state", blob), argv=STATE)
+      for blob in (b"MSS1", b"MSS1" + bytes(7))),
+    T([LOAD_STATE, ("payload length {size} does not match header {length}",
+                    2, 5)],
+      write("world.state", b"MSS1" + struct.pack(">Q", 5) + b"{}"),
+      argv=STATE),
+    *(T([LOAD_STATE, ("undecodable state payload: {reason}",
+                      Reason(decoded, payload))],
+        write("world.state", state_file(payload)), argv=STATE)
+      for payload in (b"\xff", b"{")),
+    T([LOAD_STATE, ("unsupported version {version}", 1)],
+      state(["version"], 1), argv=STATE),
+    T([LOAD_STATE, (CORRUPT_STATE, "'seed'")], state(["seed"], DELETE),
+      argv=STATE),
+    T([LOAD_STATE, "corrupt state: not as save_state writes it"],
+      state(["extra"], 1), argv=STATE),
+    T((DIFFERS, "secret", "differs"), copy("world.state", "world.state"),
+      scenario(["secret_hex"], "00" * 8), argv=STATE),
+    T((DIFFERS, "topology and secret", "differ"),
+      copy("world.state", "world.state"), scenario(["secret_hex"], "00" * 8),
+      scenario(["topology", "networks", 1, "node_count"], 4), argv=STATE),
+]
+
+# Rows that no trigger prints, each with the test that does.
+UNTRIGGERED = {
+    "cannot write {path}: flushing its directory failed: {reason}":
+        "the output has taken its name by then, so the workspace changes: "
+        "tests/test_cli.py::TestReconstruct::test_flushes_the_output and "
+        "::TestSimulate::test_fault_at_every_write",
+    "epoch {epoch} is committed, but not every share has its final name; "
+    "the next refresh or reconstruct --shares finishes it: {reason}":
+        "the vault holds its new epoch by then: tests/test_cli.py::TestDeal"
+        "::test_fault_at_every_mutation and ::TestRefreshFaults"
+        "::test_fault_at_every_mutation",
+}
+
+
+def cases():
+    """(trigger, command, id) of each case."""
+    count = {}
+    for trigger in TRIGGERS:
+        for command in commands_of(trigger):
+            row = chain_of(trigger, command)[-1][0]
+            n = count[row, command] = count.get((row, command), 0) + 1
+            slug = re.sub(r"\W+", "-", row).strip("-")[:40]
+            yield trigger, command, f"{slug}-{n}-{command}"
+
+
+CASES = list(cases())
+
+
+@pytest.mark.parametrize("trigger, command",
+                         [case[:2] for case in CASES],
+                         ids=[case[2] for case in CASES])
+def test_row_is_refused(trigger, command, workspace, capsys):
+    rows = rows_of(trigger, command)
+    assert [message for message, *_ in rows
+            if command not in ROWS[message].commands] == []
+    code, = {ROWS[message].code for message, *_ in rows}
+    runner = run
+    for step in trigger.setup:
+        runner = step(workspace) or runner
+    root = workspace.root
+    line = f"error: {printed(rows, root)}\n"
+    argv = command_line(command, trigger.argv, root)
+    before = tree(root)
+    capsys.readouterr()
+    assert runner(argv) == code
+    assert capsys.readouterr().err == line
+    assert tree(root) == before
+
+
+def test_every_row_is_triggered():
+    shown = {(message, command) for trigger, command, _ in CASES
+             for message, *_ in rows_of(trigger, command)}
+    assert [(message, command) for message, row in ROWS.items()
+            if message not in UNTRIGGERED for command in row.commands
+            if (message, command) not in shown] == []
+    # A row that a trigger prints, or that is gone, leaves the list.
+    assert [message for message in UNTRIGGERED if message not in ROWS
+            or any(message == m for m, _ in shown)] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "deal makes --out before it reads the secret, and a refusal after that "
+    "leaves the directory behind, empty"))
+def test_deal_refused_after_making_its_out_leaves_none(workspace):
+    opened(Shrunk)(workspace)
+    assert run(command_line("deal", {}, workspace.root)) == 2
+    assert not (workspace.root / "new").exists()

@@ -75,6 +75,13 @@ class TestScenarioParsing:
         with pytest.raises(ValueError):
             sim.owner_store()
 
+    def test_owner_refreshes_only_after_the_deal(self):
+        # check_deal_order refuses a schedule, or a state's history, that
+        # refreshes first; a caller of the method itself gets Infeasible.
+        sim = Simulation(make_topology(65537), b"secret", seed=1)
+        with pytest.raises(Infeasible, match="nothing dealt yet"):
+            sim.owner_refresh()
+
 
 def recorded(sim, network_id, kind="share"):
     """The nodes and epochs (or rounds) of the transcript's payloads of

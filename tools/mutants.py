@@ -1,0 +1,173 @@
+"""Mutate lines of a source file one change at a time, and report which
+mutants a pytest selection kills.
+
+    python3 tools/mutants.py FILE [LINES] [--guards] [--workdir DIR]
+        -- PYTEST_ARGS...
+
+FILE is a path under the repository; LINES a list such as `12,40-45`
+(every line when left out). Each mutant is one change to one node that
+starts on those lines: a comparison operator negated (`<` to `>=`, `in`
+to `not in`, ...) or swapped (`<` to `>`), a boolean operator swapped
+(`and` to `or`) or its operation negated (`not (...)`), a `not` dropped,
+or an int constant plus one. With --guards, only the test of an `if`,
+`elif` or `while` whose body raises is mutated.
+
+The repository is copied into DIR once (into a temporary directory,
+deleted at the end, by default), and each mutant is written into the
+copy's FILE, the rest of the file as it is, so the repository itself is
+never changed. PYTEST_ARGS run in the
+copy, with its src/ on PYTHONPATH; a mutant is killed when pytest exits
+other than 0 or runs past TIMEOUT seconds. The selection must
+pass on the unchanged copy first. Prints one JSON object: the killed and
+the surviving mutants, each with its line, its column and the text of the
+changed node before and after. Uses the standard library only; it is not
+part of the test suite, since each mutant runs the selection once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import copy
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# Seconds a run of the selection may take: a mutant can make a loop
+# endless.
+TIMEOUT = 300
+# Not copied: version control and what building and testing leave.
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                 ".hypothesis", "*.egg-info")
+
+NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
+           ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
+           ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn,
+           ast.NotIn: ast.In}
+SWAPPED = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE,
+           ast.GtE: ast.LtE}
+
+
+def line_set(text: str) -> set:
+    lines = set()
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        lines.update(range(int(first), int(last or first) + 1))
+    return lines
+
+
+def guard_tests(tree) -> list:
+    """The test of each `if`, `elif` and `while` whose body raises."""
+    return [node.test for node in ast.walk(tree)
+            if isinstance(node, (ast.If, ast.While))
+            and any(isinstance(inner, ast.Raise)
+                    for stmt in node.body for inner in ast.walk(stmt))]
+
+
+def variants(node) -> list:
+    """The mutated copies of `node` itself (not of the nodes in it)."""
+    found = []
+    if isinstance(node, ast.Compare):
+        for i, op in enumerate(node.ops):
+            for table in (NEGATED, SWAPPED):
+                if type(op) in table:
+                    new = copy.deepcopy(node)
+                    new.ops[i] = table[type(op)]()
+                    found.append(new)
+    elif isinstance(node, ast.BoolOp):
+        new = copy.deepcopy(node)
+        new.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
+        found += [new, ast.UnaryOp(ast.Not(), copy.deepcopy(node))]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        found.append(copy.deepcopy(node.operand))
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        found.append(ast.Constant(node.value + 1))
+    return found
+
+
+def mutants(source: str, lines, guards: bool) -> list:
+    """(line, column, before, after, mutated source) of each mutant."""
+    tree = ast.parse(source)
+    roots = guard_tests(tree) if guards else [tree]
+    rows = source.splitlines(keepends=True)
+    starts = [0]
+    for row in rows:
+        starts.append(starts[-1] + len(row.encode()))
+    data = source.encode()
+
+    def offset(line, col):
+        return starts[line - 1] + col
+
+    found, seen = [], set()
+    for root in roots:
+        for node in ast.walk(root):
+            if (not hasattr(node, "lineno") or id(node) in seen
+                    or lines is not None and node.lineno not in lines):
+                continue
+            seen.add(id(node))
+            start = offset(node.lineno, node.col_offset)
+            end = offset(node.end_lineno, node.end_col_offset)
+            before = data[start:end].decode()
+            for new in variants(node):
+                after = ast.unparse(new)
+                text = (data[:start] + f"({after})".encode()
+                        + data[end:]).decode()
+                found.append((node.lineno, node.col_offset, before, after,
+                              text))
+    return found
+
+
+def passes(copy_root: Path, pytest_args) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(copy_root / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *pytest_args], cwd=copy_root, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT).returncode == 0
+    except subprocess.TimeoutExpired:
+        return False
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("file")
+    parser.add_argument("lines", nargs="?")
+    parser.add_argument("--guards", action="store_true")
+    parser.add_argument("--workdir")
+    argv = sys.argv[1:] if argv is None else argv
+    split = argv.index("--") if "--" in argv else len(argv)
+    args, pytest_args = parser.parse_args(argv[:split]), argv[split + 1:]
+    source_path = Path(args.file).resolve().relative_to(ROOT)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        copy_root = Path(args.workdir or scratch) / "repo"
+        shutil.rmtree(copy_root, ignore_errors=True)
+        shutil.copytree(ROOT, copy_root, ignore=IGNORED, symlinks=True)
+        if not passes(copy_root, pytest_args):
+            print(f"the selection fails on the unchanged copy in "
+                  f"{copy_root}", file=sys.stderr)
+            return 2
+        report = {"file": str(source_path), "lines": args.lines,
+                  "guards": args.guards, "selection": pytest_args,
+                  "killed": [], "survived": []}
+        source = (ROOT / source_path).read_text(encoding="utf-8")
+        for line, col, before, after, text in mutants(
+                source, line_set(args.lines) if args.lines else None,
+                args.guards):
+            (copy_root / source_path).write_text(text, encoding="utf-8")
+            killed = not passes(copy_root, pytest_args)
+            report["killed" if killed else "survived"].append(
+                {"line": line, "col": col, "before": before, "after": after})
+        (copy_root / source_path).write_text(source, encoding="utf-8")
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
