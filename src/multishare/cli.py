@@ -234,8 +234,10 @@ def cmd_deal(args) -> int:
     as a refresh commits its epoch (see vault.Commit): a deal that exits
     0 has its vault on disk, and one that stops part-way leaves either
     the whole vault or files that the next deal, refresh or reconstruct
-    --shares deletes. A dealt vault whose shape the closed form is not
-    certified at (closed_form_certified) gets one warning on stderr."""
+    --shares deletes; one refused before its commit also removes the
+    directories it made for --out. A dealt vault whose shape the closed
+    form is not certified at (closed_form_certified) gets one warning on
+    stderr."""
     topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
     digest = formats.topology_digest(topology)
@@ -247,9 +249,9 @@ def cmd_deal(args) -> int:
         size, read = _secret_reader(secret)
         count = chunk_count(size, q)
         out_dir = Path(args.out)
-        vault.new_vault_dir(out_dir)
+        made = vault.new_vault_dir(out_dir)
         rng = _rng(args.seed)
-        with vault.Commit(out_dir, 0, "deal") as commit:
+        with vault.Commit(out_dir, 0, "deal", made) as commit:
             for start, chunks in zip(range(0, count, BLOCK_WORDS),
                                      secret_blocks(read, size, q)):
                 deal(chunks, topology, rng, sink=lambda share: commit.append(
@@ -354,23 +356,26 @@ def cmd_thresholds(args) -> int:
     thresholds and any discrepancy follow with --oracle, and also when
     the closed form is not certified. When the exhaustive search refuses
     the topology (CapacityError), --oracle exits 4, and otherwise a line
-    says that nothing checked the closed form."""
+    says that nothing checked the closed form. The search runs before the
+    first line is printed, so a refusal prints no partial report."""
     topology = _load_topology(args.topology)
     formula = compute_thresholds_formula(topology)
-    _print_thresholds("formula thresholds (T = degree + 1):", formula)
     certified = closed_form_certified(topology.modulus, topology.outer_degree,
                                       len(topology.networks))
+    oracle = None
+    if args.oracle or not certified:
+        try:
+            oracle = compute_thresholds_exhaustive(topology)
+        except CapacityError:
+            if args.oracle:
+                raise
+    _print_thresholds("formula thresholds (T = degree + 1):", formula)
     print(f"closed form {'' if certified else 'not '}certified at modulus "
           f"{topology.modulus}")
-    if certified and not args.oracle:
-        return EXIT_OK
-    try:
-        oracle = compute_thresholds_exhaustive(topology)
-    except CapacityError:
-        if args.oracle:
-            raise
-        print(f"nothing checked the closed form: the exhaustive search "
-              f"takes at most {EXHAUSTIVE_NETWORK_BOUND} networks")
+    if oracle is None:
+        if not certified:
+            print(f"nothing checked the closed form: the exhaustive search "
+                  f"takes at most {EXHAUSTIVE_NETWORK_BOUND} networks")
         return EXIT_OK
     _print_thresholds("exhaustive-search thresholds:", oracle)
     for name in THRESHOLD_FIELDS:

@@ -177,10 +177,12 @@ class Commit(AbstractContextManager):
     the vault by one os.replace of manifest.json. Then the directory is
     flushed, each staged file takes its final name, and the directory is
     flushed again. Leaving the block before the commit deletes every
-    staged file; a crash at any point is settled by settle."""
+    staged file, then removes the directories in `made` (new_vault_dir's,
+    for a deal); a crash at any point is settled by settle."""
 
-    def __init__(self, share_dir: Path, epoch: int, command: str):
-        self.share_dir, self.epoch = share_dir, epoch
+    def __init__(self, share_dir: Path, epoch: int, command: str,
+                 made=()):
+        self.share_dir, self.epoch, self.made = share_dir, epoch, made
         self.staged = {}  # final name -> staged name, in the order made
         self.manifest = self._staged(share_dir / MANIFEST)
         self.committed = False
@@ -194,6 +196,7 @@ class Commit(AbstractContextManager):
             for staged in self.staged.values():
                 _discard(staged)
             _discard(self.manifest)
+            remove_made(self.made)
 
     def append(self, path: Path, block: bytes) -> None:
         mode = "ab" if path in self.staged else "wb"
@@ -242,14 +245,16 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
     return share_files(share_dir)
 
 
-def new_vault_dir(out_dir: Path) -> None:
+def new_vault_dir(out_dir: Path) -> List[Path]:
     """Make `out_dir` for a deal, with any missing parents, and flush each
-    directory made and the parent of the topmost. StorageError when it
-    cannot be made, or already holds a vault: a manifest, a share file or
-    a staged file. Dealing over a vault could leave neither secret
-    recoverable. In a directory without a manifest, the files staged at
-    epoch 0 are first deleted: only a deal writes them, and that deal
-    never committed."""
+    directory made and the parent of the topmost; return the directories
+    made, the deepest first, which a Commit removes when the deal ends
+    before its commit. StorageError when it cannot be made, or already
+    holds a vault: a manifest, a share file or a staged file; the
+    directories made by then are removed. Dealing over a vault could
+    leave neither secret recoverable. In a directory without a manifest,
+    the files staged at epoch 0 are first deleted: only a deal writes
+    them, and that deal never committed."""
     names = listing(out_dir) or []  # None: mkdir reports what is wrong
     uncommitted = [] if MANIFEST in names else [
         name for name in names
@@ -265,14 +270,30 @@ def new_vault_dir(out_dir: Path) -> None:
                            f"({', '.join(names[:3])}"
                            f"{', ...' if len(names) > 3 else ''}); "
                            f"deal into a new directory")
-    with _failing_as(f"cannot make directory {out_dir}"):
-        made = []  # the directories mkdir makes, the deepest first
-        parent = out_dir
-        while not parent.exists() and parent != parent.parent:
-            made.append(parent)
-            parent = parent.parent
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # Each directory made is flushed, and the one the topmost is named
-        # in, so that the path of a vault whose deal exits 0 is on disk.
-        for directory in made + [parent] if made else []:
-            _fsync(directory)
+    made = []  # the directories mkdir makes, the deepest first
+    try:
+        with _failing_as(f"cannot make directory {out_dir}"):
+            parent = out_dir
+            while not parent.exists() and parent != parent.parent:
+                made.append(parent)
+                parent = parent.parent
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # Each directory made is flushed, and the one the topmost is
+            # named in, so that the path of a vault whose deal exits 0 is
+            # on disk.
+            for directory in made + [parent] if made else []:
+                _fsync(directory)
+    except StorageError:
+        remove_made(made)
+        raise
+    return made
+
+
+def remove_made(made: List[Path]) -> None:
+    """Remove the directories in `made`, in turn, as cleanup: errors are
+    ignored, so one that is gone or not empty stays as it is."""
+    for directory in made:
+        try:
+            directory.rmdir()
+        except OSError:
+            pass

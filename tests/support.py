@@ -125,9 +125,9 @@ INJECTED = "[Errno 5] injected fault"
 
 class FaultyFiles:
     """Counts the file mutations a command makes (writes, fsyncs,
-    replaces and unlinks) and fails the k-th with EIO; a failed write
-    leaves half its bytes. A file written whole (Path.write_bytes) is one
-    write, and so is each block written to or appended to a file
+    replaces, unlinks and rmdirs) and fails the k-th with EIO; a failed
+    write leaves half its bytes. A file written whole (Path.write_bytes)
+    is one write, and so is each block written to or appended to a file
     (vault._write_block). With `crash`, every later mutation fails too and
     writes nothing, as if the process had died at the k-th: the error
     path's cleanup is then skipped."""
@@ -148,7 +148,7 @@ class FaultyFiles:
     def call(self, monkeypatch, fn, *args):
         """fn(*args) with the file mutations counted and faulted."""
         write_bytes, fsync = Path.write_bytes, os.fsync
-        replace, unlink = os.replace, Path.unlink
+        replace, unlink, rmdir = os.replace, Path.unlink, Path.rmdir
         write_block = vault._write_block
 
         def fault():
@@ -179,6 +179,7 @@ class FaultyFiles:
             patch.setattr(Path, "write_bytes", faulty_write_bytes)
             patch.setattr(vault, "_write_block", faulty_write_block)
             patch.setattr(Path, "unlink", faulty("unlink", unlink))
+            patch.setattr(Path, "rmdir", faulty("rmdir", rmdir))
             patch.setattr(os, "fsync", faulty("fsync", fsync))
             patch.setattr(os, "replace", faulty("replace", replace))
             return fn(*args)

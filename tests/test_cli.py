@@ -420,10 +420,10 @@ class TestDeal:
 
     def test_fault_at_every_mutation(self, workspace, monkeypatch, capsys):
         # A deal that fails at any file mutation exits 2. Before its commit
-        # it leaves no vault file; after it, staged names can remain, each
-        # holding the file it is to become, and reconstruct --shares
-        # settles them. Every file under its final name is the one a deal
-        # without a fault writes.
+        # it leaves no --out, which it made; after it, staged names can
+        # remain, each holding the file it is to become, and reconstruct
+        # --shares settles them. Every file under its final name is the
+        # one a deal without a fault writes.
         tmp, topo, secret = workspace
         out = tmp / "shares"
         dest = tmp / "r.bin"
@@ -434,14 +434,14 @@ class TestDeal:
         want = snapshot(out)
         commit = probe.log.index("replace") + 1  # the manifest's rename
         for k in range(1, len(probe.log) + 1):
-            shutil.rmtree(out)
+            shutil.rmtree(out, ignore_errors=True)
             capsys.readouterr()
             assert FaultyFiles(k).run(monkeypatch, argv) == 2, k
             err = capsys.readouterr().err
-            got = snapshot(out)
             if k <= commit:
-                assert got == {}, k
+                assert not out.exists(), k
                 continue
+            got = snapshot(out)
             assert err == (
                 f"error: epoch 0 is committed, but not every share has its "
                 f"final name; the next refresh or reconstruct --shares "
@@ -721,39 +721,6 @@ class TestReconstruct:
         assert "is a share file being read" in capsys.readouterr().err
         assert share.read_bytes() == before
 
-    def test_out_over_the_vault_exit64(self, workspace, capsys):
-        # An --out that is a share file being read, or a file of the
-        # --shares vault, was replaced by the recovered secret, and every
-        # later refresh or reconstruct of the vault failed. It is refused
-        # before any file is touched, a staged one included.
-        tmp, topo, secret, out = self._deal(workspace)
-        (out / "m_001.share.json.staged-1").write_bytes(b"{}")
-        picks = [out / "m_001.share.json", out / "m_002.share.json",
-                 out / "d1_001.share.json", out / "d1_002.share.json"]
-        link = tmp / "link.bin"
-        link.symlink_to(picks[1])
-        files = snapshot(out)
-        for where, dest in [
-                *((["--shares", out], out / name) for name in (
-                    "m_001.share.json", "manifest.json", "new.share.json",
-                    "m_001.share.json.staged-0")),
-                (["--shares", out], out / ".." / out.name
-                 / "d2_003.share.json"),
-                (["--shares", out], link),
-                (picks, picks[0]),
-                (picks, link)]:
-            capsys.readouterr()
-            assert run(["reconstruct", "--topology", topo, "--out", dest,
-                        *where]) == 64, dest
-            assert capsys.readouterr().err.startswith(f"error: --out {dest} ")
-            assert snapshot(out) == files, dest
-            assert link.resolve() == picks[1]
-        # Any other name in the vault's directory is an output like any.
-        (out / "m_001.share.json.staged-1").unlink()
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", out / "secret.bin"]) == 0
-        assert (out / "secret.bin").read_bytes() == secret.read_bytes()
-
     def test_out_not_a_regular_file_exit64(self, workspace, capsys):
         # An --out that was a FIFO, or a link to one, was replaced by a
         # regular file holding the secret; a directory exited 2, but only
@@ -774,6 +741,14 @@ class TestReconstruct:
         assert sorted(p.name for p in tmp.iterdir()) == [
             "dir", "fifo", "link", "secret.bin", "shares", "topology.json"]
         assert snapshot(out) == files
+
+    def test_out_beside_the_vault_files(self, workspace):
+        # A name that no vault file has is an output like any, in the
+        # vault's directory too.
+        tmp, topo, secret, out = self._deal(workspace)
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", out / "secret.bin"]) == 0
+        assert (out / "secret.bin").read_bytes() == secret.read_bytes()
 
     def test_out_link_to_a_regular_file_written_through(self, workspace):
         tmp, topo, secret, out = self._deal(workspace)
@@ -1146,25 +1121,6 @@ class TestReconstruct:
         assert (f"cannot read share {out / 'm_003.share.json'}:"
                 in capsys.readouterr().err)
         assert not dest.exists()
-
-    def test_peak_memory_near_deal(self, tmp_path):
-        # reconstruct holds one network's block of share values at a
-        # time, besides that block's inner secrets, and deal one network's
-        # block of coefficient columns and one node's share of it, so
-        # their peak RSS is about the same.
-        topo = tmp_path / "topology.json"
-        write_topology(topo)
-        secret = tmp_path / "secret.bin"
-        secret.write_bytes(os.urandom(512 * 1024))
-        out = tmp_path / "shares"
-        deal_rss, reconstruct_rss = peak_rss_kib(
-            ["deal", "--topology", topo, "--secret", secret, "--out", out],
-            ["reconstruct", "--topology", topo, "--shares", out,
-             "--out", tmp_path / "r.bin"])
-        assert (tmp_path / "r.bin").read_bytes() == secret.read_bytes()
-        assert reconstruct_rss <= 1.15 * deal_rss, (deal_rss,
-                                                    reconstruct_rss)
-
 
 class TestPeakMemoryGrowth:
     """Each vault command holds a few blocks of BLOCK_WORDS values, never a
@@ -2209,22 +2165,6 @@ class TestRefresh:
         assert dest.read_bytes() == secret.read_bytes()
         assert run(["refresh", "--topology", topo, "--shares", out]) == 0
 
-    def test_peak_memory_near_deal(self, tmp_path):
-        # refresh holds one share's values at a time, so its peak RSS is
-        # that of deal, not half as much again (all shares and all
-        # deltas at once). Both commands run in fresh interpreters
-        # (peak_rss_kib).
-        topo = tmp_path / "topology.json"
-        write_topology(topo)
-        secret = tmp_path / "secret.bin"
-        secret.write_bytes(os.urandom(512 * 1024))
-        out = tmp_path / "shares"
-        deal_rss, refresh_rss = peak_rss_kib(
-            ["deal", "--topology", topo, "--secret", secret, "--out", out],
-            ["refresh", "--topology", topo, "--shares", out])
-        assert refresh_rss <= 1.15 * deal_rss, (deal_rss, refresh_rss)
-
-
 class TestRefreshFaults:
     """A refresh that fails or dies at any file mutation leaves a directory
     that holds the secret at the old epoch or the new one."""
@@ -2317,34 +2257,6 @@ class TestThresholds:
         out = capsys.readouterr().out
         assert "DISCREPANCY: t_f1" in out
 
-    def test_daughter_count_at_modulus_exit2(self, workspace, capsys):
-        # Daughter a's point is a mod q: at q = 257, 258 daughters gave d1
-        # and d258 one point, thresholds counted them as two networks
-        # (exit 0), and reconstruct found the outer system singular.
-        tmp, _, secret = workspace
-        data = topology_to_dict(write_topology(tmp / "t.json", q=257))
-        daughter = data["networks"][1]
-        path = tmp / "many.json"
-        for count in (256, 257, 258):
-            path.write_text(json.dumps({**data, "networks": [
-                data["networks"][0], *({**daughter, "id": f"d{a}"}
-                                       for a in range(1, count + 1))]}))
-            capsys.readouterr()
-            if count < 257:
-                assert run(["thresholds", "--topology", path]) == 0
-                assert "t_networks = 2" in capsys.readouterr().out
-                # deal takes the topology, and refuses its modulus alone.
-                want = "modulus must be at least 2^16"
-            else:
-                want = "daughter count must be below modulus"
-                assert run(["thresholds", "--topology", path]) == 2
-                assert capsys.readouterr().err == (
-                    f"error: invalid topology: {want}\n")
-            assert run(["deal", "--topology", path, "--secret", secret,
-                        "--out", tmp / "shares"]) == 2
-            assert want in capsys.readouterr().err
-            assert not (tmp / "shares").exists()
-
     def test_oversized_oracle_exit4(self, workspace, capsys):
         tmp, _, _ = workspace
         big = tmp / "big.json"
@@ -2352,6 +2264,18 @@ class TestThresholds:
         write_topology(big, q=257, nets=((2, 1),) * 13)
         assert run(["thresholds", "--topology", big, "--oracle"]) == 4
         assert "13 networks" in capsys.readouterr().err
+
+    def test_daughter_count_below_modulus(self, workspace, capsys):
+        # Daughter a's point is a mod q: at q = 257, the points of 256
+        # daughters are distinct (of 257, not: tests/test_refusals.py).
+        tmp, _, _ = workspace
+        data = topology_to_dict(write_topology(tmp / "t.json", q=257))
+        path = tmp / "many.json"
+        path.write_text(json.dumps({**data, "networks": [
+            data["networks"][0], *({**data["networks"][1], "id": f"d{a}"}
+                                   for a in range(1, 257))]}))
+        assert run(["thresholds", "--topology", path]) == 0
+        assert "t_networks = 2" in capsys.readouterr().out
 
     def test_high_inner_degree_oracle(self, workspace, capsys):
         # No bound on the inner degree: a network's quorum is its inner
@@ -2536,32 +2460,6 @@ class TestSimulate:
         assert "cannot load scenario" in capsys.readouterr().err
         assert not state.exists()
         assert not (tmp_path / "scenario.report.json").exists()
-
-    def test_report_or_state_not_a_regular_file_exit64(self, tmp_path,
-                                                      capsys):
-        # A --report FIFO was replaced by a regular file; a --state FIFO
-        # would hang the state's load, waiting for a writer, so the
-        # command runs in a child with a timeout.
-        path = self._scenario(tmp_path, [{"event": "deal"}])
-        fifo, link, directory = (tmp_path / "fifo", tmp_path / "link",
-                                 tmp_path / "dir")
-        os.mkfifo(fifo)
-        link.symlink_to(fifo)
-        directory.mkdir()
-        for option, dest in [("--report", fifo), ("--report", link),
-                             ("--report", directory), ("--state", fifo),
-                             ("--state", link), ("--state", directory)]:
-            proc = subprocess.run(
-                [sys.executable, "-m", "multishare.cli", "simulate",
-                 "--scenario", str(path), option, str(dest)],
-                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 64, (option, dest, proc.stderr)
-            assert proc.stderr.startswith(
-                f"error: {option} {dest} is not a regular file")
-        assert fifo.is_fifo() and link.is_symlink() and directory.is_dir()
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "dir", "fifo", "link", "scenario.json", "t.json"]
 
     @pytest.mark.parametrize("saved", [False, True],
                              ids=["new-state", "saved-state"])

@@ -92,7 +92,7 @@ def recorded(sim, network_id, kind="share"):
 
 def held(sim):
     """What the adversary holds, without the values."""
-    return {capture[:4] for capture in sim.captures}
+    return {capture[:4] for capture in sim.adversary_rows()}
 
 
 class TestDelivery:

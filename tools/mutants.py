@@ -2,7 +2,7 @@
 mutants a pytest selection kills.
 
     python3 tools/mutants.py FILE [LINES] [--guards] [--workdir DIR]
-        -- PYTEST_ARGS...
+        [-- PYTEST_ARGS...]
 
 FILE is a path under the repository; LINES a list such as `12,40-45`
 (every line when left out). Each mutant is one change to one node that
@@ -15,13 +15,14 @@ or an int constant plus one. With --guards, only the test of an `if`,
 The repository is copied into DIR once (into a temporary directory,
 deleted at the end, by default), and each mutant is written into the
 copy's FILE, the rest of the file as it is, so the repository itself is
-never changed. PYTEST_ARGS run in the
-copy, with its src/ on PYTHONPATH; a mutant is killed when pytest exits
-other than 0 or runs past TIMEOUT seconds. The selection must
-pass on the unchanged copy first. Prints one JSON object: the killed and
-the surviving mutants, each with its line, its column and the text of the
-changed node before and after. Uses the standard library only; it is not
-part of the test suite, since each mutant runs the selection once.
+never changed. PYTEST_ARGS run in the copy, with its src/ on PYTHONPATH;
+without them, the test modules that TESTS maps FILE's module to run. A
+mutant is killed when pytest exits other than 0 or runs past TIMEOUT
+seconds. The selection must pass on the unchanged copy first. Prints one
+JSON object: the killed and the surviving mutants, each with its line,
+its column and the text of the changed node before and after. Uses the
+standard library only; it is not part of the test suite, since each
+mutant runs the selection once.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ TIMEOUT = 300
 # Not copied: version control and what building and testing leave.
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".hypothesis", "*.egg-info")
+# The test modules that exercise each module under src/multishare/: the
+# selection when no PYTEST_ARGS are given.
+CLI_TESTS = ["test_cli", "test_refusals"]
+TESTS = {"field": ["test_field"],
+         "formats": ["test_formats", *CLI_TESTS],
+         "vault": ["test_vault", *CLI_TESTS],
+         "cli": CLI_TESTS,
+         "protocol": ["test_protocol", "test_shamir"],
+         "simnet": ["test_simnet"]}
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
            ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
@@ -145,6 +155,11 @@ def main(argv=None) -> int:
     split = argv.index("--") if "--" in argv else len(argv)
     args, pytest_args = parser.parse_args(argv[:split]), argv[split + 1:]
     source_path = Path(args.file).resolve().relative_to(ROOT)
+    if not pytest_args:
+        if source_path.stem not in TESTS:
+            parser.error(f"give PYTEST_ARGS: no tests are mapped to "
+                         f"{source_path.stem}")
+        pytest_args = [f"tests/{name}.py" for name in TESTS[source_path.stem]]
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy_root = Path(args.workdir or scratch) / "repo"
         shutil.rmtree(copy_root, ignore_errors=True)
