@@ -466,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="report security thresholds")
     p.add_argument("--topology", required=True)
     p.add_argument("--oracle", action="store_true",
-                   help=f"also run the exhaustive search (<= "
-                        f"{EXHAUSTIVE_NETWORK_BOUND} networks)")
+                   help=f"also give the exhaustive thresholds: by a "
+                        f"search up to {EXHAUSTIVE_NETWORK_BOUND} networks, "
+                        f"and beyond for a certified shape")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("simulate", help="run an adversary scenario")

@@ -649,7 +649,9 @@ def closed_form_certified(q: int, outer_degree: int,
 
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
-    """Definitional thresholds, up to EXHAUSTIVE_NETWORK_BOUND networks.
+    """Definitional thresholds: by a walk up to EXHAUSTIVE_NETWORK_BOUND
+    networks, and beyond it for a shape that closed_form_certified holds
+    for (_certified_thresholds); CapacityError for any other shape.
 
     Nodes within a network are interchangeable for access, so a held set
     decides only through the networks it makes known: network i once q_i
@@ -668,6 +670,9 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     """
     nets = topology.networks
     if len(nets) > EXHAUSTIVE_NETWORK_BOUND:
+        if closed_form_certified(topology.modulus, topology.outer_degree,
+                                 len(nets)):
+            return _certified_thresholds(topology)
         raise CapacityError(
             f"{len(nets)} networks exceed the exhaustive bound of "
             f"{EXHAUSTIVE_NETWORK_BOUND} networks")
@@ -685,6 +690,25 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             t_f1 = min(t_f1, sum(kill) - sum(kill[i] for i in known))
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=min(kill[0], t_f1), t_f0=kill[0], t_f1=t_f1)
+
+
+def _certified_thresholds(topology: Topology) -> Thresholds:
+    """The thresholds of a certified shape (closed_form_certified), where
+    a set of known networks reconstructs iff it holds the mother and D =
+    outer_degree daughters: sums over sorted lists, with no walk. The
+    fewest nodes are the mother's quorum and the D smallest daughter
+    quorums. t_f1 disables the L - D daughters of smallest kill cost,
+    leaving the mother and D - 1 daughters; the closed form sums L - D - 1
+    of them (compute_thresholds_formula)."""
+    d, mother, daughters = (topology.outer_degree, topology.mother,
+                            topology.daughters())
+    quorums = sorted(net.quorum for net in daughters)
+    kill = sorted(net.node_count - net.quorum + 1 for net in daughters)
+    t_f0 = mother.node_count - mother.quorum + 1
+    t_f1 = sum(kill[:len(daughters) + 1 - d])
+    return Thresholds(t_networks=d + 1,
+                      t_nodes=mother.quorum + sum(quorums[:d]),
+                      t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
 
 
 @lru_cache(maxsize=64)

@@ -12,7 +12,9 @@ Two crash-safe transactions:
   NAME.staged-e; one os.replace of the manifest commits them all. settle
   finishes or undoes an epoch that stopped part-way.
 
-Every failure is a StorageError, but for a file that open_regular
+Every file is made private to its owner, mode FILE_MODE, and every
+directory new_vault_dir makes, mode DIR_MODE; the umask can only narrow
+them. Every failure is a StorageError, but for a file that open_regular
 refuses. A vault's files are named (SHARE_NAME), its directory listed
 (listing) and its files opened for reading (open_regular) here alone.
 """
@@ -30,6 +32,9 @@ from typing import List, Optional
 from .errors import CorruptData, StorageError
 
 MANIFEST = "manifest.json"
+# The modes of the files and directories made here: the owner's alone.
+FILE_MODE = 0o600
+DIR_MODE = 0o700
 # Why a vault file that open_regular is given is refused.
 NOT_REGULAR = "not a regular file"
 # Share file names; node j of network I has SHARE_NAME.format(I, j).
@@ -100,8 +105,18 @@ def _fsync(path: Path) -> None:
 
 
 def _write_block(path: Path, data: bytes, mode: str) -> None:
-    """Write `data` to `path`: mode "wb" makes it, "ab" appends to it."""
-    with open(path, mode) as file:
+    """Write `data` to `path`: mode "wb" makes it, mode FILE_MODE, in place
+    of any file left there, whose mode it does not keep; "ab" appends to
+    it."""
+    if mode == "wb":
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    else:
+        flags = os.O_WRONLY | os.O_APPEND
+    with os.fdopen(os.open(path, flags, FILE_MODE), "wb") as file:
         file.write(data)
 
 
@@ -211,7 +226,7 @@ class Commit(AbstractContextManager):
             for staged in self.staged.values():
                 _fsync(staged)
             _fsync(self.share_dir)
-            self.manifest.write_bytes(manifest)
+            _write_block(self.manifest, manifest, "wb")
             _fsync(self.manifest)
             os.replace(self.manifest, self.share_dir / MANIFEST)
         self.committed = True
@@ -246,15 +261,15 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
 
 
 def new_vault_dir(out_dir: Path) -> List[Path]:
-    """Make `out_dir` for a deal, with any missing parents, and flush each
-    directory made and the parent of the topmost; return the directories
-    made, the deepest first, which a Commit removes when the deal ends
-    before its commit. StorageError when it cannot be made, or already
-    holds a vault: a manifest, a share file or a staged file; the
-    directories made by then are removed. Dealing over a vault could
-    leave neither secret recoverable. In a directory without a manifest,
-    the files staged at epoch 0 are first deleted: only a deal writes
-    them, and that deal never committed."""
+    """Make `out_dir` for a deal, with any missing parents, each mode
+    DIR_MODE, and flush each directory made and the parent of the topmost;
+    return the directories made, the deepest first, which a Commit removes
+    when the deal ends before its commit. StorageError when it cannot be
+    made, or already holds a vault: a manifest, a share file or a staged
+    file; the directories made by then are removed. Dealing over a vault
+    could leave neither secret recoverable. In a directory without a
+    manifest, the files staged at epoch 0 are first deleted: only a deal
+    writes them, and that deal never committed."""
     names = listing(out_dir) or []  # None: mkdir reports what is wrong
     uncommitted = [] if MANIFEST in names else [
         name for name in names
@@ -277,7 +292,8 @@ def new_vault_dir(out_dir: Path) -> List[Path]:
             while not parent.exists() and parent != parent.parent:
                 made.append(parent)
                 parent = parent.parent
-            out_dir.mkdir(parents=True, exist_ok=True)
+            for directory in reversed(made or [out_dir]):
+                directory.mkdir(mode=DIR_MODE, exist_ok=True)
             # Each directory made is flushed, and the one the topmost is
             # named in, so that the path of a vault whose deal exits 0 is
             # on disk.

@@ -126,11 +126,10 @@ INJECTED = "[Errno 5] injected fault"
 class FaultyFiles:
     """Counts the file mutations a command makes (writes, fsyncs,
     replaces, unlinks and rmdirs) and fails the k-th with EIO; a failed
-    write leaves half its bytes. A file written whole (Path.write_bytes)
-    is one write, and so is each block written to or appended to a file
-    (vault._write_block). With `crash`, every later mutation fails too and
-    writes nothing, as if the process had died at the k-th: the error
-    path's cleanup is then skipped."""
+    write leaves half its bytes. Each block written to or appended to a
+    file (vault._write_block) is one write. With `crash`, every later
+    mutation fails too and writes nothing, as if the process had died at
+    the k-th: the error path's cleanup is then skipped."""
 
     def __init__(self, fail_at=None, crash=False):
         self.fail_at, self.crash = fail_at, crash
@@ -147,19 +146,12 @@ class FaultyFiles:
 
     def call(self, monkeypatch, fn, *args):
         """fn(*args) with the file mutations counted and faulted."""
-        write_bytes, fsync = Path.write_bytes, os.fsync
-        replace, unlink, rmdir = os.replace, Path.unlink, Path.rmdir
+        fsync, replace = os.fsync, os.replace
+        unlink, rmdir = Path.unlink, Path.rmdir
         write_block = vault._write_block
 
         def fault():
             return OSError(errno.EIO, "injected fault")
-
-        def faulty_write_bytes(path, data):
-            if self._fails("write"):
-                if len(self.log) == self.fail_at:
-                    write_bytes(path, data[:len(data) // 2])
-                raise fault()
-            return write_bytes(path, data)
 
         def faulty_write_block(path, data, mode):
             if self._fails("write"):
@@ -176,7 +168,6 @@ class FaultyFiles:
             return call
 
         with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_bytes", faulty_write_bytes)
             patch.setattr(vault, "_write_block", faulty_write_block)
             patch.setattr(Path, "unlink", faulty("unlink", unlink))
             patch.setattr(Path, "rmdir", faulty("rmdir", rmdir))

@@ -668,7 +668,13 @@ class TestReconstruct:
         assert dest.read_bytes() == secret.read_bytes()
 
     def test_quorum_exact_file_list(self, workspace):
+        # Share files named as arguments are read alone: not d2's, from
+        # another deal.
         tmp, topo, secret, out = self._deal(workspace)
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", tmp / "other", "--seed", "8"]) == 0
+        for path in (tmp / "other").glob("d2_*.share.json"):
+            (out / path.name).write_bytes(path.read_bytes())
         picks = [out / "m_001.share.json", out / "m_002.share.json",
                  out / "d1_001.share.json", out / "d1_003.share.json"]
         dest = tmp / "recovered.bin"
@@ -817,38 +823,6 @@ class TestReconstruct:
                 f"values" in capsys.readouterr().err)
         assert not dest.exists()
 
-    @pytest.mark.parametrize("manifest", ["kept", "zero", "removed"])
-    def test_no_chunks_exit2_unchanged(self, workspace, capsys, manifest):
-        # A vault whose share files (and manifest) say chunk_count 0:
-        # refresh exited 0 and rewrote it, while reconstruct refused it
-        # ("no chunks"). Both now refuse it and change nothing: a share
-        # holds one chunk at least, and so does a manifest.
-        tmp, topo, secret, out = self._deal(workspace)
-        names = [p.name for p in out.glob("*.share.json")]
-        if manifest == "removed":
-            (out / "manifest.json").unlink()
-        elif manifest == "zero":
-            names.append("manifest.json")
-        for name in names:
-            doc = json.loads((out / name).read_bytes())
-            (out / name).write_bytes(formats.canonical_json(
-                {**doc, "chunk_count": 0,
-                 **({"values": []} if "values" in doc else {})}) + b"\n")
-        before = snapshot(out)
-        culprit = (f"manifest {out / 'manifest.json'}: chunk_count must be "
-                   f"at least 1" if manifest == "zero" else
-                   f"share {min(out.glob('*.share.json'))}: chunk_count "
-                   f"does not match values")
-        dest = tmp / "r.bin"
-        capsys.readouterr()
-        assert run(["refresh", "--topology", topo, "--shares", out,
-                    "--seed", "2"]) == 2
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", dest]) == 2
-        assert capsys.readouterr().err.count(f"cannot read {culprit}") == 2
-        assert snapshot(out) == before
-        assert not dest.exists()
-
     def test_same_node_twice_exit2(self, workspace):
         tmp, topo, secret, out = self._deal(workspace)
         picks = [out / "m_001.share.json", out / "m_001.share.json",
@@ -979,27 +953,6 @@ class TestReconstruct:
         assert message in capsys.readouterr().err
         assert snapshot(out) == before
 
-    def test_one_corrupted_value_exit2(self, tmp_path, capsys):
-        # d1 has three nodes and quorum two; one value of node 1 plus one
-        # once decoded to "the crown jewels are in tfe tower".
-        topo = ROOT / "docs" / "examples" / "topology.json"
-        secret = tmp_path / "secret.bin"
-        secret.write_bytes(b"the crown jewels are in the tower")
-        out = tmp_path / "shares"
-        assert run(["deal", "--topology", topo, "--secret", secret,
-                    "--out", out, "--seed", "1"]) == 0
-        path = out / "d1_001.share.json"
-        data = json.loads(path.read_text())
-        value = int(data["values"][0], 16)
-        data["values"][0] = v2_hex((value + 1) % DEFAULT_MODULUS)
-        path.write_bytes(formats.canonical_json(data) + b"\n")
-        dest = tmp_path / "r.bin"
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", dest]) == 2
-        err = capsys.readouterr().err
-        assert "network d1" in err and "node 3" in err
-        assert not dest.exists()
-
     @pytest.mark.xfail(strict=True, reason=(
         "with exactly a quorum of each network no share is checked, so a "
         "changed value gives a wrong secret; ROADMAP item 10 (tamper "
@@ -1022,27 +975,6 @@ class TestReconstruct:
         assert run(["reconstruct", "--topology", topo, "--out", dest,
                     *picks]) == 2
         assert not dest.exists()
-
-    def test_daughter_from_another_dealing_exit2(self, workspace, capsys):
-        # d2's shares agree with one another, but they share another
-        # secret: m and d1 fix the outer polynomial, which d2 contradicts.
-        tmp, topo, secret, out = self._deal(workspace)
-        other = tmp / "other"
-        assert run(["deal", "--topology", topo, "--secret", secret,
-                    "--out", other, "--seed", "8"]) == 0
-        for path in other.glob("d2_*.share.json"):
-            (out / path.name).write_bytes(path.read_bytes())
-        dest = tmp / "r.bin"
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", dest]) == 2
-        assert "network d2" in capsys.readouterr().err
-        assert not dest.exists()
-        # Any quorum of networks without the foreign daughter still works.
-        picks = sorted(out.glob("m_*.share.json")) + sorted(
-            out.glob("d1_*.share.json"))
-        assert run(["reconstruct", "--topology", topo, "--out", dest]
-                   + picks) == 0
-        assert dest.read_bytes() == secret.read_bytes()
 
     def test_daughter_checked_early_keeps_error_order(self, workspace,
                                                        capsys):
@@ -2260,8 +2192,9 @@ class TestThresholds:
     def test_oversized_oracle_exit4(self, workspace, capsys):
         tmp, _, _ = workspace
         big = tmp / "big.json"
-        # One network more than the subset walk's bound.
-        write_topology(big, q=257, nets=((2, 1),) * 13)
+        # One network more than the subset walk's bound, of a shape that
+        # is not certified (D = 3 at q = 257).
+        write_topology(big, q=257, nets=((2, 1),) * 13, outer=3)
         assert run(["thresholds", "--topology", big, "--oracle"]) == 4
         assert "13 networks" in capsys.readouterr().err
 
@@ -2328,6 +2261,22 @@ class TestThresholds:
         assert exhaustive.startswith("  t_networks = 4\n  t_nodes    = 8\n")
         assert exhaustive.count("DISCREPANCY: t_networks formula=5 "
                                 "exhaustive=4\n") == 1
+
+    def test_certified_beyond_the_bound(self, workspace, capsys):
+        # 20 networks with D = 3, certified at 2^127 - 1: --oracle answers
+        # without a walk. Only t_f1 differs from the closed form, by one
+        # daughter, and t_fail, which t_f1 sets here.
+        tmp, _, _ = workspace
+        path = tmp / "big.json"
+        write_topology(path, nets=((20, 1),) + ((2, 1),) * 19, outer=3)
+        assert run(["thresholds", "--topology", path, "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert f"closed form certified at modulus {DEFAULT_MODULUS}\n" in out
+        assert out.endswith("".join(
+            f"DISCREPANCY: {name} formula=16 exhaustive=17 (the closed form "
+            f"disables one daughter too few)\n" for name in ("t_f1",
+                                                            "t_fail")))
+        assert out.count("DISCREPANCY") == 2
 
     def test_uncertified_beyond_the_bound(self, workspace, capsys):
         tmp, _, _ = workspace
@@ -2769,6 +2718,95 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err.startswith(
             f"error: --out {out} is not a regular file")
         assert not list(tmp.rglob("*.tmp"))
+
+
+def test_files_are_private(workspace):
+    # Under the common umask 022, which leaves files readable by all,
+    # every file a command makes is its owner's alone, 0600, and every
+    # directory deal makes 0700. A refresh makes a vault of 0644 files,
+    # dealt before or copied without its modes, private, and a file left
+    # at an output's temporary name passes no mode on.
+    tmp, topo, secret = workspace
+    out = tmp / "vaults" / "shares"  # two directories made
+
+    def modes():
+        return {str(p.relative_to(tmp)): oct(p.stat().st_mode & 0o777)
+                for p in sorted(tmp.rglob("*"))
+                if p.name not in ("topology.json", "secret.bin")}
+
+    umask = os.umask(0o022)
+    try:
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out, "--seed", "1"]) == 0
+        dealt = modes()
+        assert [p for p, mode in dealt.items() if mode != "0o600"] == [
+            "vaults", "vaults/shares"]
+        assert {dealt["vaults"], dealt["vaults/shares"]} == {"0o700"}
+        for path in out.iterdir():
+            path.chmod(0o644)
+        for name in ("r.bin.tmp", "report.json.tmp"):
+            (tmp / name).write_bytes(b"left")
+            (tmp / name).chmod(0o666)
+        assert run(["refresh", "--topology", topo, "--shares", out]) == 0
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", tmp / "r.bin"]) == 0
+        assert run(["simulate", "--scenario",
+                    ROOT / "docs" / "examples" / "scenario.json",
+                    "--report", tmp / "report.json",
+                    "--state", tmp / "w.state"]) == 0
+    finally:
+        os.umask(umask)
+    assert modes() == {**dealt, "r.bin": "0o600", "report.json": "0o600",
+                       "w.state": "0o600"}
+
+
+def test_no_secret_or_value_is_printed(tmp_path, capsys):
+    # Each command on the documented examples: what it prints, and the
+    # report, hold neither the secret nor any value dealt or refreshed.
+    # The state file holds the secret by design.
+    examples = ROOT / "docs" / "examples"
+    topo = examples / "topology.json"
+    data = b"the crown jewels are in the tower"
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(data)
+    out = tmp_path / "shares"
+    values = set()
+
+    def held():
+        for path in out.glob("*.share.json"):
+            values.update(json.loads(path.read_bytes())["values"])
+
+    capsys.readouterr()
+    assert run(["deal", "--topology", topo, "--secret", secret,
+                "--out", out, "--seed", "1"]) == 0
+    held()
+    assert run(["refresh", "--topology", topo, "--shares", out,
+                "--seed", "2"]) == 0
+    held()
+    assert run(["reconstruct", "--topology", topo, "--shares", out,
+                "--out", tmp_path / "r.bin"]) == 0
+    assert run(["thresholds", "--topology", topo, "--oracle"]) == 0
+    scenario = json.loads((examples / "scenario.json").read_text())
+    scenario = {**scenario, "schedule": hndl_schedule(10)}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    report = tmp_path / "report.json"
+    state = tmp_path / "w.state"
+    assert run(["simulate", "--scenario", tmp_path / "scenario.json",
+                "--report", report, "--state", state]) == 0
+    sim = load_state(state)
+    values |= {v2_hex(v) for node in sim.nodes.values()
+               for v in node.store.values}
+    values |= {v2_hex(v) for *_, captured in sim.transcript + sim.captures
+               for v in captured}
+    assert len(values) > 200
+    captured = capsys.readouterr()
+    text = captured.out + captured.err + report.read_text()
+    for kept in (data, bytes.fromhex(scenario["secret_hex"])):
+        assert kept.decode() not in text
+        assert kept.hex() not in text
+    for value in values:
+        assert value not in text
+        assert value.lstrip("0") not in text
 
 
 class TestLoadOnUse:

@@ -577,6 +577,12 @@ class TestThresholdFormulas:
         assert got.t_networks == 2
 
 
+# Moduli, each with the most networks up to which its certified shapes
+# are checked against the walk.
+CERTIFIED_UP_TO = [(5, 9), (7, 9), (11, 9), (13, 9), (257, 9), (65537, 12),
+                   (DEFAULT_MODULUS, 12)]
+
+
 class TestThresholdExhaustive:
     def test_worked_example(self):
         got = compute_thresholds_exhaustive(make_topology(11))
@@ -680,9 +686,7 @@ class TestThresholdExhaustive:
                     assert known[0] == 0 and ok == (len(known) > outer), (
                         l, outer, known)
 
-    @pytest.mark.parametrize("q,most", [
-        (5, 9), (7, 9), (11, 9), (13, 9), (257, 9), (65537, 12),
-        (DEFAULT_MODULUS, 12)])
+    @pytest.mark.parametrize("q,most", CERTIFIED_UP_TO)
     def test_certified_shapes_are_the_closed_forms(self, q, most):
         # The certificate is sound: wherever it holds, up to `most`
         # networks (fewer than q daughters), a walked set reconstructs iff
@@ -697,6 +701,24 @@ class TestThresholdExhaustive:
                     assert known[0] == 0 and ok == (len(known) > outer), (
                         q, l, outer, known)
         assert certified
+
+    @pytest.mark.parametrize("q,most", CERTIFIED_UP_TO)
+    def test_certified_thresholds_are_the_walks(self, q, most):
+        # On every certified shape up to `most` networks, the sums over
+        # sorted lists that answer beyond the walk's bound are the walk's
+        # thresholds, on topologies of mixed quorums and kill costs.
+        rng = random.Random(q)
+        for l in range(2, min(most, q) + 1):
+            for outer in range(1, l):
+                if not protocol.closed_form_certified(q, outer, l):
+                    continue
+                for _ in range(3):
+                    nets = [(n, rng.randrange(n)) for n in (
+                        rng.randint(1, min(q - 1, 6)) for _ in range(l))]
+                    topology = make_topology(q, nets, outer)
+                    assert (protocol._certified_thresholds(topology)
+                            == compute_thresholds_exhaustive(topology)), (
+                        q, outer, nets)
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13, 257])
     def test_walk_is_the_moment_criterion(self, q):
@@ -717,10 +739,14 @@ class TestThresholdExhaustive:
                             q, outer, points), (q, l, outer, known)
 
     def test_capacity_bound(self):
-        # One network more than the subset walk's bound.
+        # One network more than the subset walk's bound, of a shape that
+        # is not certified at q = 257 for D = 3 (257 < 6 * 11 * 12); for D
+        # = 1 it is, and the thresholds are answered.
         many = [(2, 1)] * (protocol.EXHAUSTIVE_NETWORK_BOUND + 1)
         with pytest.raises(CapacityError):
-            compute_thresholds_exhaustive(make_topology(257, many))
+            compute_thresholds_exhaustive(make_topology(257, many, 3))
+        assert compute_thresholds_exhaustive(make_topology(257, many)) == (
+            Thresholds(t_networks=2, t_nodes=4, t_fail=1, t_f0=1, t_f1=12))
 
     @pytest.mark.parametrize("degree", [101, 150])
     def test_any_inner_degree(self, degree):

@@ -46,7 +46,7 @@ from multishare import cli, errors, formats, vault
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng)
 from multishare.formats import canonical_json, topology_to_dict
-from multishare.protocol import deal
+from multishare.protocol import deal, encode_secret
 from support import INJECTED, FaultyFiles, make_topology, run, tree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -657,6 +657,17 @@ def remove(*rels):
     return setup
 
 
+def here(w):
+    """The command runs with the workspace as its working directory."""
+    w.monkeypatch.chdir(w.root)
+
+
+def no_chunks(w):
+    """Every share file says chunk_count 0 and holds no value."""
+    for rel in SHARES:
+        share(rel, lambda doc: {**doc, "chunk_count": 0, "values": []})(w)
+
+
 def mkdir(rel: str):
     return lambda w: (w.root / rel).mkdir()
 
@@ -841,6 +852,7 @@ M2 = "shares/m_002.share.json"
 D1_1 = "shares/d1_001.share.json"
 D1_2 = "shares/d1_002.share.json"
 D2_1 = "shares/d2_001.share.json"
+D2_2 = "shares/d2_002.share.json"
 D2_3 = "shares/d2_003.share.json"
 MANIFEST = "shares/manifest.json"
 STAGED = "shares/m_001.share.json.staged-1"
@@ -878,8 +890,11 @@ def event(ev: dict):
     return scenario(["schedule"], [*SCHEDULE, ev])
 
 
+# Each output option, and the command it is given to.
+OUTPUTS = (("--out", "reconstruct"), ("--report", "simulate"),
+           ("--state", "simulate"))
+
 EV_FIELD = {"event": "attempt_reconstruct", "actr": "adversary"}
-EV_ACTOR = {"event": "attempt_reconstruct", "actor": "Adversary"}
 EV_NO_NODE = {"event": "release_node", "network": "m"}
 EV_NODE_STR = {"event": "release_node", "network": "d1", "node": "1"}
 EV_NETWORK = {"event": "compromise_network", "network": "d3"}
@@ -973,9 +988,10 @@ TRIGGERS = [
     *(T([("topology {path}: {reason}", P("topology.json")), CHUNKING],
         topology(["modulus"], q), write(STAGED, b"{}"), argv=LISTED,
         commands=("reconstruct",)) for q in ("101", "fff1")),
+    # A shape that closed_form_certified does not hold for (D = 3).
     T(("{count} networks exceed the exhaustive bound of 12 networks", 13),
       topology(lambda doc: topology_to_dict(make_topology(
-          DEFAULT_MODULUS, ((2, 1),) * 13))), argv={"--oracle": True}),
+          257, ((2, 1),) * 13, outer=3))), argv={"--oracle": True}),
 
     # Secret file.
     T(("cannot read secret: {reason}",
@@ -1114,6 +1130,11 @@ TRIGGERS = [
       share(M1, ["values"], "abcd")),
     T([(READ_SHARE, P(M1)), COUNT],
       share(M1, ["chunk_count"], 0)),
+    *(T(chain, no_chunks, *setup) for chain, setup in (
+        ([(READ_SHARE, P(D1_1)), COUNT], ()),
+        ([(READ_MANIFEST, P(MANIFEST)), "chunk_count must be at least 1"],
+         (manifest(["chunk_count"], 0),)),
+        ([(READ_SHARE, P(D1_1)), COUNT], (remove(MANIFEST),)))),
     T([(READ_SHARE, P(M1)), COUNT], share(M1, lambda doc: at(
         v1(doc), ["values"], lambda values: values + values[:1]))),
     T([(READ_SHARE, P(M1)), (SIZE, 274, 275, 4, 32)],
@@ -1183,10 +1204,20 @@ TRIGGERS = [
     T(("network {id}: the share of node {node} disagrees with nodes "
        "{quorum}", "d1", 3, "[1, 2]"),
       share("shares/d1_001.share.json", ["values", 0], last_plus_one)),
+    T(("network {id}: the share of node {node} disagrees with nodes "
+       "{quorum}", "d1", 3, "[1, 2]"),
+      vault_of(encode_secret(b"the crown jewels are in the tower")),
+      share(D1_1, ["values", 0], last_plus_one)),
     T(("network {id}: its inner secret disagrees with networks {networks}",
        "d2", "['m', 'd1']"),
       *(copy(f"other/d2_00{j}.share.json", f"shares/d2_00{j}.share.json")
         for j in (1, 2, 3))),
+    T(("network {id}: its inner secret disagrees with networks {networks}",
+       "d2", "['m', 'd1']"),
+      *(copy(f"other/d2_00{j}.share.json", f"shares/d2_00{j}.share.json")
+        for j in (1, 2)),
+      argv={**LISTED, "files": [*QUORUM, P(D2_1), P(D2_2)]},
+      commands=("reconstruct",)),
     T("chunk value out of range", vault_of([2**120])),
     T("truncated chunk stream",
       topology(["modulus"], "10001"), vault_of([0])),
@@ -1197,10 +1228,10 @@ TRIGGERS = [
     *(T((NOT_REGULAR, option, P(rel)), fifo("fifo"),
         symlink("link", P("fifo")), argv={option: P(rel)},
         commands=(command,))
-      for option, command in (("--out", "reconstruct"),
-                              ("--report", "simulate"),
-                              ("--state", "simulate"))
+      for option, command in OUTPUTS
       for rel in ("shares", "fifo", "link")),
+    *(T((NOT_REGULAR, option, "."), here, argv={option: "."},
+        commands=(command,)) for option, command in OUTPUTS),
     T((INPUT, "--out", P("topology.json"), "topology", P("topology.json")),
       argv={"--out": P("topology.json")}, commands=("reconstruct",)),
     T((INPUT, "--report", P("scenario.json"), "scenario", P("scenario.json")),
@@ -1230,11 +1261,10 @@ TRIGGERS = [
       copy(M1, "m1.bin"),
       argv={**LISTED, "files": [P("m1.bin"), *QUORUM[1:]],
             "--out": P("m1.bin")}),
-    T((WRITE, P("missing/r.bin"), Reason(open, P("missing/r.bin.tmp"), "wb")),
-      argv={"--out": P("missing/r.bin")}, commands=("reconstruct",)),
-    T((WRITE, P("missing/r.json"),
-       Reason(open, P("missing/r.json.tmp"), "wb")),
-      argv={"--report": P("missing/r.json")}, commands=("simulate",)),
+    *(T((WRITE, P(f"missing/{option[2:]}"),
+         Reason(open, P(f"missing/{option[2:]}.tmp"), "wb")),
+        argv={option: P(f"missing/{option[2:]}")}, commands=(command,))
+      for option, command in OUTPUTS),
     # The first mutation after --out is made and flushed.
     T((FAILED, "deal", INJECTED), faulty(3), commands=("deal",)),
     T((FAILED, "refresh", INJECTED), faulty(1), commands=("refresh",)),

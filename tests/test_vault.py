@@ -297,10 +297,12 @@ class TestOneFileLayer:
     def test_scan_finds_mutations(self, tmp_path):
         # The scan itself, on vault.py and on a module that writes.
         assert {call for _, call in file_mutations(SRC / "vault.py")} >= {
-            "os.replace", "os.fsync", "os.open", ".write_bytes", ".unlink",
+            "os.replace", "os.fsync", "os.open", "os.unlink", ".unlink",
             ".mkdir"}
         module = tmp_path / "m.py"
         module.write_text("open(p, 'wb'); open(p, mode='a'); open(p, m)\n"
-                          "open(p); open(p, 'rb'); os.replace(a, b)\n")
+                          "open(p); open(p, 'rb'); os.replace(a, b)\n"
+                          "p.write_bytes(b); p.read_bytes()\n")
         assert sorted(file_mutations(module)) == [
-            (1, "open"), (1, "open"), (1, "open"), (2, "os.replace")]
+            (1, "open"), (1, "open"), (1, "open"), (2, "os.replace"),
+            (3, ".write_bytes")]
