@@ -50,6 +50,11 @@ class NetworkSpec(NamedTuple):
         """Any this many of its nodes recover the inner secret."""
         return self.inner_degree + 1
 
+    @property
+    def kill_cost(self) -> int:
+        """Disabling any this many of its nodes leaves it below quorum."""
+        return self.node_count - self.quorum + 1
+
 
 # A NamedTuple may not define __new__ or _make in its body, so Topology,
 # which checks itself in both, subclasses its fields.
@@ -610,22 +615,30 @@ def access_oracle(node_set: Iterable, topology: Topology) -> Access:
 def compute_thresholds_formula(topology: Topology) -> Thresholds:
     """Closed-form thresholds under T(poly) = degree + 1.
 
-    Reproduced verbatim, including the known quirk that t_f1 sums over
-    l - T(P) daughters; the exhaustive computation needs one more daughter
+    Reproduced verbatim, including the known quirk that t_f1 disables
+    l - T(P) daughters; the exact thresholds need one more daughter
     disabled (see compute_thresholds_exhaustive).
     """
-    t_p = topology.outer_degree + 1
-    mother = topology.mother
-    daughters = topology.daughters()
-    l = len(topology.networks)
-    t_networks = t_p
-    inner_t = sorted(n.quorum for n in daughters)
-    t_nodes = mother.quorum + sum(inner_t[:t_p - 1])
-    t_f0 = mother.node_count - mother.quorum + 1
-    kill = sorted(n.node_count - n.quorum + 1 for n in daughters)
-    t_f1 = sum(kill[:l - t_p])
-    return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
-                      t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
+    return _sorted_thresholds(
+        topology, len(topology.networks) - topology.outer_degree - 1)
+
+
+def _sorted_thresholds(topology: Topology, disabled: int) -> Thresholds:
+    """Thresholds by sums over sorted lists, for the access structure
+    where a set of known networks reconstructs iff it holds the mother and
+    at least D = outer_degree daughters: the mother's quorum and the D
+    smallest daughter quorums, and t_f1 the `disabled` smallest daughter
+    kill costs. The exact value disables L - D daughters, leaving the
+    mother and D - 1; the closed form disables L - D - 1."""
+    d, mother, daughters = (topology.outer_degree, topology.mother,
+                            topology.daughters())
+    quorums = sorted(net.quorum for net in daughters)
+    kill = sorted(net.kill_cost for net in daughters)
+    t_f1 = sum(kill[:disabled])
+    return Thresholds(t_networks=d + 1,
+                      t_nodes=mother.quorum + sum(quorums[:d]),
+                      t_fail=min(mother.kill_cost, t_f1),
+                      t_f0=mother.kill_cost, t_f1=t_f1)
 
 
 def closed_form_certified(q: int, outer_degree: int,
@@ -651,7 +664,7 @@ def closed_form_certified(q: int, outer_degree: int,
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     """Definitional thresholds: by a walk up to EXHAUSTIVE_NETWORK_BOUND
     networks, and beyond it for a shape that closed_form_certified holds
-    for (_certified_thresholds); CapacityError for any other shape.
+    for (_sorted_thresholds); CapacityError for any other shape.
 
     Nodes within a network are interchangeable for access, so a held set
     decides only through the networks it makes known: network i once q_i
@@ -659,8 +672,8 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     node rows recover the inner secret (_QuorumPlan), and fewer leave it
     uniform. A reconstructing set K of known networks is reached by
     holding sum(q_i, i in K) nodes of |K| networks; a non-reconstructing K
-    by disabling n_i - q_i + 1 nodes of each network outside K. t_f0
-    disables only mother nodes (K holds every daughter), t_f1 only
+    by disabling the kill_cost n_i - q_i + 1 of each network outside K.
+    t_f0 disables only mother nodes (K holds every daughter), t_f1 only
     daughter nodes (K holds the mother). No K of daughters alone
     reconstructs (their constant functionals have first coordinate 0), so
     t_f0 disables the mother alone and t_fail is min(t_f0, t_f1). Which K
@@ -668,21 +681,20 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     count): _walk finds the sets that matter once per shape and process;
     each topology sums over them.
     """
-    nets = topology.networks
+    nets, d = topology.networks, topology.outer_degree
     if len(nets) > EXHAUSTIVE_NETWORK_BOUND:
-        if closed_form_certified(topology.modulus, topology.outer_degree,
-                                 len(nets)):
-            return _certified_thresholds(topology)
+        if closed_form_certified(topology.modulus, d, len(nets)):
+            return _sorted_thresholds(topology, len(nets) - d)
         raise CapacityError(
             f"{len(nets)} networks exceed the exhaustive bound of "
             f"{EXHAUSTIVE_NETWORK_BOUND} networks")
     q = topology.modulus
     order = [topology.mother, *topology.daughters()]  # as _walk places them
     quorums = [net.quorum for net in order]
-    kill = [net.node_count - net.quorum + 1 for net in order]
+    kill = [net.kill_cost for net in order]
     # Each minimum starts above any value it can take.
     t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
-    for known, reconstructs in _walk(q, topology.outer_degree, len(order)):
+    for known, reconstructs in _walk(q, d, len(order)):
         if reconstructs:
             t_nodes = min(t_nodes, sum(quorums[i] for i in known))
             t_networks = min(t_networks, len(known))
@@ -690,25 +702,6 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
             t_f1 = min(t_f1, sum(kill) - sum(kill[i] for i in known))
     return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
                       t_fail=min(kill[0], t_f1), t_f0=kill[0], t_f1=t_f1)
-
-
-def _certified_thresholds(topology: Topology) -> Thresholds:
-    """The thresholds of a certified shape (closed_form_certified), where
-    a set of known networks reconstructs iff it holds the mother and D =
-    outer_degree daughters: sums over sorted lists, with no walk. The
-    fewest nodes are the mother's quorum and the D smallest daughter
-    quorums. t_f1 disables the L - D daughters of smallest kill cost,
-    leaving the mother and D - 1 daughters; the closed form sums L - D - 1
-    of them (compute_thresholds_formula)."""
-    d, mother, daughters = (topology.outer_degree, topology.mother,
-                            topology.daughters())
-    quorums = sorted(net.quorum for net in daughters)
-    kill = sorted(net.node_count - net.quorum + 1 for net in daughters)
-    t_f0 = mother.node_count - mother.quorum + 1
-    t_f1 = sum(kill[:len(daughters) + 1 - d])
-    return Thresholds(t_networks=d + 1,
-                      t_nodes=mother.quorum + sum(quorums[:d]),
-                      t_fail=min(t_f0, t_f1), t_f0=t_f0, t_f1=t_f1)
 
 
 @lru_cache(maxsize=64)

@@ -245,6 +245,7 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
     stopped part-way is finished or undone, as the manifest's `epoch`
     (None without a manifest) decides: staged files of that epoch were
     committed and take their final names; any other staged file is
+    deleted, and one already gone (another command's) counts as
     deleted."""
     staged = [(share_dir / name, m) for name in listing(share_dir) or ()
               if (m := STAGED_NAME.fullmatch(name))]
@@ -254,7 +255,7 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
             if int(m[2]) == epoch:
                 os.replace(path, share_dir / m[1])
             else:
-                path.unlink()
+                path.unlink(missing_ok=True)
         if staged:
             _fsync(share_dir)
     return share_files(share_dir)

@@ -1,16 +1,19 @@
 """Fixtures that several test modules share: make_topology, which
 builds every topology of the standard ids, the enumeration of small
 systems, a scripted entropy source, the block layouts' moduli and
-lengths, the CLI runner with its file-fault injector, and snapshots of
-what a command must leave as it was. A test module
-imports helpers from here, from reference.py and from multishare, never
-from another test module (tests/test_imports.py checks it)."""
+lengths, the CLI runner with its file-fault injector, snapshots of
+what a command must leave as it was, and the malformed inputs and
+document edits that the CLI tests and the refusal rows both use. A test
+module imports helpers from here, from reference.py and from multishare,
+never from another test module (tests/test_imports.py checks it)."""
 
 import errno
 import itertools
+import json
 import os
 import random
 import stat
+import struct
 from pathlib import Path
 
 from multishare import vault
@@ -174,3 +177,44 @@ class FaultyFiles:
             patch.setattr(os, "fsync", faulty("fsync", fsync))
             patch.setattr(os, "replace", faulty("replace", replace))
             return fn(*args)
+
+
+# JSON nested beyond the parser's limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+# Network ids that would name a share file outside --out, or no file: a
+# lone surrogate is valid JSON but names no file, as it has no UTF-8.
+ESCAPING_IDS = ["../evil", "a\x00b", "\ud800"]
+# Spellings of the lowercase hex `v` that int(v, 16) reads as the same
+# value, by name.
+NONCANONICAL_HEX = {
+    "space": lambda v: f" {v}\n",
+    "0x": lambda v: f"0x{v}",
+    "uppercase": lambda v: v.upper(),
+    "plus": lambda v: f"+{v}",
+    "underscore": lambda v: f"{v[0]}_{v[1:]}",
+    "leading-zero": lambda v: f"0{v}",
+    "non-ascii-digit": lambda v: v.translate(
+        {ord(d): ord("\u0660") + int(d) for d in "0123456789"}),
+}
+DELETE = object()
+
+
+def at(doc, path: list, value):
+    """A copy of `doc` with the entry at `path` (keys and indices) set to
+    `value`, or to value(entry) when it is callable, or removed when it is
+    DELETE."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value(target[last]) if callable(value) else value
+    return doc
+
+
+def state_file(payload: bytes) -> bytes:
+    """A simulator state file around `payload`: magic, length, payload."""
+    return b"MSS1" + struct.pack(">Q", len(payload)) + payload

@@ -6,7 +6,6 @@ import os
 import re
 import shutil
 import statistics
-import struct
 import subprocess
 import sys
 import weakref
@@ -23,15 +22,11 @@ from multishare.formats import topology_to_dict
 from multishare.protocol import (LENGTH_HEADER, SecretDecoder, chunk_size,
                                  deal, encode_secret)
 from multishare.simnet import EVENTS, load_state
-from support import (INJECTED, FaultyFiles, make_topology, run, snapshot,
-                     tree)
+from support import (DEEP, DELETE, ESCAPING_IDS, INJECTED, NONCANONICAL_HEX,
+                     FaultyFiles, at, make_topology, run, snapshot,
+                     state_file, tree)
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-# Network ids that would name a share file outside --out, or no file: a
-# lone surrogate is valid JSON but names no file, as it has no UTF-8.
-ESCAPING_IDS = ["../evil", "a\x00b", "\ud800"]
 
 
 def write_topology(path: Path, q=DEFAULT_MODULUS, **layout):
@@ -524,9 +519,6 @@ JSON_VALUES = st.recursive(
 
 
 # 100,000 nested brackets, far beyond the JSON parser's recursion limit.
-DEEP = b"[" * 100_000 + b"]" * 100_000
-
-
 def _encode(doc) -> bytes:
     """A document as file content; bytes are taken as they are."""
     return doc if isinstance(doc, bytes) else json.dumps(doc).encode()
@@ -547,18 +539,6 @@ def _hex_value(text):
 
 # Spellings of the lowercase hex `text` that int(text, 16) reads as the
 # same value, and that the file formats reject.
-NONCANONICAL_HEX = {
-    "space": lambda v: f" {v}\n",
-    "0x": lambda v: f"0x{v}",
-    "uppercase": lambda v: v.upper(),
-    "plus": lambda v: f"+{v}",
-    "underscore": lambda v: f"{v[0]}_{v[1:]}",
-    "leading-zero": lambda v: f"0{v}",
-    "non-ascii-digit": lambda v: v.translate(
-        {ord(d): ord("\u0660") + int(d) for d in "0123456789"}),
-}
-
-
 def malformed_share_files(share):
     """Share files, as bytes, each breaking the share format one way,
     built from the valid share dict `share`."""
@@ -682,29 +662,6 @@ class TestReconstruct:
                    + picks) == 0
         assert dest.read_bytes() == secret.read_bytes()
 
-    def test_shares_dir_and_files_exit64(self, workspace, capsys):
-        # Files given beside --shares would otherwise go unread, so that
-        # shares of another dealing pass as if they had been checked.
-        tmp, topo, secret, out = self._deal(workspace)
-        other = tmp / "other"
-        run(["deal", "--topology", topo, "--secret", secret,
-             "--out", other, "--seed", "8"])
-        dest = tmp / "r.bin"
-        capsys.readouterr()
-        assert run(["reconstruct", "--topology", topo, "--shares", out,
-                    "--out", dest, other / "m_001.share.json",
-                    other / "d1_001.share.json"]) == 64
-        assert "not both" in capsys.readouterr().err
-        assert not dest.exists()
-
-    def test_no_shares_given_exit2(self, workspace, capsys):
-        tmp, topo, _, _ = self._deal(workspace)
-        capsys.readouterr()
-        assert run(["reconstruct", "--topology", topo,
-                    "--out", tmp / "r.bin"]) == 2
-        assert capsys.readouterr().err == "error: no share files found\n"
-        assert not (tmp / "r.bin").exists()
-
     def test_shares_not_a_directory_exit2(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
         for shares in (out / "m_001.share.json", tmp / "missing"):
@@ -767,24 +724,6 @@ class TestReconstruct:
         assert target.read_bytes() == secret.read_bytes()
         assert not (tmp / "link.bin.tmp").exists()
         assert not (tmp / "target.bin.tmp").exists()
-
-    def test_daughters_only_exit3(self, workspace, capsys):
-        tmp, topo, secret, out = self._deal(workspace)
-        picks = sorted(out.glob("d*.share.json"))
-        assert run(["reconstruct", "--topology", topo,
-                    "--out", tmp / "r.bin"] + picks) == 3
-        assert "mother" in capsys.readouterr().err
-
-    def test_epoch_mix_exit3(self, workspace, capsys):
-        # And refresh: TestRefresh.test_mixed_epoch_input_exit3.
-        tmp, topo, secret, out = self._deal(workspace)
-        one = out / "d1_001.share.json"
-        data = json.loads(one.read_text())
-        data["epoch"] = 1
-        one.write_bytes(formats.canonical_json(data) + b"\n")
-        assert_vault_fault(capsys, tmp, topo, out, 3,
-                           "EpochMismatch: shares span epochs [0, 1]",
-                           commands=["reconstruct"])
 
     def test_foreign_modulus_exit2(self, workspace, capsys):
         tmp, topo, secret, out = self._deal(workspace)
@@ -1729,7 +1668,7 @@ class TestManifest:
                            f"another topology", commands=["refresh"])
 
     @pytest.mark.parametrize("text", [
-        "{not json", "[]", "{}", pytest.param(DEEP.decode(), id="deep")])
+        "{not json", "[]", "{}", pytest.param(DEEP, id="deep")])
     def test_unreadable_manifest_exit2(self, workspace, text):
         tmp, topo, secret, out, _ = self._deal(workspace)
         (out / "manifest.json").write_text(text)
@@ -1748,9 +1687,9 @@ class TestManifest:
         # one that names the topology and an epoch.
         tmp, topo, secret, out, _ = self._deal(workspace)
         manifest = out / "manifest.json"
-        manifest.write_text(json.dumps(_replace(
+        manifest.write_text(json.dumps(at(
             json.loads(manifest.read_text()), ["format_version"],
-            _REMOVE if version is ... else version)))
+            DELETE if version is ... else version)))
         before = snapshot(out)
         dest = tmp / "r.bin"
         capsys.readouterr()
@@ -1807,8 +1746,8 @@ class TestManifest:
         # both commands exit 0.
         tmp, topo, secret, out, _ = self._deal(workspace)
         manifest = out / "manifest.json"
-        doc = _replace(json.loads(manifest.read_text()), [field],
-                       _REMOVE if value is ... else value)
+        doc = at(json.loads(manifest.read_text()), [field],
+                 DELETE if value is ... else value)
         manifest.write_text(json.dumps(doc))
         with pytest.raises(formats.CorruptData) as detail:
             formats.manifest_from_dict(doc)
@@ -1828,7 +1767,7 @@ class TestManifest:
         manifest = out / "manifest.json"
         found = {"epoch": 0, "chunk_count": 4}  # 51 bytes in 15-byte chunks
         assert json.loads(manifest.read_text())["chunk_count"] == 4
-        manifest.write_text(json.dumps(_replace(
+        manifest.write_text(json.dumps(at(
             json.loads(manifest.read_text()), [field], value)))
         assert_vault_fault(capsys, tmp, topo, out, 2,
                            f"{manifest} gives {field} {value}, the share "
@@ -1863,7 +1802,7 @@ class TestManifest:
                            f"{manifest} lists as stale nodes that have a "
                            f"share file: d2/3", commands=[command])
         # The manifest's own list, edited to name nodes that have files.
-        manifest.write_text(json.dumps(_replace(
+        manifest.write_text(json.dumps(at(
             json.loads(manifest.read_text()), ["stale"],
             ["m/1", "d2/2", "d1/9"])))
         (out / "d2_003.share.json").unlink()
@@ -1890,7 +1829,7 @@ class TestManifest:
         assert command == "refresh" or dest.read_bytes() == secret.read_bytes()
         for stale, lacked in ((["d2/4"], "d2/4"),
                               (["x/1", "d2/3", "m/9"], "m/9, x/1")):
-            manifest.write_text(json.dumps(_replace(
+            manifest.write_text(json.dumps(at(
                 json.loads(manifest.read_text()), ["stale"], stale)))
             assert_vault_fault(capsys, tmp, topo, out, 2,
                                f"{manifest} lists as stale nodes that the "
@@ -2171,6 +2110,116 @@ class TestRefreshFaults:
         capsys.readouterr()
 
 
+class TestTwoCommands:
+    """Two commands on one vault at once, made deterministic in process:
+    the inner one runs inside the outer one, once the outer has written
+    its first block ("blocks") or just before it commits ("commit").
+    Nothing locks a vault yet (ROADMAP item 30). The inner command
+    deletes the outer's staged files as an earlier command's, and the
+    outer then fails to append to or flush one and exits 2, so the vault
+    holds the secret at the epoch of the last command that exited 0."""
+
+    @staticmethod
+    def inside(monkeypatch, when, argv) -> list:
+        """Run `argv` once inside the next command, at `when`; the list
+        it returns gets the inner command's exit code."""
+        codes = []
+        name = "append" if when == "blocks" else "commit"
+        real = getattr(vault.Commit, name)
+
+        def hook(commit, *args):
+            # A second append to a staged file starts the second block.
+            if not codes and (name == "commit" or args[0] in commit.staged):
+                codes.append(None)  # so the inner command's calls pass
+                codes[0] = run(argv)
+            return real(commit, *args)
+
+        monkeypatch.setattr(vault.Commit, name, hook)
+        return codes
+
+    @staticmethod
+    def recovered(topo, out, dest, epoch) -> bytes:
+        """The secret that reconstruct --shares writes, at `epoch`."""
+        doc = json.loads((out / "manifest.json").read_bytes())
+        assert doc["epoch"] == epoch
+        assert run(["reconstruct", "--topology", topo, "--shares", out,
+                    "--out", dest]) == 0
+        return dest.read_bytes()
+
+    @pytest.mark.parametrize("when", ["blocks", "commit"])
+    @pytest.mark.parametrize("inner", ["reconstruct", "refresh"])
+    def test_inside_a_refresh(self, workspace, monkeypatch, capsys, inner,
+                              when):
+        tmp, topo, secret = workspace
+        data = chunks_secret(secret, BLOCK_WORDS + 1)
+        out, dest = tmp / "shares", tmp / "r.bin"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out]) == 0
+        refresh = ["refresh", "--topology", topo, "--shares", out]
+        argv = (refresh if inner == "refresh" else
+                ["reconstruct", "--topology", topo, "--shares", out,
+                 "--out", tmp / "inner.bin"])
+        codes = self.inside(monkeypatch, when, argv)
+        assert run(refresh) == 2
+        assert codes == [0]
+        assert capsys.readouterr().err.startswith(
+            "error: refresh failed, no file changed: ")
+        if inner == "reconstruct":
+            assert (tmp / "inner.bin").read_bytes() == data
+        monkeypatch.undo()
+        assert self.recovered(topo, out, dest,
+                             1 if inner == "refresh" else 0) == data
+
+    @pytest.mark.parametrize("when", ["blocks", "commit"])
+    def test_inside_a_deal(self, workspace, monkeypatch, capsys, when):
+        tmp, topo, secret = workspace
+        chunks_secret(secret, BLOCK_WORDS + 1)
+        other = tmp / "other.bin"
+        data = chunks_secret(other, BLOCK_WORDS + 1)
+        out, dest = tmp / "new" / "shares", tmp / "r.bin"
+        deal = ["deal", "--topology", topo, "--out", out, "--secret"]
+        codes = self.inside(monkeypatch, when, deal + [other])
+        assert run(deal + [secret]) == 2
+        assert codes == [0]
+        assert capsys.readouterr().err.startswith(
+            "error: deal failed, no file changed: ")
+        monkeypatch.undo()
+        assert self.recovered(topo, out, dest, 0) == data
+
+    @pytest.mark.parametrize("command", VAULT_COMMANDS)
+    def test_staged_file_already_gone(self, workspace, monkeypatch, capsys,
+                                      command):
+        # A staged file that another command deleted between this
+        # command's listing and its settling: of another epoch than the
+        # manifest's, it counts as deleted; of the manifest's epoch, it
+        # cannot take its final name.
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out]) == 0
+        argv = (["refresh", "--topology", topo, "--shares", out]
+                if command == "refresh" else
+                ["reconstruct", "--topology", topo, "--shares", out,
+                 "--out", tmp / "r.bin"])
+        real = vault.listing
+        # Staged at the manifest's epoch plus one, then at its epoch.
+        for later, code in ((1, 0), (0, 2)):
+            manifest = json.loads((out / "manifest.json").read_bytes())
+            epoch = manifest["epoch"] + later
+            gone = f"d2_001.share.json.staged-{epoch}"
+            monkeypatch.setattr(vault, "listing", lambda d: (
+                sorted([*real(d), gone]) if d == out else real(d)))
+            capsys.readouterr()
+            assert run(argv) == code, epoch
+            err = capsys.readouterr().err
+            monkeypatch.undo()
+            if code:
+                assert err.startswith(
+                    f"error: cannot settle the staged files of an earlier "
+                    f"deal or refresh in {out}: "), err
+        assert not [p for p in out.iterdir() if ".staged-" in p.name]
+
+
 class TestThresholds:
     def test_formula_report(self, workspace, capsys):
         tmp, topo, _ = workspace
@@ -2188,15 +2237,6 @@ class TestThresholds:
         assert run(["thresholds", "--topology", small, "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "DISCREPANCY: t_f1" in out
-
-    def test_oversized_oracle_exit4(self, workspace, capsys):
-        tmp, _, _ = workspace
-        big = tmp / "big.json"
-        # One network more than the subset walk's bound, of a shape that
-        # is not certified (D = 3 at q = 257).
-        write_topology(big, q=257, nets=((2, 1),) * 13, outer=3)
-        assert run(["thresholds", "--topology", big, "--oracle"]) == 4
-        assert "13 networks" in capsys.readouterr().err
 
     def test_daughter_count_below_modulus(self, workspace, capsys):
         # Daughter a's point is a mod q: at q = 257, the points of 256
@@ -3306,24 +3346,6 @@ def _is_valid_modulus(value):
     return q is not None and q >= 257 and is_probable_prime(q)
 
 
-_REMOVE = object()
-
-
-def _replace(doc, path, value):
-    """A deep copy of `doc` with the entry at `path` (keys and indices)
-    set to `value`, or removed when `value` is _REMOVE."""
-    doc = json.loads(json.dumps(doc))
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    if value is _REMOVE:
-        del target[last]
-    else:
-        target[last] = value
-    return doc
-
-
 # Numbers JSON_VALUES lacks: json.loads reads Infinity and NaN.
 NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
 
@@ -3335,8 +3357,8 @@ def malformed_topologies(topology):
     ids = [n["id"] for n in nets]
     q = int(topology["modulus"], 16)
 
-    def at(path):
-        return lambda v: _replace(topology, path, v)
+    def setter(path):
+        return lambda v: at(topology, path, v)
 
     def bad_int(valid):
         return (JSON_VALUES.filter(lambda v: not _int_in(v, valid))
@@ -3347,35 +3369,34 @@ def malformed_topologies(topology):
         keys = ["id", "node_count", "inner_degree", "link", "mother"]
         per_network += [
             st.sampled_from(keys).map(
-                lambda k, i=i: _replace(topology, ["networks", i, k],
-                                        _REMOVE)),
+                lambda k, i=i: at(topology, ["networks", i, k], DELETE)),
             (JSON_VALUES.filter(lambda v: not isinstance(v, str))
              | st.sampled_from([x for x in ids if x != net["id"]]
                                + ESCAPING_IDS)).map(
-                at(["networks", i, "id"])),
+                setter(["networks", i, "id"])),
             (bad_int(range(net["inner_degree"] + 1, q))
              | st.integers(min_value=q)).map(
-                at(["networks", i, "node_count"])),
+                setter(["networks", i, "node_count"])),
             bad_int(range(net["node_count"])).map(
-                at(["networks", i, "inner_degree"])),
+                setter(["networks", i, "inner_degree"])),
             JSON_VALUES.filter(lambda v, w=net["link"]: v != w).map(
-                at(["networks", i, "link"])),
+                setter(["networks", i, "link"])),
             JSON_VALUES.filter(lambda v, m=net["mother"]: v is not m).map(
-                at(["networks", i, "mother"])),
+                setter(["networks", i, "mother"])),
             JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(
-                at(["networks", i])),
+                setter(["networks", i])),
         ]
     return st.one_of(
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from(["format_version", "modulus", "networks",
                          "outer_degree"]).map(
-            lambda k: _replace(topology, [k], _REMOVE)),
+            lambda k: at(topology, [k], DELETE)),
         JSON_VALUES.filter(lambda v: not _int_in(v, range(1, 2))).map(
-            at(["format_version"])),
+            setter(["format_version"])),
         JSON_VALUES.filter(lambda v: not _is_valid_modulus(v)).map(
-            at(["modulus"])),
-        bad_int(range(1, len(nets))).map(at(["outer_degree"])),
-        JSON_VALUES.map(at(["networks"])),
+            setter(["modulus"])),
+        bad_int(range(1, len(nets))).map(setter(["outer_degree"])),
+        JSON_VALUES.map(setter(["networks"])),
         *per_network)
 
 
@@ -3383,8 +3404,8 @@ def malformed_scenarios(scenario):
     """Scenario documents, each invalid one way, built from the valid
     scenario dict `scenario`."""
 
-    def at(path):
-        return lambda v: _replace(scenario, path, v)
+    def setter(path):
+        return lambda v: at(scenario, path, v)
 
     def not_hex(value):
         # The documented grammar: lowercase hex, two digits a byte.
@@ -3398,21 +3419,20 @@ def malformed_scenarios(scenario):
     return st.one_of(
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from(sorted(scenario)).map(
-            lambda k: _replace(scenario, [k], _REMOVE)),
-        malformed_topologies(scenario["topology"]).map(at(["topology"])),
+            lambda k: at(scenario, [k], DELETE)),
+        malformed_topologies(scenario["topology"]).map(setter(["topology"])),
         # A prime too small to carry byte chunks.
         st.integers(5, 2**16 - 1).filter(is_probable_prime).map(
-            lambda q: format(q, "x")).map(at(["topology", "modulus"])),
-        JSON_VALUES.filter(not_hex).map(at(["secret_hex"])),
+            lambda q: format(q, "x")).map(setter(["topology", "modulus"])),
+        JSON_VALUES.filter(not_hex).map(setter(["secret_hex"])),
         JSON_VALUES.filter(lambda v: v not in ("", [], {})).map(
-            at(["schedule"])),
+            setter(["schedule"])),
         st.tuples(st.integers(0, len(schedule) - 1), JSON_VALUES).map(
-            lambda iv: _replace(scenario, ["schedule", iv[0]], iv[1])),
+            lambda iv: at(scenario, ["schedule", iv[0]], iv[1])),
         st.tuples(st.integers(0, len(schedule) - 1),
                   JSON_VALUES.filter(lambda v: not isinstance(v, str)
                                      or v not in EVENTS)).map(
-            lambda iv: _replace(scenario, ["schedule", iv[0], "event"],
-                                iv[1])),
+            lambda iv: at(scenario, ["schedule", iv[0], "event"], iv[1])),
         st.tuples(st.sampled_from(node_events), st.sampled_from(ids),
                   JSON_VALUES.filter(
                       lambda v: not _int_in(v, range(1, nodes + 1)))
@@ -3435,8 +3455,8 @@ def malformed_scenarios(scenario):
                   JSON_VALUES).filter(
             lambda ikv: ikv[1] not in {
                 "event", *EVENTS[schedule[ikv[0]]["event"]][1]}).map(
-            lambda ikv: _replace(scenario, ["schedule", ikv[0], ikv[1]],
-                                 ikv[2])),
+            lambda ikv: at(scenario, ["schedule", ikv[0], ikv[1]],
+                           ikv[2])),
         # A refresh before the deal, or with no deal at all.
         st.integers(0, len(schedule)).map(
             lambda i: {**scenario, "schedule": [
@@ -3449,8 +3469,8 @@ def malformed_states(state):
     """Simulator state payloads, each invalid one way, built from the
     valid state dict `state`: not one of them loads."""
 
-    def at(path):
-        return lambda v: _replace(state, path, v)
+    def setter(path):
+        return lambda v: at(state, path, v)
 
     history = state["history"]
     ids = [n["id"] for n in state["topology"]["networks"]]
@@ -3468,33 +3488,32 @@ def malformed_states(state):
     return st.one_of(
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from(sorted(state)).map(
-            lambda k: _replace(state, [k], _REMOVE)),
+            lambda k: at(state, [k], DELETE)),
         st.tuples(st.text(max_size=8).filter(lambda k: k not in state),
                   JSON_VALUES).map(lambda kv: {**state, kv[0]: kv[1]}),
         JSON_VALUES.filter(lambda v: not _int_in(v, range(2, 3))).map(
-            at(["version"])),
-        malformed_topologies(state["topology"]).map(at(["topology"])),
+            setter(["version"])),
+        malformed_topologies(state["topology"]).map(setter(["topology"])),
         st.integers(5, 2**16 - 1).filter(is_probable_prime).map(
-            lambda q: format(q, "x")).map(at(["topology", "modulus"])),
+            lambda q: format(q, "x")).map(setter(["topology", "modulus"])),
         JSON_VALUES.filter(lambda v: not canonical_hex(v)).map(
-            at(["secret"])),
+            setter(["secret"])),
         (JSON_VALUES.filter(lambda v: type(v) is not int)
-         | NON_FINITE).map(at(["seed"])),
+         | NON_FINITE).map(setter(["seed"])),
         JSON_VALUES.filter(lambda v: not isinstance(v, list)).map(
-            at(["history"])),
+            setter(["history"])),
         st.tuples(st.integers(0, len(history) - 1), JSON_VALUES).map(
-            lambda iv: _replace(state, ["history", iv[0]], iv[1])),
+            lambda iv: at(state, ["history", iv[0]], iv[1])),
         st.tuples(st.integers(0, len(history) - 1),
                   JSON_VALUES.filter(lambda v: not isinstance(v, str)
                                      or v not in EVENTS)
                   | st.just("attempt_reconstruct")).map(
-            lambda iv: _replace(state, ["history", iv[0], "event"], iv[1])),
+            lambda iv: at(state, ["history", iv[0], "event"], iv[1])),
         st.tuples(st.integers(0, len(history) - 1),
                   st.text(max_size=8).filter(
                       lambda k: k not in ("event", "network", "node")),
                   JSON_VALUES).map(
-            lambda ikv: _replace(state, ["history", ikv[0], ikv[1]],
-                                 ikv[2])),
+            lambda ikv: at(state, ["history", ikv[0], ikv[1]], ikv[2])),
         st.tuples(st.integers(1, len(history)),
                   st.tuples(st.sampled_from(node_events),
                             st.sampled_from(ids),
@@ -3528,17 +3547,12 @@ def malformed_manifests(manifest):
             lambda v: {**manifest, "format_version": v}),
         JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from(sorted(manifest)).map(
-            lambda k: _replace(manifest, [k], _REMOVE)).filter(
+            lambda k: at(manifest, [k], DELETE)).filter(
             lambda m: not {"topology_digest", "format_version"} <= set(m)),
         (JSON_VALUES | st.text("0123456789abcdef", min_size=64, max_size=64)
          | st.just(digest.upper())).filter(lambda v: v != digest).map(
             lambda v: {**manifest, "topology_digest": v}),
     )
-
-
-def _state_file(payload: bytes) -> bytes:
-    """A simulator state file around `payload`: magic, length, payload."""
-    return b"MSS1" + struct.pack(">Q", len(payload)) + payload
 
 
 class TestMalformedJson:
@@ -3550,23 +3564,23 @@ class TestMalformedJson:
     @pytest.mark.parametrize("edit", [
         lambda t: [],
         lambda t: {**t, "networks": [1, 2]},
-        lambda t: _replace(t, ["networks", 1, "id"], ["d1"]),  # unhashable
-        lambda t: _replace(t, ["networks", 1, "id"], 7),
-        lambda t: _replace(t, ["networks", 1, "node_count"], float("inf")),
-        lambda t: DEEP,
-        lambda t: _replace(t, ["networks", 1, "node_count"], 3.9),
-        lambda t: _replace(t, ["networks", 1, "node_count"], "3"),
-        lambda t: _replace(t, ["networks", 1, "inner_degree"], 1.5),
-        lambda t: _replace(t, ["outer_degree"], True),
-        lambda t: _replace(t, ["format_version"], 1.0),
-        lambda t: _replace(t, ["format_version"], 2),
-        lambda t: _replace(t, ["networks", 1, "node_count"], 0),
-        lambda t: _replace(t, ["networks", 1, "inner_degree"], -1),
-        lambda t: _replace(t, ["networks", 0, "mother"], 1),
-        lambda t: _replace(t, ["networks", 1, "mother"], None),
-        *(lambda t, i=i: _replace(t, ["networks", 1, "id"], i)
+        lambda t: at(t, ["networks", 1, "id"], ["d1"]),  # unhashable
+        lambda t: at(t, ["networks", 1, "id"], 7),
+        lambda t: at(t, ["networks", 1, "node_count"], float("inf")),
+        lambda t: DEEP.encode(),
+        lambda t: at(t, ["networks", 1, "node_count"], 3.9),
+        lambda t: at(t, ["networks", 1, "node_count"], "3"),
+        lambda t: at(t, ["networks", 1, "inner_degree"], 1.5),
+        lambda t: at(t, ["outer_degree"], True),
+        lambda t: at(t, ["format_version"], 1.0),
+        lambda t: at(t, ["format_version"], 2),
+        lambda t: at(t, ["networks", 1, "node_count"], 0),
+        lambda t: at(t, ["networks", 1, "inner_degree"], -1),
+        lambda t: at(t, ["networks", 0, "mother"], 1),
+        lambda t: at(t, ["networks", 1, "mother"], None),
+        *(lambda t, i=i: at(t, ["networks", 1, "id"], i)
           for i in ESCAPING_IDS),
-        *(lambda t, spell=spell: _replace(t, ["modulus"],
+        *(lambda t, spell=spell: at(t, ["modulus"],
                                           spell(t["modulus"]))
           for spell in NONCANONICAL_HEX.values()),
     ], ids=["not-an-object", "networks-not-objects", "id-list", "id-int",
@@ -3582,18 +3596,18 @@ class TestMalformedJson:
         assert run(["thresholds", "--topology", path]) == 2
 
     @pytest.mark.parametrize("edit", [
-        lambda s: _replace(s, ["topology", "modulus"], "101"),  # 257
-        lambda s: _replace(s, ["schedule", 1, "event"], ["refresh"]),
+        lambda s: at(s, ["topology", "modulus"], "101"),  # 257
+        lambda s: at(s, ["schedule", 1, "event"], ["refresh"]),
         lambda s: {**s, "schedule": s["schedule"] + [
             {"event": "fail_node", "network": "d1", "node": float("inf")}]},
-        lambda s: DEEP,
+        lambda s: DEEP.encode(),
         lambda s: {**s, "schedule": s["schedule"] + [
             {"event": "compromise_node", "network": "d1", "node": 1.7}]},
         lambda s: {**s, "schedule": s["schedule"] + [
             {"event": "release_node", "network": "d1", "node": "1"}]},
         lambda s: {**s, "schedule": s["schedule"] + [
             {"event": "fail_node", "network": "d1", "node": True}]},
-        lambda s: _replace(s, ["topology", "networks", 2, "node_count"],
+        lambda s: at(s, ["topology", "networks", 2, "node_count"],
                            3.0),
         lambda s: {**s, "schedule": [
             {"event": "compromise_node", "network": "m", "node": 1},
@@ -3605,7 +3619,7 @@ class TestMalformedJson:
         lambda s: {**s, "secret_hex": s["secret_hex"] + "\n"},
         lambda s: {**s, "secret_hex": s["secret_hex"].upper()},
         lambda s: {**s, "secret_hex": s["secret_hex"] + "a"},
-        *(lambda s, i=i: _replace(s, ["topology", "networks", 1, "id"], i)
+        *(lambda s, i=i: at(s, ["topology", "networks", 1, "id"], i)
           for i in ESCAPING_IDS),
     ], ids=["modulus-257", "event-list", "node-inf", "deep", "node-float",
             "node-str", "node-bool", "topology-node_count-float",
@@ -3683,7 +3697,7 @@ class TestMalformedJson:
             "refresh-before-deal", "version-1", "epoch", "dealt"])
     def test_state_exit2(self, tmp_path, capsys, edit):
         path, state, scenario = self._state(tmp_path)
-        blob = _state_file(json.dumps(edit(state)).encode())
+        blob = state_file(json.dumps(edit(state)).encode())
         path.write_bytes(blob)
         report = tmp_path / "r.json"
         assert run(["simulate", "--scenario", scenario, "--state", path,
@@ -3712,8 +3726,8 @@ class TestMalformedJson:
 
         @settings(max_examples=200, deadline=None, derandomize=True,
                   database=None)
-        @given(malformed_states(state).map(_encode).map(_state_file)
-               | st.binary(max_size=40).map(_state_file)
+        @given(malformed_states(state).map(_encode).map(state_file)
+               | st.binary(max_size=40).map(state_file)
                | st.binary(max_size=40))
         def check(blob):
             path.write_bytes(blob)

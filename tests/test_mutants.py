@@ -1,7 +1,8 @@
-"""The guard mutants of tools/mutants.py: exactly the changes its
-docstring lists, of the test of each `if`, `elif` and `while` whose body
-raises, and of no other. The mutation checks that justify deleting a
-test rest on them."""
+"""The mutants of tools/mutants.py: exactly the changes its docstring
+lists, anywhere by default, and with --guards in the test of each `if`,
+`elif` and `while` whose body raises and in no other. The mutation
+checks that justify deleting a test rest on the guard mutants, and those
+of a routine's arithmetic on the default ones."""
 
 import ast
 import importlib.util
@@ -40,19 +41,31 @@ GUARD_MUTANTS = [
     (8, "x <= y", "x > y"),
     (8, "x <= y", "x >= y"),
 ]
+# (line, before, after) of every mutant of SOURCE, in the order made: a
+# walk of the tree, breadth first.
+ALL_MUTANTS = [
+    (2, "x < 1 and not y", "x < 1 or not y"),
+    (2, "x < 1 and not y", "not (x < 1 and (not y))"),
+    (4, "x in items or y", "x in items and y"),
+    (4, "x in items or y", "not (x in items or y)"),
+    (6, "x == 2", "x != 2"),
+    (11, "not y", "y"),
+    (2, "x < 1", "x >= 1"),
+    (2, "x < 1", "x > 1"),
+    (2, "not y", "y"),
+    (4, "x in items", "x not in items"),
+    (6, "2", "3"),
+    (8, "x <= y", "x > y"),
+    (8, "x <= y", "x >= y"),
+    (2, "1", "2"),
+]
 
 
-def test_guard_mutants():
-    # The `if x == 2` guard returns, so it is not mutated, nor is the
-    # `not y` that the function returns; `elif x <= y` raises in a
-    # nested block, and `if y` has no operator to change.
-    found = mutants.mutants(SOURCE, None, guards=True)
-    assert [(line, before, after) for line, _, before, after, _ in found
-            ] == GUARD_MUTANTS
+def check_in_place(found):
+    """Each mutant replaces its node's text in place, in parentheses, and
+    keeps the rest of the source, which still parses."""
     lines = SOURCE.splitlines(keepends=True)
     for line, col, before, after, text in found:
-        # The node's text is replaced in place, in parentheses, and the
-        # rest of the source is kept.
         row = lines[line - 1]
         assert row[col:col + len(before)] == before
         assert text == "".join(
@@ -62,7 +75,34 @@ def test_guard_mutants():
         ast.parse(text)
 
 
+def test_guard_mutants():
+    # The `if x == 2` guard returns, so it is not mutated, nor is the
+    # `not y` that the function returns; `elif x <= y` raises in a
+    # nested block, and `if y` has no operator to change.
+    found = mutants.mutants(SOURCE, None, guards=True)
+    assert [(line, before, after) for line, _, before, after, _ in found
+            ] == GUARD_MUTANTS
+    check_in_place(found)
+
+
+def test_all_mutants():
+    # Without --guards, every comparison, boolean operator, `not` and int
+    # constant is changed, guard or not: the `if x == 2` that returns, the
+    # `not y` that the function returns, and the constant 2.
+    found = mutants.mutants(SOURCE, None, guards=False)
+    assert [(line, before, after) for line, _, before, after, _ in found
+            ] == ALL_MUTANTS
+    assert set(GUARD_MUTANTS) <= set(ALL_MUTANTS)
+    check_in_place(found)
+
+
 def test_lines_select_the_mutants():
-    assert [(line, before, after) for line, _, before, after, _ in
-            mutants.mutants(SOURCE, mutants.line_set("4-8"), guards=True)
-            ] == [m for m in GUARD_MUTANTS if 4 <= m[0] <= 8]
+    for guards, made in ((True, GUARD_MUTANTS), (False, ALL_MUTANTS)):
+        assert [(line, before, after) for line, _, before, after, _ in
+                mutants.mutants(SOURCE, mutants.line_set("4-8"), guards)
+                ] == [m for m in made if 4 <= m[0] <= 8]
+
+
+def test_line_set():
+    assert mutants.line_set("3,7-9") == {3, 7, 8, 9}
+    assert mutants.line_set("5") == {5}

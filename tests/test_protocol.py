@@ -581,6 +581,18 @@ class TestThresholdFormulas:
 # are checked against the walk.
 CERTIFIED_UP_TO = [(5, 9), (7, 9), (11, 9), (13, 9), (257, 9), (65537, 12),
                    (DEFAULT_MODULUS, 12)]
+# (D, L, the bound by hand): lcm(1..D) * (L-D+1)...(L-1), as
+# docs/thresholds.md states it.
+CERTIFICATE_BOUNDS = [(1, 2, 1), (2, 13, 2 * 12), (3, 13, 6 * 11 * 12),
+                      (4, 7, 12 * 4 * 5 * 6), (6, 7, 60 * 2 * 3 * 4 * 5 * 6)]
+
+
+@pytest.mark.parametrize("outer,networks,bound", CERTIFICATE_BOUNDS)
+def test_certificate_is_the_stated_bound(outer, networks, bound):
+    # Every modulus above the bound, and none at it. A stricter bound
+    # would still be sound, so the checks against the walk miss it.
+    assert not protocol.closed_form_certified(bound, outer, networks)
+    assert protocol.closed_form_certified(bound + 1, outer, networks)
 
 
 class TestThresholdExhaustive:
@@ -716,7 +728,8 @@ class TestThresholdExhaustive:
                     nets = [(n, rng.randrange(n)) for n in (
                         rng.randint(1, min(q - 1, 6)) for _ in range(l))]
                     topology = make_topology(q, nets, outer)
-                    assert (protocol._certified_thresholds(topology)
+                    assert (protocol._sorted_thresholds(topology,
+                                                        l - outer)
                             == compute_thresholds_exhaustive(topology)), (
                         q, outer, nets)
 

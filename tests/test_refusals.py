@@ -47,7 +47,8 @@ from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng)
 from multishare.formats import canonical_json, topology_to_dict
 from multishare.protocol import deal, encode_secret
-from support import INJECTED, FaultyFiles, make_topology, run, tree
+from support import (DEEP, DELETE, ESCAPING_IDS, INJECTED, NONCANONICAL_HEX,
+                     FaultyFiles, at, make_topology, run, state_file, tree)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "multishare"
@@ -562,26 +563,7 @@ def printed(rows: list, root: Path) -> str:
 
 
 # Edits of the workspace. A change is a function of a JSON document, or
-# the path of an entry in it and the entry's new value (at).
-DELETE = object()
-
-
-def at(doc, path: list, value):
-    """A copy of `doc` with the entry at `path` (keys and indices) set to
-    `value`, or to value(entry) when it is callable, or removed when it is
-    DELETE."""
-    doc = json.loads(json.dumps(doc))
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    if value is DELETE:
-        del target[last]
-    else:
-        target[last] = value(target[last]) if callable(value) else value
-    return doc
-
-
+# the path of an entry in it and the entry's new value (support.at).
 def change(args) -> callable:
     return args[0] if len(args) == 1 else lambda doc: at(doc, *args)
 
@@ -618,10 +600,6 @@ def manifest(*args):
 
 def scenario(*args):
     return edit("scenario.json", as_json, *args)
-
-
-def state_file(payload: bytes) -> bytes:
-    return b"MSS1" + struct.pack(">Q", len(payload)) + payload
 
 
 def state(*args):
@@ -863,16 +841,6 @@ QUORUM = [P(f"shares/{n}.share.json")
 LISTED = {"--shares": None, "files": QUORUM}
 STATE = {"--state": P("world.state")}
 INTO_EMPTY = {"--out": P("empty")}
-DEEP = "[" * 100_000 + "]" * 100_000  # beyond the JSON parser's nesting
-ESCAPING_IDS = ["../evil", "a\x00b", "\ud800"]  # ids naming no file in --out
-# Spellings of the lowercase hex `v` that int(v, 16) reads as the same
-# value: a space, 0x, upper case, a sign, an underscore, a leading zero
-# and non-ASCII digits.
-NONCANONICAL_HEX = [
-    lambda v: f" {v}\n", lambda v: f"0x{v}", str.upper, lambda v: f"+{v}",
-    lambda v: f"{v[0]}_{v[1:]}", lambda v: f"0{v}",
-    lambda v: v.translate({ord(d): ord("\u0660") + int(d)
-                           for d in "0123456789"})]
 # The bytes of a share file of the workspace's mother up to `"values":`.
 VALUES_AT = 132
 # A vault of two blocks.
@@ -941,7 +909,8 @@ TRIGGERS = [
       state(["seed"], True), argv=STATE),
     T([LOAD_STATE, CORRUPT_STATE, (INTEGER, "seed", 1.9)],
       state(["seed"], 1.9), argv=STATE),
-    *(T(NOT_HEX, topology(["modulus"], spell)) for spell in NONCANONICAL_HEX),
+    *(T(NOT_HEX, topology(["modulus"], spell))
+      for spell in NONCANONICAL_HEX.values()),
     T("networks must be a list of JSON objects",
       topology(["networks"], [1, 2])),
     *(T("mother must be true or false",
@@ -1115,7 +1084,7 @@ TRIGGERS = [
       *(share(rel, ["modulus"], format(2**521 - 1, "x")) for rel in SHARES)),
     T([(READ_SHARE, P(M1)), NOT_HEX], share(M1, ["modulus"], str.upper)),
     *(T([(READ_SHARE, P(D1_1)), NOT_HEX], share(D1_1, ["modulus"], spell))
-      for spell in NONCANONICAL_HEX),
+      for spell in NONCANONICAL_HEX.values()),
     T([(READ_SHARE, P(M1)), NOT_HEX], share(M1, lambda doc: at(
         v1(doc), ["values", 0], lambda v: "0" + v))),
     *(T([(READ_SHARE, P(M1)), (INTEGER, key, shown)], share(M1, [key], value))
@@ -1141,7 +1110,7 @@ TRIGGERS = [
       share(M1, ["values", 3], lambda v: v[1:])),
     # A value spelt another way, at another length or at the same.
     *(T([(READ_SHARE, P(D1_1)), reason], share(D1_1, ["values", 0], spell))
-      for spell, reason in zip(NONCANONICAL_HEX, (
+      for spell, reason in zip(NONCANONICAL_HEX.values(), (
           (SIZE, 279, 276, 4, 32), (SIZE, 278, 276, 4, 32), (HEX, 32),
           (SIZE, 277, 276, 4, 32), (SIZE, 277, 276, 4, 32),
           (SIZE, 277, 276, 4, 32), (SIZE, 356, 276, 4, 32)))),
