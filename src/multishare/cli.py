@@ -85,10 +85,6 @@ def _load_topology(path: str, chunking: bool = False) -> Topology:
     return topology
 
 
-def _rng(seed):
-    return crypto_rng() if seed is None else deterministic_rng(seed)
-
-
 def _json_line(obj) -> bytes:
     return formats.canonical_json(obj) + b"\n"
 
@@ -250,7 +246,8 @@ def cmd_deal(args) -> int:
         count = chunk_count(size, q)
         out_dir = Path(args.out)
         made = vault.new_vault_dir(out_dir)
-        rng = _rng(args.seed)
+        rng = (crypto_rng() if args.seed is None
+               else deterministic_rng(args.seed))
         with vault.Commit(out_dir, 0, "deal", made) as commit:
             for start, chunks in zip(range(0, count, BLOCK_WORDS),
                                      secret_blocks(read, size, q)):
@@ -315,6 +312,9 @@ def cmd_refresh(args) -> int:
     checked); then, per block, the round's refresh columns are drawn
     (refresh, one call per block), and each share file's block is read,
     updated (apply_node_refresh) and appended to its staged file in turn.
+    The columns are always drawn from the operating system (crypto_rng):
+    a refresh protects the secret only if they are fresh and uniform in
+    every round, so it takes no seed.
     The updated shares are committed at the new epoch by one atomic
     replace of the manifest (see vault.Commit). An error in the share
     files is that of the first file that cannot be read whole
@@ -325,7 +325,7 @@ def cmd_refresh(args) -> int:
     digest = formats.topology_digest(topology)
     paths, shares, epoch, count, stale = _open_vault(share_dir, topology,
                                                      digest)
-    rng = _rng(args.seed)
+    rng = crypto_rng()
     with _share_file_errors(paths, q), \
             vault.Commit(share_dir, epoch + 1, "refresh") as commit:
         for start in range(0, count, BLOCK_WORDS):
@@ -460,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refresh", help="advance all shares one epoch")
     p.add_argument("--topology", required=True)
     p.add_argument("--shares", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_refresh)
 
     p = sub.add_parser("thresholds", help="report security thresholds")

@@ -377,12 +377,17 @@ class _ShareValuesV1(ShareValues):
     """The values of a v1 share file, hex without leading zeros: a block
     of values is read from the end of the last one, at most the widest
     values' worth, and walked value by value, each checked and converted
-    in turn."""
+    in turn. A chunk_count above the file's size in bytes, more values
+    than the file can hold, is refused when it is opened; len() of the
+    values could fail on it."""
 
     def __init__(self, *args):
         super().__init__(*args)
         # The most bytes of a value: its hex, two quotes and a comma.
         self.width = len(format(self.modulus - 1, "x")) + 3
+        # Each value takes more than one byte of the file.
+        if self.count > self.identity[2]:
+            raise CorruptData(COUNT_MISMATCH)
 
     def _read(self, file, n: int, last: bool) -> Tuple[Block, int]:
         # More bytes than n values and what follows them can take, so

@@ -186,7 +186,9 @@ class Commit(AbstractContextManager):
     transaction; `command` names it in errors.
 
     In a with block, append(path, block) adds a block of bytes to the
-    staged name of the share file at `path`, made by its first append.
+    staged name of the share file at `path`, made by its first append,
+    which refuses a `path` that is a symbolic link: the staged file takes
+    the link's name, so the file it points to would keep its old share.
     commit(manifest) flushes each staged file and the directory, writes
     and flushes the manifest as manifest.json.staged-EPOCH, and commits
     the vault by one os.replace of manifest.json. Then the directory is
@@ -214,6 +216,9 @@ class Commit(AbstractContextManager):
             remove_made(self.made)
 
     def append(self, path: Path, block: bytes) -> None:
+        if path not in self.staged and path.is_symlink():
+            raise StorageError(f"{path} is a symbolic link; put the share "
+                               f"file itself in the vault directory")
         mode = "ab" if path in self.staged else "wb"
         staged = self.staged.setdefault(path, self._staged(path))
         with _failing_as(self.uncommitted):

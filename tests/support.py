@@ -1,11 +1,12 @@
 """Fixtures that several test modules share: make_topology, which
 builds every topology of the standard ids, the enumeration of small
 systems, a scripted entropy source, the block layouts' moduli and
-lengths, the CLI runner with its file-fault injector, snapshots of
-what a command must leave as it was, and the malformed inputs and
-document edits that the CLI tests and the refusal rows both use. A test
-module imports helpers from here, from reference.py and from multishare,
-never from another test module (tests/test_imports.py checks it)."""
+lengths, the CLI runner with its file-fault injector and its fixed
+draws, snapshots of what a command must leave as it was, and the
+malformed inputs and document edits that the CLI tests and the refusal
+rows both use. A test module imports helpers from here, from
+reference.py and from multishare, never from another test module
+(tests/test_imports.py checks it)."""
 
 import errno
 import itertools
@@ -14,11 +15,12 @@ import os
 import random
 import stat
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
-from multishare import vault
+from multishare import cli, vault
 from multishare.cli import main
-from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS
+from multishare.field import BLOCK_WORDS, DEFAULT_MODULUS, deterministic_rng
 from multishare.protocol import LinkKind, NetworkSpec, Topology
 
 
@@ -97,6 +99,18 @@ def layout_values(q, n, seed):
 def run(argv):
     """The CLI's exit code for `argv`, each argument as its str."""
     return main([str(a) for a in argv])
+
+
+@contextmanager
+def fixed_draws(monkeypatch, seed: int):
+    """In the block, each command that draws from the operating system
+    (cli.crypto_rng) draws from a fresh deterministic_rng(seed) instead:
+    a test can then compare a refresh's files with those of a rerun or
+    with recorded digests. They are the draws that `refresh --seed SEED`
+    made in earlier releases, which the digests were recorded with."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "crypto_rng", lambda: deterministic_rng(seed))
+        yield
 
 
 def tree(root: Path) -> dict:

@@ -257,7 +257,7 @@ def test_criterion_9_cli_round_trip_1mib(tmp_path):
                      "--secret", str(secret), "--out", str(out),
                      "--seed", "1"]) == 0
     assert cli_main(["refresh", "--topology", str(topo_path),
-                     "--shares", str(out), "--seed", "2"]) == 0
+                     "--shares", str(out)]) == 0
     dest = tmp_path / "recovered.bin"
     assert cli_main(["reconstruct", "--topology", str(topo_path),
                      "--shares", str(out), "--out", str(dest)]) == 0

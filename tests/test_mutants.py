@@ -1,8 +1,9 @@
 """The mutants of tools/mutants.py: exactly the changes its docstring
 lists, anywhere by default, and with --guards in the test of each `if`,
-`elif` and `while` whose body raises and in no other. The mutation
-checks that justify deleting a test rest on the guard mutants, and those
-of a routine's arithmetic on the default ones."""
+`elif` and `while` whose body raises and in no other, each named after
+the function it lies in. The mutation checks that justify deleting a
+test rest on the guard mutants, and those of a routine's arithmetic on
+the default ones."""
 
 import ast
 import importlib.util
@@ -26,46 +27,70 @@ def f(x, y, items):
         if y:
             raise OSError(y)
     return not y
+
+
+class C:
+    def g(self, x):
+        def inner():
+            if x is None:
+                raise TypeError(x)
+        return inner
+
+
+if __name__ != "__main__":
+    raise SystemExit(1)
 '''
-# (line, before, after) of each guard mutant of SOURCE, in the order made.
+# (line, function, before, after) of each guard mutant of SOURCE, in the
+# order made.
 GUARD_MUTANTS = [
-    (2, "x < 1 and not y", "x < 1 or not y"),
-    (2, "x < 1 and not y", "not (x < 1 and (not y))"),
-    (2, "x < 1", "x >= 1"),
-    (2, "x < 1", "x > 1"),
-    (2, "not y", "y"),
-    (2, "1", "2"),
-    (4, "x in items or y", "x in items and y"),
-    (4, "x in items or y", "not (x in items or y)"),
-    (4, "x in items", "x not in items"),
-    (8, "x <= y", "x > y"),
-    (8, "x <= y", "x >= y"),
+    (22, "<module>", '__name__ != "__main__"', "__name__ == '__main__'"),
+    (2, "f", "x < 1 and not y", "x < 1 or not y"),
+    (2, "f", "x < 1 and not y", "not (x < 1 and (not y))"),
+    (2, "f", "x < 1", "x >= 1"),
+    (2, "f", "x < 1", "x > 1"),
+    (2, "f", "not y", "y"),
+    (2, "f", "1", "2"),
+    (4, "f", "x in items or y", "x in items and y"),
+    (4, "f", "x in items or y", "not (x in items or y)"),
+    (4, "f", "x in items", "x not in items"),
+    (8, "f", "x <= y", "x > y"),
+    (8, "f", "x <= y", "x >= y"),
+    (17, "C.g.inner", "x is None", "x is not None"),
 ]
-# (line, before, after) of every mutant of SOURCE, in the order made: a
-# walk of the tree, breadth first.
+# (line, function, before, after) of every mutant of SOURCE, in the order
+# made: a walk of the tree, breadth first.
 ALL_MUTANTS = [
-    (2, "x < 1 and not y", "x < 1 or not y"),
-    (2, "x < 1 and not y", "not (x < 1 and (not y))"),
-    (4, "x in items or y", "x in items and y"),
-    (4, "x in items or y", "not (x in items or y)"),
-    (6, "x == 2", "x != 2"),
-    (11, "not y", "y"),
-    (2, "x < 1", "x >= 1"),
-    (2, "x < 1", "x > 1"),
-    (2, "not y", "y"),
-    (4, "x in items", "x not in items"),
-    (6, "2", "3"),
-    (8, "x <= y", "x > y"),
-    (8, "x <= y", "x >= y"),
-    (2, "1", "2"),
+    (22, "<module>", '__name__ != "__main__"', "__name__ == '__main__'"),
+    (2, "f", "x < 1 and not y", "x < 1 or not y"),
+    (2, "f", "x < 1 and not y", "not (x < 1 and (not y))"),
+    (4, "f", "x in items or y", "x in items and y"),
+    (4, "f", "x in items or y", "not (x in items or y)"),
+    (6, "f", "x == 2", "x != 2"),
+    (11, "f", "not y", "y"),
+    (2, "f", "x < 1", "x >= 1"),
+    (2, "f", "x < 1", "x > 1"),
+    (2, "f", "not y", "y"),
+    (4, "f", "x in items", "x not in items"),
+    (6, "f", "2", "3"),
+    (8, "f", "x <= y", "x > y"),
+    (8, "f", "x <= y", "x >= y"),
+    (23, "<module>", "1", "2"),
+    (2, "f", "1", "2"),
+    (17, "C.g.inner", "x is None", "x is not None"),
 ]
+
+
+def named(found) -> list:
+    """(line, function, before, after) of each mutant in `found`."""
+    return [(line, function, before, after)
+            for line, _, function, before, after, _ in found]
 
 
 def check_in_place(found):
     """Each mutant replaces its node's text in place, in parentheses, and
     keeps the rest of the source, which still parses."""
     lines = SOURCE.splitlines(keepends=True)
-    for line, col, before, after, text in found:
+    for line, col, _, before, after, text in found:
         row = lines[line - 1]
         assert row[col:col + len(before)] == before
         assert text == "".join(
@@ -78,10 +103,11 @@ def check_in_place(found):
 def test_guard_mutants():
     # The `if x == 2` guard returns, so it is not mutated, nor is the
     # `not y` that the function returns; `elif x <= y` raises in a
-    # nested block, and `if y` has no operator to change.
+    # nested block, and `if y` has no operator to change. Each mutant is
+    # named after the function it lies in, a nested one by its path, and
+    # the module's guard after `<module>`.
     found = mutants.mutants(SOURCE, None, guards=True)
-    assert [(line, before, after) for line, _, before, after, _ in found
-            ] == GUARD_MUTANTS
+    assert named(found) == GUARD_MUTANTS
     check_in_place(found)
 
 
@@ -90,17 +116,16 @@ def test_all_mutants():
     # constant is changed, guard or not: the `if x == 2` that returns, the
     # `not y` that the function returns, and the constant 2.
     found = mutants.mutants(SOURCE, None, guards=False)
-    assert [(line, before, after) for line, _, before, after, _ in found
-            ] == ALL_MUTANTS
+    assert named(found) == ALL_MUTANTS
     assert set(GUARD_MUTANTS) <= set(ALL_MUTANTS)
     check_in_place(found)
 
 
 def test_lines_select_the_mutants():
     for guards, made in ((True, GUARD_MUTANTS), (False, ALL_MUTANTS)):
-        assert [(line, before, after) for line, _, before, after, _ in
-                mutants.mutants(SOURCE, mutants.line_set("4-8"), guards)
-                ] == [m for m in made if 4 <= m[0] <= 8]
+        assert named(mutants.mutants(SOURCE, mutants.line_set("4-8"),
+                                     guards)) == [
+            m for m in made if 4 <= m[0] <= 8]
 
 
 def test_line_set():

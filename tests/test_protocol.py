@@ -1,9 +1,11 @@
 import functools
 import io
 import itertools
+import json
 import operator
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from reference import (birkhoff_coeffs, chained, derivative_coeffs, horner,
                        interpolate_zero)
 from multishare.errors import (CapacityError, CorruptData, EpochMismatch,
                                Infeasible)
-from multishare import field, protocol
+from multishare import field, formats, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng, express_over_rows,
                               is_probable_prime)
@@ -1006,6 +1008,34 @@ class TestRefresh:
         t = make_topology(11)
         held = [("m", 1, 0), ("m", 1, 1), ("d1", 1, 0), ("d1", 1, 1)]
         assert access_oracle(held, t) is Access.NO_INFORMATION
+
+    def test_known_draws_carry_a_share_across_epochs(self):
+        # Why `refresh` takes no seed. The oracle assumes fresh, uniform
+        # refresh draws, and calls m/1 at epoch 0 with m/2 at epoch 1 no
+        # information. But whoever knows the draws (deterministic_rng(7)
+        # here, as `refresh --seed 7` drew them) moves m/1's share to
+        # epoch 1, and with m/2's it gives the mother's inner secret, the
+        # deal's own draws from the operating system notwithstanding.
+        t = formats.topology_from_dict(json.loads(
+            (Path(__file__).resolve().parent.parent / "docs" / "examples"
+             / "topology.json").read_text()))
+        q = t.modulus
+        chunks = encode_secret(bytes(range(256)) * 4, q)
+        dealt = deal(chunks, t, field.crypto_rng())
+        deltas = refresh(t, len(chunks), 0, deterministic_rng(7))
+        m1, m2, m3 = (apply_node_refresh(s, deltas["m"]) for s in dealt["m"])
+        known = refresh(t, len(chunks), 0, deterministic_rng(7))
+        carried = apply_node_refresh(dealt["m"][0], known["m"])
+        assert carried == m1
+
+        def inner(a, b):
+            return list(field.weighted_column_sum(
+                lagrange_zero_weights([a.node_index, b.node_index], q),
+                [a.values, b.values], q))
+
+        assert inner(carried, m2) == inner(m2, m3)
+        assert access_oracle([("m", 1, 0), ("m", 2, 1)], t) is \
+            Access.NO_INFORMATION
 
 
 class TestSecrecyEnumeration:

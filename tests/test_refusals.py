@@ -466,8 +466,7 @@ def decoded(payload: bytes):
 ARGV = {
     "deal": ("--topology", P("topology.json"), "--secret", P("secret.bin"),
              "--out", P("new")),
-    "refresh": ("--topology", P("topology.json"), "--shares", P("shares"),
-                "--seed", "2"),
+    "refresh": ("--topology", P("topology.json"), "--shares", P("shares")),
     "reconstruct": ("--topology", P("topology.json"), "--shares",
                     P("shares"), "--out", P("r.bin")),
     "thresholds": ("--topology", P("topology.json")),
@@ -1053,6 +1052,10 @@ TRIGGERS = [
       manifest(["stale"], ["x/1", "d2/4"])),
     T((STALE, P(MANIFEST), "the topology lacks", "m/9, x/1"),
       remove(D2_3), manifest(["stale"], ["x/1", "d2/3", "m/9"])),
+    # A share file moved out of the vault and linked back.
+    T(("{path} is a symbolic link; put the share file itself in the vault "
+       "directory", P(M1)), copy(M1, "moved.share.json"), remove(M1),
+      symlink(M1, P("moved.share.json"))),
 
     # Share files.
     *(T([(READ_SHARE, P(D2_3)), "not a regular file"], *setup)
@@ -1087,6 +1090,9 @@ TRIGGERS = [
       for spell in NONCANONICAL_HEX.values()),
     T([(READ_SHARE, P(M1)), NOT_HEX], share(M1, lambda doc: at(
         v1(doc), ["values", 0], lambda v: "0" + v))),
+    # A value that is not a string.
+    T([(READ_SHARE, P(M1)), NOT_CANONICAL], share(M1, lambda doc: at(
+        v1(doc), ["values", 0], lambda v: int(v, 16)))),
     *(T([(READ_SHARE, P(M1)), (INTEGER, key, shown)], share(M1, [key], value))
       for key, value, shown in (
           ("node_index", 1.9, 1.9), ("node_index", True, True),
@@ -1106,6 +1112,12 @@ TRIGGERS = [
         ([(READ_SHARE, P(D1_1)), COUNT], (remove(MANIFEST),)))),
     T([(READ_SHARE, P(M1)), COUNT], share(M1, lambda doc: at(
         v1(doc), ["values"], lambda values: values + values[:1]))),
+    # More values than the file has bytes: in a file cut in its first
+    # value, which is not read then, and too many for len().
+    T([(READ_SHARE, P(M1)), COUNT], write(M1, lambda seed: as_share(
+        {**v1(json.loads(seed[M1])), "chunk_count": 1000})[:150])),
+    T([(READ_SHARE, P(M1)), COUNT],
+      share(M1, lambda doc: {**v1(doc), "chunk_count": 2**63})),
     T([(READ_SHARE, P(M1)), (SIZE, 274, 275, 4, 32)],
       share(M1, ["values", 3], lambda v: v[1:])),
     # A value spelt another way, at another length or at the same.
@@ -1153,9 +1165,12 @@ TRIGGERS = [
     *(T(["EpochMismatch: {reason}", ("shares span epochs {epochs}", epochs)],
         share("shares/d1_001.share.json", ["epoch"], epoch))
       for epoch, epochs in ((1, "[0, 1]"), (5, "[0, 5]"))),
-    T(("inconsistent chunk counts {counts}", "[3, 4]"),
-      share("shares/m_003.share.json", lambda doc: {
-          **doc, "chunk_count": 3, "values": doc["values"][:3]})),
+    # A value fewer in m/3's file, and in each of d1's.
+    *(T(("inconsistent chunk counts {counts}", "[3, 4]"),
+        *(share(rel, lambda doc: {
+            **doc, "chunk_count": 3, "values": doc["values"][:3]})
+          for rel in rels))
+      for rels in (["shares/m_003.share.json"], SHARES[:3])),
     *(T((NOT_A_NODE, "d1", node), copy("shares/d1_003.share.json",
                                        "shares/x.share.json"),
         share("shares/x.share.json", ["node_index"], node))

@@ -20,7 +20,10 @@ without them, the test modules that TESTS maps FILE's module to run. A
 mutant is killed when pytest exits other than 0 or runs past TIMEOUT
 seconds. The selection must pass on the unchanged copy first. Prints one
 JSON object: the killed and the surviving mutants, each with its line,
-its column and the text of the changed node before and after. Uses the
+its column, the qualified name of the function it lies in (`Class.method`,
+or `<module>`) and the text of the changed node before and after. The
+function and the two texts name a mutant across a change that moves
+lines, so that the survivors of two versions can be compared. Uses the
 standard library only; it is not part of the test suite, since each
 mutant runs the selection once.
 """
@@ -61,6 +64,8 @@ NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
            ast.NotIn: ast.In}
 SWAPPED = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE,
            ast.GtE: ast.LtE}
+# The nodes that a mutant's function is named after.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def line_set(text: str) -> set:
@@ -100,9 +105,28 @@ def variants(node) -> list:
     return found
 
 
+def scopes(tree) -> dict:
+    """The qualified name of the function or class that each node of
+    `tree` lies in (`Class.method`, `function.inner`), by the node's id;
+    `<module>` for a node in none."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            found[id(child)] = prefix[:-1] or "<module>"
+            visit(child, f"{prefix}{child.name}."
+                  if isinstance(child, SCOPES) else prefix)
+
+    visit(tree, "")
+    return found
+
+
 def mutants(source: str, lines, guards: bool) -> list:
-    """(line, column, before, after, mutated source) of each mutant."""
+    """(line, column, function, before, after, mutated source) of each
+    mutant; `function` is the qualified name of the scope it lies in
+    (scopes)."""
     tree = ast.parse(source)
+    scope = scopes(tree)
     roots = guard_tests(tree) if guards else [tree]
     rows = source.splitlines(keepends=True)
     starts = [0]
@@ -127,8 +151,8 @@ def mutants(source: str, lines, guards: bool) -> list:
                 after = ast.unparse(new)
                 text = (data[:start] + f"({after})".encode()
                         + data[end:]).decode()
-                found.append((node.lineno, node.col_offset, before, after,
-                              text))
+                found.append((node.lineno, node.col_offset, scope[id(node)],
+                              before, after, text))
     return found
 
 
@@ -172,13 +196,14 @@ def main(argv=None) -> int:
                   "guards": args.guards, "selection": pytest_args,
                   "killed": [], "survived": []}
         source = (ROOT / source_path).read_text(encoding="utf-8")
-        for line, col, before, after, text in mutants(
+        for line, col, function, before, after, text in mutants(
                 source, line_set(args.lines) if args.lines else None,
                 args.guards):
             (copy_root / source_path).write_text(text, encoding="utf-8")
             killed = not passes(copy_root, pytest_args)
             report["killed" if killed else "survived"].append(
-                {"line": line, "col": col, "before": before, "after": after})
+                {"line": line, "col": col, "function": function,
+                 "before": before, "after": after})
         (copy_root / source_path).write_text(source, encoding="utf-8")
     print(json.dumps(report, indent=1))
     return 0
