@@ -40,8 +40,6 @@ EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
 EXIT_USAGE = 64
 
-THRESHOLD_FIELDS = ("t_networks", "t_nodes", "t_f0", "t_f1", "t_fail")
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -346,40 +344,31 @@ def cmd_refresh(args) -> int:
 
 def _print_thresholds(title: str, thresholds) -> None:
     print(title)
-    for name in THRESHOLD_FIELDS:
-        print(f"  {name:<10} = {getattr(thresholds, name)}")
+    for name, value in zip(thresholds._fields, thresholds):
+        print(f"  {name:<10} = {value}")
 
 
 def cmd_thresholds(args) -> int:
-    """Print the closed-form thresholds and whether they are certified at
-    the topology's modulus (closed_form_certified). The exhaustive
-    thresholds and any discrepancy follow with --oracle, and also when
-    the closed form is not certified. When the exhaustive search refuses
-    the topology (CapacityError), --oracle exits 4, and otherwise a line
-    says that nothing checked the closed form. The search runs before the
-    first line is printed, so a refusal prints no partial report."""
+    """Print the closed-form thresholds, whether they are certified at
+    the topology's modulus (closed_form_certified), the exhaustive
+    thresholds and a line for each that differs. When the exhaustive
+    search refuses the topology (CapacityError), a line says that nothing
+    checked the closed form instead."""
     topology = _load_topology(args.topology)
     formula = compute_thresholds_formula(topology)
     certified = closed_form_certified(topology.modulus, topology.outer_degree,
                                       len(topology.networks))
-    oracle = None
-    if args.oracle or not certified:
-        try:
-            oracle = compute_thresholds_exhaustive(topology)
-        except CapacityError:
-            if args.oracle:
-                raise
     _print_thresholds("formula thresholds (T = degree + 1):", formula)
     print(f"closed form {'' if certified else 'not '}certified at modulus "
           f"{topology.modulus}")
-    if oracle is None:
-        if not certified:
-            print(f"nothing checked the closed form: the exhaustive search "
-                  f"takes at most {EXHAUSTIVE_NETWORK_BOUND} networks")
+    try:
+        exhaustive = compute_thresholds_exhaustive(topology)
+    except CapacityError:
+        print(f"nothing checked the closed form: the exhaustive search "
+              f"takes at most {EXHAUSTIVE_NETWORK_BOUND} networks")
         return EXIT_OK
-    _print_thresholds("exhaustive-search thresholds:", oracle)
-    for name in THRESHOLD_FIELDS:
-        a, b = getattr(formula, name), getattr(oracle, name)
+    _print_thresholds("exhaustive-search thresholds:", exhaustive)
+    for name, a, b in zip(formula._fields, formula, exhaustive):
         if a != b:
             note = (" (the closed form disables one daughter too few)"
                     if name in ("t_f1", "t_fail") else "")
@@ -464,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="report security thresholds")
     p.add_argument("--topology", required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help=f"also give the exhaustive thresholds: by a "
-                        f"search up to {EXHAUSTIVE_NETWORK_BOUND} networks, "
-                        f"and beyond for a certified shape")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("simulate", help="run an adversary scenario")

@@ -139,9 +139,6 @@ class Topology(_TopologyFields):
                 return net
         raise ValueError(f"unknown network {network_id}")
 
-    def total_nodes(self) -> int:
-        return sum(n.node_count for n in self.networks)
-
 
 class NodeShare(NamedTuple):
     network_id: str
@@ -155,9 +152,9 @@ class NodeShare(NamedTuple):
 class Thresholds(NamedTuple):
     t_networks: int
     t_nodes: int
-    t_fail: int
     t_f0: int
     t_f1: int
+    t_fail: int
 
 
 class Access(Enum):
@@ -637,8 +634,8 @@ def _sorted_thresholds(topology: Topology, disabled: int) -> Thresholds:
     t_f1 = sum(kill[:disabled])
     return Thresholds(t_networks=d + 1,
                       t_nodes=mother.quorum + sum(quorums[:d]),
-                      t_fail=min(mother.kill_cost, t_f1),
-                      t_f0=mother.kill_cost, t_f1=t_f1)
+                      t_f0=mother.kill_cost, t_f1=t_f1,
+                      t_fail=min(mother.kill_cost, t_f1))
 
 
 def closed_form_certified(q: int, outer_degree: int,
@@ -692,16 +689,18 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     order = [topology.mother, *topology.daughters()]  # as _walk places them
     quorums = [net.quorum for net in order]
     kill = [net.kill_cost for net in order]
-    # Each minimum starts above any value it can take.
-    t_networks = t_nodes = t_f1 = topology.total_nodes() + 1
-    for known, reconstructs in _walk(q, d, len(order)):
-        if reconstructs:
-            t_nodes = min(t_nodes, sum(quorums[i] for i in known))
-            t_networks = min(t_networks, len(known))
-        else:
-            t_f1 = min(t_f1, sum(kill) - sum(kill[i] for i in known))
-    return Thresholds(t_networks=t_networks, t_nodes=t_nodes,
-                      t_fail=min(kill[0], t_f1), t_f0=kill[0], t_f1=t_f1)
+    # Each min() has a set to take: the family holds the mother alone,
+    # which does not reconstruct, and the mother with daughters 1..k for
+    # the least k that reconstructs (k <= D: the mother with D daughters
+    # does).
+    family = _walk(q, d, len(order))
+    reached = [known for known, reconstructs in family if reconstructs]
+    t_f1 = min(sum(kill) - sum(kill[i] for i in known)
+               for known, reconstructs in family if not reconstructs)
+    return Thresholds(
+        t_networks=min(map(len, reached)),
+        t_nodes=min(sum(quorums[i] for i in known) for known in reached),
+        t_f0=kill[0], t_f1=t_f1, t_fail=min(kill[0], t_f1))
 
 
 @lru_cache(maxsize=64)

@@ -274,7 +274,6 @@ class TestTopology:
         assert [n.id for n in t.daughters()] == ["d1", "d2"]
         assert t.derivative_point("d1") == 1
         assert t.derivative_point("d2") == 2
-        assert t.total_nodes() == 9
         with pytest.raises(ValueError, match="m is not a daughter network"):
             t.derivative_point("m")
 

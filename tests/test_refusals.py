@@ -80,6 +80,10 @@ APART = {
     ("vault", "appending.append", f"cannot write {PART}: not a file name"):
         "a path without a name (`.`, `/`) is a directory, which every "
         "command refuses as an output first (exit 64)",
+    ("protocol", "compute_thresholds_exhaustive",
+     f"{PART} networks exceed the exhaustive bound of 12 networks"):
+        "thresholds catches it and says that nothing checked the closed "
+        "form",
     ("protocol", "decode_secret", "no chunks"):
         "a share file holds at least one chunk, so no command decodes none",
     ("protocol", "SecretDecoder.close", "no chunks"):
@@ -956,10 +960,6 @@ TRIGGERS = [
     *(T([("topology {path}: {reason}", P("topology.json")), CHUNKING],
         topology(["modulus"], q), write(STAGED, b"{}"), argv=LISTED,
         commands=("reconstruct",)) for q in ("101", "fff1")),
-    # A shape that closed_form_certified does not hold for (D = 3).
-    T(("{count} networks exceed the exhaustive bound of 12 networks", 13),
-      topology(lambda doc: topology_to_dict(make_topology(
-          257, ((2, 1),) * 13, outer=3))), argv={"--oracle": True}),
 
     # Secret file.
     T(("cannot read secret: {reason}",
