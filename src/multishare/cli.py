@@ -13,15 +13,15 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import (CapacityError, CorruptData, EpochMismatch, Infeasible,
                      MultishareError, StateError)
 from .field import BLOCK_WORDS, crypto_rng, deterministic_rng
 from . import formats, vault
-from .protocol import (NodeShare, SecretDecoder, Topology,
+from .protocol import (SecretDecoder, Topology,
                        apply_node_refresh, check_shares, chunk_count,
                        chunk_size, closed_form_certified,
                        compute_thresholds_exhaustive,
@@ -124,55 +124,63 @@ def _secret_reader(file):
     return size, read
 
 
-def _open_vault(share_dir: Path, topology: Topology, digest: str
-                ) -> Tuple[List[Path], List[NodeShare], int, int, List[str]]:
-    """The share files of the vault in `share_dir`, settled (vault.settle);
+@contextmanager
+def _open_vault(share_dir: Path, topology: Topology, digest: str):
+    """Hold the lock of the vault in `share_dir` (vault.locked) in the
+    block, which gets the vault's share files, settled (vault.settle);
     their shares, headers read; the shares' epoch and chunk count; and the
     names ("network/index") of the topology's nodes without a share file,
     in topology order. Exit 2 when there is no directory or no share file,
-    and, before settling, when the manifest cannot be read (a FIFO, say)
-    or its topology_digest is not `digest`, `topology`'s. The shares are
-    checked as a set (check_shares, _share_file_errors), then against the
-    manifest: exit 2 when its epoch or chunk_count is not theirs, or it
-    lists as stale a node that has a share file or `topology` lacks."""
+    and, before settling, when another command holds the lock, the
+    manifest cannot be read (a FIFO, say) or its topology_digest is not
+    `digest`, `topology`'s. The shares are checked as a set
+    (check_shares, _share_file_errors), then against the manifest: exit 2
+    when its epoch or chunk_count is not theirs, or it lists as stale a
+    node that has a share file or `topology` lacks."""
     names = vault.listing(share_dir)
     if names is None:
         raise CliError(EXIT_INPUT, f"{share_dir} is not a directory")
-    manifest = share_dir / vault.MANIFEST
-    given, stale = {}, []  # what the manifest gives
-    if vault.MANIFEST in names:
-        data = _read_json(manifest, "manifest", regular=True)
-        try:
-            written_for, epoch, count, stale = formats.manifest_from_dict(
-                data)
-        except CorruptData as exc:
-            raise CliError(EXIT_INPUT, f"cannot read manifest {manifest}: "
-                                       f"{exc}")
-        if written_for != digest:
-            raise CliError(EXIT_INPUT, f"{manifest} was written for another "
-                                       f"topology")
-        given = {"epoch": epoch, "chunk_count": count}
-    paths = vault.settle(share_dir, given.get("epoch"))
-    if not paths:
-        raise CliError(EXIT_INPUT, "no share files found")
-    q = topology.modulus
-    with _share_file_errors(paths, q):
-        shares = [formats.read_share(p, q) for p in paths]
-        epoch, count, _ = check_shares(shares, topology)
-    found = {"epoch": epoch, "chunk_count": count}
-    for name, value in given.items():
-        if value != found[name]:
-            raise CliError(EXIT_INPUT, f"{manifest} gives {name} {value}, "
-                                       f"the share files {found[name]}")
-    held = {f"{s.network_id}/{s.node_index}" for s in shares}
-    nodes = [f"{net.id}/{j}" for net in topology.networks
-             for j in range(1, net.node_count + 1)]
-    for fault, names in (("have a share file", held.intersection(stale)),
-                         ("the topology lacks", set(stale).difference(nodes))):
-        if names:
-            raise CliError(EXIT_INPUT, f"{manifest} lists as stale nodes "
-                           f"that {fault}: {', '.join(sorted(names))}")
-    return paths, shares, epoch, count, [n for n in nodes if n not in held]
+    with vault.locked(share_dir):
+        names = vault.listing(share_dir) or ()  # as the lock found it
+        manifest = share_dir / vault.MANIFEST
+        given, stale = {}, []  # what the manifest gives
+        if vault.MANIFEST in names:
+            data = _read_json(manifest, "manifest", regular=True)
+            try:
+                written_for, epoch, count, stale = \
+                    formats.manifest_from_dict(data)
+            except CorruptData as exc:
+                raise CliError(EXIT_INPUT, f"cannot read manifest "
+                                           f"{manifest}: {exc}")
+            if written_for != digest:
+                raise CliError(EXIT_INPUT, f"{manifest} was written for "
+                                           f"another topology")
+            given = {"epoch": epoch, "chunk_count": count}
+        paths = vault.settle(share_dir, given.get("epoch"))
+        if not paths:
+            raise CliError(EXIT_INPUT, "no share files found")
+        q = topology.modulus
+        with _share_file_errors(paths, q):
+            shares = [formats.read_share(p, q) for p in paths]
+            epoch, count, _ = check_shares(shares, topology)
+        found = {"epoch": epoch, "chunk_count": count}
+        for name, value in given.items():
+            if value != found[name]:
+                raise CliError(EXIT_INPUT, f"{manifest} gives {name} "
+                                           f"{value}, the share files "
+                                           f"{found[name]}")
+        held = {f"{s.network_id}/{s.node_index}" for s in shares}
+        nodes = [f"{net.id}/{j}" for net in topology.networks
+                 for j in range(1, net.node_count + 1)]
+        for fault, names in (
+                ("have a share file", held.intersection(stale)),
+                ("the topology lacks", set(stale).difference(nodes))):
+            if names:
+                raise CliError(EXIT_INPUT, f"{manifest} lists as stale "
+                               f"nodes that {fault}: "
+                               f"{', '.join(sorted(names))}")
+        yield (paths, shares, epoch, count,
+               [n for n in nodes if n not in held])
 
 
 def _check_output(path, option: str, inputs: Dict[str, Path]) -> None:
@@ -229,9 +237,10 @@ def cmd_deal(args) -> int:
     0 has its vault on disk, and one that stops part-way leaves either
     the whole vault or files that the next deal, refresh or reconstruct
     --shares deletes; one refused before its commit also removes the
-    directories it made for --out. A dealt vault whose shape the closed
-    form is not certified at (closed_form_certified) gets one warning on
-    stderr."""
+    directories it made for --out. It holds the lock of --out from the
+    moment --out exists (vault.new_vault_dir). A dealt vault whose shape
+    the closed form is not certified at (closed_form_certified) gets one
+    warning on stderr."""
     topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
     digest = formats.topology_digest(topology)
@@ -243,10 +252,10 @@ def cmd_deal(args) -> int:
         size, read = _secret_reader(secret)
         count = chunk_count(size, q)
         out_dir = Path(args.out)
-        made = vault.new_vault_dir(out_dir)
         rng = (crypto_rng() if args.seed is None
                else deterministic_rng(args.seed))
-        with vault.Commit(out_dir, 0, "deal", made) as commit:
+        with vault.new_vault_dir(out_dir) as made, \
+                vault.Commit(out_dir, 0, "deal", made) as commit:
             for start, chunks in zip(range(0, count, BLOCK_WORDS),
                                      secret_blocks(read, size, q)):
                 deal(chunks, topology, rng, sink=lambda share: commit.append(
@@ -283,19 +292,27 @@ def cmd_reconstruct(args) -> int:
     q = topology.modulus
     decoder = SecretDecoder(q)
     try:
-        if args.shares:
-            paths, shares, *_ = _open_vault(
-                Path(args.shares), topology, formats.topology_digest(topology))
-        else:
-            paths = [Path(p) for p in args.files]
-            if not paths:
-                raise CliError(EXIT_INPUT, "no share files found")
-            shares = (formats.read_share(p, q) for p in paths)
-        with _share_file_errors(paths, q), \
-                vault.appending(Path(args.out)) as append:
-            reconstruct(shares, topology,
-                        sink=lambda chunks: append(decoder.feed(chunks)))
-            decoder.close()
+        with ExitStack() as held:  # the vaults' locks, to the end
+            if args.shares:
+                paths, shares, *_ = held.enter_context(_open_vault(
+                    Path(args.shares), topology,
+                    formats.topology_digest(topology)))
+            else:
+                paths = [Path(p) for p in args.files]
+                if not paths:
+                    raise CliError(EXIT_INPUT, "no share files found")
+                # Shared with other readers, so that no refresh commits
+                # while the files are read.
+                for directory in sorted({os.path.dirname(os.path.realpath(p))
+                                         for p in paths}):
+                    held.enter_context(vault.locked(Path(directory),
+                                                    shared=True))
+                shares = (formats.read_share(p, q) for p in paths)
+            with _share_file_errors(paths, q), \
+                    vault.appending(Path(args.out)) as append:
+                reconstruct(shares, topology,
+                            sink=lambda chunks: append(decoder.feed(chunks)))
+                decoder.close()
     except formats.UnreadableShare:
         raise
     except CorruptData as exc:
@@ -306,10 +323,11 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_refresh(args) -> int:
     """Advance every share one epoch, BLOCK_WORDS chunks at a time: the
-    vault is opened (_open_vault: the share files' headers are read and
-    checked); then, per block, the round's refresh columns are drawn
-    (refresh, one call per block), and each share file's block is read,
-    updated (apply_node_refresh) and appended to its staged file in turn.
+    vault is opened (_open_vault: it is locked to the end, and the share
+    files' headers are read and checked); then, per block, the round's
+    refresh columns are drawn (refresh, one call per block), and each
+    share file's block is read, updated (apply_node_refresh) and appended
+    to its staged file in turn.
     The columns are always drawn from the operating system (crypto_rng):
     a refresh protects the secret only if they are fresh and uniform in
     every round, so it takes no seed.
@@ -321,22 +339,22 @@ def cmd_refresh(args) -> int:
     q = topology.modulus
     share_dir = Path(args.shares)
     digest = formats.topology_digest(topology)
-    paths, shares, epoch, count, stale = _open_vault(share_dir, topology,
-                                                     digest)
-    rng = crypto_rng()
-    with _share_file_errors(paths, q), \
-            vault.Commit(share_dir, epoch + 1, "refresh") as commit:
-        for start in range(0, count, BLOCK_WORDS):
-            n = min(BLOCK_WORDS, count - start)
-            deltas = refresh(topology, n, epoch, rng)
-            for path, share in zip(paths, shares):
-                updated = apply_node_refresh(
-                    share._replace(values=share.values[start:start + n]),
-                    deltas[share.network_id])
-                commit.append(path, formats.share_file_block(
-                    updated, q, start, count))
-        refreshed = commit.commit(_json_line(formats.manifest_dict(
-            digest, count, epoch + 1, stale)))
+    with _open_vault(share_dir, topology, digest) as (
+            paths, shares, epoch, count, stale):
+        rng = crypto_rng()
+        with _share_file_errors(paths, q), \
+                vault.Commit(share_dir, epoch + 1, "refresh") as commit:
+            for start in range(0, count, BLOCK_WORDS):
+                n = min(BLOCK_WORDS, count - start)
+                deltas = refresh(topology, n, epoch, rng)
+                for path, share in zip(paths, shares):
+                    updated = apply_node_refresh(
+                        share._replace(values=share.values[start:start + n]),
+                        deltas[share.network_id])
+                    commit.append(path, formats.share_file_block(
+                        updated, q, start, count))
+            refreshed = commit.commit(_json_line(formats.manifest_dict(
+                digest, count, epoch + 1, stale)))
     print(f"refreshed {refreshed} shares to epoch {epoch + 1}"
           + (f"; stale: {', '.join(stale)}" if stale else ""))
     return EXIT_OK

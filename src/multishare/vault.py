@@ -16,15 +16,25 @@ Every file is made private to its owner, mode FILE_MODE, and every
 directory new_vault_dir makes, mode DIR_MODE; the umask can only narrow
 them. Every failure is a StorageError, but for a file that open_regular
 refuses. A vault's files are named (SHARE_NAME), its directory listed
-(listing) and its files opened for reading (open_regular) here alone.
+(listing) and locked (locked) and its files opened for reading
+(open_regular) here alone.
+
+A vault takes one command at a time (locked): deal, refresh and
+reconstruct --shares, which may settle it, hold an exclusive flock on
+its directory for the command's life, and a reconstruct of listed files
+a shared one, so that a second command is refused at once rather than
+deleting the first one's staged files. No lock file is made: the lock
+is the directory's own, and the kernel drops it when the process ends,
+however it ends.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
 import stat
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Optional
@@ -70,6 +80,29 @@ def listing(directory: Path) -> Optional[List[str]]:
             return sorted(p.name for p in directory.iterdir())
         except (FileNotFoundError, NotADirectoryError):
             return None
+
+
+@contextmanager
+def locked(directory: Path, shared: bool = False):
+    """Hold the lock of the vault in `directory` in the block: exclusive,
+    or `shared` with other readers. StorageError at once, without
+    waiting, when another command holds it (two descriptors of one
+    process conflict too), and when the directory cannot be opened or
+    its file system takes no lock."""
+    with _failing_as(f"cannot read directory {directory}"):
+        fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        try:
+            fcntl.flock(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+                        | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StorageError(f"{directory} is in use by another "
+                               f"multishare command") from None
+        except OSError as exc:
+            raise StorageError(f"cannot lock {directory}: {exc}") from exc
+        yield
+    finally:
+        os.close(fd)
 
 
 def open_regular(path):
@@ -250,8 +283,8 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
     stopped part-way is finished or undone, as the manifest's `epoch`
     (None without a manifest) decides: staged files of that epoch were
     committed and take their final names; any other staged file is
-    deleted, and one already gone (another command's) counts as
-    deleted."""
+    deleted, and one already gone (a program that takes no lock may
+    delete it) counts as deleted."""
     staged = [(share_dir / name, m) for name in listing(share_dir) or ()
               if (m := STAGED_NAME.fullmatch(name))]
     with _failing_as(f"cannot settle the staged files of an earlier deal "
@@ -266,49 +299,63 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
     return share_files(share_dir)
 
 
-def new_vault_dir(out_dir: Path) -> List[Path]:
+@contextmanager
+def new_vault_dir(out_dir: Path):
     """Make `out_dir` for a deal, with any missing parents, each mode
     DIR_MODE, and flush each directory made and the parent of the topmost;
-    return the directories made, the deepest first, which a Commit removes
-    when the deal ends before its commit. StorageError when it cannot be
-    made, or already holds a vault: a manifest, a share file or a staged
-    file; the directories made by then are removed. Dealing over a vault
-    could leave neither secret recoverable. In a directory without a
-    manifest, the files staged at epoch 0 are first deleted: only a deal
-    writes them, and that deal never committed."""
-    names = listing(out_dir) or []  # None: mkdir reports what is wrong
-    uncommitted = [] if MANIFEST in names else [
-        name for name in names
-        if (m := STAGED_NAME.fullmatch(name)) and m[2] == "0"]
-    with _failing_as(f"cannot delete the files of an uncommitted deal in "
-                     f"{out_dir}"):
-        for name in uncommitted:
-            (out_dir / name).unlink(missing_ok=True)
-    names = [name for name in names
-             if is_vault_file(name) and name not in uncommitted]
-    if names:
-        raise StorageError(f"{out_dir} already holds a vault "
-                           f"({', '.join(names[:3])}"
-                           f"{', ...' if len(names) > 3 else ''}); "
-                           f"deal into a new directory")
-    made = []  # the directories mkdir makes, the deepest first
-    try:
-        with _failing_as(f"cannot make directory {out_dir}"):
-            parent = out_dir
-            while not parent.exists() and parent != parent.parent:
-                made.append(parent)
-                parent = parent.parent
-            for directory in reversed(made or [out_dir]):
-                directory.mkdir(mode=DIR_MODE, exist_ok=True)
-            # Each directory made is flushed, and the one the topmost is
-            # named in, so that the path of a vault whose deal exits 0 is
-            # on disk.
-            for directory in made + [parent] if made else []:
-                _fsync(directory)
-    except StorageError:
-        remove_made(made)
-        raise
-    return made
+    then hold its lock (locked) in the block, which gets the directories
+    made, the deepest first, for a Commit to remove when the deal ends
+    before its commit. A directory counts as made only when this mkdir
+    made it, so that a deal never removes one that another deal uses.
+    StorageError when `out_dir` cannot be made or locked, or already
+    holds a vault: a manifest, a share file or a staged file; the
+    directories made by then are removed. Dealing over a vault could
+    leave neither secret recoverable. In a directory without a manifest,
+    the files staged at epoch 0 are first deleted: only a deal writes
+    them, and that deal never committed."""
+    made = []  # the directories made, the deepest first
+    with ExitStack() as held:
+        try:
+            with _failing_as(f"cannot make directory {out_dir}"):
+                missing, parent = [], out_dir
+                while not parent.exists() and parent != parent.parent:
+                    missing.insert(0, parent)
+                    parent = parent.parent
+                for directory in missing or [out_dir]:
+                    try:
+                        directory.mkdir(mode=DIR_MODE)
+                    except FileExistsError:
+                        # out_dir as it was, or one another deal has made
+                        # since it was found missing.
+                        if not directory.is_dir():
+                            raise
+                    else:
+                        made.insert(0, directory)
+                # Each directory made is flushed, and the one the topmost
+                # is named in, so that the path of a vault whose deal
+                # exits 0 is on disk.
+                for directory in made + [made[-1].parent] if made else []:
+                    _fsync(directory)
+            held.enter_context(locked(out_dir))
+            names = listing(out_dir) or []
+            uncommitted = [] if MANIFEST in names else [
+                name for name in names
+                if (m := STAGED_NAME.fullmatch(name)) and m[2] == "0"]
+            with _failing_as(f"cannot delete the files of an uncommitted "
+                             f"deal in {out_dir}"):
+                for name in uncommitted:
+                    (out_dir / name).unlink(missing_ok=True)
+            names = [name for name in names
+                     if is_vault_file(name) and name not in uncommitted]
+            if names:
+                raise StorageError(f"{out_dir} already holds a vault "
+                                   f"({', '.join(names[:3])}"
+                                   f"{', ...' if len(names) > 3 else ''}); "
+                                   f"deal into a new directory")
+        except BaseException:
+            remove_made(made)
+            raise
+        yield made
 
 
 def remove_made(made: List[Path]) -> None:

@@ -637,43 +637,6 @@ class TestReconstruct:
                    + picks) == 0
         assert dest.read_bytes() == secret.read_bytes()
 
-    def test_out_over_a_share_file_named_otherwise_exit64(self, workspace,
-                                                          capsys):
-        # A share file read by a name no vault file has is still refused
-        # as --out: it is a file being read.
-        tmp, topo, secret, out = self._deal(workspace)
-        share = tmp / "m1.bin"
-        share.write_bytes((out / "m_001.share.json").read_bytes())
-        picks = [share, out / "m_002.share.json", out / "d1_001.share.json",
-                 out / "d1_002.share.json"]
-        before = share.read_bytes()
-        capsys.readouterr()
-        assert run(["reconstruct", "--topology", topo, "--out", share]
-                   + picks) == 64
-        assert "is a share file being read" in capsys.readouterr().err
-        assert share.read_bytes() == before
-
-    def test_out_not_a_regular_file_exit64(self, workspace, capsys):
-        # An --out that was a FIFO, or a link to one, was replaced by a
-        # regular file holding the secret; a directory exited 2, but only
-        # after the secret was written beside it as DIR.tmp.
-        tmp, topo, secret, out = self._deal(workspace)
-        fifo, link, directory = tmp / "fifo", tmp / "link", tmp / "dir"
-        os.mkfifo(fifo)
-        link.symlink_to(fifo)
-        directory.mkdir()
-        files = snapshot(out)
-        for dest in (fifo, link, directory):
-            capsys.readouterr()
-            assert run(["reconstruct", "--topology", topo, "--shares", out,
-                        "--out", dest]) == 64, dest
-            assert capsys.readouterr().err.startswith(
-                f"error: --out {dest} is not a regular file"), dest
-        assert fifo.is_fifo() and link.is_symlink() and directory.is_dir()
-        assert sorted(p.name for p in tmp.iterdir()) == [
-            "dir", "fifo", "link", "secret.bin", "shares", "topology.json"]
-        assert snapshot(out) == files
-
     def test_out_beside_the_vault_files(self, workspace):
         # A name that no vault file has is an output like any, in the
         # vault's directory too.
@@ -1183,16 +1146,6 @@ class TestShareFileLayouts:
             self._refused(topo, out, path, capsys, cut)
         path.write_bytes(whole)
 
-    def test_truncated_header_exit2(self, workspace, capsys):
-        tmp, topo, secret = workspace
-        out = tmp / "shares"
-        assert run(["deal", "--topology", topo, "--secret", secret,
-                    "--out", out, "--seed", "1"]) == 0
-        data = (out / "m_002.share.json").read_bytes()
-        head = data.index(b'"values":[') + len(b'"values":[')
-        self._check_cuts(topo, out, "m_002.share.json", range(head + 1),
-                         capsys)
-
     def test_truncated_in_first_and_last_value_exit2(self, workspace,
                                                       capsys):
         # Cut at every byte of the first value and of the last, its
@@ -1324,30 +1277,12 @@ class TestShareFileLayouts:
         path.write_text(text)
         self._refused(topo, out, path, capsys)
 
-    def test_key_given_twice(self, tmp_path, capsys):
-        # A later key wins in JSON, but a file that gives a key twice is
-        # not in the tools' layout: refused whether the second "values"
-        # agrees with the first or not, and wherever it is met.
-        topo, _, out = self._vault(tmp_path, self.B + 9)
-        path = out / "d2_003.share.json"
-        whole = path.read_bytes()
-        head = whole[:whole.index(b"[")]
-        mine = whole[len(head):-2]  # the list of values, [...]
-        other = (out / "d2_001.share.json").read_bytes()
-        others = other[other.index(b"["):-2]
-        five = json.dumps(json.loads(others)[:5]).encode()
-        for first, last in ((five, mine), (mine, mine), (mine, others)):
-            path.write_bytes(head + first + b',"values":' + last + b"}\n")
-            self._refused(topo, out, path, capsys, (first[:9], last[:9]))
-        # A header field given again after the values.
-        path.write_bytes(whole[:-2] + b',"epoch":1}\n')
-        self._refused(topo, out, path, capsys)
-
     def test_replaced_between_blocks_exit2(self, capsys, monkeypatch,
                                            tmp_path):
-        # A refresh committed while a reconstruct of an exact quorum is
-        # between its first and second block: the files the reconstruct
-        # reads next are not those whose headers it read.
+        # The vault's files replaced by those of a refreshed copy, as a
+        # program that takes no lock might, while a reconstruct of an
+        # exact quorum is between its first and second block: the files
+        # the reconstruct reads next are not those whose headers it read.
         topo = ROOT / "docs" / "examples" / "topology.json"
         secret = tmp_path / "secret.bin"
         secret.write_bytes(os.urandom(200_000))
@@ -1361,8 +1296,12 @@ class TestShareFileLayouts:
 
         def feed(decoder, chunks):
             if not refreshed:
+                copy = shutil.copytree(out, tmp_path / "copy")
                 assert run(["refresh", "--topology", topo,
-                            "--shares", out]) == 0
+                            "--shares", copy]) == 0
+                for path in copy.iterdir():
+                    os.replace(path, out / path.name)
+                copy.rmdir()
                 refreshed.append(snapshot(out))
             return real(decoder, chunks)
 
@@ -1560,34 +1499,19 @@ class TestShareFormatV1:
 
 
 class TestManifest:
-    """A --shares directory's manifest must name the given topology."""
+    """A --shares directory's manifest is checked whole."""
 
     def _deal(self, workspace):
         tmp, topo, secret = workspace
         out = tmp / "shares"
         run(["deal", "--topology", topo, "--secret", secret,
              "--out", out, "--seed", "1"])
-        other = tmp / "other.json"
-        write_topology(other, outer=2)
-        return tmp, topo, secret, out, other
-
-    def test_reconstruct_other_topology_exit2(self, workspace, capsys):
-        tmp, topo, secret, out, other = self._deal(workspace)
-        assert_vault_fault(capsys, tmp, other, out, 2,
-                           f"{out / 'manifest.json'} was written for "
-                           f"another topology", commands=["reconstruct"])
-
-    def test_refresh_other_topology_exit2_unchanged(self, workspace,
-                                                    capsys):
-        tmp, topo, secret, out, other = self._deal(workspace)
-        assert_vault_fault(capsys, tmp, other, out, 2,
-                           f"{out / 'manifest.json'} was written for "
-                           f"another topology", commands=["refresh"])
+        return tmp, topo, secret, out
 
     @pytest.mark.parametrize("text", [
         "{not json", "[]", "{}", pytest.param(DEEP, id="deep")])
     def test_unreadable_manifest_exit2(self, workspace, text):
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         (out / "manifest.json").write_text(text)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert run(["reconstruct", "--topology", topo, "--shares", out,
@@ -1602,7 +1526,7 @@ class TestManifest:
     def test_other_format_version_exit2(self, workspace, capsys, version):
         # A manifest of any version but the JSON integer 1 is refused, even
         # one that names the topology and an epoch.
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         manifest = out / "manifest.json"
         manifest.write_text(json.dumps(at(
             json.loads(manifest.read_text()), ["format_version"],
@@ -1624,7 +1548,7 @@ class TestManifest:
         # Fuzz: the manifest of a dealt directory replaced by one that does
         # not name the topology or has no integer epoch; both commands exit
         # 2 and touch no file.
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         manifest = out / "manifest.json"
         valid = json.loads(manifest.read_text())
         shares = {p.name: p.read_bytes() for p in out.glob("*.share.json")}
@@ -1662,7 +1586,7 @@ class TestManifest:
         # Every field that docs/formats.md lists is checked: a manifest
         # without chunk_count, say, and with "stale": "nonsense" made
         # both commands exit 0.
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         manifest = out / "manifest.json"
         doc = at(json.loads(manifest.read_text()), [field],
                  DELETE if value is ... else value)
@@ -1681,7 +1605,7 @@ class TestManifest:
         # A manifest whose epoch or chunk_count is not the share files'
         # was accepted: reconstruct exited 0, and refresh wrote the share
         # files' chunk_count and the manifest's epoch plus one.
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         manifest = out / "manifest.json"
         found = {"epoch": 0, "chunk_count": 4}  # 51 bytes in 15-byte chunks
         assert json.loads(manifest.read_text())["chunk_count"] == 4
@@ -1699,7 +1623,7 @@ class TestManifest:
         # share, say, which at exactly a quorum would be used unchecked.
         # refresh took it (exit 0); reconstruct saw only that it disagrees
         # with d2's quorum, which it cannot see at exactly a quorum.
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         (out / "d2_003.share.json").unlink()
         assert run(["refresh", "--topology", topo, "--shares", out]) == 0
         manifest = out / "manifest.json"
@@ -1732,7 +1656,7 @@ class TestManifest:
                                                  command):
         # No refresh of this topology lists such a node, so the list was
         # edited since; both commands took it (exit 0).
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         manifest = out / "manifest.json"
         # A stale list that omits a node without a file passes: a file
         # may be lost at any time.
@@ -1754,7 +1678,7 @@ class TestManifest:
                                commands=[command])
 
     def test_missing_manifest_allowed(self, workspace):
-        tmp, topo, secret, out, _ = self._deal(workspace)
+        tmp, topo, secret, out = self._deal(workspace)
         (out / "manifest.json").unlink()
         assert run(["refresh", "--topology", topo, "--shares", out]) == 0
         (out / "manifest.json").unlink()
@@ -2030,33 +1954,42 @@ class TestRefreshFaults:
 class TestTwoCommands:
     """Two commands on one vault at once, made deterministic in process:
     the inner one runs inside the outer one, once the outer has written
-    its first block ("blocks") or just before it commits ("commit").
-    Nothing locks a vault yet (ROADMAP item 30). The inner command
-    deletes the outer's staged files as an earlier command's, and the
-    outer then fails to append to or flush one and exits 2, so the vault
-    holds the secret at the epoch of the last command that exited 0."""
+    its first block ("blocks"), just before it commits ("commit"), or once
+    it has recovered its first block ("recovered"). The outer holds the
+    vault directory's lock (vault.locked), so the inner exits 2, saying
+    that the vault is in use, and changes nothing; the outer exits 0, and
+    the vault holds the secret at its epoch. Reconstructs of listed files
+    share the lock, and both exit 0."""
 
-    @staticmethod
-    def inside(monkeypatch, when, argv) -> list:
-        """Run `argv` once inside the next command, at `when`; the list
-        it returns gets the inner command's exit code."""
+    HOOKS = {"blocks": (vault.Commit, "append"),
+             "commit": (vault.Commit, "commit"),
+             "recovered": (SecretDecoder, "feed")}
+
+    def inside(self, monkeypatch, capsys, when, argv, root) -> list:
+        """Run `argv` once inside the next command, at `when`, and check
+        that it changes no file under `root`; the list it returns gets the
+        inner command's exit code and what it printed on stderr."""
         codes = []
-        name = "append" if when == "blocks" else "commit"
-        real = getattr(vault.Commit, name)
+        owner, name = self.HOOKS[when]
+        real = getattr(owner, name)
 
-        def hook(commit, *args):
+        def hook(obj, *args):
             # A second append to a staged file starts the second block.
-            if not codes and (name == "commit" or args[0] in commit.staged):
+            if not codes and (when != "blocks" or args[0] in obj.staged):
                 codes.append(None)  # so the inner command's calls pass
-                codes[0] = run(argv)
-            return real(commit, *args)
+                before = tree(root)
+                capsys.readouterr()
+                codes[0] = run(argv), capsys.readouterr().err
+                assert tree(root) == before
+            return real(obj, *args)
 
-        monkeypatch.setattr(vault.Commit, name, hook)
+        monkeypatch.setattr(owner, name, hook)
         return codes
 
     @staticmethod
     def recovered(topo, out, dest, epoch) -> bytes:
-        """The secret that reconstruct --shares writes, at `epoch`."""
+        """What reconstruct --shares recovers at `epoch`; nothing is staged."""
+        assert not [p for p in out.iterdir() if ".staged-" in p.name]
         doc = json.loads((out / "manifest.json").read_bytes())
         assert doc["epoch"] == epoch
         assert run(["reconstruct", "--topology", topo, "--shares", out,
@@ -2064,7 +1997,7 @@ class TestTwoCommands:
         return dest.read_bytes()
 
     @pytest.mark.parametrize("when", ["blocks", "commit"])
-    @pytest.mark.parametrize("inner", ["reconstruct", "refresh"])
+    @pytest.mark.parametrize("inner", ["reconstruct", "listed", "refresh"])
     def test_inside_a_refresh(self, workspace, monkeypatch, capsys, inner,
                               when):
         tmp, topo, secret = workspace
@@ -2073,43 +2006,52 @@ class TestTwoCommands:
         assert run(["deal", "--topology", topo, "--secret", secret,
                     "--out", out]) == 0
         refresh = ["refresh", "--topology", topo, "--shares", out]
-        argv = (refresh if inner == "refresh" else
-                ["reconstruct", "--topology", topo, "--shares", out,
-                 "--out", tmp / "inner.bin"])
-        codes = self.inside(monkeypatch, when, argv)
-        assert run(refresh) == 2
-        assert codes == [0]
-        assert capsys.readouterr().err.startswith(
-            "error: refresh failed, no file changed: ")
-        if inner == "reconstruct":
-            assert (tmp / "inner.bin").read_bytes() == data
+        argv = refresh if inner == "refresh" else [
+            "reconstruct", "--topology", topo, "--out", tmp / "inner.bin",
+            *(["--shares", out] if inner == "reconstruct"
+              else sorted(out.glob("*.share.json")))]
+        codes = self.inside(monkeypatch, capsys, when, argv, tmp)
+        assert run(refresh) == 0
+        assert codes == [(2, f"error: {out} is in use by another multishare "
+                             f"command\n")]
         monkeypatch.undo()
-        assert self.recovered(topo, out, dest,
-                             1 if inner == "refresh" else 0) == data
+        assert self.recovered(topo, out, dest, 1) == data
 
     @pytest.mark.parametrize("when", ["blocks", "commit"])
     def test_inside_a_deal(self, workspace, monkeypatch, capsys, when):
         tmp, topo, secret = workspace
-        chunks_secret(secret, BLOCK_WORDS + 1)
-        other = tmp / "other.bin"
-        data = chunks_secret(other, BLOCK_WORDS + 1)
+        data = chunks_secret(secret, BLOCK_WORDS + 1)
         out, dest = tmp / "new" / "shares", tmp / "r.bin"
-        deal = ["deal", "--topology", topo, "--out", out, "--secret"]
-        codes = self.inside(monkeypatch, when, deal + [other])
-        assert run(deal + [secret]) == 2
-        assert codes == [0]
-        assert capsys.readouterr().err.startswith(
-            "error: deal failed, no file changed: ")
+        deal = ["deal", "--topology", topo, "--out", out, "--secret", secret]
+        codes = self.inside(monkeypatch, capsys, when, deal, tmp)
+        assert run(deal) == 0
+        assert codes == [(2, f"error: {out} is in use by another multishare "
+                             f"command\n")]
         monkeypatch.undo()
         assert self.recovered(topo, out, dest, 0) == data
+
+    def test_listed_inside_a_listed_reconstruct(self, workspace,
+                                                 monkeypatch, capsys):
+        tmp, topo, secret = workspace
+        out = tmp / "shares"
+        assert run(["deal", "--topology", topo, "--secret", secret,
+                    "--out", out]) == 0
+        listed = ["reconstruct", "--topology", topo,
+                  *sorted(out.glob("*.share.json")), "--out"]
+        codes = self.inside(monkeypatch, capsys, "recovered",
+                            listed + [tmp / "inner.bin"], out)
+        assert run(listed + [tmp / "outer.bin"]) == 0
+        assert codes == [(0, "")]
+        assert (tmp / "inner.bin").read_bytes() == secret.read_bytes()
+        assert (tmp / "outer.bin").read_bytes() == secret.read_bytes()
 
     @pytest.mark.parametrize("command", VAULT_COMMANDS)
     def test_staged_file_already_gone(self, workspace, monkeypatch, capsys,
                                       command):
-        # A staged file that another command deleted between this
-        # command's listing and its settling: of another epoch than the
-        # manifest's, it counts as deleted; of the manifest's epoch, it
-        # cannot take its final name.
+        # A staged file that a program taking no lock deleted between
+        # this command's listing and its settling: of another epoch than
+        # the manifest's, it counts as deleted; of the manifest's epoch,
+        # it cannot take its final name.
         tmp, topo, secret = workspace
         out = tmp / "shares"
         assert run(["deal", "--topology", topo, "--secret", secret,
@@ -2449,23 +2391,6 @@ class TestSimulate:
         assert state.read_bytes() == saved
         assert not report.exists()
 
-    def test_deal_on_dealt_state_exit2(self, tmp_path):
-        first = self._scenario(tmp_path, [
-            {"event": "deal"},
-            {"event": "compromise_node", "network": "m", "node": 1}])
-        state = tmp_path / "world.state"
-        assert run(["simulate", "--scenario", first, "--state", state]) == 0
-        saved = state.read_bytes()
-        second = self._scenario(tmp_path, [
-            {"event": "deal"},
-            {"event": "compromise_node", "network": "m", "node": 2},
-            {"event": "attempt_reconstruct", "actor": "adversary"}])
-        report = tmp_path / "second.json"
-        assert run(["simulate", "--scenario", second, "--state", state,
-                    "--report", report]) == 2
-        assert state.read_bytes() == saved
-        assert not report.exists()
-
     @pytest.mark.parametrize("schedule", [None, hndl_schedule(30)],
                              ids=["docs-example", "hndl-30-rounds"])
     def test_split_run_matches_one_run(self, tmp_path, schedule):
@@ -2511,11 +2436,6 @@ class TestSimulate:
         for v in values:
             assert format(v, "x").encode() not in blob
             assert str(v).encode() not in blob
-
-    def test_malformed_scenario_exit2(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schedule": [{"event": "??"}]}')
-        assert run(["simulate", "--scenario", path]) == 2
 
     @pytest.mark.parametrize("crash", [False, True],
                              ids=["cleanup", "crash"])

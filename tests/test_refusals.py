@@ -29,6 +29,7 @@ import argparse
 import ast
 import contextlib
 import errno
+import fcntl
 import io
 import itertools
 import json
@@ -754,6 +755,24 @@ def unlistable(rel: str):
     return setup
 
 
+def in_use(rel: str):
+    """The directory `rel` is locked while the command runs, as another
+    command would hold it."""
+    def setup(w):
+        def runner(argv):
+            with vault.locked(w.root / rel):
+                return run(argv)
+        return runner
+    return setup
+
+
+def lockless(w):
+    """The file system takes no lock."""
+    def flock(fd, operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+    w.monkeypatch.setattr(fcntl, "flock", flock)
+
+
 def opened(secret_file):
     """deal opens its secret as the io.FileIO subclass `secret_file`."""
     return lambda w: w.monkeypatch.setattr(
@@ -807,6 +826,8 @@ NOT_CANONICAL = ("not in the layout the tools write (canonical JSON and a "
 VERSION = "unsupported format_version {version}"
 COUNT = "chunk_count does not match values"
 DIR = "cannot read directory {dir}: {reason}"
+IN_USE = "{dir} is in use by another multishare command"
+NO_LOCKS = str(OSError(errno.ENOLCK, os.strerror(errno.ENOLCK)))
 GIVES = "{path} gives {field} {value}, the share files {theirs}"
 STALE = "{path} lists as stale nodes that {fault}: {nodes}"
 NOT_A_NODE = "share {network}/{node} is not a node of the topology"
@@ -983,6 +1004,20 @@ TRIGGERS = [
       unlistable("shares"), commands=("refresh", "reconstruct")),
     T((DIR, P("shares"), Reason(oserror, errno.EACCES, P("shares"))),
       unlistable("shares"), argv={"--out": P("shares")}, commands=("deal",)),
+    # A listed share file's directory is opened to lock it.
+    T((DIR, P("missing"), Reason(oserror, errno.ENOENT, P("missing"))),
+      argv={**LISTED, "files": [P("missing/m_001.share.json"),
+                                *QUORUM[1:]]}, commands=("reconstruct",)),
+    T((IN_USE, P("shares")), in_use("shares"),
+      commands=("refresh", "reconstruct")),
+    T((IN_USE, P("shares")), in_use("shares"), argv=LISTED,
+      commands=("reconstruct",)),
+    T((IN_USE, P("empty")), mkdir("empty"), in_use("empty"),
+      argv=INTO_EMPTY, commands=("deal",)),
+    T(("cannot lock {dir}: {reason}", P("shares"), NO_LOCKS), lockless,
+      commands=("refresh", "reconstruct")),
+    T(("cannot lock {dir}: {reason}", P("new"), NO_LOCKS), lockless,
+      commands=("deal",)),
     T("no share files found", remove(*SHARES)),
     T("no share files found", argv={"--shares": None},
       commands=("reconstruct",)),
