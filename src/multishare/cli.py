@@ -26,7 +26,8 @@ from .protocol import (SecretDecoder, Topology,
                        chunk_size, closed_form_certified,
                        compute_thresholds_exhaustive,
                        compute_thresholds_formula, deal, reconstruct,
-                       refresh, secret_blocks, EXHAUSTIVE_NETWORK_BOUND)
+                       refresh, secret_blocks, weaker_shape_witness,
+                       EXHAUSTIVE_NETWORK_BOUND)
 # Not called here, since the vault commands work block by block
 # (secret_blocks, SecretDecoder), but looked up here by name by the
 # benchmark's tracer (perfbench/tracing.py).
@@ -238,11 +239,22 @@ def cmd_deal(args) -> int:
     the whole vault or files that the next deal, refresh or reconstruct
     --shares deletes; one refused before its commit also removes the
     directories it made for --out. It holds the lock of --out from the
-    moment --out exists (vault.new_vault_dir). A dealt vault whose shape
-    the closed form is not certified at (closed_form_certified) gets one
-    warning on stderr."""
+    moment --out exists (vault.new_vault_dir). A secret is dealt only on
+    a shape where it needs the mother and outer degree daughters, as the
+    closed form assumes: any other shape (weaker_shape_witness) exits 2
+    before --out is made."""
     topology = _load_topology(args.topology, chunking=True)
     q = topology.modulus
+    try:
+        witness = weaker_shape_witness(q, topology.outer_degree,
+                                       len(topology.networks))
+    except CapacityError as exc:
+        raise CliError(EXIT_INPUT, f"topology {args.topology}: {exc}")
+    if witness is not None:
+        order = [topology.mother, *topology.daughters()]
+        raise CliError(EXIT_INPUT, f"topology {args.topology}: networks "
+                       f"{', '.join(order[i].id for i in witness)} "
+                       f"reconstruct with fewer than outer degree + 1")
     digest = formats.topology_digest(topology)
     try:
         secret = open(args.secret, "rb")
@@ -265,11 +277,6 @@ def cmd_deal(args) -> int:
             nodes = commit.commit(_json_line(
                 formats.manifest_dict(digest, count, 0, [])))
     print(f"dealt {count} chunks to {nodes} nodes in {out_dir}")
-    if not closed_form_certified(q, topology.outer_degree,
-                                 len(topology.networks)):
-        print(f"warning: closed form not certified at modulus {q}: its "
-              f"thresholds may overstate secrecy (see thresholds)",
-              file=sys.stderr)
     return EXIT_OK
 
 

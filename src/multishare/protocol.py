@@ -658,6 +658,27 @@ def closed_form_certified(q: int, outer_degree: int,
     return q > math.lcm(*range(1, d + 1)) * math.prod(range(l - d + 1, l))
 
 
+def weaker_shape_witness(q: int, outer_degree: int, network_count: int
+                         ) -> Optional[Tuple[int, ...]]:
+    """A set of fewer than outer_degree + 1 networks that reconstructs,
+    as positions in [mother, *daughters]: the smallest in _walk's family,
+    the first of its size in the walk's order. None when there is none,
+    at once for a shape that closed_form_certified holds for.
+    CapacityError for any other shape beyond EXHAUSTIVE_NETWORK_BOUND
+    networks, which nothing here decides."""
+    if closed_form_certified(q, outer_degree, network_count):
+        return None
+    if network_count > EXHAUSTIVE_NETWORK_BOUND:
+        raise CapacityError(
+            f"the access structure of {network_count} networks at outer "
+            f"degree {outer_degree} is not certified at modulus {q}, and "
+            f"cannot be checked beyond {EXHAUSTIVE_NETWORK_BOUND} networks")
+    return min((known for known, reconstructs
+                in _walk(q, outer_degree, network_count)
+                if reconstructs and len(known) <= outer_degree),
+               key=len, default=None)
+
+
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     """Definitional thresholds: by a walk up to EXHAUSTIVE_NETWORK_BOUND
     networks, and beyond it for a shape that closed_form_certified holds

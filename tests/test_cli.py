@@ -182,8 +182,9 @@ class TestDeal:
 
     def test_uncertified_shape_warns(self, tmp_path, capsys):
         # At 65537 the closed form is not certified for ten networks with
-        # D = 5 (65537 < lcm(1..5) * 6 * 7 * 8 * 9): deal warns once on
-        # stderr, and its stdout and exit code are what they would be.
+        # D = 5 (65537 < lcm(1..5) * 6 * 7 * 8 * 9), but the walk finds
+        # no set of fewer than six networks that reconstructs: deal deals,
+        # with no warning.
         topo = tmp_path / "topology.json"
         write_topology(topo, q=65537, nets=((2, 1),) * 10, outer=5)
         secret = tmp_path / "secret.bin"
@@ -194,9 +195,7 @@ class TestDeal:
                     "--out", out, "--seed", "1"]) == 0
         captured = capsys.readouterr()
         assert captured.out == f"dealt 52 chunks to 20 nodes in {out}\n"
-        assert captured.err == (
-            "warning: closed form not certified at modulus 65537: its "
-            "thresholds may overstate secrecy (see thresholds)\n")
+        assert captured.err == ""
 
     def test_certified_shape_does_not_warn(self, workspace, capsys):
         tmp, topo, secret = workspace
@@ -2044,6 +2043,49 @@ class TestTwoCommands:
         assert codes == [(0, "")]
         assert (tmp / "inner.bin").read_bytes() == secret.read_bytes()
         assert (tmp / "outer.bin").read_bytes() == secret.read_bytes()
+
+    @pytest.mark.parametrize("when", ["blocks", "commit"])
+    @pytest.mark.parametrize("command", ["deal", "refresh"])
+    def test_staged_file_unlinked(self, workspace, monkeypatch, capsys,
+                                  command, when):
+        # A program that takes no lock unlinks m/1's staged file after its
+        # first append: of two blocks, before the second ("blocks"); of
+        # one, before the commit ("commit"). An append makes no file, so
+        # the next append, or the commit's flush, fails before the
+        # manifest. The command exits 2 and changes no file: a deal leaves
+        # no --out, and a refreshed vault still reconstructs.
+        tmp, topo, secret = workspace
+        data = chunks_secret(secret, BLOCK_WORDS + 1 if when == "blocks"
+                             else 4)
+        out, dest = tmp / "shares", tmp / "r.bin"
+        deal = ["deal", "--topology", topo, "--secret", secret, "--out", out]
+        argv = deal if command == "deal" else [
+            "refresh", "--topology", topo, "--shares", out]
+        if command == "refresh":
+            assert run(deal) == 0
+        target = out / "m_001.share.json"
+        owner, name = self.HOOKS[when]
+        real = getattr(owner, name)
+        gone = []
+
+        def hook(commit, *args):
+            if not gone and target in commit.staged and (
+                    when == "commit" or args[0] == target):
+                gone.append(commit.staged[target])
+                gone[0].unlink()
+            return real(commit, *args)
+
+        monkeypatch.setattr(owner, name, hook)
+        before = tree(tmp)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} failed, no file changed: [Errno 2] No such "
+            f"file or directory: '{gone[0]}'\n")
+        assert tree(tmp) == before
+        monkeypatch.undo()
+        if command == "refresh":
+            assert self.recovered(topo, out, dest, 0) == data
 
     @pytest.mark.parametrize("command", VAULT_COMMANDS)
     def test_staged_file_already_gone(self, workspace, monkeypatch, capsys,

@@ -131,3 +131,9 @@ def test_lines_select_the_mutants():
 def test_line_set():
     assert mutants.line_set("3,7-9") == {3, 7, 8, 9}
     assert mutants.line_set("5") == {5}
+
+
+def test_selections_exist():
+    # Every test module that a default selection names is a file.
+    assert [name for names in mutants.TESTS.values() for name in names
+            if not (ROOT / "tests" / f"{name}.py").is_file()] == []

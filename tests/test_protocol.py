@@ -19,9 +19,10 @@ from multishare import field, formats, protocol
 from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
                               deterministic_rng, express_over_rows,
                               is_probable_prime)
-from multishare.protocol import (Access, LinkKind, NetworkSpec, NodeShare,
-                                 Thresholds, Topology, access_oracle,
-                                 apply_node_refresh, birkhoff_matrix_row,
+from multishare.protocol import (Access, LinkKind, NetworkRefresh,
+                                 NetworkSpec, NodeShare, Thresholds,
+                                 Topology, access_oracle, apply_node_refresh,
+                                 birkhoff_matrix_row, check_shares,
                                  compute_thresholds_exhaustive,
                                  compute_thresholds_formula, deal,
                                  decode_secret, encode_secret,
@@ -133,11 +134,18 @@ def twelve_networks(outer):
     return make_topology(DEFAULT_MODULUS, [(12, 3)] * 12, outer)
 
 
-def value_and_slopes(coeffs, q, d):
-    """The constraints P(1) and P'(1..d) of the polynomial `coeffs`."""
+def value_and_slopes(coeffs, q, d, values=1):
+    """The constraints P(1..values) and P'(1..d) of the polynomial
+    `coeffs`."""
     dp = derivative_coeffs(coeffs, q)
-    return ([(1, 0, horner(coeffs, 1, q))]
+    return ([(x, 0, horner(coeffs, x, q)) for x in range(1, values + 1)]
             + [(i, 1, horner(dp, i, q)) for i in range(1, d + 1)])
+
+
+def one_column(delta, network="m", epoch=0):
+    """A refresh round of a three-node network over F_7, one chunk, whose
+    single coefficient column gives node 1 the delta `delta`."""
+    return NetworkRefresh(network, epoch, 3, 1, 7, ([delta],))
 
 
 class TestEvaluate:
@@ -207,6 +215,16 @@ class TestLagrange:
                 pts = [(x, horner(coeffs, x, q)) for x in range(1, d + 2)]
                 assert interpolate_zero(pts, q) == coeffs[0]
 
+    def test_round_trip_big_field(self):
+        # Any 3 of 5 evaluations of a degree-2 polynomial at 2^127 - 1.
+        rng = deterministic_rng(12)
+        q = DEFAULT_MODULUS
+        for _ in range(5):
+            coeffs = [rng.randrange(q) for _ in range(3)]
+            pts = [(x, horner(coeffs, x, q)) for x in range(1, 6)]
+            for subset in itertools.combinations(pts, 3):
+                assert interpolate_zero(subset, q) == coeffs[0]
+
 
 class TestBirkhoff:
     def test_hand_example_degree2(self):
@@ -235,6 +253,47 @@ class TestBirkhoff:
     def test_derivative_only_singular(self):
         cons = [(1, 1, 1), (2, 1, 1)]
         assert birkhoff_coeffs(cons, 1, 11) is None
+
+    def test_insufficient(self):
+        # One share of a degree-1 polynomial leaves P(0) undetermined.
+        rows = [birkhoff_matrix_row(1, 0, 1, 7)]
+        assert express_over_rows(rows, [1, 0], 7) is None
+
+    def test_employees_only_no_quorum(self):
+        # Any two of the slopes P'(1..4) of a degree-1 polynomial.
+        slopes = value_and_slopes([5, 3], 11, 4)[1:]
+        for subset in itertools.combinations(slopes, 2):
+            assert birkhoff_coeffs(subset, 1, 11) is None
+
+    def test_too_few_shares(self):
+        # P(1) and P'(1) of a degree-2 polynomial.
+        cons = value_and_slopes([5, 3, 8], 11, 1)
+        assert birkhoff_coeffs(cons, 2, 11) is None
+
+    def test_share_given_twice_counts_once(self):
+        # The same P(1) twice: degree 1 stays undetermined.
+        value = value_and_slopes([5, 3], 11, 0)[0]
+        assert birkhoff_coeffs([value, value], 1, 11) is None
+
+    @pytest.mark.parametrize("k,m,e", [(2, 1, 3), (3, 2, 4), (4, 1, 5)])
+    def test_round_trip_any_quorum(self, k, m, e):
+        # Every k of the values P(1..m) and the slopes P'(1..e) of a
+        # polynomial of degree k - 1 give it back or leave it undetermined.
+        q = 11
+        rng = deterministic_rng(k * 100 + m)
+        coeffs = [6, *(rng.randrange(q) for _ in range(k - 1))]
+        for subset in itertools.combinations(
+                value_and_slopes(coeffs, q, e, m), k):
+            assert birkhoff_coeffs(subset, k - 1, q) in (None, coeffs)
+
+    def test_manager_heavy_selection(self):
+        # P(1..3) and P'(1) over-determine degree 2; P(0) comes out of all
+        # four at once.
+        q = 11
+        cons = value_and_slopes([8, 4, 9], q, 1, 3)
+        rows = [birkhoff_matrix_row(x, order, 2, q) for x, order, _ in cons]
+        weights = express_over_rows(rows, [1, 0, 0], q)
+        assert sum(w * y for w, (_, _, y) in zip(weights, cons)) % q == 8
 
     def test_consistency_exhaustive_q11(self):
         # Value at 1 plus derivatives at 1..d always returns p exactly.
@@ -290,6 +349,13 @@ class TestTopology:
     def test_quorum_must_fit(self):
         with pytest.raises(ValueError):
             make_topology(11, [(2, 2), (3, 1)])
+
+    def test_bad_params(self):
+        # A quorum above the node count, and node count >= q.
+        with pytest.raises(ValueError):
+            make_topology(7, [(3, 3), (1, 0)])
+        with pytest.raises(ValueError):
+            make_topology(7, [(7, 1), (1, 0)])
 
     @pytest.mark.parametrize("q", [5, 7, 11, 257])
     def test_daughter_count_below_modulus(self, q):
@@ -408,6 +474,27 @@ class TestDeal:
             for s in shares:
                 assert s.epoch == 0 and len(s.values) == 2
 
+    def test_shape_mother_not_first(self):
+        # One share per node, in topology order, each holding every chunk.
+        t = make_topology(11, [(2, 1), (2, 1), (4, 2)], 2, mother=1)
+        dealt = deal([1, 2, 3], t, deterministic_rng(0))
+        assert [(nid, [s.node_index for s in lst])
+                for nid, lst in dealt.items()] == [
+            ("d1", [1, 2]), ("m", [1, 2]), ("d2", [1, 2, 3, 4])]
+        assert all(len(s.values) == 3 for lst in dealt.values() for s in lst)
+
+    @pytest.mark.parametrize("q,nets,want", [
+        (11, [(1, 0)] * 4, {"m": [7], "d1": [3], "d2": [3], "d3": [3]}),
+        (7, [(3, 0), (2, 0)], {"m": [0, 0, 0], "d1": [3, 3]})],
+        ids=["degree1_derivative_constant", "k1_every_share_is_secret"])
+    def test_inner_degree_zero(self, q, nets, want):
+        # Forced P = 4 + 3X: with inner degree 0 every node holds its
+        # network's inner secret, P(1) for the mother and P'(a) = 3 for
+        # each daughter.
+        dealt = deal([4], make_topology(q, nets), ScriptedRng([3], q))
+        assert {nid: [s.values[0] for s in lst]
+                for nid, lst in dealt.items()} == want
+
     def test_degenerate_two_networks(self):
         # deg(P)=1: the single daughter holds shares of the constant P'.
         t = make_topology(11, [(2, 1), (2, 0)])
@@ -516,6 +603,30 @@ class TestReconstruct:
                  for s in dealt["d1"]]
         with pytest.raises(EpochMismatch):
             reconstruct(chained({"m": dealt["m"], "d1": moved}), t)
+
+    def test_shares_grouped_by_network(self):
+        # The networks in the order their first share appears, each
+        # network's shares in node-index order.
+        topo = make_topology(7, [(3, 1), (1, 0)])
+        m1, m3, d1 = (NodeShare("m", 1, 2, (4,)), NodeShare("m", 3, 2, (5,)),
+                      NodeShare("d1", 1, 2, (1,)))
+        epoch, count, held = check_shares([d1, m3, m1], topo)
+        assert (epoch, count, list(held.items())) == (
+            2, 1, [("d1", [d1]), ("m", [m1, m3])])
+        assert check_shares([], topo) == (0, 0, {})
+
+    def test_verify_flags_corruption(self):
+        # reconstruct checks every share beyond the quorum against the
+        # quorum's polynomial, here P = 3 + 2X over F_7.
+        topo = make_topology(7, [(3, 1), (1, 0)])
+        daughter = [NodeShare("d1", 1, 0, (1,))]
+        good = [NodeShare("m", x, 0, (y,))
+                for x, y in ((1, 5), (2, 0), (3, 2))]
+        assert reconstruct(chained({"m": good, "d1": daughter}), topo) == (
+            reconstruct(chained({"m": good[:2], "d1": daughter}), topo))
+        bad = good[:2] + [NodeShare("m", 3, 0, (6,))]
+        with pytest.raises(CorruptData, match="network m: .* node 3"):
+            reconstruct(chained({"m": bad, "d1": daughter}), topo)
 
     def _foreign_d2(self):
         """make_topology(11) dealt, with d2's shares, consistent with one another,
@@ -784,6 +895,43 @@ class TestThresholdExhaustive:
             t_f1=t_f1, t_fail=min(formula.t_f0, t_f1))
 
 
+class TestWeakerShapeWitness:
+    @pytest.mark.parametrize("q", [65537, DEFAULT_MODULUS],
+                             ids=["65537", "2^127-1"])
+    def test_every_walked_shape_deals(self, q):
+        bound = protocol.EXHAUSTIVE_NETWORK_BOUND
+        assert [(l, d) for l in range(2, bound + 1) for d in range(1, l)
+                if protocol.weaker_shape_witness(q, d, l) is not None] == []
+
+    @pytest.mark.parametrize("q", [257, 65551])
+    def test_witness_reconstructs(self, q):
+        # Each witness is a smallest reconstructing set of the walk's
+        # family, of at most D networks, and the oracle finds that a
+        # quorum of each of its networks reconstructs.
+        found = {}
+        for l in range(2, protocol.EXHAUSTIVE_NETWORK_BOUND + 1):
+            for d in range(1, l):
+                witness = protocol.weaker_shape_witness(q, d, l)
+                if witness is None:
+                    continue
+                found[l, d] = witness
+                assert len(witness) == min(
+                    len(known) for known, reconstructs
+                    in protocol._walk(q, d, l) if reconstructs) <= d
+                t = make_topology(q, [(3, 1)] * l, d)
+                order = [t.mother, *t.daughters()]
+                held = [(order[i].id, j) for i in witness for j in (1, 2)]
+                assert access_oracle(held, t) is Access.RECONSTRUCTS
+        assert len(found) == 14 if q == 257 else found == {
+            (12, 6): (0, 3, 5, 6, 7, 11)}
+
+    def test_beyond_the_walk(self):
+        # 13 networks: certified at D = 3, not at D = 6.
+        assert protocol.weaker_shape_witness(65537, 3, 13) is None
+        with pytest.raises(CapacityError, match="cannot be checked"):
+            protocol.weaker_shape_witness(65537, 6, 13)
+
+
 class TestAccessOracle:
     def test_empty_set(self):
         assert access_oracle([], make_topology(11)) is Access.NO_INFORMATION
@@ -982,6 +1130,41 @@ class TestRefresh:
         assert {nid: v.node_count for nid, v in deltas.items()} == \
             {"m": 3, "d1": 3, "d2": 3}
         assert all(v.from_epoch == 0 for v in deltas.values())
+
+    def test_shape_from_a_later_epoch(self):
+        deltas = refresh(make_topology(7, [(4, 1), (1, 0)]), 1, 3,
+                         deterministic_rng(4))
+        assert (deltas["m"].node_count, deltas["m"].from_epoch) == (4, 3)
+
+    def test_deltas_reconstruct_to_zero(self):
+        deltas = refresh(make_topology(7, [(3, 1), (1, 0)]), 1, 0,
+                         deterministic_rng(4))["m"]
+        points = [(x, deltas.delta(x)[0]) for x in (1, 2, 3)]
+        for subset in itertools.combinations(points, 2):
+            assert interpolate_zero(subset, 7) == 0
+
+    @pytest.mark.parametrize("value,slope,want", [
+        (3, 2, [5, 0, 2]), (0, 5, [5, 3, 1]), (5, 5, [3, 1, 6]),
+        (5, 0, [5, 5, 5])],
+        ids=["forced_polynomial", "forced_delta", "delta", "zero_delta"])
+    def test_apply(self, value, slope, want):
+        # Node x of a three-node network over F_7 holding `value` (one
+        # chunk) moves to epoch 1 with value + slope * x: the node
+        # evaluation that deal and refresh share. Its delta is slope * x.
+        for x, new in zip((1, 2, 3), want):
+            out = apply_node_refresh(NodeShare("m", x, 0, (value,)),
+                                     one_column(slope))
+            assert (out.values, out.epoch) == ((new,), 1)
+            assert one_column(slope).delta(x) == ((new - value) % 7,)
+
+    def test_apply_mismatches(self):
+        share = NodeShare("m", 1, 0, (5,))
+        with pytest.raises(ValueError):
+            apply_node_refresh(share, one_column(0, network="d1"))
+        with pytest.raises(ValueError):
+            apply_node_refresh(NodeShare("m", 4, 0, (5,)), one_column(0))
+        with pytest.raises(ValueError):
+            apply_node_refresh(share, one_column(0, epoch=1))
 
     def test_mixed_epoch_reconstruct_rejected(self):
         t = make_topology(11)

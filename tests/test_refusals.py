@@ -684,11 +684,13 @@ def bounded(argv) -> int:
         signal.signal(signal.SIGALRM, handler)
 
 
-def daughters(count: int):
-    """The topology at q = 257, with `count` daughters like d1."""
-    return topology(lambda doc: {**doc, "modulus": "101", "networks": [
-        doc["networks"][0], *({**doc["networks"][1], "id": f"d{a}"}
-                              for a in range(1, count + 1))]})
+def daughters(count: int, modulus: str = "101", outer: int = 1):
+    """The topology at `modulus` (q = 257 by default) of outer degree
+    `outer`, with `count` daughters like d1."""
+    return topology(lambda doc: {
+        **doc, "modulus": modulus, "outer_degree": outer, "networks": [
+            doc["networks"][0], *({**doc["networks"][1], "id": f"d{a}"}
+                                  for a in range(1, count + 1))]})
 
 
 def given_twice(rel: str, lists):
@@ -981,6 +983,15 @@ TRIGGERS = [
     *(T([("topology {path}: {reason}", P("topology.json")), CHUNKING],
         topology(["modulus"], q), write(STAGED, b"{}"), argv=LISTED,
         commands=("reconstruct",)) for q in ("101", "fff1")),
+    # Shapes whose secret may need fewer networks than the outer degree
+    # says: deal refuses them before it makes --out.
+    T([("topology {path}: {reason}", P("topology.json")),
+       ("the access structure of {count} networks at outer degree {degree} "
+        "is not certified at modulus {q}, and cannot be checked beyond 12 "
+        "networks", 13, 6, 65537)], daughters(12, "10001", 6)),
+    T(("topology {path}: networks {ids} reconstruct with fewer than outer "
+       "degree + 1", P("topology.json"), "m, d3, d5, d6, d7, d11"),
+      daughters(11, "1000f", 6)),
 
     # Secret file.
     T(("cannot read secret: {reason}",
@@ -1358,7 +1369,7 @@ TRIGGERS = [
     *(T([LOAD_STATE, ("undecodable state payload: {reason}",
                       Reason(decoded, payload))],
         write("world.state", state_file(payload)), argv=STATE)
-      for payload in (b"\xff", b"{")),
+      for payload in (b"\xff", b"{", b"")),
     T([LOAD_STATE, ("unsupported version {version}", 1)],
       state(["version"], 1), argv=STATE),
     T([LOAD_STATE, ("unsupported version {version}", 1)],

@@ -55,8 +55,8 @@ TESTS = {"field": ["test_field"],
          "formats": ["test_formats", *CLI_TESTS],
          "vault": ["test_vault", *CLI_TESTS],
          "cli": CLI_TESTS,
-         "protocol": ["test_protocol", "test_shamir"],
-         "simnet": ["test_simnet"]}
+         "protocol": ["test_protocol", "test_acceptance"],
+         "simnet": ["test_simnet", *CLI_TESTS]}
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
            ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
