@@ -266,8 +266,8 @@ def cmd_deal(args) -> int:
         out_dir = Path(args.out)
         rng = (crypto_rng() if args.seed is None
                else deterministic_rng(args.seed))
-        with vault.new_vault_dir(out_dir) as made, \
-                vault.Commit(out_dir, 0, "deal", made) as commit:
+        with vault.new_vault_dir(out_dir), \
+                vault.Commit(out_dir, 0, "deal") as commit:
             for start, chunks in zip(range(0, count, BLOCK_WORDS),
                                      secret_blocks(read, size, q)):
                 deal(chunks, topology, rng, sink=lambda share: commit.append(

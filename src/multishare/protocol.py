@@ -29,8 +29,7 @@ from .field import (BLOCK_WORDS, DEFAULT_MODULUS, Block, as_block,
                     from_words, is_probable_prime, random_ints, to_words,
                     weighted_column_sum, zeros)
 
-# compute_thresholds_exhaustive walks up to 2^(networks - 1) sets of known
-# networks.
+# _walk visits up to 2^(networks - 1) sets of known networks.
 EXHAUSTIVE_NETWORK_BOUND = 12
 
 
@@ -658,14 +657,11 @@ def closed_form_certified(q: int, outer_degree: int,
     return q > math.lcm(*range(1, d + 1)) * math.prod(range(l - d + 1, l))
 
 
-def weaker_shape_witness(q: int, outer_degree: int, network_count: int
-                         ) -> Optional[Tuple[int, ...]]:
-    """A set of fewer than outer_degree + 1 networks that reconstructs,
-    as positions in [mother, *daughters]: the smallest in _walk's family,
-    the first of its size in the walk's order. None when there is none,
-    at once for a shape that closed_form_certified holds for.
-    CapacityError for any other shape beyond EXHAUSTIVE_NETWORK_BOUND
-    networks, which nothing here decides."""
+def _family(q: int, outer_degree: int, network_count: int) -> Optional[tuple]:
+    """How a shape's access structure is known: None where
+    closed_form_certified holds, at any network count; else _walk's
+    family, up to EXHAUSTIVE_NETWORK_BOUND networks, and CapacityError
+    beyond, where nothing here decides it."""
     if closed_form_certified(q, outer_degree, network_count):
         return None
     if network_count > EXHAUSTIVE_NETWORK_BOUND:
@@ -673,16 +669,25 @@ def weaker_shape_witness(q: int, outer_degree: int, network_count: int
             f"the access structure of {network_count} networks at outer "
             f"degree {outer_degree} is not certified at modulus {q}, and "
             f"cannot be checked beyond {EXHAUSTIVE_NETWORK_BOUND} networks")
+    return _walk(q, outer_degree, network_count)
+
+
+def weaker_shape_witness(q: int, outer_degree: int, network_count: int
+                         ) -> Optional[Tuple[int, ...]]:
+    """A set of fewer than outer_degree + 1 networks that reconstructs,
+    as positions in [mother, *daughters]: the smallest in _walk's family,
+    the first of its size in the walk's order. None when there is none,
+    as for a certified shape; CapacityError as _family raises it."""
     return min((known for known, reconstructs
-                in _walk(q, outer_degree, network_count)
+                in _family(q, outer_degree, network_count) or ()
                 if reconstructs and len(known) <= outer_degree),
                key=len, default=None)
 
 
 def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
-    """Definitional thresholds: by a walk up to EXHAUSTIVE_NETWORK_BOUND
-    networks, and beyond it for a shape that closed_form_certified holds
-    for (_sorted_thresholds); CapacityError for any other shape.
+    """Definitional thresholds: sums over sorted lists (_sorted_thresholds)
+    for a certified shape, at any network count, else sums over _walk's
+    family; CapacityError as _family raises it.
 
     Nodes within a network are interchangeable for access, so a held set
     decides only through the networks it makes known: network i once q_i
@@ -700,13 +705,9 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     each topology sums over them.
     """
     nets, d = topology.networks, topology.outer_degree
-    if len(nets) > EXHAUSTIVE_NETWORK_BOUND:
-        if closed_form_certified(topology.modulus, d, len(nets)):
-            return _sorted_thresholds(topology, len(nets) - d)
-        raise CapacityError(
-            f"{len(nets)} networks exceed the exhaustive bound of "
-            f"{EXHAUSTIVE_NETWORK_BOUND} networks")
-    q = topology.modulus
+    family = _family(topology.modulus, d, len(nets))
+    if family is None:
+        return _sorted_thresholds(topology, len(nets) - d)
     order = [topology.mother, *topology.daughters()]  # as _walk places them
     quorums = [net.quorum for net in order]
     kill = [net.kill_cost for net in order]
@@ -714,7 +715,6 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     # which does not reconstruct, and the mother with daughters 1..k for
     # the least k that reconstructs (k <= D: the mother with D daughters
     # does).
-    family = _walk(q, d, len(order))
     reached = [known for known, reconstructs in family if reconstructs]
     t_f1 = min(sum(kill) - sum(kill[i] for i in known)
                for known, reconstructs in family if not reconstructs)

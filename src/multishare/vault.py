@@ -227,12 +227,10 @@ class Commit(AbstractContextManager):
     the vault by one os.replace of manifest.json. Then the directory is
     flushed, each staged file takes its final name, and the directory is
     flushed again. Leaving the block before the commit deletes every
-    staged file, then removes the directories in `made` (new_vault_dir's,
-    for a deal); a crash at any point is settled by settle."""
+    staged file; a crash at any point is settled by settle."""
 
-    def __init__(self, share_dir: Path, epoch: int, command: str,
-                 made=()):
-        self.share_dir, self.epoch, self.made = share_dir, epoch, made
+    def __init__(self, share_dir: Path, epoch: int, command: str):
+        self.share_dir, self.epoch = share_dir, epoch
         self.staged = {}  # final name -> staged name, in the order made
         self.manifest = self._staged(share_dir / MANIFEST)
         self.committed = False
@@ -246,7 +244,6 @@ class Commit(AbstractContextManager):
             for staged in self.staged.values():
                 _discard(staged)
             _discard(self.manifest)
-            remove_made(self.made)
 
     def append(self, path: Path, block: bytes) -> None:
         if path not in self.staged and path.is_symlink():
@@ -303,16 +300,16 @@ def settle(share_dir: Path, epoch: Optional[int]) -> List[Path]:
 def new_vault_dir(out_dir: Path):
     """Make `out_dir` for a deal, with any missing parents, each mode
     DIR_MODE, and flush each directory made and the parent of the topmost;
-    then hold its lock (locked) in the block, which gets the directories
-    made, the deepest first, for a Commit to remove when the deal ends
-    before its commit. A directory counts as made only when this mkdir
-    made it, so that a deal never removes one that another deal uses.
-    StorageError when `out_dir` cannot be made or locked, or already
-    holds a vault: a manifest, a share file or a staged file; the
-    directories made by then are removed. Dealing over a vault could
-    leave neither secret recoverable. In a directory without a manifest,
-    the files staged at epoch 0 are first deleted: only a deal writes
-    them, and that deal never committed."""
+    then hold its lock (locked) in the block. StorageError when `out_dir`
+    cannot be made or locked, or already holds a vault: a manifest, a
+    share file or a staged file. Dealing over a vault could leave neither
+    secret recoverable. In a directory without a manifest, the files
+    staged at epoch 0 are first deleted: only a deal writes them, and that
+    deal never committed. Whenever this or the block raises, as when a
+    Commit in it ends before its commit, the directories made are
+    removed, the deepest first. A directory counts as made only when this
+    mkdir made it, so that a deal never removes one that another deal
+    uses."""
     made = []  # the directories made, the deepest first
     with ExitStack() as held:
         try:
@@ -352,13 +349,13 @@ def new_vault_dir(out_dir: Path):
                                    f"({', '.join(names[:3])}"
                                    f"{', ...' if len(names) > 3 else ''}); "
                                    f"deal into a new directory")
+            yield
         except BaseException:
-            remove_made(made)
+            _remove_made(made)
             raise
-        yield made
 
 
-def remove_made(made: List[Path]) -> None:
+def _remove_made(made: List[Path]) -> None:
     """Remove the directories in `made`, in turn, as cleanup: errors are
     ignored, so one that is gone or not empty stays as it is."""
     for directory in made:

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import stat
 import struct
 from contextlib import contextmanager
@@ -99,6 +100,21 @@ def layout_values(q, n, seed):
 def run(argv):
     """The CLI's exit code for `argv`, each argument as its str."""
     return main([str(a) for a in argv])
+
+
+def bounded(argv) -> int:
+    """run(argv), which fails with TimeoutError after 60 s rather than
+    hang: for a command that a FIFO could make wait for a writer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv[0]} ran for 60 s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        return run(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 @contextmanager

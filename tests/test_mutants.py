@@ -128,6 +128,39 @@ def test_lines_select_the_mutants():
             m for m in made if 4 <= m[0] <= 8]
 
 
+# A `git diff -U0` of SOURCE: hunks that change line 2, add lines 6 and 7,
+# delete only, and change one line into three (17-19), with a content
+# line that looks like a hunk header.
+DIFF = """\
+diff --git a/x.py b/x.py
+index 0123456..89abcde 100644
+--- a/x.py
++++ b/x.py
+@@ -2 +2 @@ def f(x, y, items):
+-    if x <= 1 and not y:
++    if x < 1 and not y:
+@@ -5,0 +6,2 @@ def f(x, y, items):
++    if x == 2:
++        return x
+@@ -9,2 +10,0 @@ def f(x, y, items):
+-@@ -1 +1 @@
+-    pass
+@@ -16 +17,3 @@ class C:
+-        def inner(): pass
++        def inner():
++            if x is None:
++                raise TypeError(x)
+"""
+
+
+def test_diff_lines():
+    lines = mutants.diff_lines(DIFF)
+    assert lines == {2, 6, 7, 17, 18, 19}
+    assert named(mutants.mutants(SOURCE, lines, guards=True)) == [
+        m for m in GUARD_MUTANTS if m[0] in lines]
+    assert mutants.diff_lines("") == set()
+
+
 def test_line_set():
     assert mutants.line_set("3,7-9") == {3, 7, 8, 9}
     assert mutants.line_set("5") == {5}

@@ -129,9 +129,26 @@ def plain_walk_thresholds(topology):
         t_f1=min(cost for inside, cost in bad if mother in inside))
 
 
-def twelve_networks(outer):
+def walked_thresholds(topology):
+    """The thresholds as sums over _walk's family for the topology's
+    shape, certified or not: each threshold from its definition over the
+    family's reconstructing sets and the rest."""
+    order = [topology.mother, *topology.daughters()]
+    family = protocol._walk(topology.modulus, topology.outer_degree,
+                            len(order))
+    kill = [net.kill_cost for net in order]
+    reached = [known for known, ok in family if ok]
+    t_f1 = min(sum(kill) - sum(kill[i] for i in known)
+               for known, ok in family if not ok)
+    return Thresholds(
+        t_networks=min(map(len, reached)),
+        t_nodes=min(sum(order[i].quorum for i in known) for known in reached),
+        t_f0=kill[0], t_f1=t_f1, t_fail=min(kill[0], t_f1))
+
+
+def twelve_networks(outer, q=DEFAULT_MODULUS):
     """12 networks of 12 nodes and inner degree 3: the exhaustive bound."""
-    return make_topology(DEFAULT_MODULUS, [(12, 3)] * 12, outer)
+    return make_topology(q, [(12, 3)] * 12, outer)
 
 
 def value_and_slopes(coeffs, q, d, values=1):
@@ -750,13 +767,20 @@ class TestThresholdExhaustive:
 
     @pytest.mark.parametrize("outer", [1, 3, 6, 11])
     def test_matches_plain_walk_at_network_bound(self, outer):
-        t = twelve_networks(outer)
-        assert len(t.networks) == protocol.EXHAUSTIVE_NETWORK_BOUND
-        assert compute_thresholds_exhaustive(t) == plain_walk_thresholds(t)
+        # Certified at 2^127 - 1; walked at 257, but for outer degree 1,
+        # which every modulus certifies.
+        for q in (DEFAULT_MODULUS, 257):
+            t = twelve_networks(outer, q)
+            assert len(t.networks) == protocol.EXHAUSTIVE_NETWORK_BOUND
+            assert (compute_thresholds_exhaustive(t)
+                    == plain_walk_thresholds(t)), q
 
     @pytest.mark.parametrize("outer", [1, 6, 11])
     def test_work_bound(self, monkeypatch, outer):
-        # Eliminations stay within 3 per set of known networks that holds
+        # A certified shape, of 12 networks or 20, is neither walked nor
+        # eliminated: each at 2^127 - 1, and outer degree 1 at q = 257 too,
+        # as at every modulus. On an uncertified one, 12 networks at 257,
+        # eliminations stay within 3 per set of known networks that holds
         # the mother, the only sets walked; one outer solve per set of all
         # 2^12 would take 28,720. The walk is solved once per process:
         # another topology of the same shape makes none.
@@ -772,33 +796,41 @@ class TestThresholdExhaustive:
         monkeypatch.setattr(field, "echelon_reduce", counting)
         monkeypatch.setattr(protocol, "echelon_reduce", counting)
         compute_thresholds_exhaustive(twelve_networks(outer))
-        assert 0 < calls <= 3 * 2**11
+        compute_thresholds_exhaustive(make_topology(
+            DEFAULT_MODULUS, [(n, 3) for n in range(4, 24)], outer))
+        assert (calls, protocol._walk.cache_info().misses) == (0, 0)
+        compute_thresholds_exhaustive(twelve_networks(outer, 257))
+        if outer == 1:
+            assert calls == 0
+        else:
+            assert 0 < calls <= 3 * 2**11
         calls = 0
-        t = make_topology(DEFAULT_MODULUS, [(n, 3) for n in range(4, 16)],
-                          outer)
-        compute_thresholds_exhaustive(t)
+        compute_thresholds_exhaustive(make_topology(
+            257, [(n, 3) for n in range(4, 16)], outer))
         assert calls == 0
 
-    @pytest.mark.parametrize("order", [(5, 257), (257, 5)])
+    @pytest.mark.parametrize("order", [(7, 23), (23, 7)])
     def test_shapes_are_keyed_by_modulus(self, monkeypatch, order):
-        # At q = 5 the mother and the third daughter reconstruct at outer
-        # degree 2 (P'(3) = p_1 + 6 p_2 = p_1 + p_2), at 257 they do not:
-        # a cache that dropped the modulus would hand one field's sets to
-        # the other, whichever came first.
+        # Outer degree 3 on 4 networks is certified at neither modulus
+        # (above 6 * 2 * 3 only). At q = 23 the mother with the second
+        # and third daughters reconstructs (the moment criterion:
+        # 23 divides 6 * the integral of (x - 2)(x - 3) over [0, 1],
+        # 23/6), at 7 it does not: a cache that dropped the modulus would
+        # hand one field's sets to the other, whichever came first.
         nets = [(2, 1), (1, 0), (3, 2), (4, 0)]
 
         def thresholds(q):
             # As enumerated, and with the mother moved to index 2.
-            moved = make_topology(q, nets[1:3] + nets[:1] + nets[3:], 2, 2)
+            moved = make_topology(q, nets[1:3] + nets[:1] + nets[3:], 3, 2)
             return [compute_thresholds_exhaustive(t)
-                    for t in (make_topology(q, nets, 2), moved)]
+                    for t in (make_topology(q, nets, 3), moved)]
 
         protocol._walk.cache_clear()
         cached = {q: thresholds(q) for q in order}
         monkeypatch.setattr(protocol, "_walk", protocol._walk.__wrapped__)
         for q in order:
             assert cached[q] == thresholds(q)
-        assert all(a != b for a, b in zip(cached[5], cached[257]))
+        assert all(a != b for a, b in zip(cached[7], cached[23]))
 
     def test_family_is_the_closed_forms(self):
         # At the default modulus, up to the network bound, a walked set
@@ -829,8 +861,8 @@ class TestThresholdExhaustive:
     @pytest.mark.parametrize("q,most", CERTIFIED_UP_TO)
     def test_certified_thresholds_are_the_walks(self, q, most):
         # On every certified shape up to `most` networks, the sums over
-        # sorted lists that answer beyond the walk's bound are the walk's
-        # thresholds, on topologies of mixed quorums and kill costs.
+        # sorted lists that answer for it are the sums over the walk's
+        # family, on topologies of mixed quorums and kill costs.
         rng = random.Random(q)
         for l in range(2, min(most, q) + 1):
             for outer in range(1, l):
@@ -842,7 +874,7 @@ class TestThresholdExhaustive:
                     topology = make_topology(q, nets, outer)
                     assert (protocol._sorted_thresholds(topology,
                                                         l - outer)
-                            == compute_thresholds_exhaustive(topology)), (
+                            == walked_thresholds(topology)), (
                         q, outer, nets)
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13, 257])

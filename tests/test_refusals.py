@@ -36,7 +36,6 @@ import json
 import operator
 import os
 import re
-import signal
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -49,7 +48,8 @@ from multishare.field import (BLOCK_WORDS, DEFAULT_MODULUS,
 from multishare.formats import canonical_json, topology_to_dict
 from multishare.protocol import deal, encode_secret
 from support import (DEEP, DELETE, ESCAPING_IDS, INJECTED, NONCANONICAL_HEX,
-                     FaultyFiles, at, make_topology, run, state_file, tree)
+                     FaultyFiles, at, bounded, make_topology, run,
+                     state_file, tree)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "multishare"
@@ -81,10 +81,6 @@ APART = {
     ("vault", "appending.append", f"cannot write {PART}: not a file name"):
         "a path without a name (`.`, `/`) is a directory, which every "
         "command refuses as an output first (exit 64)",
-    ("protocol", "compute_thresholds_exhaustive",
-     f"{PART} networks exceed the exhaustive bound of 12 networks"):
-        "thresholds catches it and says that nothing checked the closed "
-        "form",
     ("protocol", "decode_secret", "no chunks"):
         "a share file holds at least one chunk, so no command decodes none",
     ("protocol", "SecretDecoder.close", "no chunks"):
@@ -667,21 +663,6 @@ def fifo(rel: str):
         os.mkfifo(w.root / rel)
         return bounded
     return setup
-
-
-def bounded(argv) -> int:
-    """run(argv), which fails with TimeoutError after 60 s rather than
-    hang."""
-    def expire(signum, frame):
-        raise TimeoutError(f"{argv[0]} ran for 60 s")
-
-    handler = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        return run(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
 
 
 def daughters(count: int, modulus: str = "101", outer: int = 1):

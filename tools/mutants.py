@@ -1,11 +1,13 @@
 """Mutate lines of a source file one change at a time, and report which
 mutants a pytest selection kills.
 
-    python3 tools/mutants.py FILE [LINES] [--guards] [--workdir DIR]
-        [-- PYTEST_ARGS...]
+    python3 tools/mutants.py FILE [LINES | --diff REV] [--guards]
+        [--workdir DIR] [-- PYTEST_ARGS...]
 
 FILE is a path under the repository; LINES a list such as `12,40-45`
-(every line when left out). Each mutant is one change to one node that
+(every line when left out). --diff REV takes instead the lines that the
+hunks of `git diff -U0 REV -- FILE` add or change, so that only what
+changed since REV is mutated. Each mutant is one change to one node that
 starts on those lines: a comparison operator negated (`<` to `>=`, `in`
 to `not in`, ...) or swapped (`<` to `>`), a boolean operator swapped
 (`and` to `or`) or its operation negated (`not (...)`), a `not` dropped,
@@ -35,6 +37,7 @@ import ast
 import copy
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -66,6 +69,9 @@ SWAPPED = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE,
            ast.GtE: ast.LtE}
 # The nodes that a mutant's function is named after.
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# A hunk header of a unified diff; its groups are the first line of the
+# new side and its count of lines (1 when left out).
+HUNK = re.compile(r"^@@ -[0-9,]+ \+([0-9]+)(?:,([0-9]+))? @@", re.M)
 
 
 def line_set(text: str) -> set:
@@ -73,6 +79,16 @@ def line_set(text: str) -> set:
     for part in text.split(","):
         first, _, last = part.partition("-")
         lines.update(range(int(first), int(last or first) + 1))
+    return lines
+
+
+def diff_lines(diff: str) -> set:
+    """The lines of the new file that the hunks of `diff`, the text of a
+    `git diff -U0`, add or change; a hunk that only deletes adds none."""
+    lines = set()
+    for hunk in HUNK.finditer(diff):
+        start = int(hunk[1])
+        lines.update(range(start, start + int(hunk[2] or 1)))
     return lines
 
 
@@ -173,12 +189,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("file")
     parser.add_argument("lines", nargs="?")
+    parser.add_argument("--diff", metavar="REV")
     parser.add_argument("--guards", action="store_true")
     parser.add_argument("--workdir")
     argv = sys.argv[1:] if argv is None else argv
     split = argv.index("--") if "--" in argv else len(argv)
     args, pytest_args = parser.parse_args(argv[:split]), argv[split + 1:]
     source_path = Path(args.file).resolve().relative_to(ROOT)
+    lines = line_set(args.lines) if args.lines else None
+    if args.diff:
+        if args.lines:
+            parser.error("give LINES or --diff, not both")
+        lines = diff_lines(subprocess.run(
+            ["git", "diff", "-U0", args.diff, "--", str(source_path)],
+            cwd=ROOT, capture_output=True, text=True, check=True).stdout)
     if not pytest_args:
         if source_path.stem not in TESTS:
             parser.error(f"give PYTEST_ARGS: no tests are mapped to "
@@ -193,12 +217,12 @@ def main(argv=None) -> int:
                   f"{copy_root}", file=sys.stderr)
             return 2
         report = {"file": str(source_path), "lines": args.lines,
-                  "guards": args.guards, "selection": pytest_args,
+                  "diff": args.diff, "guards": args.guards,
+                  "selection": pytest_args,
                   "killed": [], "survived": []}
         source = (ROOT / source_path).read_text(encoding="utf-8")
         for line, col, function, before, after, text in mutants(
-                source, line_set(args.lines) if args.lines else None,
-                args.guards):
+                source, lines, args.guards):
             (copy_root / source_path).write_text(text, encoding="utf-8")
             killed = not passes(copy_root, pytest_args)
             report["killed" if killed else "survived"].append(
