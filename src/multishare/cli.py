@@ -251,7 +251,7 @@ def cmd_deal(args) -> int:
     except CapacityError as exc:
         raise CliError(EXIT_INPUT, f"topology {args.topology}: {exc}")
     if witness is not None:
-        order = [topology.mother, *topology.daughters()]
+        order = topology.positions()
         raise CliError(EXIT_INPUT, f"topology {args.topology}: networks "
                        f"{', '.join(order[i].id for i in witness)} "
                        f"reconstruct with fewer than outer degree + 1")

@@ -12,11 +12,11 @@ are still read.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 from binascii import Error as BinasciiError
-from itertools import repeat
 from typing import List, Tuple
 
 from .errors import CorruptData
@@ -36,8 +36,6 @@ MIN_USER_MODULUS = 257
 
 # A field element's text: lowercase hex without leading zeros.
 _HEX = re.compile("0|[1-9a-f][0-9a-f]*")
-# A value's text in a v2 share file, whose length is checked apart.
-_LOWER_HEX = re.compile("[0-9a-f]*")
 # What a network id may not hold, since a share file is named after it.
 _BAD_ID = re.compile("[/\0\ud800-\udfff]")
 # A node's name in a manifest's stale list: network id, slash, index.
@@ -209,8 +207,6 @@ def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int, int]:
     file but its values) `data` holds, its chunk_count and its
     format_version (1 or 2)."""
     try:
-        if not isinstance(data, dict):
-            raise CorruptData("a share file holds a JSON object")
         version = _json_int(data, "format_version")
         if version not in (1, SHARE_FORMAT_VERSION):
             raise CorruptData(f"unsupported format_version {version}")
@@ -230,34 +226,18 @@ def _header_from_dict(data, modulus: int) -> Tuple[NodeShare, int, int]:
         raise CorruptData(f"malformed share file: {exc}") from exc
 
 
-def _parse_fixed_hex(text: str, digits: int) -> int:
-    """The value of `text`, a value of a v2 share file: exactly `digits`
-    lowercase hex digits. CorruptData (NOT_FIXED_HEX) for any other text;
-    TypeError when `text` is not a string."""
-    if len(text) != digits or not _LOWER_HEX.fullmatch(text):
-        raise CorruptData(NOT_FIXED_HEX.format(digits))
-    return int(text, 16)
-
-
 def share_from_dict(data: dict, modulus: int) -> NodeShare:
-    """Parse a share file of either version dealt under a topology with
-    this modulus."""
-    header, count, version = _header_from_dict(data, modulus)
-    try:
-        if not isinstance(data["values"], list):
-            raise CorruptData("values must be a list")
-        if version == 1:
-            values = list(map(_parse_hex, data["values"]))
-        else:
-            values = list(map(_parse_fixed_hex, data["values"],
-                              repeat(2 * word_bytes(modulus))))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptData(f"malformed share file: {exc}") from exc
-    if values and max(values) >= modulus:
-        raise CorruptData(OUT_OF_RANGE)
-    if len(values) != count:
-        raise CorruptData(COUNT_MISMATCH)
-    return header._replace(values=tuple(values))
+    """The share whose document is `data`, dealt under a topology with
+    this modulus: its canonical JSON and a newline, read as read_share
+    reads a share file, with all its values in one pass of the reader of
+    its version. CorruptData unless those bytes are a valid share file."""
+    text = canonical_json(data) + b"\n"
+    header, count, offset, version = _header(text, modulus)
+    # No path to reopen: of the identity, a reader checks only the size.
+    reader = (_ShareValuesV1 if version == 1 else _ShareValuesV2)(
+        None, modulus, count, offset, (None, None, len(text), None))
+    values, _ = reader._read(io.BytesIO(text[offset:]), count, True)
+    return header._replace(values=values)
 
 
 class UnreadableShare(CorruptData):
@@ -276,8 +256,8 @@ def read_share(path, modulus: int) -> NodeShare:
     width of share_file_block in a v2 file and without leading zeros in a
     v1 file. UnreadableShare when it cannot be read, is not a regular
     file (open_regular) or is not in that layout, or when its header is
-    not that of a valid share file (with share_from_dict's message); a v2
-    file also when its size is not the one its chunk_count gives."""
+    not that of a valid share file; a v2 file also when its size is not
+    the one its chunk_count gives."""
     try:
         with open_regular(path) as file:
             head = file.read(HEAD_BYTES)

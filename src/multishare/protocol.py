@@ -125,12 +125,10 @@ class Topology(_TopologyFields):
         return [n for i, n in enumerate(self.networks)
                 if i != self.mother_index]
 
-    def derivative_point(self, network_id: str) -> int:
-        """Daughter i (1-based in topology order) evaluates P' at i."""
-        for i, net in enumerate(self.daughters(), start=1):
-            if net.id == network_id:
-                return i
-        raise ValueError(f"{network_id} is not a daughter network")
+    def positions(self) -> List[NetworkSpec]:
+        """The mother, then the daughters in topology order: the network at
+        position a > 0 is the daughter that evaluates P' at a."""
+        return [self.mother, *self.daughters()]
 
     def spec(self, network_id: str) -> NetworkSpec:
         for net in self.networks:
@@ -268,14 +266,13 @@ def _node_values(node_index: int, columns: Sequence[Sequence[int]],
 def constant_functional(topology: Topology, network_id: str) -> List[int]:
     """A network's inner secret as a functional over the outer polynomial's
     coefficients [secret, p_1..p_D]: P(1) for the mother, P'(a) for
-    daughter a."""
-    position = (0 if network_id == topology.mother.id
-                else topology.derivative_point(network_id))
+    daughter a, a the network's position (Topology.positions)."""
+    position = [net.id for net in topology.positions()].index(network_id)
     return _functional(topology.modulus, topology.outer_degree, position)
 
 
 def _functional(q: int, degree: int, position: int) -> List[int]:
-    """constant_functional at `position` in [mother, *daughters]."""
+    """constant_functional at `position` (Topology.positions)."""
     return (birkhoff_matrix_row(1, 0, degree, q) if position == 0
             else birkhoff_matrix_row(position, 1, degree, q))
 
@@ -395,9 +392,9 @@ def reconstruct(shares: Iterable[NodeShare], topology: Topology,
             [birkhoff_matrix_row(s.node_index, 0, net.inner_degree, q)
              for s in group], net.quorum, q)
     met = {nid for nid, plan in plans.items() if plan.weights is not None}
-    mother_id = topology.mother.id
-    members = [mother_id, *(n.id for n in topology.daughters()
-                            if n.id in met)]
+    members = [net.id for a, net in enumerate(topology.positions())
+               if a == 0 or net.id in met]  # the mother, met or not
+    mother_id = members[0]
     d = topology.outer_degree
     missing = []
     if mother_id not in met:
@@ -675,7 +672,7 @@ def _family(q: int, outer_degree: int, network_count: int) -> Optional[tuple]:
 def weaker_shape_witness(q: int, outer_degree: int, network_count: int
                          ) -> Optional[Tuple[int, ...]]:
     """A set of fewer than outer_degree + 1 networks that reconstructs,
-    as positions in [mother, *daughters]: the smallest in _walk's family,
+    as positions (Topology.positions): the smallest in _walk's family,
     the first of its size in the walk's order. None when there is none,
     as for a certified shape; CapacityError as _family raises it."""
     return min((known for known, reconstructs
@@ -708,7 +705,7 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
     family = _family(topology.modulus, d, len(nets))
     if family is None:
         return _sorted_thresholds(topology, len(nets) - d)
-    order = [topology.mother, *topology.daughters()]  # as _walk places them
+    order = topology.positions()  # as _walk places them
     quorums = [net.quorum for net in order]
     kill = [net.kill_cost for net in order]
     # Each min() has a set to take: the family holds the mother alone,
@@ -727,7 +724,7 @@ def compute_thresholds_exhaustive(topology: Topology) -> Thresholds:
 @lru_cache(maxsize=64)
 def _walk(q: int, outer_degree: int, network_count: int) -> tuple:
     """(K, whether K reconstructs) for each set K of known networks, as
-    positions in [mother, *daughters], that holds the mother and extends
+    positions (Topology.positions), that holds the mother and extends
     no reconstructing set by later networks (those need no fewer nodes or
     networks, and count towards no failure threshold). Depth first from
     {mother}, whose P(1) = [1, ..., 1] does not reconstruct, adding

@@ -118,12 +118,14 @@ class TestShareWriter:
         assert formats.share_from_dict(data, DEFAULT_MODULUS) == share
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: [d], "a share file holds a JSON object"),
+        (lambda d: [d], formats.NOT_CANONICAL),
         (lambda d: {**d, "values": "00"}, "values must be a list"),
         (lambda d: {k: v for k, v in d.items() if k != "values"},
-         "malformed share file: 'values'"),
+         formats.NOT_CANONICAL),
         (lambda d: {**d, "values": ["f" * 32] * 2}, formats.OUT_OF_RANGE),
-        (lambda d: {**d, "values": d["values"][:1]}, formats.COUNT_MISMATCH),
+        (lambda d: {**d, "values": d["values"][:1]},
+         "the file has 170 bytes, not the 205 that its chunk_count of 2 "
+         "values of 32 hex digits gives"),
     ], ids=["not-an-object", "values-string", "values-missing",
             "out-of-range", "count-mismatch"])
     def test_refusals(self, edit, message):
@@ -401,6 +403,48 @@ class TestV1Faults:
         assert str(err.value) == formats.NOT_HEX
 
 
+class TestOneGrammar:
+    """share_from_dict reads a document as read_share reads the file that
+    is its canonical JSON and a newline, by the same reader."""
+
+    @pytest.mark.parametrize("q", TestFixedWidth.QS)
+    def test_document_reads_as_its_file(self, tmp_path, q):
+        # The v1 and v2 files of one share: whole, broken in turn as the
+        # fault catalogues above break them, and with a key that sorts
+        # after "values". On each file that is the canonical JSON of an
+        # object and a newline, both readers refuse it, or both return
+        # the same share.
+        rng = random.Random(q)
+        share = NodeShare("m", 1, 4, (q - 2,) + tuple(
+            rng.randrange(q) for _ in range(B + 1)))
+        v1, v2 = reference.share_bytes_v1(share, q), streamed_bytes(share, q)
+        files = [v1, v2, *(bad for _, bad in TestFixedWidth._faults(v2, q)),
+                 *(bad for _, bad, _ in TestV1Faults._faults(v1, q, share)),
+                 *(canonical_json({**json.loads(data), "w": 0}) + b"\n"
+                   for data in (v1, v2))]
+        path = tmp_path / "m_001.share.json"
+        read = 0
+        for data in files:
+            try:
+                doc = json.loads(data)
+            except ValueError:
+                continue
+            if not (isinstance(doc, dict)
+                    and canonical_json(doc) + b"\n" == data):
+                continue
+            path.write_bytes(data)
+            found = []
+            for reader in (lambda: read_whole(path, q),
+                           lambda: formats.share_from_dict(doc, q)):
+                try:
+                    found.append(reader())
+                except CorruptData:
+                    found.append(None)
+            assert found[0] == found[1], data[-40:]
+            read += 1
+        assert (read, len(files)) == (20, 34)
+
+
 class TestReadInOrder:
     """A share file's values are read in order: a slice that does not
     start where the last one ended, or that skips values, is refused."""
@@ -473,7 +517,8 @@ class TestHexParser:
         data = share_to_dict(NodeShare("m", 1, 0, (1,) * (B + 2)),
                              DEFAULT_MODULUS)
         data["values"][-1] = "01"
-        with pytest.raises(CorruptData, match="lowercase hex"):
+        with pytest.raises(CorruptData, match=f"not the 143568 that its "
+                           f"chunk_count of {B + 2} values"):
             formats.share_from_dict(data, DEFAULT_MODULUS)
 
 

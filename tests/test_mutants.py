@@ -86,10 +86,10 @@ def named(found) -> list:
             for line, _, function, before, after, _ in found]
 
 
-def check_in_place(found):
+def check_in_place(found, source=SOURCE):
     """Each mutant replaces its node's text in place, in parentheses, and
     keeps the rest of the source, which still parses."""
-    lines = SOURCE.splitlines(keepends=True)
+    lines = source.splitlines(keepends=True)
     for line, col, _, before, after, text in found:
         row = lines[line - 1]
         assert row[col:col + len(before)] == before
@@ -119,6 +119,45 @@ def test_all_mutants():
     assert named(found) == ALL_MUTANTS
     assert set(GUARD_MUTANTS) <= set(ALL_MUTANTS)
     check_in_place(found)
+
+
+# Arithmetic and bitwise operators: `+`, `-`, `<<`, `>>`, `&` and `|`
+# are swapped, `*` is not.
+ARITHMETIC = '''\
+def h(x, y):
+    if x + 1 > y:
+        raise ValueError(x - y)
+    return (x << 2 | y >> 1) & x * 3
+'''
+
+
+def test_arithmetic_and_bitwise_swaps():
+    # With --guards, only the `+` in the guard's test is swapped, beside
+    # the guard's comparison and constant.
+    found = mutants.mutants(ARITHMETIC, None, guards=True)
+    assert named(found) == [
+        (2, "h", "x + 1 > y", "x + 1 <= y"),
+        (2, "h", "x + 1 > y", "x + 1 < y"),
+        (2, "h", "x + 1", "x - 1"),
+        (2, "h", "1", "2"),
+    ]
+    check_in_place(found, ARITHMETIC)
+    found = mutants.mutants(ARITHMETIC, None, guards=False)
+    assert named(found) == [
+        (2, "h", "x + 1 > y", "x + 1 <= y"),
+        (2, "h", "x + 1 > y", "x + 1 < y"),
+        (4, "h", "(x << 2 | y >> 1) & x * 3", "x << 2 | y >> 1 | x * 3"),
+        (2, "h", "x + 1", "x - 1"),
+        (4, "h", "x << 2 | y >> 1", "x << 2 & y >> 1"),
+        (2, "h", "1", "2"),
+        (3, "h", "x - y", "x + y"),
+        (4, "h", "x << 2", "x >> 2"),
+        (4, "h", "y >> 1", "y << 1"),
+        (4, "h", "3", "4"),
+        (4, "h", "2", "3"),
+        (4, "h", "1", "2"),
+    ]
+    check_in_place(found, ARITHMETIC)
 
 
 def test_lines_select_the_mutants():

@@ -348,10 +348,10 @@ class TestTopology:
         t = make_topology(11)
         assert t.mother.id == "m"
         assert [n.id for n in t.daughters()] == ["d1", "d2"]
-        assert t.derivative_point("d1") == 1
-        assert t.derivative_point("d2") == 2
-        with pytest.raises(ValueError, match="m is not a daughter network"):
-            t.derivative_point("m")
+        assert [n.id for n in t.positions()] == ["m", "d1", "d2"]
+        t = make_topology(11, mother=1)
+        assert [n.id for n in t.networks] == ["d1", "m", "d2"]
+        assert [n.id for n in t.positions()] == ["m", "d1", "d2"]
 
     def test_needs_two_networks(self):
         with pytest.raises(ValueError):

@@ -75,9 +75,6 @@ APART = {
     ("formats", "manifest_from_dict", PART):
         "the KeyError's or TypeError's text, after `cannot read manifest "
         "{path}: `, whose row names it",
-    ("formats", "_header_from_dict", "a share file holds a JSON object"):
-        "read_share parses a header only as the object its layout makes; "
-        "share_from_dict, which no command calls, refuses any other JSON",
     ("vault", "appending.append", f"cannot write {PART}: not a file name"):
         "a path without a name (`.`, `/`) is a directory, which every "
         "command refuses as an output first (exit 64)",
@@ -94,8 +91,6 @@ APART = {
         "check_deal_order refuses a second deal first",
     ("protocol", "Topology.__post_init__", "mother index out of range"):
         "topology_from_dict passes the index of the one mother",
-    ("protocol", "Topology.derivative_point",
-     f"{PART} is not a daughter network"): GUARD,
     ("protocol", "lagrange_zero_weights", "duplicate x coordinates"):
         "check_shares refuses a node given twice first",
     ("protocol", "lagrange_zero_weights",

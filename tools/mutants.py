@@ -11,8 +11,9 @@ changed since REV is mutated. Each mutant is one change to one node that
 starts on those lines: a comparison operator negated (`<` to `>=`, `in`
 to `not in`, ...) or swapped (`<` to `>`), a boolean operator swapped
 (`and` to `or`) or its operation negated (`not (...)`), a `not` dropped,
-or an int constant plus one. With --guards, only the test of an `if`,
-`elif` or `while` whose body raises is mutated.
+an int constant plus one, or an arithmetic or bitwise operator swapped
+(`+` with `-`, `<<` with `>>`, `&` with `|`). With --guards, only the
+test of an `if`, `elif` or `while` whose body raises is mutated.
 
 The repository is copied into DIR once (into a temporary directory,
 deleted at the end, by default), and each mutant is written into the
@@ -67,6 +68,9 @@ NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
            ast.NotIn: ast.In}
 SWAPPED = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE,
            ast.GtE: ast.LtE}
+BINARY = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.LShift: ast.RShift,
+          ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr,
+          ast.BitOr: ast.BitAnd}
 # The nodes that a mutant's function is named after.
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # A hunk header of a unified diff; its groups are the first line of the
@@ -118,6 +122,10 @@ def variants(node) -> list:
         found.append(copy.deepcopy(node.operand))
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         found.append(ast.Constant(node.value + 1))
+    elif isinstance(node, ast.BinOp) and type(node.op) in BINARY:
+        new = copy.deepcopy(node)
+        new.op = BINARY[type(node.op)]()
+        found.append(new)
     return found
 
 
