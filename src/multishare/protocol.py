@@ -211,45 +211,36 @@ def deal(secret_chunks: Sequence[int], topology: Topology, rng,
     Per chunk: a random outer polynomial P with P(0) the chunk gives each
     network its inner secret, constant_functional's P(1) for the mother
     and P'(a) for daughter a; then a random inner polynomial with that
-    constant gives node j its value at j. Chunks are dealt BLOCK_WORDS at
-    a time, column by column: per block, randomness is drawn as P's
-    coefficient columns p_1..p_D, then, network by network in topology
-    order, that network's inner coefficient columns; every coefficient is
-    uniform over 0..q-1. Dealing a secret block by block, one call per
-    block, therefore draws what one call on the whole secret draws.
+    constant gives node j its value at j. The chunks are dealt column by
+    column: randomness is drawn as P's coefficient columns p_1..p_D,
+    then, network by network in topology order, that network's inner
+    coefficient columns; every coefficient is uniform over 0..q-1.
 
-    Each block of chunks becomes a Block (as_block): a block of ints is
-    checked then, ValueError unless each is in 0..q-1.
+    The chunks become one Block (as_block): ValueError unless each is in
+    0..q-1.
 
-    With `sink`, each node's share of a block, a NodeShare of that block's
-    values, is passed to sink(share) as soon as it is evaluated (per
-    block, network by network in topology order, node by node), and the
-    result is empty: only one network's coefficient columns and one
-    node's values are held at a time. The draws are the same either way.
+    With `sink`, each node's share, a NodeShare of its values, is passed
+    to sink(share) as soon as it is evaluated (network by network in
+    topology order, node by node), and the result is empty: only one
+    network's coefficient columns and one node's values are held at a
+    time. The draws are the same either way.
     """
     q = topology.modulus
-    functionals = [constant_functional(topology, net.id)
-                   for net in topology.networks]
-    values: Dict[str, list] = {}  # without a sink, each node's values
+    dealt: Dict[str, List[NodeShare]] = {}
     if sink is None:
-        values = {net.id: [zeros(0, q)] * net.node_count
-                  for net in topology.networks}
-
         def sink(share: NodeShare) -> None:
-            values[share.network_id][share.node_index - 1] += share.values
-    for i in range(0, len(secret_chunks), BLOCK_WORDS):
-        block = as_block(secret_chunks[i:i + BLOCK_WORDS], q)
-        outer = [block, *(random_ints(q, len(block), rng)
-                          for _ in range(topology.outer_degree))]
-        for net, functional in zip(topology.networks, functionals):
-            columns = [weighted_column_sum(functional, outer, q),
-                       *(random_ints(q, len(block), rng)
-                         for _ in range(net.inner_degree))]
-            for j in range(1, net.node_count + 1):
-                sink(NodeShare(net.id, j, 0, _node_values(j, columns, q)))
-    return {nid: [NodeShare(nid, j, 0, node)
-                  for j, node in enumerate(nodes, start=1)]
-            for nid, nodes in values.items()}
+            dealt.setdefault(share.network_id, []).append(share)
+    block = as_block(secret_chunks, q)
+    outer = [block, *(random_ints(q, len(block), rng)
+                      for _ in range(topology.outer_degree))]
+    for net in topology.networks:
+        columns = [weighted_column_sum(constant_functional(topology, net.id),
+                                       outer, q),
+                   *(random_ints(q, len(block), rng)
+                     for _ in range(net.inner_degree))]
+        for j in range(1, net.node_count + 1):
+            sink(NodeShare(net.id, j, 0, _node_values(j, columns, q)))
+    return dealt
 
 
 def _node_values(node_index: int, columns: Sequence[Sequence[int]],
@@ -469,25 +460,16 @@ class NetworkRefresh(NamedTuple):
 def refresh(topology: Topology, chunk_count: int, epoch: int,
             rng) -> Dict[str, NetworkRefresh]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
-    the outer polynomial is untouched. Randomness is drawn BLOCK_WORDS
-    chunks at a time, as deal draws it: per block, network by network in
-    topology order, each network's coefficient columns c_1..c_k in turn,
-    each uniform. A refresh drawn block by block, one call per block,
-    therefore draws what one call on every chunk draws. No delta is
-    evaluated here: apply_node_refresh updates a share from its network's
-    columns, and NetworkRefresh.delta evaluates a node's delta, when
-    asked."""
+    the outer polynomial is untouched. Randomness is drawn network by
+    network in topology order, each network's coefficient columns
+    c_1..c_k in turn, each uniform. No delta is evaluated here:
+    apply_node_refresh updates a share from its network's columns, and
+    NetworkRefresh.delta evaluates a node's delta, when asked."""
     q = topology.modulus
-    columns = {net.id: [zeros(0, q)] * net.inner_degree
-               for net in topology.networks}
-    for i in range(0, chunk_count, BLOCK_WORDS):
-        n = min(BLOCK_WORDS, chunk_count - i)
-        for net in topology.networks:
-            held = columns[net.id]
-            for t in range(net.inner_degree):
-                held[t] += random_ints(q, n, rng)
-    return {net.id: NetworkRefresh(net.id, epoch, net.node_count,
-                                   chunk_count, q, tuple(columns[net.id]))
+    return {net.id: NetworkRefresh(
+                net.id, epoch, net.node_count, chunk_count, q,
+                tuple(random_ints(q, chunk_count, rng)
+                      for _ in range(net.inner_degree)))
             for net in topology.networks}
 
 

@@ -18,9 +18,9 @@ and the refreshes' randomness, decided by one elimination. The package
 decides the same question network by network (AdversaryKnowledge).
 
 deal and refresh share as the protocol is specified, one chunk and one
-polynomial at a time: the same random_ints draws as the package, column
-by column within each block of BLOCK_WORDS chunks, then each chunk's
-outer polynomial P evaluated by horner at
+polynomial at a time: the same random_ints draws as the vault commands,
+column by column within each block of BLOCK_WORDS chunks, then each
+chunk's outer polynomial P evaluated by horner at
 P(1) for the mother and, through derivative_coeffs, at P'(a) for daughter
 a, and each inner polynomial at node j. They call nothing of the
 package's sharing (no multishare.field function, nor protocol's draws or
@@ -368,10 +368,11 @@ def deal(secret_chunks: Sequence[int], topology: Topology,
          rng) -> Dict[str, List[NodeShare]]:
     """Deal every chunk with fresh randomness and return shares per network.
 
-    Randomness is drawn as the package draws it, BLOCK_WORDS chunks at a
-    time: per block, the outer polynomials' X^1..X^D coefficients, one
-    column across the block's chunks per power, then, network by network
-    in topology order, that network's inner columns. Then chunk by chunk:
+    Randomness is drawn as the vault commands draw it, one protocol.deal
+    call per BLOCK_WORDS chunks: per block, the outer polynomials'
+    X^1..X^D coefficients, one column across the block's chunks per
+    power, then, network by network in topology order, that network's
+    inner columns. Then chunk by chunk:
     P(1) is the mother's inner secret, P'(a) that of the a-th daughter in
     topology order, and node j holds its inner polynomial's value at j.
     """
@@ -492,10 +493,11 @@ class NodeRefresh:
 def refresh(topology: Topology, chunk_count: int, epoch: int,
             rng) -> Dict[str, List[NodeRefresh]]:
     """Fresh zero-constant inner polynomials, one per network per chunk;
-    the outer polynomial is untouched. Randomness is drawn as deal draws
-    it, BLOCK_WORDS chunks at a time: per block, network by network in
-    topology order, each network's coefficient columns across the block's
-    chunks in turn, each uniform."""
+    the outer polynomial is untouched. Randomness is drawn as the refresh
+    command draws it, one protocol.refresh call per BLOCK_WORDS chunks:
+    per block, network by network in topology order, each network's
+    coefficient columns across the block's chunks in turn, each
+    uniform."""
     q = topology.modulus
     values = {net.id: [[] for _ in range(net.node_count)]
               for net in topology.networks}

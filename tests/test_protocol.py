@@ -1582,16 +1582,6 @@ class TestVaultMatchesReference:
     def test_deal_sink(self, vault):
         self.check_deal_sink(*vault)
 
-    def test_deal_sink_across_blocks(self):
-        # Three blocks, the last of one chunk, on a topology whose mother
-        # is not first.
-        t = make_topology(DEFAULT_MODULUS, [(3, 1), (4, 2), (2, 0)], 2,
-                          mother=1)
-        rng = deterministic_rng(5)
-        chunks = [rng.randrange(DEFAULT_MODULUS)
-                  for _ in range(2 * BLOCK_WORDS + 1)]
-        self.check_deal_sink(t, chunks, 6)
-
     def test_apply_rejects_what_does_not_fit(self):
         t = make_topology(11)
         share = deal([4, 5], t, deterministic_rng(0))["d1"][1]

@@ -10,14 +10,22 @@ they sum and the values random_ints draws; and the echelon_reduce calls
 under field's name (express_over_rows and echelon_insert call it there)
 and under protocol's (_walk). Timing on a shared host varies up to 2x
 between runs; these counts do not. A change that moves a count updates
-its pin and says why, as it would a golden digest."""
+its pin and says why, as it would a golden digest.
 
+The vault commands' calls to the operating system are counted the same
+way, where `vault` (the one module that makes them) looks them up: its
+os.open, os.fsync and os.replace calls, and the bytes that
+vault._write_block writes. These are direct `os` calls, so they do not
+change with the Python version; the open() of a share file that is read
+is os.open through vault.open_regular."""
+
+import os
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from multishare import field, protocol
+from multishare import field, protocol, vault
 from multishare.field import BLOCK_WORDS
 from multishare.protocol import LENGTH_HEADER, chunk_size
 from support import run
@@ -128,3 +136,81 @@ def test_simulate(counted, tmp_path):
                           "--report", tmp_path / "report.json"]) == {
         "random_ints values": 14, "weighted_column_sum calls": 37,
         "weighted_column_sum columns": 76, "field.echelon_reduce calls": 38}
+
+
+# Per vault command, vault's calls to the operating system and the bytes
+# it writes: (counts per block, counts once per command). A block of
+# share values is 9 files of 4,096 values of 35 bytes each; a block of
+# chunks carries 61,440 bytes of the secret, less the 4-byte length that
+# the first block starts with. At the 18 blocks of a 1 MiB secret these
+# give os.open 179, 349 and 193, os.fsync 15, 13 and 2 and os.replace 10,
+# 10 and 1 for deal, refresh and reconstruct --shares.
+OS_PER_BLOCK = {
+    "deal": ({"os.open": 9, "_write_block bytes": 1_290_240},
+             {"os.open": 17, "os.fsync": 15, "os.replace": 10,
+              "_write_block bytes": 1_354}),
+    "refresh": ({"os.open": 18, "_write_block bytes": 1_290_240},
+                {"os.open": 25, "os.fsync": 13, "os.replace": 10,
+                 "_write_block bytes": 1_354}),
+    "reconstruct --shares": ({"os.open": 10, "_write_block bytes": 61_440},
+                             {"os.open": 13, "os.fsync": 2,
+                              "os.replace": 1, "_write_block bytes": -4}),
+    "reconstruct m/1 m/2 d1/1 d1/2": ({"os.open": 5,
+                                       "_write_block bytes": 61_440},
+                                      {"os.open": 7, "os.fsync": 2,
+                                       "os.replace": 1,
+                                       "_write_block bytes": -4}),
+}
+
+
+@pytest.fixture
+def os_counted(monkeypatch):
+    """The counts of vault's calls to the operating system since the test
+    began, and of the bytes vault._write_block writes."""
+    counts = Counter()
+
+    class CountingOs:
+        """os, but for open, fsync and replace, which are counted."""
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        def open(self, *args):
+            counts["os.open"] += 1
+            return os.open(*args)
+
+        def fsync(self, fd):
+            counts["os.fsync"] += 1
+            return os.fsync(fd)
+
+        def replace(self, src, dst):
+            counts["os.replace"] += 1
+            return os.replace(src, dst)
+
+    real_write = vault._write_block
+
+    def write_block(path, data, mode):
+        counts["_write_block bytes"] += len(data)
+        return real_write(path, data, mode)
+
+    monkeypatch.setattr(vault, "os", CountingOs())
+    monkeypatch.setattr(vault, "_write_block", write_block)
+    return counts
+
+
+def test_vault_commands_os(os_counted, tmp_path):
+    found = {}
+    for blocks in BLOCKS:
+        (tmp_path / str(blocks)).mkdir()
+        found[blocks] = vault_work(os_counted, tmp_path / str(blocks), blocks)
+    # Each count grows by the same amount per block, but that deal and
+    # refresh write chunk_count in decimal into each of the 9 share files
+    # and the manifest.
+    for command, (per_block, once) in OS_PER_BLOCK.items():
+        for blocks in BLOCKS:
+            want = {key: blocks * per_block.get(key, 0) + once.get(key, 0)
+                    for key in {*per_block, *once}}
+            if command in ("deal", "refresh"):
+                want["_write_block bytes"] += 10 * len(
+                    str(blocks * BLOCK_WORDS))
+            assert found[blocks][command] == want, (command, blocks)

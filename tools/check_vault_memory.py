@@ -7,12 +7,15 @@ example topology (docs/examples/topology.json: three networks of three
 nodes, outer degree 1), in a temporary directory outside the checkout.
 Each command runs in a fresh interpreter started from this small one, so
 that its ru_maxrss is its own (a child's ru_maxrss also counts the
-high-water RSS of the process that started it). After deal and after
-refresh, each share file must be in share format v2: say
-"format_version":2 and have the size its chunk_count gives. Prints each
-command's peak RSS and wall time, and exits 1 if any peak exceeds
---limit-mib MiB, a command fails, a share file is not v2 at its size, or
-the recovered secret differs from the dealt one.
+high-water RSS of the process that started it). A bare interpreter
+(`-c pass`), started the same way, runs first: its line is the host's
+floor, the share of each command that is the interpreter alone. After
+deal and after refresh, each share file must be in share format v2: say
+"format_version":2 and have the size its chunk_count gives. Prints the
+floor's and each command's peak RSS and wall time, and exits 1 if any
+command's peak exceeds --limit-mib MiB, a command fails, a share file is
+not v2 at its size, or the recovered secret differs from the dealt
+one.
 """
 
 from __future__ import annotations
@@ -30,15 +33,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv):
-    """(exit status, peak RSS in MiB, wall seconds) of one CLI command."""
+    """(exit status, peak RSS in MiB, wall seconds) of this interpreter
+    run with the arguments `argv`."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "multishare.cli",
-                             *map(str, argv)],
+    proc = subprocess.Popen([sys.executable, *map(str, argv)],
                             stdout=subprocess.DEVNULL, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
     return (os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024,
             time.perf_counter() - start)
+
+
+def report_line(name: str, code: int, peak: float, wall: float) -> str:
+    """The printed line of one run."""
+    return (f"{name:<14} exit {code}  peak {peak:6.1f} MiB  "
+            f"{wall:6.2f} s")
 
 
 def share_file_faults(shares: Path) -> list:
@@ -95,15 +104,15 @@ def main(argv=None) -> int:
             for _ in range(args.mib):
                 file.write(os.urandom(1 << 20))
         shares, out = tmp / "shares", tmp / "recovered.bin"
+        print(report_line("python -c pass", *run(["-c", "pass"])))
         for command in (
                 ["deal", "--topology", topology, "--secret",
                  tmp / "secret.bin", "--out", shares],
                 ["refresh", "--topology", topology, "--shares", shares],
                 ["reconstruct", "--topology", topology, "--shares", shares,
                  "--out", out]):
-            code, peak, wall = run(command)
-            print(f"{command[0]:<12} exit {code}  peak {peak:6.1f} MiB  "
-                  f"{wall:6.1f} s")
+            code, peak, wall = run(["-m", "multishare.cli", *command])
+            print(report_line(command[0], code, peak, wall))
             if code != 0:
                 failed.append(f"{command[0]} exited {code}")
             elif peak > args.limit_mib:
